@@ -57,8 +57,12 @@ run_one() {
     # store_test rides along: segment append/reopen/compact and the cache
     # snapshot round trip are raw-byte and pread-heavy paths where ASan
     # catches off-by-one record framing that the checksums alone mask.
+    # The bit-I/O suites ride along: BitReader/BitWriter move whole 64-bit
+    # words, and a multi-byte load past a buffer's end is exactly the
+    # over-read the checksums would hide; the differential tests read from
+    # exact-size buffers so ASan sees it.
     ctest --test-dir "${build_dir}" --output-on-failure \
-      -R '^(serve_test|tsan_stress_test|stream_test|ingest_test|sparsifier_differential_test|transport_test|store_test)$'
+      -R '^(serve_test|tsan_stress_test|stream_test|ingest_test|sparsifier_differential_test|transport_test|store_test|util_bitio_test|sketch_serialization_test|channel_test|corruption_test)$'
     # The SIMD dispatch layer has two code paths per kernel (vectorized
     # and forced-scalar); run the kernels' consumers under the checker on
     # both so neither path escapes sanitizer coverage.

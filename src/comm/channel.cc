@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/bitio.h"
+#include "util/checksum.h"
 #include "util/metrics.h"
 
 namespace dcs {
@@ -19,15 +20,6 @@ constexpr uint64_t kFrameMagic = 0xFA5C;
 // corrupted length field must never drive a huge reserve.
 constexpr uint64_t kMaxChunks = uint64_t{1} << 32;
 constexpr uint64_t kMaxMessageBits = uint64_t{1} << 48;
-
-uint32_t Fnv1a(const std::vector<uint8_t>& bytes) {
-  uint32_t hash = 2166136261u;
-  for (uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 16777619u;
-  }
-  return hash;
-}
 
 }  // namespace
 
@@ -79,7 +71,7 @@ void WriteChannelFrame(int64_t seq, int64_t total_chunks, int64_t message_bits,
   out.WriteEliasGamma(static_cast<uint64_t>(total_chunks));
   out.WriteEliasGamma(static_cast<uint64_t>(message_bits));
   out.WriteEliasGamma(static_cast<uint64_t>(payload_bits));
-  out.WriteBits(Fnv1a(payload), 32);
+  out.WriteBits(Fnv1a32(payload), 32);
   out.AppendBits(payload, payload_bits);
 }
 
@@ -113,15 +105,9 @@ StatusOr<ParsedChannelFrame> TryParseChannelFrame(BitReader& reader) {
   frame.total_chunks = static_cast<int64_t>(total);
   frame.message_bits = static_cast<int64_t>(message_bits);
   frame.payload_bits = static_cast<int64_t>(payload_bits);
-  frame.payload.assign(static_cast<size_t>((payload_bits + 7) / 8), 0);
-  for (uint64_t bit = 0; bit < payload_bits; ++bit) {
-    DCS_ASSIGN_OR_RETURN(const int value, reader.TryReadBit());
-    if (value) {
-      frame.payload[static_cast<size_t>(bit >> 3)] |=
-          static_cast<uint8_t>(1u << (bit & 7));
-    }
-  }
-  if (Fnv1a(frame.payload) != checksum) {
+  DCS_RETURN_IF_ERROR(
+      reader.TryReadBitsInto(frame.payload_bits, frame.payload));
+  if (Fnv1a32(frame.payload) != checksum) {
     return DataLossError("channel frame checksum mismatch");
   }
   return frame;
@@ -207,19 +193,13 @@ StatusOr<Message> ReliableLink::Transfer(const Message& message) {
 
   // Sender-side chunk payloads (packed bytes + exact bit count each).
   std::vector<Frame> chunks(static_cast<size_t>(total_chunks));
+  BitReader source(message.bytes);
   for (int64_t seq = 0; seq < total_chunks; ++seq) {
-    const int64_t begin = seq * chunk_bits;
-    const int64_t bits =
-        std::min<int64_t>(chunk_bits, message.bit_count - begin);
-    BitWriter payload;
-    for (int64_t b = 0; b < bits; ++b) {
-      const int64_t bit = begin + b;
-      payload.WriteBit((message.bytes[static_cast<size_t>(bit >> 3)] >>
-                        (bit & 7)) &
-                       1);
-    }
-    chunks[static_cast<size_t>(seq)] =
-        Frame{payload.bytes(), payload.bit_count()};
+    Frame& chunk = chunks[static_cast<size_t>(seq)];
+    chunk.bit_count =
+        std::min<int64_t>(chunk_bits, message.bit_count - seq * chunk_bits);
+    // Cannot fail: the message's byte count was CHECKed above.
+    DCS_RETURN_IF_ERROR(source.TryReadBitsInto(chunk.bit_count, chunk.bytes));
   }
 
   std::vector<std::optional<Frame>> received(

@@ -12,6 +12,7 @@
 #include "sketch/serialization.h"
 #include "store/cache_snapshot.h"
 #include "util/bitio.h"
+#include "util/checksum.h"
 #include "util/metrics.h"
 
 namespace dcs {
@@ -25,17 +26,6 @@ uint64_t DrawInstanceToken() {
   const uint64_t token =
       ticks ^ (static_cast<uint64_t>(::getpid()) << 40);
   return token == 0 ? 1 : token;
-}
-
-// Checksum of a graph's serialized envelope bytes; matches the client's
-// GraphEnvelopeChecksum because serialization is canonical.
-uint32_t Fnv1aBytes(const std::vector<uint8_t>& bytes) {
-  uint32_t hash = 2166136261u;
-  for (uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 16777619u;
-  }
-  return hash;
 }
 
 }  // namespace
@@ -152,7 +142,7 @@ Status ClusterWorker::WarmLoadFromStore() {
     BitReader reader(object.bytes);
     DCS_ASSIGN_OR_RETURN(DirectedGraph graph,
                          DeserializeDirectedGraph(reader));
-    const uint32_t checksum = Fnv1aBytes(object.bytes);
+    const uint32_t checksum = Fnv1a32(object.bytes);
     Shard& shard = *shards_[static_cast<size_t>(id % num_shards)];
     shard.graphs.push_back(std::move(graph));
     shard.checksums.push_back(checksum);
@@ -272,7 +262,9 @@ RpcResponse ClusterWorker::ExecuteOnShard(Shard& shard,
           break;
         }
       }
-      const uint32_t checksum = Fnv1aBytes(writer.bytes());
+      // Matches the client's GraphEnvelopeChecksum: serialization is
+      // canonical.
+      const uint32_t checksum = Fnv1a32(writer.bytes());
       shard.graphs.push_back(*request.graph);
       shard.checksums.push_back(checksum);
       const CutQueryService::ObjectId local =

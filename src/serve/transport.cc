@@ -254,21 +254,16 @@ Status Connection::Send(const Message& message, int timeout_ms) {
   const DeadlineTimer deadline(timeout_ms);
   const int64_t total_chunks = std::max<int64_t>(
       1, (message.bit_count + kChunkPayloadBits - 1) / kChunkPayloadBits);
+  BitReader source(message.bytes);
+  std::vector<uint8_t> payload;
   for (int64_t seq = 0; seq < total_chunks; ++seq) {
-    const int64_t begin = seq * kChunkPayloadBits;
-    const int64_t bits =
-        std::min<int64_t>(kChunkPayloadBits, message.bit_count - begin);
-    // Repack this chunk's bits (the chunk boundary is bit-aligned, the
-    // byte buffer is not).
-    BitWriter payload;
-    for (int64_t b = 0; b < bits; ++b) {
-      const int64_t bit = begin + b;
-      payload.WriteBit(
-          (message.bytes[static_cast<size_t>(bit >> 3)] >> (bit & 7)) & 1);
-    }
+    const int64_t bits = std::min<int64_t>(
+        kChunkPayloadBits, message.bit_count - seq * kChunkPayloadBits);
+    // Cannot fail: the message's byte count was CHECKed above.
+    DCS_RETURN_IF_ERROR(source.TryReadBitsInto(bits, payload));
     BitWriter framed;
-    WriteChannelFrame(seq, total_chunks, message.bit_count, payload.bytes(),
-                      payload.bit_count(), framed);
+    WriteChannelFrame(seq, total_chunks, message.bit_count, payload, bits,
+                      framed);
     const auto& frame_bytes = framed.bytes();
     const uint32_t frame_len = static_cast<uint32_t>(frame_bytes.size());
     DCS_CHECK_LE(frame_len, kMaxFrameBytes);
@@ -364,11 +359,11 @@ StatusOr<Message> Connection::Receive(int timeout_ms) {
     if (reader.RemainingBits() >= 8) {
       return DataLossError("transport frame has trailing bytes");
     }
-    while (!reader.AtEnd()) {
-      DCS_ASSIGN_OR_RETURN(const int pad_bit, reader.TryReadBit());
-      if (pad_bit != 0) {
-        return DataLossError("transport frame has nonzero padding");
-      }
+    DCS_ASSIGN_OR_RETURN(
+        const uint64_t padding,
+        reader.TryReadBits(static_cast<int>(reader.RemainingBits())));
+    if (padding != 0) {
+      return DataLossError("transport frame has nonzero padding");
     }
     out.AppendBits(parsed->payload, parsed->payload_bits);
   }

@@ -6,6 +6,7 @@
 
 #include "sketch/serialization.h"
 #include "util/bitio.h"
+#include "util/checksum.h"
 
 namespace dcs {
 namespace {
@@ -19,15 +20,9 @@ constexpr uint64_t kRpcVersion = 1;
 // Caps enforced before any allocation driven by a header-declared count.
 constexpr uint64_t kMaxBatchQueries = uint64_t{1} << 20;
 constexpr uint64_t kMaxStatusMessageBytes = 4096;
-
-uint32_t Fnv1a(const std::vector<uint8_t>& bytes) {
-  uint32_t hash = 2166136261u;
-  for (uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 16777619u;
-  }
-  return hash;
-}
+// Matches the serialization layer's vertex cap, and keeps every declared
+// vertex count well inside int.
+constexpr uint64_t kMaxVertices = uint64_t{1} << 28;
 
 Message SealRpc(RpcKind kind, const BitWriter& payload) {
   BitWriter out;
@@ -35,7 +30,7 @@ Message SealRpc(RpcKind kind, const BitWriter& payload) {
   out.WriteBits(kRpcVersion, 8);
   out.WriteBits(static_cast<uint64_t>(kind), 8);
   out.WriteEliasGamma(static_cast<uint64_t>(payload.bit_count()));
-  out.WriteBits(Fnv1a(payload.bytes()), 32);
+  out.WriteBits(Fnv1a32(payload.bytes()), 32);
   out.AppendBits(payload.bytes(), payload.bit_count());
   return SealMessage(out);
 }
@@ -75,18 +70,29 @@ StatusOr<OpenedRpc> OpenRpc(const Message& message) {
   OpenedRpc opened;
   opened.kind = static_cast<RpcKind>(kind);
   opened.payload_bits = static_cast<int64_t>(payload_bits);
-  opened.payload.assign(static_cast<size_t>((payload_bits + 7) / 8), 0);
-  for (uint64_t bit = 0; bit < payload_bits; ++bit) {
-    DCS_ASSIGN_OR_RETURN(const int value, reader.TryReadBit());
-    if (value) {
-      opened.payload[static_cast<size_t>(bit >> 3)] |=
-          static_cast<uint8_t>(1u << (bit & 7));
-    }
-  }
-  if (Fnv1a(opened.payload) != checksum) {
+  DCS_RETURN_IF_ERROR(
+      reader.TryReadBitsInto(opened.payload_bits, opened.payload));
+  if (Fnv1a32(opened.payload) != checksum) {
     return DataLossError("rpc payload checksum mismatch");
   }
   return opened;
+}
+
+// A query side travels as one bit per vertex, in vertex order; packed, it is
+// eight vertices to a byte, LSB first, as BitWriter lays the bits out.
+void PackSide(const VertexSet& side, std::vector<uint8_t>& packed) {
+  packed.assign((side.size() + 7) / 8, 0);
+  for (size_t v = 0; v < side.size(); ++v) {
+    if (side[v] != 0) packed[v >> 3] |= static_cast<uint8_t>(1u << (v & 7));
+  }
+}
+
+VertexSet UnpackSide(const std::vector<uint8_t>& packed, size_t num_vertices) {
+  VertexSet side(num_vertices);
+  for (size_t v = 0; v < num_vertices; ++v) {
+    side[v] = static_cast<uint8_t>((packed[v >> 3] >> (v & 7)) & 1);
+  }
+  return side;
 }
 
 // The payload parsers share a tail check: every declared payload bit must
@@ -131,9 +137,11 @@ Message EncodeRpcRequest(const RpcRequest& request) {
       payload.WriteEliasGamma(static_cast<uint64_t>(request.object_id));
       payload.WriteEliasGamma(static_cast<uint64_t>(request.num_vertices));
       payload.WriteEliasGamma(static_cast<uint64_t>(request.sides.size()));
+      std::vector<uint8_t> packed;
       for (const VertexSet& side : request.sides) {
         DCS_CHECK_EQ(static_cast<int>(side.size()), request.num_vertices);
-        for (uint8_t in_side : side) payload.WriteBit(in_side ? 1 : 0);
+        PackSide(side, packed);
+        payload.AppendBits(packed, request.num_vertices);
       }
       break;
     }
@@ -176,7 +184,7 @@ StatusOr<RpcRequest> DecodeRpcRequest(const Message& message) {
                            reader.TryReadEliasGamma());
       DCS_ASSIGN_OR_RETURN(const uint64_t num_sides,
                            reader.TryReadEliasGamma());
-      if (num_vertices < 1 ||
+      if (num_vertices < 1 || num_vertices > kMaxVertices ||
           num_vertices > static_cast<uint64_t>(reader.RemainingBits())) {
         return DataLossError("rpc query batch vertex count out of range");
       }
@@ -189,13 +197,12 @@ StatusOr<RpcRequest> DecodeRpcRequest(const Message& message) {
       request.object_id = static_cast<int64_t>(object_id);
       request.num_vertices = static_cast<int>(num_vertices);
       request.sides.reserve(static_cast<size_t>(num_sides));
+      std::vector<uint8_t> packed;
       for (uint64_t q = 0; q < num_sides; ++q) {
-        VertexSet side(num_vertices, 0);
-        for (uint64_t v = 0; v < num_vertices; ++v) {
-          DCS_ASSIGN_OR_RETURN(const int bit, reader.TryReadBit());
-          side[static_cast<size_t>(v)] = static_cast<uint8_t>(bit);
-        }
-        request.sides.push_back(std::move(side));
+        DCS_RETURN_IF_ERROR(reader.TryReadBitsInto(
+            static_cast<int64_t>(num_vertices), packed));
+        request.sides.push_back(
+            UnpackSide(packed, static_cast<size_t>(num_vertices)));
       }
       break;
     }
@@ -207,7 +214,7 @@ StatusOr<RpcRequest> DecodeRpcRequest(const Message& message) {
       }
       DCS_ASSIGN_OR_RETURN(const uint64_t num_vertices,
                            reader.TryReadEliasGamma());
-      if (num_vertices < 1 || num_vertices > (uint64_t{1} << 28)) {
+      if (num_vertices < 1 || num_vertices > kMaxVertices) {
         return DataLossError("rpc reattach vertex count out of range");
       }
       DCS_ASSIGN_OR_RETURN(const uint64_t checksum, reader.TryReadBits(32));
@@ -241,7 +248,7 @@ Message EncodeRpcResponse(const RpcResponse& response) {
 uint32_t GraphEnvelopeChecksum(const DirectedGraph& graph) {
   BitWriter writer;
   SerializeDirectedGraph(graph, writer);
-  return Fnv1a(writer.bytes());
+  return Fnv1a32(writer.bytes());
 }
 
 StatusOr<RpcResponse> DecodeRpcResponse(const Message& message) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 
+#include "util/checksum.h"
 #include "util/metrics.h"
 
 namespace dcs {
@@ -46,15 +47,6 @@ constexpr uint64_t kMaxVertices = uint64_t{1} << 28;
 // Smallest possible serialized edge: two 1-bit Elias-gamma endpoints plus a
 // 64-bit weight. Declared edge counts are capped against remaining/66.
 constexpr int64_t kMinEdgeBits = 66;
-
-uint32_t Fnv1a(const std::vector<uint8_t>& bytes) {
-  uint32_t hash = 2166136261u;
-  for (uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 16777619u;
-  }
-  return hash;
-}
 
 template <typename GraphT>
 void SerializeEdges(const GraphT& graph, BitWriter& writer) {
@@ -159,7 +151,7 @@ void WriteEnvelope(StreamKind kind, const BitWriter& payload, BitWriter& out) {
   out.WriteBits(kFormatVersion, 8);
   out.WriteBits(static_cast<uint64_t>(kind), 8);
   out.WriteEliasGamma(static_cast<uint64_t>(payload.bit_count()));
-  out.WriteBits(Fnv1a(payload.bytes()), 32);
+  out.WriteBits(Fnv1a32(payload.bytes()), 32);
   out.AppendBits(payload.bytes(), payload.bit_count());
 }
 
@@ -190,15 +182,8 @@ StatusOr<EnvelopePayload> ReadEnvelopePayload(StreamKind expected_kind,
   DCS_ASSIGN_OR_RETURN(const uint64_t checksum, reader.TryReadBits(32));
   EnvelopePayload payload;
   payload.bit_count = static_cast<int64_t>(bit_count);
-  payload.bytes.assign(static_cast<size_t>((bit_count + 7) / 8), 0);
-  for (int64_t bit = 0; bit < payload.bit_count; ++bit) {
-    DCS_ASSIGN_OR_RETURN(const int value, reader.TryReadBit());
-    if (value) {
-      payload.bytes[static_cast<size_t>(bit >> 3)] |=
-          static_cast<uint8_t>(1u << (bit & 7));
-    }
-  }
-  if (Fnv1a(payload.bytes) != checksum) {
+  DCS_RETURN_IF_ERROR(reader.TryReadBitsInto(payload.bit_count, payload.bytes));
+  if (Fnv1a32(payload.bytes) != checksum) {
     return DataLossError("envelope checksum mismatch (corrupted payload)");
   }
   DCS_METRIC_INC("serialization.envelope.read");

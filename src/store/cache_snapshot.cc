@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "util/bitio.h"
+#include "util/checksum.h"
 #include "util/metrics.h"
 
 namespace dcs {
@@ -21,15 +22,6 @@ constexpr uint64_t kMaxSideWords = ((uint64_t{1} << 28) + 63) / 64;
 // Floor on one encoded entry: 1-bit gamma id + 1-bit gamma count + 64-bit
 // value. Declared entry counts are capped against remaining/66.
 constexpr int64_t kMinEntryBits = 66;
-
-uint32_t Fnv1a(const std::vector<uint8_t>& bytes) {
-  uint32_t hash = 2166136261u;
-  for (uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 16777619u;
-  }
-  return hash;
-}
 
 Status SnapshotDataLoss(const std::string& what) {
   return DataLossError("cache snapshot: " + what);
@@ -51,7 +43,7 @@ std::vector<uint8_t> EncodeCacheSnapshot(
   out.WriteBits(kSnapshotMagic, 16);
   out.WriteBits(kSnapshotVersion, 8);
   out.WriteEliasGamma(static_cast<uint64_t>(payload.bit_count()));
-  out.WriteBits(Fnv1a(payload.bytes()), 32);
+  out.WriteBits(Fnv1a32(payload.bytes()), 32);
   out.AppendBits(payload.bytes(), payload.bit_count());
   return out.bytes();
 }
@@ -73,28 +65,22 @@ StatusOr<std::vector<CacheSnapshotEntry>> DecodeCacheSnapshot(
   DCS_ASSIGN_OR_RETURN(const uint64_t checksum, reader.TryReadBits(32));
   // Extract the payload bytes first and checksum them — exactly the
   // envelope reader's order — then parse entries from a fresh reader.
-  std::vector<uint8_t> payload(static_cast<size_t>((bit_count + 7) / 8), 0);
-  for (uint64_t bit = 0; bit < bit_count; ++bit) {
-    DCS_ASSIGN_OR_RETURN(const int value, reader.TryReadBit());
-    if (value) {
-      payload[static_cast<size_t>(bit >> 3)] |=
-          static_cast<uint8_t>(1u << (bit & 7));
-    }
-  }
-  if (Fnv1a(payload) != checksum) {
+  const int64_t payload_bits = static_cast<int64_t>(bit_count);
+  std::vector<uint8_t> payload;
+  DCS_RETURN_IF_ERROR(reader.TryReadBitsInto(payload_bits, payload));
+  if (Fnv1a32(payload) != checksum) {
     return SnapshotDataLoss("checksum mismatch");
   }
   // Remaining file bits must be zero padding to one byte.
   if (reader.RemainingBits() >= 8) {
     return SnapshotDataLoss("trailing bytes after payload");
   }
-  while (!reader.AtEnd()) {
-    DCS_ASSIGN_OR_RETURN(const int bit, reader.TryReadBit());
-    if (bit != 0) return SnapshotDataLoss("nonzero padding");
-  }
+  DCS_ASSIGN_OR_RETURN(
+      const uint64_t padding,
+      reader.TryReadBits(static_cast<int>(reader.RemainingBits())));
+  if (padding != 0) return SnapshotDataLoss("nonzero padding");
 
   BitReader body(payload);
-  const int64_t payload_bits = static_cast<int64_t>(bit_count);
   DCS_ASSIGN_OR_RETURN(const uint64_t count, body.TryReadEliasGamma());
   if (count > static_cast<uint64_t>(
                   (payload_bits - body.position()) / kMinEntryBits) +

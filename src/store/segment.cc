@@ -1,9 +1,11 @@
 #include "store/segment.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
 #include "util/check.h"
+#include "util/checksum.h"
 
 namespace dcs {
 namespace {
@@ -27,15 +29,6 @@ constexpr uint64_t kMaxByteField = uint64_t{1} << 62;
 // Smallest index entry: 1-bit id + 8-bit kind + 1-bit offset + 1-bit
 // length. Declared entry counts are capped against remaining/11.
 constexpr int64_t kMinIndexEntryBits = 11;
-
-uint32_t Fnv1a(const uint8_t* bytes, size_t size) {
-  uint32_t hash = 2166136261u;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 16777619u;
-  }
-  return hash;
-}
 
 uint64_t LoadLe(const uint8_t* bytes, int width_bytes) {
   uint64_t value = 0;
@@ -71,7 +64,8 @@ RecordParse TryParseRecordAt(const std::vector<uint8_t>& bytes, int64_t pos,
   const uint64_t kind = LoadLe(p + 10, 1);
   const uint64_t payload_bits = LoadLe(p + 11, 8);
   const uint32_t header_checksum = static_cast<uint32_t>(LoadLe(p + 19, 4));
-  if (Fnv1a(p, static_cast<size_t>(kRecordHeaderBytes)) != header_checksum) {
+  if (Fnv1a32(p, static_cast<size_t>(kRecordHeaderBytes)) !=
+      header_checksum) {
     return RecordParse::kStructural;
   }
   // Header verified: the declared fields are what the writer wrote, but a
@@ -88,7 +82,7 @@ RecordParse TryParseRecordAt(const std::vector<uint8_t>& bytes, int64_t pos,
   byte_length = kRecordPrefixBytes + static_cast<int64_t>(payload_bytes);
   const uint32_t payload_checksum = static_cast<uint32_t>(LoadLe(p + 23, 4));
   const uint8_t* payload = p + kRecordPrefixBytes;
-  if (Fnv1a(payload, static_cast<size_t>(payload_bytes)) !=
+  if (Fnv1a32(payload, static_cast<size_t>(payload_bytes)) !=
       payload_checksum) {
     return RecordParse::kCorrupt;
   }
@@ -110,7 +104,7 @@ int64_t FindSealTrailer(const std::vector<uint8_t>& bytes) {
   const int64_t size = static_cast<int64_t>(bytes.size());
   if (size < kTrailerBytes) return -1;
   const uint8_t* t = bytes.data() + (size - kTrailerBytes);
-  if (Fnv1a(t, 12) != static_cast<uint32_t>(LoadLe(t + 12, 4))) return -1;
+  if (Fnv1a32(t, 12) != static_cast<uint32_t>(LoadLe(t + 12, 4))) return -1;
   if (LoadLe(t + 8, 4) != kTrailerMagic) return -1;
   const uint64_t footer_offset = LoadLe(t, 8);
   if (footer_offset >= static_cast<uint64_t>(size - kTrailerBytes)) {
@@ -135,10 +129,12 @@ StatusOr<std::vector<SegmentIndexEntry>> ParseFooterRegion(
   if (payload_reader.position() != payload.bit_count) {
     return DataLossError("segment index payload has trailing bits");
   }
-  // Zero-pad enforcement for the footer's final partial byte.
+  // Zero-pad enforcement for the rest of the footer region.
   while (!reader.AtEnd()) {
-    DCS_ASSIGN_OR_RETURN(const int bit, reader.TryReadBit());
-    if (bit != 0) {
+    DCS_ASSIGN_OR_RETURN(const uint64_t padding,
+                         reader.TryReadBits(static_cast<int>(
+                             std::min<int64_t>(64, reader.RemainingBits()))));
+    if (padding != 0) {
       return DataLossError("segment footer has nonzero padding");
     }
   }
@@ -168,9 +164,8 @@ void AppendSegmentRecord(const SegmentRecord& record,
   DCS_CHECK_EQ(static_cast<int64_t>(h.size()), kRecordHeaderBytes);
   out.insert(out.end(), h.begin(), h.end());
   BitWriter checksums;
-  checksums.WriteBits(Fnv1a(h.data(), h.size()), 32);
-  checksums.WriteBits(Fnv1a(record.payload.data(), record.payload.size()),
-                      32);
+  checksums.WriteBits(Fnv1a32(h), 32);
+  checksums.WriteBits(Fnv1a32(record.payload), 32);
   out.insert(out.end(), checksums.bytes().begin(), checksums.bytes().end());
   out.insert(out.end(), record.payload.begin(), record.payload.end());
 }
@@ -239,7 +234,7 @@ std::vector<uint8_t> BuildSegmentSeal(
   const std::vector<uint8_t>& t = trailer.bytes();
   DCS_CHECK_EQ(t.size(), 12u);
   BitWriter checksum;
-  checksum.WriteBits(Fnv1a(t.data(), t.size()), 32);
+  checksum.WriteBits(Fnv1a32(t), 32);
   out.insert(out.end(), t.begin(), t.end());
   out.insert(out.end(), checksum.bytes().begin(), checksum.bytes().end());
   return out;

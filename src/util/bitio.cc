@@ -4,6 +4,89 @@
 #include <cstring>
 
 namespace dcs {
+namespace {
+
+uint64_t LowMask(int width) {
+  return width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+}
+
+// Word loads and stores below are little-endian, matching the stream's
+// LSB-first byte order.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "bit I/O word access assumes a little-endian host");
+
+uint64_t LoadLe64(const uint8_t* bytes) {
+  uint64_t word = 0;
+  std::memcpy(&word, bytes, sizeof(word));
+  return word;
+}
+
+void StoreLe64(uint8_t* bytes, uint64_t word) {
+  std::memcpy(bytes, &word, sizeof(word));
+}
+
+// Returns `width` bits (width in [0, 64]) starting at bit `pos` of
+// data[0, size), LSB first. The caller guarantees pos + width <= 8 * size;
+// no byte past the last one holding a requested bit is touched.
+uint64_t PeekBits(const uint8_t* data, size_t size, int64_t pos, int width) {
+  if (width == 0) return 0;
+  const size_t byte = static_cast<size_t>(pos >> 3);
+  const int shift = static_cast<int>(pos & 7);
+  uint64_t word = 0;
+  if (size - byte >= 8) {
+    word = LoadLe64(data + byte) >> shift;
+    // A 64-bit field at a nonzero shift straddles a ninth byte.
+    if (shift + width > 64) {
+      word |= static_cast<uint64_t>(data[byte + 8]) << (64 - shift);
+    }
+  } else {
+    for (size_t i = byte; i < size; ++i) {
+      word |= static_cast<uint64_t>(data[i]) << (8 * (i - byte));
+    }
+    word >>= shift;
+  }
+  return word & LowMask(width);
+}
+
+// Writes `count` bits starting at bit `pos` of src[0, src_size) to the
+// byte-aligned `dst`: exactly (count + 7) / 8 bytes, LSB first, final
+// partial byte zero-padded.
+void CopyBitsToAligned(const uint8_t* src, size_t src_size, int64_t pos,
+                       int64_t count, uint8_t* dst) {
+  if ((pos & 7) == 0) {
+    const size_t whole = static_cast<size_t>(count >> 3);
+    if (whole > 0) std::memcpy(dst, src + (pos >> 3), whole);
+    const int tail = static_cast<int>(count & 7);
+    if (tail > 0) {
+      dst[whole] = static_cast<uint8_t>(src[(pos >> 3) + whole] &
+                                        LowMask(tail));
+    }
+    return;
+  }
+  for (; count >= 64; count -= 64, pos += 64, dst += 8) {
+    StoreLe64(dst, PeekBits(src, src_size, pos, 64));
+  }
+  if (count > 0) {
+    const uint64_t tail = PeekBits(src, src_size, pos, static_cast<int>(count));
+    for (int64_t i = 0; i < (count + 7) / 8; ++i) {
+      dst[i] = static_cast<uint8_t>(tail >> (8 * i));
+    }
+  }
+}
+
+// Reverses the order of the low `width` bits of `value` (width in [1, 64]);
+// Elias-gamma payloads travel MSB first inside an LSB-first stream.
+uint64_t ReverseLowBits(uint64_t value, int width) {
+  value = ((value >> 1) & 0x5555555555555555ull) |
+          ((value & 0x5555555555555555ull) << 1);
+  value = ((value >> 2) & 0x3333333333333333ull) |
+          ((value & 0x3333333333333333ull) << 2);
+  value = ((value >> 4) & 0x0F0F0F0F0F0F0F0Full) |
+          ((value & 0x0F0F0F0F0F0F0F0Full) << 4);
+  return __builtin_bswap64(value) >> (64 - width);
+}
+
+}  // namespace
 
 void BitWriter::WriteBit(int bit) {
   DCS_DCHECK(bit == 0 || bit == 1);
@@ -16,21 +99,34 @@ void BitWriter::WriteBit(int bit) {
 void BitWriter::WriteBits(uint64_t value, int width) {
   DCS_CHECK_GE(width, 0);
   DCS_CHECK_LE(width, 64);
-  for (int i = 0; i < width; ++i) {
-    WriteBit(static_cast<int>((value >> i) & 1));
-  }
+  if (width == 0) return;
+  value &= LowMask(width);
+  const int offset = static_cast<int>(bit_count_ & 7);
+  const size_t first = static_cast<size_t>(bit_count_ >> 3);
+  bit_count_ += width;
+  bytes_.resize(static_cast<size_t>((bit_count_ + 7) >> 3));
+  // The field spans at most 9 bytes from `first`: the partial byte (whose
+  // bits at and above `offset` are still zero) and freshly zeroed ones.
+  uint8_t staged[9];
+  StoreLe64(staged, value << offset);
+  staged[8] = offset == 0 ? 0 : static_cast<uint8_t>(value >> (64 - offset));
+  staged[0] |= bytes_[first];
+  std::memcpy(bytes_.data() + first, staged, bytes_.size() - first);
 }
 
 void BitWriter::WriteEliasGamma(uint64_t value) {
   DCS_CHECK_LT(value, UINT64_MAX);
   const uint64_t shifted = value + 1;
-  int log = 63;
-  while (((shifted >> log) & 1) == 0) --log;
-  for (int i = 0; i < log; ++i) WriteBit(0);
-  WriteBit(1);
-  // Low `log` bits of shifted, MSB-to-LSB order mirrors classic gamma.
-  for (int i = log - 1; i >= 0; --i) {
-    WriteBit(static_cast<int>((shifted >> i) & 1));
+  const int log = 63 - __builtin_clzll(shifted);
+  // `log` zeros, the leading 1, then the low `log` bits of shifted
+  // MSB-to-LSB (classic gamma order), i.e. bit-reversed in this LSB-first
+  // stream.
+  const uint64_t low = log == 0 ? 0 : ReverseLowBits(shifted, log);
+  if (2 * log + 1 <= 64) {
+    WriteBits((low << (log + 1)) | (uint64_t{1} << log), 2 * log + 1);
+  } else {
+    WriteBits(uint64_t{1} << log, log + 1);
+    WriteBits(low, log);
   }
 }
 
@@ -44,18 +140,21 @@ void BitWriter::AppendBits(const std::vector<uint8_t>& bytes,
                            int64_t bit_count) {
   DCS_CHECK_GE(bit_count, 0);
   DCS_CHECK_LE(bit_count, static_cast<int64_t>(bytes.size()) * 8);
-  int64_t done = 0;
-  while (done < bit_count) {
-    const int chunk = static_cast<int>(std::min<int64_t>(64, bit_count - done));
-    uint64_t value = 0;
-    for (int i = 0; i < chunk; ++i) {
-      const int64_t bit = done + i;
-      const uint8_t byte = bytes[static_cast<size_t>(bit >> 3)];
-      value |= static_cast<uint64_t>((byte >> (bit & 7)) & 1) << i;
-    }
-    WriteBits(value, chunk);
-    done += chunk;
-  }
+  // Top up the partial final byte so the rest lands byte-aligned.
+  const int lead = static_cast<int>(
+      std::min<int64_t>((8 - (bit_count_ & 7)) & 7, bit_count));
+  WriteBits(PeekBits(bytes.data(), bytes.size(), 0, lead), lead);
+  const int64_t rest = bit_count - lead;
+  if (rest == 0) return;
+  const size_t first = bytes_.size();
+  bit_count_ += rest;
+  bytes_.resize(static_cast<size_t>((bit_count_ + 7) >> 3));
+  CopyBitsToAligned(bytes.data(), bytes.size(), lead, rest,
+                    bytes_.data() + first);
+}
+
+uint64_t BitReader::Peek(int width) const {
+  return PeekBits(bytes_->data(), bytes_->size(), position_, width);
 }
 
 int BitReader::ReadBit() {
@@ -69,24 +168,16 @@ int BitReader::ReadBit() {
 uint64_t BitReader::ReadBits(int width) {
   DCS_CHECK_GE(width, 0);
   DCS_CHECK_LE(width, 64);
-  uint64_t value = 0;
-  for (int i = 0; i < width; ++i) {
-    value |= static_cast<uint64_t>(ReadBit()) << i;
-  }
+  DCS_CHECK_LE(width, RemainingBits());
+  const uint64_t value = Peek(width);
+  position_ += width;
   return value;
 }
 
 uint64_t BitReader::ReadEliasGamma() {
-  int log = 0;
-  while (ReadBit() == 0) {
-    ++log;
-    DCS_CHECK_LT(log, 64);
-  }
-  uint64_t shifted = 1;
-  for (int i = 0; i < log; ++i) {
-    shifted = (shifted << 1) | static_cast<uint64_t>(ReadBit());
-  }
-  return shifted - 1;
+  const StatusOr<uint64_t> value = TryReadEliasGamma();
+  DCS_CHECK(value.ok());
+  return *value;
 }
 
 double BitReader::ReadDouble() {
@@ -109,27 +200,35 @@ StatusOr<uint64_t> BitReader::TryReadBits(int width) {
   if (RemainingBits() < width) {
     return DataLossError("bit stream truncated");
   }
-  return ReadBits(width);
+  const uint64_t value = Peek(width);
+  position_ += width;
+  return value;
 }
 
 StatusOr<uint64_t> BitReader::TryReadEliasGamma() {
-  int log = 0;
-  while (true) {
-    DCS_ASSIGN_OR_RETURN(const int bit, TryReadBit());
-    if (bit == 1) break;
-    if (++log >= 64) {
+  // One peek finds the zero prefix; on failure the cursor stops where the
+  // failure shows: past the zeros consumed, or past the leading one.
+  const int64_t remaining = RemainingBits();
+  const int window_bits = static_cast<int>(std::min<int64_t>(64, remaining));
+  const uint64_t window = Peek(window_bits);
+  if (window == 0) {
+    if (window_bits == 64) {
+      position_ += 64;
       return DataLossError("Elias-gamma prefix longer than 64 bits");
     }
+    position_ = limit_;
+    return DataLossError("bit stream truncated");
   }
-  DCS_ASSIGN_OR_RETURN(const uint64_t low, TryReadBits(log));
-  // The payload is written MSB-to-LSB, and TryReadBits packs bits in read
-  // order LSB-first — so bit i of `low` is the (i+1)-th most significant
-  // payload bit. Append them in stream order under the leading 1.
-  uint64_t shifted = 1;
-  for (int i = 0; i < log; ++i) {
-    shifted = (shifted << 1) | ((low >> i) & 1);
-  }
-  return shifted - 1;
+  const int log = __builtin_ctzll(window);
+  const int code_bits = 2 * log + 1;
+  position_ += log + 1;
+  if (remaining < code_bits) return DataLossError("bit stream truncated");
+  // Short codes sit wholly inside the window already peeked.
+  const uint64_t low = code_bits <= 64 ? (window >> (log + 1)) & LowMask(log)
+                                       : Peek(log);
+  position_ += log;
+  return ((uint64_t{1} << log) | (log == 0 ? 0 : ReverseLowBits(low, log))) -
+         1;
 }
 
 StatusOr<double> BitReader::TryReadDouble() {
@@ -137,6 +236,19 @@ StatusOr<double> BitReader::TryReadDouble() {
   double value = 0;
   std::memcpy(&value, &bits, sizeof(value));
   return value;
+}
+
+Status BitReader::TryReadBitsInto(int64_t bit_count,
+                                  std::vector<uint8_t>& out) {
+  DCS_CHECK_GE(bit_count, 0);
+  if (RemainingBits() < bit_count) {
+    return DataLossError("bit stream truncated");
+  }
+  out.assign(static_cast<size_t>((bit_count + 7) / 8), 0);
+  CopyBitsToAligned(bytes_->data(), bytes_->size(), position_, bit_count,
+                    out.data());
+  position_ += bit_count;
+  return OkStatus();
 }
 
 }  // namespace dcs

@@ -6,6 +6,13 @@
 // communication-game framework counts transcript lengths with the same
 // machinery. BitWriter/BitReader pack little-endian within bytes and support
 // fixed-width fields, Elias-gamma coded integers, and IEEE doubles.
+//
+// Cost model: every call moves its whole field at once — up to 64 bits per
+// WriteBits/ReadBits, a whole Elias-gamma code per gamma call, and whole
+// 64-bit words (a memcpy when byte-aligned) for AppendBits and
+// TryReadBitsInto. Contract checks are one CHECK per call, never one per
+// bit. The encoding itself is defined bit by bit and does not depend on how
+// many bits a call moves.
 
 #ifndef DCS_UTIL_BITIO_H_
 #define DCS_UTIL_BITIO_H_
@@ -26,7 +33,8 @@ class BitWriter {
   // Appends a single bit (0 or 1).
   void WriteBit(int bit);
 
-  // Appends the low `width` bits of `value`, LSB first. width in [0, 64].
+  // Appends the low `width` bits of `value`, LSB first. width in [0, 64];
+  // bits of `value` above `width` are ignored.
   void WriteBits(uint64_t value, int width);
 
   // Appends a nonnegative integer with Elias-gamma coding (value + 1, so 0
@@ -38,6 +46,7 @@ class BitWriter {
 
   // Appends the first `bit_count` bits of another writer's packed bytes
   // (used to splice an independently built payload into an envelope).
+  // Bits of `bytes` past `bit_count` are ignored.
   void AppendBits(const std::vector<uint8_t>& bytes, int64_t bit_count);
 
   // Total number of bits written so far.
@@ -55,10 +64,12 @@ class BitWriter {
 //
 // Two read APIs share the cursor. The plain reads (ReadBit, ...) are for
 // *trusted* streams the library itself just wrote — transcripts, in-process
-// round trips — and CHECK-fail on overruns. The Try reads are for
-// *untrusted* bytes (anything that crossed a machine or file boundary):
-// they return kDataLoss instead of aborting and leave the cursor where the
-// failure was detected.
+// round trips — and CHECK-fail, once per call, when the field overruns the
+// buffer. The Try reads are for *untrusted* bytes (anything that crossed a
+// machine or file boundary): they return kDataLoss instead of aborting.
+// A fixed-width Try read that fails leaves the cursor untouched; an
+// Elias-gamma Try read leaves it where the failure was detected (past the
+// zeros it consumed).
 class BitReader {
  public:
   // The referenced buffer must outlive the reader.
@@ -84,16 +95,28 @@ class BitReader {
   StatusOr<uint64_t> TryReadEliasGamma();
   StatusOr<double> TryReadDouble();
 
+  // Bulk read: replaces `out` with the next `bit_count` bits packed the way
+  // BitWriter packs them — exactly (bit_count + 7) / 8 bytes, final partial
+  // byte zero-padded — so `out` can be checksummed, parsed by a fresh
+  // reader, or spliced with AppendBits. kDataLoss, with the cursor and
+  // `out` untouched, if fewer than `bit_count` bits remain. `out` must not
+  // be the buffer this reader reads.
+  Status TryReadBitsInto(int64_t bit_count, std::vector<uint8_t>& out);
+
   // Number of bits consumed so far.
   int64_t position() const { return position_; }
 
   // Number of unread bits (including any zero padding in the final byte).
   int64_t RemainingBits() const { return limit_ - position_; }
 
-  // True if fewer than `width` bits remain.
+  // True once every bit, final-byte padding included, has been consumed.
   bool AtEnd() const { return position_ >= limit_; }
 
  private:
+  // Returns the next `width` bits (width in [0, 64], within the buffer)
+  // without moving the cursor.
+  uint64_t Peek(int width) const;
+
   const std::vector<uint8_t>* bytes_;
   int64_t position_ = 0;
   int64_t limit_ = 0;

@@ -13,6 +13,7 @@
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <functional>
@@ -31,6 +32,7 @@
 #include "sketch/serialization.h"
 #include "store/segment.h"
 #include "util/bitio.h"
+#include "util/checksum.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -594,6 +596,37 @@ TEST(CorruptionTest, SegmentIndexHugeCountIsRejectedWithoutAllocation) {
   const auto entries = ParseSegmentIndexPayload(reader);
   ASSERT_FALSE(entries.ok());
   EXPECT_EQ(entries.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(CorruptionTest, QueryBatchVertexCountOverCapIsDataLoss) {
+  // A checksummed query batch declaring one side of 2^28 + 1 vertices with
+  // exactly that many side bits behind it: every length check passes, so
+  // only the vertex cap keeps a hostile count away from the int-typed
+  // RpcRequest::num_vertices (past INT_MAX it would wrap negative).
+  constexpr int64_t kVertices = (int64_t{1} << 28) + 1;
+  const Message message = [] {
+    BitWriter payload;
+    payload.WriteEliasGamma(0);  // object id
+    payload.WriteEliasGamma(static_cast<uint64_t>(kVertices));
+    payload.WriteEliasGamma(1);  // one side
+    for (int64_t done = 0; done < kVertices; done += 64) {
+      payload.WriteBits(0, static_cast<int>(std::min<int64_t>(
+                               64, kVertices - done)));
+    }
+    // The RPC envelope (serve/wire.cc): magic, version, kind, length, FNV.
+    BitWriter body;
+    body.WriteBits(0xA9C5, 16);
+    body.WriteBits(1, 8);
+    body.WriteBits(static_cast<uint64_t>(RpcKind::kQueryBatch), 8);
+    body.WriteEliasGamma(static_cast<uint64_t>(payload.bit_count()));
+    body.WriteBits(Fnv1a32(payload.bytes()), 32);
+    body.AppendBits(payload.bytes(), payload.bit_count());
+    return SealMessage(body);
+  }();
+  const auto decoded = DecodeRpcRequest(message);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
+      << decoded.status().ToString();
 }
 
 TEST(CorruptionTest, GarbageBytesAreRejected) {

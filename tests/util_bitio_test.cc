@@ -2,12 +2,61 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 
+#include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "serve/wire.h"
+#include "sketch/serialization.h"
+#include "util/checksum.h"
 #include "util/random.h"
 
 namespace dcs {
 namespace {
+
+// The encoding's definition, one bit at a time: the reference the
+// word-at-a-time BitWriter/BitReader must match byte for byte.
+class ReferenceWriter {
+ public:
+  void Bit(int bit) {
+    if (bit_count_ % 8 == 0) bytes_.push_back(0);
+    if (bit) bytes_.back() |= static_cast<uint8_t>(1u << (bit_count_ % 8));
+    ++bit_count_;
+  }
+  void Bits(uint64_t value, int width) {
+    for (int i = 0; i < width; ++i) Bit(static_cast<int>((value >> i) & 1));
+  }
+  void Gamma(uint64_t value) {
+    const uint64_t shifted = value + 1;
+    int log = 63;
+    while (((shifted >> log) & 1) == 0) --log;
+    for (int i = 0; i < log; ++i) Bit(0);
+    Bit(1);
+    for (int i = log - 1; i >= 0; --i) {
+      Bit(static_cast<int>((shifted >> i) & 1));
+    }
+  }
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  int64_t bit_count() const { return bit_count_; }
+
+ private:
+  std::vector<uint8_t> bytes_;
+  int64_t bit_count_ = 0;
+};
+
+int ReferenceBit(const std::vector<uint8_t>& bytes, int64_t pos) {
+  return (bytes[static_cast<size_t>(pos >> 3)] >> (pos & 7)) & 1;
+}
+
+uint64_t LowBits(uint64_t value, int width) {
+  return width == 64 ? value : value & ((uint64_t{1} << width) - 1);
+}
+
+// An exact-size copy: no spare capacity past the last byte, so an
+// over-read in the word loads is a heap overflow ASan reports.
+std::vector<uint8_t> Exact(const std::vector<uint8_t>& bytes) {
+  return std::vector<uint8_t>(bytes.begin(), bytes.end());
+}
 
 TEST(BitIoTest, SingleBits) {
   BitWriter writer;
@@ -224,6 +273,254 @@ TEST(BitIoTest, AppendBitsEmptyIsNoop) {
   const BitWriter empty;
   outer.AppendBits(empty.bytes(), 0);
   EXPECT_EQ(outer.bit_count(), 1);
+}
+
+TEST(BitIoDifferentialTest, EveryWidthAtEveryOffsetMatchesReference) {
+  Rng rng(5);
+  for (int offset = 0; offset < 8; ++offset) {
+    for (int width = 0; width <= 64; ++width) {
+      for (const int trailer : {0, 70}) {
+        // Garbage above `width` must be ignored by the writer.
+        const uint64_t value = rng.Next();
+        const uint64_t lead = rng.Next();
+        BitWriter writer;
+        ReferenceWriter reference;
+        writer.WriteBits(lead, offset);
+        reference.Bits(lead, offset);
+        writer.WriteBits(value, width);
+        reference.Bits(value, width);
+        for (int i = 0; i < trailer; ++i) {
+          writer.WriteBit(i & 1);
+          reference.Bit(i & 1);
+        }
+        ASSERT_EQ(writer.bytes(), reference.bytes())
+            << "offset " << offset << " width " << width;
+        ASSERT_EQ(writer.bit_count(), reference.bit_count());
+
+        const std::vector<uint8_t> bytes = Exact(writer.bytes());
+        BitReader reader(bytes);
+        ASSERT_EQ(reader.ReadBits(offset), LowBits(lead, offset));
+        ASSERT_EQ(reader.ReadBits(width), LowBits(value, width))
+            << "offset " << offset << " width " << width;
+        BitReader try_reader(bytes);
+        ASSERT_TRUE(try_reader.TryReadBits(offset).ok());
+        ASSERT_EQ(try_reader.TryReadBits(width).value(), LowBits(value, width));
+        ASSERT_EQ(try_reader.position(), offset + width);
+      }
+    }
+  }
+}
+
+TEST(BitIoDifferentialTest, EliasGammaEdgeValuesMatchReference) {
+  std::vector<uint64_t> values = {0, std::numeric_limits<uint64_t>::max() - 1};
+  for (int k = 1; k < 64; ++k) {
+    const uint64_t power = uint64_t{1} << k;
+    values.insert(values.end(), {power - 2, power - 1, power});
+  }
+  for (int offset = 0; offset < 8; ++offset) {
+    for (const uint64_t value : values) {
+      BitWriter writer;
+      ReferenceWriter reference;
+      writer.WriteBits(0x5A, offset);
+      reference.Bits(0x5A, offset);
+      writer.WriteEliasGamma(value);
+      reference.Gamma(value);
+      ASSERT_EQ(writer.bytes(), reference.bytes())
+          << "offset " << offset << " value " << value;
+      ASSERT_EQ(writer.bit_count(), reference.bit_count());
+
+      // The code ends the buffer, so decoding runs into its final bytes.
+      const std::vector<uint8_t> bytes = Exact(writer.bytes());
+      BitReader reader(bytes);
+      reader.ReadBits(offset);
+      ASSERT_EQ(reader.ReadEliasGamma(), value) << "offset " << offset;
+      ASSERT_EQ(reader.position(), writer.bit_count());
+      BitReader try_reader(bytes);
+      try_reader.ReadBits(offset);
+      ASSERT_EQ(try_reader.TryReadEliasGamma().value(), value);
+      ASSERT_EQ(try_reader.position(), writer.bit_count());
+    }
+  }
+}
+
+TEST(BitIoDifferentialTest, BulkCopiesMatchReferenceAtEveryAlignment) {
+  Rng rng(11);
+  for (int64_t length = 0; length <= 130; ++length) {
+    for (int source_offset = 0; source_offset < 8; ++source_offset) {
+      // Random bits everywhere, so a copy that reads past `length` or
+      // fails to zero-pad shows up as a byte mismatch.
+      std::vector<uint8_t> source(
+          static_cast<size_t>((source_offset + length + 7) / 8 + 2));
+      for (auto& byte : source) byte = static_cast<uint8_t>(rng.Next());
+      const std::vector<uint8_t> exact_source = Exact(source);
+
+      ReferenceWriter expected_chunk;
+      for (int64_t b = 0; b < length; ++b) {
+        expected_chunk.Bit(ReferenceBit(source, source_offset + b));
+      }
+      BitReader reader(exact_source);
+      reader.ReadBits(source_offset);
+      std::vector<uint8_t> chunk = {0xFF, 0xFF, 0xFF};
+      ASSERT_TRUE(reader.TryReadBitsInto(length, chunk).ok());
+      ASSERT_EQ(chunk, expected_chunk.bytes())
+          << "length " << length << " source offset " << source_offset;
+      ASSERT_EQ(reader.position(), source_offset + length);
+
+      for (int dest_offset = 0; dest_offset < 8; ++dest_offset) {
+        BitWriter writer;
+        ReferenceWriter reference;
+        writer.WriteBits(0x3C, dest_offset);
+        reference.Bits(0x3C, dest_offset);
+        // Append straight from the unmasked source: bits past `length`
+        // must not leak into the output.
+        writer.AppendBits(exact_source, length);
+        for (int64_t b = 0; b < length; ++b) {
+          reference.Bit(ReferenceBit(source, b));
+        }
+        ASSERT_EQ(writer.bytes(), reference.bytes())
+            << "length " << length << " dest offset " << dest_offset;
+        ASSERT_EQ(writer.bit_count(), reference.bit_count());
+        // A follow-up field lands right after the spliced bits.
+        writer.WriteBits(0b101, 3);
+        reference.Bits(0b101, 3);
+        ASSERT_EQ(writer.bytes(), reference.bytes());
+      }
+    }
+  }
+}
+
+TEST(BitIoDifferentialTest, TruncationStillReturnsDataLoss) {
+  // gamma(1000) is 19 bits — 9 zeros, a one, 9 payload bits — after a
+  // 5-bit lead, so byte cuts land inside the prefix and inside the payload.
+  BitWriter writer;
+  writer.WriteBits(0, 5);
+  writer.WriteEliasGamma(1000);
+  ASSERT_EQ(writer.bit_count(), 24);
+  const std::vector<uint8_t> full = Exact(writer.bytes());
+  for (const auto& [keep_bytes, stop] :
+       std::vector<std::pair<size_t, int64_t>>{{1, 8}, {2, 15}}) {
+    const std::vector<uint8_t> cut(full.begin(), full.begin() + keep_bytes);
+    BitReader reader(cut);
+    reader.ReadBits(5);
+    EXPECT_EQ(reader.TryReadEliasGamma().status().code(),
+              StatusCode::kDataLoss)
+        << keep_bytes;
+    // The cursor stops where the failure was detected: past the prefix
+    // zeros it consumed, or past the code's leading one.
+    EXPECT_EQ(reader.position(), stop) << keep_bytes;
+  }
+  // A long code (payload read with a second word load) cut in its payload.
+  BitWriter long_writer;
+  long_writer.WriteEliasGamma(uint64_t{1} << 40);
+  ASSERT_EQ(long_writer.bit_count(), 81);
+  const std::vector<uint8_t> long_cut(long_writer.bytes().begin(),
+                                      long_writer.bytes().begin() + 9);
+  BitReader long_reader(long_cut);
+  EXPECT_EQ(long_reader.TryReadEliasGamma().status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(long_reader.position(), 41);
+
+  const std::vector<uint8_t> one_byte = {0x00};
+  BitReader short_reader(one_byte);
+  ASSERT_TRUE(short_reader.TryReadBits(3).ok());
+  EXPECT_EQ(short_reader.TryReadBits(6).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(short_reader.position(), 3);  // a failed fixed read moves nothing
+  EXPECT_EQ(short_reader.TryReadDouble().status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(short_reader.position(), 3);
+}
+
+TEST(BitIoDifferentialTest, SixtyFourZeroGammaPrefixIsDataLoss) {
+  // Exactly 64 zeros, then a one: no gamma code has a 64-zero prefix.
+  BitWriter writer;
+  writer.WriteBits(0, 64);
+  writer.WriteBits(1, 1);
+  const std::vector<uint8_t> bytes = Exact(writer.bytes());
+  BitReader reader(bytes);
+  EXPECT_EQ(reader.TryReadEliasGamma().status().code(),
+            StatusCode::kDataLoss);
+  // 63 zeros is the longest legal prefix: the code for UINT64_MAX - 1.
+  BitWriter longest;
+  longest.WriteEliasGamma(std::numeric_limits<uint64_t>::max() - 1);
+  ASSERT_EQ(longest.bit_count(), 127);
+  const std::vector<uint8_t> longest_bytes = Exact(longest.bytes());
+  BitReader longest_reader(longest_bytes);
+  EXPECT_EQ(longest_reader.TryReadEliasGamma().value(),
+            std::numeric_limits<uint64_t>::max() - 1);
+}
+
+TEST(BitIoDifferentialTest, TryReadBitsIntoOverrunLeavesCursorAndOutput) {
+  BitWriter writer;
+  writer.WriteBits(0xABCDEF, 24);
+  const std::vector<uint8_t> bytes = Exact(writer.bytes());
+  BitReader reader(bytes);
+  ASSERT_TRUE(reader.TryReadBits(5).ok());
+  std::vector<uint8_t> out = {7, 8, 9};
+  const Status status = reader.TryReadBitsInto(20, out);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(reader.position(), 5);
+  EXPECT_EQ(out, (std::vector<uint8_t>{7, 8, 9}));
+  // Exactly the remaining bits is not an overrun.
+  ASSERT_TRUE(reader.TryReadBitsInto(19, out).ok());
+  EXPECT_TRUE(reader.AtEnd());
+  EXPECT_EQ(out.size(), 3u);
+}
+
+TEST(ChecksumTest, Fnv1a32MatchesPublishedVectors) {
+  const std::string empty;
+  const std::string a = "a";
+  const std::string foobar = "foobar";
+  auto fnv = [](const std::string& text) {
+    return Fnv1a32(reinterpret_cast<const uint8_t*>(text.data()),
+                   text.size());
+  };
+  EXPECT_EQ(fnv(empty), 0x811C9DC5u);
+  EXPECT_EQ(fnv(a), 0xE40C292Cu);
+  EXPECT_EQ(fnv(foobar), 0xBF9CF968u);
+  const std::vector<uint8_t> bytes(foobar.begin(), foobar.end());
+  EXPECT_EQ(Fnv1a32(bytes), 0xBF9CF968u);
+}
+
+// Pins byte identity of the wire formats: the checksums below were
+// recorded from the per-bit codec, so any change to what the word-at-a-time
+// codec emits fails here, not just in a round trip.
+TEST(BitIoGoldenTest, FixedSeedStreamsKeepTheirBytes) {
+  Rng rng(31337);
+  const DirectedGraph graph = RandomBalancedDigraph(96, 0.2, 2.0, rng);
+  BitWriter envelope;
+  SerializeDirectedGraph(graph, envelope);
+  EXPECT_EQ(envelope.bit_count(), 172997);
+  EXPECT_EQ(Fnv1a32(envelope.bytes()), 0x6E8B0192u);
+
+  RpcRequest query;
+  query.kind = RpcKind::kQueryBatch;
+  query.object_id = 9;
+  query.num_vertices = 77;
+  for (int q = 0; q < 13; ++q) {
+    VertexSet side(77, 0);
+    for (auto& bit : side) bit = rng.Bernoulli(0.5) ? 1 : 0;
+    query.sides.push_back(std::move(side));
+  }
+  const Message query_body = EncodeRpcRequest(query);
+  EXPECT_EQ(query_body.bit_count, 1113);
+  EXPECT_EQ(Fnv1a32(query_body.bytes), 0x31C07BD7u);
+
+  RpcRequest registration;
+  registration.kind = RpcKind::kRegisterGraph;
+  registration.graph = graph;
+  const Message registration_body = EncodeRpcRequest(registration);
+  EXPECT_EQ(registration_body.bit_count, 173096);
+  EXPECT_EQ(Fnv1a32(registration_body.bytes), 0xBCEED292u);
+
+  RpcResponse response;
+  response.status = ResourceExhaustedError("queue full");
+  response.server_token = 0x0123456789ABCDEFULL;
+  response.object_id = 4;
+  for (int i = 0; i < 5; ++i) response.values.push_back(rng.UniformDouble());
+  const Message response_body = EncodeRpcResponse(response);
+  EXPECT_EQ(response_body.bit_count, 570);
+  EXPECT_EQ(Fnv1a32(response_body.bytes), 0x0A718E2Fu);
 }
 
 }  // namespace
