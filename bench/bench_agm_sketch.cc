@@ -16,7 +16,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "graph/connectivity.h"
 #include "graph/generators.h"
@@ -136,7 +138,8 @@ void BM_AgmAddEdge(benchmark::State& state) {
     sketch.AddEdge(u, v);
   }
 }
-BENCHMARK(BM_AgmAddEdge)->Arg(64)->Arg(256);
+// 512 is the ingest default (bench_stream, bench_e2e's ingest workload).
+BENCHMARK(BM_AgmAddEdge)->Arg(64)->Arg(256)->Arg(512);
 
 void BM_AgmSpanningForest(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -148,7 +151,29 @@ void BM_AgmSpanningForest(benchmark::State& state) {
     benchmark::DoNotOptimize(sketch.SpanningForest());
   }
 }
-BENCHMARK(BM_AgmSpanningForest)->Arg(64)->Arg(128);
+BENCHMARK(BM_AgmSpanningForest)->Arg(64)->Arg(128)->Arg(512);
+
+// The epoch seal's merge: 4 edge-disjoint shard sketches (by lower
+// endpoint, as StreamIngestor shards) summed into a fresh sketch.
+void BM_AgmMergeShards(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  constexpr int kShards = 4;
+  Rng rng(4);
+  const UndirectedGraph g =
+      RandomUndirectedGraph(n, 4.0 / n, 1.0, 1.0, true, rng);
+  std::vector<AgmConnectivitySketch> shards(kShards,
+                                            AgmConnectivitySketch(n, 0, 6));
+  for (const Edge& e : g.edges()) {
+    shards[static_cast<size_t>(std::min(e.src, e.dst) % kShards)].AddEdge(
+        e.src, e.dst);
+  }
+  for (auto _ : state) {
+    AgmConnectivitySketch merged(n, 0, 6);
+    for (const AgmConnectivitySketch& shard : shards) merged.MergeFrom(shard);
+    benchmark::DoNotOptimize(merged);
+  }
+}
+BENCHMARK(BM_AgmMergeShards)->Arg(512);
 
 }  // namespace dcs
 

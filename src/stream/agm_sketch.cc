@@ -1,5 +1,7 @@
 #include "stream/agm_sketch.h"
 
+#include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -22,20 +24,28 @@ AgmConnectivitySketch::AgmConnectivitySketch(int num_vertices, int rounds,
                                              uint64_t seed)
     : num_vertices_(num_vertices),
       rounds_(rounds > 0 ? rounds : DefaultRounds(num_vertices)),
-      seed_(seed) {
+      seed_(seed),
+      levels_(L0LevelCount(static_cast<int64_t>(num_vertices) *
+                           num_vertices)) {
   DCS_CHECK_GE(num_vertices, 1);
-  const int64_t universe =
-      static_cast<int64_t>(num_vertices_) * num_vertices_;
-  samplers_.reserve(static_cast<size_t>(rounds_));
+  const size_t n = static_cast<size_t>(num_vertices_);
+  round_params_.reserve(static_cast<size_t>(rounds_));
+  powers_.resize(static_cast<size_t>(rounds_) * n);
   for (int r = 0; r < rounds_; ++r) {
-    std::vector<L0Sampler> row;
-    row.reserve(static_cast<size_t>(num_vertices_));
-    for (int v = 0; v < num_vertices_; ++v) {
-      // All samplers of one round share a seed (mergeable); rounds differ.
-      row.emplace_back(universe, seed_ * 1000003ULL + static_cast<uint64_t>(r));
+    // All samplers of one round share a seed (mergeable); rounds differ.
+    const uint64_t round_seed = seed_ * 1000003ULL + static_cast<uint64_t>(r);
+    const uint64_t base = FingerprintBase(round_seed);
+    round_params_.push_back(Round{round_seed, base});
+    const uint64_t stride = PowMod(base, n);
+    uint64_t row = 1;
+    uint64_t col = 1;
+    for (size_t u = 0; u < n; ++u) {
+      powers_[static_cast<size_t>(r) * n + u] = VertexPowers{row, col};
+      row = MulMod(row, stride);
+      col = MulMod(col, base);
     }
-    samplers_.push_back(std::move(row));
   }
+  cells_.resize(CellOffset(rounds_, 0));
 }
 
 int64_t AgmConnectivitySketch::EdgeCoordinate(VertexId u, VertexId v) const {
@@ -46,34 +56,36 @@ int64_t AgmConnectivitySketch::EdgeCoordinate(VertexId u, VertexId v) const {
   return static_cast<int64_t>(u) * num_vertices_ + v;
 }
 
-void AgmConnectivitySketch::AddEdge(VertexId u, VertexId v) {
+void AgmConnectivitySketch::Apply(VertexId u, VertexId v, int64_t low_delta) {
   const int64_t coordinate = EdgeCoordinate(u, v);
-  const VertexId low = u < v ? u : v;
-  const VertexId high = u < v ? v : u;
+  const VertexId low = std::min(u, v);
+  const VertexId high = std::max(u, v);
+  const size_t n = static_cast<size_t>(num_vertices_);
+  // This is the streaming hot path. Both endpoints' samplers of a round
+  // share its seed, hence its level hash and fingerprint base, so a round
+  // costs one hash and one MulMod for the +1/−1 pair.
   for (int r = 0; r < rounds_; ++r) {
-    auto& row = samplers_[static_cast<size_t>(r)];
-    // Both endpoints' samplers share the round seed, hence the fingerprint
-    // base: compute r^coordinate once per round and reuse it for the +1/−1
-    // pair. This is the streaming hot path — an update is two sampler
-    // writes per round, and the modular exponentiation dominated both.
-    const uint64_t power =
-        row[static_cast<size_t>(low)].PowerOf(coordinate);
-    row[static_cast<size_t>(low)].Update(coordinate, +1, power);
-    row[static_cast<size_t>(high)].Update(coordinate, -1, power);
+    const VertexPowers* powers = powers_.data() + static_cast<size_t>(r) * n;
+    const uint64_t power = MulMod(powers[low].row, powers[high].col);
+    const uint64_t low_term = FingerprintTerm(low_delta, power);
+    const uint64_t high_term = FingerprintTerm(-low_delta, power);
+    const int deepest = L0LevelOf(
+        coordinate, round_params_[static_cast<size_t>(r)].seed, levels_);
+    L0Cell* low_cells = cells_.data() + CellOffset(r, low);
+    L0Cell* high_cells = cells_.data() + CellOffset(r, high);
+    for (int j = 0; j <= deepest; ++j) {
+      low_cells[j].Add(coordinate, low_delta, low_term);
+      high_cells[j].Add(coordinate, -low_delta, high_term);
+    }
   }
 }
 
+void AgmConnectivitySketch::AddEdge(VertexId u, VertexId v) {
+  Apply(u, v, +1);
+}
+
 void AgmConnectivitySketch::RemoveEdge(VertexId u, VertexId v) {
-  const int64_t coordinate = EdgeCoordinate(u, v);
-  const VertexId low = u < v ? u : v;
-  const VertexId high = u < v ? v : u;
-  for (int r = 0; r < rounds_; ++r) {
-    auto& row = samplers_[static_cast<size_t>(r)];
-    const uint64_t power =
-        row[static_cast<size_t>(low)].PowerOf(coordinate);
-    row[static_cast<size_t>(low)].Update(coordinate, -1, power);
-    row[static_cast<size_t>(high)].Update(coordinate, +1, power);
-  }
+  Apply(u, v, -1);
 }
 
 void AgmConnectivitySketch::MergeFrom(const AgmConnectivitySketch& other) {
@@ -100,12 +112,7 @@ Status AgmConnectivitySketch::TryMergeFrom(
         "cannot merge AGM sketches built from different seeds (" +
         std::to_string(seed_) + " vs " + std::to_string(other.seed_) + ")");
   }
-  for (int r = 0; r < rounds_; ++r) {
-    for (int v = 0; v < num_vertices_; ++v) {
-      samplers_[static_cast<size_t>(r)][static_cast<size_t>(v)].MergeFrom(
-          other.samplers_[static_cast<size_t>(r)][static_cast<size_t>(v)]);
-    }
-  }
+  MergeCells(cells_, other.cells_);
   return OkStatus();
 }
 
@@ -119,9 +126,8 @@ uint64_t AgmConnectivitySketch::Digest() const {
   fold(static_cast<uint64_t>(num_vertices_));
   fold(static_cast<uint64_t>(rounds_));
   fold(seed_);
-  for (const auto& row : samplers_) {
-    for (const L0Sampler& sampler : row) sampler.AppendDigest(digest);
-  }
+  // [round][vertex][level] order: the sampler-by-sampler fold order.
+  AppendCellsDigest(cells_, digest);
   return digest;
 }
 
@@ -130,18 +136,22 @@ std::vector<Edge> AgmConnectivitySketch::SpanningForest() const {
   UnionFind components(n);
   auto find = [&components](int v) { return components.Find(v); };
 
-  // Per-component merged sampler, one per round, held at the root. Copies
+  // Per-component merged samplers, one per round, held at the root. A copy
   // so extraction does not disturb the sketch.
-  std::vector<std::vector<L0Sampler>> component = samplers_;
-  // component[r][root] is the merged round-r sampler of root's component.
+  std::vector<L0Cell> component = cells_;
+  // The merged round-r sampler of root's component.
+  const auto sampler = [&](int r, int root) {
+    return std::span<L0Cell>(component).subspan(CellOffset(r, root),
+                                                static_cast<size_t>(levels_));
+  };
   std::vector<Edge> forest;
   for (int r = 0; r < rounds_; ++r) {
     // Collect one candidate outgoing edge per component root.
     std::vector<std::pair<VertexId, VertexId>> candidates;
+    const uint64_t base = round_params_[static_cast<size_t>(r)].base;
     for (int v = 0; v < n; ++v) {
       if (find(v) != v) continue;
-      const std::optional<L0Sample> sample =
-          component[static_cast<size_t>(r)][static_cast<size_t>(v)].Sample();
+      const std::optional<L0Sample> sample = SampleCells(sampler(r, v), base);
       if (!sample.has_value()) continue;
       const VertexId u = static_cast<VertexId>(sample->index / n);
       const VertexId w = static_cast<VertexId>(sample->index % n);
@@ -154,13 +164,12 @@ std::vector<Edge> AgmConnectivitySketch::SpanningForest() const {
       const int root_w = find(w);
       if (root_u == root_w) continue;
       // Union: merge w's component into u's and combine the samplers of
-      // every remaining round. The directed union keeps root_u as the
-      // representative, matching where the merged samplers live.
+      // every remaining round (earlier rounds are never read again). The
+      // directed union keeps root_u as the representative, matching where
+      // the merged samplers live.
       components.UnionInto(root_w, root_u);
-      for (int rr = 0; rr < rounds_; ++rr) {
-        component[static_cast<size_t>(rr)][static_cast<size_t>(root_u)]
-            .MergeFrom(component[static_cast<size_t>(rr)]
-                                [static_cast<size_t>(root_w)]);
+      for (int rr = r; rr < rounds_; ++rr) {
+        MergeCells(sampler(rr, root_u), sampler(rr, root_w));
       }
       forest.push_back(Edge{u, w, 1.0});
       merged_any = true;
@@ -172,10 +181,7 @@ std::vector<Edge> AgmConnectivitySketch::SpanningForest() const {
       bool any_boundary = false;
       for (int v = 0; v < n && !any_boundary; ++v) {
         if (find(v) != v) continue;
-        if (!component[static_cast<size_t>(r)][static_cast<size_t>(v)]
-                 .AppearsZero()) {
-          any_boundary = true;
-        }
+        if (!CellsAppearZero(sampler(r, v))) any_boundary = true;
       }
       if (!any_boundary) break;
     }
@@ -192,19 +198,12 @@ bool AgmConnectivitySketch::IsConnected() const {
 }
 
 int64_t AgmConnectivitySketch::SizeInBits() const {
-  int64_t total = 0;
-  for (const auto& row : samplers_) {
-    for (const L0Sampler& sampler : row) total += sampler.SizeInBits();
-  }
-  return total;
+  return MeasurementCount() * 64;
 }
 
 int64_t AgmConnectivitySketch::MeasurementCount() const {
-  int64_t total = 0;
-  for (const auto& row : samplers_) {
-    for (const L0Sampler& sampler : row) total += 3 * sampler.levels();
-  }
-  return total;
+  // Three words per level cell (see L0Sampler::SizeInBits).
+  return 3 * static_cast<int64_t>(cells_.size());
 }
 
 AgmKConnectivitySketch::AgmKConnectivitySketch(int num_vertices, int k,

@@ -7,10 +7,12 @@
 // machinery gives connectivity under edge insertions *and deletions*.
 // This module implements that machinery's core:
 //
-//  * every vertex v maintains L0Samplers over the edge-coordinate space,
+//  * every vertex v maintains ℓ₀-samplers over the edge-coordinate space,
 //    with edge {u, v} (u < v) written as +1 into u's vector and −1 into
 //    v's — so summing a component's vectors cancels internal edges and
-//    leaves exactly the boundary;
+//    leaves exactly the boundary. All samplers live in one flat
+//    [round][vertex][level] array of L0Cells (DESIGN.md §12, "Sketch
+//    layout");
 //  * a spanning forest is extracted by Boruvka rounds: each round merges
 //    component sketches (linearity!) and ℓ₀-samples one outgoing edge per
 //    component, using a fresh sampler copy per round for independence.
@@ -83,13 +85,40 @@ class AgmConnectivitySketch {
   int64_t MeasurementCount() const;
 
  private:
+  // Per round: the level-hash seed and fingerprint base shared by every
+  // vertex's sampler of that round (the same seed gives mergeability).
+  struct Round {
+    uint64_t seed;
+    uint64_t base;
+  };
+  // r^(u·n) and r^u mod q for one vertex u of one round, so the power of
+  // coordinate u·n + v is row(u)·col(v): one MulMod.
+  struct VertexPowers {
+    uint64_t row;
+    uint64_t col;
+  };
+
   int64_t EdgeCoordinate(VertexId u, VertexId v) const;
+  // Adds `low_delta` (±1) to the lower endpoint's samplers and −low_delta
+  // to the higher one's at the edge's coordinate, in every round.
+  void Apply(VertexId u, VertexId v, int64_t low_delta);
+  // Offset of the first level cell of (round, vertex) in a cell array.
+  size_t CellOffset(int round, int vertex) const {
+    return (static_cast<size_t>(round) * static_cast<size_t>(num_vertices_) +
+            static_cast<size_t>(vertex)) *
+           static_cast<size_t>(levels_);
+  }
 
   int num_vertices_;
   int rounds_;
   uint64_t seed_;
-  // samplers_[round][vertex]
-  std::vector<std::vector<L0Sampler>> samplers_;
+  int levels_;  // ℓ₀-sampler levels per (round, vertex)
+  std::vector<Round> round_params_;
+  // powers_[round·n + u]
+  std::vector<VertexPowers> powers_;
+  // Every sampler's levels, [round][vertex][level], exactly
+  // rounds·n·levels cells long.
+  std::vector<L0Cell> cells_;
 };
 
 // Convenience: sketch an existing unweighted graph.

@@ -1,9 +1,11 @@
 #include "stream/ingest.h"
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <utility>
 
+#include "util/metrics.h"
 #include "util/union_find.h"
 
 namespace dcs {
@@ -12,6 +14,12 @@ namespace {
 // Packs a canonical edge {lo, hi} (lo < hi) into the shard ledger key.
 int64_t EdgeKey(VertexId lo, VertexId hi) {
   return (static_cast<int64_t>(lo) << 32) | static_cast<int64_t>(hi);
+}
+
+int64_t NanosBetween(std::chrono::steady_clock::time_point start,
+                     std::chrono::steady_clock::time_point end) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
+      .count();
 }
 
 // A spanning forest of `graph` plus the implied component count.
@@ -58,6 +66,16 @@ StreamIngestor::StreamIngestor(int num_vertices, StreamIngestorOptions options)
 }
 
 Status StreamIngestor::Push(const EdgeUpdate& update) {
+  Status status = Admit(update);
+  if (status.ok()) {
+    updates_accepted_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    updates_rejected_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return status;
+}
+
+Status StreamIngestor::Admit(const EdgeUpdate& update) {
   if (update.u < 0 || update.u >= num_vertices_ || update.v < 0 ||
       update.v >= num_vertices_) {
     return InvalidArgumentError(
@@ -109,7 +127,6 @@ Status StreamIngestor::Push(const EdgeUpdate& update) {
       ApplyBatch(shard, batch);
     }
   }
-  updates_accepted_.fetch_add(1, std::memory_order_relaxed);
   return OkStatus();
 }
 
@@ -139,6 +156,8 @@ void StreamIngestor::ApplyBatch(Shard& shard,
     }
   }
   shard.applied += static_cast<int64_t>(batch.size());
+  DCS_METRIC_ADD("stream.update.applied", static_cast<int64_t>(batch.size()));
+  DCS_METRIC_INC("stream.gutter.flushed");
 }
 
 void StreamIngestor::FlushShard(Shard& shard) {
@@ -154,6 +173,8 @@ void StreamIngestor::FlushShard(Shard& shard) {
 }
 
 StatusOr<std::shared_ptr<StreamSnapshot>> StreamIngestor::SealMerged() {
+  const auto started = std::chrono::steady_clock::now();
+  std::chrono::steady_clock::time_point merged_at;
   // Freeze every shard sketch at once (ascending order; producers mid-flush
   // block here, producers mid-admission do not).
   std::vector<std::unique_lock<std::mutex>> locks;
@@ -174,6 +195,7 @@ StatusOr<std::shared_ptr<StreamSnapshot>> StreamIngestor::SealMerged() {
     // The merge is done; Boruvka extraction works on the private copy, so
     // producers may resume flushing.
     locks.clear();
+    merged_at = std::chrono::steady_clock::now();
     snapshot->digest = merged.Digest();
     snapshot->forest = merged.SpanningForest();
     // A forest is acyclic, so components = n − |forest|.
@@ -186,17 +208,24 @@ StatusOr<std::shared_ptr<StreamSnapshot>> StreamIngestor::SealMerged() {
       DCS_RETURN_IF_ERROR(merged.TryMergeFrom(*shard->ksketch));
     }
     locks.clear();
+    merged_at = std::chrono::steady_clock::now();
     snapshot->digest = merged.Digest();
     snapshot->certificate = merged.Certificate();
     snapshot->min_cut_up_to_k = merged.MinCutUpToK();
     ForestOf(*snapshot->certificate, snapshot->forest, snapshot->components);
   }
   snapshot->connected = snapshot->components == 1;
+  DCS_METRIC_RECORD("stream.barrier.merge_ns",
+                    NanosBetween(started, merged_at));
+  DCS_METRIC_RECORD("stream.barrier.forest_ns",
+                    NanosBetween(merged_at, std::chrono::steady_clock::now()));
   return snapshot;
 }
 
 StatusOr<int64_t> StreamIngestor::Barrier() {
   std::lock_guard<std::mutex> barrier_lock(barrier_mutex_);
+  DCS_METRIC_ADD("stream.update.rejected",
+                 updates_rejected_.exchange(0, std::memory_order_relaxed));
   pool_.ParallelFor(num_shards(), [this](int64_t s) {
     FlushShard(*shards_[static_cast<size_t>(s)]);
   });
@@ -204,6 +233,7 @@ StatusOr<int64_t> StreamIngestor::Barrier() {
   std::lock_guard<std::mutex> snapshot_lock(snapshot_mutex_);
   snapshot->epoch = snapshot_->epoch + 1;
   snapshot_ = std::move(snapshot);
+  DCS_METRIC_INC("stream.epoch.sealed");
   return snapshot_->epoch;
 }
 

@@ -34,6 +34,11 @@
 // Lock order: gutter_mutex before apply_mutex within a shard; the barrier
 // takes apply mutexes in ascending shard order. No thread ever holds two
 // gutter mutexes.
+//
+// Metrics (DESIGN.md §8) are recorded per flushed batch or per seal, never
+// per Push: `stream.update.applied` and `stream.gutter.flushed` per batch,
+// `stream.barrier.merge_ns` / `.forest_ns` per seal, and
+// `stream.epoch.sealed` plus the rejected-push tally per Barrier().
 
 #ifndef DCS_STREAM_INGEST_H_
 #define DCS_STREAM_INGEST_H_
@@ -173,6 +178,9 @@ class StreamIngestor {
     int64_t applied = 0;  // updates applied to the sketch
   };
 
+  // Validates and admits one update (the body of Push, minus the tallies).
+  Status Admit(const EdgeUpdate& update);
+
   // Applies a drained batch to the shard sketch (caller holds apply_mutex).
   void ApplyBatch(Shard& shard, const std::vector<EdgeUpdate>& batch);
 
@@ -191,6 +199,9 @@ class StreamIngestor {
   std::vector<std::unique_ptr<Shard>> shards_;
   ThreadPool pool_;
   std::atomic<int64_t> updates_accepted_{0};
+  // Pushes rejected since the last Barrier(), which flushes the tally into
+  // `stream.update.rejected`.
+  std::atomic<int64_t> updates_rejected_{0};
   // Set (before the final flush) by Shutdown; re-checked inside each
   // shard's gutter_mutex so every Push is strictly ordered against the
   // drain barrier: admitted before it (and flushed) or rejected after it.

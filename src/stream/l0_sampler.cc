@@ -3,20 +3,6 @@
 #include <bit>
 
 namespace dcs {
-namespace {
-
-constexpr uint64_t kModulus = OneSparseRecovery::kModulus;
-
-// Multiplication mod 2^61 − 1 via 128-bit products.
-uint64_t MulMod(uint64_t a, uint64_t b) {
-  const unsigned __int128 product =
-      static_cast<unsigned __int128>(a) * b;
-  const uint64_t low = static_cast<uint64_t>(product & kModulus);
-  const uint64_t high = static_cast<uint64_t>(product >> 61);
-  uint64_t result = low + high;
-  if (result >= kModulus) result -= kModulus;
-  return result;
-}
 
 uint64_t PowMod(uint64_t base, uint64_t exponent) {
   uint64_t result = 1;
@@ -29,13 +15,6 @@ uint64_t PowMod(uint64_t base, uint64_t exponent) {
   return result;
 }
 
-// Signed value into [0, q).
-uint64_t SignedMod(int64_t value) {
-  int64_t reduced = value % static_cast<int64_t>(kModulus);
-  if (reduced < 0) reduced += static_cast<int64_t>(kModulus);
-  return static_cast<uint64_t>(reduced);
-}
-
 uint64_t Hash64(uint64_t x, uint64_t seed) {
   x += seed + 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -43,7 +22,85 @@ uint64_t Hash64(uint64_t x, uint64_t seed) {
   return x ^ (x >> 31);
 }
 
-}  // namespace
+uint64_t FingerprintBase(uint64_t seed) {
+  return 2 + Hash64(seed, 0x5eedULL) % (kL0Modulus - 3);
+}
+
+int L0LevelCount(int64_t universe) {
+  int level_count = 3;
+  while ((static_cast<int64_t>(1) << (level_count - 3)) < universe) {
+    ++level_count;
+  }
+  return level_count;
+}
+
+int L0LevelOf(int64_t index, uint64_t seed, int levels) {
+  const uint64_t h = Hash64(static_cast<uint64_t>(index), seed);
+  const int trailing = h == 0 ? 64 : std::countr_zero(h);
+  return trailing < levels - 1 ? trailing : levels - 1;
+}
+
+std::optional<L0Sample> L0Cell::Recover(uint64_t base) const {
+  if (sum == 0) return std::nullopt;
+  __int128 index_wide = 0;
+  if (weighted >= INT64_MIN && weighted <= INT64_MAX && sum != -1) {
+    // The common case in 64-bit arithmetic (same truncating semantics;
+    // sum = −1 is excluded because INT64_MIN / −1 overflows).
+    const int64_t narrow = static_cast<int64_t>(weighted);
+    if (narrow % sum != 0) return std::nullopt;
+    index_wide = narrow / sum;
+  } else {
+    if (weighted % sum != 0) return std::nullopt;
+    index_wide = weighted / sum;
+  }
+  if (index_wide < 0 || index_wide > static_cast<__int128>(INT64_MAX)) {
+    return std::nullopt;
+  }
+  const int64_t index = static_cast<int64_t>(index_wide);
+  // Verify: a 1-sparse vector v·e_i has fingerprint v·r^i.
+  const uint64_t expected =
+      FingerprintTerm(sum, PowMod(base, static_cast<uint64_t>(index)));
+  if (expected != fingerprint) return std::nullopt;
+  return L0Sample{index, sum};
+}
+
+void L0Cell::AppendDigest(uint64_t& digest) const {
+  constexpr uint64_t kPrime = 1099511628211ULL;  // FNV-1a 64-bit prime
+  const auto fold = [&digest](uint64_t word) {
+    digest = (digest ^ word) * kPrime;
+  };
+  const auto wide = static_cast<unsigned __int128>(weighted);
+  fold(static_cast<uint64_t>(sum));
+  fold(static_cast<uint64_t>(wide));
+  fold(static_cast<uint64_t>(wide >> 64));
+  fold(fingerprint);
+}
+
+void MergeCells(std::span<L0Cell> into, std::span<const L0Cell> from) {
+  DCS_CHECK_EQ(into.size(), from.size());
+  for (size_t j = 0; j < into.size(); ++j) into[j].MergeFrom(from[j]);
+}
+
+std::optional<L0Sample> SampleCells(std::span<const L0Cell> levels,
+                                    uint64_t base) {
+  // Deepest (sparsest) levels first: the first recoverable level wins.
+  for (size_t j = levels.size(); j-- > 0;) {
+    const std::optional<L0Sample> sample = levels[j].Recover(base);
+    if (sample.has_value()) return sample;
+  }
+  return std::nullopt;
+}
+
+bool CellsAppearZero(std::span<const L0Cell> cells) {
+  for (const L0Cell& cell : cells) {
+    if (!cell.IsZero()) return false;
+  }
+  return true;
+}
+
+void AppendCellsDigest(std::span<const L0Cell> cells, uint64_t& digest) {
+  for (const L0Cell& cell : cells) cell.AppendDigest(digest);
+}
 
 OneSparseRecovery::OneSparseRecovery(uint64_t fingerprint_base)
     : fingerprint_base_(fingerprint_base) {
@@ -52,145 +109,41 @@ OneSparseRecovery::OneSparseRecovery(uint64_t fingerprint_base)
 }
 
 void OneSparseRecovery::Update(int64_t index, int64_t delta) {
-  UpdateWithPower(index, delta,
-                  PowMod(fingerprint_base_, static_cast<uint64_t>(index)));
-}
-
-void OneSparseRecovery::UpdateWithPower(int64_t index, int64_t delta,
-                                        uint64_t power) {
   DCS_CHECK_GE(index, 0);
-  sum_ += delta;
-  weighted_ += static_cast<__int128>(delta) * index;
-  const uint64_t term = MulMod(SignedMod(delta), power);
-  fingerprint_ = fingerprint_ + term;
-  if (fingerprint_ >= kModulus) fingerprint_ -= kModulus;
-}
-
-void OneSparseRecovery::AppendDigest(uint64_t& digest) const {
-  constexpr uint64_t kPrime = 1099511628211ULL;  // FNV-1a 64-bit prime
-  const auto fold = [&digest](uint64_t word) {
-    digest = (digest ^ word) * kPrime;
-  };
-  fold(static_cast<uint64_t>(sum_));
-  fold(static_cast<uint64_t>(static_cast<unsigned __int128>(weighted_)));
-  fold(static_cast<uint64_t>(static_cast<unsigned __int128>(weighted_) >> 64));
-  fold(fingerprint_);
+  cell_.Add(index, delta,
+            FingerprintTerm(delta, PowMod(fingerprint_base_,
+                                          static_cast<uint64_t>(index))));
 }
 
 void OneSparseRecovery::MergeFrom(const OneSparseRecovery& other) {
   DCS_CHECK_EQ(fingerprint_base_, other.fingerprint_base_);
-  sum_ += other.sum_;
-  weighted_ += other.weighted_;
-  fingerprint_ = fingerprint_ + other.fingerprint_;
-  if (fingerprint_ >= kModulus) fingerprint_ -= kModulus;
-}
-
-bool OneSparseRecovery::IsZero() const {
-  return sum_ == 0 && weighted_ == 0 && fingerprint_ == 0;
-}
-
-std::optional<L0Sample> OneSparseRecovery::Recover() const {
-  if (sum_ == 0) return std::nullopt;
-  if (weighted_ % sum_ != 0) return std::nullopt;
-  const __int128 index_wide = weighted_ / sum_;
-  if (index_wide < 0 ||
-      index_wide > static_cast<__int128>(INT64_MAX)) {
-    return std::nullopt;
-  }
-  const int64_t index = static_cast<int64_t>(index_wide);
-  // Verify: a 1-sparse vector v·e_i has fingerprint v·r^i.
-  const uint64_t expected = MulMod(
-      SignedMod(sum_),
-      PowMod(fingerprint_base_, static_cast<uint64_t>(index)));
-  if (expected != fingerprint_) return std::nullopt;
-  return L0Sample{index, sum_};
+  cell_.MergeFrom(other.cell_);
 }
 
 L0Sampler::L0Sampler(int64_t universe, uint64_t seed)
-    : universe_(universe), seed_(seed) {
+    : universe_(universe),
+      seed_(seed),
+      base_(FingerprintBase(seed)),
+      levels_(static_cast<size_t>(L0LevelCount(universe))) {
   DCS_CHECK_GE(universe, 1);
-  int level_count = 3;
-  while ((static_cast<int64_t>(1) << (level_count - 3)) < universe) {
-    ++level_count;
-  }
-  const uint64_t base = 2 + Hash64(seed, 0x5eedULL) % (kModulus - 3);
-  levels_.reserve(static_cast<size_t>(level_count));
-  for (int j = 0; j < level_count; ++j) {
-    levels_.emplace_back(base);
-  }
-  // Cache base^(2^i) for every bit position an index can occupy, so the
-  // per-update exponentiation is one multiply per set index bit. The
-  // squaring chain is exactly what PowMod would recompute on every update.
-  int index_bits = 1;
-  while ((universe_ - 1) >> index_bits != 0) ++index_bits;
-  pow_squares_.reserve(static_cast<size_t>(index_bits));
-  uint64_t square = base;
-  for (int i = 0; i < index_bits; ++i) {
-    pow_squares_.push_back(square);
-    square = MulMod(square, square);
-  }
-}
-
-uint64_t L0Sampler::PowerOf(int64_t index) const {
-  uint64_t result = 1;
-  uint64_t bits = static_cast<uint64_t>(index);
-  for (size_t i = 0; bits != 0; ++i, bits >>= 1) {
-    if (bits & 1) result = MulMod(result, pow_squares_[i]);
-  }
-  return result;
-}
-
-int L0Sampler::LevelOf(int64_t index) const {
-  const uint64_t h = Hash64(static_cast<uint64_t>(index), seed_);
-  const int trailing = h == 0 ? 64 : std::countr_zero(h);
-  const int max_level = static_cast<int>(levels_.size()) - 1;
-  return trailing < max_level ? trailing : max_level;
 }
 
 void L0Sampler::Update(int64_t index, int64_t delta) {
   DCS_CHECK_GE(index, 0);
   DCS_CHECK_LT(index, universe_);
   if (delta == 0) return;
-  Update(index, delta, PowerOf(index));
-}
-
-void L0Sampler::Update(int64_t index, int64_t delta, uint64_t power) {
-  DCS_CHECK_GE(index, 0);
-  DCS_CHECK_LT(index, universe_);
-  if (delta == 0) return;
-  const int deepest = LevelOf(index);
+  const uint64_t term =
+      FingerprintTerm(delta, PowMod(base_, static_cast<uint64_t>(index)));
+  const int deepest = L0LevelOf(index, seed_, levels());
   for (int j = 0; j <= deepest; ++j) {
-    levels_[static_cast<size_t>(j)].UpdateWithPower(index, delta, power);
+    levels_[static_cast<size_t>(j)].Add(index, delta, term);
   }
-}
-
-void L0Sampler::AppendDigest(uint64_t& digest) const {
-  for (const OneSparseRecovery& level : levels_) level.AppendDigest(digest);
 }
 
 void L0Sampler::MergeFrom(const L0Sampler& other) {
   DCS_CHECK_EQ(universe_, other.universe_);
   DCS_CHECK_EQ(seed_, other.seed_);
-  DCS_CHECK_EQ(levels_.size(), other.levels_.size());
-  for (size_t j = 0; j < levels_.size(); ++j) {
-    levels_[j].MergeFrom(other.levels_[j]);
-  }
-}
-
-std::optional<L0Sample> L0Sampler::Sample() const {
-  // Deepest (sparsest) levels first: the first recoverable level wins.
-  for (size_t j = levels_.size(); j-- > 0;) {
-    const std::optional<L0Sample> sample = levels_[j].Recover();
-    if (sample.has_value()) return sample;
-  }
-  return std::nullopt;
-}
-
-bool L0Sampler::AppearsZero() const {
-  for (const OneSparseRecovery& level : levels_) {
-    if (!level.IsZero()) return false;
-  }
-  return true;
+  MergeCells(levels_, other.levels_);
 }
 
 }  // namespace dcs

@@ -17,12 +17,18 @@
 //
 // Everything is linear in the vector, so samplers over disjoint updates
 // can be merged by addition — the property the AGM sketch exploits.
+//
+// The per-level triple is a plain 32-byte L0Cell, and the arithmetic on a
+// run of cells (one sampler's levels) is exposed as free functions, so the
+// AGM sketch can keep all of its samplers in one flat cell array and share
+// every line of the update/merge/recovery code with L0Sampler.
 
 #ifndef DCS_STREAM_L0_SAMPLER_H_
 #define DCS_STREAM_L0_SAMPLER_H_
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/check.h"
@@ -35,6 +41,98 @@ struct L0Sample {
   int64_t value = 0;  // the (nonzero) coordinate value
 };
 
+// --- Arithmetic mod the Mersenne prime q = 2^61 − 1. ---
+
+inline constexpr uint64_t kL0Modulus = (1ULL << 61) - 1;
+
+// a·b mod q via a 128-bit product (a, b < q).
+inline uint64_t MulMod(uint64_t a, uint64_t b) {
+  const unsigned __int128 product = static_cast<unsigned __int128>(a) * b;
+  const uint64_t low = static_cast<uint64_t>(product & kL0Modulus);
+  const uint64_t high = static_cast<uint64_t>(product >> 61);
+  uint64_t result = low + high;
+  if (result >= kL0Modulus) result -= kL0Modulus;
+  return result;
+}
+
+// base^exponent mod q by square-and-multiply.
+uint64_t PowMod(uint64_t base, uint64_t exponent);
+
+// The fingerprint contribution delta·power mod q of the update a_i += delta,
+// where power = r^i mod q is in [1, q). The ±1 updates of the AGM sketch
+// take the fast path (power or q − power) with no division or multiply.
+inline uint64_t FingerprintTerm(int64_t delta, uint64_t power) {
+  if (delta == 1) return power;
+  if (delta == -1) return kL0Modulus - power;
+  int64_t reduced = delta % static_cast<int64_t>(kL0Modulus);
+  if (reduced < 0) reduced += static_cast<int64_t>(kL0Modulus);
+  return MulMod(static_cast<uint64_t>(reduced), power);
+}
+
+// SplitMix64-style seeded mixer: the level hash and the base derivation.
+uint64_t Hash64(uint64_t x, uint64_t seed);
+
+// Fingerprint base r ∈ [2, q) of the samplers built from `seed`.
+uint64_t FingerprintBase(uint64_t seed);
+
+// Levels a sampler over [0, universe) keeps: 3 + ceil(log2 universe).
+int L0LevelCount(int64_t universe);
+
+// Deepest level (< `levels`) whose subsampling keeps `index`: the number of
+// trailing zeros of the seeded hash, clamped.
+int L0LevelOf(int64_t index, uint64_t seed, int levels);
+
+// --- One level's 1-sparse recovery triple. ---
+
+struct L0Cell {
+  __int128 weighted = 0;     // Σ a_i·i
+  int64_t sum = 0;           // Σ a_i
+  uint64_t fingerprint = 0;  // Σ a_i·r^i mod q (values mod q)
+
+  // a_index += delta; `term` is FingerprintTerm(delta, r^index).
+  void Add(int64_t index, int64_t delta, uint64_t term) {
+    sum += delta;
+    weighted += static_cast<__int128>(delta) * index;
+    fingerprint += term;
+    if (fingerprint >= kL0Modulus) fingerprint -= kL0Modulus;
+  }
+
+  void MergeFrom(const L0Cell& other) {
+    sum += other.sum;
+    weighted += other.weighted;
+    fingerprint += other.fingerprint;
+    if (fingerprint >= kL0Modulus) fingerprint -= kL0Modulus;
+  }
+
+  // True if no updates survive (the zero vector, whp).
+  bool IsZero() const { return sum == 0 && weighted == 0 && fingerprint == 0; }
+
+  // If the residual vector is exactly 1-sparse, returns it (whp correct;
+  // verified against the fingerprint under base `base`). Otherwise nullopt.
+  std::optional<L0Sample> Recover(uint64_t base) const;
+
+  // Folds (sum, weighted low, weighted high, fingerprint) into an FNV-style
+  // running hash. Equal state — and only that, up to hash collisions —
+  // folds identically.
+  void AppendDigest(uint64_t& digest) const;
+};
+static_assert(sizeof(L0Cell) == 32);
+
+// --- Runs of cells: one sampler's levels, shallowest first. ---
+
+// Adds `from` into `into` cell by cell (equal lengths).
+void MergeCells(std::span<L0Cell> into, std::span<const L0Cell> from);
+
+// Some nonzero coordinate, trying the deepest (sparsest) level first.
+std::optional<L0Sample> SampleCells(std::span<const L0Cell> levels,
+                                    uint64_t base);
+
+// True iff every cell reads zero.
+bool CellsAppearZero(std::span<const L0Cell> cells);
+
+// Folds every cell, in order, into `digest`.
+void AppendCellsDigest(std::span<const L0Cell> cells, uint64_t& digest);
+
 // Exact 1-sparse recovery over a (sub)vector.
 class OneSparseRecovery {
  public:
@@ -44,33 +142,23 @@ class OneSparseRecovery {
   // Applies a_i += delta.
   void Update(int64_t index, int64_t delta);
 
-  // Same update with the fingerprint power r^index mod q precomputed by the
-  // caller (L0Sampler caches powers of the base; every level of one update
-  // shares the same power, so the modular exponentiation happens once).
-  void UpdateWithPower(int64_t index, int64_t delta, uint64_t power);
-
   // Adds another structure built with the same base.
   void MergeFrom(const OneSparseRecovery& other);
 
-  // Folds the exact internal state (sum, weighted sum, fingerprint) into an
-  // FNV-style running hash. Two structures with equal state — and only
-  // those, up to hash collisions — fold identically.
-  void AppendDigest(uint64_t& digest) const;
+  // See L0Cell::AppendDigest.
+  void AppendDigest(uint64_t& digest) const { cell_.AppendDigest(digest); }
 
-  // True if no updates survive (the zero vector, whp).
-  bool IsZero() const;
+  bool IsZero() const { return cell_.IsZero(); }
 
-  // If the residual vector is exactly 1-sparse, returns it (whp correct;
-  // verified against the fingerprint). Otherwise nullopt.
-  std::optional<L0Sample> Recover() const;
+  std::optional<L0Sample> Recover() const {
+    return cell_.Recover(fingerprint_base_);
+  }
 
-  static constexpr uint64_t kModulus = (1ULL << 61) - 1;  // Mersenne prime
+  static constexpr uint64_t kModulus = kL0Modulus;
 
  private:
   uint64_t fingerprint_base_;
-  int64_t sum_ = 0;         // Σ a_i
-  __int128 weighted_ = 0;   // Σ a_i·i
-  uint64_t fingerprint_ = 0;  // Σ a_i·r^i mod q (values mod q)
+  L0Cell cell_;
 };
 
 // The full multi-level sampler.
@@ -82,28 +170,22 @@ class L0Sampler {
   L0Sampler(int64_t universe, uint64_t seed);
 
   void Update(int64_t index, int64_t delta);
-  // Update with r^index mod q already computed. All samplers constructed
-  // from the same seed share the fingerprint base, so a caller touching
-  // several same-seed samplers with one coordinate (the AGM sketch writes
-  // +1/−1 into the two endpoints' samplers) computes the power once via
-  // PowerOf and reuses it.
-  void Update(int64_t index, int64_t delta, uint64_t power);
   void MergeFrom(const L0Sampler& other);
 
-  // r^index mod q from the cached square table (~one modular multiply per
-  // set bit of `index`, instead of a full square-and-multiply ladder).
-  uint64_t PowerOf(int64_t index) const;
-
-  // Folds all level states into `digest` (see OneSparseRecovery).
-  void AppendDigest(uint64_t& digest) const;
+  // Folds all level states into `digest` (see L0Cell::AppendDigest).
+  void AppendDigest(uint64_t& digest) const {
+    AppendCellsDigest(levels_, digest);
+  }
 
   // Some nonzero coordinate of the maintained vector, or nullopt if the
   // vector is zero or sampling failed at every level (constant failure
   // probability for nonzero vectors).
-  std::optional<L0Sample> Sample() const;
+  std::optional<L0Sample> Sample() const {
+    return SampleCells(levels_, base_);
+  }
 
   // True iff every level reads zero (so the vector is zero whp).
-  bool AppearsZero() const;
+  bool AppearsZero() const { return CellsAppearZero(levels_); }
 
   int64_t universe() const { return universe_; }
   uint64_t seed() const { return seed_; }
@@ -115,16 +197,10 @@ class L0Sampler {
   }
 
  private:
-  // Level of a coordinate: the number of levels whose subsampling keeps it.
-  int LevelOf(int64_t index) const;
-
   int64_t universe_;
   uint64_t seed_;
-  std::vector<OneSparseRecovery> levels_;
-  // pow_squares_[i] = base^(2^i) mod q, enough entries to cover any index
-  // in [0, universe). Shared by every update; identical for samplers built
-  // from the same seed.
-  std::vector<uint64_t> pow_squares_;
+  uint64_t base_;
+  std::vector<L0Cell> levels_;
 };
 
 }  // namespace dcs

@@ -10,6 +10,7 @@
 
 #include "gtest/gtest.h"
 #include "sketch/backend_registry.h"
+#include "stream/binary_stream.h"
 #include "util/json.h"
 
 namespace {
@@ -391,6 +392,20 @@ TEST(CliTest, StreamMissingOrCorruptInputExitsOne) {
   std::fwrite(junk, 1, sizeof junk, file);
   std::fclose(file);
   EXPECT_EQ(RunCli("stream --in " + path), 1);
+}
+
+TEST(CliTest, StreamOneVertexInputExitsOne) {
+  // A valid, checksummed stream over one vertex: the format allows it, the
+  // ingestor needs two vertices, so replay rejects the input (exit 1)
+  // instead of aborting.
+  const std::string path = "/tmp/dcs_cli_test_one_vertex.bin";
+  const std::string stderr_path = "/tmp/dcs_cli_test_one_vertex.err";
+  ASSERT_TRUE(dcs::BinaryStreamWriter(1).WriteFile(path).ok());
+  const std::string command = std::string(DCS_CLI_PATH) + " stream --in " +
+                              path + " > /dev/null 2> " + stderr_path;
+  EXPECT_EQ(WEXITSTATUS(std::system(command.c_str())), 1);
+  EXPECT_NE(ReadFileToString(stderr_path).find("invalid_argument"),
+            std::string::npos);
 }
 
 TEST(CliTest, StreamBadFlagValuesExitTwo) {

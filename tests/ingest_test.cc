@@ -1,12 +1,14 @@
 // The streaming ingestion pipeline: gutter/shard bit-identity across
 // producer counts and flush interleavings, delete validation at admission,
-// epoch/snapshot consistency, the CutQueryService registration path, and
+// epoch/snapshot consistency, the ingestor's metrics, the CutQueryService
+// registration path, and
 // the replayable binary stream format (round trips + corruption).
 
 #include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "stream/agm_sketch.h"
 #include "stream/binary_stream.h"
 #include "stream/ingest.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace dcs {
@@ -147,6 +150,53 @@ TEST(StreamIngestorTest, DeleteValidationTracksMultiplicity) {
   // Re-inserting revives the edge for one more delete.
   ASSERT_TRUE(ingestor.PushInsert(1, 2).ok());
   ASSERT_TRUE(ingestor.PushDelete(1, 2).ok());
+}
+
+TEST(StreamIngestorTest, MetricsCountAppliedRejectedFlushedAndSealed) {
+#if !DCS_METRICS_ENABLED
+  GTEST_SKIP() << "library compiled with DCS_ENABLE_METRICS=OFF";
+#endif
+  const auto counter = [](const metrics::MetricsSnapshot& diff,
+                          const std::string& name) -> int64_t {
+    const auto it = diff.counters.find(name);
+    return it == diff.counters.end() ? 0 : it->second;
+  };
+  const metrics::MetricsSnapshot before = metrics::Registry::Get().Snapshot();
+  const int n = 16;
+  StreamIngestorOptions options;
+  options.num_shards = 2;
+  options.gutter_capacity = 16;
+  options.rounds = 4;
+  options.seed = 41;
+  StreamIngestor ingestor(n, options);
+  // Three rejections: out of range, self-loop, delete of a dead edge.
+  EXPECT_FALSE(ingestor.PushInsert(-1, 2).ok());
+  EXPECT_FALSE(ingestor.PushInsert(3, 3).ok());
+  EXPECT_FALSE(ingestor.PushDelete(0, 1).ok());
+  int barriers = 0;
+  const std::vector<EdgeUpdate> updates = Workload(n, 300, 41);
+  for (size_t i = 0; i < updates.size(); ++i) {
+    ASSERT_TRUE(ingestor.Push(updates[i]).ok());
+    if (i % 100 == 99) {
+      ASSERT_TRUE(ingestor.Barrier().ok());
+      ++barriers;
+    }
+  }
+  ASSERT_TRUE(ingestor.Barrier().ok());
+  ++barriers;
+  const metrics::MetricsSnapshot diff =
+      metrics::Registry::Get().Snapshot().DiffSince(before);
+  EXPECT_EQ(counter(diff, "stream.update.applied"),
+            ingestor.updates_accepted());
+  EXPECT_EQ(counter(diff, "stream.update.rejected"), 3);
+  EXPECT_EQ(counter(diff, "stream.epoch.sealed"), barriers);
+  // Every full gutter flushes once, plus partial flushes at barriers.
+  EXPECT_GE(counter(diff, "stream.gutter.flushed"), 300 / 16);
+  // One merge/forest sample per seal: each Barrier plus the epoch-0 seal.
+  EXPECT_EQ(diff.distributions.at("stream.barrier.merge_ns").count,
+            barriers + 1);
+  EXPECT_EQ(diff.distributions.at("stream.barrier.forest_ns").count,
+            barriers + 1);
 }
 
 TEST(StreamIngestorTest, ShutdownDrainsSealsAndRejectsLatePushes) {

@@ -1,10 +1,12 @@
 // ℓ₀-samplers and the AGM connectivity sketch: exact 1-sparse recovery,
 // sampling correctness under insertions/deletions, linearity/mergeability,
-// and Boruvka spanning-forest extraction.
+// Boruvka spanning-forest extraction, and golden digests/forests/sizes that
+// pin the sketch's state word for word.
 
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "mincut/stoer_wagner.h"
 #include "gtest/gtest.h"
 #include "stream/agm_sketch.h"
+#include "stream/binary_stream.h"
 #include "stream/l0_sampler.h"
 #include "util/random.h"
 
@@ -458,6 +461,169 @@ TEST(AgmSketchRegressionTest, RemoveNeverInsertedEdgeCorruptsRawSketch) {
   EXPECT_NE(sketch.Digest(), clean);
   sketch.AddEdge(2, 7);  // ...but linearity means a later insert cancels it
   EXPECT_EQ(sketch.Digest(), clean);
+}
+
+// --- Golden state: digests, forests and sizes recorded from the original
+// per-sampler layout (one L0Sampler object per round and vertex). The flat
+// cell array must reproduce every measurement word, so the digests, the
+// Boruvka forests and the sizes are pinned exactly. ---
+
+template <typename Sketch>
+void ApplyUpdates(const std::vector<EdgeUpdate>& updates, Sketch& sketch) {
+  for (const EdgeUpdate& update : updates) {
+    if (update.is_delete) {
+      sketch.RemoveEdge(update.u, update.v);
+    } else {
+      sketch.AddEdge(update.u, update.v);
+    }
+  }
+}
+
+// A sketch of RandomUpdateStream(n, count, 0.2, Rng(seed + 17)).
+AgmConnectivitySketch GoldenSketch(int n, int rounds, uint64_t seed,
+                                   int64_t count) {
+  Rng rng(seed + 17);
+  AgmConnectivitySketch sketch(n, rounds, seed);
+  ApplyUpdates(RandomUpdateStream(n, count, 0.2, rng), sketch);
+  return sketch;
+}
+
+using EdgeList = std::vector<std::pair<VertexId, VertexId>>;
+
+EdgeList EdgesOf(const std::vector<Edge>& edges) {
+  EdgeList pairs;
+  for (const Edge& e : edges) pairs.emplace_back(e.src, e.dst);
+  return pairs;
+}
+
+struct GoldenCase {
+  int n;
+  int rounds;
+  uint64_t seed;
+  int64_t count;
+  uint64_t digest;
+  EdgeList forest;
+};
+
+TEST(AgmSketchGoldenTest, DigestsAndForestsMatchRecordedValues) {
+  const GoldenCase cases[] = {
+      {2, 0, 9, 1000, 0x5a6ff6b2fc346125ULL,
+       {{0, 1}}},
+      {7, 0, 3, 5000, 0x9812c2f5850c8c62ULL,
+       {{0, 2}, {1, 2}, {2, 6}, {3, 5}, {5, 6}, {3, 4}}},
+      {64, 0, 7, 65536, 0xbde280f6f9b34937ULL,
+       {{1, 58}, {2, 26}, {3, 35}, {4, 55}, {6, 17}, {7, 19}, {8, 13},
+        {9, 31}, {10, 23}, {11, 29}, {12, 33}, {14, 32}, {15, 56}, {16, 17},
+        {20, 56}, {21, 50}, {22, 61}, {23, 26}, {24, 41}, {25, 40}, {27, 53},
+        {24, 28}, {30, 61}, {31, 62}, {17, 34}, {36, 59}, {37, 49}, {38, 51},
+        {39, 59}, {42, 49}, {44, 60}, {40, 45}, {38, 46}, {47, 56}, {48, 51},
+        {50, 56}, {51, 52}, {49, 53}, {0, 54}, {25, 55}, {13, 57}, {60, 61},
+        {26, 62}, {50, 63}, {25, 54}, {39, 58}, {35, 49}, {7, 18}, {23, 25},
+        {12, 32}, {24, 40}, {25, 39}, {43, 60}, {38, 50}, {25, 53}, {39, 57},
+        {12, 31}, {6, 15}, {25, 38}, {26, 60}, {10, 19}, {12, 29}, {5, 63}}},
+      {100, 8, 12345, 32768, 0xe45f5f44900f4df1ULL,
+       {{1, 57}, {3, 15}, {4, 39}, {5, 12}, {6, 70}, {8, 97}, {9, 12},
+        {10, 36}, {7, 11}, {12, 63}, {13, 36}, {16, 43}, {17, 28}, {18, 92},
+        {21, 73}, {22, 66}, {23, 46}, {24, 25}, {27, 99}, {28, 96}, {29, 63},
+        {28, 30}, {1, 33}, {38, 75}, {13, 40}, {39, 41}, {44, 55}, {45, 65},
+        {47, 81}, {2, 48}, {13, 49}, {50, 69}, {51, 77}, {53, 75}, {54, 79},
+        {53, 56}, {14, 58}, {35, 59}, {61, 63}, {64, 97}, {65, 76}, {28, 66},
+        {67, 91}, {7, 70}, {63, 71}, {38, 78}, {79, 90}, {80, 83}, {37, 84},
+        {35, 86}, {50, 87}, {62, 88}, {83, 89}, {85, 92}, {58, 93}, {29, 98},
+        {1, 56}, {13, 48}, {3, 14}, {39, 40}, {13, 35}, {35, 58}, {16, 42},
+        {28, 95}, {21, 72}, {11, 25}, {26, 89}, {59, 99}, {1, 32}, {37, 95},
+        {44, 54}, {65, 75}, {2, 47}, {38, 77}, {39, 52}, {38, 74}, {28, 60},
+        {12, 62}, {16, 64}, {67, 90}, {50, 68}, {79, 89}, {35, 85}, {13, 34},
+        {16, 41}, {38, 73}, {23, 44}, {1, 31}, {28, 94}, {44, 53}, {59, 98},
+        {37, 82}, {17, 25}, {44, 52}, {28, 93}, {79, 87}, {11, 20}, {11, 19}}},
+      {512, 0, 81, 600, 0x79d1d1542fa83d66ULL,
+       {{0, 504}, {2, 502}, {4, 253}, {9, 204}, {10, 225}, {13, 428},
+        {14, 225}, {15, 257}, {17, 378}, {18, 155}, {20, 145}, {22, 136},
+        {23, 236}, {24, 38}, {25, 238}, {26, 418}, {27, 362}, {30, 165},
+        {31, 411}, {34, 437}, {35, 87}, {37, 367}, {39, 364}, {40, 449},
+        {42, 346}, {48, 368}, {49, 334}, {50, 208}, {53, 453}, {54, 299},
+        {55, 389}, {56, 497}, {59, 134}, {60, 414}, {61, 288}, {62, 325},
+        {63, 148}, {64, 468}, {65, 449}, {66, 441}, {69, 500}, {70, 401},
+        {71, 251}, {74, 359}, {16, 76}, {77, 454}, {80, 171}, {82, 174},
+        {83, 269}, {84, 136}, {85, 174}, {86, 485}, {88, 490}, {90, 399},
+        {92, 122}, {1, 94}, {96, 472}, {97, 265}, {98, 433}, {100, 474},
+        {103, 428}, {106, 359}, {108, 305}, {38, 109}, {110, 484}, {111, 419},
+        {112, 440}, {114, 447}, {111, 116}, {120, 461}, {121, 443},
+        {124, 207}, {125, 497}, {126, 271}, {128, 332}, {130, 488},
+        {131, 215}, {132, 351}, {133, 289}, {140, 267}, {146, 438},
+        {147, 175}, {148, 336}, {149, 501}, {140, 152}, {154, 293},
+        {159, 223}, {65, 161}, {162, 231}, {163, 291}, {164, 195}, {167, 385},
+        {168, 246}, {171, 371}, {172, 372}, {173, 293}, {177, 286},
+        {178, 219}, {179, 315}, {183, 392}, {184, 367}, {185, 321},
+        {186, 410}, {188, 249}, {189, 225}, {190, 310}, {192, 256},
+        {193, 227}, {194, 241}, {196, 288}, {198, 424}, {200, 244}, {95, 201},
+        {202, 498}, {209, 503}, {41, 210}, {99, 212}, {221, 332}, {228, 401},
+        {229, 238}, {233, 457}, {234, 416}, {235, 407}, {236, 421},
+        {237, 284}, {239, 324}, {160, 240}, {242, 394}, {244, 257},
+        {245, 353}, {247, 390}, {211, 248}, {250, 475}, {25, 252}, {83, 254},
+        {256, 272}, {258, 459}, {260, 388}, {261, 351}, {263, 324},
+        {264, 275}, {266, 425}, {270, 392}, {273, 401}, {246, 274},
+        {276, 343}, {277, 492}, {22, 279}, {282, 368}, {287, 445}, {289, 402},
+        {290, 445}, {292, 489}, {294, 318}, {295, 396}, {38, 300}, {61, 301},
+        {303, 311}, {308, 407}, {309, 501}, {165, 314}, {95, 315}, {316, 403},
+        {317, 441}, {319, 428}, {320, 473}, {321, 323}, {326, 343},
+        {148, 327}, {54, 329}, {218, 330}, {331, 406}, {270, 332}, {333, 373},
+        {334, 506}, {112, 337}, {338, 394}, {341, 360}, {197, 342},
+        {270, 345}, {347, 380}, {348, 445}, {172, 354}, {355, 394},
+        {321, 358}, {194, 363}, {155, 364}, {132, 366}, {374, 449},
+        {289, 375}, {290, 377}, {379, 445}, {382, 423}, {291, 383}, {74, 384},
+        {126, 387}, {389, 484}, {145, 393}, {395, 446}, {34, 398}, {404, 442},
+        {405, 484}, {305, 410}, {32, 412}, {416, 429}, {305, 417}, {422, 426},
+        {369, 427}, {430, 447}, {204, 435}, {367, 444}, {30, 448}, {450, 461},
+        {16, 452}, {454, 458}, {157, 456}, {460, 483}, {421, 463}, {464, 486},
+        {157, 470}, {440, 472}, {390, 476}, {478, 481}, {332, 482},
+        {123, 483}, {10, 485}, {464, 487}, {246, 491}, {190, 492}, {318, 494},
+        {138, 496}, {10, 497}, {456, 499}, {165, 503}, {331, 510}, {396, 511},
+        {0, 163}, {1, 55}, {329, 502}, {7, 403}, {204, 271}, {18, 312},
+        {145, 342}, {116, 421}, {38, 130}, {26, 416}, {27, 483}, {115, 503},
+        {31, 383}, {32, 498}, {34, 394}, {87, 242}, {41, 271}, {129, 346},
+        {47, 413}, {162, 334}, {51, 115}, {134, 321}, {115, 414}, {325, 378},
+        {148, 302}, {241, 269}, {22, 41}, {88, 172}, {104, 399}, {122, 329},
+        {212, 238}, {195, 474}, {419, 425}, {137, 443}, {207, 437},
+        {311, 402}, {138, 300}, {140, 282}, {142, 315}, {146, 159},
+        {175, 416}, {384, 470}, {383, 415}, {246, 270}, {161, 173},
+        {177, 438}, {154, 178}, {184, 404}, {188, 310}, {193, 485},
+        {194, 234}, {116, 196}, {197, 266}, {15, 41}, {167, 211}, {137, 218},
+        {233, 372}, {237, 483}, {359, 390}, {160, 459}, {324, 406}, {5, 275},
+        {70, 507}, {201, 489}, {173, 407}, {97, 276}, {345, 360}, {345, 369},
+        {290, 333}, {38, 422}, {25, 447}, {389, 461}, {405, 451}, {438, 487},
+        {243, 478}, {232, 451}, {5, 337}, {7, 160}, {18, 415}, {41, 342},
+        {47, 273}, {95, 323}, {308, 378}, {118, 251}, {299, 429}, {192, 265},
+        {238, 489}, {104, 228}, {384, 506}, {163, 472}, {47, 129}, {148, 195},
+        {134, 167}, {231, 345}, {177, 284}, {17, 404}, {41, 192}, {175, 325},
+        {243, 415}, {123, 351}, {324, 351}, {173, 441}, {333, 503}, {63, 142},
+        {314, 441}, {51, 359}, {251, 272}, {99, 137}, {63, 419}, {304, 490},
+        {408, 490}, {302, 413}, {192, 405}, {25, 155}, {266, 351}, {374, 490},
+        {66, 155}}},
+  };
+  for (const GoldenCase& c : cases) {
+    SCOPED_TRACE("n=" + std::to_string(c.n));
+    const AgmConnectivitySketch sketch =
+        GoldenSketch(c.n, c.rounds, c.seed, c.count);
+    EXPECT_EQ(sketch.Digest(), c.digest);
+    EXPECT_EQ(EdgesOf(sketch.SpanningForest()), c.forest);
+  }
+}
+
+TEST(AgmSketchGoldenTest, SizesAtTheIngestDefault) {
+  const AgmConnectivitySketch sketch = GoldenSketch(512, 0, 81, 600);
+  EXPECT_EQ(sketch.SpanningForest().size(), 353u);
+  EXPECT_EQ(sketch.SizeInBits(), 22708224);
+  EXPECT_EQ(sketch.MeasurementCount(), 354816);
+}
+
+TEST(AgmSketchGoldenTest, KConnectivityDigestAndCertificate) {
+  AgmKConnectivitySketch sketch(64, 3, 0, 5);
+  Rng rng(99);
+  ApplyUpdates(RandomUpdateStream(64, 20000, 0.2, rng), sketch);
+  EXPECT_EQ(sketch.Digest(), 0xdcbf2d61f8ea510cULL);
+  EXPECT_DOUBLE_EQ(sketch.MinCutUpToK(), 3.0);
+  EXPECT_EQ(sketch.Certificate().num_edges(), 187);
 }
 
 }  // namespace

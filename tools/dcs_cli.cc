@@ -828,6 +828,18 @@ int CmdStream(const FlagMap& flags) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
     return 1;
   }
+  // The stream format admits a single vertex (it can carry no updates), but
+  // a StreamIngestor needs two; reject the input rather than abort.
+  if (reader->num_vertices() < 2) {
+    std::fprintf(stderr, "%s\n",
+                 dcs::InvalidArgumentError(
+                     "edge stream declares " +
+                     std::to_string(reader->num_vertices()) +
+                     " vertex; replay needs at least 2")
+                     .ToString()
+                     .c_str());
+    return 1;
+  }
   std::vector<dcs::EdgeUpdate> updates;
   updates.reserve(static_cast<size_t>(reader->update_count()));
   while (!reader->AtEnd()) {
