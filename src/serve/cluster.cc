@@ -216,13 +216,7 @@ Status ClusterWorker::PersistOnDrain() {
 ClusterWorker::~ClusterWorker() {
   RequestStop();
   listener_.Close();
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (std::thread& t : connections_) {
-      if (t.joinable()) t.join();
-    }
-    connections_.clear();
-  }
+  JoinConnections(/*finished_only=*/false);
   for (auto& shard : shards_) {
     shard->queue->Stop();
     if (shard->runner.joinable()) shard->runner.join();
@@ -431,6 +425,18 @@ void ClusterWorker::HandleConnection(Connection connection) {
   }
 }
 
+void ClusterWorker::JoinConnections(bool finished_only) {
+  std::lock_guard<std::mutex> lock(connections_mutex_);
+  connections_.remove_if([finished_only](ConnectionHandler& handler) {
+    if (finished_only &&
+        !handler.finished.load(std::memory_order_acquire)) {
+      return false;
+    }
+    if (handler.thread.joinable()) handler.thread.join();
+    return true;
+  });
+}
+
 Status ClusterWorker::Serve() {
   while (!stop_.load(std::memory_order_relaxed)) {
     auto accepted = listener_.Accept(options_.accept_timeout_ms);
@@ -440,23 +446,21 @@ Status ClusterWorker::Serve() {
       }
       return accepted.status();
     }
+    JoinConnections(/*finished_only=*/true);
     std::lock_guard<std::mutex> lock(connections_mutex_);
-    connections_.emplace_back(
-        [this, conn = std::make_shared<Connection>(std::move(*accepted))] {
+    ConnectionHandler& handler = connections_.emplace_back();
+    handler.thread = std::thread(
+        [this, &handler,
+         conn = std::make_shared<Connection>(std::move(*accepted))] {
           HandleConnection(std::move(*conn));
+          handler.finished.store(true, std::memory_order_release);
         });
   }
   // Drain: stop accepting, let every connection finish its in-flight
   // request (they observe stop_ within accept_timeout_ms), then run the
   // queues dry before joining the shard threads.
   listener_.Close();
-  {
-    std::lock_guard<std::mutex> lock(connections_mutex_);
-    for (std::thread& t : connections_) {
-      if (t.joinable()) t.join();
-    }
-    connections_.clear();
-  }
+  JoinConnections(/*finished_only=*/false);
   for (auto& shard : shards_) shard->queue->Stop();
   for (auto& shard : shards_) {
     if (shard->runner.joinable()) shard->runner.join();

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -165,6 +166,10 @@ class ClusterWorker {
   Status PersistOnDrain();
 
   void HandleConnection(Connection connection);
+  // Joins connection handler threads: every one, or with `finished_only`
+  // just those whose loop already returned (so a long-lived worker does
+  // not keep one exited thread's stack mapped per past connection).
+  void JoinConnections(bool finished_only);
   RpcResponse ExecuteOnShard(Shard& shard, const RpcRequest& request);
   // Routes through the shard queue (admission control) and waits for the
   // shard thread to run it. Fast-rejects with kResourceExhausted.
@@ -179,8 +184,13 @@ class ClusterWorker {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::mutex registration_mutex_;  // round-robin registration counter
   int64_t registrations_ = 0;
+  // One per accepted connection; a list so `finished` keeps its address.
+  struct ConnectionHandler {
+    std::thread thread;
+    std::atomic<bool> finished{false};
+  };
   std::mutex connections_mutex_;
-  std::vector<std::thread> connections_;
+  std::list<ConnectionHandler> connections_;
 };
 
 }  // namespace dcs

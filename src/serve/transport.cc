@@ -16,28 +16,37 @@
 #include <thread>
 #include <utility>
 
-#include "comm/channel.h"
-#include "util/bitio.h"
+#include "util/envelope.h"
 #include "util/metrics.h"
 
 namespace dcs {
 namespace {
 
-// Bits of Message payload per channel frame. 4 KiB payloads keep the
-// framing overhead (< 64 bytes of header + length prefix) negligible while
-// bounding the receiver's per-frame allocation.
-constexpr int64_t kChunkPayloadBits = int64_t{1} << 15;
+// Transport frame magic (util/envelope.h), distinct from the serialization
+// envelope (0xD5CE), the RPC envelope (0xA9C5), the channel frame (0xFA5C)
+// and the segment record (0x5E60). The kind is fixed: one Message.
+constexpr uint64_t kTransportMagic = 0x57E4;
+constexpr uint64_t kTransportKind = 1;
 
-// Hard cap on a length-prefixed frame: payload bytes plus generous header
-// slack. Enforced before any allocation, so a corrupted length prefix can
-// never drive a huge reserve.
-constexpr uint32_t kMaxFrameBytes =
-    static_cast<uint32_t>(kChunkPayloadBits / 8 + 64);
+// First read step for a frame body; later steps double the buffer, so a
+// hostile length prefix costs at most this much memory until the peer
+// actually sends bytes.
+constexpr size_t kReceiveStepBytes = size_t{1} << 16;
 
-// Hard cap on a reassembled Message (1 GiB). RPC bodies (graphs, query
-// batches, double vectors) are far below this; anything larger is a
-// corrupted or hostile header.
-constexpr int64_t kMaxTransportMessageBits = int64_t{1} << 33;
+// Parses one frame body (everything after the length prefix).
+StatusOr<Message> ParseFrameBody(const std::vector<uint8_t>& body) {
+  BitReader reader(body);
+  DCS_ASSIGN_OR_RETURN(EnvelopePayload envelope,
+                       ReadEnvelope(kTransportMagic, reader));
+  if (envelope.kind != kTransportKind) {
+    return DataLossError("transport frame kind " +
+                         std::to_string(envelope.kind) + " is unknown");
+  }
+  DCS_ASSIGN_OR_RETURN(const int stop, reader.TryReadBit());
+  if (stop != 1) return DataLossError("transport frame has no stop bit");
+  DCS_RETURN_IF_ERROR(reader.TryReadZeroPadding());
+  return Message{std::move(envelope.bytes), envelope.bit_count};
+}
 
 std::string ErrnoString(const char* op) {
   return std::string(op) + " failed: " + std::strerror(errno);
@@ -180,6 +189,21 @@ StatusOr<int> OpenSocket(const Endpoint& endpoint) {
 
 }  // namespace
 
+void WriteTransportFrame(const Message& message, BitWriter& out) {
+  DCS_CHECK_EQ(out.bit_count() % 8, 0);
+  DCS_CHECK_LE(message.bit_count, kMaxTransportMessageBits);
+  // The envelope, a 1 stop bit, then zero padding to a byte. The message
+  // bits are raw, so without the stop bit a flip in the low bits of the
+  // envelope's length could move the message's end across trailing zero
+  // bits without changing the padded bytes the checksum covers.
+  const int64_t frame_bytes =
+      (EnvelopeSizeInBits(message.bit_count) + 1 + 7) / 8;
+  out.WriteBits(static_cast<uint64_t>(frame_bytes), 32);
+  AppendEnvelope(kTransportMagic, kTransportKind, message.bytes,
+                 message.bit_count, out);
+  out.WriteBit(1);
+}
+
 std::string Endpoint::ToSpec() const {
   if (is_unix) return "unix:" + path;
   return "tcp:" + host + ":" + std::to_string(port);
@@ -248,35 +272,13 @@ void Connection::Close() {
 
 Status Connection::Send(const Message& message, int timeout_ms) {
   if (!valid()) return FailedPreconditionError("send on a closed connection");
-  DCS_CHECK_EQ(static_cast<int64_t>(message.bytes.size()),
-               (message.bit_count + 7) / 8);
-  DCS_CHECK_LE(message.bit_count, kMaxTransportMessageBits);
-  const DeadlineTimer deadline(timeout_ms);
-  const int64_t total_chunks = std::max<int64_t>(
-      1, (message.bit_count + kChunkPayloadBits - 1) / kChunkPayloadBits);
-  BitReader source(message.bytes);
-  std::vector<uint8_t> payload;
-  for (int64_t seq = 0; seq < total_chunks; ++seq) {
-    const int64_t bits = std::min<int64_t>(
-        kChunkPayloadBits, message.bit_count - seq * kChunkPayloadBits);
-    // Cannot fail: the message's byte count was CHECKed above.
-    DCS_RETURN_IF_ERROR(source.TryReadBitsInto(bits, payload));
-    BitWriter framed;
-    WriteChannelFrame(seq, total_chunks, message.bit_count, payload, bits,
-                      framed);
-    const auto& frame_bytes = framed.bytes();
-    const uint32_t frame_len = static_cast<uint32_t>(frame_bytes.size());
-    DCS_CHECK_LE(frame_len, kMaxFrameBytes);
-    uint8_t prefix[4] = {static_cast<uint8_t>(frame_len & 0xFF),
-                         static_cast<uint8_t>((frame_len >> 8) & 0xFF),
-                         static_cast<uint8_t>((frame_len >> 16) & 0xFF),
-                         static_cast<uint8_t>((frame_len >> 24) & 0xFF)};
-    DCS_RETURN_IF_ERROR(WriteFull(fd_, prefix, sizeof(prefix), deadline));
-    DCS_RETURN_IF_ERROR(
-        WriteFull(fd_, frame_bytes.data(), frame_bytes.size(), deadline));
-    DCS_METRIC_ADD("serve.transport.bytes_sent",
-                   static_cast<int64_t>(sizeof(prefix) + frame_bytes.size()));
-  }
+  BitWriter frame;
+  WriteTransportFrame(message, frame);
+  const std::vector<uint8_t>& bytes = frame.bytes();
+  DCS_RETURN_IF_ERROR(
+      WriteFull(fd_, bytes.data(), bytes.size(), DeadlineTimer(timeout_ms)));
+  DCS_METRIC_ADD("serve.transport.bytes_sent",
+                 static_cast<int64_t>(bytes.size()));
   DCS_METRIC_INC("serve.transport.messages_sent");
   return OkStatus();
 }
@@ -286,92 +288,36 @@ StatusOr<Message> Connection::Receive(int timeout_ms) {
     return FailedPreconditionError("receive on a closed connection");
   }
   const DeadlineTimer deadline(timeout_ms);
-  BitWriter out;
-  int64_t total_chunks = -1;
-  int64_t message_bits = -1;
-  for (int64_t next_seq = 0; total_chunks < 0 || next_seq < total_chunks;
-       ++next_seq) {
-    uint8_t prefix[4];
-    DCS_RETURN_IF_ERROR(ReadFull(fd_, prefix, sizeof(prefix), deadline,
-                                 /*at_message_start=*/next_seq == 0));
-    const uint32_t frame_len =
-        static_cast<uint32_t>(prefix[0]) |
-        (static_cast<uint32_t>(prefix[1]) << 8) |
-        (static_cast<uint32_t>(prefix[2]) << 16) |
-        (static_cast<uint32_t>(prefix[3]) << 24);
-    if (frame_len == 0 || frame_len > kMaxFrameBytes) {
-      DCS_METRIC_INC("serve.transport.frames_rejected");
-      return DataLossError("transport frame length " +
-                           std::to_string(frame_len) + " out of range");
-    }
-    std::vector<uint8_t> frame_bytes(frame_len);
-    DCS_RETURN_IF_ERROR(ReadFull(fd_, frame_bytes.data(), frame_len, deadline,
-                                 /*at_message_start=*/false));
-    DCS_METRIC_ADD("serve.transport.bytes_received",
-                   static_cast<int64_t>(sizeof(prefix) + frame_len));
-    BitReader reader(frame_bytes);
-    auto parsed = TryParseChannelFrame(reader);
-    if (!parsed.ok()) {
-      DCS_METRIC_INC("serve.transport.frames_rejected");
-      return parsed.status();
-    }
-    // Strict geometry: a stream socket delivers in order, so the frames of
-    // one message must be exactly seq 0..total-1 with the sender's chunk
-    // math. Any deviation is corruption, not reordering.
-    if (next_seq == 0) {
-      if (parsed->message_bits > kMaxTransportMessageBits) {
-        return DataLossError("transport message declares " +
-                             std::to_string(parsed->message_bits) +
-                             " bits, over the 2^33 cap");
-      }
-      const int64_t expected_chunks = std::max<int64_t>(
-          1, (parsed->message_bits + kChunkPayloadBits - 1) /
-                 kChunkPayloadBits);
-      if (parsed->total_chunks != expected_chunks) {
-        return DataLossError("transport frame declares " +
-                             std::to_string(parsed->total_chunks) +
-                             " chunks for " +
-                             std::to_string(parsed->message_bits) +
-                             " message bits (expected " +
-                             std::to_string(expected_chunks) + ")");
-      }
-      total_chunks = parsed->total_chunks;
-      message_bits = parsed->message_bits;
-    } else if (parsed->total_chunks != total_chunks ||
-               parsed->message_bits != message_bits) {
-      return DataLossError("transport frame geometry changed mid-message");
-    }
-    if (parsed->seq != next_seq) {
-      return DataLossError("transport frame out of sequence: got " +
-                           std::to_string(parsed->seq) + ", expected " +
-                           std::to_string(next_seq));
-    }
-    const int64_t expected_payload_bits =
-        next_seq + 1 < total_chunks
-            ? kChunkPayloadBits
-            : message_bits - next_seq * kChunkPayloadBits;
-    if (parsed->payload_bits != expected_payload_bits) {
-      return DataLossError("transport frame payload size mismatch");
-    }
-    // The frame rides in whole bytes; the declared bit length must leave
-    // fewer than 8 trailing pad bits, all zero — otherwise a flip in the
-    // padding (outside the checksummed payload) would pass silently.
-    if (reader.RemainingBits() >= 8) {
-      return DataLossError("transport frame has trailing bytes");
-    }
-    DCS_ASSIGN_OR_RETURN(
-        const uint64_t padding,
-        reader.TryReadBits(static_cast<int>(reader.RemainingBits())));
-    if (padding != 0) {
-      return DataLossError("transport frame has nonzero padding");
-    }
-    out.AppendBits(parsed->payload, parsed->payload_bits);
+  uint8_t prefix[4];
+  DCS_RETURN_IF_ERROR(ReadFull(fd_, prefix, sizeof(prefix), deadline,
+                               /*at_message_start=*/true));
+  const uint32_t frame_len = static_cast<uint32_t>(prefix[0]) |
+                             (static_cast<uint32_t>(prefix[1]) << 8) |
+                             (static_cast<uint32_t>(prefix[2]) << 16) |
+                             (static_cast<uint32_t>(prefix[3]) << 24);
+  if (frame_len == 0 || frame_len > kMaxTransportFrameBytes) {
+    DCS_METRIC_INC("serve.transport.frames_rejected");
+    return DataLossError("transport frame length " +
+                         std::to_string(frame_len) + " out of range");
   }
-  if (out.bit_count() != message_bits) {
-    return DataLossError("transport message reassembled to the wrong size");
+  std::vector<uint8_t> body;
+  while (body.size() < frame_len) {
+    const size_t begin = body.size();
+    body.resize(std::min<size_t>(frame_len,
+                                 std::max(kReceiveStepBytes, 2 * begin)));
+    DCS_RETURN_IF_ERROR(ReadFull(fd_, body.data() + begin,
+                                 body.size() - begin, deadline,
+                                 /*at_message_start=*/false));
+  }
+  DCS_METRIC_ADD("serve.transport.bytes_received",
+                 static_cast<int64_t>(sizeof(prefix) + frame_len));
+  auto message = ParseFrameBody(body);
+  if (!message.ok()) {
+    DCS_METRIC_INC("serve.transport.frames_rejected");
+    return message.status();
   }
   DCS_METRIC_INC("serve.transport.messages_received");
-  return Message{out.bytes(), out.bit_count()};
+  return message;
 }
 
 Listener::Listener(Listener&& other) noexcept

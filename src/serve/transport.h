@@ -3,15 +3,16 @@
 //
 // Everything above this layer still speaks Message (comm/message.h): the
 // transport moves one checksummed bit-exact Message per call across a
-// Unix-domain or TCP stream socket. On the wire each Message is cut into
-// chunks framed with the 0xFA5C channel-frame idiom from src/comm/channel
-// (magic / seq / total chunks / message bits / payload bits / FNV-1a), each
-// frame length-prefixed with a 32-bit little-endian byte count. The
-// receiver treats the stream as hostile: length caps before allocation,
-// strict chunk geometry (sequential seq, consistent totals, exact per-chunk
-// payload sizes), per-frame checksums, and a zero-padding check on the
-// trailing partial byte — so every bit flip or truncation of a frame
-// yields a non-OK Status, never a crash, hang, or over-read
+// Unix-domain or TCP stream socket, as one frame: a 32-bit little-endian
+// byte length, then the shared envelope (util/envelope.h) under magic
+// 0x57E4 carrying the message bits, a 1 stop bit, and zero padding to a
+// byte. A stream socket already delivers bytes in order, so there is no
+// chunking or reassembly; the lossy-channel frame (comm/channel, 0xFA5C)
+// belongs to the simulation, and a peer still speaking it fails on magic.
+// The receiver treats the stream as hostile: the length prefix is capped
+// before the body is read, the body is read in bounded steps so memory
+// grows only with bytes received, and every bit flip or truncation of a
+// frame yields a non-OK Status, never a crash, hang, or over-read
 // (tests/corruption_test.cc drives this exhaustively).
 //
 // Failure vocabulary (the client's failover logic keys on it):
@@ -35,10 +36,27 @@
 #include <string>
 
 #include "comm/message.h"
+#include "util/bitio.h"
 #include "util/random.h"
 #include "util/status.h"
 
 namespace dcs {
+
+// Hard cap on one Message (2^33 bits, 1 GiB). RPC bodies (graphs, query
+// batches, double vectors) are far below this; anything larger is a
+// corrupted or hostile header.
+constexpr int64_t kMaxTransportMessageBits = int64_t{1} << 33;
+
+// Hard cap on a frame's length prefix: the largest message plus envelope
+// header and padding. Receive rejects anything above it (and 0) before
+// reading the body.
+constexpr uint32_t kMaxTransportFrameBytes =
+    static_cast<uint32_t>(kMaxTransportMessageBits / 8 + 32);
+
+// Appends the exact bytes Connection::Send puts on the wire for `message`
+// (length prefix, envelope, stop bit, zero padding) to the byte-aligned
+// `out`.
+void WriteTransportFrame(const Message& message, BitWriter& out);
 
 // A parsed endpoint: "unix:/path/to.sock" or "tcp:HOST:PORT" (numeric IPv4
 // or "localhost"). ToSpec() round-trips, so a Listener bound to port 0 can
@@ -96,12 +114,12 @@ class Connection {
   int fd() const { return fd_; }
   void Close();
 
-  // Sends one Message as length-prefixed channel frames. The deadline
+  // Sends one Message as one frame, in a single buffer. The deadline
   // covers the whole call. kDeadlineExceeded ("transport deadline:") on
   // timeout, kUnavailable if the peer vanished mid-write.
   Status Send(const Message& message, int timeout_ms);
 
-  // Receives one Message. Validates every frame as hostile input:
+  // Receives one Message. Validates its frame as hostile input:
   // kDataLoss on any format violation, kUnavailable on EOF/reset,
   // kDeadlineExceeded ("transport deadline:") on timeout. A clean EOF
   // *before any byte* of a message also returns kUnavailable ("connection

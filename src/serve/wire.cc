@@ -7,15 +7,15 @@
 #include "sketch/serialization.h"
 #include "util/bitio.h"
 #include "util/checksum.h"
+#include "util/envelope.h"
 
 namespace dcs {
 namespace {
 
-// RPC envelope magic, distinct from the serialization envelope (0xD5CE)
-// and the channel frame (0xFA5C): a body misfed to the wrong parser dies
-// at the first header field.
+// RPC envelope magic (util/envelope.h), distinct from the serialization
+// envelope (0xD5CE) and the transport frame (0x57E4): a body misfed to the
+// wrong parser dies at the first header field.
 constexpr uint64_t kRpcMagic = 0xA9C5;
-constexpr uint64_t kRpcVersion = 1;
 
 // Caps enforced before any allocation driven by a header-declared count.
 constexpr uint64_t kMaxBatchQueries = uint64_t{1} << 20;
@@ -26,54 +26,24 @@ constexpr uint64_t kMaxVertices = uint64_t{1} << 28;
 
 Message SealRpc(RpcKind kind, const BitWriter& payload) {
   BitWriter out;
-  out.WriteBits(kRpcMagic, 16);
-  out.WriteBits(kRpcVersion, 8);
-  out.WriteBits(static_cast<uint64_t>(kind), 8);
-  out.WriteEliasGamma(static_cast<uint64_t>(payload.bit_count()));
-  out.WriteBits(Fnv1a32(payload.bytes()), 32);
-  out.AppendBits(payload.bytes(), payload.bit_count());
+  AppendEnvelope(kRpcMagic, static_cast<uint64_t>(kind), payload.bytes(),
+                 payload.bit_count(), out);
   return SealMessage(out);
 }
 
-struct OpenedRpc {
-  RpcKind kind = RpcKind::kPing;
-  std::vector<uint8_t> payload;
-  int64_t payload_bits = 0;
-};
-
-// Validates the RPC envelope and extracts the checksummed payload. The
-// checks mirror the serialization envelope: magic, version, kind range,
-// declared length against the *declared* message bit count (not the padded
-// byte buffer), checksum, and no trailing bits.
-StatusOr<OpenedRpc> OpenRpc(const Message& message) {
+// Validates the RPC envelope and extracts the checksummed payload: the
+// shared envelope checks, a known kind, and a payload that ends exactly at
+// the message's *declared* bit count (not the padded byte buffer).
+StatusOr<EnvelopePayload> OpenRpc(const Message& message) {
   BitReader reader(message.bytes);
-  DCS_ASSIGN_OR_RETURN(const uint64_t magic, reader.TryReadBits(16));
-  if (magic != kRpcMagic) return DataLossError("bad rpc magic");
-  DCS_ASSIGN_OR_RETURN(const uint64_t version, reader.TryReadBits(8));
-  if (version != kRpcVersion) {
-    return DataLossError("unsupported rpc version " +
-                         std::to_string(version));
+  DCS_ASSIGN_OR_RETURN(EnvelopePayload opened,
+                       ReadEnvelope(kRpcMagic, reader));
+  if (opened.kind < static_cast<uint64_t>(RpcKind::kPing) ||
+      opened.kind > static_cast<uint64_t>(RpcKind::kReattach)) {
+    return DataLossError("unknown rpc kind " + std::to_string(opened.kind));
   }
-  DCS_ASSIGN_OR_RETURN(const uint64_t kind, reader.TryReadBits(8));
-  if (kind < static_cast<uint64_t>(RpcKind::kPing) ||
-      kind > static_cast<uint64_t>(RpcKind::kReattach)) {
-    return DataLossError("unknown rpc kind " + std::to_string(kind));
-  }
-  DCS_ASSIGN_OR_RETURN(const uint64_t payload_bits,
-                       reader.TryReadEliasGamma());
-  DCS_ASSIGN_OR_RETURN(const uint64_t checksum, reader.TryReadBits(32));
-  if (message.bit_count < reader.position() ||
-      payload_bits !=
-          static_cast<uint64_t>(message.bit_count - reader.position())) {
+  if (reader.position() != message.bit_count) {
     return DataLossError("rpc payload length does not match the message");
-  }
-  OpenedRpc opened;
-  opened.kind = static_cast<RpcKind>(kind);
-  opened.payload_bits = static_cast<int64_t>(payload_bits);
-  DCS_RETURN_IF_ERROR(
-      reader.TryReadBitsInto(opened.payload_bits, opened.payload));
-  if (Fnv1a32(opened.payload) != checksum) {
-    return DataLossError("rpc payload checksum mismatch");
   }
   return opened;
 }
@@ -160,11 +130,11 @@ Message EncodeRpcRequest(const RpcRequest& request) {
 }
 
 StatusOr<RpcRequest> DecodeRpcRequest(const Message& message) {
-  DCS_ASSIGN_OR_RETURN(const OpenedRpc opened, OpenRpc(message));
-  BitReader reader(opened.payload);
+  DCS_ASSIGN_OR_RETURN(const EnvelopePayload opened, OpenRpc(message));
+  BitReader reader(opened.bytes);
   RpcRequest request;
-  request.kind = opened.kind;
-  switch (opened.kind) {
+  request.kind = static_cast<RpcKind>(opened.kind);
+  switch (request.kind) {
     case RpcKind::kResponse:
       return DataLossError("rpc body is a response, not a request");
     case RpcKind::kPing:
@@ -224,7 +194,7 @@ StatusOr<RpcRequest> DecodeRpcRequest(const Message& message) {
       break;
     }
   }
-  DCS_RETURN_IF_ERROR(CheckFullyConsumed(reader, opened.payload_bits));
+  DCS_RETURN_IF_ERROR(CheckFullyConsumed(reader, opened.bit_count));
   return request;
 }
 
@@ -252,11 +222,11 @@ uint32_t GraphEnvelopeChecksum(const DirectedGraph& graph) {
 }
 
 StatusOr<RpcResponse> DecodeRpcResponse(const Message& message) {
-  DCS_ASSIGN_OR_RETURN(const OpenedRpc opened, OpenRpc(message));
-  if (opened.kind != RpcKind::kResponse) {
+  DCS_ASSIGN_OR_RETURN(const EnvelopePayload opened, OpenRpc(message));
+  if (opened.kind != static_cast<uint64_t>(RpcKind::kResponse)) {
     return DataLossError("rpc body is a request, not a response");
   }
-  BitReader reader(opened.payload);
+  BitReader reader(opened.bytes);
   RpcResponse response;
   DCS_ASSIGN_OR_RETURN(const uint64_t code, reader.TryReadBits(8));
   if (code > static_cast<uint64_t>(StatusCode::kResourceExhausted)) {
@@ -296,7 +266,7 @@ StatusOr<RpcResponse> DecodeRpcResponse(const Message& message) {
     }
     response.values.push_back(value);
   }
-  DCS_RETURN_IF_ERROR(CheckFullyConsumed(reader, opened.payload_bits));
+  DCS_RETURN_IF_ERROR(CheckFullyConsumed(reader, opened.bit_count));
   return response;
 }
 

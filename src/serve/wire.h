@@ -1,15 +1,15 @@
 // RPC request/response wire format for the serving tier (DESIGN.md §14).
 //
-// One RPC body is one Message moved by serve/transport. The body carries
-// its own envelope — magic (16 bits), version (8), kind (8), Elias-gamma
-// payload bit count, FNV-1a payload checksum (32), payload — mirroring the
-// serialization envelope (sketch/serialization.h), so a body that survived
-// the transport's per-frame checks is *still* treated as hostile: every
-// field is Try-read, every count capped against the remaining stream before
-// allocation, and any flip or truncation decodes to kDataLoss. FNV-1a's
-// per-byte step is invertible, so any single-byte difference always changes
-// the checksum — corruption_test flips every bit of encoded requests and
-// responses and asserts non-OK.
+// One RPC body is one Message moved by serve/transport. The body is the
+// shared checksummed envelope (util/envelope.h) under magic 0xA9C5, with
+// the RpcKind as its kind; the decoder adds a kind-range check and requires
+// the payload to end exactly at the message's bit count. A body that
+// survived the transport's frame checks is *still* treated as hostile:
+// every field is Try-read, every count capped against the remaining stream
+// before allocation, and any flip or truncation decodes to kDataLoss.
+// FNV-1a's per-byte step is invertible, so any single-byte difference
+// always changes the checksum — corruption_test flips every bit of encoded
+// requests and responses and asserts non-OK.
 //
 // RPCs:
 //   kPing          — health check; response carries the worker's token.

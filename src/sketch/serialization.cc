@@ -2,44 +2,47 @@
 
 #include <cmath>
 #include <cstddef>
+#include <iterator>
 #include <string>
-#include <string_view>
 
-#include "util/checksum.h"
 #include "util/metrics.h"
 
 namespace dcs {
 namespace {
 
-// Precomputed metric names so the DCS_METRICS_ENABLED=0 configuration does
-// no per-envelope string assembly (metrics.h: dynamic names must be
-// long-lived constants).
-std::string_view PayloadBitsMetricName(StreamKind kind) {
-  switch (kind) {
-    case StreamKind::kDirectedGraph:
-      return "serialization.payload_bits.directed_graph";
-    case StreamKind::kUndirectedGraph:
-      return "serialization.payload_bits.undirected_graph";
-    case StreamKind::kForEachSketch:
-      return "serialization.payload_bits.foreach_sketch";
-    case StreamKind::kForAllSparsifier:
-      return "serialization.payload_bits.forall_sparsifier";
-    case StreamKind::kDirectedForEachSketch:
-      return "serialization.payload_bits.directed_foreach_sketch";
-    case StreamKind::kDirectedForAllSketch:
-      return "serialization.payload_bits.directed_forall_sketch";
-    case StreamKind::kEdgeStream:
-      return "serialization.payload_bits.edge_stream";
-    case StreamKind::kCutBalanceSparsifier:
-      return "serialization.payload_bits.cut_balance_sparsifier";
-    case StreamKind::kSegmentIndex:
-      return "serialization.payload_bits.segment_index";
-  }
-  return "serialization.payload_bits.unknown";
+// Stable name and payload-bits metric name per StreamKind wire value
+// (row 0 stands for unknown values). The metric names are precomputed so
+// the DCS_METRICS_ENABLED=0 configuration does no per-envelope string
+// assembly (metrics.h: dynamic names must be long-lived constants).
+struct KindNames {
+  const char* name;
+  const char* payload_bits_metric;
+};
+constexpr KindNames kKindNames[] = {
+    {"unknown", "serialization.payload_bits.unknown"},
+    {"directed_graph", "serialization.payload_bits.directed_graph"},
+    {"undirected_graph", "serialization.payload_bits.undirected_graph"},
+    {"foreach_sketch", "serialization.payload_bits.foreach_sketch"},
+    {"forall_sparsifier", "serialization.payload_bits.forall_sparsifier"},
+    {"directed_foreach_sketch",
+     "serialization.payload_bits.directed_foreach_sketch"},
+    {"directed_forall_sketch",
+     "serialization.payload_bits.directed_forall_sketch"},
+    {"edge_stream", "serialization.payload_bits.edge_stream"},
+    {"cut_balance_sparsifier",
+     "serialization.payload_bits.cut_balance_sparsifier"},
+    {"segment_index", "serialization.payload_bits.segment_index"},
+    {"cache_snapshot", "serialization.payload_bits.cache_snapshot"},
+};
+static_assert(std::size(kKindNames) ==
+              static_cast<size_t>(StreamKind::kCacheSnapshot) + 1);
+
+const KindNames& NamesOf(StreamKind kind) {
+  const size_t value = static_cast<size_t>(kind);
+  return kKindNames[value < std::size(kKindNames) ? value : 0];
 }
 
 constexpr uint64_t kEnvelopeMagic = 0xD5CE;  // "DCS envelope"
-constexpr uint64_t kFormatVersion = 1;
 
 // Largest vertex count a stream may declare; matches the graph_io cap.
 constexpr uint64_t kMaxVertices = uint64_t{1} << 28;
@@ -120,71 +123,25 @@ StatusOr<GraphT> DeserializeGraph(StreamKind kind, BitReader& reader) {
 
 }  // namespace
 
-const char* StreamKindName(StreamKind kind) {
-  switch (kind) {
-    case StreamKind::kDirectedGraph:
-      return "directed_graph";
-    case StreamKind::kUndirectedGraph:
-      return "undirected_graph";
-    case StreamKind::kForEachSketch:
-      return "foreach_sketch";
-    case StreamKind::kForAllSparsifier:
-      return "forall_sparsifier";
-    case StreamKind::kDirectedForEachSketch:
-      return "directed_foreach_sketch";
-    case StreamKind::kDirectedForAllSketch:
-      return "directed_forall_sketch";
-    case StreamKind::kEdgeStream:
-      return "edge_stream";
-    case StreamKind::kCutBalanceSparsifier:
-      return "cut_balance_sparsifier";
-    case StreamKind::kSegmentIndex:
-      return "segment_index";
-  }
-  return "unknown";
-}
+const char* StreamKindName(StreamKind kind) { return NamesOf(kind).name; }
 
 void WriteEnvelope(StreamKind kind, const BitWriter& payload, BitWriter& out) {
   DCS_METRIC_INC("serialization.envelope.written");
-  metrics::RecordValue(PayloadBitsMetricName(kind), payload.bit_count());
-  out.WriteBits(kEnvelopeMagic, 16);
-  out.WriteBits(kFormatVersion, 8);
-  out.WriteBits(static_cast<uint64_t>(kind), 8);
-  out.WriteEliasGamma(static_cast<uint64_t>(payload.bit_count()));
-  out.WriteBits(Fnv1a32(payload.bytes()), 32);
-  out.AppendBits(payload.bytes(), payload.bit_count());
+  metrics::RecordValue(NamesOf(kind).payload_bits_metric,
+                       payload.bit_count());
+  AppendEnvelope(kEnvelopeMagic, static_cast<uint64_t>(kind), payload.bytes(),
+                 payload.bit_count(), out);
 }
 
 StatusOr<EnvelopePayload> ReadEnvelopePayload(StreamKind expected_kind,
                                               BitReader& reader) {
-  DCS_ASSIGN_OR_RETURN(const uint64_t magic, reader.TryReadBits(16));
-  if (magic != kEnvelopeMagic) {
-    return DataLossError("bad envelope magic (not a dcs stream?)");
-  }
-  DCS_ASSIGN_OR_RETURN(const uint64_t version, reader.TryReadBits(8));
-  if (version != kFormatVersion) {
-    return DataLossError("unsupported stream format version " +
-                         std::to_string(version));
-  }
-  DCS_ASSIGN_OR_RETURN(const uint64_t kind, reader.TryReadBits(8));
-  if (kind != static_cast<uint64_t>(expected_kind)) {
+  DCS_ASSIGN_OR_RETURN(EnvelopePayload payload,
+                       ReadEnvelope(kEnvelopeMagic, reader));
+  if (payload.kind != static_cast<uint64_t>(expected_kind)) {
     return DataLossError(
         "stream kind mismatch: expected " +
         std::to_string(static_cast<uint64_t>(expected_kind)) + ", found " +
-        std::to_string(kind));
-  }
-  DCS_ASSIGN_OR_RETURN(const uint64_t bit_count, reader.TryReadEliasGamma());
-  if (reader.RemainingBits() < 32 ||
-      bit_count > static_cast<uint64_t>(reader.RemainingBits() - 32)) {
-    return DataLossError("envelope declares " + std::to_string(bit_count) +
-                         " payload bits but the stream is shorter");
-  }
-  DCS_ASSIGN_OR_RETURN(const uint64_t checksum, reader.TryReadBits(32));
-  EnvelopePayload payload;
-  payload.bit_count = static_cast<int64_t>(bit_count);
-  DCS_RETURN_IF_ERROR(reader.TryReadBitsInto(payload.bit_count, payload.bytes));
-  if (Fnv1a32(payload.bytes) != checksum) {
-    return DataLossError("envelope checksum mismatch (corrupted payload)");
+        std::to_string(payload.kind));
   }
   DCS_METRIC_INC("serialization.envelope.read");
   return payload;

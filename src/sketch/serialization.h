@@ -5,14 +5,14 @@
 //
 // Serialized artifacts are exactly the things meant to cross machine
 // boundaries (sketches shipped Alice→Bob), so deserialization treats the
-// bytes as hostile: every top-level object is wrapped in a self-delimiting
-// envelope — magic (16 bits), format version (8), stream kind (8),
-// Elias-gamma payload bit count, FNV-1a checksum (32) — and the payload is
-// validated field by field (counts capped by the remaining stream length
-// before any allocation, endpoints range-checked, weights finite and
-// nonnegative). Deserializers return StatusOr and never abort, hang, or
-// make an unbounded allocation on corrupted input; any bit flip or
-// truncation is caught by the envelope checks.
+// bytes as hostile: every top-level object is wrapped in the shared
+// checksummed envelope (util/envelope.h) under magic 0xD5CE, with the
+// StreamKind as its kind, and the payload is validated field by field
+// (counts capped by the remaining stream length before any allocation,
+// endpoints range-checked, weights finite and nonnegative). Deserializers
+// return StatusOr and never abort, hang, or make an unbounded allocation on
+// corrupted input; any bit flip or truncation is caught by the envelope
+// checks.
 //
 // Payload format for graphs (inside the envelope): Elias-gamma vertex and
 // edge counts, then per edge Elias-gamma endpoints and a raw IEEE double
@@ -28,6 +28,7 @@
 #include "graph/digraph.h"
 #include "graph/ugraph.h"
 #include "util/bitio.h"
+#include "util/envelope.h"
 #include "util/status.h"
 
 namespace dcs {
@@ -43,17 +44,12 @@ enum class StreamKind : uint8_t {
   kEdgeStream = 7,  // replayable binary edge-update stream (stream/binary_stream.h)
   kCutBalanceSparsifier = 8,  // sketch/cut_balance_sparsifier.h
   kSegmentIndex = 9,  // sketch-store segment index footer (store/segment.h)
+  kCacheSnapshot = 10,  // warm-tier cache dump (store/cache_snapshot.h)
 };
 
 // Stable lowercase name of a stream kind ("directed_graph", ...); used in
 // metric names (`serialization.payload_bits.<name>`) and diagnostics.
 const char* StreamKindName(StreamKind kind);
-
-// A validated envelope payload: the packed payload bits and their count.
-struct EnvelopePayload {
-  std::vector<uint8_t> bytes;
-  int64_t bit_count = 0;
-};
 
 // Wraps `payload` in an envelope of the given kind and appends it to `out`.
 void WriteEnvelope(StreamKind kind, const BitWriter& payload, BitWriter& out);

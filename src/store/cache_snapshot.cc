@@ -7,15 +7,13 @@
 #include <cmath>
 #include <cstring>
 
+#include "sketch/serialization.h"
 #include "util/bitio.h"
-#include "util/checksum.h"
 #include "util/metrics.h"
 
 namespace dcs {
 namespace {
 
-constexpr uint64_t kSnapshotMagic = 0xCA5E;
-constexpr uint64_t kSnapshotVersion = 1;
 // Matches the serialization layer's vertex cap: no packed side needs more
 // words than this, and no honest snapshot can exceed it.
 constexpr uint64_t kMaxSideWords = ((uint64_t{1} << 28) + 63) / 64;
@@ -40,50 +38,22 @@ std::vector<uint8_t> EncodeCacheSnapshot(
     payload.WriteDouble(entry.value);
   }
   BitWriter out;
-  out.WriteBits(kSnapshotMagic, 16);
-  out.WriteBits(kSnapshotVersion, 8);
-  out.WriteEliasGamma(static_cast<uint64_t>(payload.bit_count()));
-  out.WriteBits(Fnv1a32(payload.bytes()), 32);
-  out.AppendBits(payload.bytes(), payload.bit_count());
+  WriteEnvelope(StreamKind::kCacheSnapshot, payload, out);
   return out.bytes();
 }
 
 StatusOr<std::vector<CacheSnapshotEntry>> DecodeCacheSnapshot(
     const std::vector<uint8_t>& bytes) {
   BitReader reader(bytes);
-  DCS_ASSIGN_OR_RETURN(const uint64_t magic, reader.TryReadBits(16));
-  if (magic != kSnapshotMagic) return SnapshotDataLoss("bad magic");
-  DCS_ASSIGN_OR_RETURN(const uint64_t version, reader.TryReadBits(8));
-  if (version != kSnapshotVersion) {
-    return SnapshotDataLoss("unsupported version " + std::to_string(version));
-  }
-  DCS_ASSIGN_OR_RETURN(const uint64_t bit_count, reader.TryReadEliasGamma());
-  if (reader.RemainingBits() < 32 ||
-      bit_count > static_cast<uint64_t>(reader.RemainingBits() - 32)) {
-    return SnapshotDataLoss("declared payload longer than file");
-  }
-  DCS_ASSIGN_OR_RETURN(const uint64_t checksum, reader.TryReadBits(32));
-  // Extract the payload bytes first and checksum them — exactly the
-  // envelope reader's order — then parse entries from a fresh reader.
-  const int64_t payload_bits = static_cast<int64_t>(bit_count);
-  std::vector<uint8_t> payload;
-  DCS_RETURN_IF_ERROR(reader.TryReadBitsInto(payload_bits, payload));
-  if (Fnv1a32(payload) != checksum) {
-    return SnapshotDataLoss("checksum mismatch");
-  }
-  // Remaining file bits must be zero padding to one byte.
-  if (reader.RemainingBits() >= 8) {
-    return SnapshotDataLoss("trailing bytes after payload");
-  }
   DCS_ASSIGN_OR_RETURN(
-      const uint64_t padding,
-      reader.TryReadBits(static_cast<int>(reader.RemainingBits())));
-  if (padding != 0) return SnapshotDataLoss("nonzero padding");
+      const EnvelopePayload payload,
+      ReadEnvelopePayload(StreamKind::kCacheSnapshot, reader));
+  DCS_RETURN_IF_ERROR(reader.TryReadZeroPadding());
 
-  BitReader body(payload);
+  BitReader body(payload.bytes);
   DCS_ASSIGN_OR_RETURN(const uint64_t count, body.TryReadEliasGamma());
   if (count > static_cast<uint64_t>(
-                  (payload_bits - body.position()) / kMinEntryBits) +
+                  (payload.bit_count - body.position()) / kMinEntryBits) +
                   1) {
     return SnapshotDataLoss("declares " + std::to_string(count) +
                             " entries but the payload is shorter");
@@ -100,7 +70,7 @@ StatusOr<std::vector<CacheSnapshotEntry>> DecodeCacheSnapshot(
     DCS_ASSIGN_OR_RETURN(const uint64_t words, body.TryReadEliasGamma());
     if (words > kMaxSideWords ||
         words > static_cast<uint64_t>(
-                    (payload_bits - body.position()) / 64)) {
+                    (payload.bit_count - body.position()) / 64)) {
       return SnapshotDataLoss("entry side longer than the payload");
     }
     entry.side_words.resize(static_cast<size_t>(words));
@@ -113,7 +83,7 @@ StatusOr<std::vector<CacheSnapshotEntry>> DecodeCacheSnapshot(
     }
     entries.push_back(std::move(entry));
   }
-  if (body.position() != payload_bits) {
+  if (body.position() != payload.bit_count) {
     return SnapshotDataLoss("payload has trailing bits");
   }
   return entries;

@@ -3,21 +3,18 @@
 // cache entries to `<store-dir>/cache.snap`; the replacement worker
 // reloads them at boot so the first post-restart queries hit warm.
 //
-// File layout mirrors the serialization envelope, with its own magic:
+// The file is one serialization envelope (sketch/serialization.h, magic
+// 0xD5CE) of kind StreamKind::kCacheSnapshot, zero-padded to a byte:
 //
-//   magic          16 bits   0xCA5E
-//   version         8 bits   1
-//   payload bits   Elias-gamma
-//   FNV-1a         32 bits   over the padded payload bytes
 //   payload:
 //     entry count  Elias-gamma
 //     per entry:   object id (gamma), word count (gamma),
 //                  words (64 bits each), value (64-bit double)
-//   zero padding to a byte boundary
 //
 // A snapshot is an *optimization*, never a source of truth: any parse
 // failure (bad magic, checksum mismatch, hostile counts) returns kDataLoss
-// and the caller boots with a cold cache. Counts are capped against the
+// and the caller boots with a cold cache. That includes files in the older
+// 0xCA5E layout, which fail on magic. Counts are capped against the
 // remaining bits before any allocation, per the hostile-receiver rules.
 //
 // This module speaks its own entry type rather than the serving layer's

@@ -1,6 +1,5 @@
 #include "store/segment.h"
 
-#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -11,8 +10,9 @@ namespace dcs {
 namespace {
 
 // Record magic, distinct from the serialization envelope (0xD5CE), the
-// channel frame (0xFA5C), and the RPC envelope (0xA9C5): a segment misfed
-// to another parser (or vice versa) dies at the first header field.
+// channel frame (0xFA5C), the RPC envelope (0xA9C5), and the transport
+// frame (0x57E4): a segment misfed to another parser (or vice versa) dies
+// at the first header field.
 constexpr uint64_t kRecordMagic = 0x5E60;
 // Seal trailer magic: "SEAL" over the envelope magic.
 constexpr uint64_t kTrailerMagic = 0x5EA1D5CE;
@@ -114,7 +114,7 @@ int64_t FindSealTrailer(const std::vector<uint8_t>& bytes) {
 }
 
 // Parses the footer region [footer_offset, size - trailer) as an index
-// envelope with zero padding after it. nullopt-style failure = kDataLoss.
+// envelope zero-padded to a byte. Any failure is kDataLoss.
 StatusOr<std::vector<SegmentIndexEntry>> ParseFooterRegion(
     const std::vector<uint8_t>& bytes, int64_t footer_offset) {
   const int64_t end = static_cast<int64_t>(bytes.size()) - kTrailerBytes;
@@ -129,15 +129,7 @@ StatusOr<std::vector<SegmentIndexEntry>> ParseFooterRegion(
   if (payload_reader.position() != payload.bit_count) {
     return DataLossError("segment index payload has trailing bits");
   }
-  // Zero-pad enforcement for the rest of the footer region.
-  while (!reader.AtEnd()) {
-    DCS_ASSIGN_OR_RETURN(const uint64_t padding,
-                         reader.TryReadBits(static_cast<int>(
-                             std::min<int64_t>(64, reader.RemainingBits()))));
-    if (padding != 0) {
-      return DataLossError("segment footer has nonzero padding");
-    }
-  }
+  DCS_RETURN_IF_ERROR(reader.TryReadZeroPadding());
   return entries;
 }
 

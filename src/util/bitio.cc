@@ -251,4 +251,14 @@ Status BitReader::TryReadBitsInto(int64_t bit_count,
   return OkStatus();
 }
 
+Status BitReader::TryReadZeroPadding() {
+  const int64_t remaining = RemainingBits();
+  if (remaining >= 8) return DataLossError("stream has trailing bytes");
+  if (Peek(static_cast<int>(remaining)) != 0) {
+    return DataLossError("stream has nonzero padding");
+  }
+  position_ = limit_;
+  return OkStatus();
+}
+
 }  // namespace dcs

@@ -103,6 +103,11 @@ class BitReader {
   // be the buffer this reader reads.
   Status TryReadBitsInto(int64_t bit_count, std::vector<uint8_t>& out);
 
+  // Consumes the zero padding that ends a byte-aligned stream: OK only if
+  // fewer than 8 bits remain and all of them are zero. kDataLoss, with the
+  // cursor untouched, otherwise (trailing bytes or a set pad bit).
+  Status TryReadZeroPadding();
+
   // Number of bits consumed so far.
   int64_t position() const { return position_; }
 

@@ -4,7 +4,7 @@
 // flips every single bit of the serialized stream and truncates the stream
 // at every byte length, and asserts that every mutation comes back as a
 // clean non-OK Status — never a crash, a hang, or an attempt to allocate
-// from a corrupted length field. The envelope checksum (serialization.cc)
+// from a corrupted length field. The envelope checksum (util/envelope.cc)
 // is what makes the exhaustive claim hold: any payload mutation changes the
 // FNV-1a digest, and header mutations are each individually validated.
 //
@@ -334,32 +334,28 @@ TEST(CorruptionTest, TruncationReportsDataLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// Socket transport framing (serve/transport.h): the length-prefixed channel
-// frames a Connection::Receive parses off a real stream socket. Each
-// mutation is delivered over an actual loopback connection whose write end
-// closes after the bytes, so a mutation that implies "more data coming"
-// (e.g. an inflated length prefix) surfaces as kUnavailable at EOF instead
-// of hanging — the test asserts non-OK, never a crash or a stall.
+// Socket transport framing (serve/transport.h): the length-prefixed frame
+// a Connection::Receive parses off a real stream socket. Each mutation is
+// delivered over an actual loopback connection whose write end closes
+// after the bytes, so a mutation that implies "more data coming" (e.g. an
+// inflated length prefix) surfaces as kUnavailable at EOF instead of
+// hanging — the test asserts non-OK, never a crash or a stall.
 
-// The exact bytes Connection::Send emits for a single-chunk message: a
-// 32-bit little-endian frame length, then the 0xFA5C channel frame
-// (seq 0, total 1, message bits, payload, FNV-1a). The clean round-trip
-// test below proves this stays in sync with the real sender.
-std::vector<uint8_t> SingleChunkWire(const Message& message) {
-  BitWriter framed;
-  WriteChannelFrame(/*seq=*/0, /*total_chunks=*/1,
-                    /*message_bits=*/message.bit_count, message.bytes,
-                    message.bit_count, framed);
-  const std::vector<uint8_t>& frame_bytes = framed.bytes();
-  const uint32_t frame_len = static_cast<uint32_t>(frame_bytes.size());
-  std::vector<uint8_t> wire;
-  wire.reserve(4 + frame_bytes.size());
-  wire.push_back(static_cast<uint8_t>(frame_len & 0xFF));
-  wire.push_back(static_cast<uint8_t>((frame_len >> 8) & 0xFF));
-  wire.push_back(static_cast<uint8_t>((frame_len >> 16) & 0xFF));
-  wire.push_back(static_cast<uint8_t>((frame_len >> 24) & 0xFF));
-  wire.insert(wire.end(), frame_bytes.begin(), frame_bytes.end());
-  return wire;
+// The exact bytes Connection::Send emits: a 32-bit little-endian frame
+// length, then the 0x57E4 envelope carrying the message bits, zero-padded
+// to a byte. The clean round-trip test below proves a real Receive
+// accepts them.
+std::vector<uint8_t> SocketWire(const Message& message) {
+  BitWriter frame;
+  WriteTransportFrame(message, frame);
+  return frame.bytes();
+}
+
+std::vector<uint8_t> LittleEndian32(uint32_t value) {
+  return {static_cast<uint8_t>(value & 0xFF),
+          static_cast<uint8_t>((value >> 8) & 0xFF),
+          static_cast<uint8_t>((value >> 16) & 0xFF),
+          static_cast<uint8_t>((value >> 24) & 0xFF)};
 }
 
 Status SendRaw(int fd, const std::vector<uint8_t>& bytes) {
@@ -404,7 +400,7 @@ TEST(CorruptionTest, SocketFrameRoundTripsClean) {
   auto listener = Listener::Listen(*ParseEndpoint("tcp:127.0.0.1:0"));
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
   const Message message = TransportTestMessage();
-  const auto received = DeliverRawWire(*listener, SingleChunkWire(message));
+  const auto received = DeliverRawWire(*listener, SocketWire(message));
   ASSERT_TRUE(received.ok()) << received.status().ToString();
   EXPECT_EQ(received->bit_count, message.bit_count);
   EXPECT_EQ(received->bytes, message.bytes);
@@ -413,7 +409,7 @@ TEST(CorruptionTest, SocketFrameRoundTripsClean) {
 TEST(CorruptionTest, EverySocketFrameBitFlipIsRejected) {
   auto listener = Listener::Listen(*ParseEndpoint("tcp:127.0.0.1:0"));
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-  const std::vector<uint8_t> wire = SingleChunkWire(TransportTestMessage());
+  const std::vector<uint8_t> wire = SocketWire(TransportTestMessage());
   // Every bit of every byte, including the unchecksummed length prefix and
   // the trailing pad bits of the frame's final partial byte.
   for (size_t bit = 0; bit < wire.size() * 8; ++bit) {
@@ -429,7 +425,7 @@ TEST(CorruptionTest, EverySocketFrameBitFlipIsRejected) {
 TEST(CorruptionTest, EverySocketFrameTruncationIsRejected) {
   auto listener = Listener::Listen(*ParseEndpoint("tcp:127.0.0.1:0"));
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-  const std::vector<uint8_t> wire = SingleChunkWire(TransportTestMessage());
+  const std::vector<uint8_t> wire = SocketWire(TransportTestMessage());
   for (size_t len = 0; len < wire.size(); ++len) {
     const std::vector<uint8_t> truncated(wire.begin(),
                                          wire.begin() + len);
@@ -438,6 +434,47 @@ TEST(CorruptionTest, EverySocketFrameTruncationIsRejected) {
         << "truncation to " << len << " of " << wire.size()
         << " wire bytes was not detected";
   }
+}
+
+TEST(CorruptionTest, ChannelFrameWireIsDataLoss) {
+  // A peer still speaking the lossy-channel framing (one 0xFA5C chunk
+  // behind the same length prefix) fails on magic, explicitly.
+  auto listener = Listener::Listen(*ParseEndpoint("tcp:127.0.0.1:0"));
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const Message message = TransportTestMessage();
+  BitWriter framed;
+  WriteChannelFrame(/*seq=*/0, /*total_chunks=*/1,
+                    /*message_bits=*/message.bit_count, message.bytes,
+                    message.bit_count, framed);
+  std::vector<uint8_t> wire =
+      LittleEndian32(static_cast<uint32_t>(framed.bytes().size()));
+  wire.insert(wire.end(), framed.bytes().begin(), framed.bytes().end());
+  const auto received = DeliverRawWire(*listener, wire);
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kDataLoss)
+      << received.status().ToString();
+}
+
+TEST(CorruptionTest, SocketLengthPrefixOverTheCapIsDataLoss) {
+  auto listener = Listener::Listen(*ParseEndpoint("tcp:127.0.0.1:0"));
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const auto received = DeliverRawWire(
+      *listener, LittleEndian32(kMaxTransportFrameBytes + 1));
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kDataLoss)
+      << received.status().ToString();
+}
+
+TEST(CorruptionTest, SocketLengthPrefixAtTheCapThenCloseIsUnavailable) {
+  // The largest legal prefix with no body behind it: Receive must not
+  // allocate the declared gigabyte up front, and the close ends the read.
+  auto listener = Listener::Listen(*ParseEndpoint("tcp:127.0.0.1:0"));
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const auto received =
+      DeliverRawWire(*listener, LittleEndian32(kMaxTransportFrameBytes));
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kUnavailable)
+      << received.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

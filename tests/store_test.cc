@@ -15,19 +15,24 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "serve/cluster.h"
+#include "serve/cut_query_service.h"
 #include "serve/query_cache.h"
+#include "serve/wire.h"
 #include "sketch/cut_balance_sparsifier.h"
 #include "sketch/directed_sketches.h"
 #include "sketch/sampled_sketches.h"
 #include "sketch/serialization.h"
 #include "store/cache_snapshot.h"
 #include "store/segment.h"
+#include "serve/transport.h"
 #include "store/sketch_store.h"
 #include "stream/binary_stream.h"
 #include "util/bitio.h"
@@ -445,6 +450,118 @@ TEST(CacheSnapshotTest, EveryBitFlipOfTheSnapshotIsRejected) {
     const std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + len);
     EXPECT_FALSE(DecodeCacheSnapshot(truncated).ok())
         << "truncating snapshot to " << len;
+  }
+}
+
+// A snapshot in the older 0xCA5E layout (magic, version, gamma length,
+// FNV-1a, payload), recorded from the build before snapshots moved into the
+// serialization envelope. Entries e = 0, 1, 2: object e, one side word
+// 0x0123456789ABCDEF * (e + 1), value 1.5 * (e + 1).
+const std::vector<uint8_t> kOldFormatSnapshot = {
+    0x5E, 0xCA, 0x01, 0x00, 0xD3, 0x3E, 0x6B, 0xFE, 0x14, 0x49, 0xBD, 0x37,
+    0xAF, 0x26, 0x9E, 0x15, 0x8D, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xE0, 0xFF, 0x48, 0xDE, 0x9B, 0x57, 0x13, 0xCF, 0x8A, 0x46, 0x02, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, 0x56, 0x73, 0xDA, 0x40, 0xA7,
+    0x0D, 0x74, 0xDA, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x04, 0x10};
+
+std::vector<CacheSnapshotEntry> OldFormatSnapshotEntries() {
+  std::vector<CacheSnapshotEntry> entries;
+  for (int e = 0; e < 3; ++e) {
+    CacheSnapshotEntry entry;
+    entry.object = e;
+    entry.side_words = {0x0123456789ABCDEFULL * static_cast<uint64_t>(e + 1)};
+    entry.value = 1.5 * (e + 1);
+    entries.push_back(entry);
+  }
+  return entries;
+}
+
+void WriteFileBytes(const std::string& path,
+                    const std::vector<uint8_t>& bytes) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  ASSERT_EQ(std::fclose(file), 0);
+}
+
+TEST(CacheSnapshotTest, OldFormatSnapshotIsDataLoss) {
+  const auto decoded = DecodeCacheSnapshot(kOldFormatSnapshot);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
+      << decoded.status().ToString();
+  // The same entries in the current layout decode.
+  const auto current =
+      DecodeCacheSnapshot(EncodeCacheSnapshot(OldFormatSnapshotEntries()));
+  ASSERT_TRUE(current.ok()) << current.status().ToString();
+  EXPECT_EQ(current->size(), 3u);
+}
+
+TEST(CacheSnapshotTest, WarmRestartOverOldFormatSnapshotBootsCold) {
+  ScratchDir scratch;
+  const std::string store_dir = scratch.path() + "/store";
+  ClusterWorkerOptions options;
+  options.store_dir = store_dir;
+  const Endpoint endpoint = *ParseEndpoint("tcp:127.0.0.1:0");
+
+  // One 64-vertex graph (object 0), queried on the side the old snapshot's
+  // object-0 entry names plus a few more: were that entry loaded, the first
+  // answer would be its bogus 1.5.
+  Rng rng(41);
+  const DirectedGraph graph = RandomBalancedDigraph(64, 0.2, 2.0, rng);
+  RpcRequest query;
+  query.kind = RpcKind::kQueryBatch;
+  query.object_id = 0;
+  query.num_vertices = 64;
+  for (int q = 0; q < 4; ++q) {
+    VertexSet side(64, 0);
+    for (int v = 0; v < 64; ++v) {
+      side[v] = q == 0 ? static_cast<uint8_t>(
+                             (0x0123456789ABCDEFULL >> v) & 1)
+                       : static_cast<uint8_t>(rng.Bernoulli(0.5) ? 1 : 0);
+    }
+    query.sides.push_back(std::move(side));
+  }
+  CutQueryService reference;
+  const auto reference_id = reference.RegisterGraph(graph);
+  std::vector<CutQueryService::Query> reference_batch;
+  for (const VertexSet& side : query.sides) {
+    reference_batch.push_back(CutQueryService::Query{reference_id, side});
+  }
+  const std::vector<double> expected = reference.AnswerBatch(reference_batch);
+  ASSERT_NE(expected[0], 1.5);
+
+  {
+    auto worker = ClusterWorker::Create(endpoint, options);
+    ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+    RpcRequest registration;
+    registration.kind = RpcKind::kRegisterGraph;
+    registration.graph = graph;
+    const RpcResponse registered = (*worker)->Execute(registration);
+    ASSERT_TRUE(registered.status.ok()) << registered.status.ToString();
+    ASSERT_EQ(registered.object_id, 0);
+  }
+
+  // Control: the same entries in the current layout do warm the cache.
+  WriteFileBytes(store_dir + "/cache.snap",
+                 EncodeCacheSnapshot(OldFormatSnapshotEntries()));
+  {
+    auto worker = ClusterWorker::Create(endpoint, options);
+    ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+    EXPECT_EQ((*worker)->cache_entries(), 1);
+  }
+
+  WriteFileBytes(store_dir + "/cache.snap", kOldFormatSnapshot);
+  auto worker = ClusterWorker::Create(endpoint, options);
+  ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+  EXPECT_EQ((*worker)->warm_loaded_objects(), 1);
+  EXPECT_EQ((*worker)->cache_entries(), 0);
+  const RpcResponse answered = (*worker)->Execute(query);
+  ASSERT_TRUE(answered.status.ok()) << answered.status.ToString();
+  ASSERT_EQ(answered.values.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&answered.values[i], &expected[i], sizeof(double)),
+              0)
+        << "query " << i;
   }
 }
 

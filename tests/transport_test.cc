@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -172,7 +173,8 @@ TEST(TransportTest, MultiChunkMessageIsBitExact) {
   auto server = listener->Accept(1000);
   ASSERT_TRUE(server.ok());
 
-  // > 3 chunks at 2^15 payload bits per chunk, with a ragged tail.
+  // Large enough that Receive reads the body in several growing steps,
+  // with a ragged final byte.
   const Message big = RandomMessage((int64_t{1} << 15) * 3 + 4097, 3);
   std::thread sender(
       [&] { EXPECT_TRUE(client->Send(big, 5000).ok()); });
@@ -274,6 +276,59 @@ TEST(ClusterWorkerTest, PingCarriesNonzeroToken) {
   EXPECT_TRUE(response->status.ok());
   EXPECT_NE(response->server_token, 0u);
   EXPECT_EQ(response->server_token, serving.worker->token());
+}
+
+// The process's virtual size in bytes, from /proc/self/status (VmSize).
+int64_t VirtualSizeBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoll(line.substr(7)) * 1024;  // reported in kB
+    }
+  }
+  ADD_FAILURE() << "no VmSize in /proc/self/status";
+  return 0;
+}
+
+TEST(ClusterWorkerTest, FinishedConnectionThreadsAreReaped) {
+  // Each accepted connection gets a handler thread. A worker that kept
+  // every exited handler until drain would keep its stack mapped too —
+  // 200 short-lived clients would cost well over a gigabyte of address
+  // space. Reaping finished handlers on accept keeps it flat.
+  ServingWorker serving = StartWorker();
+  RpcRequest ping;
+  ping.kind = RpcKind::kPing;
+  auto ping_on = [&](Connection& connection) {
+    ASSERT_TRUE(connection.Send(EncodeRpcRequest(ping), 1000).ok());
+    auto reply = connection.Receive(2000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  };
+  auto connect = [&] {
+    auto connection = Connect(serving.worker->endpoint(), 1000);
+    EXPECT_TRUE(connection.ok()) << connection.status().ToString();
+    return std::move(*connection);
+  };
+  // Warm up with a few handlers alive at once, so the allocator arenas
+  // overlapping handler threads use already exist at the baseline (each
+  // arena reserves 64 MB of address space).
+  {
+    std::vector<Connection> concurrent;
+    for (int i = 0; i < 4; ++i) concurrent.push_back(connect());
+    for (Connection& connection : concurrent) ping_on(connection);
+  }
+  for (int i = 0; i < 8; ++i) {
+    Connection connection = connect();
+    ping_on(connection);
+  }
+  const int64_t before = VirtualSizeBytes();
+  for (int i = 0; i < 200; ++i) {
+    Connection connection = connect();
+    ping_on(connection);
+  }
+  const int64_t after = VirtualSizeBytes();
+  EXPECT_LT(after - before, int64_t{64} << 20)
+      << "VmSize grew from " << before << " to " << after << " bytes";
 }
 
 TEST(ClusterWorkerTest, RegisterAndQueryOverSocketIsBitIdentical) {

@@ -9,6 +9,7 @@
 #include "serve/wire.h"
 #include "sketch/serialization.h"
 #include "util/checksum.h"
+#include "util/envelope.h"
 #include "util/random.h"
 
 namespace dcs {
@@ -465,6 +466,60 @@ TEST(BitIoDifferentialTest, TryReadBitsIntoOverrunLeavesCursorAndOutput) {
   ASSERT_TRUE(reader.TryReadBitsInto(19, out).ok());
   EXPECT_TRUE(reader.AtEnd());
   EXPECT_EQ(out.size(), 3u);
+}
+
+TEST(BitIoTest, TryReadZeroPaddingAcceptsOnlyAShortZeroTail) {
+  for (int remaining = 0; remaining < 8; ++remaining) {
+    // Two bytes with the cursor `remaining` bits before the end: an
+    // all-zero tail is consumed, a set bit anywhere in it is kDataLoss.
+    const std::vector<uint8_t> zero_tail = {0xFF, 0x00};
+    BitReader clean(zero_tail);
+    ASSERT_TRUE(clean.TryReadBits(16 - remaining).ok());
+    EXPECT_TRUE(clean.TryReadZeroPadding().ok()) << "remaining " << remaining;
+    EXPECT_TRUE(clean.AtEnd());
+    for (int bit = 16 - remaining; bit < 16; ++bit) {
+      std::vector<uint8_t> dirty = zero_tail;
+      dirty[bit / 8] |= static_cast<uint8_t>(1u << (bit % 8));
+      BitReader reader(dirty);
+      ASSERT_TRUE(reader.TryReadBits(16 - remaining).ok());
+      EXPECT_EQ(reader.TryReadZeroPadding().code(), StatusCode::kDataLoss)
+          << "remaining " << remaining << ", set bit " << bit;
+      EXPECT_EQ(reader.position(), 16 - remaining);
+    }
+  }
+  for (int remaining = 8; remaining <= 16; ++remaining) {
+    const std::vector<uint8_t> zero = {0x00, 0x00};
+    BitReader reader(zero);
+    ASSERT_TRUE(reader.TryReadBits(16 - remaining).ok());
+    EXPECT_EQ(reader.TryReadZeroPadding().code(), StatusCode::kDataLoss)
+        << "remaining " << remaining;
+    EXPECT_EQ(reader.position(), 16 - remaining);
+  }
+}
+
+TEST(EnvelopeTest, SizeInBitsMatchesTheWriterAndTheReaderRoundTrips) {
+  // Payload lengths on both sides of every Elias-gamma length step the
+  // header can take here, so EnvelopeSizeInBits is checked where the
+  // length field grows.
+  for (const int64_t bits :
+       {0, 1, 2, 3, 6, 7, 8, 9, 62, 63, 64, 127, 128, 1000, 32767, 32768}) {
+    BitWriter payload;
+    for (int64_t b = 0; b < bits; ++b) payload.WriteBit(b % 3 == 0);
+    BitWriter out;
+    AppendEnvelope(0x1234, 7, payload.bytes(), payload.bit_count(), out);
+    EXPECT_EQ(out.bit_count(), EnvelopeSizeInBits(bits)) << bits;
+    const std::vector<uint8_t> bytes = Exact(out.bytes());
+    BitReader reader(bytes);
+    const auto envelope = ReadEnvelope(0x1234, reader);
+    ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
+    EXPECT_EQ(envelope->kind, 7u);
+    EXPECT_EQ(envelope->bit_count, bits);
+    EXPECT_EQ(envelope->bytes, payload.bytes());
+    EXPECT_EQ(reader.position(), out.bit_count());
+    BitReader wrong_magic(bytes);
+    EXPECT_EQ(ReadEnvelope(0x1235, wrong_magic).status().code(),
+              StatusCode::kDataLoss);
+  }
 }
 
 TEST(ChecksumTest, Fnv1a32MatchesPublishedVectors) {
