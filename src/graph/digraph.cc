@@ -1,6 +1,7 @@
 #include "graph/digraph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <utility>
@@ -59,76 +60,126 @@ double DirectedGraph::CutWeight(const VertexSet& side) const {
   return total;
 }
 
-double DirectedGraph::CutWeight(const VertexSet& side,
-                                const DegreeIndex& index) const {
-  DCS_CHECK_EQ(static_cast<int>(side.size()), num_vertices_);
-  DCS_CHECK_EQ(static_cast<int>(index.out_count.size()), num_vertices_);
-  DCS_CHECK_EQ(static_cast<int>(index.in_count.size()), num_vertices_);
-  // Every crossing edge leaves some v ∈ S and enters some u ∉ S, so the cut
-  // can be accumulated from either frontier; walk the smaller one.
-  int64_t out_volume = 0;
-  int64_t in_volume = 0;
-  for (int v = 0; v < num_vertices_; ++v) {
-    const int64_t inside = side[static_cast<size_t>(v)] != 0;
-    out_volume += inside * index.out_count[static_cast<size_t>(v)];
-    in_volume += (1 - inside) * index.in_count[static_cast<size_t>(v)];
-  }
-  const int64_t volume = std::min(out_volume, in_volume);
-  if (volume == 0) return 0;
-  if (volume >= num_edges()) return CutWeight(side);
-  EnsureAdjacency();
-  // The CSR walk chases edge ids into the edge array — dependent loads the
-  // hardware prefetcher cannot follow. Prefetch a few ids ahead (within the
-  // vertex's own range, so no stale id is dereferenced) to overlap the
-  // misses; the accumulation order is untouched.
+namespace {
+
+// Calls visit(edge) for the edges whose ids are ids[begin, end). The ids
+// chase into the edge array — dependent loads the hardware prefetcher
+// cannot follow — so prefetch a few ids ahead (within the range, so no
+// stale id is dereferenced) to overlap the misses; the visit order is
+// untouched.
+template <typename Visit>
+void VisitEdges(const std::vector<Edge>& edges,
+                const std::vector<int64_t>& ids, int64_t begin, int64_t end,
+                Visit visit) {
   constexpr int64_t kPrefetchDistance = 8;
-  double total = 0;
-  if (out_volume <= in_volume) {
-    for (int v = 0; v < num_vertices_; ++v) {
-      if (!side[static_cast<size_t>(v)]) continue;
-      const int64_t begin = out_offsets_[static_cast<size_t>(v)];
-      const int64_t end = out_offsets_[static_cast<size_t>(v) + 1];
-      for (int64_t k = begin; k < end; ++k) {
-        if (k + kPrefetchDistance < end) {
-          __builtin_prefetch(&edges_[static_cast<size_t>(
-              out_edge_ids_[static_cast<size_t>(k + kPrefetchDistance)])]);
-        }
-        const Edge& e = edges_[static_cast<size_t>(out_edge_ids_[k])];
-        if (!side[static_cast<size_t>(e.dst)]) total += e.weight;
-      }
+  for (int64_t k = begin; k < end; ++k) {
+    if (k + kPrefetchDistance < end) {
+      __builtin_prefetch(&edges[static_cast<size_t>(
+          ids[static_cast<size_t>(k + kPrefetchDistance)])]);
     }
-  } else {
-    for (int v = 0; v < num_vertices_; ++v) {
-      if (side[static_cast<size_t>(v)]) continue;
-      const int64_t begin = in_offsets_[static_cast<size_t>(v)];
-      const int64_t end = in_offsets_[static_cast<size_t>(v) + 1];
-      for (int64_t k = begin; k < end; ++k) {
-        if (k + kPrefetchDistance < end) {
-          __builtin_prefetch(&edges_[static_cast<size_t>(
-              in_edge_ids_[static_cast<size_t>(k + kPrefetchDistance)])]);
-        }
-        const Edge& e = edges_[static_cast<size_t>(in_edge_ids_[k])];
-        if (side[static_cast<size_t>(e.src)]) total += e.weight;
-      }
-    }
+    visit(edges[static_cast<size_t>(ids[static_cast<size_t>(k)])]);
   }
-  return total;
 }
 
-DegreeIndex DirectedGraph::BuildDegreeIndex() const {
+}  // namespace
+
+void DirectedGraph::CutWeights(std::span<const VertexSet* const> sides,
+                               std::span<double> out) const {
+  DCS_CHECK_EQ(sides.size(), out.size());
+  if (sides.empty()) return;
   EnsureAdjacency();
-  DegreeIndex index;
-  index.out_count.resize(static_cast<size_t>(num_vertices_));
-  index.in_count.resize(static_cast<size_t>(num_vertices_));
-  for (int v = 0; v < num_vertices_; ++v) {
-    index.out_count[static_cast<size_t>(v)] =
-        out_offsets_[static_cast<size_t>(v) + 1] -
-        out_offsets_[static_cast<size_t>(v)];
-    index.in_count[static_cast<size_t>(v)] =
-        in_offsets_[static_cast<size_t>(v) + 1] -
-        in_offsets_[static_cast<size_t>(v)];
+  const size_t n = static_cast<size_t>(num_vertices_);
+  // mask[v] has bit j set iff v ∈ S_j, for the pass's j-th side (lane).
+  std::vector<uint64_t> mask;
+  for (size_t first = 0; first < sides.size(); first += 64) {
+    const size_t lanes = std::min<size_t>(64, sides.size() - first);
+    mask.assign(n, 0);
+    // Every crossing edge leaves some v ∈ S and enters some u ∉ S, so a
+    // lane's cut can be accumulated from either frontier; each lane walks
+    // its smaller one, or scans the edge list when neither is below m.
+    uint64_t out_lanes = 0;
+    uint64_t in_lanes = 0;
+    uint64_t scan_lanes = 0;
+    for (size_t j = 0; j < lanes; ++j) {
+      const VertexSet& side = *sides[first + j];
+      DCS_CHECK_EQ(side.size(), n);
+      int64_t out_volume = 0;
+      int64_t in_volume = 0;
+      for (size_t v = 0; v < n; ++v) {
+        const int64_t inside = side[v] != 0;
+        mask[v] |= static_cast<uint64_t>(inside) << j;
+        out_volume += inside * (out_offsets_[v + 1] - out_offsets_[v]);
+        in_volume += (1 - inside) * (in_offsets_[v + 1] - in_offsets_[v]);
+      }
+      const int64_t volume = std::min(out_volume, in_volume);
+      const uint64_t lane = uint64_t{1} << j;
+      if (volume == 0) continue;  // the lane's sum stays 0
+      if (volume >= num_edges()) {
+        scan_lanes |= lane;
+      } else if (out_volume <= in_volume) {
+        out_lanes |= lane;
+      } else {
+        in_lanes |= lane;
+      }
+    }
+    // A lane is in exactly one pass. The pass visits the lane's frontier
+    // (or the edge list) in an order that does not depend on the other
+    // lanes and adds exactly the edges crossing the lane's cut, so the
+    // lane's sum is the same sequence of IEEE adds as when its side is
+    // asked alone.
+    double sums[64] = {};
+    const auto add = [&sums](uint64_t crossing, double weight) {
+      for (; crossing != 0; crossing &= crossing - 1) {
+        sums[std::countr_zero(crossing)] += weight;
+      }
+    };
+    // Walks one vertex's CSR range for the lanes in `here`; crossing(e) is
+    // the lanes edge e crosses. A vertex serving one lane (every vertex of
+    // a one-side call) keeps that lane's sum in a register: the same adds
+    // in the same order, without a store per add.
+    const auto walk = [&](const std::vector<int64_t>& offsets,
+                          const std::vector<int64_t>& ids, size_t v,
+                          uint64_t here, auto crossing) {
+      if (std::has_single_bit(here)) {
+        double& sum = sums[std::countr_zero(here)];
+        double total = sum;
+        VisitEdges(edges_, ids, offsets[v], offsets[v + 1],
+                   [&](const Edge& e) {
+                     if (crossing(e) != 0) total += e.weight;
+                   });
+        sum = total;
+      } else {
+        VisitEdges(edges_, ids, offsets[v], offsets[v + 1],
+                   [&](const Edge& e) { add(crossing(e), e.weight); });
+      }
+    };
+    if (out_lanes != 0) {
+      for (size_t v = 0; v < n; ++v) {
+        const uint64_t here = mask[v] & out_lanes;
+        if (here == 0) continue;
+        walk(out_offsets_, out_edge_ids_, v, here, [&](const Edge& e) {
+          return here & ~mask[static_cast<size_t>(e.dst)];
+        });
+      }
+    }
+    if (in_lanes != 0) {
+      for (size_t v = 0; v < n; ++v) {
+        const uint64_t here = ~mask[v] & in_lanes;
+        if (here == 0) continue;
+        walk(in_offsets_, in_edge_ids_, v, here, [&](const Edge& e) {
+          return here & mask[static_cast<size_t>(e.src)];
+        });
+      }
+    }
+    if (scan_lanes != 0) {
+      for (const Edge& e : edges_) {
+        add(scan_lanes & mask[static_cast<size_t>(e.src)] &
+                ~mask[static_cast<size_t>(e.dst)],
+            e.weight);
+      }
+    }
+    std::copy(sums, sums + lanes, out.begin() + static_cast<ptrdiff_t>(first));
   }
-  return index;
 }
 
 double DirectedGraph::CrossWeight(const VertexSet& from,

@@ -3,9 +3,9 @@
 // The central object of the cut-sketching half of the library. Stored as an
 // edge list plus a lazily built CSR adjacency index (flat offset + edge-id
 // arrays, no per-vertex vectors); supports directed cut evaluation
-// w(S, V∖S) — full-scan or volume-bounded via a precomputed degree index —
-// per-vertex weighted in/out degrees, reversal, symmetrization G + Gᵀ, and
-// merging.
+// w(S, V∖S) — a full edge scan, or many sides at once over the CSR
+// frontiers — per-vertex weighted in/out degrees, reversal, symmetrization
+// G + Gᵀ, and merging.
 
 #ifndef DCS_GRAPH_DIGRAPH_H_
 #define DCS_GRAPH_DIGRAPH_H_
@@ -18,14 +18,6 @@
 namespace dcs {
 
 class UndirectedGraph;
-
-// Per-vertex edge counts, precomputed once so repeated cut queries can pick
-// the cheaper traversal (out-edges of S vs in-edges of V∖S) in O(n) and
-// early-exit entirely on zero-volume sides.
-struct DegreeIndex {
-  std::vector<int64_t> out_count;
-  std::vector<int64_t> in_count;
-};
 
 // A weighted directed multigraph on vertices {0, ..., n−1}. Parallel edges
 // are allowed (weights add for all cut purposes); self-loops are rejected.
@@ -58,15 +50,16 @@ class DirectedGraph {
   // Requires side.size() == num_vertices(). O(m) edge scan.
   double CutWeight(const VertexSet& side) const;
 
-  // Volume-bounded overload: walks the CSR adjacency over whichever of
-  // S's out-edges or (V∖S)'s in-edges is smaller (early-exiting to 0 on
-  // empty volume), falling back to the edge scan when neither side is
-  // small. `index` must come from BuildDegreeIndex() on this graph with
-  // the current edge set.
-  double CutWeight(const VertexSet& side, const DegreeIndex& index) const;
-
-  // Snapshot of per-vertex edge counts for the overload above.
-  DegreeIndex BuildDegreeIndex() const;
+  // out[i] = w(S_i, V∖S_i) for every side, in passes of up to 64 sides.
+  // Each side is answered by the cheaper of S's out-edges or (V∖S)'s
+  // in-edges over the CSR adjacency (0 on empty volume, the edge scan when
+  // neither frontier is below m), and one pass over each adjacency serves
+  // every side that picked it. A side's sum is the same sequence of adds
+  // whatever else is in the call, so the answers are bit-identical for
+  // any batch split. Requires out.size() == sides.size() and every side of
+  // size num_vertices().
+  void CutWeights(std::span<const VertexSet* const> sides,
+                  std::span<double> out) const;
 
   // Total weight of edges from S to T (S, T need not be disjoint; an edge
   // counts iff src ∈ S and dst ∈ T).
@@ -89,7 +82,7 @@ class DirectedGraph {
 
   // Forces the lazy CSR adjacency to be built now. The lazy build is not
   // thread-safe; call this before sharing a graph across threads so
-  // concurrent OutEdgeIds/InEdgeIds/CutWeight(side, index) calls only read
+  // concurrent OutEdgeIds/InEdgeIds/CutWeights calls only read
   // immutable state.
   void BuildAdjacency() const { EnsureAdjacency(); }
 

@@ -85,18 +85,32 @@ std::unique_ptr<CutQuerySession> CutOracle::BeginSession(
   return std::make_unique<RescanCutQuerySession>(query_, std::move(side));
 }
 
+void CutOracle::AnswerMany(std::span<const VertexSet* const> sides,
+                           std::span<double> out) const {
+  DCS_CHECK_EQ(sides.size(), out.size());
+  DCS_METRIC_ADD("cutoracle.query.served", static_cast<int64_t>(sides.size()));
+  if (batch_) {
+    batch_(sides, out);
+    return;
+  }
+  for (size_t i = 0; i < sides.size(); ++i) out[i] = query_(*sides[i]);
+}
+
 CutOracle ExactCutOracle(const DirectedGraph& graph) {
   graph.BuildAdjacency();
-  const auto index =
-      std::make_shared<const DegreeIndex>(graph.BuildDegreeIndex());
   return CutOracle(
-      [&graph, index](const VertexSet& side) {
-        return graph.CutWeight(side, *index);
+      [&graph](const VertexSet& side) {
+        const VertexSet* const sides[] = {&side};
+        double value = 0;
+        graph.CutWeights(sides, std::span<double>(&value, 1));
+        return value;
       },
       [&graph](VertexSet side) -> std::unique_ptr<CutQuerySession> {
         return std::make_unique<IncrementalCutSession>(graph,
                                                        std::move(side));
-      });
+      },
+      [&graph](std::span<const VertexSet* const> sides,
+               std::span<double> out) { graph.CutWeights(sides, out); });
 }
 
 CutOracle SketchCutOracle(const DirectedCutSketch& sketch) {

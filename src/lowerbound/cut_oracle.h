@@ -16,6 +16,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <utility>
 
@@ -45,14 +46,19 @@ class CutQuerySession {
 //
 // Implicitly constructible from any callable double(const VertexSet&), so
 // ad-hoc lambdas keep working; oracles built by the factories below
-// additionally carry an incremental session factory. BeginSession always
-// succeeds — oracles without incremental support get a fallback session
-// that rescans via the query function.
+// additionally carry an incremental session factory, and the exact oracle
+// a batch function that answers many sides in one pass. BeginSession
+// always succeeds — oracles without incremental support get a fallback
+// session that rescans via the query function.
 class CutOracle {
  public:
   using QueryFn = std::function<double(const VertexSet&)>;
   using SessionFactory =
       std::function<std::unique_ptr<CutQuerySession>(VertexSet)>;
+  // Writes the answer for sides[i] into out[i]; must agree bit for bit
+  // with QueryFn on every side, so callers may batch or not at will.
+  using BatchFn = std::function<void(std::span<const VertexSet* const>,
+                                     std::span<double>)>;
 
   CutOracle() = default;
 
@@ -63,8 +69,10 @@ class CutOracle {
   CutOracle(F&& query)  // NOLINT(google-explicit-constructor)
       : query_(std::forward<F>(query)) {}
 
-  CutOracle(QueryFn query, SessionFactory sessions)
-      : query_(std::move(query)), sessions_(std::move(sessions)) {}
+  CutOracle(QueryFn query, SessionFactory sessions, BatchFn batch = nullptr)
+      : query_(std::move(query)),
+        sessions_(std::move(sessions)),
+        batch_(std::move(batch)) {}
 
   // One-shot query. Counted separately from session queries so tests can
   // assert a decoder used only its sessions (metrics_bounds_test).
@@ -72,6 +80,11 @@ class CutOracle {
     DCS_METRIC_INC("cutoracle.query.served");
     return query_(side);
   }
+
+  // out[i] = (*this)(*sides[i]) for every i, through the batch function
+  // when there is one. Counts sides.size() one-shot queries.
+  void AnswerMany(std::span<const VertexSet* const> sides,
+                  std::span<double> out) const;
 
   explicit operator bool() const { return static_cast<bool>(query_); }
 
@@ -83,9 +96,13 @@ class CutOracle {
     return static_cast<bool>(sessions_);
   }
 
+  // True if AnswerMany answers its sides in one batched pass.
+  bool has_batch() const { return static_cast<bool>(batch_); }
+
  private:
   QueryFn query_;
   SessionFactory sessions_;
+  BatchFn batch_;
 };
 
 // Oracle factories taking a per-trial random stream; used by the parallel
@@ -93,8 +110,9 @@ class CutOracle {
 using SeededCutOracleFactory =
     std::function<CutOracle(const DirectedGraph&, Rng&)>;
 
-// Exact oracle backed by the graph itself. One-shot queries use the
-// volume-bounded CutWeight overload; sessions are O(deg) incremental.
+// Exact oracle backed by the graph itself. One-shot and batched queries
+// both run DirectedGraph::CutWeights (one side, or all of them); sessions
+// are O(deg) incremental.
 CutOracle ExactCutOracle(const DirectedGraph& graph);
 
 // Oracle backed by a sketch (the sketch must outlive the oracle).

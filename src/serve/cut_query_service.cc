@@ -1,7 +1,6 @@
 #include "serve/cut_query_service.h"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <utility>
 
@@ -78,6 +77,56 @@ class ServedCutQuerySession final : public CutQuerySession {
   VertexId num_vertices_;
   std::vector<VertexId> pending_;
   int64_t logical_queries_ = 0;  // flushed at destruction (DESIGN.md §8)
+};
+
+// A seeded object's oracle for one shard. The oracle captures the rng by
+// reference; map nodes never move, so the pair lives in one node.
+struct SeededShardOracle {
+  explicit SeededShardOracle(uint64_t seed) : rng(seed) {}
+  SeededShardOracle(const SeededShardOracle&) = delete;
+  SeededShardOracle& operator=(const SeededShardOracle&) = delete;
+
+  Rng rng;
+  CutOracle oracle;
+};
+
+// One shard's distinct misses on one batching object: lane k answers
+// sides[k]. `hashes` and `packed` hold each lane's cache key when the
+// object is cached.
+struct PendingLanes {
+  int64_t object = 0;
+  const CutOracle* oracle = nullptr;
+  std::vector<const VertexSet*> sides;
+  std::vector<uint64_t> hashes;
+  std::vector<PackedSide> packed;
+  std::vector<double> values;
+
+  // The lane already holding this side, or -1. Linear: a shard holds
+  // shard_size (32 by default) queries.
+  int64_t FindLane(uint64_t hash, const PackedSide& side) const {
+    for (size_t k = 0; k < hashes.size(); ++k) {
+      if (hashes[k] == hash && packed[k] == side) {
+        return static_cast<int64_t>(k);
+      }
+    }
+    return -1;
+  }
+};
+
+PendingLanes* FindLanes(std::vector<PendingLanes>& pending, int64_t object) {
+  for (PendingLanes& lanes : pending) {
+    if (lanes.object == object) return &lanes;
+  }
+  return nullptr;
+}
+
+// Query `query` takes its answer from lane `lane` of pending[lanes], and
+// inserts it into the cache when `insert` (its lane's first, cached miss).
+struct DeferredAnswer {
+  int64_t query;
+  int64_t lanes;
+  int64_t lane;
+  bool insert;
 };
 
 }  // namespace
@@ -179,8 +228,12 @@ std::vector<double> CutQueryService::AnswerBatch(
     // Seeded objects get one oracle per (batch, shard, object), built from
     // the shard's derived seed — the same SubtaskSeed discipline as the
     // trial runners, so the answers are independent of num_threads.
-    std::deque<Rng> shard_rngs;
-    std::map<ObjectId, CutOracle> shard_oracles;
+    std::map<ObjectId, SeededShardOracle> seeded;
+    // Misses on objects whose oracle batches, answered after the probe
+    // loop in one pass per object; `deferred` records, in query order,
+    // which lane answers which query.
+    std::vector<PendingLanes> pending;
+    std::vector<DeferredAnswer> deferred;
     // Hoisted per-shard scratch: PackSideInto reuses the word storage, so
     // after the first query the pack step performs zero allocations.
     PackedSide packed;
@@ -189,32 +242,76 @@ std::vector<double> CutQueryService::AnswerBatch(
       const ObjectEntry& entry = EntryFor(query.object);
       const bool cacheable = entry.cacheable && cache_ != nullptr;
       uint64_t side_hash = 0;
+      if (cacheable) side_hash = PackSideInto(query.side, packed);
+      PendingLanes* lanes = nullptr;
+      if (entry.oracle.has_batch()) {
+        lanes = FindLanes(pending, query.object);
+        if (cacheable && lanes != nullptr) {
+          // A side already pending here is a hit, as it would be had its
+          // first miss been inserted before this probe.
+          const int64_t lane = lanes->FindLane(side_hash, packed);
+          if (lane >= 0) {
+            DCS_METRIC_INC("serve.cache.hits");
+            deferred.push_back({i, lanes - pending.data(), lane, false});
+            continue;
+          }
+        }
+      }
       if (cacheable) {
-        side_hash = PackSideInto(query.side, packed);
         if (const auto hit =
                 cache_->Lookup(query.object, side_hash, packed)) {
           answers[static_cast<size_t>(i)] = *hit;
           continue;
         }
       }
+      if (entry.oracle.has_batch()) {
+        if (lanes == nullptr) {
+          lanes = &pending.emplace_back();
+          lanes->object = query.object;
+          lanes->oracle = &entry.oracle;
+        }
+        deferred.push_back({i, lanes - pending.data(),
+                            static_cast<int64_t>(lanes->sides.size()),
+                            cacheable});
+        lanes->sides.push_back(&query.side);
+        if (cacheable) {
+          lanes->hashes.push_back(side_hash);
+          lanes->packed.push_back(packed);
+        }
+        continue;
+      }
       const CutOracle* oracle = &entry.oracle;
       if (entry.seeded_factory) {
-        auto it = shard_oracles.find(query.object);
-        if (it == shard_oracles.end()) {
-          shard_rngs.emplace_back(SubtaskSeed(
-              SubtaskSeed(entry.base_seed, batch_index), shard));
-          it = shard_oracles
-                   .emplace(query.object,
-                            entry.seeded_factory(*entry.seeded_graph,
-                                                 shard_rngs.back()))
+        auto it = seeded.find(query.object);
+        if (it == seeded.end()) {
+          it = seeded
+                   .try_emplace(query.object,
+                                SubtaskSeed(SubtaskSeed(entry.base_seed,
+                                                        batch_index),
+                                            shard))
                    .first;
+          it->second.oracle =
+              entry.seeded_factory(*entry.seeded_graph, it->second.rng);
         }
-        oracle = &it->second;
+        oracle = &it->second.oracle;
       }
       const double value = (*oracle)(query.side);
       answers[static_cast<size_t>(i)] = value;
       if (cacheable) {
         cache_->Insert(query.object, side_hash, packed, value);
+      }
+    }
+    for (PendingLanes& lanes : pending) {
+      lanes.values.resize(lanes.sides.size());
+      lanes.oracle->AnswerMany(lanes.sides, lanes.values);
+    }
+    for (const DeferredAnswer& d : deferred) {
+      const PendingLanes& lanes = pending[static_cast<size_t>(d.lanes)];
+      const size_t lane = static_cast<size_t>(d.lane);
+      answers[static_cast<size_t>(d.query)] = lanes.values[lane];
+      if (d.insert) {
+        cache_->Insert(lanes.object, lanes.hashes[lane], lanes.packed[lane],
+                       lanes.values[lane]);
       }
     }
   };

@@ -6,7 +6,11 @@
 // shard_size runs, so the work partition (and therefore every seeded
 // oracle's noise stream) depends only on the batch contents, never on the
 // thread count. Repeated queries on cacheable (pure) objects are answered
-// from a striped LRU cache (query_cache.h) keyed on the canonical side.
+// from a striped LRU cache (query_cache.h) keyed on the canonical side. A
+// shard's misses on exact graphs are answered together after its cache
+// probes, one DirectedGraph::CutWeights pass per graph, bit-identical to
+// answering them one at a time; every other miss runs inline in issue
+// order, so no noise stream moves.
 //
 // Bit accounting: a cached answer is still a logical query. Every batch
 // entry and every session Query() increments serve.query.logical exactly
@@ -102,8 +106,9 @@ class CutQueryService {
                                 uint64_t base_seed);
 
   // Answers batch[i] into result[i]. Shards of shard_size run across the
-  // pool; cacheable objects consult/populate the cache per query. Counts
-  // batch.size() logical queries and records serve.batch.{size,latency_ns}.
+  // pool; cacheable objects consult the cache per query in issue order,
+  // and the shard's misses populate it in query order. Counts batch.size()
+  // logical queries and records serve.batch.{size,latency_ns}.
   std::vector<double> AnswerBatch(const std::vector<Query>& batch);
 
   // A cache-aware incremental session positioned at `side`. For seeded

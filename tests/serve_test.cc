@@ -1,8 +1,13 @@
 // Tests for the batched cut-query serving layer (src/serve): cache
-// semantics, batch determinism, warm/cold bit-identity, and the batched
-// decoder/localquery entry points against their unbatched references.
+// semantics, batch determinism, warm/cold bit-identity, issue order and
+// allocations around deferred misses, and the batched decoder/localquery
+// entry points against their unbatched references.
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -19,7 +24,25 @@
 #include "serve/local_batch.h"
 #include "serve/query_cache.h"
 #include "sketch/directed_sketches.h"
+#include "util/metrics.h"
 #include "util/random.h"
+
+// Global allocations made by this process; the replacement operator new
+// below counts them so a test can assert what one AnswerBatch allocates.
+std::atomic<int64_t> g_allocations{0};
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC pairs the free() below with the `new` expressions it inlines into
+// and flags them; the pairing is correct, since operator new is malloc.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace dcs {
 namespace {
@@ -244,6 +267,123 @@ TEST(CutQueryServiceTest, SeededOraclesAreNeverCached) {
   const auto batch = MakeBatch(object, 16, 10, batch_rng);
   service.AnswerBatch(batch);
   EXPECT_EQ(service.cache_size(), 0);
+}
+
+int64_t CounterDelta(const metrics::MetricsSnapshot& diff,
+                     const std::string& name) {
+  const auto it = diff.counters.find(name);
+  return it == diff.counters.end() ? 0 : it->second;
+}
+
+TEST(CutQueryServiceTest, DeferredGraphMissesKeepIssueOrder) {
+  // One shard interleaving two graphs (whose misses are deferred into one
+  // lane pass per graph) with a seeded oracle and two noisy oracles that
+  // share one Rng (which run inline). Every answer must equal calling each
+  // oracle alone in issue order: deferral moves no Rng draw.
+  Rng rng(47);
+  const DirectedGraph graph_a = RandomBalancedDigraph(20, 0.5, 2.0, rng);
+  const DirectedGraph graph_b = RandomBalancedDigraph(20, 0.4, 1.0, rng);
+  const SeededCutOracleFactory factory = [](const DirectedGraph& g,
+                                            Rng& oracle_rng) {
+    return NoisyCutOracle(g, 0.2, oracle_rng);
+  };
+  constexpr uint64_t kBaseSeed = 99;
+  Rng shared_rng(5);
+  CutQueryService service;
+  const auto a = service.RegisterGraph(graph_a);
+  const auto b = service.RegisterGraph(graph_b);
+  const auto seeded = service.RegisterSeededOracle(graph_a, factory,
+                                                   kBaseSeed);
+  const auto noisy1 = service.RegisterOracle(
+      NoisyCutOracle(graph_a, 0.3, shared_rng), /*cacheable=*/false);
+  const auto noisy2 = service.RegisterOracle(
+      NoisyCutOracle(graph_b, 0.1, shared_rng), /*cacheable=*/false);
+
+  const CutQueryService::ObjectId pattern[] = {a,      noisy1, seeded, b,
+                                               noisy2, a,      noisy1, b};
+  std::vector<CutQueryService::Query> batch;
+  for (int i = 0; i < 24; ++i) {
+    batch.push_back(
+        {pattern[i % 8], MakeBatch(0, 20, 1, rng).front().side});
+  }
+  batch[21].side = batch[5].side;  // graph a: one repeat within the shard
+  ASSERT_EQ(batch[21].object, a);
+  ASSERT_LE(static_cast<int>(batch.size()), service.options().shard_size);
+  constexpr int64_t kGraphMisses = 11;  // 12 graph queries, one repeated
+  constexpr int64_t kInlineQueries = 12;
+
+  const metrics::MetricsSnapshot before =
+      metrics::Registry::Get().Snapshot();
+  const std::vector<double> answers = service.AnswerBatch(batch);
+  const metrics::MetricsSnapshot diff =
+      metrics::Registry::Get().Snapshot().DiffSince(before);
+
+  Rng reference_rng(5);
+  const CutOracle exact_a = ExactCutOracle(graph_a);
+  const CutOracle exact_b = ExactCutOracle(graph_b);
+  const CutOracle reference_noisy1 =
+      NoisyCutOracle(graph_a, 0.3, reference_rng);
+  const CutOracle reference_noisy2 =
+      NoisyCutOracle(graph_b, 0.1, reference_rng);
+  Rng seeded_rng(SubtaskSeed(SubtaskSeed(kBaseSeed, 0), 0));
+  const CutOracle reference_seeded = factory(graph_a, seeded_rng);
+  ASSERT_EQ(answers.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const auto object = batch[i].object;
+    const CutOracle& oracle = object == a        ? exact_a
+                              : object == b      ? exact_b
+                              : object == seeded ? reference_seeded
+                              : object == noisy1 ? reference_noisy1
+                                                 : reference_noisy2;
+    EXPECT_EQ(answers[i], oracle(batch[i].side)) << "query " << i;
+  }
+
+  if (DCS_METRICS_ENABLED) {
+    EXPECT_EQ(CounterDelta(diff, "serve.cache.misses"), kGraphMisses);
+    EXPECT_EQ(CounterDelta(diff, "serve.cache.hits"), 1);
+    // The graph misses reach their oracle once each, batched; the inline
+    // oracles once per query.
+    EXPECT_EQ(CounterDelta(diff, "cutoracle.query.served"),
+              kGraphMisses + kInlineQueries);
+  }
+}
+
+TEST(CutQueryServiceTest, RepeatedSideWithoutCacheStillAnswers) {
+  // With the cache off a repeated side takes its own lane; both lanes
+  // answer bit-identically to the one-shot oracle.
+  Rng rng(53);
+  const DirectedGraph graph = RandomBalancedDigraph(18, 0.5, 3.0, rng);
+  CutQueryServiceOptions options;
+  options.enable_cache = false;
+  options.shard_size = 7;
+  CutQueryService service(options);
+  const auto object = service.RegisterGraph(graph);
+  const auto batch = MakeBatch(object, 18, 30, rng, /*repeat_period=*/4);
+  const std::vector<double> answers = service.AnswerBatch(batch);
+  const CutOracle direct = ExactCutOracle(graph);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(answers[i], direct(batch[i].side)) << "query " << i;
+  }
+}
+
+TEST(CutQueryServiceTest, AllHitShardsAllocateOnlyTheirPackedSide) {
+  // A fully cached batch allocates its answer vector and one PackedSide
+  // of scratch per shard; the seeded-oracle map and the lane lists stay
+  // unbuilt.
+  Rng rng(59);
+  const DirectedGraph graph = RandomBalancedDigraph(64, 0.3, 2.0, rng);
+  CutQueryServiceOptions options;
+  options.shard_size = 8;
+  CutQueryService service(options);
+  const auto object = service.RegisterGraph(graph);
+  const auto batch = MakeBatch(object, 64, 32, rng);
+  const std::vector<double> cold = service.AnswerBatch(batch);
+
+  const int64_t before = g_allocations.load();
+  const std::vector<double> warm = service.AnswerBatch(batch);
+  const int64_t allocations = g_allocations.load() - before;
+  EXPECT_EQ(allocations, 1 + 32 / 8);
+  EXPECT_EQ(warm, cold);
 }
 
 // ---------------------------------------------------------------------------
