@@ -24,8 +24,10 @@ namespace {
 
 // Transport frame magic (util/envelope.h), distinct from the serialization
 // envelope (0xD5CE), the RPC envelope (0xA9C5), the channel frame (0xFA5C)
-// and the segment record (0x5E60). The kind is fixed: one Message.
+// and the segment record (0x5E61). The kind is fixed: one Message.
 constexpr uint64_t kTransportMagic = 0x57E4;
+// Reconnect backoff b is jittered into [(1 - kReconnectJitter) * b, b].
+constexpr double kReconnectJitter = 0.5;
 constexpr uint64_t kTransportKind = 1;
 
 // First read step for a frame body; later steps double the buffer, so a
@@ -258,8 +260,6 @@ void TransportOptions::Check() const {
   DCS_CHECK_GE(io_timeout_ms, 1);
   DCS_CHECK_GE(reconnect_base_ms, 1);
   DCS_CHECK_GE(reconnect_cap_ms, reconnect_base_ms);
-  DCS_CHECK_GE(reconnect_jitter, 0.0);
-  DCS_CHECK_LE(reconnect_jitter, 1.0);
   DCS_CHECK_GE(max_connect_attempts, 1);
 }
 
@@ -442,10 +442,10 @@ StatusOr<Connection> ConnectWithBackoff(const Endpoint& endpoint,
           static_cast<int64_t>(options.reconnect_base_ms)
               << std::min(attempt - 1, 20),
           options.reconnect_cap_ms);
-      if (options.reconnect_jitter > 0 && backoff > 1) {
+      if (backoff > 1) {
         const int64_t floor = std::max<int64_t>(
             1, static_cast<int64_t>(static_cast<double>(backoff) *
-                                    (1.0 - options.reconnect_jitter)));
+                                    (1.0 - kReconnectJitter)));
         backoff = floor + static_cast<int64_t>(jitter_rng.UniformInt(
                               static_cast<uint64_t>(backoff - floor + 1)));
       }

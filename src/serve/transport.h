@@ -78,10 +78,9 @@ struct TransportOptions {
   int connect_timeout_ms = 2000;  // per connect() attempt
   int io_timeout_ms = 5000;       // per Send/Receive call
   // Capped exponential backoff between reconnect attempts:
-  // min(base << attempt, cap), jittered into [(1-jitter)*b, b].
+  // min(base << attempt, cap), jittered into [b/2, b].
   int reconnect_base_ms = 5;
   int reconnect_cap_ms = 200;
-  double reconnect_jitter = 0.5;
   int max_connect_attempts = 8;
   uint64_t seed = 0;  // jitter determinism
 

@@ -31,7 +31,7 @@ constexpr KindNames kKindNames[] = {
     {"edge_stream", "serialization.payload_bits.edge_stream"},
     {"cut_balance_sparsifier",
      "serialization.payload_bits.cut_balance_sparsifier"},
-    {"segment_index", "serialization.payload_bits.segment_index"},
+    {"unknown", "serialization.payload_bits.unknown"},  // 9: reserved
     {"cache_snapshot", "serialization.payload_bits.cache_snapshot"},
 };
 static_assert(std::size(kKindNames) ==

@@ -43,7 +43,8 @@ enum class StreamKind : uint8_t {
   kDirectedForAllSketch = 6,
   kEdgeStream = 7,  // replayable binary edge-update stream (stream/binary_stream.h)
   kCutBalanceSparsifier = 8,  // sketch/cut_balance_sparsifier.h
-  kSegmentIndex = 9,  // sketch-store segment index footer (store/segment.h)
+  // 9 is reserved: it named the older store layout's segment index footer.
+  // Never reuse it; the store rejects it.
   kCacheSnapshot = 10,  // warm-tier cache dump (store/cache_snapshot.h)
 };
 

@@ -2,47 +2,46 @@
 // (DESIGN.md §15).
 //
 // A segment is a byte stream of length-prefixed records, optionally
-// terminated by an index footer plus a fixed-width seal trailer:
+// terminated by a fixed-width seal trailer:
 //
-//   [record]* [index footer envelope] [seal trailer (16 bytes)]
+//   [record]* [seal trailer (16 bytes)]
 //
 // Record (whole bytes; every field fixed-width so the extent is a pure
 // function of the header):
-//   magic           16 bits   0x5E60 (distinct from every other magic)
+//   magic           16 bits   0x5E61 (distinct from every other magic)
 //   object id       64 bits
 //   payload kind     8 bits   StreamKind of the payload envelope
 //   payload bits    64 bits   exact bit count of the payload
 //   header FNV-1a   32 bits   over the 19 header bytes above
-//   payload FNV-1a  32 bits   over the padded payload bytes
 //   payload         ceil(bits/8) bytes, final partial byte zero-padded
 //
-// Index footer: a standard serialization envelope of kind
-// StreamKind::kSegmentIndex whose payload maps object id → (kind, byte
-// offset, byte length) for every record in the segment, zero-padded to a
-// byte boundary.
+// The payload is exactly one serialization envelope of the declared kind,
+// so the envelope's own FNV-1a is the payload's checksum. CheckStoredEnvelope
+// is the one payload check: SketchStore::Put runs it before writing and the
+// scan runs it on every record it reads back.
 //
-// Seal trailer (what makes a segment *sealed*): footer byte offset
-// (64 bits), magic 0x5EA1D5CE (32), FNV-1a over the first 12 trailer bytes
-// (32). Sealing fsyncs; an unsealed segment is by definition still
-// crash-exposed.
+// Seal trailer (what makes a segment *sealed*): records-end byte offset
+// (64 bits), magic 0x5EA2D5CE (32), FNV-1a over the first 12 trailer bytes
+// (32). A sealed segment's records tile [0, records end) exactly, and the
+// trailer is the last 16 bytes. Sealing fsyncs; an unsealed segment is by
+// definition still crash-exposed.
 //
 // Hostile-input discipline (the transport's receiver rules): every field
-// is Try-read, every declared count/length is capped against the remaining
+// is bounds-checked, every declared length is capped against the remaining
 // bytes before any allocation, zero padding is enforced, and no input can
 // cause a crash, hang, or unbounded allocation. ScanSegment classifies a
 // damaged segment as either *recoverable* (a torn tail: truncate at the
-// last whole record) or *corrupt* (damage before the tail, or inside a
-// sealed segment) — never silently wrong bytes.
+// last whole record) or *corrupt* (damage before the tail, inside a sealed
+// segment, or a segment in the older 0x5E60 layout) — never silently wrong
+// bytes.
 
 #ifndef DCS_STORE_SEGMENT_H_
 #define DCS_STORE_SEGMENT_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sketch/serialization.h"
-#include "util/bitio.h"
 #include "util/status.h"
 
 namespace dcs {
@@ -55,30 +54,24 @@ struct SegmentRecord {
   int64_t payload_bits = 0;      // exact bit count within `payload`
 };
 
-// One index footer entry (byte offsets within the segment).
-struct SegmentIndexEntry {
-  int64_t object_id = 0;
-  StreamKind kind = StreamKind::kDirectedGraph;
-  int64_t byte_offset = 0;  // where the record's header starts
-  int64_t byte_length = 0;  // whole record, header included
-};
-
 // Serialized byte length of a record with a payload of `payload_bits`.
 int64_t SegmentRecordByteLength(int64_t payload_bits);
+
+// OK iff `bytes` is exactly one serialization envelope of `kind` ending at
+// bit `bit_count`, followed only by zero padding to the byte, and `kind` is
+// one the store holds (a sketch, graph or edge stream; not the reserved
+// value 9 nor a cache snapshot).
+Status CheckStoredEnvelope(StreamKind kind, const std::vector<uint8_t>& bytes,
+                           int64_t bit_count);
 
 // Appends one record to `out` (whole bytes; `out` must be byte-aligned).
 // CHECK-fails on malformed inputs — writers are trusted.
 void AppendSegmentRecord(const SegmentRecord& record,
                          std::vector<uint8_t>& out);
 
-// Appends the index footer envelope + seal trailer for `entries` to `out`.
-void AppendSegmentSeal(const std::vector<SegmentIndexEntry>& entries,
-                       std::vector<uint8_t>& out);
-
-// The footer envelope + seal trailer as standalone bytes, for appending to
-// a segment file whose first `footer_offset` bytes are already on disk.
-std::vector<uint8_t> BuildSegmentSeal(
-    const std::vector<SegmentIndexEntry>& entries, int64_t footer_offset);
+// The seal trailer for a segment whose records occupy its first
+// `records_end` bytes.
+std::vector<uint8_t> BuildSegmentSeal(int64_t records_end);
 
 // Parses exactly one record occupying the whole of `bytes` (a region read
 // back from a known index location). kDataLoss on any mismatch, including
@@ -88,7 +81,7 @@ StatusOr<SegmentRecord> ParseSegmentRecord(const std::vector<uint8_t>& bytes);
 // The result of scanning a segment's bytes.
 struct SegmentScan {
   std::vector<SegmentRecord> records;  // the valid prefix, in file order
-  bool sealed = false;                 // valid footer + trailer found
+  bool sealed = false;                 // valid trailer found
   // Bytes of the valid record prefix. Recovery truncates the file here.
   int64_t valid_prefix_bytes = 0;
   // True when trailing bytes past the prefix were cut (torn tail).
@@ -97,21 +90,13 @@ struct SegmentScan {
 };
 
 // Scans a segment image. OK (possibly with recovered_torn_tail) when the
-// bytes are a valid record prefix; kDataLoss when damage sits *before* the
-// tail (a record whose payload fails its checksum but whose successors are
-// intact, or any mismatch inside a sealed segment) — the caller must treat
-// the segment as corrupt rather than truncate committed data away.
+// bytes are a valid record prefix followed by a torn tail that holds no
+// verifying record. kDataLoss when damage sits *before* the tail (a damaged
+// record, header or payload, with an intact record after it), for any
+// mismatch inside a sealed segment, and for a segment in the older 0x5E60
+// layout — the caller must treat the segment as corrupt rather than
+// truncate committed data away.
 StatusOr<SegmentScan> ScanSegment(const std::vector<uint8_t>& bytes);
-
-// Parses an index footer payload (the envelope's payload bits). Entry
-// count capped against the remaining bits before allocation; offsets and
-// lengths validated non-negative. Exposed for fsck and tests.
-StatusOr<std::vector<SegmentIndexEntry>> ParseSegmentIndexPayload(
-    BitReader& reader);
-
-// Builds the index footer envelope (without the trailer) for `entries`.
-void WriteSegmentIndexEnvelope(const std::vector<SegmentIndexEntry>& entries,
-                               BitWriter& out);
 
 }  // namespace dcs
 

@@ -111,12 +111,7 @@ StatusOr<std::vector<std::pair<int64_t, std::string>>> ListSegmentFiles(
 
 }  // namespace
 
-void SketchStoreOptions::Check() const {
-  DCS_CHECK_GE(max_segment_bytes, 1);
-}
-
-SketchStore::SketchStore(std::string dir, SketchStoreOptions options)
-    : dir_(std::move(dir)), options_(options) {}
+SketchStore::SketchStore(std::string dir) : dir_(std::move(dir)) {}
 
 SketchStore::~SketchStore() {
   if (active_fd_ >= 0) ::close(active_fd_);
@@ -130,13 +125,11 @@ std::string SketchStore::SegmentPath(int64_t number) const {
 }
 
 StatusOr<std::unique_ptr<SketchStore>> SketchStore::Open(
-    const std::string& dir, SketchStoreOptions options) {
-  options.Check();
+    const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return ErrnoError("cannot create store directory", dir);
   }
-  std::unique_ptr<SketchStore> store(
-      new SketchStore(dir, options));
+  std::unique_ptr<SketchStore> store(new SketchStore(dir));
   DCS_ASSIGN_OR_RETURN(const auto files, ListSegmentFiles(dir));
   for (const auto& [number, name] : files) {
     const std::string path = dir + "/" + name;
@@ -158,28 +151,14 @@ StatusOr<std::unique_ptr<SketchStore>> SketchStore::Open(
     }
     const size_t segment_index = store->segment_files_.size();
     store->segment_files_.push_back(name);
-    store->segment_bytes_.push_back(scan->valid_prefix_bytes +
-                                    (scan->sealed
-                                         ? static_cast<int64_t>(bytes.size()) -
-                                               scan->valid_prefix_bytes
-                                         : 0));
+    store->segment_bytes_.push_back(
+        scan->sealed ? static_cast<int64_t>(bytes.size())
+                     : scan->valid_prefix_bytes);
     store->highest_number_ = std::max(store->highest_number_, number);
     int64_t offset = 0;
-    std::vector<SegmentIndexEntry> entries;
     for (const SegmentRecord& record : scan->records) {
       const int64_t length = SegmentRecordByteLength(record.payload_bits);
-      Location location;
-      location.segment = segment_index;
-      location.byte_offset = offset;
-      location.byte_length = length;
-      location.kind = record.kind;
-      store->index_[record.object_id] = location;
-      SegmentIndexEntry entry;
-      entry.object_id = record.object_id;
-      entry.kind = record.kind;
-      entry.byte_offset = offset;
-      entry.byte_length = length;
-      entries.push_back(entry);
+      store->index_[record.object_id] = Location{segment_index, offset, length};
       offset += length;
       ++store->open_report_.records;
     }
@@ -195,7 +174,6 @@ StatusOr<std::unique_ptr<SketchStore>> SketchStore::Open(
       }
       store->active_segment_ = segment_index;
       store->active_number_ = number;
-      store->active_entries_ = std::move(entries);
     }
   }
   store->open_report_.segments =
@@ -217,7 +195,18 @@ Status SketchStore::OpenActiveSegment() {
   active_segment_ = segment_files_.size();
   segment_files_.push_back(path.substr(dir_.size() + 1));
   segment_bytes_.push_back(0);
-  active_entries_.clear();
+  return OkStatus();
+}
+
+Status SketchStore::SealActive() {
+  DCS_RETURN_IF_ERROR(
+      AppendToActive(BuildSegmentSeal(segment_bytes_[active_segment_])));
+  if (::fsync(active_fd_) != 0) {
+    return ErrnoError("cannot fsync segment", SegmentPath(active_number_));
+  }
+  ::close(active_fd_);
+  active_fd_ = -1;
+  DCS_METRIC_INC("store.segments_sealed");
   return OkStatus();
 }
 
@@ -234,38 +223,15 @@ Status SketchStore::Put(int64_t object_id, StreamKind kind,
   if (object_id < 0) {
     return InvalidArgumentError("store object id must be nonnegative");
   }
-  if (bit_count < 0 ||
-      static_cast<int64_t>(bytes.size()) != (bit_count + 7) / 8) {
-    return InvalidArgumentError("store payload bytes do not match bit count");
-  }
-  if (bit_count % 8 != 0 &&
-      (bytes.back() >> (bit_count % 8)) != 0) {
-    return InvalidArgumentError("store payload padding is not zero");
-  }
   // The payload must be a serving-ready envelope of the declared kind —
   // the store refuses bytes it could never hand back to a deserializer.
-  {
-    BitReader reader(bytes);
-    DCS_RETURN_IF_ERROR(ReadEnvelopePayload(kind, reader).status());
-    if (reader.position() != bit_count) {
-      return InvalidArgumentError(
-          "store payload is not exactly one envelope of the declared kind");
-    }
-  }
+  // The scan runs the same check on every record it reads back.
+  DCS_RETURN_IF_ERROR(CheckStoredEnvelope(kind, bytes, bit_count));
   std::lock_guard<std::mutex> lock(mutex_);
   if (active_fd_ >= 0 &&
-      segment_bytes_[active_segment_] >= options_.max_segment_bytes) {
+      segment_bytes_[active_segment_] >= kMaxSegmentBytes) {
     // Roll: seal the full segment (fsync) before starting the next.
-    const std::vector<uint8_t> seal = BuildSegmentSeal(
-        active_entries_, segment_bytes_[active_segment_]);
-    DCS_RETURN_IF_ERROR(AppendToActive(seal));
-    if (::fsync(active_fd_) != 0) {
-      return ErrnoError("cannot fsync segment", SegmentPath(active_number_));
-    }
-    ::close(active_fd_);
-    active_fd_ = -1;
-    active_entries_.clear();
-    DCS_METRIC_INC("store.segments_sealed");
+    DCS_RETURN_IF_ERROR(SealActive());
   }
   if (active_fd_ < 0) {
     DCS_RETURN_IF_ERROR(OpenActiveSegment());
@@ -277,18 +243,9 @@ Status SketchStore::Put(int64_t object_id, StreamKind kind,
   record.payload_bits = bit_count;
   std::vector<uint8_t> encoded;
   AppendSegmentRecord(record, encoded);
-  SegmentIndexEntry entry;
-  entry.object_id = object_id;
-  entry.kind = kind;
-  entry.byte_offset = segment_bytes_[active_segment_];
-  entry.byte_length = static_cast<int64_t>(encoded.size());
+  const Location location{active_segment_, segment_bytes_[active_segment_],
+                          static_cast<int64_t>(encoded.size())};
   DCS_RETURN_IF_ERROR(AppendToActive(encoded));
-  active_entries_.push_back(entry);
-  Location location;
-  location.segment = active_segment_;
-  location.byte_offset = entry.byte_offset;
-  location.byte_length = entry.byte_length;
-  location.kind = kind;
   index_[object_id] = location;
   // Keep the live record count current — Compact derives its
   // records_dropped from it, so it must include post-Open appends.
@@ -334,8 +291,9 @@ StatusOr<StoredObject> SketchStore::Get(int64_t object_id) const {
     done += static_cast<size_t>(got);
   }
   ::close(fd);
-  // Get re-verifies the record's checksums: bytes that rotted on disk
-  // since Open surface as kDataLoss here, never as wrong payload bits.
+  // Get re-verifies the record's header checksum and payload envelope:
+  // bytes that rotted on disk since Open surface as kDataLoss here, never
+  // as wrong payload bits.
   DCS_ASSIGN_OR_RETURN(SegmentRecord record, ParseSegmentRecord(bytes));
   if (record.object_id != object_id) {
     return DataLossError("segment record holds object " +
@@ -361,18 +319,8 @@ std::vector<int64_t> SketchStore::ListObjects() const {
 Status SketchStore::Seal() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (active_fd_ < 0) return OkStatus();
-  const std::vector<uint8_t> seal =
-      BuildSegmentSeal(active_entries_, segment_bytes_[active_segment_]);
-  DCS_RETURN_IF_ERROR(AppendToActive(seal));
-  if (::fsync(active_fd_) != 0) {
-    return ErrnoError("cannot fsync segment", SegmentPath(active_number_));
-  }
-  ::close(active_fd_);
-  active_fd_ = -1;
-  active_entries_.clear();
-  DCS_RETURN_IF_ERROR(FsyncDir(dir_));
-  DCS_METRIC_INC("store.segments_sealed");
-  return OkStatus();
+  DCS_RETURN_IF_ERROR(SealActive());
+  return FsyncDir(dir_);
 }
 
 Status SketchStore::Flush() {
@@ -401,23 +349,21 @@ StatusOr<StoreCompactReport> SketchStore::Compact() {
       open_report_.records - static_cast<int64_t>(ids.size());
 
   std::vector<uint8_t> image;
-  std::vector<SegmentIndexEntry> entries;
+  std::map<int64_t, Location> index;
   for (size_t i = 0; i < ids.size(); ++i) {
     SegmentRecord record;
     record.object_id = ids[i];
     record.kind = objects[i].kind;
     record.payload = std::move(objects[i].bytes);
     record.payload_bits = objects[i].bit_count;
-    SegmentIndexEntry entry;
-    entry.object_id = record.object_id;
-    entry.kind = record.kind;
-    entry.byte_offset = static_cast<int64_t>(image.size());
+    const int64_t offset = static_cast<int64_t>(image.size());
     AppendSegmentRecord(record, image);
-    entry.byte_length =
-        static_cast<int64_t>(image.size()) - entry.byte_offset;
-    entries.push_back(entry);
+    index[ids[i]] =
+        Location{0, offset, static_cast<int64_t>(image.size()) - offset};
   }
-  AppendSegmentSeal(entries, image);
+  const std::vector<uint8_t> seal =
+      BuildSegmentSeal(static_cast<int64_t>(image.size()));
+  image.insert(image.end(), seal.begin(), seal.end());
 
   const int64_t number = highest_number_ + 1;
   const std::string path = SegmentPath(number);
@@ -439,7 +385,6 @@ StatusOr<StoreCompactReport> SketchStore::Compact() {
   if (active_fd_ >= 0) {
     ::close(active_fd_);
     active_fd_ = -1;
-    active_entries_.clear();
   }
   for (const std::string& file : segment_files_) {
     ::unlink((dir_ + "/" + file).c_str());
@@ -449,16 +394,8 @@ StatusOr<StoreCompactReport> SketchStore::Compact() {
   segment_files_.assign(1, path.substr(dir_.size() + 1));
   segment_bytes_.assign(1, static_cast<int64_t>(image.size()));
   highest_number_ = number;
-  index_.clear();
-  for (const SegmentIndexEntry& entry : entries) {
-    Location location;
-    location.segment = 0;
-    location.byte_offset = entry.byte_offset;
-    location.byte_length = entry.byte_length;
-    location.kind = entry.kind;
-    index_[entry.object_id] = location;
-  }
-  open_report_.records = static_cast<int64_t>(entries.size());
+  index_ = std::move(index);
+  open_report_.records = static_cast<int64_t>(index_.size());
   report.bytes_after = static_cast<int64_t>(image.size());
   DCS_METRIC_INC("store.compactions");
   return report;

@@ -9,12 +9,16 @@
 // Put appends one record — an object's already-enveloped serialized bytes
 // — to the active segment; the in-memory index maps object id to its
 // newest record (later puts supersede earlier ones; Compact reclaims the
-// dead versions). Seal writes the segment's index footer + seal trailer
-// and fsyncs — only then is the segment's data durable against power loss.
-// A process kill between Put and Seal leaves at worst a torn tail, which
-// Open recovers by truncating at the last whole record; damage anywhere
-// else is reported as kDataLoss, never silently dropped (the fsck verbs
-// distinguish `recovered torn tail` from `data_loss: segment`).
+// dead versions). The index is rebuilt by scanning every record at Open;
+// nothing on disk restates it. Seal writes the segment's 16-byte seal
+// trailer and fsyncs — only then is the segment's data durable against
+// power loss. Put does not fsync: an acked object survives a process kill
+// (its bytes sit in the page cache) but not power loss before the next
+// Seal or Flush. A kill between Put and Seal leaves at worst a torn tail,
+// which Open recovers by truncating at the last whole record; damage
+// anywhere else, and a segment in the older 0x5E60 layout, is reported as
+// kDataLoss and never truncated (the fsck verb distinguishes
+// `recovered_torn_tail` from `corrupt`).
 //
 // Thread-safety: all methods may be called concurrently (one internal
 // mutex; the serving tier appends from per-shard threads).
@@ -34,13 +38,10 @@
 
 namespace dcs {
 
-struct SketchStoreOptions {
-  // Roll to a fresh segment once the active one exceeds this (the old one
-  // is sealed, so long-running workers accumulate durable segments).
-  int64_t max_segment_bytes = 8 << 20;
-
-  void Check() const;
-};
+// Put rolls to a fresh segment once the active one holds this many bytes
+// (the old one is sealed, so long-running workers accumulate durable
+// segments).
+inline constexpr int64_t kMaxSegmentBytes = int64_t{8} << 20;
 
 // One stored object, bytes exactly as put.
 struct StoredObject {
@@ -85,8 +86,7 @@ class SketchStore {
   // Opens (creating the directory if needed), scans every segment,
   // recovers torn tails by truncating the files in place, and builds the
   // object index. kDataLoss if any segment is corrupt beyond a torn tail.
-  static StatusOr<std::unique_ptr<SketchStore>> Open(
-      const std::string& dir, SketchStoreOptions options = {});
+  static StatusOr<std::unique_ptr<SketchStore>> Open(const std::string& dir);
 
   // Closes the active segment WITHOUT sealing (a crash-equivalent close;
   // call Seal() first for durability). Recovery on next Open handles the
@@ -97,20 +97,21 @@ class SketchStore {
   SketchStore& operator=(const SketchStore&) = delete;
 
   // Appends one record. `bytes`/`bit_count` must be a serialization
-  // envelope of `kind` (validated — kInvalidArgument/kDataLoss on
+  // envelope of `kind` (CheckStoredEnvelope — kInvalidArgument/kDataLoss on
   // mismatch, so a store can never hold bytes it cannot re-serve).
   Status Put(int64_t object_id, StreamKind kind,
              const std::vector<uint8_t>& bytes, int64_t bit_count);
 
   // The newest record for `object_id`, bytes memcmp-identical to the Put.
   // kNotFound for unknown ids; kDataLoss if the record on disk no longer
-  // verifies (detected at read time — Get re-checks the checksum).
+  // verifies (detected at read time — Get re-checks the header checksum
+  // and the payload envelope).
   StatusOr<StoredObject> Get(int64_t object_id) const;
 
   // Distinct object ids, ascending.
   std::vector<int64_t> ListObjects() const;
 
-  // Seals the active segment: index footer + trailer, fsync. Idempotent
+  // Seals the active segment: trailer, fsync. Idempotent
   // (no active segment = OK). The next Put starts a fresh segment.
   Status Seal();
 
@@ -131,17 +132,16 @@ class SketchStore {
     size_t segment = 0;      // index into segment_files_
     int64_t byte_offset = 0;
     int64_t byte_length = 0;
-    StreamKind kind = StreamKind::kDirectedGraph;
   };
 
-  SketchStore(std::string dir, SketchStoreOptions options);
+  explicit SketchStore(std::string dir);
 
   Status OpenActiveSegment();  // creates segment-(N+1) and its fd
+  Status SealActive();         // trailer, fsync, close; mutex_ held
   Status AppendToActive(const std::vector<uint8_t>& bytes);
   std::string SegmentPath(int64_t number) const;
 
   const std::string dir_;
-  const SketchStoreOptions options_;
   StoreOpenReport open_report_;
 
   mutable std::mutex mutex_;
@@ -154,7 +154,6 @@ class SketchStore {
   size_t active_segment_ = 0;
   int64_t active_number_ = 0;
   int64_t highest_number_ = 0;
-  std::vector<SegmentIndexEntry> active_entries_;
 };
 
 // Read-only verification of every segment in `dir` (never writes or

@@ -8,10 +8,15 @@
 #include <string>
 #include <utility>
 
+#include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "sketch/backend_registry.h"
+#include "sketch/serialization.h"
+#include "store/sketch_store.h"
 #include "stream/binary_stream.h"
+#include "util/bitio.h"
 #include "util/json.h"
+#include "util/random.h"
 
 namespace {
 
@@ -507,6 +512,47 @@ TEST(CliStoreTest, PutGetFsckCompactRoundTrip) {
   EXPECT_EQ(RunCli("store --dir " + dir + " --op frobnicate"), 2);
   EXPECT_EQ(RunCli("store --op fsck"), 2);  // missing --dir
   std::system(("rm -rf '" + dir + "'").c_str());
+}
+
+TEST(CliStoreTest, FsckOfHeaderDamageBeforeIntactRecordsExitsOne) {
+  const std::string dir = "/tmp/dcs_cli_test_store_damaged";
+  const std::string segment = dir + "/segment-000001.seg";
+  const std::string out = "/tmp/dcs_cli_test_store_damaged_out.txt";
+  std::system(("rm -rf '" + dir + "'").c_str());
+  {
+    auto store = dcs::SketchStore::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    dcs::Rng rng(5);
+    for (int id = 0; id < 3; ++id) {
+      dcs::BitWriter writer;
+      dcs::SerializeDirectedGraph(
+          dcs::RandomBalancedDigraph(12, 0.5, 2.0, rng), writer);
+      ASSERT_TRUE((*store)
+                      ->Put(id, dcs::StreamKind::kDirectedGraph,
+                            writer.bytes(), writer.bit_count())
+                      .ok());
+    }
+    // No Seal: the segment is left unsealed, as a killed worker leaves it.
+  }
+  EXPECT_EQ(RunCli("store --dir " + dir + " --op fsck"), 0);
+  // Flip one bit of record 0's object id: its header no longer verifies,
+  // but records 1 and 2 after it do, so this is damage, not a torn tail.
+  std::FILE* file = std::fopen(segment.c_str(), "r+b");
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fseek(file, 3, SEEK_SET), 0);
+  const int byte = std::fgetc(file);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(file, 3, SEEK_SET), 0);
+  std::fputc(byte ^ 0x01, file);
+  ASSERT_EQ(std::fclose(file), 0);
+  const std::string damaged = ReadFileToString(segment);
+  EXPECT_EQ(RunCli("store --dir " + dir + " --op fsck"), 1);
+  // Opening the store for a read refuses too, and truncates nothing.
+  EXPECT_EQ(RunCli("store --dir " + dir + " --op get --id 2 --out " + out),
+            1);
+  EXPECT_EQ(ReadFileToString(segment), damaged);
+  std::system(("rm -rf '" + dir + "'").c_str());
+  std::remove(out.c_str());
 }
 
 }  // namespace

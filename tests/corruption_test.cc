@@ -499,8 +499,8 @@ SegmentRecord EnvelopedRecord(int64_t object_id, StreamKind kind,
   return record;
 }
 
-// Two records of different kinds, then the index footer + seal trailer.
-// Pass sealed=false for the crash-exposed variant (records only).
+// Two records of different kinds, then the seal trailer. Pass sealed=false
+// for the crash-exposed variant (records only).
 SegmentImage BuildSegmentImage(bool sealed) {
   Rng rng(512);
   SegmentImage image;
@@ -517,19 +517,14 @@ SegmentImage BuildSegmentImage(bool sealed) {
     image.records.push_back(
         EnvelopedRecord(8, StreamKind::kUndirectedGraph, writer));
   }
-  std::vector<SegmentIndexEntry> entries;
-  int64_t offset = 0;
   for (const SegmentRecord& record : image.records) {
-    SegmentIndexEntry entry;
-    entry.object_id = record.object_id;
-    entry.kind = record.kind;
-    entry.byte_offset = offset;
-    entry.byte_length = SegmentRecordByteLength(record.payload_bits);
-    entries.push_back(entry);
     AppendSegmentRecord(record, image.bytes);
-    offset += entry.byte_length;
   }
-  if (sealed) AppendSegmentSeal(entries, image.bytes);
+  if (sealed) {
+    const std::vector<uint8_t> seal =
+        BuildSegmentSeal(static_cast<int64_t>(image.bytes.size()));
+    image.bytes.insert(image.bytes.end(), seal.begin(), seal.end());
+  }
   return image;
 }
 
@@ -563,6 +558,8 @@ TEST(CorruptionTest, SegmentScanRoundTripsClean) {
 TEST(CorruptionTest, EverySegmentBitFlipIsRejectedOrAnExactPrefix) {
   for (const bool sealed : {true, false}) {
     const SegmentImage image = BuildSegmentImage(sealed);
+    const size_t last_record_offset = static_cast<size_t>(
+        SegmentRecordByteLength(image.records[0].payload_bits));
     for (size_t bit = 0; bit < image.bytes.size() * 8; ++bit) {
       std::vector<uint8_t> mutated = image.bytes;
       mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
@@ -578,6 +575,15 @@ TEST(CorruptionTest, EverySegmentBitFlipIsRejectedOrAnExactPrefix) {
       ASSERT_TRUE(RecordsArePrefix(scan->records, image.records))
           << "sealed=" << sealed << " bit " << bit
           << " survived the scan with wrong record bytes";
+      // Unsealed, a flip may cost only the record that holds it, and only
+      // when that record is last: damage with an intact record after it,
+      // in the header as much as in the payload, is mid-file.
+      if (!sealed && scan->records.size() < image.records.size()) {
+        ASSERT_EQ(scan->records.size() + 1, image.records.size())
+            << "bit " << bit;
+        ASSERT_GE(bit / 8, last_record_offset)
+            << "bit " << bit << " dropped an intact later record";
+      }
     }
   }
 }
@@ -622,17 +628,48 @@ TEST(CorruptionTest, UnsealedTruncationRecoversWholeRecordPrefix) {
   EXPECT_TRUE(RecordsArePrefix(scan->records, image.records));
 }
 
-TEST(CorruptionTest, SegmentIndexHugeCountIsRejectedWithoutAllocation) {
-  // A hostile index footer declaring 2^40 entries over a handful of bytes
-  // must be rejected by the count cap, not attempted as an allocation.
-  BitWriter payload;
-  payload.WriteEliasGamma(uint64_t{1} << 40);
-  payload.WriteEliasGamma(1);
-  const std::vector<uint8_t> bytes = payload.bytes();
-  BitReader reader(bytes);
-  const auto entries = ParseSegmentIndexPayload(reader);
-  ASSERT_FALSE(entries.ok());
-  EXPECT_EQ(entries.status().code(), StatusCode::kDataLoss);
+TEST(CorruptionTest, ByteInsertedBeforeAnIntactRecordIsDataLoss) {
+  // One stray byte at every offset of an unsealed segment. Inserted at or
+  // before the last record's first byte, it leaves an intact record after
+  // the damage (possibly just one byte on), so the scan must not call it a
+  // torn tail. Inserted inside the last record, it may only cost that one.
+  const SegmentImage image = BuildSegmentImage(/*sealed=*/false);
+  const size_t last_record_offset = static_cast<size_t>(
+      SegmentRecordByteLength(image.records[0].payload_bits));
+  for (size_t at = 0; at < image.bytes.size(); ++at) {
+    std::vector<uint8_t> mutated = image.bytes;
+    mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(at), 0);
+    const auto scan = ScanSegment(mutated);
+    if (at <= last_record_offset) {
+      ASSERT_FALSE(scan.ok()) << "byte inserted at " << at;
+      EXPECT_EQ(scan.status().code(), StatusCode::kDataLoss);
+    } else if (scan.ok()) {
+      ASSERT_TRUE(RecordsArePrefix(scan->records, image.records))
+          << "byte inserted at " << at;
+      ASSERT_GE(scan->records.size() + 1, image.records.size())
+          << "byte inserted at " << at;
+    }
+  }
+}
+
+TEST(CorruptionTest, SealedTrailerThatMisstatesTheRecordsEndIsDataLoss) {
+  // A well-formed trailer that claims the records end after record 0 (or
+  // one byte early, or past the trailer's own start): the records no longer
+  // tile the bytes before the trailer, which a seal never writes.
+  const SegmentImage image = BuildSegmentImage(/*sealed=*/true);
+  const int64_t trailer_at = static_cast<int64_t>(image.bytes.size()) - 16;
+  const int64_t first_record_end =
+      SegmentRecordByteLength(image.records[0].payload_bits);
+  for (const int64_t claimed :
+       {first_record_end, trailer_at - 1, trailer_at + 1}) {
+    std::vector<uint8_t> mutated(image.bytes.begin(),
+                                 image.bytes.begin() + trailer_at);
+    const std::vector<uint8_t> seal = BuildSegmentSeal(claimed);
+    mutated.insert(mutated.end(), seal.begin(), seal.end());
+    const auto scan = ScanSegment(mutated);
+    ASSERT_FALSE(scan.ok()) << "claimed records end " << claimed;
+    EXPECT_EQ(scan.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(CorruptionTest, QueryBatchVertexCountOverCapIsDataLoss) {

@@ -1,13 +1,14 @@
 // Disk-backed sketch store (store/sketch_store.h) round-trip and recovery
 // tests.
 //
-// The central property: random mixes of ALL nine StreamKinds appended
-// across seal/no-seal reopen cycles come back memcmp-identical after the
-// store is "killed" (destructor closes without sealing) and reopened —
-// the store may lose an unsealed tail to a crash, but it must never serve
-// different bytes than were put. Plus fsck classification over a
-// deliberately torn tail, compaction reclaim, and the warm-tier cache
-// snapshot round trip.
+// The central property: random mixes of ALL eight storable StreamKinds
+// appended across seal/no-seal reopen cycles come back memcmp-identical
+// after the store is "killed" (destructor closes without sealing) and
+// reopened — the store may lose an unsealed tail to a crash, but it must
+// never serve different bytes than were put. Plus fsck classification over
+// a deliberately torn tail, mid-file header and payload damage, a segment
+// roll, the pinned byte layout and the older layout's refusal, compaction
+// reclaim, and the warm-tier cache snapshot round trip.
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -36,6 +37,8 @@
 #include "store/sketch_store.h"
 #include "stream/binary_stream.h"
 #include "util/bitio.h"
+#include "util/checksum.h"
+#include "util/envelope.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -62,15 +65,46 @@ class ScratchDir {
   std::string path_;
 };
 
+void WriteFileBytes(const std::string& path,
+                    const std::vector<uint8_t>& bytes) {
+  std::FILE* file = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+  ASSERT_EQ(std::fclose(file), 0);
+}
+
+std::vector<uint8_t> ReadFileBytes(const std::string& path) {
+  std::vector<uint8_t> bytes;
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return bytes;
+  for (int c = std::fgetc(file); c != EOF; c = std::fgetc(file)) {
+    bytes.push_back(static_cast<uint8_t>(c));
+  }
+  std::fclose(file);
+  return bytes;
+}
+
+// XORs `mask` into the byte at `offset` of the file at `path`.
+void FlipFileByte(const std::string& path, long offset, int mask) {
+  FILE* file = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(file, nullptr);
+  ASSERT_EQ(std::fseek(file, offset, SEEK_SET), 0);
+  const int byte = std::fgetc(file);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(file, offset, SEEK_SET), 0);
+  std::fputc(byte ^ mask, file);
+  ASSERT_EQ(std::fclose(file), 0);
+}
+
 struct TestObject {
   StreamKind kind = StreamKind::kDirectedGraph;
   std::vector<uint8_t> bytes;
   int64_t bit_count = 0;
 };
 
-// One valid envelope of every StreamKind, deterministic in `rng`. Variety
-// in sizes is deliberate: some payloads span several hundred bytes, the
-// segment-index one is tiny.
+// One valid envelope of every storable StreamKind, deterministic in `rng`.
+// Variety in sizes is deliberate: some payloads span several hundred bytes,
+// others a few dozen.
 std::vector<TestObject> MakeOneOfEachKind(Rng& rng) {
   std::vector<TestObject> objects;
   auto add = [&objects](StreamKind kind, const BitWriter& writer) {
@@ -126,24 +160,10 @@ std::vector<TestObject> MakeOneOfEachKind(Rng& rng) {
     CutBalanceSparsifier(digraph, 0.4, 2.0, rng).Serialize(writer);
     add(StreamKind::kCutBalanceSparsifier, writer);
   }
-  {
-    std::vector<SegmentIndexEntry> entries;
-    for (int e = 0; e < 3; ++e) {
-      SegmentIndexEntry entry;
-      entry.object_id = static_cast<int64_t>(rng.UniformInt(1000));
-      entry.kind = StreamKind::kDirectedGraph;
-      entry.byte_offset = 100 * e;
-      entry.byte_length = 50;
-      entries.push_back(entry);
-    }
-    BitWriter writer;
-    WriteSegmentIndexEnvelope(entries, writer);
-    add(StreamKind::kSegmentIndex, writer);
-  }
   return objects;
 }
 
-TEST(SketchStoreTest, AllNineKindsRoundTripAcrossReopens) {
+TEST(SketchStoreTest, AllEightKindsRoundTripAcrossReopens) {
   ScratchDir scratch;
   Rng rng(2026);
   // What each object id should currently hold (later puts supersede).
@@ -223,6 +243,19 @@ TEST(SketchStoreTest, PutRejectsBytesThatAreNotAnEnvelopeOfTheKind) {
   EXPECT_FALSE((*store)
                    ->Put(1, StreamKind::kDirectedGraph, garbage, 64 * 8)
                    .ok());
+  // Well-formed envelopes of kinds the store does not hold: the reserved
+  // value 9 (the older layout's index footer) and a cache snapshot.
+  for (const uint64_t kind :
+       {uint64_t{9}, static_cast<uint64_t>(StreamKind::kCacheSnapshot)}) {
+    BitWriter envelope;
+    AppendEnvelope(0xD5CE, kind, writer.bytes(), writer.bit_count(),
+                   envelope);
+    EXPECT_FALSE((*store)
+                     ->Put(2, static_cast<StreamKind>(kind),
+                           envelope.bytes(), envelope.bit_count())
+                     .ok())
+        << "kind " << kind;
+  }
   EXPECT_EQ((*store)->num_objects(), 0);
 }
 
@@ -302,45 +335,43 @@ TEST(SketchStoreTest, OpenRecoversATornTailByTruncating) {
 }
 
 TEST(SketchStoreTest, MidFileDamageIsDataLossNotRecovery) {
-  ScratchDir scratch;
   Rng rng(7);
   const std::vector<TestObject> objects = MakeOneOfEachKind(rng);
-  {
-    auto store = SketchStore::Open(scratch.path());
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)
-                    ->Put(0, objects[0].kind, objects[0].bytes,
-                          objects[0].bit_count)
-                    .ok());
-    ASSERT_TRUE((*store)
-                    ->Put(1, objects[1].kind, objects[1].bytes,
-                          objects[1].bit_count)
-                    .ok());
+  // Byte 3 is in the FIRST record's header (its object id), byte 40 in its
+  // payload: either way committed data is damaged while a later record is
+  // intact — truncating would silently discard record 1, so the store must
+  // refuse to open and leave the file as it is.
+  for (const long offset : {3L, 40L}) {
+    ScratchDir scratch;
+    {
+      auto store = SketchStore::Open(scratch.path());
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      ASSERT_TRUE((*store)
+                      ->Put(0, objects[0].kind, objects[0].bytes,
+                            objects[0].bit_count)
+                      .ok());
+      ASSERT_TRUE((*store)
+                      ->Put(1, objects[1].kind, objects[1].bytes,
+                            objects[1].bit_count)
+                      .ok());
+    }
+    const std::string segment = scratch.path() + "/segment-000001.seg";
+    FlipFileByte(segment, offset, 0x20);
+    const std::vector<uint8_t> damaged = ReadFileBytes(segment);
+
+    const auto store = SketchStore::Open(scratch.path());
+    ASSERT_FALSE(store.ok()) << "byte " << offset;
+    EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(store.status().ToString().find("data_loss: segment"),
+              std::string::npos)
+        << store.status().ToString();
+    EXPECT_EQ(ReadFileBytes(segment), damaged) << "byte " << offset;
+
+    const auto report = FsckSketchStore(scratch.path());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->segments[0].state, "corrupt") << "byte " << offset;
+    EXPECT_FALSE(report->clean());
   }
-  // Flip a byte inside the FIRST record's payload: committed data is
-  // damaged while a later record is intact — truncating would silently
-  // discard record 1, so the store must refuse to open.
-  const std::string segment = scratch.path() + "/segment-000001.seg";
-  FILE* file = std::fopen(segment.c_str(), "r+b");
-  ASSERT_NE(file, nullptr);
-  ASSERT_EQ(std::fseek(file, 40, SEEK_SET), 0);
-  const int byte = std::fgetc(file);
-  ASSERT_NE(byte, EOF);
-  ASSERT_EQ(std::fseek(file, 40, SEEK_SET), 0);
-  std::fputc(byte ^ 0x20, file);
-  ASSERT_EQ(std::fclose(file), 0);
-
-  const auto store = SketchStore::Open(scratch.path());
-  ASSERT_FALSE(store.ok());
-  EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
-  EXPECT_NE(store.status().ToString().find("data_loss: segment"),
-            std::string::npos)
-      << store.status().ToString();
-
-  const auto report = FsckSketchStore(scratch.path());
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->segments[0].state, "corrupt");
-  EXPECT_FALSE(report->clean());
 }
 
 TEST(SketchStoreTest, CompactDropsSupersededVersions) {
@@ -374,6 +405,194 @@ TEST(SketchStoreTest, CompactDropsSupersededVersions) {
   ASSERT_TRUE(fsck.ok()) << fsck.status().ToString();
   ASSERT_EQ(fsck->segments.size(), 1u);
   EXPECT_EQ(fsck->segments[0].state, "sealed");
+}
+
+// The byte layout, pinned: two records and a seal trailer over graphs
+// whose edges are placed by hand and whose weights come from a fixed seed.
+// Any change to a field's width, order, magic or checksum moves the
+// digest; such a change also bumps the record magic, so that ScanSegment
+// can name the layout it replaced.
+TEST(SketchStoreTest, SealedTwoRecordImageIsPinned) {
+  Rng rng(2024);
+  std::vector<uint8_t> image;
+  int64_t payload_bytes = 0;
+  for (int64_t id : {3, 10}) {
+    DirectedGraph graph(5);
+    for (int v = 0; v < 5; ++v) {
+      graph.AddEdge(v, (v + 1 + static_cast<int>(id) % 3) % 5,
+                    rng.UniformDouble());
+    }
+    BitWriter writer;
+    SerializeDirectedGraph(graph, writer);
+    AppendSegmentRecord(SegmentRecord{id, StreamKind::kDirectedGraph,
+                                      writer.bytes(), writer.bit_count()},
+                        image);
+    payload_bytes += static_cast<int64_t>(writer.bytes().size());
+  }
+  const int64_t records_end = static_cast<int64_t>(image.size());
+  EXPECT_EQ(records_end, 2 * 23 + payload_bytes);
+  const std::vector<uint8_t> seal = BuildSegmentSeal(records_end);
+  ASSERT_EQ(seal.size(), 16u);
+  image.insert(image.end(), seal.begin(), seal.end());
+  EXPECT_EQ(image[0], 0x61);
+  EXPECT_EQ(image[1], 0x5E);
+  EXPECT_EQ(image.size(), 174u);
+  EXPECT_EQ(Fnv1a32(image), 0x75E6D6FFu);
+
+  const auto scan = ScanSegment(image);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_TRUE(scan->sealed);
+  ASSERT_EQ(scan->records.size(), 2u);
+  EXPECT_EQ(scan->records[0].object_id, 3);
+  EXPECT_EQ(scan->records[1].object_id, 10);
+}
+
+// A segment in the older layout, built field by field: records with magic
+// 0x5E60 behind a 27-byte prefix (header FNV-1a over the 19 header bytes,
+// then a payload FNV-1a) and, when sealed, an index footer (an envelope of
+// the now-reserved kind 9 listing id, kind, offset and length per record)
+// and a 16-byte trailer (footer offset, 0x5EA1D5CE, FNV-1a).
+std::vector<uint8_t> OlderLayoutSegment(const std::vector<TestObject>& objects,
+                                        bool sealed) {
+  BitWriter out;
+  BitWriter index;
+  index.WriteEliasGamma(objects.size());
+  for (size_t id = 0; id < objects.size(); ++id) {
+    const TestObject& object = objects[id];
+    const uint64_t offset = static_cast<uint64_t>(out.bit_count() / 8);
+    BitWriter header;
+    header.WriteBits(0x5E60, 16);
+    header.WriteBits(id, 64);
+    header.WriteBits(static_cast<uint64_t>(object.kind), 8);
+    header.WriteBits(static_cast<uint64_t>(object.bit_count), 64);
+    out.AppendBits(header.bytes(), header.bit_count());
+    out.WriteBits(Fnv1a32(header.bytes()), 32);
+    out.WriteBits(Fnv1a32(object.bytes), 32);
+    out.AppendBits(object.bytes, 8 * static_cast<int64_t>(object.bytes.size()));
+    index.WriteEliasGamma(id);
+    index.WriteBits(static_cast<uint64_t>(object.kind), 8);
+    index.WriteEliasGamma(offset);
+    index.WriteEliasGamma(27 + object.bytes.size());
+  }
+  if (sealed) {
+    const uint64_t footer_offset = static_cast<uint64_t>(out.bit_count() / 8);
+    BitWriter footer;
+    AppendEnvelope(0xD5CE, 9, index.bytes(), index.bit_count(), footer);
+    out.AppendBits(footer.bytes(),
+                   8 * static_cast<int64_t>(footer.bytes().size()));
+    BitWriter trailer;
+    trailer.WriteBits(footer_offset, 64);
+    trailer.WriteBits(0x5EA1D5CE, 32);
+    out.AppendBits(trailer.bytes(), trailer.bit_count());
+    out.WriteBits(Fnv1a32(trailer.bytes()), 32);
+  }
+  return out.bytes();
+}
+
+TEST(SketchStoreTest, OlderLayoutSegmentIsDataLossAndNeverTruncated) {
+  Rng rng(13);
+  const std::vector<TestObject> objects = MakeOneOfEachKind(rng);
+  // Unsealed is the case that matters most: without the layout check the
+  // current walk reads the whole file as a torn tail and Open truncates it.
+  for (const bool sealed : {true, false}) {
+    ScratchDir scratch;
+    const std::string segment = scratch.path() + "/segment-000001.seg";
+    const std::vector<uint8_t> image =
+        OlderLayoutSegment({objects[0], objects[1]}, sealed);
+    WriteFileBytes(segment, image);
+
+    const auto store = SketchStore::Open(scratch.path());
+    ASSERT_FALSE(store.ok()) << "sealed=" << sealed;
+    EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(store.status().ToString().find("older store layout"),
+              std::string::npos)
+        << store.status().ToString();
+
+    const auto report = FsckSketchStore(scratch.path());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_EQ(report->segments.size(), 1u);
+    EXPECT_EQ(report->segments[0].state, "corrupt");
+    EXPECT_NE(report->segments[0].detail.find("older store layout"),
+              std::string::npos)
+        << report->segments[0].detail;
+    EXPECT_FALSE(report->clean());
+    EXPECT_EQ(ReadFileBytes(segment), image) << "sealed=" << sealed;
+  }
+}
+
+// A directed-graph envelope of about 190 KB. Weights depend on `id`, so
+// every object's bytes differ.
+TestObject LargeGraphObject(int64_t id) {
+  DirectedGraph graph(256);
+  for (int e = 0; e < 16384; ++e) {
+    graph.AddEdge(e % 256, (7 * e + 1) % 256,
+                  1.0 + static_cast<double>(id) + e / 1024.0);
+  }
+  BitWriter writer;
+  SerializeDirectedGraph(graph, writer);
+  return TestObject{StreamKind::kDirectedGraph, writer.bytes(),
+                    writer.bit_count()};
+}
+
+TEST(SketchStoreTest, PutPastTheSegmentCapRollsToASealedSegment) {
+  ScratchDir scratch;
+  const std::string second = scratch.path() + "/segment-000002.seg";
+  std::vector<TestObject> objects;
+  {
+    auto store = SketchStore::Open(scratch.path());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    // The Put that finds the active segment holding kMaxSegmentBytes seals
+    // it and writes its record into a fresh segment.
+    while (::access(second.c_str(), F_OK) != 0) {
+      ASSERT_LT(objects.size(), 100u) << "no roll after 100 puts";
+      const int64_t id = static_cast<int64_t>(objects.size());
+      objects.push_back(LargeGraphObject(id));
+      ASSERT_TRUE((*store)
+                      ->Put(id, objects.back().kind, objects.back().bytes,
+                            objects.back().bit_count)
+                      .ok());
+    }
+    struct stat first;
+    ASSERT_EQ(::stat((scratch.path() + "/segment-000001.seg").c_str(),
+                     &first),
+              0);
+    EXPECT_GE(first.st_size, kMaxSegmentBytes);
+    const auto fsck = FsckSketchStore(scratch.path());
+    ASSERT_TRUE(fsck.ok()) << fsck.status().ToString();
+    ASSERT_EQ(fsck->segments.size(), 2u);
+    EXPECT_EQ(fsck->segments[0].state, "sealed");
+    EXPECT_EQ(fsck->segments[0].records,
+              static_cast<int64_t>(objects.size()) - 1);
+    EXPECT_EQ(fsck->segments[1].state, "unsealed");
+    EXPECT_EQ(fsck->segments[1].records, 1);
+  }
+
+  auto store = SketchStore::Open(scratch.path());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->open_report().segments, 2);
+  EXPECT_EQ((*store)->num_objects(), static_cast<int64_t>(objects.size()));
+  for (size_t id = 0; id < objects.size(); ++id) {
+    const auto got = (*store)->Get(static_cast<int64_t>(id));
+    ASSERT_TRUE(got.ok()) << "object " << id << ": "
+                          << got.status().ToString();
+    EXPECT_EQ(got->bit_count, objects[id].bit_count) << "object " << id;
+    EXPECT_EQ(got->bytes, objects[id].bytes) << "object " << id;
+  }
+
+  const auto compacted = (*store)->Compact();
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  EXPECT_EQ(compacted->records_dropped, 0);
+  for (size_t id = 0; id < objects.size(); ++id) {
+    const auto got = (*store)->Get(static_cast<int64_t>(id));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->bytes, objects[id].bytes) << "object " << id;
+  }
+  store->reset();
+  const auto fsck = FsckSketchStore(scratch.path());
+  ASSERT_TRUE(fsck.ok()) << fsck.status().ToString();
+  ASSERT_EQ(fsck->segments.size(), 1u);
+  EXPECT_EQ(fsck->segments[0].state, "sealed");
+  EXPECT_EQ(fsck->segments[0].records, static_cast<int64_t>(objects.size()));
 }
 
 TEST(CacheSnapshotTest, RoundTripsThroughFileAndCache) {
@@ -474,14 +693,6 @@ std::vector<CacheSnapshotEntry> OldFormatSnapshotEntries() {
     entries.push_back(entry);
   }
   return entries;
-}
-
-void WriteFileBytes(const std::string& path,
-                    const std::vector<uint8_t>& bytes) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(file, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
-  ASSERT_EQ(std::fclose(file), 0);
 }
 
 TEST(CacheSnapshotTest, OldFormatSnapshotIsDataLoss) {
