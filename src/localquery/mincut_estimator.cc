@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "localquery/query_retry.h"
 
@@ -29,18 +28,6 @@ StatusOr<LocalQueryMinCutResult> EstimateMinCutLocalQueries(
                                     ? epsilon
                                     : options.search_beta0;
 
-  // Every verification goes through one seam so a caller-supplied variant
-  // (the serving layer's batched one) replaces the search loop and the
-  // final harvest together, never just one of them.
-  const auto verify = [&](double guess_t,
-                          double eps) -> StatusOr<VerifyGuessResult> {
-    if (options.verify_fn) {
-      return options.verify_fn(oracle, guess_t, eps, rng,
-                               options.oversample_c);
-    }
-    return VerifyGuess(oracle, guess_t, eps, rng, options.oversample_c);
-  };
-
   LocalQueryMinCutResult result;
   // Guess-halving search: the min cut is at most the minimum degree, which
   // costs n degree queries to learn (multigraphs can have k ≫ n, so
@@ -55,7 +42,8 @@ StatusOr<LocalQueryMinCutResult> EstimateMinCutLocalQueries(
   double t = std::max(1.0, min_degree);
   while (t >= 1.0) {
     DCS_ASSIGN_OR_RETURN(const VerifyGuessResult vg,
-                         verify(t, search_epsilon));
+                         VerifyGuess(oracle, t, search_epsilon, rng,
+                                     options.oversample_c));
     ++result.verify_guess_calls;
     if (vg.accepted) break;
     t /= 2;
@@ -66,7 +54,8 @@ StatusOr<LocalQueryMinCutResult> EstimateMinCutLocalQueries(
       options.kappa_c * log_n / (search_epsilon * search_epsilon);
   const double final_guess = std::max(1.0, t / kappa);
   DCS_ASSIGN_OR_RETURN(const VerifyGuessResult final_vg,
-                       verify(final_guess, epsilon));
+                       VerifyGuess(oracle, final_guess, epsilon, rng,
+                                   options.oversample_c));
   ++result.verify_guess_calls;
   result.estimate = final_vg.estimate;
   result.counts = oracle.counts();

@@ -17,8 +17,6 @@
 #ifndef DCS_LOCALQUERY_MINCUT_ESTIMATOR_H_
 #define DCS_LOCALQUERY_MINCUT_ESTIMATOR_H_
 
-#include <functional>
-
 #include "localquery/oracle.h"
 #include "localquery/verify_guess.h"
 #include "util/random.h"
@@ -37,17 +35,6 @@ struct MinCutEstimatorOptions {
   double search_beta0 = 0.5;  // constant accuracy for kModifiedConstantSearch
   double oversample_c = 2.0;  // sampling-rate constant inside VERIFY-GUESS
   double kappa_c = 2.0;       // constant in the final-guess shrink factor κ
-
-  // Optional replacement for VerifyGuess, used for every verification call
-  // (search loop and final harvest). The serving layer's batched variant
-  // (serve/local_batch.h) plugs in here. An implementation must honor the
-  // VerifyGuess contract — same signature semantics (oracle, guess_t,
-  // epsilon, rng, oversample_c) and the same rng draw discipline — so that
-  // swapping it in leaves the estimate bit-identical on infallible
-  // oracles. Empty = the plain VerifyGuess.
-  std::function<StatusOr<VerifyGuessResult>(LocalQueryOracle&, double,
-                                            double, Rng&, double)>
-      verify_fn;
 };
 
 // Result of a full estimation run.

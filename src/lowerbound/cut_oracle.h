@@ -91,11 +91,6 @@ class CutOracle {
   // Starts an incremental session positioned at `side`.
   std::unique_ptr<CutQuerySession> BeginSession(VertexSet side) const;
 
-  // True if sessions answer Flip/Query incrementally rather than by rescan.
-  bool has_incremental_sessions() const {
-    return static_cast<bool>(sessions_);
-  }
-
   // True if AnswerMany answers its sides in one batched pass.
   bool has_batch() const { return static_cast<bool>(batch_); }
 

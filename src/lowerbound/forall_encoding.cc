@@ -125,29 +125,9 @@ VertexSet ForAllDecoder::BuildQuerySide(const ForAllStringLocation& loc,
   return side;
 }
 
-double ForAllDecoder::CorrectedEstimate(const ForAllStringLocation& loc,
-                                        const std::vector<uint8_t>& t,
-                                        const VertexSet& u_subset,
-                                        const CutOracle& oracle) const {
-  const VertexSet side = BuildQuerySide(loc, t, u_subset);
-  return oracle(side) - backward_skeleton_.CutWeight(side);
-}
-
 VertexSet ForAllDecoder::SelectBestSubset(int64_t string_index,
                                           const std::vector<uint8_t>& t,
                                           const CutOracle& oracle,
-                                          SubsetSelection mode) const {
-  return SelectBestSubset(
-      string_index, t,
-      [&oracle](VertexSet side) {
-        return oracle.BeginSession(std::move(side));
-      },
-      mode);
-}
-
-VertexSet ForAllDecoder::SelectBestSubset(int64_t string_index,
-                                          const std::vector<uint8_t>& t,
-                                          const SessionSource& begin_session,
                                           SubsetSelection mode) const {
   const ForAllStringLocation loc = LocateForAllString(params_, string_index);
   const int k = params_.layer_size();
@@ -161,7 +141,8 @@ VertexSet ForAllDecoder::SelectBestSubset(int64_t string_index,
     // incremental oracle over the public skeleton.
     VertexSet u_subset(static_cast<size_t>(k), 0);
     for (int i = 0; i < half; ++i) u_subset[static_cast<size_t>(i)] = 1;
-    const auto session = begin_session(BuildQuerySide(loc, t, u_subset));
+    const auto session =
+        oracle.BeginSession(BuildQuerySide(loc, t, u_subset));
     IncrementalCutOracle fixed(backward_skeleton_,
                                BuildQuerySide(loc, t, u_subset));
     VertexSet best = u_subset;
@@ -197,7 +178,7 @@ VertexSet ForAllDecoder::SelectBestSubset(int64_t string_index,
   // sketches in this library) the top-half by marginal is exactly the
   // enumeration argmax.
   const VertexSet empty(static_cast<size_t>(k), 0);
-  const auto session = begin_session(BuildQuerySide(loc, t, empty));
+  const auto session = oracle.BeginSession(BuildQuerySide(loc, t, empty));
   IncrementalCutOracle fixed(backward_skeleton_,
                              BuildQuerySide(loc, t, empty));
   const double base_value = session->Query() - fixed.value();
@@ -229,22 +210,10 @@ bool ForAllDecoder::DecideFar(int64_t string_index,
                               const std::vector<uint8_t>& t,
                               const CutOracle& oracle,
                               SubsetSelection mode) const {
-  return DecideFar(
-      string_index, t,
-      [&oracle](VertexSet side) {
-        return oracle.BeginSession(std::move(side));
-      },
-      mode);
-}
-
-bool ForAllDecoder::DecideFar(int64_t string_index,
-                              const std::vector<uint8_t>& t,
-                              const SessionSource& begin_session,
-                              SubsetSelection mode) const {
   DCS_METRIC_INC("forall.string.decoded");
   const ForAllStringLocation loc = LocateForAllString(params_, string_index);
   const VertexSet q_subset =
-      SelectBestSubset(string_index, t, begin_session, mode);
+      SelectBestSubset(string_index, t, oracle, mode);
   // ℓ_i ∈ Q ⇒ |N(ℓ_i) ∩ T| is in the high tail ⇒ Δ(s_q, t) small ("close").
   return q_subset[static_cast<size_t>(loc.left_index)] == 0;
 }

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "comm/gap_hamming.h"
@@ -116,36 +115,18 @@ class ForAllDecoder {
                  const CutOracle& oracle, SubsetSelection mode) const;
 
   // The selected subset Q (exposed for tests comparing the two modes).
+  // Both modes walk one oracle.BeginSession session over sides one or two
+  // flips apart, so an incremental oracle answers each candidate in O(deg).
   VertexSet SelectBestSubset(int64_t string_index,
                              const std::vector<uint8_t>& t,
                              const CutOracle& oracle,
                              SubsetSelection mode) const;
 
-  // Session-source overloads: the decoder only ever drives "a session
-  // positioned at a side", so callers above this layer (the cut-query
-  // serving layer, src/serve) can substitute their own cache-aware
-  // sessions without lowerbound depending on them. The CutOracle overloads
-  // delegate here with oracle.BeginSession as the source; the query
-  // sequence is identical either way.
-  using SessionSource =
-      std::function<std::unique_ptr<CutQuerySession>(VertexSet)>;
-  VertexSet SelectBestSubset(int64_t string_index,
-                             const std::vector<uint8_t>& t,
-                             const SessionSource& begin_session,
-                             SubsetSelection mode) const;
-  bool DecideFar(int64_t string_index, const std::vector<uint8_t>& t,
-                 const SessionSource& begin_session,
-                 SubsetSelection mode) const;
-
  private:
-  // S(U) for the given location/T, plus its fixed backward weight.
+  // S(U) for the given location and T.
   VertexSet BuildQuerySide(const ForAllStringLocation& loc,
                            const std::vector<uint8_t>& t,
                            const VertexSet& u_subset) const;
-  double CorrectedEstimate(const ForAllStringLocation& loc,
-                           const std::vector<uint8_t>& t,
-                           const VertexSet& u_subset,
-                           const CutOracle& oracle) const;
 
   ForAllLowerBoundParams params_;
   DirectedGraph backward_skeleton_;

@@ -18,6 +18,9 @@
 namespace dcs {
 namespace {
 
+// How often idle accept and connection loops wake to check the stop flag.
+constexpr int kStopPollMs = 100;
+
 // The worker's instance token: distinct across respawns (monotonic clock
 // advances; pids differ), never zero (zero means "unknown" client-side).
 uint64_t DrawInstanceToken() {
@@ -78,7 +81,6 @@ void ClusterWorkerOptions::Check() const {
   DCS_CHECK_GE(num_shards, 1);
   DCS_CHECK_GE(queue_capacity, 1);
   DCS_CHECK_GE(io_timeout_ms, 1);
-  DCS_CHECK_GE(accept_timeout_ms, 1);
   DCS_CHECK_GE(execution_delay_ms, 0);
   DCS_CHECK_GE(warm_cache_entries, 0);
 }
@@ -395,7 +397,7 @@ void ClusterWorker::HandleConnection(Connection connection) {
     pfd.fd = connection.fd();
     pfd.events = POLLIN;
     pfd.revents = 0;
-    const int ready = ::poll(&pfd, 1, options_.accept_timeout_ms);
+    const int ready = ::poll(&pfd, 1, kStopPollMs);
     if (ready == 0) continue;
     if (ready < 0) {
       if (errno == EINTR) continue;
@@ -439,7 +441,7 @@ void ClusterWorker::JoinConnections(bool finished_only) {
 
 Status ClusterWorker::Serve() {
   while (!stop_.load(std::memory_order_relaxed)) {
-    auto accepted = listener_.Accept(options_.accept_timeout_ms);
+    auto accepted = listener_.Accept(kStopPollMs);
     if (!accepted.ok()) {
       if (accepted.status().code() == StatusCode::kDeadlineExceeded) {
         continue;  // poll the stop flag
@@ -457,7 +459,7 @@ Status ClusterWorker::Serve() {
         });
   }
   // Drain: stop accepting, let every connection finish its in-flight
-  // request (they observe stop_ within accept_timeout_ms), then run the
+  // request (they observe stop_ within kStopPollMs), then run the
   // queues dry before joining the shard threads.
   listener_.Close();
   JoinConnections(/*finished_only=*/false);

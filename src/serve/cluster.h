@@ -88,7 +88,6 @@ struct ClusterWorkerOptions {
   int num_shards = 2;        // CutQueryService instances (>= 1)
   int queue_capacity = 64;   // per-shard bounded queue depth (>= 1)
   int io_timeout_ms = 5000;  // per-message deadline on connections
-  int accept_timeout_ms = 100;  // stop-flag polling cadence
   // Test seam: sleep this long inside each executed job, so admission
   // tests can fill a queue deterministically. 0 in production.
   int execution_delay_ms = 0;
@@ -122,7 +121,7 @@ class ClusterWorker {
   Status Serve();
 
   // Async-signal-safe stop request (one relaxed atomic store); Serve()
-  // observes it within accept_timeout_ms.
+  // observes it within one stop-flag poll (100 ms).
   void RequestStop() noexcept {
     stop_.store(true, std::memory_order_relaxed);
   }

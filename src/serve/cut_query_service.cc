@@ -11,74 +11,6 @@
 namespace dcs {
 namespace {
 
-// Cache-aware session. Flip is O(1) on the canonical key (packed bit +
-// XOR into the side hash); the underlying session stays parked at the side
-// of the last backend query, and the flips accumulated since are replayed
-// into it only when a cache miss forces a real query. For non-cacheable
-// (noisy) objects every Query reaches the backend in issue order, so the
-// noise stream is identical to an unserved session.
-class ServedCutQuerySession final : public CutQuerySession {
- public:
-  ServedCutQuerySession(CutQueryCache* cache, int64_t object,
-                        std::unique_ptr<CutQuerySession> underlying,
-                        const VertexSet& side, std::unique_ptr<Rng> owned_rng,
-                        std::unique_ptr<CutOracle> owned_oracle)
-      : cache_(cache),
-        object_(object),
-        owned_rng_(std::move(owned_rng)),
-        owned_oracle_(std::move(owned_oracle)),
-        underlying_(std::move(underlying)),
-        hash_(PackSideInto(side, packed_)),
-        num_vertices_(static_cast<VertexId>(side.size())) {
-    // Typical sessions flip a handful of vertices between queries; one
-    // up-front reservation keeps the pending-flip replay queue from
-    // reallocating in the Flip hot path.
-    pending_.reserve(64);
-  }
-
-  ~ServedCutQuerySession() override {
-    DCS_METRIC_ADD("serve.query.logical", logical_queries_);
-  }
-
-  void Flip(VertexId v) override {
-    DCS_CHECK(v >= 0 && v < num_vertices_);
-    packed_.words[static_cast<size_t>(v) / 64] ^=
-        uint64_t{1} << (static_cast<size_t>(v) % 64);
-    hash_ ^= HashVertex(v);
-    pending_.push_back(v);
-  }
-
-  double Query() override {
-    ++logical_queries_;
-    if (cache_ != nullptr) {
-      if (const auto hit = cache_->Lookup(object_, hash_, packed_)) {
-        // The underlying session does not advance: pending flips stay
-        // queued until a miss needs the backend at this side.
-        return *hit;
-      }
-    }
-    for (const VertexId v : pending_) underlying_->Flip(v);
-    pending_.clear();
-    const double value = underlying_->Query();
-    if (cache_ != nullptr) cache_->Insert(object_, hash_, packed_, value);
-    return value;
-  }
-
- private:
-  CutQueryCache* cache_;  // null for non-cacheable objects
-  int64_t object_;
-  // Declaration order is lifetime order: the oracle captures the rng, the
-  // underlying session captures the oracle's backing state.
-  std::unique_ptr<Rng> owned_rng_;
-  std::unique_ptr<CutOracle> owned_oracle_;
-  std::unique_ptr<CutQuerySession> underlying_;
-  PackedSide packed_;
-  uint64_t hash_;
-  VertexId num_vertices_;
-  std::vector<VertexId> pending_;
-  int64_t logical_queries_ = 0;  // flushed at destruction (DESIGN.md §8)
-};
-
 // A seeded object's oracle for one shard. The oracle captures the rng by
 // reference; map nodes never move, so the pair lives in one node.
 struct SeededShardOracle {
@@ -330,29 +262,6 @@ std::vector<double> CutQueryService::AnswerBatch(
     for (int64_t shard = 0; shard < num_shards; ++shard) serve_shard(shard);
   }
   return answers;
-}
-
-std::unique_ptr<CutQuerySession> CutQueryService::BeginSession(
-    ObjectId object, VertexSet side) {
-  const ObjectEntry& entry = EntryFor(object);
-  std::unique_ptr<Rng> owned_rng;
-  std::unique_ptr<CutOracle> owned_oracle;
-  const CutOracle* oracle = &entry.oracle;
-  if (entry.seeded_factory) {
-    const int64_t session_index =
-        session_counter_.fetch_add(1, std::memory_order_relaxed);
-    owned_rng =
-        std::make_unique<Rng>(SubtaskSeed(entry.base_seed, session_index));
-    owned_oracle = std::make_unique<CutOracle>(
-        entry.seeded_factory(*entry.seeded_graph, *owned_rng));
-    oracle = owned_oracle.get();
-  }
-  auto underlying = oracle->BeginSession(side);
-  CutQueryCache* cache =
-      entry.cacheable && cache_ != nullptr ? cache_.get() : nullptr;
-  return std::make_unique<ServedCutQuerySession>(
-      cache, object, std::move(underlying), side, std::move(owned_rng),
-      std::move(owned_oracle));
 }
 
 }  // namespace dcs

@@ -13,25 +13,18 @@
 // order, so no noise stream moves.
 //
 // Bit accounting: a cached answer is still a logical query. Every batch
-// entry and every session Query() increments serve.query.logical exactly
-// once, whether it hit the cache or ran the oracle — so the paper's
-// query-count bounds (4 per for-each bit, Lemma 3.2) are asserted on
-// serve.query.logical and hold with the cache cold or warm
-// (tests/metrics_bounds_test.cc). What the cache changes is only how many
-// of those logical queries reach a backend oracle.
-//
-// Sessions: BeginSession returns a cache-aware CutQuerySession. Flip is
-// O(1) on the session's canonical key (one packed-bit toggle plus one XOR
-// into the side hash); the underlying incremental session only advances on
-// a cache miss, when the pending flips are replayed into it. The for-all
-// decoder's subset enumeration runs unchanged over these sessions and
-// picks up cross-trial cache hits for free.
+// entry increments serve.query.logical exactly once, whether it hit the
+// cache or ran the oracle — so the paper's query-count bounds (4 per
+// for-each bit, Lemma 3.2) are asserted on serve.query.logical and hold
+// with the cache cold or warm (tests/metrics_bounds_test.cc). What the
+// cache changes is only how many of those logical queries reach a backend
+// oracle.
 //
 // Thread-safety: register every object before serving (registration is not
-// synchronized against queries). AnswerBatch and sessions may then run
-// concurrently from multiple threads; a service with num_threads > 1
-// serializes its internal pool behind a mutex (the ThreadPool contract is
-// one loop at a time).
+// synchronized against queries). AnswerBatch may then run concurrently
+// from multiple threads; a service with num_threads > 1 serializes its
+// internal pool behind a mutex (the ThreadPool contract is one loop at a
+// time).
 
 #ifndef DCS_SERVE_CUT_QUERY_SERVICE_H_
 #define DCS_SERVE_CUT_QUERY_SERVICE_H_
@@ -111,12 +104,6 @@ class CutQueryService {
   // logical queries and records serve.batch.{size,latency_ns}.
   std::vector<double> AnswerBatch(const std::vector<Query>& batch);
 
-  // A cache-aware incremental session positioned at `side`. For seeded
-  // objects the session owns its oracle, built from
-  // Rng(SubtaskSeed(base_seed, session_index)) at open.
-  std::unique_ptr<CutQuerySession> BeginSession(ObjectId object,
-                                                VertexSet side);
-
   const CutQueryServiceOptions& options() const { return options_; }
   int64_t num_objects() const {
     return static_cast<int64_t>(objects_.size());
@@ -157,7 +144,6 @@ class CutQueryService {
   std::unique_ptr<ThreadPool> pool_;       // null when num_threads <= 1
   std::mutex pool_mutex_;                  // one ParallelFor at a time
   std::atomic<int64_t> batch_counter_{0};
-  std::atomic<int64_t> session_counter_{0};
 };
 
 }  // namespace dcs

@@ -1,7 +1,5 @@
 #include "serve/decoder_batch.h"
 
-#include <utility>
-
 #include "util/check.h"
 #include "util/metrics.h"
 
@@ -35,32 +33,6 @@ std::vector<int8_t> DecodeForEachBits(const ForEachDecoder& decoder,
   }
   DCS_METRIC_ADD("foreach.bit.decoded", static_cast<int64_t>(qs.size()));
   return bits;
-}
-
-VertexSet SelectForAllBestSubset(const ForAllDecoder& decoder,
-                                 int64_t string_index,
-                                 const std::vector<uint8_t>& t,
-                                 CutQueryService& service,
-                                 CutQueryService::ObjectId object,
-                                 ForAllDecoder::SubsetSelection mode) {
-  return decoder.SelectBestSubset(
-      string_index, t,
-      [&service, object](VertexSet side) {
-        return service.BeginSession(object, std::move(side));
-      },
-      mode);
-}
-
-bool DecideForAllFar(const ForAllDecoder& decoder, int64_t string_index,
-                     const std::vector<uint8_t>& t, CutQueryService& service,
-                     CutQueryService::ObjectId object,
-                     ForAllDecoder::SubsetSelection mode) {
-  return decoder.DecideFar(
-      string_index, t,
-      [&service, object](VertexSet side) {
-        return service.BeginSession(object, std::move(side));
-      },
-      mode);
 }
 
 }  // namespace dcs

@@ -1,12 +1,12 @@
-// Service-path entry points for the lower-bound decoders.
+// Service-path entry point for the for-each decoder.
 //
 // The decoders (lowerbound/) are below the serving layer in the dependency
-// order, so their batched/cached variants live here: the for-each decoder's
-// 4-tuple probes collapse into one AnswerBatch call (sharded + memoized),
-// and the for-all decoder's subset enumeration runs over the service's
-// cache-aware sessions through its session-source overloads. Answers are
-// bit-identical to the per-query oracle paths when the cache is cold, and
-// identical by the cache's equality-checked memoization when warm.
+// order, so the for-each decoder's batched variant lives here: its 4-tuple
+// probes collapse into one AnswerBatch call (sharded + memoized). Answers
+// are bit-identical to the per-query oracle path when the cache is cold,
+// and identical by the cache's equality-checked memoization when warm. The
+// for-all decoder has no service path: its subset walk runs on the
+// oracle's own incremental session (lowerbound/forall_encoding.h).
 
 #ifndef DCS_SERVE_DECODER_BATCH_H_
 #define DCS_SERVE_DECODER_BATCH_H_
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "lowerbound/forall_encoding.h"
 #include "lowerbound/foreach_encoding.h"
 #include "serve/cut_query_service.h"
 
@@ -29,21 +28,6 @@ std::vector<int8_t> DecodeForEachBits(const ForEachDecoder& decoder,
                                       const std::vector<int64_t>& qs,
                                       CutQueryService& service,
                                       CutQueryService::ObjectId object);
-
-// For-all decode through the service: the enumeration (or greedy marginal
-// scan) drives a served session, so repeated subset sweeps on one object —
-// e.g. re-decodes across trials of the same instance — hit the cache.
-VertexSet SelectForAllBestSubset(const ForAllDecoder& decoder,
-                                 int64_t string_index,
-                                 const std::vector<uint8_t>& t,
-                                 CutQueryService& service,
-                                 CutQueryService::ObjectId object,
-                                 ForAllDecoder::SubsetSelection mode);
-
-bool DecideForAllFar(const ForAllDecoder& decoder, int64_t string_index,
-                     const std::vector<uint8_t>& t, CutQueryService& service,
-                     CutQueryService::ObjectId object,
-                     ForAllDecoder::SubsetSelection mode);
 
 }  // namespace dcs
 

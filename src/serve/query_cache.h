@@ -5,9 +5,9 @@
 // cut evaluation. Keys are canonical: a VertexSet stores membership as
 // "any nonzero byte", so two byte-wise different vectors can denote the
 // same side — the cache therefore keys on (object id, normalized bit-packed
-// side) and hashes the side as the XOR of per-member vertex hashes. The
-// XOR form is what makes cached *sessions* cheap: flipping vertex v updates
-// the side hash with one XOR instead of a rescan.
+// side) and hashes the side as the XOR of per-member vertex hashes, so
+// flipping vertex v updates a side's hash with one XOR instead of a
+// rescan.
 //
 // Hash collisions are survivable, not assumed away: every probe compares
 // the stored packed side for equality, so a hit always returns the value

@@ -29,8 +29,6 @@ StatusOr<WorkerProcess> SpawnWorker(const std::string& server_binary,
   const std::string shards = std::to_string(options.num_shards);
   const std::string queue = std::to_string(options.queue_capacity);
   const std::string io_timeout = std::to_string(options.io_timeout_ms);
-  const std::string accept_timeout =
-      std::to_string(options.accept_timeout_ms);
   const std::string delay = std::to_string(options.execution_delay_ms);
   // execv wants mutable char*; the strings above outlive the call.
   std::vector<char*> argv;
@@ -42,7 +40,6 @@ StatusOr<WorkerProcess> SpawnWorker(const std::string& server_binary,
   const std::string flag_shards = "--shards";
   const std::string flag_queue = "--queue-capacity";
   const std::string flag_io = "--io-timeout-ms";
-  const std::string flag_accept = "--accept-timeout-ms";
   const std::string flag_delay = "--execution-delay-ms";
   push(flag_listen);
   push(spec);
@@ -52,8 +49,6 @@ StatusOr<WorkerProcess> SpawnWorker(const std::string& server_binary,
   push(queue);
   push(flag_io);
   push(io_timeout);
-  push(flag_accept);
-  push(accept_timeout);
   push(flag_delay);
   push(delay);
   const std::string flag_store = "--store-dir";

@@ -3,11 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cmath>
-#include <cstring>
 
 #include "sketch/serialization.h"
+#include "store/file_io.h"
 #include "util/bitio.h"
 #include "util/metrics.h"
 
@@ -96,35 +95,18 @@ Status WriteCacheSnapshotFile(
   const std::string tmp = path + ".tmp";
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    return InternalError("cannot create " + tmp + ": " +
-                         std::strerror(errno));
-  }
-  size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t wrote = ::write(fd, bytes.data() + done,
-                                  bytes.size() - done);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      const Status status = InternalError("cannot write " + tmp + ": " +
-                                          std::strerror(errno));
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return status;
-    }
-    done += static_cast<size_t>(wrote);
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return InternalError("cannot fsync " + tmp + ": " +
-                         std::strerror(errno));
+  if (fd < 0) return ErrnoError("cannot create", tmp);
+  Status status = WriteAll(fd, bytes.data(), bytes.size(), tmp);
+  if (status.ok() && ::fsync(fd) != 0) {
+    status = ErrnoError("cannot fsync", tmp);
   }
   ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+  if (status.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = ErrnoError("cannot rename", tmp);
+  }
+  if (!status.ok()) {
     ::unlink(tmp.c_str());
-    return InternalError("cannot rename " + tmp + ": " +
-                         std::strerror(errno));
+    return status;
   }
   DCS_METRIC_INC("store.cache_snapshots_written");
   return OkStatus();
@@ -132,29 +114,8 @@ Status WriteCacheSnapshotFile(
 
 StatusOr<std::vector<CacheSnapshotEntry>> ReadCacheSnapshotFile(
     const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      return NotFoundError("no cache snapshot at " + path);
-    }
-    return InternalError("cannot open " + path + ": " +
-                         std::strerror(errno));
-  }
-  std::vector<uint8_t> bytes;
-  uint8_t buffer[1 << 16];
-  while (true) {
-    const ssize_t got = ::read(fd, buffer, sizeof(buffer));
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      const Status status = InternalError("cannot read " + path + ": " +
-                                          std::strerror(errno));
-      ::close(fd);
-      return status;
-    }
-    if (got == 0) break;
-    bytes.insert(bytes.end(), buffer, buffer + got);
-  }
-  ::close(fd);
+  DCS_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
+                       ReadFileBytes(path));
   auto entries = DecodeCacheSnapshot(bytes);
   if (entries.ok()) DCS_METRIC_INC("store.cache_snapshots_loaded");
   return entries;

@@ -1,11 +1,19 @@
-// Tests for the metrics registry (util/metrics.h) and its JSON surface.
+// Tests for the metrics registry (util/metrics.h), its JSON surface, and
+// the DESIGN.md §8 metric inventory.
 //
 // The registry is process-global, so every test works on snapshot diffs
 // and test-unique metric names rather than absolute registry state.
 
 #include "util/metrics.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -285,6 +293,117 @@ TEST(JsonTest, DepthCapRejectsDeepNesting) {
   const auto parsed = ParseJson(deep);
   EXPECT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
+// Inventory: the DESIGN.md §8 table names exactly the metrics src/ emits.
+// It reads sources only, so it runs with metrics compiled in or out.
+// ---------------------------------------------------------------------------
+
+std::string ReadText(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Every literal name passed to DCS_METRIC_{ADD,INC,RECORD,TIMER} in `text`.
+// Macro definitions and non-literal names are skipped.
+std::set<std::string> MacroMetricNames(const std::string& text) {
+  static const std::set<std::string> kMacros = {"ADD", "INC", "RECORD",
+                                                "TIMER"};
+  const std::string prefix = "DCS_METRIC_";
+  const auto skip_space = [&text](size_t pos) {
+    while (pos < text.size() &&
+           std::isspace(static_cast<unsigned char>(text[pos]))) {
+      ++pos;
+    }
+    return pos;
+  };
+  std::set<std::string> names;
+  for (size_t at = text.find(prefix); at != std::string::npos;
+       at = text.find(prefix, at + 1)) {
+    size_t pos = at + prefix.size();
+    while (pos < text.size() &&
+           std::isupper(static_cast<unsigned char>(text[pos]))) {
+      ++pos;
+    }
+    const std::string macro =
+        text.substr(at + prefix.size(), pos - at - prefix.size());
+    if (kMacros.count(macro) == 0) continue;
+    pos = skip_space(pos);
+    if (pos >= text.size() || text[pos] != '(') continue;
+    pos = skip_space(pos + 1);
+    if (pos >= text.size() || text[pos] != '"') continue;
+    const size_t close = text.find('"', pos + 1);
+    if (close == std::string::npos) continue;
+    names.insert(text.substr(pos + 1, close - pos - 1));
+  }
+  return names;
+}
+
+// Every name in the first column of the §8 table. A `.x.y` shorthand
+// replaces as many trailing components of the row's first name as it has;
+// `<kind>` patterns are skipped.
+std::set<std::string> DocumentedMetricNames(const std::string& design) {
+  const size_t begin = design.find("\n## 8.");
+  const size_t end = design.find("\n## 9.");
+  EXPECT_NE(begin, std::string::npos);
+  EXPECT_NE(end, std::string::npos);
+  std::istringstream section(design.substr(begin, end - begin));
+  std::set<std::string> names;
+  std::string line;
+  while (std::getline(section, line)) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::string cell = line.substr(0, line.find(" |", 2));
+    std::string first;
+    size_t open = cell.find('`');
+    while (open != std::string::npos) {
+      const size_t close = cell.find('`', open + 1);
+      std::string name = cell.substr(open + 1, close - open - 1);
+      open = cell.find('`', close + 1);
+      if (first.empty()) first = name;
+      if (name.find('<') != std::string::npos) continue;
+      if (name[0] == '.') {
+        const int64_t components = std::count(name.begin(), name.end(), '.');
+        size_t cut = first.size();
+        for (int64_t c = 0; c < components; ++c) {
+          cut = first.rfind('.', cut - 1);
+        }
+        name = first.substr(0, cut) + name;
+      }
+      names.insert(name);
+    }
+  }
+  return names;
+}
+
+TEST(MetricInventoryTest, DesignTableMatchesInstrumentedSources) {
+  const std::filesystem::path root(DCS_SOURCE_DIR);
+  std::set<std::string> emitted;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(root / "src")) {
+    const auto extension = entry.path().extension();
+    if (!entry.is_regular_file() ||
+        (extension != ".h" && extension != ".cc")) {
+      continue;
+    }
+    const std::set<std::string> names =
+        MacroMetricNames(ReadText(entry.path()));
+    emitted.insert(names.begin(), names.end());
+  }
+  const std::set<std::string> documented =
+      DocumentedMetricNames(ReadText(root / "DESIGN.md"));
+  ASSERT_FALSE(emitted.empty());
+  ASSERT_FALSE(documented.empty());
+  for (const std::string& name : emitted) {
+    EXPECT_EQ(documented.count(name), 1u)
+        << name << " is emitted under src/ but missing from DESIGN.md §8";
+  }
+  for (const std::string& name : documented) {
+    EXPECT_EQ(emitted.count(name), 1u)
+        << "DESIGN.md §8 lists " << name
+        << " but no DCS_METRIC_* call under src/ emits it";
+  }
 }
 
 }  // namespace

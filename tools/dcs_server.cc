@@ -60,8 +60,8 @@ void PrintUsage() {
   std::fprintf(stderr,
                "usage: dcs_server --listen <unix:PATH|tcp:HOST:PORT> "
                "[--shards N] [--queue-capacity N] [--io-timeout-ms N] "
-               "[--accept-timeout-ms N] [--execution-delay-ms N] "
-               "[--store-dir DIR] [--warm-cache N]\n");
+               "[--execution-delay-ms N] [--store-dir DIR] "
+               "[--warm-cache N]\n");
 }
 
 }  // namespace
@@ -84,9 +84,6 @@ int main(int argc, char** argv) {
       options.queue_capacity = ParseIntFlag("--queue-capacity", value, 1);
     } else if (flag == "--io-timeout-ms") {
       options.io_timeout_ms = ParseIntFlag("--io-timeout-ms", value, 1);
-    } else if (flag == "--accept-timeout-ms") {
-      options.accept_timeout_ms =
-          ParseIntFlag("--accept-timeout-ms", value, 1);
     } else if (flag == "--execution-delay-ms") {
       options.execution_delay_ms =
           ParseIntFlag("--execution-delay-ms", value, 0);
