@@ -5,15 +5,30 @@
 #include <string>
 #include <utility>
 
+#include <sys/mman.h>
+
+#include "stream/l0_sampler.h"
 #include "util/metrics.h"
 #include "util/union_find.h"
 
 namespace dcs {
 namespace {
 
-// Packs a canonical edge {lo, hi} (lo < hi) into the shard ledger key.
-int64_t EdgeKey(VertexId lo, VertexId hi) {
-  return (static_cast<int64_t>(lo) << 32) | static_cast<int64_t>(hi);
+// Packs a canonical edge {lo, hi} (lo < hi) into the shard ledger key;
+// hi >= 1, so a key is never 0.
+uint64_t EdgeKey(VertexId lo, VertexId hi) {
+  return (static_cast<uint64_t>(lo) << 32) | static_cast<uint64_t>(hi);
+}
+
+// Slots of a ledger's first allocation: one 4 KiB page.
+constexpr size_t kLedgerInitialSlots = 256;
+
+// `bytes` of zero-filled anonymous pages; unmapped with munmap.
+void* MapZeroed(size_t bytes) {
+  void* pages = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  DCS_CHECK(pages != MAP_FAILED);
+  return pages;
 }
 
 int64_t NanosBetween(std::chrono::steady_clock::time_point start,
@@ -35,6 +50,71 @@ void ForestOf(const UndirectedGraph& graph, std::vector<Edge>& forest,
 
 }  // namespace
 
+StreamIngestor::LiveEdgeLedger::~LiveEdgeLedger() {
+  if (slots_ != nullptr) munmap(slots_, capacity_ * sizeof(Slot));
+}
+
+size_t StreamIngestor::LiveEdgeLedger::Home(uint64_t key) const {
+  return static_cast<size_t>(Hash64(key, 0)) & (capacity_ - 1);
+}
+
+void StreamIngestor::LiveEdgeLedger::Insert(uint64_t key) {
+  // Grow before probing, so an empty slot always ends the probe.
+  if ((occupied_ + 1) * 8 > capacity_ * 7) Grow();
+  const size_t mask = capacity_ - 1;
+  for (size_t i = Home(key);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.key == key) {
+      ++slot.count;
+      return;
+    }
+    if (slot.key == 0) {
+      slot = Slot{key, 1};
+      ++occupied_;
+      return;
+    }
+  }
+}
+
+bool StreamIngestor::LiveEdgeLedger::Erase(uint64_t key) {
+  if (capacity_ == 0) return false;
+  const size_t mask = capacity_ - 1;
+  size_t hole = Home(key);
+  while (slots_[hole].key != key) {
+    if (slots_[hole].key == 0) return false;
+    hole = (hole + 1) & mask;
+  }
+  if (--slots_[hole].count > 0) return true;
+  // Backward shift: walk the rest of the probe run and move into the hole
+  // every slot whose home is not cyclically inside (hole, j], so no later
+  // probe for it crosses an empty slot.
+  for (size_t j = (hole + 1) & mask; slots_[j].key != 0; j = (j + 1) & mask) {
+    if (((j - Home(slots_[j].key)) & mask) >= ((j - hole) & mask)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{0, 0};
+  --occupied_;
+  return true;
+}
+
+void StreamIngestor::LiveEdgeLedger::Grow() {
+  Slot* const old = slots_;
+  const size_t old_capacity = capacity_;
+  capacity_ = old_capacity == 0 ? kLedgerInitialSlots : 2 * old_capacity;
+  slots_ = static_cast<Slot*>(MapZeroed(capacity_ * sizeof(Slot)));
+  if (old == nullptr) return;
+  const size_t mask = capacity_ - 1;
+  for (size_t k = 0; k < old_capacity; ++k) {
+    if (old[k].key == 0) continue;
+    size_t i = Home(old[k].key);
+    while (slots_[i].key != 0) i = (i + 1) & mask;
+    slots_[i] = old[k];
+  }
+  munmap(old, old_capacity * sizeof(Slot));
+}
+
 StreamIngestor::StreamIngestor(int num_vertices, StreamIngestorOptions options)
     : num_vertices_(num_vertices),
       options_(options),
@@ -55,6 +135,7 @@ StreamIngestor::StreamIngestor(int num_vertices, StreamIngestorOptions options)
                              options.seed);
     }
     shard->gutter.reserve(static_cast<size_t>(options.gutter_capacity));
+    shard->batch.reserve(static_cast<size_t>(options.gutter_capacity));
     shards_.push_back(std::move(shard));
   }
   // Seal the empty epoch-0 snapshot so queries are well-defined before the
@@ -98,33 +179,20 @@ Status StreamIngestor::Admit(const EdgeUpdate& update) {
     if (draining_.load(std::memory_order_acquire)) {
       return UnavailableError("ingestor is draining: update rejected");
     }
-    const int64_t key = EdgeKey(lo, hi);
+    const uint64_t key = EdgeKey(lo, hi);
     if (update.is_delete) {
-      const auto it = shard.live.find(key);
-      if (it == shard.live.end()) {
+      if (!shard.live.Erase(key)) {
         return FailedPreconditionError(
             "delete of edge " + std::to_string(lo) + " -- " +
             std::to_string(hi) +
             " with live multiplicity 0 (never inserted or already deleted)");
       }
-      if (--it->second == 0) shard.live.erase(it);
     } else {
-      ++shard.live[key];
+      shard.live.Insert(key);
     }
     shard.gutter.push_back(EdgeUpdate{lo, hi, update.is_delete});
     if (static_cast<int>(shard.gutter.size()) >= options_.gutter_capacity) {
-      std::vector<EdgeUpdate> batch;
-      batch.swap(shard.gutter);
-      shard.gutter.reserve(static_cast<size_t>(options_.gutter_capacity));
-      // Acquire the apply mutex before releasing the gutter mutex (the
-      // documented lock order), so a barrier cannot seal a snapshot in the
-      // window between this swap and the apply — the swapped batch is
-      // always applied before SealMerged can freeze this shard. The gutter
-      // is released before the (per-update-cost) apply, so admission on
-      // this shard resumes immediately.
-      std::lock_guard<std::mutex> apply_lock(shard.apply_mutex);
-      lock.unlock();
-      ApplyBatch(shard, batch);
+      ApplyGutter(shard, lock);
     }
   }
   return OkStatus();
@@ -138,9 +206,20 @@ Status StreamIngestor::PushDelete(VertexId u, VertexId v) {
   return Push(EdgeUpdate{u, v, true});
 }
 
-void StreamIngestor::ApplyBatch(Shard& shard,
-                                const std::vector<EdgeUpdate>& batch) {
-  for (const EdgeUpdate& update : batch) {
+void StreamIngestor::ApplyGutter(Shard& shard,
+                                 std::unique_lock<std::mutex>& gutter_lock) {
+  // Acquire the apply mutex before releasing the gutter mutex (the
+  // documented lock order): the batch buffer is only touched under it, and
+  // a barrier cannot seal a snapshot in the window between this swap and
+  // the apply — the swapped batch is always applied before SealMerged can
+  // freeze this shard. The gutter is released before the (per-update-cost)
+  // apply, so admission on this shard resumes immediately. Swapping two
+  // preallocated buffers keeps flushes free of allocation, so a barrier's
+  // flushes leave no small blocks among the merge's sketch-sized ones.
+  std::lock_guard<std::mutex> apply_lock(shard.apply_mutex);
+  shard.gutter.swap(shard.batch);
+  gutter_lock.unlock();
+  for (const EdgeUpdate& update : shard.batch) {
     if (options_.k == 0) {
       if (update.is_delete) {
         shard.sketch->RemoveEdge(update.u, update.v);
@@ -155,21 +234,16 @@ void StreamIngestor::ApplyBatch(Shard& shard,
       }
     }
   }
-  shard.applied += static_cast<int64_t>(batch.size());
-  DCS_METRIC_ADD("stream.update.applied", static_cast<int64_t>(batch.size()));
+  shard.applied += static_cast<int64_t>(shard.batch.size());
+  DCS_METRIC_ADD("stream.update.applied",
+                 static_cast<int64_t>(shard.batch.size()));
   DCS_METRIC_INC("stream.gutter.flushed");
+  shard.batch.clear();
 }
 
 void StreamIngestor::FlushShard(Shard& shard) {
-  std::vector<EdgeUpdate> batch;
-  {
-    std::lock_guard<std::mutex> lock(shard.gutter_mutex);
-    if (shard.gutter.empty()) return;
-    batch.swap(shard.gutter);
-    shard.gutter.reserve(static_cast<size_t>(options_.gutter_capacity));
-  }
-  std::lock_guard<std::mutex> lock(shard.apply_mutex);
-  ApplyBatch(shard, batch);
+  std::unique_lock<std::mutex> lock(shard.gutter_mutex);
+  if (!shard.gutter.empty()) ApplyGutter(shard, lock);
 }
 
 StatusOr<std::shared_ptr<StreamSnapshot>> StreamIngestor::SealMerged() {

@@ -9,7 +9,8 @@
 //  * each update is admitted into a fixed-capacity per-shard *gutter*
 //    (shard = min(u, v) % num_shards, so shards are edge-disjoint), and a
 //    full gutter is flushed by the producer that filled it into the shard's
-//    incrementally maintained sketch;
+//    incrementally maintained sketch; a flush swaps the gutter with the
+//    shard's preallocated batch buffer, so nothing is allocated per flush;
 //  * Barrier() drains every gutter over the ThreadPool, merges the shard
 //    sketches (TryMergeFrom — a mismatch surfaces as a Status, never an
 //    abort), and seals an immutable StreamSnapshot under a monotonically
@@ -29,7 +30,9 @@
 // of an edge that was never inserted is rejected with kFailedPrecondition
 // *before* it can reach a sketch. (A raw RemoveEdge of a never-inserted
 // edge silently corrupts the linear measurements — see
-// stream_test.cc RemoveNeverInsertedEdgeCorruptsRawSketch.)
+// stream_test.cc RemoveNeverInsertedEdgeCorruptsRawSketch.) The tracking
+// table (LiveEdgeLedger) is flat open addressing: 16-byte {key, count}
+// slots, linear probing, backward-shift deletion, no allocation per edge.
 //
 // Lock order: gutter_mutex before apply_mutex within a shard; the barrier
 // takes apply mutexes in ascending shard order. No thread ever holds two
@@ -44,11 +47,11 @@
 #define DCS_STREAM_INGEST_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/types.h"
@@ -163,29 +166,70 @@ class StreamIngestor {
   CutOracle EpochCutOracle() const;
 
  private:
+  // Live multiplicity of every edge a shard has admitted (buffered or
+  // applied): the ledger that rejects negative-going deletes. One flat
+  // array of 16-byte {key, count} slots keyed by the packed canonical edge
+  // (lo << 32) | hi; lo < hi makes every real key nonzero, so key 0 marks
+  // an empty slot. Linear probing from Hash64; a count reaching zero frees
+  // its slot by backward-shift deletion, so there are no tombstones. The
+  // power-of-two capacity doubles at 7/8 load, never shrinks, and is first
+  // allocated by the first Insert. The array is mapped pages of its own,
+  // so a grown-out array goes back to the kernel instead of staying
+  // resident as a freed block in a malloc arena. Not thread-safe (the
+  // shard's gutter_mutex guards it).
+  class LiveEdgeLedger {
+   public:
+    LiveEdgeLedger() = default;
+    LiveEdgeLedger(const LiveEdgeLedger&) = delete;
+    LiveEdgeLedger& operator=(const LiveEdgeLedger&) = delete;
+    ~LiveEdgeLedger();
+
+    // Adds one live copy of `key`.
+    void Insert(uint64_t key);
+    // Removes one live copy of `key`; false, changing nothing, if `key`
+    // has none.
+    bool Erase(uint64_t key);
+
+   private:
+    struct Slot {
+      uint64_t key;
+      int64_t count;
+    };
+    // The slot `key` probes first.
+    size_t Home(uint64_t key) const;
+    // Doubles the capacity (or makes the first allocation) and reinserts.
+    void Grow();
+
+    Slot* slots_ = nullptr;  // capacity_ zero-filled mapped slots
+    size_t capacity_ = 0;
+    size_t occupied_ = 0;
+  };
+
   struct Shard {
-    // Admission state. gutter_mutex also guards `live`: per-edge live
-    // multiplicity counting every admitted update (buffered or applied),
-    // the ledger that rejects negative-going deletes.
+    // Admission state; gutter_mutex also guards `live`.
     std::mutex gutter_mutex;
     std::vector<EdgeUpdate> gutter;
-    std::unordered_map<int64_t, int64_t> live;
+    LiveEdgeLedger live;
 
     // Application state: exactly one sketch is engaged (by options.k).
     std::mutex apply_mutex;
     std::optional<AgmConnectivitySketch> sketch;
     std::optional<AgmKConnectivitySketch> ksketch;
+    // The gutter's swap partner, empty between flushes; both keep the
+    // capacity reserved at construction.
+    std::vector<EdgeUpdate> batch;
     int64_t applied = 0;  // updates applied to the sketch
   };
 
   // Validates and admits one update (the body of Push, minus the tallies).
   Status Admit(const EdgeUpdate& update);
 
-  // Applies a drained batch to the shard sketch (caller holds apply_mutex).
-  void ApplyBatch(Shard& shard, const std::vector<EdgeUpdate>& batch);
+  // Swaps the gutter with the shard's empty batch buffer under
+  // `gutter_lock` (held on entry, on shard.gutter_mutex) and the apply
+  // mutex, releases `gutter_lock`, then applies and empties the batch.
+  void ApplyGutter(Shard& shard, std::unique_lock<std::mutex>& gutter_lock);
 
-  // Swaps the gutter out and applies it (takes both shard mutexes in
-  // order).
+  // Applies the shard's gutter if it holds any updates.
   void FlushShard(Shard& shard);
 
   // Merges the shard sketches under all apply mutexes into a snapshot with
