@@ -51,9 +51,10 @@ run_one() {
     # under the checker. The sparsifier differential suite rides along:
     # its backend registry exercises every sketch's build/serialize path
     # (including the cut-balance bit packer) under the checker too.
-    # transport_test rides along: the socket transport, bounded-queue
-    # admission control, worker drain, and client failover all have
-    # thread-heavy paths worth an isolated pass under the checker.
+    # transport_test rides along: the socket transport, per-shard
+    # in-flight admission on the connection threads, worker drain, and
+    # client failover all have thread-heavy paths worth an isolated pass
+    # under the checker.
     # store_test rides along: segment append/reopen/compact and the cache
     # snapshot round trip are raw-byte and pread-heavy paths where ASan
     # catches off-by-one record framing that the checksums alone mask.

@@ -21,6 +21,11 @@ namespace {
 // How often idle accept and connection loops wake to check the stop flag.
 constexpr int kStopPollMs = 100;
 
+// Set in Shard::in_flight once drain starts: far above any admissible
+// count, so one compare both refuses new requests and leaves the count of
+// admitted ones readable below it.
+constexpr int kDraining = 1 << 30;
+
 // The worker's instance token: distinct across respawns (monotonic clock
 // advances; pids differ), never zero (zero means "unknown" client-side).
 uint64_t DrawInstanceToken() {
@@ -32,50 +37,6 @@ uint64_t DrawInstanceToken() {
 }
 
 }  // namespace
-
-BoundedJobQueue::BoundedJobQueue(int capacity) : capacity_(capacity) {
-  DCS_CHECK_GE(capacity, 1);
-}
-
-Status BoundedJobQueue::TryPush(std::function<void()> job) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopped_) {
-      return UnavailableError("job queue is stopped");
-    }
-    if (static_cast<int>(jobs_.size()) >= capacity_) {
-      DCS_METRIC_INC("serve.cluster.queue_rejected");
-      return ResourceExhaustedError(
-          "shard queue full (" + std::to_string(capacity_) +
-          " requests in flight); retry after backoff");
-    }
-    jobs_.push_back(std::move(job));
-  }
-  ready_.notify_one();
-  return OkStatus();
-}
-
-std::optional<std::function<void()>> BoundedJobQueue::Pop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  ready_.wait(lock, [this] { return stopped_ || !jobs_.empty(); });
-  if (jobs_.empty()) return std::nullopt;  // stopped and drained
-  std::function<void()> job = std::move(jobs_.front());
-  jobs_.pop_front();
-  return job;
-}
-
-void BoundedJobQueue::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    stopped_ = true;
-  }
-  ready_.notify_all();
-}
-
-int64_t BoundedJobQueue::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int64_t>(jobs_.size());
-}
 
 void ClusterWorkerOptions::Check() const {
   DCS_CHECK_GE(num_shards, 1);
@@ -92,17 +53,12 @@ ClusterWorker::ClusterWorker(Listener listener, ClusterWorkerOptions options)
   shards_.reserve(static_cast<size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
+    shard->index = s;
     CutQueryServiceOptions service_options;
-    service_options.num_threads = 1;  // the shard thread IS the executor
+    // The admitted caller executes, one at a time under the shard mutex.
+    service_options.num_threads = 1;
     shard->service = std::make_unique<CutQueryService>(service_options);
-    shard->queue =
-        std::make_unique<BoundedJobQueue>(options_.queue_capacity);
     shards_.push_back(std::move(shard));
-  }
-  for (auto& shard : shards_) {
-    shard->runner = std::thread([queue = shard->queue.get()] {
-      while (auto job = queue->Pop()) (*job)();
-    });
   }
 }
 
@@ -218,10 +174,39 @@ Status ClusterWorker::PersistOnDrain() {
 ClusterWorker::~ClusterWorker() {
   RequestStop();
   listener_.Close();
+  DrainShards();
   JoinConnections(/*finished_only=*/false);
+}
+
+Status ClusterWorker::Admit(Shard& shard) {
+  int count = shard.in_flight.load();
+  do {
+    if (count >= kDraining) return UnavailableError("worker draining");
+    // One executing plus queue_capacity waiting: the executing request
+    // does not count against the capacity.
+    if (count > options_.queue_capacity) {
+      DCS_METRIC_INC("serve.cluster.queue_rejected");
+      return ResourceExhaustedError(
+          "shard queue full (" + std::to_string(options_.queue_capacity) +
+          " requests in flight); retry after backoff");
+    }
+  } while (!shard.in_flight.compare_exchange_weak(count, count + 1));
+  return OkStatus();
+}
+
+void ClusterWorker::Release(Shard& shard) {
+  if (shard.in_flight.fetch_sub(1) - 1 == kDraining) {
+    shard.in_flight.notify_all();
+  }
+}
+
+void ClusterWorker::DrainShards() {
+  for (auto& shard : shards_) shard->in_flight.fetch_or(kDraining);
   for (auto& shard : shards_) {
-    shard->queue->Stop();
-    if (shard->runner.joinable()) shard->runner.join();
+    for (int count = shard->in_flight.load(); count != kDraining;
+         count = shard->in_flight.load()) {
+      shard->in_flight.wait(count);
+    }
   }
 }
 
@@ -236,16 +221,10 @@ RpcResponse ClusterWorker::ExecuteOnShard(Shard& shard,
   const int num_shards = static_cast<int>(shards_.size());
   switch (request.kind) {
     case RpcKind::kRegisterGraph: {
-      // Recover the shard index from the routing invariant rather than
-      // storing it: this shard was picked as global % S.
-      int shard_index = 0;
-      for (; shard_index < num_shards; ++shard_index) {
-        if (shards_[static_cast<size_t>(shard_index)].get() == &shard) break;
-      }
       BitWriter writer;
       SerializeDirectedGraph(*request.graph, writer);
       const int64_t global_id =
-          shard.service->num_objects() * num_shards + shard_index;
+          shard.service->num_objects() * num_shards + shard.index;
       if (store_ != nullptr) {
         // Persist before registering: an object is only queryable once
         // its bytes are in the segment, so a respawned worker can always
@@ -265,7 +244,7 @@ RpcResponse ClusterWorker::ExecuteOnShard(Shard& shard,
       shard.checksums.push_back(checksum);
       const CutQueryService::ObjectId local =
           shard.service->RegisterGraph(shard.graphs.back());
-      response.object_id = local * num_shards + shard_index;
+      response.object_id = local * num_shards + shard.index;
       response.status = OkStatus();
       DCS_METRIC_INC("serve.cluster.objects_registered");
       break;
@@ -330,12 +309,12 @@ RpcResponse ClusterWorker::ExecuteOnShard(Shard& shard,
   return response;
 }
 
-RpcResponse ClusterWorker::Dispatch(const RpcRequest& request) {
+RpcResponse ClusterWorker::Execute(const RpcRequest& request) {
   RpcResponse response;
   response.server_token = token_;
   if (request.kind == RpcKind::kPing) {
     response.status = OkStatus();  // answered inline: health checks must
-    return response;               // succeed even when every queue is full
+    return response;               // succeed even when every shard is full
   }
   Shard* shard = nullptr;
   if (request.kind == RpcKind::kRegisterGraph) {
@@ -362,30 +341,20 @@ RpcResponse ClusterWorker::Dispatch(const RpcRequest& request) {
     response.status = InternalError("undispatchable request kind");
     return response;
   }
-  // The connection thread parks here while the shard thread runs the job;
-  // the bounded queue depth is therefore the worker's whole memory of
-  // outstanding work — nothing else buffers.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  bool done = false;
-  const Status admitted = shard->queue->TryPush([&] {
-    RpcResponse result = ExecuteOnShard(*shard, request);
-    std::lock_guard<std::mutex> lock(done_mutex);
-    response = std::move(result);
-    done = true;
-    done_cv.notify_one();
-  });
+  // The in-flight count is the worker's whole memory of outstanding
+  // work: admitted requests are parked on the shard mutex, nothing else
+  // buffers.
+  const Status admitted = Admit(*shard);
   if (!admitted.ok()) {
-    response.status = admitted;  // kResourceExhausted fast-reject
+    response.status = admitted;
     return response;
   }
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return done; });
+  {
+    std::lock_guard<std::mutex> lock(shard->mutex);
+    response = ExecuteOnShard(*shard, request);
+  }
+  Release(*shard);
   return response;
-}
-
-RpcResponse ClusterWorker::Execute(const RpcRequest& request) {
-  return Dispatch(request);
 }
 
 void ClusterWorker::HandleConnection(Connection connection) {
@@ -414,7 +383,7 @@ void ClusterWorker::HandleConnection(Connection connection) {
     response.server_token = token_;
     auto request = DecodeRpcRequest(*request_bytes);
     if (request.ok()) {
-      response = Dispatch(*request);
+      response = Execute(*request);
     } else {
       response.status = request.status();
     }
@@ -458,18 +427,15 @@ Status ClusterWorker::Serve() {
           handler.finished.store(true, std::memory_order_release);
         });
   }
-  // Drain: stop accepting, let every connection finish its in-flight
-  // request (they observe stop_ within kStopPollMs), then run the
-  // queues dry before joining the shard threads.
+  // Drain: stop admitting and accepting, wait for every admitted request
+  // to answer, then join the connections (they observe stop_ within
+  // kStopPollMs).
   listener_.Close();
+  DrainShards();
   JoinConnections(/*finished_only=*/false);
-  for (auto& shard : shards_) shard->queue->Stop();
-  for (auto& shard : shards_) {
-    if (shard->runner.joinable()) shard->runner.join();
-  }
-  // Queues are dry and shard threads joined: no registration can race the
-  // seal, so a SIGTERM-driven drain never leaves a segment that fsck
-  // reports corrupt beyond a torn tail.
+  // Nothing is admitted or executing: no registration can race the seal,
+  // so a SIGTERM-driven drain never leaves a segment that fsck reports
+  // corrupt beyond a torn tail.
   return PersistOnDrain();
 }
 

@@ -1,27 +1,30 @@
 // The worker side of the multi-process serving tier (DESIGN.md §14).
 //
 // A ClusterWorker hosts `num_shards` single-threaded CutQueryService
-// instances behind per-shard *bounded* request queues:
+// instances, each behind its own mutex and a bounded in-flight count:
 //
-//   accept thread ──► connection thread ──TryPush──► shard queue ──► shard
-//   (one per client)  (decode request)               (bounded)       thread
+//   accept thread ──► connection thread ──admit──► shard mutex ──► shard
+//   (one per client)  (decode request)   (count)   (one at a time)
 //
-// Admission control: TryPush on a full queue fails immediately and the
-// connection thread answers kResourceExhausted — the worker never buffers
-// unboundedly, and overload is a fast, explicit signal the client must
-// respect (the cluster client deliberately does NOT fail over on it; see
-// cluster_client.h). Execution stays on the shard's single thread, which
-// also serializes registration against queries — the CutQueryService
-// contract ("register before serving") holds per shard by construction.
+// The connection thread that decoded a request also executes it; no job
+// is handed to another thread. Admission control: a shard admits one
+// executing request plus `queue_capacity` waiting for its mutex, and a
+// request over that bound fails immediately with kResourceExhausted — the
+// worker never buffers unboundedly, and overload is a fast, explicit
+// signal the client must respect (the cluster client deliberately does
+// NOT fail over on it; see cluster_client.h). The shard mutex also
+// serializes registration against queries — the CutQueryService contract
+// ("register before serving") holds per shard by construction. Waiters
+// get the shard in mutex order, not FIFO.
 //
 // Object ids returned to clients encode the shard: id = local * S + shard.
 // Registrations round-robin across shards; queries route by id % S.
 //
 // Shutdown is drain-then-stop (the SIGTERM path): RequestStop() is
-// async-signal-safe (one atomic store); Serve() then stops accepting,
-// lets every connection thread finish its in-flight request, drains the
-// shard queues, and joins. A client mid-request gets its answer; new
-// requests on still-open connections get kUnavailable ("worker draining").
+// async-signal-safe (one atomic store); Serve() then stops admitting
+// (new requests get kUnavailable, "worker draining"), stops accepting,
+// waits until every admitted request has answered, joins the connection
+// threads, and seals the store. A client mid-request gets its answer.
 //
 // Every response carries the worker's instance token (drawn at
 // construction from pid + monotonic clock), so a client can detect that a
@@ -31,14 +34,11 @@
 #define DCS_SERVE_CLUSTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,44 +52,14 @@
 
 namespace dcs {
 
-// A fixed-capacity FIFO of jobs with fast-reject admission and
-// drain-then-stop shutdown. Thread-safe.
-class BoundedJobQueue {
- public:
-  explicit BoundedJobQueue(int capacity);
-
-  BoundedJobQueue(const BoundedJobQueue&) = delete;
-  BoundedJobQueue& operator=(const BoundedJobQueue&) = delete;
-
-  // Enqueues without blocking. kResourceExhausted when full (the admission
-  // signal), kUnavailable once Stop() has been called.
-  Status TryPush(std::function<void()> job);
-
-  // Blocks until a job is available or the queue is stopped AND empty
-  // (drain: jobs accepted before Stop still run). nullopt = drained.
-  std::optional<std::function<void()>> Pop();
-
-  // Begins drain-then-stop: no new pushes, Pop keeps returning queued jobs
-  // until empty, then returns nullopt. Idempotent.
-  void Stop();
-
-  int capacity() const { return capacity_; }
-  int64_t size() const;
-
- private:
-  const int capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable ready_;
-  std::deque<std::function<void()>> jobs_;
-  bool stopped_ = false;
-};
-
 struct ClusterWorkerOptions {
   int num_shards = 2;        // CutQueryService instances (>= 1)
-  int queue_capacity = 64;   // per-shard bounded queue depth (>= 1)
+  // Requests that may wait per shard behind the one executing (>= 1).
+  int queue_capacity = 64;
   int io_timeout_ms = 5000;  // per-message deadline on connections
-  // Test seam: sleep this long inside each executed job, so admission
-  // tests can fill a queue deterministically. 0 in production.
+  // Test seam: sleep this long under the shard mutex in each executed
+  // request, so admission tests can fill a shard deterministically. 0 in
+  // production.
   int execution_delay_ms = 0;
   // Cold/warm tiers (DESIGN.md §15). Empty = in-memory only (the
   // pre-store behavior). Non-empty: registered graphs persist to a
@@ -116,8 +86,8 @@ class ClusterWorker {
   ClusterWorker(const ClusterWorker&) = delete;
   ClusterWorker& operator=(const ClusterWorker&) = delete;
 
-  // Accept loop: runs until RequestStop(), then drains (in-flight requests
-  // answered, queues emptied, threads joined) and returns.
+  // Accept loop: runs until RequestStop(), then drains (admission closed,
+  // admitted requests answered, threads joined, store sealed) and returns.
   Status Serve();
 
   // Async-signal-safe stop request (one relaxed atomic store); Serve()
@@ -130,8 +100,11 @@ class ClusterWorker {
   const Endpoint& endpoint() const { return listener_.local_endpoint(); }
   uint64_t token() const { return token_; }
 
-  // Executes one already-decoded request against the owning shard,
-  // bypassing the socket (the in-process half of transport tests).
+  // Admits one already-decoded request to its shard and executes it on the
+  // calling thread. Connection threads call it per request; tests call it
+  // directly, bypassing the socket. kPing is answered without admission.
+  // Over the shard's bound: kResourceExhausted; once draining:
+  // kUnavailable.
   RpcResponse Execute(const RpcRequest& request);
 
   // Objects live on this worker (warm-loaded + freshly registered).
@@ -143,9 +116,12 @@ class ClusterWorker {
 
  private:
   struct Shard {
+    int index = 0;  // position in shards_ (the id's shard digit)
     std::unique_ptr<CutQueryService> service;
-    std::unique_ptr<BoundedJobQueue> queue;
-    std::thread runner;
+    // Requests admitted and not yet answered (the one executing plus
+    // those waiting for `mutex`), or'd with kDraining once drain starts.
+    std::atomic<int> in_flight{0};
+    std::mutex mutex;  // held while a request executes
     // Graphs live here because CutQueryService::RegisterGraph keeps a
     // reference; deque never reallocates element storage.
     std::deque<DirectedGraph> graphs;
@@ -169,10 +145,16 @@ class ClusterWorker {
   // just those whose loop already returned (so a long-lived worker does
   // not keep one exited thread's stack mapped per past connection).
   void JoinConnections(bool finished_only);
+  // Takes one in-flight slot on `shard`, or says why not (draining, or
+  // the bound is reached). Never blocks.
+  Status Admit(Shard& shard);
+  // Returns the slot Admit took, waking a drain waiting on the shard.
+  static void Release(Shard& shard);
+  // Closes admission on every shard and waits until each has answered
+  // every request it admitted. Idempotent.
+  void DrainShards();
+  // Runs one admitted request; the caller holds shard.mutex.
   RpcResponse ExecuteOnShard(Shard& shard, const RpcRequest& request);
-  // Routes through the shard queue (admission control) and waits for the
-  // shard thread to run it. Fast-rejects with kResourceExhausted.
-  RpcResponse Dispatch(const RpcRequest& request);
 
   ClusterWorkerOptions options_;
   Listener listener_;

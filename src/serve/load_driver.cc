@@ -202,7 +202,7 @@ StatusOr<ClusterLoadReport> RunClusterLoad(const ClusterLoadOptions& options) {
       client_options.transport.max_connect_attempts = 3;
       ClusterClient client(endpoints, client_options);
       // Registration may race an early kill or collide with other clients
-      // on full queues; retry with a per-thread stagger so the herd
+      // on full shards; retry with a per-thread stagger so the herd
       // decorrelates instead of re-colliding in lockstep.
       StatusOr<ClusterClient::ObjectHandle> handle =
           UnavailableError("not yet registered");

@@ -21,7 +21,8 @@
 // `recovered_torn_tail` from `corrupt`).
 //
 // Thread-safety: all methods may be called concurrently (one internal
-// mutex; the serving tier appends from per-shard threads).
+// mutex; the serving tier appends from connection threads, one per
+// shard at a time).
 
 #ifndef DCS_STORE_SKETCH_STORE_H_
 #define DCS_STORE_SKETCH_STORE_H_

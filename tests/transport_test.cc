@@ -1,6 +1,6 @@
 // Socket transport + multi-process serving tier tests (DESIGN.md §14):
 // endpoint parsing, loopback framing round trips, deadlines, backoff
-// connects, bounded-queue admission control, worker dispatch over real
+// connects, per-shard admission control, worker dispatch over real
 // sockets, replication failover, token-mismatch repair, survivor-rescale
 // degradation, and fork/exec'd dcs_server worker processes.
 
@@ -238,30 +238,6 @@ TEST(TransportTest, ConnectWithBackoffSucceedsOnLiveListener) {
   EXPECT_TRUE(connection.ok()) << connection.status().ToString();
 }
 
-TEST(BoundedJobQueueTest, AdmissionControlAndDrain) {
-  BoundedJobQueue queue(2);
-  std::atomic<int> ran{0};
-  EXPECT_TRUE(queue.TryPush([&] { ++ran; }).ok());
-  EXPECT_TRUE(queue.TryPush([&] { ++ran; }).ok());
-  const Status full = queue.TryPush([&] { ++ran; });
-  ASSERT_FALSE(full.ok());
-  EXPECT_EQ(full.code(), StatusCode::kResourceExhausted);
-
-  queue.Stop();
-  const Status stopped = queue.TryPush([&] { ++ran; });
-  ASSERT_FALSE(stopped.ok());
-  EXPECT_EQ(stopped.code(), StatusCode::kUnavailable);
-
-  // Drain-then-stop: jobs admitted before Stop still pop and run.
-  int popped = 0;
-  while (auto job = queue.Pop()) {
-    (*job)();
-    ++popped;
-  }
-  EXPECT_EQ(popped, 2);
-  EXPECT_EQ(ran.load(), 2);
-}
-
 TEST(ClusterWorkerTest, PingCarriesNonzeroToken) {
   ServingWorker serving = StartWorker();
   auto connection = Connect(serving.worker->endpoint(), 1000);
@@ -477,6 +453,60 @@ TEST(ClusterWorkerTest, FullQueueFastRejectsButAnswersPing) {
   saturating.store(false);
   first.join();
   second.join();
+}
+
+TEST(ClusterWorkerTest, AdmissionControlAndDrain) {
+  // One shard admits one executing request plus queue_capacity waiting;
+  // the next is refused at once, every admitted one is answered, and a
+  // drained worker refuses everything with kUnavailable.
+  ClusterWorkerOptions options;
+  options.num_shards = 1;
+  options.queue_capacity = 2;
+  options.execution_delay_ms = 500;
+  ServingWorker serving = StartWorker(options);
+
+  const DirectedGraph graph = TestGraph(8, 20, 41);
+  RpcRequest reg;
+  reg.kind = RpcKind::kRegisterGraph;
+  reg.graph = graph;
+  const RpcResponse reg_response = serving.worker->Execute(reg);
+  ASSERT_TRUE(reg_response.status.ok()) << reg_response.status.ToString();
+  RpcRequest query;
+  query.kind = RpcKind::kQueryBatch;
+  query.object_id = reg_response.object_id;
+  query.num_vertices = graph.num_vertices();
+  query.sides = RandomSides(graph.num_vertices(), 1, 42);
+
+  std::vector<RpcResponse> admitted(3);
+  std::vector<std::thread> callers;
+  for (RpcResponse& slot : admitted) {
+    callers.emplace_back(
+        [&, out = &slot] { *out = serving.worker->Execute(query); });
+  }
+  // The three callers are admitted within microseconds; the first holds
+  // the shard for the whole delay, so all three are in flight here.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  const auto start = std::chrono::steady_clock::now();
+  const RpcResponse over = serving.worker->Execute(query);
+  const int64_t over_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_EQ(over.status.code(), StatusCode::kResourceExhausted)
+      << over.status.ToString();
+  EXPECT_LT(over_ms, 100);
+
+  for (std::thread& caller : callers) caller.join();
+  for (const RpcResponse& response : admitted) {
+    EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+    EXPECT_EQ(response.values.size(), 1u);
+  }
+
+  serving.Stop();  // RequestStop, then Serve's drain runs to completion
+  EXPECT_EQ(serving.worker->Execute(query).status.code(),
+            StatusCode::kUnavailable);
+  EXPECT_EQ(serving.worker->Execute(reg).status.code(),
+            StatusCode::kUnavailable);
 }
 
 TEST(ClusterWorkerTest, DrainsInFlightRequestOnStop) {

@@ -6,11 +6,13 @@
 // Hammers the constructs the parallel runners rely on: ThreadPool reuse
 // across many loops, ParallelFor over shared read-only graphs with
 // pre-built adjacency, and the seed-deterministic trial runners
-// themselves at several thread counts.
+// themselves at several thread counts; also the serving tier's cluster
+// worker admission racing its drain.
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <span>
 #include <thread>
 #include <vector>
@@ -19,7 +21,10 @@
 #include "graph/incremental_cut_oracle.h"
 #include "lowerbound/forall_encoding.h"
 #include "lowerbound/foreach_encoding.h"
+#include "serve/cluster.h"
 #include "serve/cut_query_service.h"
+#include "serve/transport.h"
+#include "serve/wire.h"
 #include "stream/ingest.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -396,6 +401,130 @@ void StressShutdownUnderLoad() {
   }
 }
 
+
+void StressClusterWorkerAdmission() {
+  // ClusterWorker admission racing its SIGTERM drain: four callers execute
+  // queries on both shards (and registrations) on their own threads while
+  // the main thread calls RequestStop() and the drain in Serve() waits for
+  // every admitted request. A tiny queue_capacity keeps shards full, so
+  // admits, fast rejects and drain refusals all interleave. Every status
+  // is OK, kResourceExhausted or kUnavailable; every OK answer equals a
+  // single-process CutQueryService's; every OK registration is counted.
+  constexpr int kVertices = 24;
+  constexpr int kObjects = 4;  // ids 0..3: two per shard
+  for (int round = 0; round < 4; ++round) {
+    Rng rng(SubtaskSeed(91, round));
+    std::vector<DirectedGraph> graphs;
+    for (int g = 0; g < kObjects + 1; ++g) {  // the last is re-registered
+      DirectedGraph graph(kVertices);
+      for (int e = 0; e < 120; ++e) {
+        const int src = static_cast<int>(rng.UniformInt(kVertices));
+        int dst = static_cast<int>(rng.UniformInt(kVertices - 1));
+        if (dst >= src) ++dst;
+        graph.AddEdge(src, dst, 0.5 + rng.UniformDouble());
+      }
+      graphs.push_back(std::move(graph));
+    }
+    CutQueryServiceOptions reference_options;
+    reference_options.num_threads = 1;
+    CutQueryService reference(reference_options);
+    for (int g = 0; g < kObjects; ++g) reference.RegisterGraph(graphs[g]);
+
+    ClusterWorkerOptions options;
+    options.num_shards = 2;
+    options.queue_capacity = 1;
+    auto endpoint = ParseEndpoint("tcp:127.0.0.1:0");
+    Require(endpoint.ok(), "cluster stress: endpoint");
+    auto created = ClusterWorker::Create(*endpoint, options);
+    Require(created.ok(), "cluster stress: worker created");
+    std::unique_ptr<ClusterWorker> worker = std::move(*created);
+    for (int g = 0; g < kObjects; ++g) {
+      RpcRequest reg;
+      reg.kind = RpcKind::kRegisterGraph;
+      reg.graph = graphs[static_cast<size_t>(g)];
+      const RpcResponse response = worker->Execute(reg);
+      Require(response.status.ok() && response.object_id == g,
+              "cluster stress: round-robin registration ids");
+    }
+    Status served = OkStatus();
+    std::thread server([&] { served = worker->Serve(); });
+
+    struct Answer {
+      int64_t object;
+      VertexSet side;
+      double value;
+    };
+    std::vector<std::vector<Answer>> answers(4);
+    std::atomic<int64_t> ok_calls{0};
+    std::atomic<int64_t> registered{0};
+    std::atomic<int> bad_statuses{0};
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 4; ++c) {
+      callers.emplace_back([&, c] {
+        Rng local(SubtaskSeed(92 + static_cast<uint64_t>(round), c));
+        // Callers run until the drained worker refuses them.
+        for (;;) {
+          RpcRequest request;
+          if (local.UniformInt(8) == 0) {
+            request.kind = RpcKind::kRegisterGraph;
+            request.graph = graphs[kObjects];
+          } else {
+            request.kind = RpcKind::kQueryBatch;
+            request.object_id = static_cast<int64_t>(local.UniformInt(kObjects));
+            request.num_vertices = kVertices;
+            request.sides.push_back(local.RandomBinaryString(kVertices));
+          }
+          const RpcResponse response = worker->Execute(request);
+          const StatusCode code = response.status.code();
+          if (code == StatusCode::kUnavailable) break;
+          if (code == StatusCode::kResourceExhausted) continue;
+          if (!response.status.ok()) {
+            bad_statuses.fetch_add(1, std::memory_order_relaxed);
+            break;
+          }
+          ok_calls.fetch_add(1, std::memory_order_relaxed);
+          if (request.kind == RpcKind::kRegisterGraph) {
+            registered.fetch_add(1, std::memory_order_relaxed);
+          } else if (response.values.size() == 1) {
+            answers[static_cast<size_t>(c)].push_back(
+                {request.object_id, request.sides[0], response.values[0]});
+          } else {
+            bad_statuses.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    while (ok_calls.load(std::memory_order_relaxed) < 200) {
+      std::this_thread::yield();
+    }
+    worker->RequestStop();
+    server.join();
+    for (std::thread& caller : callers) caller.join();
+
+    Require(served.ok(), "cluster stress: drain completed");
+    Require(bad_statuses.load() == 0,
+            "cluster stress: only OK, kResourceExhausted or kUnavailable");
+    Require(worker->num_registered() == kObjects + registered.load(),
+            "cluster stress: every OK registration is live");
+    for (const std::vector<Answer>& list : answers) {
+      for (const Answer& answer : list) {
+        const std::vector<double> expected =
+            reference.AnswerBatch({{answer.object, answer.side}});
+        Require(answer.value == expected[0],
+                "cluster stress: OK answers equal the single-process "
+                "service");
+      }
+    }
+    RpcRequest late;
+    late.kind = RpcKind::kQueryBatch;
+    late.object_id = 0;
+    late.num_vertices = kVertices;
+    late.sides.push_back(VertexSet(kVertices, 1));
+    Require(worker->Execute(late).status.code() == StatusCode::kUnavailable,
+            "cluster stress: drained worker refuses requests");
+  }
+}
+
 }  // namespace
 }  // namespace dcs
 
@@ -408,6 +537,7 @@ int main() {
   dcs::StressServeCacheConcurrency();
   dcs::StressStreamIngest();
   dcs::StressShutdownUnderLoad();
+  dcs::StressClusterWorkerAdmission();
   std::printf("tsan stress: OK\n");
   return 0;
 }

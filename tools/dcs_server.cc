@@ -1,11 +1,16 @@
 // dcs_server — one cut-query worker process (DESIGN.md §14).
 //
-// Hosts sharded CutQueryService instances behind bounded per-shard queues
-// and serves the checksummed RPC envelope over a unix/tcp socket. Spawned
+// Hosts sharded CutQueryService instances, each admitting a bounded
+// number of requests (DESIGN.md §14), and serves the checksummed RPC
+// envelope over a unix/tcp socket. Spawned
 // in fleets by the `dcs cluster` chaos soak and by tests; also usable
 // standalone:
 //
 //   dcs_server --listen unix:/tmp/w0.sock --shards 2 --queue-capacity 64
+//
+// --queue-capacity N is the number of requests that may wait per shard
+// behind the one executing; a request beyond that is refused at once with
+// kResourceExhausted.
 //
 // With --store-dir DIR the worker persists every registered graph to a
 // disk-backed sketch store (DESIGN.md §15): a respawn on the same
@@ -13,9 +18,10 @@
 // reattach instead of re-sending sketches), and the drain additionally
 // dumps the hottest cache entries for the next incarnation.
 //
-// SIGTERM (and SIGINT) trigger a drain-then-stop shutdown: the listener
-// closes, in-flight requests finish, queued jobs run to completion, the
-// store segment is sealed, and only then does the process exit. SIGKILL —
+// SIGTERM (and SIGINT) trigger a drain-then-stop shutdown: new requests
+// are refused with kUnavailable, the listener closes, every admitted
+// request (executing or waiting for its shard) is answered, the store
+// segment is sealed, and only then does the process exit. SIGKILL —
 // the chaos signal — gets no such courtesy, which is exactly what the
 // soak is for.
 //
@@ -61,7 +67,9 @@ void PrintUsage() {
                "usage: dcs_server --listen <unix:PATH|tcp:HOST:PORT> "
                "[--shards N] [--queue-capacity N] [--io-timeout-ms N] "
                "[--execution-delay-ms N] [--store-dir DIR] "
-               "[--warm-cache N]\n");
+               "[--warm-cache N]\n"
+               "  --queue-capacity N  requests that may wait per shard "
+               "behind the one executing (default 64)\n");
 }
 
 }  // namespace
