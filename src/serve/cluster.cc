@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -14,6 +15,7 @@
 #include "util/bitio.h"
 #include "util/checksum.h"
 #include "util/metrics.h"
+#include "util/thread_pool.h"
 
 namespace dcs {
 namespace {
@@ -34,6 +36,30 @@ uint64_t DrawInstanceToken() {
   const uint64_t token =
       ticks ^ (static_cast<uint64_t>(::getpid()) << 40);
   return token == 0 ? 1 : token;
+}
+
+// One warm-load record at ascending position `position`: its graph and
+// reattach checksum (the client's GraphEnvelopeChecksum), or why the store
+// cannot be booted from.
+Status DecodeWarmRecord(int64_t position, const SegmentRecord& record,
+                        std::optional<DirectedGraph>& graph,
+                        uint32_t& checksum) {
+  const int64_t id = record.object_id;
+  if (id != position) {
+    return DataLossError(
+        "store object ids are not contiguous from 0 (found id " +
+        std::to_string(id) + " at position " + std::to_string(position) +
+        "); refusing to warm-load with a broken id assignment");
+  }
+  if (record.kind != StreamKind::kDirectedGraph) {
+    return DataLossError("store object " + std::to_string(id) + " is a " +
+                         StreamKindName(record.kind) +
+                         ", not a directed graph");
+  }
+  BitReader reader(record.payload);
+  DCS_ASSIGN_OR_RETURN(graph, DeserializeDirectedGraph(reader));
+  checksum = Fnv1a32(record.payload);
+  return OkStatus();
 }
 
 }  // namespace
@@ -69,48 +95,50 @@ StatusOr<std::unique_ptr<ClusterWorker>> ClusterWorker::Create(
   std::unique_ptr<ClusterWorker> worker(
       new ClusterWorker(std::move(listener), options));
   if (!options.store_dir.empty()) {
+    std::vector<SegmentRecord> records;
     DCS_ASSIGN_OR_RETURN(worker->store_,
-                         SketchStore::Open(options.store_dir));
-    DCS_RETURN_IF_ERROR(worker->WarmLoadFromStore());
+                         SketchStore::Open(options.store_dir, &records));
+    DCS_RETURN_IF_ERROR(worker->WarmLoadFromStore(std::move(records)));
   }
   return worker;
 }
 
-Status ClusterWorker::WarmLoadFromStore() {
-  // Replay persisted objects in ascending global id. Round-robin
-  // registration makes the global id equal to the registration counter, so
-  // an ascending replay reproduces every assignment: id k lands on shard
-  // k % S at local index k / S — exactly where a query for id k routes.
-  const std::vector<int64_t> ids = store_->ListObjects();
+Status ClusterWorker::WarmLoadFromStore(std::vector<SegmentRecord> records) {
+  // Open handed over each object's newest record in ascending global id,
+  // already verified (header FNV, payload envelope), so boot reads nothing
+  // twice. Records deserialize and take their reattach checksums
+  // independently on the shard count's threads; each frees its payload
+  // once done, so the bytes never all sit beside the graphs built from
+  // them. A refusal names the lowest failing position, whatever the
+  // schedule.
+  const int64_t count = static_cast<int64_t>(records.size());
+  std::vector<std::optional<DirectedGraph>> graphs(records.size());
+  std::vector<uint32_t> checksums(records.size());
+  std::vector<Status> loaded(records.size());
+  ParallelFor(options_.num_shards, count, [&](int64_t i) {
+    const size_t slot = static_cast<size_t>(i);
+    loaded[slot] = DecodeWarmRecord(i, records[slot], graphs[slot],
+                                    checksums[slot]);
+    std::vector<uint8_t>().swap(records[slot].payload);
+  });
+  // Register in ascending global id. Round-robin registration makes the
+  // global id equal to the registration counter, so an ascending replay
+  // reproduces every assignment: id k lands on shard k % S at local index
+  // k / S — exactly where a query for id k routes.
   const int64_t num_shards = static_cast<int64_t>(shards_.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    const int64_t id = ids[i];
-    if (id != static_cast<int64_t>(i)) {
-      return DataLossError(
-          "store object ids are not contiguous from 0 (found id " +
-          std::to_string(id) + " at position " + std::to_string(i) +
-          "); refusing to warm-load with a broken id assignment");
-    }
-    DCS_ASSIGN_OR_RETURN(const StoredObject object, store_->Get(id));
-    if (object.kind != StreamKind::kDirectedGraph) {
-      return DataLossError("store object " + std::to_string(id) +
-                           " is a " + StreamKindName(object.kind) +
-                           ", not a directed graph");
-    }
-    BitReader reader(object.bytes);
-    DCS_ASSIGN_OR_RETURN(DirectedGraph graph,
-                         DeserializeDirectedGraph(reader));
-    const uint32_t checksum = Fnv1a32(object.bytes);
+  for (int64_t id = 0; id < count; ++id) {
+    const size_t slot = static_cast<size_t>(id);
+    DCS_RETURN_IF_ERROR(loaded[slot]);
     Shard& shard = *shards_[static_cast<size_t>(id % num_shards)];
-    shard.graphs.push_back(std::move(graph));
-    shard.checksums.push_back(checksum);
+    shard.graphs.push_back(std::move(*graphs[slot]));
+    shard.checksums.push_back(checksums[slot]);
     const CutQueryService::ObjectId local =
         shard.service->RegisterGraph(shard.graphs.back());
     DCS_CHECK_EQ(local, id / num_shards);
     ++warm_loaded_objects_;
     DCS_METRIC_INC("serve.cluster.objects_warm_loaded");
   }
-  registrations_ = static_cast<int64_t>(ids.size());
+  registrations_ = count;
   // The previous incarnation's drained cache, if any. A snapshot is an
   // optimization: unreadable or stale files mean a cold cache, not a
   // failed boot.
@@ -120,7 +148,7 @@ Status ClusterWorker::WarmLoadFromStore() {
         shards_.size());
     for (const CacheSnapshotEntry& entry : *snapshot) {
       if (entry.object < 0 ||
-          entry.object >= static_cast<int64_t>(ids.size())) {
+          entry.object >= count) {
         continue;  // an object the store no longer holds
       }
       CutQueryCache::SnapshotEntry local;

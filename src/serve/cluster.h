@@ -131,11 +131,13 @@ class ClusterWorker {
 
   ClusterWorker(Listener listener, ClusterWorkerOptions options);
 
-  // Replays every persisted object into the shards (ascending global id
-  // reproduces the round-robin assignment: id k -> shard k % S, local
-  // k / S) and reloads the drain cache snapshot. Runs before Serve(), so
-  // no synchronization against queries is needed.
-  Status WarmLoadFromStore();
+  // Replays every persisted object into the shards from the verified
+  // records SketchStore::Open handed over (newest per object, ascending
+  // id): deserializes them on num_shards threads, then registers serially
+  // in ascending global id, reproducing the round-robin assignment (id k
+  // -> shard k % S, local k / S), and reloads the drain cache snapshot.
+  // Runs before Serve(), so no synchronization against queries is needed.
+  Status WarmLoadFromStore(std::vector<SegmentRecord> records);
   // Drain-side of the warm tier: dump the hottest cache entries and seal
   // the open segment.
   Status PersistOnDrain();

@@ -78,11 +78,14 @@ std::string SketchStore::SegmentPath(int64_t number) const {
 }
 
 StatusOr<std::unique_ptr<SketchStore>> SketchStore::Open(
-    const std::string& dir) {
+    const std::string& dir, std::vector<SegmentRecord>* newest) {
   if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
     return ErrnoError("cannot create store directory", dir);
   }
   std::unique_ptr<SketchStore> store(new SketchStore(dir));
+  // Object id -> its newest verified record; a later record's move frees
+  // the superseded payload.
+  std::map<int64_t, SegmentRecord> newest_records;
   DCS_ASSIGN_OR_RETURN(const auto files, ListSegmentFiles(dir));
   for (const auto& [number, name] : files) {
     const std::string path = dir + "/" + name;
@@ -109,11 +112,14 @@ StatusOr<std::unique_ptr<SketchStore>> SketchStore::Open(
                      : scan->valid_prefix_bytes);
     store->highest_number_ = std::max(store->highest_number_, number);
     int64_t offset = 0;
-    for (const SegmentRecord& record : scan->records) {
+    for (SegmentRecord& record : scan->records) {
       const int64_t length = SegmentRecordByteLength(record.payload_bits);
       store->index_[record.object_id] = Location{segment_index, offset, length};
       offset += length;
       ++store->open_report_.records;
+      if (newest != nullptr) {
+        newest_records[record.object_id] = std::move(record);
+      }
     }
     if (!scan->sealed) {
       // The newest unsealed segment becomes the active one; by the seal-
@@ -132,6 +138,13 @@ StatusOr<std::unique_ptr<SketchStore>> SketchStore::Open(
   store->open_report_.segments =
       static_cast<int64_t>(store->segment_files_.size());
   store->open_report_.objects = static_cast<int64_t>(store->index_.size());
+  if (newest != nullptr) {
+    newest->clear();
+    newest->reserve(newest_records.size());
+    for (auto& [id, record] : newest_records) {
+      newest->push_back(std::move(record));
+    }
+  }
   DCS_METRIC_INC("store.opens");
   return store;
 }

@@ -87,7 +87,13 @@ class SketchStore {
   // Opens (creating the directory if needed), scans every segment,
   // recovers torn tails by truncating the files in place, and builds the
   // object index. kDataLoss if any segment is corrupt beyond a torn tail.
-  static StatusOr<std::unique_ptr<SketchStore>> Open(const std::string& dir);
+  // The scan checks every record's header FNV and payload envelope
+  // (CheckStoredEnvelope). With `newest` non-null, a successful Open also
+  // hands over the newest record of every object, in ascending id: the
+  // payloads the scan just verified, moved out with no second read and no
+  // copy (a worker boots from them). Each equals what Get returns.
+  static StatusOr<std::unique_ptr<SketchStore>> Open(
+      const std::string& dir, std::vector<SegmentRecord>* newest = nullptr);
 
   // Closes the active segment WITHOUT sealing (a crash-equivalent close;
   // call Seal() first for durability). Recovery on next Open handles the

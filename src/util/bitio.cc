@@ -63,8 +63,15 @@ void CopyBitsToAligned(const uint8_t* src, size_t src_size, int64_t pos,
     }
     return;
   }
+  // Word shift: an output word is the source word at the cursor's byte
+  // shifted down, or'd with the word one byte on shifted up (its top byte
+  // holds the bits past the first word). 64 bits from a nonzero shift span
+  // 9 source bytes, so both loads stay inside the buffer.
+  const int shift = static_cast<int>(pos & 7);
   for (; count >= 64; count -= 64, pos += 64, dst += 8) {
-    StoreLe64(dst, PeekBits(src, src_size, pos, 64));
+    const uint8_t* word = src + (pos >> 3);
+    StoreLe64(dst, (LoadLe64(word) >> shift) |
+                       (LoadLe64(word + 1) << (8 - shift)));
   }
   if (count > 0) {
     const uint64_t tail = PeekBits(src, src_size, pos, static_cast<int>(count));

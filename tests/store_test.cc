@@ -8,11 +8,13 @@
 // never serve different bytes than were put. Plus fsck classification over
 // a deliberately torn tail, mid-file header and payload damage, a segment
 // roll, the pinned byte layout and the older layout's refusal, compaction
-// reclaim, and the warm-tier cache snapshot round trip.
+// reclaim, the warm-tier cache snapshot round trip, the verified records
+// Open hands a booting worker, and that worker's warm-load contract.
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -595,6 +597,81 @@ TEST(SketchStoreTest, PutPastTheSegmentCapRollsToASealedSegment) {
   EXPECT_EQ(fsck->segments[0].records, static_cast<int64_t>(objects.size()));
 }
 
+// The records Open handed over match Get: one per object, in ascending
+// id, byte for byte and kind for kind.
+void ExpectRecordsMatchGet(const SketchStore& store,
+                           const std::vector<SegmentRecord>& records) {
+  const std::vector<int64_t> ids = store.ListObjects();
+  ASSERT_EQ(records.size(), ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(records[i].object_id, ids[i]) << "position " << i;
+    const auto got = store.Get(ids[i]);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(records[i].kind, got->kind) << "object " << ids[i];
+    EXPECT_EQ(records[i].payload_bits, got->bit_count) << "object " << ids[i];
+    EXPECT_EQ(records[i].payload, got->bytes) << "object " << ids[i];
+  }
+}
+
+TEST(SketchStoreHandOffTest, EmptyStoreHandsOverNothing) {
+  ScratchDir scratch;
+  // A stale entry in the caller's vector does not survive the hand-over.
+  std::vector<SegmentRecord> records(1);
+  auto store = SketchStore::Open(scratch.path(), &records);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_TRUE(records.empty());
+  ExpectRecordsMatchGet(**store, records);
+}
+
+TEST(SketchStoreHandOffTest, NewestRecordWinsAcrossASegmentRoll) {
+  ScratchDir scratch;
+  const std::string second = scratch.path() + "/segment-000002.seg";
+  const TestObject replacement = LargeGraphObject(1000);
+  {
+    auto store = SketchStore::Open(scratch.path());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    Rng rng(31);
+    const TestObject original = MakeOneOfEachKind(rng)[1];
+    ASSERT_TRUE((*store)
+                    ->Put(0, original.kind, original.bytes,
+                          original.bit_count)
+                    .ok());
+    // Fill the first segment until a Put rolls to the second, then put
+    // object 0 again: its newest record lives in the second segment.
+    for (int64_t id = 1; ::access(second.c_str(), F_OK) != 0; ++id) {
+      ASSERT_LT(id, 100) << "no roll after 100 puts";
+      const TestObject object = LargeGraphObject(id);
+      ASSERT_TRUE(
+          (*store)->Put(id, object.kind, object.bytes, object.bit_count).ok());
+    }
+    ASSERT_TRUE((*store)
+                    ->Put(0, replacement.kind, replacement.bytes,
+                          replacement.bit_count)
+                    .ok());
+  }
+  std::vector<SegmentRecord> records;
+  auto store = SketchStore::Open(scratch.path(), &records);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->open_report().segments, 2);
+  ExpectRecordsMatchGet(**store, records);
+  ASSERT_GE(records.size(), 2u);
+  EXPECT_EQ(records[0].object_id, 0);
+  EXPECT_EQ(records[0].kind, replacement.kind);
+  EXPECT_EQ(records[0].payload, replacement.bytes);
+}
+
+TEST(SketchStoreHandOffTest, RecoveredTornTailHandsOverTheValidPrefix) {
+  ScratchDir scratch;
+  int64_t kept = 0;
+  TearActiveSegmentTail(scratch.path(), &kept);
+  std::vector<SegmentRecord> records;
+  auto store = SketchStore::Open(scratch.path(), &records);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->open_report().torn_tails_recovered, 1);
+  EXPECT_EQ(static_cast<int64_t>(records.size()), kept);
+  ExpectRecordsMatchGet(**store, records);
+}
+
 TEST(CacheSnapshotTest, RoundTripsThroughFileAndCache) {
   ScratchDir scratch;
   const std::string path = scratch.path() + "/cache.snap";
@@ -773,6 +850,189 @@ TEST(CacheSnapshotTest, WarmRestartOverOldFormatSnapshotBootsCold) {
     EXPECT_EQ(std::memcmp(&answered.values[i], &expected[i], sizeof(double)),
               0)
         << "query " << i;
+  }
+}
+
+// Warm-load contract: a worker booting from a store holds every object at
+// the id its round-robin registration gave it, whatever the shard count,
+// and refuses a store it cannot reproduce with the lowest failing id.
+constexpr int64_t kWarmObjects = 37;  // not a multiple of S, > S threads
+
+DirectedGraph WarmGraph(int64_t id) {
+  Rng rng(SubtaskSeed(700, id));
+  return RandomBalancedDigraph(10 + static_cast<int>(id % 7), 0.4, 2.0, rng);
+}
+
+TestObject GraphObject(const DirectedGraph& graph) {
+  BitWriter writer;
+  SerializeDirectedGraph(graph, writer);
+  return TestObject{StreamKind::kDirectedGraph, writer.bytes(),
+                    writer.bit_count()};
+}
+
+// A directed-graph envelope Put accepts but no deserializer does: edge
+// `loop_edge` of `num_edges` is a self-loop at `loop_vertex`.
+TestObject SelfLoopGraphObject(int num_edges, int loop_edge,
+                               int loop_vertex) {
+  constexpr int kVertices = 8;
+  BitWriter payload;
+  payload.WriteEliasGamma(kVertices);
+  payload.WriteEliasGamma(static_cast<uint64_t>(num_edges));
+  for (int e = 0; e < num_edges; ++e) {
+    const bool loop = e == loop_edge;
+    payload.WriteEliasGamma(
+        static_cast<uint64_t>(loop ? loop_vertex : e % kVertices));
+    payload.WriteEliasGamma(
+        static_cast<uint64_t>(loop ? loop_vertex : (e + 1) % kVertices));
+    payload.WriteDouble(1.0);
+  }
+  BitWriter writer;
+  WriteEnvelope(StreamKind::kDirectedGraph, payload, writer);
+  return TestObject{StreamKind::kDirectedGraph, writer.bytes(),
+                    writer.bit_count()};
+}
+
+// Puts WarmGraph(id) for every id in [0, kWarmObjects) except those in
+// `replaced` (put as given) and `skipped` (not put at all), then seals.
+void BuildWarmStore(const std::string& dir,
+                    const std::map<int64_t, TestObject>& replaced,
+                    const std::vector<int64_t>& skipped) {
+  auto store = SketchStore::Open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  for (int64_t id = 0; id < kWarmObjects; ++id) {
+    if (std::find(skipped.begin(), skipped.end(), id) != skipped.end()) {
+      continue;
+    }
+    const auto it = replaced.find(id);
+    const TestObject object =
+        it != replaced.end() ? it->second : GraphObject(WarmGraph(id));
+    ASSERT_TRUE(
+        (*store)->Put(id, object.kind, object.bytes, object.bit_count).ok())
+        << "object " << id;
+  }
+  ASSERT_TRUE((*store)->Seal().ok());
+}
+
+StatusOr<std::unique_ptr<ClusterWorker>> CreateWarmWorker(
+    const std::string& dir, int num_shards) {
+  ClusterWorkerOptions options;
+  options.num_shards = num_shards;
+  options.store_dir = dir;
+  return ClusterWorker::Create(*ParseEndpoint("tcp:127.0.0.1:0"), options);
+}
+
+TEST(WarmLoadTest, EveryObjectAnswersAndReattachesAtEveryShardCount) {
+  ScratchDir scratch;
+  const std::string dir = scratch.path() + "/store";
+  BuildWarmStore(dir, {}, {});
+  CutQueryService reference;
+  Rng rng(71);
+  std::vector<RpcRequest> queries;
+  std::vector<std::vector<double>> expected;
+  for (int64_t id = 0; id < kWarmObjects; ++id) {
+    const DirectedGraph graph = WarmGraph(id);
+    ASSERT_EQ(reference.RegisterGraph(graph), id);
+    RpcRequest query;
+    query.kind = RpcKind::kQueryBatch;
+    query.object_id = id;
+    query.num_vertices = graph.num_vertices();
+    std::vector<CutQueryService::Query> batch;
+    for (int q = 0; q < 4; ++q) {
+      VertexSet side(static_cast<size_t>(graph.num_vertices()), 0);
+      for (auto& member : side) member = rng.Bernoulli(0.5) ? 1 : 0;
+      batch.push_back(CutQueryService::Query{id, side});
+      query.sides.push_back(std::move(side));
+    }
+    expected.push_back(reference.AnswerBatch(batch));
+    queries.push_back(std::move(query));
+  }
+
+  for (const int shards : {1, 2, 3}) {
+    auto worker = CreateWarmWorker(dir, shards);
+    ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+    EXPECT_EQ((*worker)->warm_loaded_objects(), kWarmObjects);
+    EXPECT_EQ((*worker)->num_registered(), kWarmObjects);
+    for (int64_t id = 0; id < kWarmObjects; ++id) {
+      const size_t slot = static_cast<size_t>(id);
+      const RpcResponse answered = (*worker)->Execute(queries[slot]);
+      ASSERT_TRUE(answered.status.ok())
+          << "S=" << shards << " object " << id << ": "
+          << answered.status.ToString();
+      ASSERT_EQ(answered.values.size(), expected[slot].size());
+      for (size_t q = 0; q < expected[slot].size(); ++q) {
+        EXPECT_EQ(std::memcmp(&answered.values[q], &expected[slot][q],
+                              sizeof(double)),
+                  0)
+            << "S=" << shards << " object " << id << " query " << q;
+      }
+      RpcRequest reattach;
+      reattach.kind = RpcKind::kReattach;
+      reattach.object_id = id;
+      reattach.num_vertices = queries[slot].num_vertices;
+      reattach.graph_checksum = GraphEnvelopeChecksum(WarmGraph(id));
+      const RpcResponse reattached = (*worker)->Execute(reattach);
+      EXPECT_TRUE(reattached.status.ok())
+          << "S=" << shards << " object " << id << ": "
+          << reattached.status.ToString();
+      EXPECT_EQ(reattached.object_id, id);
+    }
+  }
+}
+
+TEST(WarmLoadTest, GapInIdsRefusesTheBoot) {
+  ScratchDir scratch;
+  const std::string dir = scratch.path() + "/store";
+  BuildWarmStore(dir, {}, {12, 30});
+  for (const int shards : {1, 2, 3}) {
+    const auto worker = CreateWarmWorker(dir, shards);
+    ASSERT_FALSE(worker.ok()) << "S=" << shards;
+    EXPECT_EQ(worker.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(worker.status().message(),
+              "store object ids are not contiguous from 0 (found id 13 at "
+              "position 12); refusing to warm-load with a broken id "
+              "assignment");
+  }
+}
+
+TEST(WarmLoadTest, NonGraphKindRefusesTheBoot) {
+  ScratchDir scratch;
+  const std::string dir = scratch.path() + "/store";
+  Rng rng(5);
+  BitWriter writer;
+  SerializeUndirectedGraph(RandomUndirectedGraph(9, 0.5, 0.25, 1.5, true, rng),
+                           writer);
+  const TestObject undirected{StreamKind::kUndirectedGraph, writer.bytes(),
+                              writer.bit_count()};
+  BuildWarmStore(dir, {{5, undirected}, {33, undirected}}, {});
+  for (const int shards : {1, 2, 3}) {
+    const auto worker = CreateWarmWorker(dir, shards);
+    ASSERT_FALSE(worker.ok()) << "S=" << shards;
+    EXPECT_EQ(worker.status().code(), StatusCode::kDataLoss);
+    EXPECT_EQ(worker.status().message(),
+              std::string("store object 5 is a ") +
+                  StreamKindName(StreamKind::kUndirectedGraph) +
+                  ", not a directed graph");
+  }
+}
+
+TEST(WarmLoadTest, LowestUndeserializableIdIsReportedWhateverTheSchedule) {
+  // Id 7's self-loop is its last of 2000 edges, id 20's its first: a
+  // thread reaching 20 fails long before one reaching 7, yet 7 is named.
+  ScratchDir scratch;
+  const std::string dir = scratch.path() + "/store";
+  BuildWarmStore(dir,
+                 {{7, SelfLoopGraphObject(2000, 1999, 3)},
+                  {20, SelfLoopGraphObject(1, 0, 5)}},
+                 {});
+  for (const int shards : {1, 2, 3}) {
+    for (int attempt = 0; attempt < 3; ++attempt) {
+      const auto worker = CreateWarmWorker(dir, shards);
+      ASSERT_FALSE(worker.ok()) << "S=" << shards;
+      EXPECT_EQ(worker.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(worker.status().message(),
+                "edge 1999 is a self-loop at vertex 3")
+          << "S=" << shards;
+    }
   }
 }
 

@@ -390,6 +390,39 @@ TEST(BitIoDifferentialTest, BulkCopiesMatchReferenceAtEveryAlignment) {
   }
 }
 
+TEST(BitIoDifferentialTest, WordShiftCopiesMatchReferenceAtEveryShift) {
+  // TryReadBitsInto at a nonzero shift moves two overlapping word loads per
+  // output word while 9 source bytes remain, then falls back to the tail
+  // path: lengths around both boundaries and one restart-sized envelope,
+  // read from exact-size sources and from sources with spare bytes.
+  std::vector<int64_t> lengths;
+  for (int64_t length = 0; length <= 200; ++length) lengths.push_back(length);
+  lengths.insert(lengths.end(), {4095, 4096, 4097, 176000});
+  Rng rng(23);
+  for (const int64_t length : lengths) {
+    for (int shift = 0; shift < 8; ++shift) {
+      for (const int64_t spare_bytes : {0, 1, 9}) {
+        std::vector<uint8_t> source(
+            static_cast<size_t>((shift + length + 7) / 8 + spare_bytes));
+        for (auto& byte : source) byte = static_cast<uint8_t>(rng.Next());
+        const std::vector<uint8_t> exact_source = Exact(source);
+        ReferenceWriter expected;
+        for (int64_t b = 0; b < length; ++b) {
+          expected.Bit(ReferenceBit(source, shift + b));
+        }
+        BitReader reader(exact_source);
+        reader.ReadBits(shift);
+        std::vector<uint8_t> out;
+        ASSERT_TRUE(reader.TryReadBitsInto(length, out).ok());
+        ASSERT_EQ(out, expected.bytes())
+            << "length " << length << " shift " << shift << " spare "
+            << spare_bytes;
+        ASSERT_EQ(reader.position(), shift + length);
+      }
+    }
+  }
+}
+
 TEST(BitIoDifferentialTest, TruncationStillReturnsDataLoss) {
   // gamma(1000) is 19 bits — 9 zeros, a one, 9 payload bits — after a
   // 5-bit lead, so byte cuts land inside the prefix and inside the payload.
