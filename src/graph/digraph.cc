@@ -1,12 +1,12 @@
 #include "graph/digraph.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <map>
 #include <utility>
 
 #include "graph/ugraph.h"
+#include "util/simd.h"
 
 namespace dcs {
 
@@ -81,6 +81,28 @@ void VisitEdges(const std::vector<Edge>& edges,
   }
 }
 
+// Runs one pass of the lane kernel: visit(add) calls add(crossing, weight)
+// for each visited edge, with bit j of `crossing` set iff the edge crosses
+// lane j's cut. The pairs queue in visit order and drain through
+// simd::AddCrossingLanes into sums[0, lanes), so every lane sees its edges
+// in visit order.
+template <typename Visit>
+void AccumulateLanes(double* sums, size_t lanes, Visit visit) {
+  constexpr size_t kQueue = 256;
+  uint64_t crossing[kQueue] = {};
+  double weights[kQueue] = {};
+  size_t queued = 0;
+  visit([&](uint64_t edge_crossing, double weight) {
+    crossing[queued] = edge_crossing;
+    weights[queued] = weight;
+    if (++queued == kQueue) {
+      simd::AddCrossingLanes(sums, lanes, crossing, weights, queued);
+      queued = 0;
+    }
+  });
+  simd::AddCrossingLanes(sums, lanes, crossing, weights, queued);
+}
+
 }  // namespace
 
 void DirectedGraph::CutWeights(std::span<const VertexSet* const> sides,
@@ -89,96 +111,99 @@ void DirectedGraph::CutWeights(std::span<const VertexSet* const> sides,
   if (sides.empty()) return;
   EnsureAdjacency();
   const size_t n = static_cast<size_t>(num_vertices_);
-  // mask[v] has bit j set iff v ∈ S_j, for the pass's j-th side (lane).
+  // mask[v] has bit b set iff v ∈ S for the side in lane b. Lanes are
+  // grouped by pass (out-walk lanes first, then in-walk, then scan), so
+  // each pass hands the lane kernel only its own lanes.
   std::vector<uint64_t> mask;
   for (size_t first = 0; first < sides.size(); first += 64) {
-    const size_t lanes = std::min<size_t>(64, sides.size() - first);
-    mask.assign(n, 0);
+    const size_t count = std::min<size_t>(64, sides.size() - first);
     // Every crossing edge leaves some v ∈ S and enters some u ∉ S, so a
-    // lane's cut can be accumulated from either frontier; each lane walks
+    // side's cut can be accumulated from either frontier; each side walks
     // its smaller one, or scans the edge list when neither is below m.
-    uint64_t out_lanes = 0;
-    uint64_t in_lanes = 0;
-    uint64_t scan_lanes = 0;
-    for (size_t j = 0; j < lanes; ++j) {
+    enum Mode : uint8_t { kEmpty, kOut, kIn, kScan };
+    Mode mode[64] = {};
+    size_t num_lanes[4] = {};
+    for (size_t j = 0; j < count; ++j) {
       const VertexSet& side = *sides[first + j];
       DCS_CHECK_EQ(side.size(), n);
       int64_t out_volume = 0;
       int64_t in_volume = 0;
       for (size_t v = 0; v < n; ++v) {
         const int64_t inside = side[v] != 0;
-        mask[v] |= static_cast<uint64_t>(inside) << j;
         out_volume += inside * (out_offsets_[v + 1] - out_offsets_[v]);
         in_volume += (1 - inside) * (in_offsets_[v + 1] - in_offsets_[v]);
       }
       const int64_t volume = std::min(out_volume, in_volume);
-      const uint64_t lane = uint64_t{1} << j;
-      if (volume == 0) continue;  // the lane's sum stays 0
-      if (volume >= num_edges()) {
-        scan_lanes |= lane;
-      } else if (out_volume <= in_volume) {
-        out_lanes |= lane;
-      } else {
-        in_lanes |= lane;
+      mode[j] = volume == 0                ? kEmpty  // the sum stays 0
+                : volume >= num_edges()    ? kScan
+                : out_volume <= in_volume ? kOut
+                                           : kIn;
+      ++num_lanes[mode[j]];
+    }
+    const size_t in_base = num_lanes[kOut];
+    const size_t scan_base = in_base + num_lanes[kIn];
+    size_t next_lane[4] = {0, 0, in_base, scan_base};
+    size_t lane_of[64] = {};
+    mask.assign(n, 0);
+    for (size_t j = 0; j < count; ++j) {
+      if (mode[j] == kEmpty) continue;
+      lane_of[j] = next_lane[mode[j]]++;
+      const VertexSet& side = *sides[first + j];
+      for (size_t v = 0; v < n; ++v) {
+        mask[v] |= static_cast<uint64_t>(side[v] != 0) << lane_of[j];
       }
     }
-    // A lane is in exactly one pass. The pass visits the lane's frontier
-    // (or the edge list) in an order that does not depend on the other
-    // lanes and adds exactly the edges crossing the lane's cut, so the
-    // lane's sum is the same sequence of IEEE adds as when its side is
-    // asked alone.
+    const auto lane_bits = [](size_t base, size_t lanes) {
+      return lanes == 0 ? 0 : (~uint64_t{0} >> (64 - lanes)) << base;
+    };
+    const uint64_t out_lanes = lane_bits(0, num_lanes[kOut]);
+    const uint64_t in_lanes = lane_bits(in_base, num_lanes[kIn]);
+    const uint64_t scan_lanes = lane_bits(scan_base, num_lanes[kScan]);
+    // Each pass visits its lanes' frontiers (or the edge list) in an order
+    // that does not depend on the other sides and adds exactly the edges
+    // crossing each lane's cut, so a side's sum is the same sequence of
+    // IEEE adds as when it is asked alone.
     double sums[64] = {};
-    const auto add = [&sums](uint64_t crossing, double weight) {
-      for (; crossing != 0; crossing &= crossing - 1) {
-        sums[std::countr_zero(crossing)] += weight;
-      }
-    };
-    // Walks one vertex's CSR range for the lanes in `here`; crossing(e) is
-    // the lanes edge e crosses. A vertex serving one lane (every vertex of
-    // a one-side call) keeps that lane's sum in a register: the same adds
-    // in the same order, without a store per add.
-    const auto walk = [&](const std::vector<int64_t>& offsets,
-                          const std::vector<int64_t>& ids, size_t v,
-                          uint64_t here, auto crossing) {
-      if (std::has_single_bit(here)) {
-        double& sum = sums[std::countr_zero(here)];
-        double total = sum;
-        VisitEdges(edges_, ids, offsets[v], offsets[v + 1],
-                   [&](const Edge& e) {
-                     if (crossing(e) != 0) total += e.weight;
-                   });
-        sum = total;
-      } else {
-        VisitEdges(edges_, ids, offsets[v], offsets[v + 1],
-                   [&](const Edge& e) { add(crossing(e), e.weight); });
-      }
-    };
     if (out_lanes != 0) {
-      for (size_t v = 0; v < n; ++v) {
-        const uint64_t here = mask[v] & out_lanes;
-        if (here == 0) continue;
-        walk(out_offsets_, out_edge_ids_, v, here, [&](const Edge& e) {
-          return here & ~mask[static_cast<size_t>(e.dst)];
-        });
-      }
+      AccumulateLanes(sums, num_lanes[kOut], [&](auto add) {
+        for (size_t v = 0; v < n; ++v) {
+          const uint64_t here = mask[v] & out_lanes;
+          if (here == 0) continue;
+          VisitEdges(edges_, out_edge_ids_, out_offsets_[v],
+                     out_offsets_[v + 1], [&](const Edge& e) {
+                       add(here & ~mask[static_cast<size_t>(e.dst)],
+                           e.weight);
+                     });
+        }
+      });
     }
     if (in_lanes != 0) {
-      for (size_t v = 0; v < n; ++v) {
-        const uint64_t here = ~mask[v] & in_lanes;
-        if (here == 0) continue;
-        walk(in_offsets_, in_edge_ids_, v, here, [&](const Edge& e) {
-          return here & mask[static_cast<size_t>(e.src)];
-        });
-      }
+      AccumulateLanes(sums + in_base, num_lanes[kIn], [&](auto add) {
+        for (size_t v = 0; v < n; ++v) {
+          const uint64_t here = ~mask[v] & in_lanes;
+          if (here == 0) continue;
+          VisitEdges(edges_, in_edge_ids_, in_offsets_[v], in_offsets_[v + 1],
+                     [&](const Edge& e) {
+                       add((here & mask[static_cast<size_t>(e.src)]) >>
+                               in_base,
+                           e.weight);
+                     });
+        }
+      });
     }
     if (scan_lanes != 0) {
-      for (const Edge& e : edges_) {
-        add(scan_lanes & mask[static_cast<size_t>(e.src)] &
-                ~mask[static_cast<size_t>(e.dst)],
-            e.weight);
-      }
+      AccumulateLanes(sums + scan_base, num_lanes[kScan], [&](auto add) {
+        for (const Edge& e : edges_) {
+          add((scan_lanes & mask[static_cast<size_t>(e.src)] &
+               ~mask[static_cast<size_t>(e.dst)]) >>
+                  scan_base,
+              e.weight);
+        }
+      });
     }
-    std::copy(sums, sums + lanes, out.begin() + static_cast<ptrdiff_t>(first));
+    for (size_t j = 0; j < count; ++j) {
+      out[first + j] = mode[j] == kEmpty ? 0.0 : sums[lane_of[j]];
+    }
   }
 }
 

@@ -3,7 +3,9 @@
 #ifndef DCS_GRAPH_TYPES_H_
 #define DCS_GRAPH_TYPES_H_
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "util/check.h"
@@ -62,6 +64,50 @@ inline int64_t SetSize(const VertexSet& set) {
   int64_t count = 0;
   for (uint8_t bit : set) count += static_cast<int64_t>(bit != 0);
   return count;
+}
+
+// Membership of vertices first … first+7 as bits 0–7 (bit i set iff
+// side[first + i] != 0; vertices past the end read as non-members). A full
+// run of eight is packed as one word (SWAR): ((x & 0x7F…) + 0x7F…) | x sets
+// each byte's top bit iff the byte is nonzero, and the multiply gathers
+// those eight top bits into the top byte.
+inline uint8_t PackMembers8(const VertexSet& side, size_t first) {
+  if (first + 8 > side.size()) {
+    uint8_t bits = 0;
+    for (size_t v = first; v < side.size(); ++v) {
+      bits |= static_cast<uint8_t>((side[v] != 0) << (v - first));
+    }
+    return bits;
+  }
+  constexpr uint64_t kLow7 = 0x7F7F7F7F7F7F7F7FULL;
+  uint64_t bytes;
+  std::memcpy(&bytes, side.data() + first, sizeof(bytes));
+  if constexpr (std::endian::native == std::endian::big) {
+    bytes = __builtin_bswap64(bytes);
+  }
+  const uint64_t top = (((bytes & kLow7) + kLow7) | bytes) & ~kLow7;
+  return static_cast<uint8_t>((top * 0x0002040810204081ULL) >> 56);
+}
+
+// The inverse onto normalized bytes: side[first + i] = bit i of `bits`, for
+// the vertices first … first+7 that exist. A full run of eight is spread as
+// one word: broadcast the byte, keep bit i in byte i, and carry each byte's
+// bit into its top bit with + 0x7F.
+inline void UnpackMembers8(uint8_t bits, size_t first, VertexSet& side) {
+  if (first + 8 > side.size()) {
+    for (size_t v = first; v < side.size(); ++v) {
+      side[v] = static_cast<uint8_t>((bits >> (v - first)) & 1);
+    }
+    return;
+  }
+  const uint64_t spread =
+      (bits * 0x0101010101010101ULL) & 0x8040201008040201ULL;
+  uint64_t bytes =
+      ((spread + 0x7F7F7F7F7F7F7F7FULL) >> 7) & 0x0101010101010101ULL;
+  if constexpr (std::endian::native == std::endian::big) {
+    bytes = __builtin_bswap64(bytes);
+  }
+  std::memcpy(side.data() + first, &bytes, sizeof(bytes));
 }
 
 // True if S is a proper nonempty subset (∅ ⊂ S ⊂ V), i.e. a valid cut side.

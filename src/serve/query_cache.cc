@@ -32,14 +32,11 @@ PackedSide PackSide(const VertexSet& side) {
 
 uint64_t PackSideInto(const VertexSet& side, PackedSide& packed) {
   packed.words.assign((side.size() + 63) / 64, 0);
-  uint64_t hash = 0;
-  for (size_t v = 0; v < side.size(); ++v) {
-    if (side[v]) {
-      packed.words[v / 64] |= uint64_t{1} << (v % 64);
-      hash ^= HashVertex(static_cast<VertexId>(v));
-    }
+  for (size_t first = 0; first < side.size(); first += 8) {
+    packed.words[first / 64] |= uint64_t{PackMembers8(side, first)}
+                                << (first % 64);
   }
-  return hash;
+  return HashPackedSide(packed);
 }
 
 uint64_t HashPackedSide(const PackedSide& side) {

@@ -65,11 +65,12 @@ uint64_t HashSide(const VertexSet& side);
 // Normalizes a VertexSet into its packed canonical form.
 PackedSide PackSide(const VertexSet& side);
 
-// Single-pass pack + hash: fills `packed` with the canonical form of `side`
-// (reusing its existing word storage when the size matches) and returns
-// HashSide(side). The serving fast path calls this once per query into
-// per-shard scratch instead of allocating a fresh PackedSide and walking
-// the side twice.
+// Pack + hash: fills `packed` with the canonical form of `side` (reusing
+// its existing word storage when the size matches), eight vertices per
+// step, and returns HashSide(side) computed from the packed words. The
+// serving fast path calls this once per query into per-shard scratch
+// instead of allocating a fresh PackedSide and walking the side's bytes
+// twice.
 uint64_t PackSideInto(const VertexSet& side, PackedSide& packed);
 
 // HashSide over a side already in packed canonical form (XOR of HashVertex

@@ -51,16 +51,16 @@ StatusOr<EnvelopePayload> OpenRpc(const Message& message) {
 // A query side travels as one bit per vertex, in vertex order; packed, it is
 // eight vertices to a byte, LSB first, as BitWriter lays the bits out.
 void PackSide(const VertexSet& side, std::vector<uint8_t>& packed) {
-  packed.assign((side.size() + 7) / 8, 0);
-  for (size_t v = 0; v < side.size(); ++v) {
-    if (side[v] != 0) packed[v >> 3] |= static_cast<uint8_t>(1u << (v & 7));
+  packed.resize((side.size() + 7) / 8);
+  for (size_t byte = 0; byte < packed.size(); ++byte) {
+    packed[byte] = PackMembers8(side, 8 * byte);
   }
 }
 
 VertexSet UnpackSide(const std::vector<uint8_t>& packed, size_t num_vertices) {
   VertexSet side(num_vertices);
-  for (size_t v = 0; v < num_vertices; ++v) {
-    side[v] = static_cast<uint8_t>((packed[v >> 3] >> (v & 7)) & 1);
+  for (size_t first = 0; first < num_vertices; first += 8) {
+    UnpackMembers8(packed[first / 8], first, side);
   }
   return side;
 }

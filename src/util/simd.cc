@@ -140,6 +140,20 @@ DCS_NO_AUTOVEC int64_t ScalarPopcount(const uint64_t* a, size_t num_words) {
   return total;
 }
 
+DCS_NO_AUTOVEC void ScalarAddCrossingLanes(double* sums, size_t lanes,
+                                           const uint64_t* crossing,
+                                           const double* weights,
+                                           size_t count) {
+  const uint64_t lane_bits =
+      lanes >= 64 ? ~uint64_t{0} : (uint64_t{1} << lanes) - 1;
+  for (size_t k = 0; k < count; ++k) {
+    for (uint64_t bits = crossing[k] & lane_bits; bits != 0;
+         bits &= bits - 1) {
+      sums[std::countr_zero(bits)] += weights[k];
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Shared blocked driver. Every path runs this exact pass structure for the
 // contiguous case; paths differ only in the small/butterfly kernels, whose
@@ -432,6 +446,65 @@ __attribute__((target("avx2,popcnt"))) int64_t Avx2Popcount(const uint64_t* a,
   return total;
 }
 
+// Lanes 4g … 4g+3 of AddCrossingLanes for g < kGroups, with the lane
+// crossing bits of each entry shifted down to bit 0. Lane i of group g is
+// selected by and + cmpeq against the bit pattern 1 << (4g + i); the
+// uncrossed lanes' addend is masked to +0.0, and the accumulators stay in
+// registers for the whole sweep.
+template <size_t kGroups>
+__attribute__((target("avx2"))) void Avx2AddCrossingGroups(
+    double* sums, const uint64_t* crossing, const double* weights,
+    size_t count, unsigned shift) {
+  __m256d acc[kGroups];
+  __m256i bit[kGroups];
+#pragma GCC unroll 8
+  for (size_t g = 0; g < kGroups; ++g) {
+    acc[g] = _mm256_load_pd(sums + 4 * g);
+    const long long low = 1LL << (4 * g);
+    bit[g] = _mm256_setr_epi64x(low, low << 1, low << 2, low << 3);
+  }
+  for (size_t k = 0; k < count; ++k) {
+    const __m256i lanes =
+        _mm256_set1_epi64x(static_cast<long long>(crossing[k] >> shift));
+    const __m256d weight = _mm256_broadcast_sd(weights + k);
+#pragma GCC unroll 8
+    for (size_t g = 0; g < kGroups; ++g) {
+      const __m256i crossed =
+          _mm256_cmpeq_epi64(_mm256_and_si256(lanes, bit[g]), bit[g]);
+      acc[g] = _mm256_add_pd(
+          acc[g], _mm256_and_pd(_mm256_castsi256_pd(crossed), weight));
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t g = 0; g < kGroups; ++g) {
+    _mm256_store_pd(sums + 4 * g, acc[g]);
+  }
+}
+
+constexpr void (*kGroupKernels[])(double*, const uint64_t*, const double*,
+                                  size_t, unsigned) = {
+    Avx2AddCrossingGroups<1>, Avx2AddCrossingGroups<2>,
+    Avx2AddCrossingGroups<3>, Avx2AddCrossingGroups<4>,
+    Avx2AddCrossingGroups<5>, Avx2AddCrossingGroups<6>,
+    Avx2AddCrossingGroups<7>, Avx2AddCrossingGroups<8>};
+
+// Sweeps the entries once per 32 lanes, so at most eight accumulators are
+// live. The sums go through an aligned copy padded to whole groups: the
+// padding lanes absorb crossing bits at or above `lanes` and are dropped.
+__attribute__((target("avx2"))) void Avx2AddCrossingLanes(
+    double* sums, size_t lanes, const uint64_t* crossing,
+    const double* weights, size_t count) {
+  alignas(32) double padded[64] = {};
+  std::copy(sums, sums + lanes, padded);
+  const size_t groups = (lanes + 3) / 4;
+  for (size_t first = 0; first < groups; first += 8) {
+    kGroupKernels[std::min<size_t>(8, groups - first) - 1](
+        padded + 4 * first, crossing, weights, count,
+        static_cast<unsigned>(4 * first));
+  }
+  std::copy(padded, padded + lanes, sums);
+}
+
 #endif  // DCS_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -712,6 +785,19 @@ int64_t Popcount(const uint64_t* a, size_t num_words) {
   }
 }
 
+void AddCrossingLanes(double* sums, size_t lanes, const uint64_t* crossing,
+                      const double* weights, size_t count) {
+  DCS_CHECK_LE(lanes, size_t{64});
+  if (lanes == 0 || count == 0) return;
+#if defined(DCS_SIMD_X86)
+  if (ActivePath() == DispatchPath::kAvx2) {
+    Avx2AddCrossingLanes(sums, lanes, crossing, weights, count);
+    return;
+  }
+#endif
+  ScalarAddCrossingLanes(sums, lanes, crossing, weights, count);
+}
+
 namespace scalar {
 
 void Fwht(int64_t* data, size_t n, size_t stride) {
@@ -750,6 +836,12 @@ int64_t XorPopcount(const uint64_t* a, const uint64_t* b, size_t num_words) {
 
 int64_t Popcount(const uint64_t* a, size_t num_words) {
   return ScalarPopcount(a, num_words);
+}
+
+void AddCrossingLanes(double* sums, size_t lanes, const uint64_t* crossing,
+                      const double* weights, size_t count) {
+  DCS_CHECK_LE(lanes, size_t{64});
+  ScalarAddCrossingLanes(sums, lanes, crossing, weights, count);
 }
 
 }  // namespace scalar

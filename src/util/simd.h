@@ -1,16 +1,19 @@
 // Runtime-dispatched SIMD kernels for the sketch hot paths (DESIGN.md §11).
 //
-// Three kernel families sit under every hot loop in the library:
+// Four kernel families sit under every hot loop in the library:
 //   Fwht          — in-place fast Walsh–Hadamard transform, the inner engine
 //                   of the Lemma 3.2 tensor encoding (util/hadamard.cc);
 //   ButterflyRows — the element-wise (a, b) → (a+b, a−b) row combine used by
 //                   the tiled column passes of the 2-D transform;
-//   XorPopcount / Popcount — packed-sign inner products (util/sign_vector.cc).
+//   XorPopcount / Popcount — packed-sign inner products (util/sign_vector.cc);
+//   AddCrossingLanes — the lane add of the many-sided cut kernel
+//                   (DirectedGraph::CutWeights, graph/digraph.cc).
 //
 // Each family has one scalar implementation (namespace simd::scalar,
 // compiled with auto-vectorization disabled so "scalar" means scalar even
 // under -march=native) and vector implementations selected at runtime:
-// AVX2 on x86-64 when the CPU supports it, NEON on AArch64. The dispatched
+// AVX2 on x86-64 when the CPU supports it, NEON on AArch64 (AddCrossingLanes
+// has no NEON kernel and runs its scalar reference there). The dispatched
 // entry points below consult ActivePath() per call (one relaxed atomic
 // load).
 //
@@ -73,6 +76,21 @@ int64_t XorPopcount(const uint64_t* a, const uint64_t* b, size_t num_words);
 // Number of set bits in a[i] summed over i < num_words.
 int64_t Popcount(const uint64_t* a, size_t num_words);
 
+// The cut kernel's lane add: for k = 0, …, count−1 in order, and for every
+// set bit j < lanes of crossing[k], sums[j] += weights[k]. Bits of
+// crossing[k] at or above `lanes` are ignored, and sums[j] for j >= lanes is
+// neither read nor written. Requires lanes <= 64.
+//
+// The AVX2 path adds +0.0 to every lane an entry does not cross, keeping
+// four lanes per vector register for the whole call. x + (+0.0) is x bit for
+// bit except for x = −0.0 (which becomes +0.0) and signaling NaNs, so the
+// paths are bit-identical under this precondition: no sums[j], j < lanes,
+// holds −0.0 or a signaling NaN on entry (in the default floating-point
+// environment). Sums that start at +0.0 keep it: under round-to-nearest an
+// IEEE sum is −0.0 only when both addends are, whatever the weights.
+void AddCrossingLanes(double* sums, size_t lanes, const uint64_t* crossing,
+                      const double* weights, size_t count);
+
 // The scalar implementations, callable directly (the benches time them
 // against the dispatched path; the property tests compare against them).
 // These are the exact code the dispatched functions run under ForceScalar.
@@ -83,6 +101,8 @@ void ButterflyRows(int64_t* lo, int64_t* hi, size_t n);
 void ButterflyRows(double* lo, double* hi, size_t n);
 int64_t XorPopcount(const uint64_t* a, const uint64_t* b, size_t num_words);
 int64_t Popcount(const uint64_t* a, size_t num_words);
+void AddCrossingLanes(double* sums, size_t lanes, const uint64_t* crossing,
+                      const double* weights, size_t count);
 }  // namespace scalar
 
 }  // namespace dcs::simd

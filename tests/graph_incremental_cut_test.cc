@@ -16,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "util/checksum.h"
 #include "util/random.h"
+#include "util/simd.h"
 
 namespace dcs {
 namespace {
@@ -267,21 +268,93 @@ uint32_t AnswerChecksum(const std::vector<double>& answers) {
 // ulp, so the pin holds the kernel to the walk's exact addition order.
 constexpr uint32_t kGoldenAnswerChecksum = 0x6ec95e1cu;
 
+// Restores hardware dispatch on scope exit so a forced-scalar state cannot
+// leak into later tests.
+class ScopedForceScalar {
+ public:
+  explicit ScopedForceScalar(bool force) { simd::ForceScalar(force); }
+  ~ScopedForceScalar() { simd::ForceScalar(false); }
+};
+
 TEST(CutWeightsTest, GoldenAnswersMatchTheReplacedWalk) {
-  std::vector<double> batched;
-  std::vector<double> one_by_one;
-  std::vector<double> reference;
-  for (const GoldenCase& c : GoldenCases()) {
-    const std::vector<double> values = CutWeightsOf(c.graph, c.sides);
-    batched.insert(batched.end(), values.begin(), values.end());
-    for (const VertexSet& side : c.sides) {
-      one_by_one.push_back(CutWeightOf(c.graph, side));
-      reference.push_back(ReferenceWalk(c.graph, side));
+  const std::vector<GoldenCase> cases = GoldenCases();
+  for (const bool force_scalar : {false, true}) {
+    ScopedForceScalar guard(force_scalar);
+    std::vector<double> batched;
+    std::vector<double> one_by_one;
+    std::vector<double> reference;
+    for (const GoldenCase& c : cases) {
+      const std::vector<double> values = CutWeightsOf(c.graph, c.sides);
+      batched.insert(batched.end(), values.begin(), values.end());
+      for (const VertexSet& side : c.sides) {
+        one_by_one.push_back(CutWeightOf(c.graph, side));
+        reference.push_back(ReferenceWalk(c.graph, side));
+      }
     }
+    EXPECT_EQ(AnswerChecksum(batched), kGoldenAnswerChecksum)
+        << "forced scalar " << force_scalar;
+    EXPECT_TRUE(SameBits(batched, one_by_one));
+    EXPECT_TRUE(SameBits(batched, reference));
   }
-  EXPECT_EQ(AnswerChecksum(batched), kGoldenAnswerChecksum);
-  EXPECT_TRUE(SameBits(batched, one_by_one));
-  EXPECT_TRUE(SameBits(batched, reference));
+}
+
+// Forced-scalar and hardware dispatch of the lane kernel give the same
+// bits for every batch size around the kernel's 4-lane groups and 64-lane
+// passes, with all four modes in each batch, on a graph with parallel
+// edges, isolated vertices and signed-zero weights.
+TEST(CutWeightsTest, ForcedScalarMatchesDispatchedAnswers) {
+  Rng rng(43);
+  const int n = 40;
+  const int half = n / 2;
+  // Edges run from [0, half − 4) to [half, n − 4): the last four vertices
+  // of each half are isolated, and S = first half is an edge-scan side.
+  DirectedGraph g(n);
+  for (int e = 0; e < 400; ++e) {
+    const int src = static_cast<int>(rng.UniformInt(half - 4));
+    const int dst = half + static_cast<int>(rng.UniformInt(half - 4));
+    const uint64_t kind = rng.UniformInt(4);
+    const double weight = kind == 0   ? 0.0
+                          : kind == 1 ? -0.0
+                                      : 0.5 + rng.UniformDouble();
+    g.AddEdge(src, dst, weight);
+    if (e % 3 == 0) g.AddEdge(src, dst, 0.5 + rng.UniformDouble());
+  }
+  const auto side_of_mode = [&](int mode) {
+    VertexSet side(n, 0);
+    switch (mode) {
+      case 0:  // empty volume: no member has an out-edge
+        for (int v = half; v < n; ++v) side[v] = rng.Bernoulli(0.5);
+        side[half - 1] = rng.Bernoulli(0.5);
+        break;
+      case 1:  // out-walk: a few sources
+        side = DensitySide(n, 0.08, rng);
+        break;
+      case 2:  // in-walk: all but a few sinks
+        side = DensitySide(n, 0.92, rng);
+        break;
+      default:  // edge scan: every source in, every sink out
+        side = FirstHalf(n);
+        side[n - 1] = rng.Bernoulli(0.5);
+        break;
+    }
+    return side;
+  };
+  for (const int k : {1, 3, 4, 5, 63, 64, 65, 130}) {
+    std::vector<VertexSet> sides;
+    for (int s = 0; s < k; ++s) sides.push_back(side_of_mode((s * 7 + k) % 4));
+    std::vector<double> dispatched = CutWeightsOf(g, sides);
+    std::vector<double> scalar;
+    {
+      ScopedForceScalar guard(true);
+      scalar = CutWeightsOf(g, sides);
+    }
+    EXPECT_TRUE(SameBits(dispatched, scalar)) << "k " << k;
+    std::vector<double> reference;
+    for (const VertexSet& side : sides) {
+      reference.push_back(ReferenceWalk(g, side));
+    }
+    EXPECT_TRUE(SameBits(dispatched, reference)) << "k " << k;
+  }
 }
 
 TEST(CutWeightsTest, LanesAreIndependentOfTheBatch) {

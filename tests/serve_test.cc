@@ -1,11 +1,12 @@
 // Tests for the batched cut-query serving layer (src/serve): cache
-// semantics, batch determinism, warm/cold bit-identity, issue order and
-// allocations around deferred misses, and the batched for-each decoder
-// against its per-bit reference.
+// semantics, side packing for cache keys and the wire, batch determinism,
+// warm/cold bit-identity, issue order and allocations around deferred
+// misses, and the batched for-each decoder against its per-bit reference.
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <new>
 #include <string>
 #include <vector>
@@ -18,7 +19,10 @@
 #include "serve/cut_query_service.h"
 #include "serve/decoder_batch.h"
 #include "serve/query_cache.h"
+#include "serve/wire.h"
 #include "sketch/directed_sketches.h"
+#include "util/bitio.h"
+#include "util/envelope.h"
 #include "util/metrics.h"
 #include "util/random.h"
 
@@ -91,6 +95,85 @@ TEST(QueryCacheTest, SideHashIsIncrementalUnderFlips) {
   h ^= HashVertex(11);
   side[11] = 1;
   EXPECT_EQ(h, HashSide(side));
+}
+
+// Sides over n vertices built from the byte values that word-at-a-time
+// membership packing could mishandle: 0, 1, 0x7F (no top bit), 0x80 (only
+// the top bit) and 0xFF, each alone and mixed, plus random bytes.
+std::vector<VertexSet> PackingSides(int n, Rng& rng) {
+  const uint8_t values[] = {0x00, 0x01, 0x7F, 0x80, 0xFF};
+  std::vector<VertexSet> sides;
+  for (const uint8_t value : values) {
+    sides.emplace_back(static_cast<size_t>(n), value);
+  }
+  VertexSet mixed(static_cast<size_t>(n));
+  VertexSet random(static_cast<size_t>(n));
+  for (size_t v = 0; v < mixed.size(); ++v) {
+    mixed[v] = values[rng.UniformInt(std::size(values))];
+    random[v] = rng.Bernoulli(0.3) ? 0 : static_cast<uint8_t>(rng.Next());
+  }
+  sides.push_back(std::move(mixed));
+  sides.push_back(std::move(random));
+  return sides;
+}
+
+TEST(QueryCacheTest, PackSideIntoMatchesAByteLoop) {
+  Rng rng(71);
+  PackedSide packed;  // reused across sizes, as the serving path does
+  for (int n = 1; n <= 200; ++n) {
+    for (const VertexSet& side : PackingSides(n, rng)) {
+      PackedSide expected;
+      expected.words.assign((side.size() + 63) / 64, 0);
+      uint64_t expected_hash = 0;
+      for (size_t v = 0; v < side.size(); ++v) {
+        if (side[v] == 0) continue;
+        expected.words[v / 64] |= uint64_t{1} << (v % 64);
+        expected_hash ^= HashVertex(static_cast<VertexId>(v));
+      }
+      ASSERT_EQ(PackSideInto(side, packed), expected_hash) << "n " << n;
+      ASSERT_TRUE(packed == expected) << "n " << n;
+      ASSERT_EQ(HashSide(side), expected_hash) << "n " << n;
+      ASSERT_TRUE(PackSide(side) == expected) << "n " << n;
+    }
+  }
+}
+
+// A query batch's wire bytes are one bit per vertex, in vertex order, after
+// the batch header. Built here bit by bit and compared byte for byte.
+TEST(WireTest, QuerySidesPackAndUnpackLikeABitLoop) {
+  constexpr uint64_t kRpcMagic = 0xA9C5;  // serve/wire.cc's envelope magic
+  Rng rng(73);
+  for (int n = 1; n <= 200; ++n) {
+    RpcRequest request;
+    request.kind = RpcKind::kQueryBatch;
+    request.object_id = n % 5;
+    request.num_vertices = n;
+    request.sides = PackingSides(n, rng);
+    BitWriter payload;
+    payload.WriteEliasGamma(static_cast<uint64_t>(request.object_id));
+    payload.WriteEliasGamma(static_cast<uint64_t>(n));
+    payload.WriteEliasGamma(request.sides.size());
+    for (const VertexSet& side : request.sides) {
+      for (const uint8_t byte : side) payload.WriteBit(byte != 0);
+    }
+    BitWriter body;
+    AppendEnvelope(kRpcMagic, static_cast<uint64_t>(RpcKind::kQueryBatch),
+                   payload.bytes(), payload.bit_count(), body);
+    const Message encoded = EncodeRpcRequest(request);
+    ASSERT_EQ(encoded.bit_count, body.bit_count()) << "n " << n;
+    ASSERT_EQ(encoded.bytes, body.bytes()) << "n " << n;
+
+    const StatusOr<RpcRequest> decoded = DecodeRpcRequest(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_EQ(decoded->sides.size(), request.sides.size());
+    for (size_t q = 0; q < request.sides.size(); ++q) {
+      VertexSet normalized(request.sides[q].size());
+      for (size_t v = 0; v < normalized.size(); ++v) {
+        normalized[v] = request.sides[q][v] != 0;
+      }
+      ASSERT_EQ(decoded->sides[q], normalized) << "n " << n << " side " << q;
+    }
+  }
 }
 
 TEST(QueryCacheTest, EvictsLeastRecentlyUsed) {

@@ -4,12 +4,16 @@
 // exactly the bytes the scalar reference returns, for int64 and double, at
 // every size including non-multiple-of-lane tails. These tests pin that
 // contract for the FWHT (contiguous and strided), the popcount kernels (via
-// SignVector), the 2-D EncodeSigns transform, the arena, and a served
-// batch under forced-scalar vs hardware dispatch.
+// SignVector), the 2-D EncodeSigns transform, the CutWeights lane add, the
+// arena, and a served batch under forced-scalar vs hardware dispatch.
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -302,6 +306,141 @@ TEST(SimdEncodeSignsTest, ScalarAndDispatchedEncodeIdentically) {
           << "log_size=" << log_size << " t=" << t;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// AddCrossingLanes (the CutWeights lane add)
+// ---------------------------------------------------------------------------
+
+// Weights mixing the values a lane add could get wrong: signed zeros,
+// denormals and magnitudes that overflow when summed, among ordinary ones.
+std::vector<double> LaneWeights(size_t count, Rng& rng) {
+  const double denormal = std::numeric_limits<double>::denorm_min();
+  const double special[] = {0.0,   -0.0,   1e308,          -1e308,
+                            denormal, -7 * denormal,
+                            std::numeric_limits<double>::min() / 3, 0.1};
+  std::vector<double> weights(count);
+  for (auto& w : weights) {
+    w = rng.Bernoulli(0.5)
+            ? special[rng.UniformInt(std::size(special))]
+            : (static_cast<double>(rng.Next() % 20001) - 10000.0) / 7.0;
+  }
+  return weights;
+}
+
+// The definition, one lane at a time.
+void NaiveAddCrossingLanes(double* sums, size_t lanes,
+                           const uint64_t* crossing, const double* weights,
+                           size_t count) {
+  for (size_t k = 0; k < count; ++k) {
+    for (size_t j = 0; j < lanes; ++j) {
+      if ((crossing[k] >> j) & 1) sums[j] += weights[k];
+    }
+  }
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(SimdLaneAddTest, DispatchedMatchesScalarForEveryShape) {
+  Rng rng(53);
+  constexpr size_t kMaxCount = 300;
+  const std::vector<double> weights = LaneWeights(kMaxCount, rng);
+  std::vector<uint64_t> random_masks(kMaxCount);
+  for (auto& mask : random_masks) mask = rng.Next();
+  const std::vector<std::vector<uint64_t>> masks = {
+      std::vector<uint64_t>(kMaxCount, 0),
+      std::vector<uint64_t>(kMaxCount, ~uint64_t{0}), random_masks};
+  // All 64 slots: lanes >= `lanes` hold their initial values afterwards.
+  // No initial sum is −0.0 (the kernel's precondition).
+  std::vector<double> initial(64);
+  for (size_t j = 0; j < initial.size(); ++j) {
+    initial[j] = j % 3 == 0 ? 0.0 : static_cast<double>(j) * 1.25 - 40.0;
+  }
+  for (size_t lanes = 1; lanes <= 64; ++lanes) {
+    for (size_t count = 0; count <= kMaxCount; ++count) {
+      for (size_t m = 0; m < masks.size(); ++m) {
+        std::vector<double> scalar = initial;
+        std::vector<double> dispatched = initial;
+        simd::scalar::AddCrossingLanes(scalar.data(), lanes, masks[m].data(),
+                                       weights.data(), count);
+        simd::AddCrossingLanes(dispatched.data(), lanes, masks[m].data(),
+                               weights.data(), count);
+        ASSERT_TRUE(SameBits(scalar, dispatched))
+            << "lanes " << lanes << " count " << count << " mask " << m;
+      }
+    }
+  }
+}
+
+TEST(SimdLaneAddTest, ScalarMatchesTheDefinition) {
+  Rng rng(59);
+  for (const size_t lanes : {1, 3, 4, 5, 31, 32, 33, 63, 64}) {
+    const std::vector<double> weights = LaneWeights(200, rng);
+    std::vector<uint64_t> crossing(200);
+    for (auto& mask : crossing) mask = rng.Next();
+    std::vector<double> scalar(64, 0.0);
+    std::vector<double> naive(64, 0.0);
+    simd::scalar::AddCrossingLanes(scalar.data(), lanes, crossing.data(),
+                                   weights.data(), crossing.size());
+    NaiveAddCrossingLanes(naive.data(), lanes, crossing.data(),
+                          weights.data(), crossing.size());
+    EXPECT_TRUE(SameBits(scalar, naive)) << "lanes " << lanes;
+  }
+}
+
+TEST(SimdLaneAddTest, BitsAtOrAboveLanesAreIgnored) {
+  Rng rng(61);
+  const std::vector<double> weights = LaneWeights(100, rng);
+  std::vector<uint64_t> crossing(100);
+  for (auto& mask : crossing) mask = rng.Next();
+  for (const size_t lanes : {1, 4, 5, 17, 32, 33, 63}) {
+    std::vector<uint64_t> clipped = crossing;
+    for (auto& mask : clipped) mask &= (uint64_t{1} << lanes) - 1;
+    for (const bool force : {false, true}) {
+      ScopedForceScalar guard(force);
+      // Slots past `lanes` hold a sentinel the kernel must not touch.
+      std::vector<double> full(64, 0.0);
+      std::vector<double> masked(64, 0.0);
+      std::fill(full.begin() + static_cast<ptrdiff_t>(lanes), full.end(),
+                -123.5);
+      std::fill(masked.begin() + static_cast<ptrdiff_t>(lanes), masked.end(),
+                -123.5);
+      simd::AddCrossingLanes(full.data(), lanes, crossing.data(),
+                             weights.data(), crossing.size());
+      simd::AddCrossingLanes(masked.data(), lanes, clipped.data(),
+                             weights.data(), clipped.size());
+      EXPECT_TRUE(SameBits(full, masked))
+          << "lanes " << lanes << " forced scalar " << force;
+    }
+  }
+}
+
+// The precondition CutWeights relies on: sums that start at +0.0 never
+// become −0.0, however many −0.0 weights or exact cancellations they see,
+// so the +0.0 the vector path adds to uncrossed lanes changes no bit.
+TEST(SimdLaneAddTest, SumsStartingAtPositiveZeroNeverBecomeNegativeZero) {
+  Rng rng(67);
+  const double choices[] = {-0.0, 0.0, 1.5, -1.5};
+  std::vector<double> weights(256);
+  for (auto& w : weights) w = choices[rng.UniformInt(std::size(choices))];
+  std::vector<uint64_t> crossing(256);
+  for (auto& mask : crossing) mask = rng.Next() & rng.Next();
+  std::vector<double> scalar(64, 0.0);
+  std::vector<double> dispatched(64, 0.0);
+  simd::scalar::AddCrossingLanes(scalar.data(), 64, crossing.data(),
+                                 weights.data(), crossing.size());
+  simd::AddCrossingLanes(dispatched.data(), 64, crossing.data(),
+                         weights.data(), crossing.size());
+  EXPECT_TRUE(SameBits(scalar, dispatched));
+  int zero_sums = 0;
+  for (const double sum : scalar) {
+    EXPECT_FALSE(std::signbit(sum) && sum == 0.0);
+    zero_sums += sum == 0.0;
+  }
+  EXPECT_GT(zero_sums, 0);  // the case the precondition is about occurred
 }
 
 // ---------------------------------------------------------------------------
