@@ -6,12 +6,10 @@
 //      must equal the cold one exactly).
 //   B: for-each decode through the service (DecodeForEachBits) cold vs
 //      warm, checked bit-for-bit against the per-bit session path.
-//   C: batch thread scaling on a seeded (never-cached) oracle — every
-//      query computes, so the sweep measures sharded execution, with the
-//      identical-across-thread-counts check.
+//   D: the multi-process cluster soak under SIGKILL chaos.
 //
 // Results are printed as tables and written to BENCH_serve.json (override
-// with --out FILE). --threads N caps the thread sweep.
+// with --out FILE).
 
 #include <stdlib.h>
 #include <unistd.h>
@@ -21,7 +19,6 @@
 #include <cstdio>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "graph/generators.h"
@@ -188,95 +185,6 @@ DecodeRecord SectionForEachDecode() {
   return record;
 }
 
-struct ThreadRecord {
-  int threads = 0;
-  double ms = 0;
-  bool ran = false;                 // false ⇒ skipped (oversubscribed)
-  bool answers_identical = false;   // vs the threads=1 baseline
-};
-
-struct ScalingResult {
-  int batch = 0;
-  int hardware_concurrency = 0;
-  bool identical = true;
-  bool truncated = false;  // some sweep points exceeded the hardware
-  std::vector<ThreadRecord> records;
-};
-
-ScalingResult SectionThreadScaling(int max_threads) {
-  PrintBanner("SERVE/C",
-              "Batch thread scaling on a seeded oracle (nothing cacheable; "
-              "every query computes)");
-  Rng rng(55);
-  const DirectedGraph graph = RandomBalancedDigraph(256, 0.3, 2.0, rng);
-  const SeededCutOracleFactory factory = [](const DirectedGraph& g,
-                                            Rng& oracle_rng) -> CutOracle {
-    return NoisyCutOracle(g, 0.01, oracle_rng);
-  };
-  ScalingResult result;
-  result.batch = 4096;
-  result.hardware_concurrency = bench::HardwareConcurrencyOrOne();
-
-  PrintRow({"threads", "time(ms)", "speedup", "identical"});
-  PrintRule(4);
-  std::vector<double> serial_answers;
-  double ms_serial = 0;
-  for (int threads = 1; threads <= max_threads; threads *= 2) {
-    if (threads > result.hardware_concurrency) {
-      // Oversubscribed points measure scheduler noise, not scaling; skip
-      // them rather than record numbers a perf gate would trust.
-      ThreadRecord skipped;
-      skipped.threads = threads;
-      result.truncated = true;
-      result.records.push_back(skipped);
-      PrintRow({I(threads), "skipped", "-", "-"});
-      continue;
-    }
-    CutQueryServiceOptions options;
-    options.num_threads = threads;
-    CutQueryService service(options);
-    const auto object = service.RegisterSeededOracle(graph, factory, 4242);
-    Rng batch_rng(9);
-    std::vector<CutQueryService::Query> batch;
-    for (int i = 0; i < result.batch; ++i) {
-      VertexSet side(256);
-      do {
-        for (auto& bit : side) {
-          bit = static_cast<uint8_t>(batch_rng.Next() & 1);
-        }
-      } while (!IsProperCutSide(side));
-      batch.push_back({object, std::move(side)});
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<double> answers = service.AnswerBatch(batch);
-    ThreadRecord record;
-    record.threads = threads;
-    record.ms = MsSince(t0);
-    record.ran = true;
-    if (threads == 1) {
-      ms_serial = record.ms;
-      serial_answers = answers;
-      record.answers_identical = true;
-    } else {
-      record.answers_identical = answers == serial_answers;
-      if (!record.answers_identical) result.identical = false;
-    }
-    PrintRow({I(threads), F(record.ms, 1),
-              F(record.ms > 0 ? ms_serial / record.ms : 0, 2),
-              record.answers_identical ? "yes" : "NO"});
-    result.records.push_back(record);
-  }
-  std::printf("answers identical across thread counts: %s\n",
-              result.identical ? "yes" : "NO (BUG)");
-  if (result.truncated) {
-    std::printf(
-        "sweep truncated: hardware_concurrency=%d < max requested threads "
-        "(oversubscribed points skipped)\n",
-        result.hardware_concurrency);
-  }
-  return result;
-}
-
 struct ClusterRecord {
   double kill_rate = 0;
   bool ran = false;
@@ -352,7 +260,6 @@ std::vector<ClusterRecord> SectionClusterChaos() {
 void WriteJson(const std::string& path,
                const std::vector<CacheRecord>& cache_records,
                const DecodeRecord& decode_record,
-               const ScalingResult& scaling,
                const std::vector<ClusterRecord>& cluster_records) {
   JsonValue root = JsonValue::MakeObject();
   JsonValue cache_json = JsonValue::MakeArray();
@@ -377,22 +284,6 @@ void WriteJson(const std::string& path,
   decode_json.Set("speedup", decode_record.speedup());
   decode_json.Set("matches_sessions", decode_record.matches_sessions);
   root.Set("foreach_decode", std::move(decode_json));
-  JsonValue scaling_json = JsonValue::MakeObject();
-  scaling_json.Set("batch", scaling.batch);
-  scaling_json.Set("answers_identical", scaling.identical);
-  scaling_json.Set("hardware_concurrency", scaling.hardware_concurrency);
-  scaling_json.Set("truncated", scaling.truncated);
-  JsonValue sweep = JsonValue::MakeArray();
-  for (const ThreadRecord& r : scaling.records) {
-    JsonValue entry = JsonValue::MakeObject();
-    entry.Set("threads", r.threads);
-    entry.Set("ms", r.ms);
-    entry.Set("ran", r.ran);
-    entry.Set("answers_identical", r.answers_identical);
-    sweep.Append(std::move(entry));
-  }
-  scaling_json.Set("sweep", std::move(sweep));
-  root.Set("thread_scaling", std::move(scaling_json));
   JsonValue cluster_json = JsonValue::MakeArray();
   for (const ClusterRecord& r : cluster_records) {
     JsonValue entry = JsonValue::MakeObject();
@@ -425,21 +316,11 @@ void WriteJson(const std::string& path,
 }  // namespace dcs
 
 int main(int argc, char** argv) {
-  int threads = dcs::bench::ConsumeThreadsFlag(&argc, argv);
-  if (threads == 1) {
-    // Default sweep ceiling: what the machine actually has, capped at 8.
-    // On a single-core machine that is 1 — the section refuses to time
-    // oversubscribed points, so requesting more would only print skips.
-    const int hw = dcs::bench::HardwareConcurrencyOrOne();
-    threads = hw > 8 ? 8 : hw;
-  }
   const std::string out_path =
       dcs::bench::ConsumeOutFlag(&argc, argv, "BENCH_serve.json");
   const auto cache_records = dcs::SectionWarmVsCold();
   const auto decode_record = dcs::SectionForEachDecode();
-  const auto scaling = dcs::SectionThreadScaling(threads);
   const auto cluster_records = dcs::SectionClusterChaos();
-  dcs::WriteJson(out_path, cache_records, decode_record, scaling,
-                 cluster_records);
+  dcs::WriteJson(out_path, cache_records, decode_record, cluster_records);
   return 0;
 }

@@ -172,10 +172,6 @@ def check_correctness_flags(name, doc, report):
     for row in doc.get("warm_vs_cold", []):
         demand(f"warm_vs_cold[n={row.get('n')}].identical",
                row.get("identical"))
-    scaling = doc.get("thread_scaling")
-    if scaling is not None:
-        demand("thread_scaling.answers_identical",
-               scaling.get("answers_identical"))
     for row in doc.get("cluster", []):
         # The chaos-soak invariant: every batch a client completed against
         # the worker fleet — including across SIGKILL failovers — matched

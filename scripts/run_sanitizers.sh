@@ -45,7 +45,7 @@ run_one() {
   ctest --test-dir "${build_dir}" --output-on-failure -j"$(nproc)"
   if [[ "${kind}" == "address" || "${kind}" == "thread" ]]; then
     # Run the concurrency-heavy suites once more by themselves so their
-    # racy paths (striped LRU under eviction pressure, concurrent
+    # racy paths (the one-mutex LRU under eviction pressure, concurrent
     # AnswerBatch callers, multi-producer streaming ingestion with
     # concurrent epoch queries) get an isolated, clearly attributed pass
     # under the checker. The sparsifier differential suite rides along:

@@ -80,10 +80,8 @@ ClusterWorker::ClusterWorker(Listener listener, ClusterWorkerOptions options)
   for (int s = 0; s < options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->index = s;
-    CutQueryServiceOptions service_options;
     // The admitted caller executes, one at a time under the shard mutex.
-    service_options.num_threads = 1;
-    shard->service = std::make_unique<CutQueryService>(service_options);
+    shard->service = std::make_unique<CutQueryService>();
     shards_.push_back(std::move(shard));
   }
 }

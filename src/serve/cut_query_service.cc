@@ -1,28 +1,19 @@
 #include "serve/cut_query_service.h"
 
 #include <algorithm>
-#include <map>
 #include <utility>
 
 #include "util/check.h"
 #include "util/metrics.h"
-#include "util/random.h"
 
 namespace dcs {
 namespace {
 
-// A seeded object's oracle for one shard. The oracle captures the rng by
-// reference; map nodes never move, so the pair lives in one node.
-struct SeededShardOracle {
-  explicit SeededShardOracle(uint64_t seed) : rng(seed) {}
-  SeededShardOracle(const SeededShardOracle&) = delete;
-  SeededShardOracle& operator=(const SeededShardOracle&) = delete;
+// Queries per run. A run bounds the linear FindLane scan and how many
+// misses wait for their object's one CutWeights pass.
+constexpr int64_t kRunSize = 32;
 
-  Rng rng;
-  CutOracle oracle;
-};
-
-// One shard's distinct misses on one batching object: lane k answers
+// One run's distinct misses on one batching object: lane k answers
 // sides[k]. `hashes` and `packed` hold each lane's cache key when the
 // object is cached.
 struct PendingLanes {
@@ -33,8 +24,8 @@ struct PendingLanes {
   std::vector<PackedSide> packed;
   std::vector<double> values;
 
-  // The lane already holding this side, or -1. Linear: a shard holds
-  // shard_size (32 by default) queries.
+  // The lane already holding this side, or -1. Linear: a run holds
+  // kRunSize queries.
   int64_t FindLane(uint64_t hash, const PackedSide& side) const {
     for (size_t k = 0; k < hashes.size(); ++k) {
       if (hashes[k] == hash && packed[k] == side) {
@@ -63,18 +54,11 @@ struct DeferredAnswer {
 
 }  // namespace
 
-CutQueryService::CutQueryService(CutQueryServiceOptions options)
-    : options_(options) {
-  DCS_CHECK_GE(options_.num_threads, 1);
-  DCS_CHECK_GE(options_.shard_size, 1);
-  if (options_.enable_cache) {
+CutQueryService::CutQueryService(CutQueryServiceOptions options) {
+  if (options.enable_cache) {
     CutQueryCache::Options cache_options;
-    cache_options.capacity = options_.cache_capacity;
-    cache_options.num_stripes = options_.cache_stripes;
+    cache_options.capacity = options.cache_capacity;
     cache_ = std::make_unique<CutQueryCache>(cache_options);
-  }
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
   }
 }
 
@@ -121,19 +105,6 @@ CutQueryService::ObjectId CutQueryService::RegisterOracle(CutOracle oracle,
   return Register(std::move(entry));
 }
 
-CutQueryService::ObjectId CutQueryService::RegisterSeededOracle(
-    const DirectedGraph& graph, SeededCutOracleFactory factory,
-    uint64_t base_seed) {
-  DCS_CHECK(static_cast<bool>(factory));
-  graph.BuildAdjacency();
-  ObjectEntry entry;
-  entry.seeded_graph = &graph;
-  entry.seeded_factory = std::move(factory);
-  entry.base_seed = base_seed;
-  entry.cacheable = false;
-  return Register(std::move(entry));
-}
-
 const CutQueryService::ObjectEntry& CutQueryService::EntryFor(
     ObjectId object) const {
   DCS_CHECK(object >= 0 && object < static_cast<ObjectId>(objects_.size()));
@@ -147,28 +118,19 @@ std::vector<double> CutQueryService::AnswerBatch(
                     static_cast<int64_t>(batch.size()));
   DCS_METRIC_ADD("serve.query.logical", static_cast<int64_t>(batch.size()));
   std::vector<double> answers(batch.size(), 0.0);
-  if (batch.empty()) return answers;
-  const int64_t batch_index =
-      batch_counter_.fetch_add(1, std::memory_order_relaxed);
-  const int64_t shard_size = options_.shard_size;
   const int64_t count = static_cast<int64_t>(batch.size());
-  const int64_t num_shards = (count + shard_size - 1) / shard_size;
-
-  const auto serve_shard = [&](int64_t shard) {
-    const int64_t begin = shard * shard_size;
-    const int64_t end = std::min(count, begin + shard_size);
-    // Seeded objects get one oracle per (batch, shard, object), built from
-    // the shard's derived seed — the same SubtaskSeed discipline as the
-    // trial runners, so the answers are independent of num_threads.
-    std::map<ObjectId, SeededShardOracle> seeded;
-    // Misses on objects whose oracle batches, answered after the probe
-    // loop in one pass per object; `deferred` records, in query order,
-    // which lane answers which query.
-    std::vector<PendingLanes> pending;
-    std::vector<DeferredAnswer> deferred;
-    // Hoisted per-shard scratch: PackSideInto reuses the word storage, so
-    // after the first query the pack step performs zero allocations.
-    PackedSide packed;
+  // Misses on objects whose oracle batches, answered after each run's
+  // probe loop in one pass per object; `deferred` records, in query
+  // order, which lane answers which query.
+  std::vector<PendingLanes> pending;
+  std::vector<DeferredAnswer> deferred;
+  // Cache-key scratch: PackSideInto reuses the word storage, so after the
+  // first query the pack step performs zero allocations.
+  PackedSide packed;
+  for (int64_t begin = 0; begin < count; begin += kRunSize) {
+    const int64_t end = std::min(count, begin + kRunSize);
+    pending.clear();
+    deferred.clear();
     for (int64_t i = begin; i < end; ++i) {
       const Query& query = batch[static_cast<size_t>(i)];
       const ObjectEntry& entry = EntryFor(query.object);
@@ -212,22 +174,7 @@ std::vector<double> CutQueryService::AnswerBatch(
         }
         continue;
       }
-      const CutOracle* oracle = &entry.oracle;
-      if (entry.seeded_factory) {
-        auto it = seeded.find(query.object);
-        if (it == seeded.end()) {
-          it = seeded
-                   .try_emplace(query.object,
-                                SubtaskSeed(SubtaskSeed(entry.base_seed,
-                                                        batch_index),
-                                            shard))
-                   .first;
-          it->second.oracle =
-              entry.seeded_factory(*entry.seeded_graph, it->second.rng);
-        }
-        oracle = &it->second.oracle;
-      }
-      const double value = (*oracle)(query.side);
+      const double value = entry.oracle(query.side);
       answers[static_cast<size_t>(i)] = value;
       if (cacheable) {
         cache_->Insert(query.object, side_hash, packed, value);
@@ -246,20 +193,6 @@ std::vector<double> CutQueryService::AnswerBatch(
                        lanes.values[lane]);
       }
     }
-  };
-
-  if (pool_ != nullptr) {
-    // The ThreadPool runs one loop at a time; concurrent AnswerBatch
-    // callers queue here rather than corrupt the pool's epoch state.
-    // Batch-granular handoff: hand each worker a run of shards per claim
-    // (keeping ~4 claims per thread for load balance) so cheap shards do
-    // not turn the shared counter into a coherence hot spot.
-    const int64_t grain = std::max<int64_t>(
-        1, num_shards / (static_cast<int64_t>(options_.num_threads) * 4));
-    std::lock_guard<std::mutex> lock(pool_mutex_);
-    pool_->ParallelFor(num_shards, serve_shard, grain);
-  } else {
-    for (int64_t shard = 0; shard < num_shards; ++shard) serve_shard(shard);
   }
   return answers;
 }

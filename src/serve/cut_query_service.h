@@ -2,15 +2,13 @@
 //
 // A CutQueryService owns a registry of queryable objects — exact graphs,
 // sketches, arbitrary oracles — and answers *batches* of cut queries
-// against them. Batch execution is sharded across a ThreadPool in fixed
-// shard_size runs, so the work partition (and therefore every seeded
-// oracle's noise stream) depends only on the batch contents, never on the
-// thread count. Repeated queries on cacheable (pure) objects are answered
-// from a striped LRU cache (query_cache.h) keyed on the canonical side. A
-// shard's misses on exact graphs are answered together after its cache
-// probes, one DirectedGraph::CutWeights pass per graph, bit-identical to
-// answering them one at a time; every other miss runs inline in issue
-// order, so no noise stream moves.
+// against them, on the calling thread, in runs of 32 queries. Repeated
+// queries on cacheable (pure) objects are answered from an LRU cache
+// (query_cache.h) keyed on the canonical side. A run's misses on exact
+// graphs are answered together after its cache probes, one
+// DirectedGraph::CutWeights pass per graph, bit-identical to answering
+// them one at a time; every other miss runs inline in issue order, so no
+// noise stream moves.
 //
 // Bit accounting: a cached answer is still a logical query. Every batch
 // entry increments serve.query.logical exactly once, whether it hit the
@@ -22,17 +20,15 @@
 //
 // Thread-safety: register every object before serving (registration is not
 // synchronized against queries). AnswerBatch may then run concurrently
-// from multiple threads; a service with num_threads > 1 serializes its
-// internal pool behind a mutex (the ThreadPool contract is one loop at a
-// time).
+// from multiple threads; the cache is the only state they share, and it
+// locks its own mutex.
 
 #ifndef DCS_SERVE_CUT_QUERY_SERVICE_H_
 #define DCS_SERVE_CUT_QUERY_SERVICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
+#include <string>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -41,23 +37,13 @@
 #include "sketch/backend_registry.h"
 #include "sketch/cut_sketch.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace dcs {
 
 struct CutQueryServiceOptions {
-  // Threads for batch execution. 1 = serve on the calling thread (and
-  // concurrent AnswerBatch calls from different threads run fully
-  // concurrently — there is no pool to serialize).
-  int num_threads = 1;
-  // Queries per shard. The shard partition is the determinism unit: shard
-  // s of batch b always holds the same queries and draws from the same
-  // seed stream, for every num_threads.
-  int shard_size = 32;
   // Memoization cache over cacheable objects.
   bool enable_cache = true;
   int64_t cache_capacity = 1 << 16;
-  int cache_stripes = 8;
 };
 
 class CutQueryService {
@@ -90,21 +76,13 @@ class CutQueryService {
   // An arbitrary oracle; pass cacheable=false for oracles whose answers
   // draw randomness (caching one draw would freeze the noise).
   ObjectId RegisterOracle(CutOracle oracle, bool cacheable);
-  // A noisy-oracle family with the PR-1 seeding discipline: shard s of
-  // batch b queries an oracle built from
-  // Rng(SubtaskSeed(SubtaskSeed(base_seed, b), s)), so results are
-  // bit-identical for every num_threads. Never cached.
-  ObjectId RegisterSeededOracle(const DirectedGraph& graph,
-                                SeededCutOracleFactory factory,
-                                uint64_t base_seed);
 
-  // Answers batch[i] into result[i]. Shards of shard_size run across the
-  // pool; cacheable objects consult the cache per query in issue order,
-  // and the shard's misses populate it in query order. Counts batch.size()
-  // logical queries and records serve.batch.{size,latency_ns}.
+  // Answers batch[i] into result[i] on the calling thread, one run of 32
+  // queries at a time; cacheable objects consult the cache per query in
+  // issue order, and the run's misses populate it in query order. Counts
+  // batch.size() logical queries and records serve.batch.{size,latency_ns}.
   std::vector<double> AnswerBatch(const std::vector<Query>& batch);
 
-  const CutQueryServiceOptions& options() const { return options_; }
   int64_t num_objects() const {
     return static_cast<int64_t>(objects_.size());
   }
@@ -125,25 +103,18 @@ class CutQueryService {
 
  private:
   struct ObjectEntry {
-    CutOracle oracle;  // unset for seeded entries
-    const DirectedGraph* seeded_graph = nullptr;
-    SeededCutOracleFactory seeded_factory;  // set => per-shard oracles
-    uint64_t base_seed = 0;
+    CutOracle oracle;
     bool cacheable = false;
   };
 
   ObjectId Register(ObjectEntry entry);
   const ObjectEntry& EntryFor(ObjectId object) const;
 
-  CutQueryServiceOptions options_;
   std::vector<ObjectEntry> objects_;
   // Backend sketches built by RegisterBackendSketch; their oracles point
   // into this storage, which therefore lives as long as the service.
   std::vector<std::unique_ptr<DirectedCutSketch>> owned_sketches_;
-  std::unique_ptr<CutQueryCache> cache_;   // null when disabled
-  std::unique_ptr<ThreadPool> pool_;       // null when num_threads <= 1
-  std::mutex pool_mutex_;                  // one ParallelFor at a time
-  std::atomic<int64_t> batch_counter_{0};
+  std::unique_ptr<CutQueryCache> cache_;  // null when disabled
 };
 
 }  // namespace dcs

@@ -80,9 +80,7 @@ StatusOr<ClusterLoadReport> RunClusterLoad(const ClusterLoadOptions& options) {
   // The single-process oracle: the same CutQueryService + ExactCutOracle
   // code path every worker runs, on a graph with the same edge order the
   // workers deserialize — so equality below must be exact, bit for bit.
-  CutQueryServiceOptions reference_options;
-  reference_options.num_threads = 1;
-  CutQueryService reference(reference_options);
+  CutQueryService reference;
   const CutQueryService::ObjectId reference_id =
       reference.RegisterGraph(graph);
 

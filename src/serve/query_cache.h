@@ -1,4 +1,4 @@
-// Striped LRU memoization cache for cut-query answers.
+// LRU memoization cache for cut-query answers.
 //
 // The serving layer (cut_query_service.h) answers repeated queries for the
 // same (object, cut side) from this cache instead of re-running the O(m)
@@ -14,11 +14,9 @@
 // that was inserted for exactly that side (the serving layer's bit-identity
 // guarantee rests on this).
 //
-// Concurrency: entries are sharded into power-of-two stripes by key hash;
-// each stripe is an independently locked LRU list + hash index, so batch
-// shards running on different threads rarely contend on one mutex.
-// Capacity is enforced per stripe (capacity/stripes each), which bounds
-// total size while keeping eviction decisions lock-local.
+// Concurrency: one mutex guards the LRU list and its hash index, so
+// concurrent AnswerBatch callers may share a cache. Capacity is exact:
+// an insert past it evicts the least recently used entries.
 //
 // Metrics (DESIGN.md §8/§10): serve.cache.hits, serve.cache.misses,
 // serve.cache.evictions.
@@ -28,7 +26,6 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -68,7 +65,7 @@ PackedSide PackSide(const VertexSet& side);
 // Pack + hash: fills `packed` with the canonical form of `side` (reusing
 // its existing word storage when the size matches), eight vertices per
 // step, and returns HashSide(side) computed from the packed words. The
-// serving fast path calls this once per query into per-shard scratch
+// serving fast path calls this once per query into per-batch scratch
 // instead of allocating a fresh PackedSide and walking the side's bytes
 // twice.
 uint64_t PackSideInto(const VertexSet& side, PackedSide& packed);
@@ -80,8 +77,8 @@ uint64_t HashPackedSide(const PackedSide& side);
 
 // Combines an object id into a side hash to form the cache key hash. The
 // finalizer decorrelates objects: without it, the same side under two
-// objects would land in the same stripe and bucket, making cross-object
-// workloads contend systematically.
+// objects would land in the same bucket, making cross-object workloads
+// collide systematically.
 inline uint64_t CacheKeyHash(int64_t object, uint64_t side_hash) {
   uint64_t z = side_hash +
                0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(object) + 1);
@@ -89,16 +86,12 @@ inline uint64_t CacheKeyHash(int64_t object, uint64_t side_hash) {
   return z ^ (z >> 31);
 }
 
-// The striped LRU cache. Thread-safe; all methods may be called
-// concurrently.
+// The LRU cache. Thread-safe; all methods may be called concurrently.
 class CutQueryCache {
  public:
   struct Options {
-    // Total entry budget across all stripes (enforced as capacity/stripes
-    // per stripe, at least 1 each).
+    // Entry budget, at least 1.
     int64_t capacity = 1 << 16;
-    // Number of lock stripes; rounded up to a power of two, at least 1.
-    int num_stripes = 8;
   };
 
   explicit CutQueryCache(const Options& options);
@@ -113,12 +106,12 @@ class CutQueryCache {
                                const PackedSide& side);
 
   // Inserts (or refreshes) the value for (object, side), evicting the
-  // stripe's least-recently-used entries when over budget. A concurrent
-  // duplicate insert refreshes recency instead of double-storing.
+  // least-recently-used entries when over budget. A concurrent duplicate
+  // insert refreshes recency instead of double-storing.
   void Insert(int64_t object, uint64_t side_hash, const PackedSide& side,
               double value);
 
-  // Current number of entries (sums stripes; a racing snapshot).
+  // Current number of entries.
   int64_t size() const;
 
   // One cache entry in portable form, for persisting across restarts
@@ -130,9 +123,7 @@ class CutQueryCache {
     double value = 0;
   };
 
-  // Up to `max_entries` entries, hottest first (per-stripe MRU order,
-  // round-robin merged across stripes so every stripe's hottest entries
-  // survive a truncated snapshot).
+  // Up to `max_entries` entries, hottest first (MRU order).
   std::vector<SnapshotEntry> SnapshotHottest(int64_t max_entries) const;
 
   // Re-inserts snapshot entries (recomputing hashes). Iterates in reverse
@@ -149,24 +140,10 @@ class CutQueryCache {
   // front = most recently used.
   using LruList = std::list<Entry>;
 
-  // alignas(64): stripes are the contention points of the whole serving
-  // layer; starting each on its own cache line keeps one stripe's mutex
-  // traffic from invalidating its neighbors' lines (the stripes are
-  // individually heap-allocated, but allocators routinely pack small
-  // objects 16-byte apart).
-  struct alignas(64) Stripe {
-    mutable std::mutex mutex;
-    LruList lru;
-    std::unordered_multimap<uint64_t, LruList::iterator> index;
-  };
-
-  Stripe& StripeFor(uint64_t key_hash) {
-    return *stripes_[static_cast<size_t>(key_hash) & stripe_mask_];
-  }
-
-  int64_t per_stripe_capacity_;
-  size_t stripe_mask_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
+  const int64_t capacity_;
+  mutable std::mutex mutex_;
+  LruList lru_;
+  std::unordered_multimap<uint64_t, LruList::iterator> index_;
 };
 
 }  // namespace dcs

@@ -1,4 +1,4 @@
-// Warm-tier persistence: dump/reload of the striped-LRU cut-query cache
+// Warm-tier persistence: dump/reload of the LRU cut-query cache
 // (DESIGN.md §15). A worker draining on SIGTERM snapshots its hottest
 // cache entries to `<store-dir>/cache.snap`; the replacement worker
 // reloads them at boot so the first post-restart queries hit warm.

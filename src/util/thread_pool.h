@@ -12,7 +12,6 @@
 #ifndef DCS_UTIL_THREAD_POOL_H_
 #define DCS_UTIL_THREAD_POOL_H_
 
-#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <functional>
@@ -68,12 +67,7 @@ class ThreadPool {
   int num_threads() const { return num_threads_; }
 
   // Runs body(i) for every i in [0, count), distributing indices across all
-  // threads; blocks until the whole range is done. `grain` is the handoff
-  // batch size: each claim on the shared counter hands a worker a contiguous
-  // chunk of `grain` indices, so cheap iterations (one shard lookup each)
-  // amortize the atomic + cache-line transfer instead of contending per
-  // index. Iterations still run in ascending order within a chunk and each
-  // remains self-contained, so the determinism contract is unchanged.
+  // threads; blocks until the whole range is done.
   //
   // Each call is one *epoch* (generation_). Loop state (body_/count_/
   // next_index_/pending_) is only ever written while the previous epoch is
@@ -87,10 +81,8 @@ class ThreadPool {
   // while such a straggler could still be between its fetch_add and the
   // count_ load, letting one stale index run twice in the new loop and the
   // loop return before every index had run.)
-  void ParallelFor(int64_t count, const std::function<void(int64_t)>& body,
-                   int64_t grain = 1) {
+  void ParallelFor(int64_t count, const std::function<void(int64_t)>& body) {
     DCS_CHECK_GE(count, 0);
-    DCS_CHECK_GE(grain, 1);
     if (count == 0) return;
     DCS_METRIC_INC("threadpool.loop.started");
     DCS_METRIC_RECORD("threadpool.loop.tasks", count);
@@ -114,7 +106,6 @@ class ThreadPool {
       // call): safe to install the new epoch's state.
       body_ = &body;
       count_ = count;
-      grain_ = grain;
       pending_.store(count, std::memory_order_relaxed);
       next_index_.store(0, std::memory_order_relaxed);
       loop_open_ = true;
@@ -143,14 +134,11 @@ class ThreadPool {
     // and max means one thread ran most of the loop.
     int64_t claimed = 0;
     while (true) {
-      const int64_t start =
-          next_index_.fetch_add(grain_, std::memory_order_relaxed);
-      if (start >= count_) break;
-      const int64_t end = std::min(start + grain_, count_);
-      for (int64_t i = start; i < end; ++i) (*body_)(i);
-      const int64_t ran = end - start;
-      claimed += ran;
-      if (pending_.fetch_sub(ran, std::memory_order_acq_rel) == ran) {
+      const int64_t i = next_index_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count_) break;
+      (*body_)(i);
+      ++claimed;
+      if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         std::unique_lock<std::mutex> lock(mutex_);
         loop_done_.notify_all();
       }
@@ -201,9 +189,8 @@ class ThreadPool {
   // the open epoch under mutex_.
   const std::function<void(int64_t)>* body_ = nullptr;
   int64_t count_ = 0;
-  int64_t grain_ = 1;
   // Each hot atomic gets its own cache line: next_index_ takes a
-  // read-modify-write from every claim and pending_ one per chunk retire —
+  // read-modify-write from every claim and pending_ one per retire —
   // sharing a line with each other (or with the mutex) made every claim a
   // coherence miss for all other workers.
   alignas(64) std::atomic<int64_t> next_index_{0};
@@ -214,8 +201,7 @@ class ThreadPool {
 // for i in [0, count) on `num_threads` threads. num_threads <= 1 is a plain
 // serial loop with zero threading overhead.
 inline void ParallelFor(int num_threads, int64_t count,
-                        const std::function<void(int64_t)>& body,
-                        int64_t grain = 1) {
+                        const std::function<void(int64_t)>& body) {
   DCS_CHECK_GE(count, 0);
   if (num_threads <= 1 || count <= 1) {
     if (count == 0) return;
@@ -227,7 +213,7 @@ inline void ParallelFor(int num_threads, int64_t count,
     return;
   }
   ThreadPool pool(num_threads);
-  pool.ParallelFor(count, body, grain);
+  pool.ParallelFor(count, body);
 }
 
 }  // namespace dcs

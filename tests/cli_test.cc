@@ -319,13 +319,37 @@ int RunCliCapture(const std::string& args, std::string* out) {
 
 TEST(CliTest, ServeSubcommand) {
   EXPECT_EQ(RunCli("serve --n 32 --rounds 3 --batch 64 --pool 8 "
-                   "--threads 2 --seed 5"),
+                   "--seed 5"),
             0);
   EXPECT_EQ(RunCli("serve --n 32 --rounds 2 --batch 32 --pool 8 "
                    "--cache 0"),
             0);
   EXPECT_EQ(RunCli("serve --n 1"), 2);
   EXPECT_EQ(RunCli("serve --threads 0"), 2);
+}
+
+// A flag the subcommand never reads is a usage error, not silently
+// ignored; --metrics-json is read by every subcommand.
+TEST(CliTest, UnreadFlagExitsTwo) {
+  EXPECT_EQ(RunCli("serve --n 16 --rounds 1 --batch 8 --pool 4 "
+                   "--threads 2"),
+            2);
+  EXPECT_EQ(RunCli("serve --n 16 --rounds 1 --batch 8 --pool 4 --shard 8"),
+            2);
+  EXPECT_EQ(RunCli("generate --type balanced --nn 5 "
+                   "--out /tmp/dcs_cli_test_unused.txt"),
+            2);
+  EXPECT_EQ(RunCli("encode --message hi --metrics-json "
+                   "/tmp/dcs_cli_test_unread_metrics.json"),
+            0);
+  const std::string stderr_path = "/tmp/dcs_cli_test_unread_stderr.txt";
+  const int status = std::system(
+      (std::string(DCS_CLI_PATH) +
+       " encode --message hi --mesage typo > /dev/null 2> " + stderr_path)
+          .c_str());
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  EXPECT_NE(ReadFileToString(stderr_path).find("--mesage"),
+            std::string::npos);
 }
 
 TEST(CliTest, ServeMetricsJsonCountsLogicalQueries) {
@@ -498,7 +522,7 @@ TEST(CliStoreTest, PutGetFsckCompactRoundTrip) {
   const std::string dir = "/tmp/dcs_cli_test_store";
   std::system(("rm -rf '" + dir + "'").c_str());
   ASSERT_EQ(RunCli("generate --type balanced --n 24 --beta 2 --seed 7 "
-                   "--directed 1 --out " + graph),
+                   "--out " + graph),
             0);
   ASSERT_EQ(RunCli("store --dir " + dir + " --op put --id 3 --in " + graph),
             0);

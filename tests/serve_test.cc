@@ -1,5 +1,5 @@
 // Tests for the batched cut-query serving layer (src/serve): cache
-// semantics, side packing for cache keys and the wire, batch determinism,
+// semantics, side packing for cache keys and the wire, batch answers,
 // warm/cold bit-identity, issue order and allocations around deferred
 // misses, and the batched for-each decoder against its per-bit reference.
 
@@ -179,7 +179,6 @@ TEST(WireTest, QuerySidesPackAndUnpackLikeABitLoop) {
 TEST(QueryCacheTest, EvictsLeastRecentlyUsed) {
   CutQueryCache::Options options;
   options.capacity = 2;
-  options.num_stripes = 1;  // one stripe so LRU order is global
   CutQueryCache cache(options);
 
   const VertexSet s0 = MakeVertexSet(8, {0});
@@ -200,12 +199,56 @@ TEST(QueryCacheTest, EvictsLeastRecentlyUsed) {
 TEST(QueryCacheTest, DuplicateInsertRefreshesInsteadOfDoubleStoring) {
   CutQueryCache::Options options;
   options.capacity = 4;
-  options.num_stripes = 1;
   CutQueryCache cache(options);
   const VertexSet side = MakeVertexSet(8, {1, 2});
   cache.Insert(0, HashSide(side), PackSide(side), 5.0);
   cache.Insert(0, HashSide(side), PackSide(side), 5.0);
   EXPECT_EQ(cache.size(), 1);
+}
+
+TEST(QueryCacheTest, CapacityIsExact) {
+  CutQueryCache::Options options;
+  options.capacity = 3;
+  CutQueryCache cache(options);
+  for (int v = 0; v < 20; ++v) {
+    const VertexSet side = MakeVertexSet(32, {v});
+    cache.Insert(0, HashSide(side), PackSide(side), v);
+    EXPECT_LE(cache.size(), 3) << "after insert " << v;
+  }
+  EXPECT_EQ(cache.size(), 3);
+  // The survivors are the three most recent inserts.
+  for (int v = 17; v < 20; ++v) {
+    const VertexSet side = MakeVertexSet(32, {v});
+    EXPECT_TRUE(cache.Lookup(0, HashSide(side), PackSide(side)).has_value())
+        << "side " << v;
+  }
+}
+
+TEST(QueryCacheTest, SnapshotHottestIsGlobalMruOrder) {
+  CutQueryCache cache(CutQueryCache::Options{});
+  for (int v = 0; v < 10; ++v) {
+    const VertexSet side = MakeVertexSet(32, {v});
+    cache.Insert(0, HashSide(side), PackSide(side), v);
+  }
+  // Touch 3 then 7: 7 is now the hottest, 3 the next.
+  for (const int v : {3, 7}) {
+    const VertexSet side = MakeVertexSet(32, {v});
+    ASSERT_TRUE(cache.Lookup(0, HashSide(side), PackSide(side)).has_value());
+  }
+  const std::vector<double> expected = {7, 3, 9, 8, 6, 5, 4, 2, 1, 0};
+  const auto all = cache.SnapshotHottest(100);
+  ASSERT_EQ(all.size(), expected.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    EXPECT_EQ(all[i].value, expected[i]) << "position " << i;
+    EXPECT_TRUE(all[i].side == PackSide(MakeVertexSet(
+                                   32, {static_cast<VertexId>(expected[i])})));
+  }
+  // A truncated snapshot is the same order's prefix.
+  const auto top = cache.SnapshotHottest(4);
+  ASSERT_EQ(top.size(), 4u);
+  for (size_t i = 0; i < top.size(); ++i) {
+    EXPECT_EQ(top[i].value, expected[i]) << "position " << i;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -298,49 +341,13 @@ TEST(CutQueryServiceTest, SketchBatchMatchesDirectEstimates) {
   }
 }
 
-TEST(CutQueryServiceTest, SeededBatchesDeterministicAcrossThreadCounts) {
-  Rng rng(23);
-  const DirectedGraph graph = RandomBalancedDigraph(20, 0.5, 1.0, rng);
-  const SeededCutOracleFactory factory = [](const DirectedGraph& g,
-                                            Rng& oracle_rng) {
-    return NoisyCutOracle(g, 0.2, oracle_rng);
-  };
-
-  auto run = [&](int num_threads, int shard_size) {
-    CutQueryServiceOptions options;
-    options.num_threads = num_threads;
-    options.shard_size = shard_size;
-    CutQueryService service(options);
-    const auto object = service.RegisterSeededOracle(graph, factory, 99);
-    Rng batch_rng(31);
-    const auto batch = MakeBatch(object, 20, 70, batch_rng);
-    return service.AnswerBatch(batch);
-  };
-
-  const std::vector<double> serial = run(1, 16);
-  const std::vector<double> pooled = run(4, 16);
-  ASSERT_EQ(serial.size(), pooled.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], pooled[i]) << "query " << i;
-  }
-  // A different shard size is a different (but still valid) noise
-  // partition, so it may differ — only the thread count must not matter.
-  const std::vector<double> pooled8 = run(8, 16);
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], pooled8[i]) << "query " << i;
-  }
-}
-
-TEST(CutQueryServiceTest, SeededOraclesAreNeverCached) {
+TEST(CutQueryServiceTest, NoisyOraclesAreNeverCached) {
   Rng rng(29);
   const DirectedGraph graph = RandomBalancedDigraph(16, 0.5, 1.0, rng);
+  Rng oracle_rng(7);
   CutQueryService service;
-  const auto object = service.RegisterSeededOracle(
-      graph,
-      [](const DirectedGraph& g, Rng& oracle_rng) {
-        return NoisyCutOracle(g, 0.3, oracle_rng);
-      },
-      7);
+  const auto object = service.RegisterOracle(
+      NoisyCutOracle(graph, 0.3, oracle_rng), /*cacheable=*/false);
   Rng batch_rng(3);
   const auto batch = MakeBatch(object, 16, 10, batch_rng);
   service.AnswerBatch(batch);
@@ -354,30 +361,23 @@ int64_t CounterDelta(const metrics::MetricsSnapshot& diff,
 }
 
 TEST(CutQueryServiceTest, DeferredGraphMissesKeepIssueOrder) {
-  // One shard interleaving two graphs (whose misses are deferred into one
-  // lane pass per graph) with a seeded oracle and two noisy oracles that
-  // share one Rng (which run inline). Every answer must equal calling each
-  // oracle alone in issue order: deferral moves no Rng draw.
+  // One run interleaving two graphs (whose misses are deferred into one
+  // lane pass per graph) with two noisy oracles that share one Rng (which
+  // run inline). Every answer must equal calling each oracle alone in
+  // issue order: deferral moves no Rng draw.
   Rng rng(47);
   const DirectedGraph graph_a = RandomBalancedDigraph(20, 0.5, 2.0, rng);
   const DirectedGraph graph_b = RandomBalancedDigraph(20, 0.4, 1.0, rng);
-  const SeededCutOracleFactory factory = [](const DirectedGraph& g,
-                                            Rng& oracle_rng) {
-    return NoisyCutOracle(g, 0.2, oracle_rng);
-  };
-  constexpr uint64_t kBaseSeed = 99;
   Rng shared_rng(5);
   CutQueryService service;
   const auto a = service.RegisterGraph(graph_a);
   const auto b = service.RegisterGraph(graph_b);
-  const auto seeded = service.RegisterSeededOracle(graph_a, factory,
-                                                   kBaseSeed);
   const auto noisy1 = service.RegisterOracle(
       NoisyCutOracle(graph_a, 0.3, shared_rng), /*cacheable=*/false);
   const auto noisy2 = service.RegisterOracle(
       NoisyCutOracle(graph_b, 0.1, shared_rng), /*cacheable=*/false);
 
-  const CutQueryService::ObjectId pattern[] = {a,      noisy1, seeded, b,
+  const CutQueryService::ObjectId pattern[] = {a,      noisy1, noisy2, b,
                                                noisy2, a,      noisy1, b};
   std::vector<CutQueryService::Query> batch;
   for (int i = 0; i < 24; ++i) {
@@ -386,7 +386,7 @@ TEST(CutQueryServiceTest, DeferredGraphMissesKeepIssueOrder) {
   }
   batch[21].side = batch[5].side;  // graph a: one repeat within the shard
   ASSERT_EQ(batch[21].object, a);
-  ASSERT_LE(static_cast<int>(batch.size()), service.options().shard_size);
+  ASSERT_LE(batch.size(), 32u);  // one run of AnswerBatch
   constexpr int64_t kGraphMisses = 11;  // 12 graph queries, one repeated
   constexpr int64_t kInlineQueries = 12;
 
@@ -403,14 +403,11 @@ TEST(CutQueryServiceTest, DeferredGraphMissesKeepIssueOrder) {
       NoisyCutOracle(graph_a, 0.3, reference_rng);
   const CutOracle reference_noisy2 =
       NoisyCutOracle(graph_b, 0.1, reference_rng);
-  Rng seeded_rng(SubtaskSeed(SubtaskSeed(kBaseSeed, 0), 0));
-  const CutOracle reference_seeded = factory(graph_a, seeded_rng);
   ASSERT_EQ(answers.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const auto object = batch[i].object;
     const CutOracle& oracle = object == a        ? exact_a
                               : object == b      ? exact_b
-                              : object == seeded ? reference_seeded
                               : object == noisy1 ? reference_noisy1
                                                  : reference_noisy2;
     EXPECT_EQ(answers[i], oracle(batch[i].side)) << "query " << i;
@@ -433,7 +430,6 @@ TEST(CutQueryServiceTest, RepeatedSideWithoutCacheStillAnswers) {
   const DirectedGraph graph = RandomBalancedDigraph(18, 0.5, 3.0, rng);
   CutQueryServiceOptions options;
   options.enable_cache = false;
-  options.shard_size = 7;
   CutQueryService service(options);
   const auto object = service.RegisterGraph(graph);
   const auto batch = MakeBatch(object, 18, 30, rng, /*repeat_period=*/4);
@@ -444,23 +440,23 @@ TEST(CutQueryServiceTest, RepeatedSideWithoutCacheStillAnswers) {
   }
 }
 
-TEST(CutQueryServiceTest, AllHitShardsAllocateOnlyTheirPackedSide) {
+TEST(CutQueryServiceTest, AllHitBatchAllocatesOnlyItsPackedSide) {
   // A fully cached batch allocates its answer vector and one PackedSide
-  // of scratch per shard; the seeded-oracle map and the lane lists stay
-  // unbuilt.
+  // of scratch; the lane lists stay unbuilt.
   Rng rng(59);
   const DirectedGraph graph = RandomBalancedDigraph(64, 0.3, 2.0, rng);
-  CutQueryServiceOptions options;
-  options.shard_size = 8;
-  CutQueryService service(options);
+  CutQueryService service;
   const auto object = service.RegisterGraph(graph);
   const auto batch = MakeBatch(object, 64, 32, rng);
   const std::vector<double> cold = service.AnswerBatch(batch);
+  // One unmeasured warm pass first: it registers the hit path's metric
+  // counters, which allocate once, on first use, per process.
+  EXPECT_EQ(service.AnswerBatch(batch), cold);
 
   const int64_t before = g_allocations.load();
   const std::vector<double> warm = service.AnswerBatch(batch);
   const int64_t allocations = g_allocations.load() - before;
-  EXPECT_EQ(allocations, 1 + 32 / 8);
+  EXPECT_EQ(allocations, 1 + 1);
   EXPECT_EQ(warm, cold);
 }
 

@@ -702,7 +702,6 @@ TEST(CacheSnapshotTest, RoundTripsThroughFileAndCache) {
   // packed-side hash the cache itself uses.
   CutQueryCache::Options cache_options;
   cache_options.capacity = 256;
-  cache_options.num_stripes = 4;
   CutQueryCache cache(cache_options);
   std::vector<CutQueryCache::SnapshotEntry> restored;
   for (const CacheSnapshotEntry& entry : *reread) {

@@ -175,10 +175,10 @@ void StressChannelParallelTransfers() {
 }
 
 void StressServeCacheConcurrency() {
-  // The serving layer's striped cache under contention and eviction
-  // pressure: many threads fire AnswerBatch on one service (num_threads=1,
-  // so batches run fully concurrently on the callers), all over a
-  // deliberately tiny cache that evicts constantly. Warm answers must stay
+  // The serving layer's one-mutex cache under contention and eviction
+  // pressure: many threads fire AnswerBatch on one service (each batch
+  // runs on its caller), all over a deliberately tiny cache that evicts
+  // constantly. Warm answers must stay
   // bit-identical to the cold path no matter how lookups, inserts, and
   // evictions interleave.
   Rng rng(13);
@@ -191,9 +191,7 @@ void StressServeCacheConcurrency() {
   }
 
   CutQueryServiceOptions options;
-  options.num_threads = 1;   // callers are the concurrency
   options.cache_capacity = 16;  // far fewer than distinct sides: evict hard
-  options.cache_stripes = 4;
   CutQueryService service(options);
   const auto object = service.RegisterGraph(graph);
 
@@ -425,9 +423,7 @@ void StressClusterWorkerAdmission() {
       }
       graphs.push_back(std::move(graph));
     }
-    CutQueryServiceOptions reference_options;
-    reference_options.num_threads = 1;
-    CutQueryService reference(reference_options);
+    CutQueryService reference;
     for (int g = 0; g < kObjects; ++g) reference.RegisterGraph(graphs[g]);
 
     ClusterWorkerOptions options;

@@ -39,8 +39,8 @@
 //
 // Examples:
 //   dcs generate --type balanced --n 100 --beta 4 --seed 1 --out g.txt
-//   dcs stats --in g.txt --directed
-//   dcs mincut --in g.txt --directed
+//   dcs stats --in g.txt --directed 1
+//   dcs mincut --in g.txt --directed 1
 //   dcs sketch --in g.txt --kind foreach --epsilon 0.2 --beta 4
 //   dcs sketch --in g.txt --backend cut_balance --epsilon 0.2 --beta 4
 //   dcs serve --n 128 --backend importance --rounds 3 --batch 256
@@ -49,8 +49,8 @@
 //   dcs encode --message "hello cuts"
 //   dcs trials --kind forall --trials 40 --threads 4 --mode enumerate
 //   dcs protocol --kind foreach --probes 32 --chaos-seed 7 --chaos-drop 0.05
-//   dcs distributed --in g.txt --servers 4 --chaos-seed 7 --chaos-drop 0.3
-//   dcs serve --n 128 --rounds 4 --batch 512 --pool 64 --threads 4
+//   dcs distributed --in d.txt --servers 4 --chaos-seed 7 --chaos-drop 0.3
+//   dcs serve --n 128 --rounds 4 --batch 512 --pool 64 --cache-capacity 32
 //   dcs stream --make 1 --n 256 --updates 20000 --out updates.bin
 //   dcs stream --in updates.bin --inserters 2 --shards 4 --k 2 --epochs 4
 //   dcs cluster --workers 4 --replication 2 --kill-rate 0.2
@@ -60,6 +60,8 @@
 // Exit codes: 0 success, 1 runtime/data error (unreadable or corrupt
 // input, failed write), 2 usage error (unknown command/flag, malformed
 // numeric value). Errors go to stderr; the tool never aborts on bad input.
+// A flag is unknown to a subcommand when the subcommand never reads it:
+// once the subcommand succeeds, dcs names every such flag and exits 2.
 //
 // Every subcommand accepts --metrics-json FILE (or --metrics-json=FILE):
 // after the command runs, the process-wide metrics snapshot (cut queries,
@@ -81,6 +83,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -113,7 +116,35 @@
 
 namespace {
 
-using FlagMap = std::map<std::string, std::string>;
+// Parsed `--key value` flags. Every lookup records its key, so after a
+// subcommand runs, the flags it never asked for are known without a
+// second per-command list of valid flags.
+class FlagMap {
+ public:
+  void Set(const std::string& key, std::string value) {
+    values_[key] = std::move(value);
+  }
+
+  // The value of --key, or nullptr; either way `key` counts as read.
+  const std::string* Find(const std::string& key) const {
+    read_.insert(key);
+    const auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
+  // The given flags no lookup asked for, in name order.
+  std::vector<std::string> Unread() const {
+    std::vector<std::string> unread;
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) == 0) unread.push_back(key);
+    }
+    return unread;
+  }
+
+ private:
+  std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
+};
 
 FlagMap ParseFlags(int argc, char** argv, int start) {
   FlagMap flags;
@@ -127,22 +158,22 @@ FlagMap ParseFlags(int argc, char** argv, int start) {
     // Both spellings are accepted: `--key value` and `--key=value`.
     const size_t equals = key.find('=');
     if (equals != std::string::npos) {
-      flags[key.substr(0, equals)] = key.substr(equals + 1);
+      flags.Set(key.substr(0, equals), key.substr(equals + 1));
       continue;
     }
     if (i + 1 >= argc) {
       std::fprintf(stderr, "flag --%s needs a value\n", key.c_str());
       std::exit(2);
     }
-    flags[key] = argv[++i];
+    flags.Set(key, argv[++i]);
   }
   return flags;
 }
 
 std::string GetFlag(const FlagMap& flags, const std::string& key,
                     const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
+  const std::string* value = flags.Find(key);
+  return value == nullptr ? fallback : *value;
 }
 
 // Numeric flag parsing via strtod/strtol with full-consumption and range
@@ -152,45 +183,45 @@ std::string GetFlag(const FlagMap& flags, const std::string& key,
 // into the math downstream.
 double GetDouble(const FlagMap& flags, const std::string& key,
                  double fallback) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
+  const std::string* text = flags.Find(key);
+  if (text == nullptr) return fallback;
   char* end = nullptr;
   errno = 0;
-  const double value = std::strtod(it->second.c_str(), &end);
-  if (it->second.empty() || end != it->second.c_str() + it->second.size()) {
+  const double value = std::strtod(text->c_str(), &end);
+  if (text->empty() || end != text->c_str() + text->size()) {
     std::fprintf(stderr, "flag --%s: '%s' is not a number\n", key.c_str(),
-                 it->second.c_str());
+                 text->c_str());
     std::exit(2);
   }
   if (errno == ERANGE || !std::isfinite(value)) {
     std::fprintf(stderr, "flag --%s: '%s' is out of range\n", key.c_str(),
-                 it->second.c_str());
+                 text->c_str());
     std::exit(2);
   }
   return value;
 }
 
 int GetInt(const FlagMap& flags, const std::string& key, int fallback) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
+  const std::string* text = flags.Find(key);
+  if (text == nullptr) return fallback;
   char* end = nullptr;
   errno = 0;
-  const long value = std::strtol(it->second.c_str(), &end, 10);
-  if (it->second.empty() || end != it->second.c_str() + it->second.size()) {
+  const long value = std::strtol(text->c_str(), &end, 10);
+  if (text->empty() || end != text->c_str() + text->size()) {
     std::fprintf(stderr, "flag --%s: '%s' is not an integer\n", key.c_str(),
-                 it->second.c_str());
+                 text->c_str());
     std::exit(2);
   }
   if (errno == ERANGE || value < INT_MIN || value > INT_MAX) {
     std::fprintf(stderr, "flag --%s: '%s' is out of range\n", key.c_str(),
-                 it->second.c_str());
+                 text->c_str());
     std::exit(2);
   }
   return static_cast<int>(value);
 }
 
 bool HasFlag(const FlagMap& flags, const std::string& key) {
-  return flags.count(key) > 0;
+  return flags.Find(key) != nullptr;
 }
 
 int CmdGenerate(const FlagMap& flags) {
@@ -664,15 +695,11 @@ int CmdServe(const FlagMap& flags) {
     return 2;
   }
   dcs::CutQueryServiceOptions options;
-  options.num_threads = GetInt(flags, "threads", 1);
-  options.shard_size = GetInt(flags, "shard", 32);
   options.enable_cache = GetInt(flags, "cache", 1) != 0;
   options.cache_capacity =
       static_cast<int64_t>(GetInt(flags, "cache-capacity", 1 << 16));
-  if (options.num_threads < 1 || options.shard_size < 1 ||
-      options.cache_capacity < 1) {
-    std::fprintf(stderr,
-                 "serve needs --threads/--shard/--cache-capacity >= 1\n");
+  if (options.cache_capacity < 1) {
+    std::fprintf(stderr, "serve needs --cache-capacity >= 1\n");
     return 2;
   }
 
@@ -715,8 +742,8 @@ int CmdServe(const FlagMap& flags) {
   }
 
   std::printf("serving %d-vertex graph: %d rounds x %d queries "
-              "(%zu distinct sides, %d threads, cache %s)\n",
-              n, rounds, batch_size, pool.size(), options.num_threads,
+              "(%zu distinct sides, cache %s)\n",
+              n, rounds, batch_size, pool.size(),
               options.enable_cache ? "on" : "off");
   // First-seen answer per pool side; every later round must reproduce it
   // bit for bit (the memoization contract), cache on or off.
@@ -1271,13 +1298,18 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
-  FlagMap flags = ParseFlags(argc, argv, 2);
-  std::string metrics_path;
-  if (const auto it = flags.find("metrics-json"); it != flags.end()) {
-    metrics_path = it->second;
-    flags.erase(it);
-  }
+  const FlagMap flags = ParseFlags(argc, argv, 2);
+  const std::string metrics_path = GetFlag(flags, "metrics-json", "");
   int rc = RunCommand(command, flags);
+  if (rc == 0) {
+    // A failed subcommand may have stopped before reading all its flags,
+    // so only a successful one can say which flags it does not know.
+    for (const std::string& key : flags.Unread()) {
+      std::fprintf(stderr, "dcs %s: unknown flag --%s\n", command.c_str(),
+                   key.c_str());
+      rc = 2;
+    }
+  }
   if (!metrics_path.empty()) {
     // The snapshot is written even after a failing command (a failed run's
     // resource counts are exactly what one wants to inspect); a metrics
