@@ -39,6 +39,12 @@ class DirectedGraph {
   // Requires src != dst, both in range, weight >= 0.
   void AddEdge(VertexId src, VertexId dst, double weight);
 
+  // Makes room for `count` edges in total, so that many AddEdge calls do
+  // not reallocate.
+  void ReserveEdges(int64_t count) {
+    edges_.reserve(static_cast<size_t>(count));
+  }
+
   // Total weight of all edges.
   double TotalWeight() const;
 

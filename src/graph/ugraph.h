@@ -33,6 +33,12 @@ class UndirectedGraph {
   // Requires u != v, both in range, weight >= 0.
   void AddEdge(VertexId u, VertexId v, double weight);
 
+  // Makes room for `count` edges in total, so that many AddEdge calls do
+  // not reallocate.
+  void ReserveEdges(int64_t count) {
+    edges_.reserve(static_cast<size_t>(count));
+  }
+
   // Total weight of all edges.
   double TotalWeight() const;
 

@@ -247,8 +247,9 @@ RpcResponse ClusterWorker::ExecuteOnShard(Shard& shard,
   const int num_shards = static_cast<int>(shards_.size());
   switch (request.kind) {
     case RpcKind::kRegisterGraph: {
-      BitWriter writer;
-      SerializeDirectedGraph(*request.graph, writer);
+      // The request carries the graph's envelope: the bytes the client
+      // serialized, verified on decode, and their checksum.
+      const EnvelopedGraph& enveloped = *request.graph;
       const int64_t global_id =
           shard.service->num_objects() * num_shards + shard.index;
       if (store_ != nullptr) {
@@ -257,17 +258,16 @@ RpcResponse ClusterWorker::ExecuteOnShard(Shard& shard,
         // warm-load everything it ever acknowledged.
         const Status put = store_->Put(global_id,
                                        StreamKind::kDirectedGraph,
-                                       writer.bytes(), writer.bit_count());
+                                       enveloped.bytes(),
+                                       enveloped.bit_count());
         if (!put.ok()) {
           response.status = put;
           break;
         }
       }
-      // Matches the client's GraphEnvelopeChecksum: serialization is
-      // canonical.
-      const uint32_t checksum = Fnv1a32(writer.bytes());
-      shard.graphs.push_back(*request.graph);
-      shard.checksums.push_back(checksum);
+      shard.graphs.push_back(enveloped.graph());
+      // The client's GraphEnvelopeChecksum: serialization is canonical.
+      shard.checksums.push_back(enveloped.checksum());
       const CutQueryService::ObjectId local =
           shard.service->RegisterGraph(shard.graphs.back());
       response.object_id = local * num_shards + shard.index;
@@ -345,7 +345,8 @@ RpcResponse ClusterWorker::Execute(const RpcRequest& request) {
   Shard* shard = nullptr;
   if (request.kind == RpcKind::kRegisterGraph) {
     if (!request.graph.has_value()) {
-      response.status = InvalidArgumentError("register request has no graph");
+      response.status =
+          InvalidArgumentError("register request has no graph envelope");
       return response;
     }
     std::lock_guard<std::mutex> lock(registration_mutex_);

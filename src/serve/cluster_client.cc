@@ -87,9 +87,9 @@ bool ClusterClient::IsStale(const Replica& replica,
 Status ClusterClient::RegisterShardOn(ObjectState& object, ShardState& shard,
                                       Replica& replica) {
   (void)object;
-  RpcRequest request;
-  request.kind = RpcKind::kRegisterGraph;
-  request.graph = shard.graph;
+  const RpcRequest request = RegisterGraphRequest(shard.graph);
+  // The graph's reattach identity comes with its envelope.
+  shard.graph_checksum = request.graph->checksum();
   DCS_ASSIGN_OR_RETURN(const RpcResponse response,
                        Call(replica.worker, request));
   DCS_RETURN_IF_ERROR(response.status);
@@ -104,10 +104,6 @@ Status ClusterClient::ReattachShardOn(ObjectState& object, ShardState& shard,
                                       Replica& replica) {
   if (replica.remote_id < 0) {
     return NotFoundError("replica never held a remote id");
-  }
-  if (!shard.checksum_computed) {
-    shard.graph_checksum = GraphEnvelopeChecksum(shard.graph);
-    shard.checksum_computed = true;
   }
   RpcRequest request;
   request.kind = RpcKind::kReattach;

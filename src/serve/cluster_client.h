@@ -142,9 +142,10 @@ class ClusterClient {
   struct ShardState {
     DirectedGraph graph;        // retained for repair
     std::vector<Replica> replicas;
-    // Lazily computed envelope checksum of `graph` (kReattach identity).
-    mutable uint32_t graph_checksum = 0;
-    mutable bool checksum_computed = false;
+    // Envelope checksum of `graph` (kReattach identity), set whenever a
+    // register request for the shard is built; a replica holds a remote
+    // id only after one.
+    uint32_t graph_checksum = 0;
   };
   struct ObjectState {
     int num_vertices = 0;

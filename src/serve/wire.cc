@@ -24,10 +24,11 @@ constexpr uint64_t kMaxStatusMessageBytes = 4096;
 // vertex count well inside int.
 constexpr uint64_t kMaxVertices = uint64_t{1} << 28;
 
-Message SealRpc(RpcKind kind, const BitWriter& payload) {
+Message SealRpc(RpcKind kind, const std::vector<uint8_t>& payload,
+               int64_t payload_bits) {
   BitWriter out;
-  AppendEnvelope(kRpcMagic, static_cast<uint64_t>(kind), payload.bytes(),
-                 payload.bit_count(), out);
+  AppendEnvelope(kRpcMagic, static_cast<uint64_t>(kind), payload,
+                 payload_bits, out);
   return SealMessage(out);
 }
 
@@ -76,6 +77,28 @@ Status CheckFullyConsumed(const BitReader& reader, int64_t payload_bits) {
 
 }  // namespace
 
+EnvelopedGraph::EnvelopedGraph(DirectedGraph graph) : graph_(std::move(graph)) {
+  BitWriter writer;
+  SerializeDirectedGraph(graph_, writer);
+  bit_count_ = writer.bit_count();
+  checksum_ = Fnv1a32(writer.bytes());
+  bytes_ = writer.bytes();
+}
+
+EnvelopedGraph::EnvelopedGraph(DirectedGraph graph, std::vector<uint8_t> bytes,
+                               int64_t bit_count, uint32_t checksum)
+    : graph_(std::move(graph)),
+      bytes_(std::move(bytes)),
+      bit_count_(bit_count),
+      checksum_(checksum) {}
+
+RpcRequest RegisterGraphRequest(const DirectedGraph& graph) {
+  RpcRequest request;
+  request.kind = RpcKind::kRegisterGraph;
+  request.graph = graph;
+  return request;
+}
+
 const char* RpcKindName(RpcKind kind) {
   switch (kind) {
     case RpcKind::kPing:
@@ -98,9 +121,11 @@ Message EncodeRpcRequest(const RpcRequest& request) {
     case RpcKind::kPing:
       break;
     case RpcKind::kRegisterGraph:
+      // The payload is the graph's envelope, serialized when the request
+      // was built.
       DCS_CHECK(request.graph.has_value());
-      SerializeDirectedGraph(*request.graph, payload);
-      break;
+      return SealRpc(request.kind, request.graph->bytes(),
+                     request.graph->bit_count());
     case RpcKind::kQueryBatch: {
       DCS_CHECK_GE(request.object_id, 0);
       DCS_CHECK_GE(request.num_vertices, 1);
@@ -126,11 +151,11 @@ Message EncodeRpcRequest(const RpcRequest& request) {
       DCS_CHECK(false);  // responses go through EncodeRpcResponse
       break;
   }
-  return SealRpc(request.kind, payload);
+  return SealRpc(request.kind, payload.bytes(), payload.bit_count());
 }
 
 StatusOr<RpcRequest> DecodeRpcRequest(const Message& message) {
-  DCS_ASSIGN_OR_RETURN(const EnvelopePayload opened, OpenRpc(message));
+  DCS_ASSIGN_OR_RETURN(EnvelopePayload opened, OpenRpc(message));
   BitReader reader(opened.bytes);
   RpcRequest request;
   request.kind = static_cast<RpcKind>(opened.kind);
@@ -140,9 +165,15 @@ StatusOr<RpcRequest> DecodeRpcRequest(const Message& message) {
     case RpcKind::kPing:
       break;
     case RpcKind::kRegisterGraph: {
-      DCS_ASSIGN_OR_RETURN(request.graph,
+      DCS_ASSIGN_OR_RETURN(DirectedGraph graph,
                            DeserializeDirectedGraph(reader));
-      break;
+      DCS_RETURN_IF_ERROR(CheckFullyConsumed(reader, opened.bit_count));
+      // The payload parsed to its last bit as exactly one graph envelope,
+      // so it is SerializeDirectedGraph(graph), and the RPC checksum just
+      // verified over it is GraphEnvelopeChecksum(graph).
+      request.graph = EnvelopedGraph(std::move(graph), std::move(opened.bytes),
+                                     opened.bit_count, opened.checksum);
+      return request;
     }
     case RpcKind::kQueryBatch: {
       DCS_ASSIGN_OR_RETURN(const uint64_t object_id,
@@ -212,7 +243,7 @@ Message EncodeRpcResponse(const RpcResponse& response) {
   payload.WriteEliasGamma(static_cast<uint64_t>(response.object_id));
   payload.WriteEliasGamma(response.values.size());
   for (double value : response.values) payload.WriteDouble(value);
-  return SealRpc(RpcKind::kResponse, payload);
+  return SealRpc(RpcKind::kResponse, payload.bytes(), payload.bit_count());
 }
 
 uint32_t GraphEnvelopeChecksum(const DirectedGraph& graph) {

@@ -13,8 +13,10 @@
 //
 // RPCs:
 //   kPing          — health check; response carries the worker's token.
-//   kRegisterGraph — ship a DirectedGraph (nested serialization envelope);
-//                    the worker registers it and responds with the
+//   kRegisterGraph — ship a DirectedGraph: the payload *is* the graph's
+//                    serialization envelope, SerializeDirectedGraph's bytes
+//                    exactly. The worker persists those bytes as received,
+//                    registers the graph, and responds with the
 //                    service-assigned object id.
 //   kQueryBatch    — a batch of cut queries (object id + packed sides);
 //                    response carries one double per query.
@@ -61,6 +63,41 @@ enum class RpcKind : uint8_t {
 // Stable lowercase name ("ping", ...) for diagnostics and metrics.
 const char* RpcKindName(RpcKind kind);
 
+struct RpcRequest;
+
+// A graph to register, bound to its serialization envelope: the bytes
+// SerializeDirectedGraph writes for it, their bit count, and their FNV-1a
+// (GraphEnvelopeChecksum). A register request carries its graph in this
+// form, so the worker stores and checksums the bytes that crossed the wire
+// instead of serializing the graph again. There are two ways to make one:
+// from a graph, which serializes it once, and DecodeRpcRequest, which moves
+// in the envelope it received after both checksums (RPC and graph) passed
+// and the graph parsed to its last bit. The encoding is canonical (unique
+// gamma codes, raw weight bits, trailing bits rejected), so both give
+// identical bytes for the same graph.
+class EnvelopedGraph {
+ public:
+  // Implicit, so `request.graph = graph` builds the envelope where the
+  // request is built.
+  EnvelopedGraph(DirectedGraph graph);  // NOLINT
+
+  const DirectedGraph& graph() const { return graph_; }
+  // Padded envelope bytes (final partial byte zero), as BitWriter packs.
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  int64_t bit_count() const { return bit_count_; }
+  uint32_t checksum() const { return checksum_; }
+
+ private:
+  friend StatusOr<RpcRequest> DecodeRpcRequest(const Message& message);
+  EnvelopedGraph(DirectedGraph graph, std::vector<uint8_t> bytes,
+                 int64_t bit_count, uint32_t checksum);
+
+  DirectedGraph graph_;
+  std::vector<uint8_t> bytes_;
+  int64_t bit_count_ = 0;
+  uint32_t checksum_ = 0;
+};
+
 struct RpcRequest {
   RpcKind kind = RpcKind::kPing;
   // kQueryBatch/kReattach: the worker-local object id returned by
@@ -74,9 +111,12 @@ struct RpcRequest {
   uint32_t graph_checksum = 0;
   // kQueryBatch: one packed side per query.
   std::vector<VertexSet> sides;
-  // kRegisterGraph: the graph to register.
-  std::optional<DirectedGraph> graph;
+  // kRegisterGraph: the graph to register, with its envelope.
+  std::optional<EnvelopedGraph> graph;
 };
+
+// A kRegisterGraph request for `graph`, serialized once.
+RpcRequest RegisterGraphRequest(const DirectedGraph& graph);
 
 struct RpcResponse {
   // The worker's application-level verdict. Distinct from transport
@@ -101,7 +141,9 @@ StatusOr<RpcResponse> DecodeRpcResponse(const Message& message);
 
 // FNV-1a over the graph's serialized envelope bytes. Serialization is
 // canonical, so client and worker computing this over "the same graph"
-// always agree — the identity check behind kReattach.
+// always agree — the identity check behind kReattach. It equals the
+// checksum a kRegisterGraph RPC envelope carries over its payload, which
+// is how the worker learns it without hashing the graph again.
 uint32_t GraphEnvelopeChecksum(const DirectedGraph& graph);
 
 }  // namespace dcs

@@ -84,6 +84,9 @@ StatusOr<GraphT> ParseGraphPayload(BitReader& reader) {
                          " payload bits remain");
   }
   GraphT graph(static_cast<int>(n));
+  // Safe to reserve: the cap above holds a hostile count to remaining/66
+  // edges, about twice the payload's size in bytes.
+  graph.ReserveEdges(static_cast<int64_t>(m));
   for (uint64_t i = 0; i < m; ++i) {
     DCS_ASSIGN_OR_RETURN(const uint64_t src, reader.TryReadEliasGamma());
     DCS_ASSIGN_OR_RETURN(const uint64_t dst, reader.TryReadEliasGamma());

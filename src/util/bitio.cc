@@ -108,17 +108,19 @@ void BitWriter::WriteBits(uint64_t value, int width) {
   DCS_CHECK_LE(width, 64);
   if (width == 0) return;
   value &= LowMask(width);
+  // The partial final byte's bits at and above the offset are still zero:
+  // the field's low bits are or'd in there, and the rest are appended a
+  // byte at a time into the vector's amortized capacity.
   const int offset = static_cast<int>(bit_count_ & 7);
-  const size_t first = static_cast<size_t>(bit_count_ >> 3);
+  int placed = 0;
+  if (offset != 0) {
+    bytes_.back() |= static_cast<uint8_t>(value << offset);
+    placed = 8 - offset;
+  }
   bit_count_ += width;
-  bytes_.resize(static_cast<size_t>((bit_count_ + 7) >> 3));
-  // The field spans at most 9 bytes from `first`: the partial byte (whose
-  // bits at and above `offset` are still zero) and freshly zeroed ones.
-  uint8_t staged[9];
-  StoreLe64(staged, value << offset);
-  staged[8] = offset == 0 ? 0 : static_cast<uint8_t>(value >> (64 - offset));
-  staged[0] |= bytes_[first];
-  std::memcpy(bytes_.data() + first, staged, bytes_.size() - first);
+  for (; placed < width; placed += 8) {
+    bytes_.push_back(static_cast<uint8_t>(value >> placed));
+  }
 }
 
 void BitWriter::WriteEliasGamma(uint64_t value) {

@@ -60,6 +60,7 @@ StatusOr<EnvelopePayload> ReadEnvelope(uint64_t magic, BitReader& reader) {
   if (Fnv1a32(envelope.bytes) != checksum) {
     return DataLossError("envelope checksum mismatch (corrupted payload)");
   }
+  envelope.checksum = static_cast<uint32_t>(checksum);
   return envelope;
 }
 

@@ -17,12 +17,14 @@
 
 namespace dcs {
 
-// A validated envelope: its kind and the packed payload bits (final
-// partial byte zero-padded, as BitWriter lays them out).
+// A validated envelope: its kind, the packed payload bits (final partial
+// byte zero-padded, as BitWriter lays them out), and the FNV-1a of those
+// bytes that the header declared and the reader verified.
 struct EnvelopePayload {
   uint64_t kind = 0;
   std::vector<uint8_t> bytes;
   int64_t bit_count = 0;
+  uint32_t checksum = 0;
 };
 
 // Appends an envelope carrying `payload_bits` bits to `out`. `payload` is

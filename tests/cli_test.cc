@@ -62,6 +62,18 @@ TEST(CliTest, UndirectedPipeline) {
   EXPECT_EQ(RunCli("localquery --in " + graph + " --epsilon 0.3"), 0);
 }
 
+TEST(CliTest, DirectedFlagIsReadByValue) {
+  // --directed 0 loads the undirected file; only 0 and 1 are values.
+  const std::string graph = "/tmp/dcs_cli_test_directed_flag.txt";
+  EXPECT_EQ(RunCli("generate --type dumbbell --n 20 --k 2 --out " + graph),
+            0);
+  EXPECT_EQ(RunCli("stats --in " + graph + " --directed 0"), 0);
+  EXPECT_EQ(RunCli("mincut --in " + graph + " --directed 0"), 0);
+  EXPECT_EQ(RunCli("stats --in " + graph + " --directed 2"), 2);
+  EXPECT_EQ(RunCli("mincut --in " + graph + " --directed -1"), 2);
+  EXPECT_EQ(RunCli("stats --in " + graph + " --directed yes"), 2);
+}
+
 TEST(CliTest, EncodeRoundTrips) {
   EXPECT_EQ(RunCli("encode --message hi"), 0);
 }

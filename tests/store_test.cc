@@ -15,10 +15,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -820,9 +822,7 @@ TEST(CacheSnapshotTest, WarmRestartOverOldFormatSnapshotBootsCold) {
   {
     auto worker = ClusterWorker::Create(endpoint, options);
     ASSERT_TRUE(worker.ok()) << worker.status().ToString();
-    RpcRequest registration;
-    registration.kind = RpcKind::kRegisterGraph;
-    registration.graph = graph;
+    const RpcRequest registration = RegisterGraphRequest(graph);
     const RpcResponse registered = (*worker)->Execute(registration);
     ASSERT_TRUE(registered.status.ok()) << registered.status.ToString();
     ASSERT_EQ(registered.object_id, 0);
@@ -1032,6 +1032,113 @@ TEST(WarmLoadTest, LowestUndeserializableIdIsReportedWhateverTheSchedule) {
                 "edge 1999 is a self-loop at vertex 3")
           << "S=" << shards;
     }
+  }
+}
+
+// Graphs at the edges of the graph encoding: no edges on one and two
+// vertices, parallel edges, the extreme weights (zero, negative zero, the
+// smallest denormal, the largest double), and endpoints on both sides of
+// every Elias-gamma length step up to 2^8.
+std::vector<DirectedGraph> EncodingEdgeCaseGraphs() {
+  std::vector<DirectedGraph> graphs;
+  graphs.emplace_back(1);
+  graphs.emplace_back(2);
+  DirectedGraph parallel(2);
+  parallel.AddEdge(0, 1, 1.5);
+  parallel.AddEdge(0, 1, 1.5);
+  parallel.AddEdge(1, 0, 2.0);
+  parallel.AddEdge(0, 1, 0.25);
+  graphs.push_back(parallel);
+  DirectedGraph weights(3);
+  weights.AddEdge(0, 1, 0.0);
+  weights.AddEdge(1, 2, -0.0);
+  weights.AddEdge(2, 0, std::numeric_limits<double>::denorm_min());
+  weights.AddEdge(0, 2, DBL_MAX);
+  graphs.push_back(weights);
+  DirectedGraph ids(257);
+  for (int k = 1; k <= 8; ++k) {
+    ids.AddEdge((1 << k) - 1, 1 << k, k);
+    ids.AddEdge(1 << k, (1 << k) - 1, 0.5 * k);
+  }
+  graphs.push_back(ids);
+  return graphs;
+}
+
+std::vector<uint8_t> SerializedBytes(const DirectedGraph& graph,
+                                     int64_t* bit_count) {
+  BitWriter writer;
+  SerializeDirectedGraph(graph, writer);
+  *bit_count = writer.bit_count();
+  return writer.bytes();
+}
+
+RpcRequest ReattachRequest(int64_t id, const DirectedGraph& graph) {
+  RpcRequest reattach;
+  reattach.kind = RpcKind::kReattach;
+  reattach.object_id = id;
+  reattach.num_vertices = graph.num_vertices();
+  reattach.graph_checksum = GraphEnvelopeChecksum(graph);
+  return reattach;
+}
+
+TEST(RegisterEnvelopeTest, StoredRecordIsTheCanonicalEnvelope) {
+  ScratchDir scratch;
+  const std::string dir = scratch.path() + "/store";
+  const std::vector<DirectedGraph> graphs = EncodingEdgeCaseGraphs();
+  const int64_t count = static_cast<int64_t>(graphs.size());
+  {
+    auto worker = CreateWarmWorker(dir, 2);
+    ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+    for (int64_t id = 0; id < count; ++id) {
+      const DirectedGraph& graph = graphs[static_cast<size_t>(id)];
+      const StatusOr<RpcRequest> decoded =
+          DecodeRpcRequest(EncodeRpcRequest(RegisterGraphRequest(graph)));
+      ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+      int64_t bits = 0;
+      const std::vector<uint8_t> expected = SerializedBytes(graph, &bits);
+      EXPECT_EQ(decoded->graph->bytes(), expected) << "graph " << id;
+      EXPECT_EQ(decoded->graph->bit_count(), bits) << "graph " << id;
+      EXPECT_EQ(decoded->graph->checksum(), GraphEnvelopeChecksum(graph));
+      const RpcResponse registered = (*worker)->Execute(*decoded);
+      ASSERT_TRUE(registered.status.ok()) << registered.status.ToString();
+      ASSERT_EQ(registered.object_id, id);
+      // The checksum recorded at registration is the client's.
+      EXPECT_TRUE((*worker)->Execute(ReattachRequest(id, graph)).status.ok())
+          << "graph " << id;
+    }
+    RpcRequest bare;
+    bare.kind = RpcKind::kRegisterGraph;
+    EXPECT_EQ((*worker)->Execute(bare).status.code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ((*worker)->num_registered(), count);
+  }
+  {
+    auto store = SketchStore::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (int64_t id = 0; id < count; ++id) {
+      const StatusOr<StoredObject> stored = (*store)->Get(id);
+      ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+      int64_t bits = 0;
+      const std::vector<uint8_t> expected =
+          SerializedBytes(graphs[static_cast<size_t>(id)], &bits);
+      EXPECT_EQ(stored->kind, StreamKind::kDirectedGraph);
+      EXPECT_EQ(stored->bit_count, bits) << "graph " << id;
+      ASSERT_EQ(stored->bytes.size(), expected.size()) << "graph " << id;
+      EXPECT_EQ(std::memcmp(stored->bytes.data(), expected.data(),
+                            expected.size()),
+                0)
+          << "graph " << id;
+    }
+  }
+  auto restarted = CreateWarmWorker(dir, 2);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  EXPECT_EQ((*restarted)->warm_loaded_objects(), count);
+  for (int64_t id = 0; id < count; ++id) {
+    const RpcResponse reattached = (*restarted)->Execute(
+        ReattachRequest(id, graphs[static_cast<size_t>(id)]));
+    EXPECT_TRUE(reattached.status.ok())
+        << "graph " << id << ": " << reattached.status.ToString();
+    EXPECT_EQ(reattached.object_id, id);
   }
 }
 

@@ -322,9 +322,7 @@ TEST(ClusterWorkerTest, RegisterAndQueryOverSocketIsBitIdentical) {
 
   auto connection = Connect(serving.worker->endpoint(), 1000);
   ASSERT_TRUE(connection.ok());
-  RpcRequest reg;
-  reg.kind = RpcKind::kRegisterGraph;
-  reg.graph = graph;
+  const RpcRequest reg = RegisterGraphRequest(graph);
   ASSERT_TRUE(connection->Send(EncodeRpcRequest(reg), 2000).ok());
   auto reg_reply = connection->Receive(2000);
   ASSERT_TRUE(reg_reply.ok());
@@ -357,9 +355,7 @@ TEST(ClusterWorkerTest, RegisterAndQueryOverSocketIsBitIdentical) {
 TEST(ClusterWorkerTest, RejectsUnknownObjectAndVertexMismatch) {
   ServingWorker serving = StartWorker();
   const DirectedGraph graph = TestGraph(10, 30, 5);
-  RpcRequest reg;
-  reg.kind = RpcKind::kRegisterGraph;
-  reg.graph = graph;
+  const RpcRequest reg = RegisterGraphRequest(graph);
   RpcResponse reg_response = serving.worker->Execute(reg);
   ASSERT_TRUE(reg_response.status.ok());
 
@@ -466,9 +462,7 @@ TEST(ClusterWorkerTest, AdmissionControlAndDrain) {
   ServingWorker serving = StartWorker(options);
 
   const DirectedGraph graph = TestGraph(8, 20, 41);
-  RpcRequest reg;
-  reg.kind = RpcKind::kRegisterGraph;
-  reg.graph = graph;
+  const RpcRequest reg = RegisterGraphRequest(graph);
   const RpcResponse reg_response = serving.worker->Execute(reg);
   ASSERT_TRUE(reg_response.status.ok()) << reg_response.status.ToString();
   RpcRequest query;
@@ -517,9 +511,7 @@ TEST(ClusterWorkerTest, DrainsInFlightRequestOnStop) {
   ServingWorker serving = StartWorker(options);
 
   const DirectedGraph graph = TestGraph(8, 20, 9);
-  RpcRequest reg;
-  reg.kind = RpcKind::kRegisterGraph;
-  reg.graph = graph;
+  const RpcRequest reg = RegisterGraphRequest(graph);
   const RpcResponse reg_response = serving.worker->Execute(reg);
   ASSERT_TRUE(reg_response.status.ok());
 
@@ -556,9 +548,7 @@ TEST(ClusterWorkerTest, DrainSealsStoreSegments) {
     options.store_dir = store_dir;
     ServingWorker serving = StartWorker(options);
     for (int g = 0; g < 3; ++g) {
-      RpcRequest reg;
-      reg.kind = RpcKind::kRegisterGraph;
-      reg.graph = TestGraph(10 + g, 30, 70 + static_cast<uint64_t>(g));
+      const RpcRequest reg = RegisterGraphRequest(TestGraph(10 + g, 30, 70 + static_cast<uint64_t>(g)));
       ASSERT_TRUE(serving.worker->Execute(reg).status.ok());
     }
     // Stop() requests the drain and joins Serve(), whose return value the

@@ -435,9 +435,7 @@ void StressClusterWorkerAdmission() {
     Require(created.ok(), "cluster stress: worker created");
     std::unique_ptr<ClusterWorker> worker = std::move(*created);
     for (int g = 0; g < kObjects; ++g) {
-      RpcRequest reg;
-      reg.kind = RpcKind::kRegisterGraph;
-      reg.graph = graphs[static_cast<size_t>(g)];
+      const RpcRequest reg = RegisterGraphRequest(graphs[static_cast<size_t>(g)]);
       const RpcResponse response = worker->Execute(reg);
       Require(response.status.ok() && response.object_id == g,
               "cluster stress: round-robin registration ids");
@@ -462,8 +460,7 @@ void StressClusterWorkerAdmission() {
         for (;;) {
           RpcRequest request;
           if (local.UniformInt(8) == 0) {
-            request.kind = RpcKind::kRegisterGraph;
-            request.graph = graphs[kObjects];
+            request = RegisterGraphRequest(graphs[kObjects]);
           } else {
             request.kind = RpcKind::kQueryBatch;
             request.object_id = static_cast<int64_t>(local.UniformInt(kObjects));

@@ -224,6 +224,18 @@ bool HasFlag(const FlagMap& flags, const std::string& key) {
   return flags.Find(key) != nullptr;
 }
 
+// --directed picks the graph loader by its value: 1 directed, 0 (the
+// default) undirected; anything else is a usage error.
+bool GetDirected(const FlagMap& flags) {
+  const int directed = GetInt(flags, "directed", 0);
+  if (directed != 0 && directed != 1) {
+    std::fprintf(stderr, "flag --directed: must be 0 or 1 (got %d)\n",
+                 directed);
+    std::exit(2);
+  }
+  return directed == 1;
+}
+
 int CmdGenerate(const FlagMap& flags) {
   const std::string type = GetFlag(flags, "type", "balanced");
   const std::string out = GetFlag(flags, "out", "graph.txt");
@@ -266,7 +278,7 @@ int CmdGenerate(const FlagMap& flags) {
 
 int CmdStats(const FlagMap& flags) {
   const std::string in = GetFlag(flags, "in", "graph.txt");
-  if (HasFlag(flags, "directed")) {
+  if (GetDirected(flags)) {
     const auto graph = dcs::LoadDirectedGraph(in);
     if (!graph.ok()) {
       std::fprintf(stderr, "cannot read directed graph from %s: %s\n",
@@ -307,7 +319,7 @@ int CmdStats(const FlagMap& flags) {
 
 int CmdMinCut(const FlagMap& flags) {
   const std::string in = GetFlag(flags, "in", "graph.txt");
-  if (HasFlag(flags, "directed")) {
+  if (GetDirected(flags)) {
     const auto graph = dcs::LoadDirectedGraph(in);
     if (!graph.ok()) {
       std::fprintf(stderr, "%s: %s\n", in.c_str(),
