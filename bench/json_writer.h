@@ -6,7 +6,7 @@
 //   "machine"  — hardware_concurrency
 //   "metrics"  — the process-wide metrics registry snapshot (DESIGN.md §8),
 //                so every run records its resource counts (cut queries,
-//                serialized bits, thread-pool balance) alongside timings.
+//                serialized bits, parallel-loop balance) alongside timings.
 // Benches with experiment tables (bench_cutquery) add their own members
 // before the standard blocks are appended.
 
@@ -24,9 +24,9 @@
 namespace dcs::bench {
 
 // Parses and strips "<flag> VALUE" / "<flag>=VALUE" from argv so the
-// remaining arguments can go straight to benchmark::Initialize (same
-// contract as ConsumeThreadsFlag in table.h). Returns `fallback` when the
-// flag is absent.
+// remaining arguments can go straight to benchmark::Initialize (which
+// rejects flags it does not know). Returns `fallback` when the flag is
+// absent.
 inline std::string ConsumeStringFlag(int* argc, char** argv,
                                      const std::string& flag,
                                      std::string fallback) {

@@ -5,31 +5,32 @@
 #ifndef DCS_BENCH_TABLE_H_
 #define DCS_BENCH_TABLE_H_
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "json_writer.h"
+
 namespace dcs::bench {
 
-// Parses and strips "--threads N" / "--threads=N" from argv so the
-// remaining arguments can go straight to benchmark::Initialize (which
-// rejects flags it does not know). Returns 1 when absent.
+// Parses and strips "--threads N" / "--threads=N" from argv (see
+// ConsumeStringFlag). Returns 1 when absent; a value that is not a
+// positive integer is a usage error (exit 2).
 inline int ConsumeThreadsFlag(int* argc, char** argv) {
-  int threads = 1;
-  int write = 1;
-  for (int read = 1; read < *argc; ++read) {
-    const std::string arg = argv[read];
-    if (arg == "--threads" && read + 1 < *argc) {
-      threads = std::atoi(argv[++read]);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(arg.c_str() + 10);
-    } else {
-      argv[write++] = argv[read];
-    }
+  const std::string text = ConsumeStringFlag(argc, argv, "--threads", "1");
+  char* end = nullptr;
+  errno = 0;
+  const long threads = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || end != text.c_str() + text.size() || errno == ERANGE ||
+      threads < 1 || threads > INT_MAX) {
+    std::fprintf(stderr, "--threads: '%s' is not a positive integer\n",
+                 text.c_str());
+    std::exit(2);
   }
-  *argc = write;
-  return threads < 1 ? 1 : threads;
+  return static_cast<int>(threads);
 }
 
 // Prints a banner for one experiment section.

@@ -117,8 +117,7 @@ void StreamIngestor::LiveEdgeLedger::Grow() {
 
 StreamIngestor::StreamIngestor(int num_vertices, StreamIngestorOptions options)
     : num_vertices_(num_vertices),
-      options_(options),
-      pool_(std::max(1, options.num_threads)) {
+      options_(options) {
   DCS_CHECK_GE(num_vertices, 2);
   DCS_CHECK_GE(options.num_shards, 1);
   DCS_CHECK_GE(options.gutter_capacity, 1);
@@ -300,7 +299,7 @@ StatusOr<int64_t> StreamIngestor::Barrier() {
   std::lock_guard<std::mutex> barrier_lock(barrier_mutex_);
   DCS_METRIC_ADD("stream.update.rejected",
                  updates_rejected_.exchange(0, std::memory_order_relaxed));
-  pool_.ParallelFor(num_shards(), [this](int64_t s) {
+  ParallelFor(options_.num_threads, num_shards(), [this](int64_t s) {
     FlushShard(*shards_[static_cast<size_t>(s)]);
   });
   DCS_ASSIGN_OR_RETURN(std::shared_ptr<StreamSnapshot> snapshot, SealMerged());
@@ -318,9 +317,7 @@ StatusOr<int64_t> StreamIngestor::Shutdown() {
   // already applied under the shard's apply mutex, which SealMerged also
   // takes); any Push after sees draining_ and is rejected.
   draining_.store(true, std::memory_order_release);
-  DCS_ASSIGN_OR_RETURN(const int64_t epoch, Barrier());
-  pool_.Shutdown();
-  return epoch;
+  return Barrier();
 }
 
 std::shared_ptr<const StreamSnapshot> StreamIngestor::snapshot() const {

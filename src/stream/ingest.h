@@ -11,7 +11,7 @@
 //    full gutter is flushed by the producer that filled it into the shard's
 //    incrementally maintained sketch; a flush swaps the gutter with the
 //    shard's preallocated batch buffer, so nothing is allocated per flush;
-//  * Barrier() drains every gutter over the ThreadPool, merges the shard
+//  * Barrier() drains every gutter with ParallelFor, merges the shard
 //    sketches (TryMergeFrom — a mismatch surfaces as a Status, never an
 //    abort), and seals an immutable StreamSnapshot under a monotonically
 //    increasing epoch number;
@@ -127,12 +127,12 @@ class StreamIngestor {
   Status PushInsert(VertexId u, VertexId v);
   Status PushDelete(VertexId u, VertexId v);
 
-  // Drains all gutters (ThreadPool-parallel), merges the shard sketches,
-  // and seals a new snapshot. Returns the new epoch number. Updates pushed
-  // concurrently with a Barrier land in either this epoch or the next
-  // (snapshot-at-batch-boundary consistency); updates admitted before
-  // Barrier() is called are always included. Thread-safe; concurrent
-  // barriers serialize.
+  // Drains all gutters (ParallelFor over num_threads), merges the shard
+  // sketches, and seals a new snapshot. Returns the new epoch number.
+  // Updates pushed concurrently with a Barrier land in either this epoch or
+  // the next (snapshot-at-batch-boundary consistency); updates admitted
+  // before Barrier() is called are always included. Thread-safe;
+  // concurrent barriers serialize.
   StatusOr<int64_t> Barrier();
 
   // The last sealed snapshot (never null). Cheap; safe concurrently with
@@ -143,12 +143,12 @@ class StreamIngestor {
   int64_t epoch() const { return snapshot()->epoch; }
 
   // Drain-then-stop (the SIGTERM path): stops admitting (subsequent Push
-  // returns kUnavailable), seals every already-accepted update into a final
-  // Barrier() epoch, and joins the thread pool. Every update accepted
-  // before or during the call is either included in the returned epoch or
-  // was rejected with a non-OK Push status — never silently lost. Returns
-  // the final epoch. Safe to call concurrently with producers; calling it
-  // again seals another (empty-delta) epoch serially.
+  // returns kUnavailable) and seals every already-accepted update into a
+  // final Barrier() epoch. Every update accepted before or during the call is
+  // either included in the returned epoch or was rejected with a non-OK
+  // Push status — never silently lost. Returns the final epoch. Safe to
+  // call concurrently with producers; calling it again seals another
+  // (empty-delta) epoch.
   StatusOr<int64_t> Shutdown();
 
   // True once Shutdown has begun; new pushes are being rejected.
@@ -241,7 +241,6 @@ class StreamIngestor {
   int num_vertices_;
   StreamIngestorOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  ThreadPool pool_;
   std::atomic<int64_t> updates_accepted_{0};
   // Pushes rejected since the last Barrier(), which flushes the tally into
   // `stream.update.rejected`.
@@ -251,7 +250,7 @@ class StreamIngestor {
   // drain barrier: admitted before it (and flushed) or rejected after it.
   std::atomic<bool> draining_{false};
 
-  // Serializes Barrier() calls (also makes ParallelFor single-caller).
+  // Serializes Barrier() calls.
   std::mutex barrier_mutex_;
 
   // Guards snapshot_ swaps; epoch lives inside the snapshot.

@@ -74,6 +74,23 @@ TEST(CliTest, DirectedFlagIsReadByValue) {
   EXPECT_EQ(RunCli("stats --in " + graph + " --directed yes"), 2);
 }
 
+TEST(CliTest, MakeAndCacheSwitchesAreReadByValue) {
+  // --make 0 replays --in instead of writing --out; only 0 and 1 are values.
+  const std::string out = "/tmp/dcs_cli_test_make_zero.bin";
+  const std::string missing = "/tmp/dcs_cli_test_make_zero_missing.bin";
+  std::remove(out.c_str());
+  std::remove(missing.c_str());
+  EXPECT_EQ(RunCli("stream --make 0 --n 16 --updates 10 --out " + out +
+                   " --in " + missing),
+            1);
+  std::FILE* written = std::fopen(out.c_str(), "rb");
+  EXPECT_EQ(written, nullptr) << "--make 0 wrote " << out;
+  if (written != nullptr) std::fclose(written);
+  EXPECT_EQ(RunCli("stream --make 2 --n 16 --updates 10 --out " + out), 2);
+  EXPECT_EQ(RunCli("serve --n 32 --rounds 1 --batch 8 --pool 4 --cache 2"),
+            2);
+}
+
 TEST(CliTest, EncodeRoundTrips) {
   EXPECT_EQ(RunCli("encode --message hi"), 0);
 }

@@ -70,18 +70,23 @@ TEST(StreamIngestorTest, BitIdenticalAcrossShardAndGutterConfigs) {
   const uint64_t reference = SerialDigest(n, 5, 9, updates);
   for (const int shards : {1, 3, 8}) {
     for (const int gutter : {1, 16, 4096}) {
-      StreamIngestorOptions options;
-      options.num_shards = shards;
-      options.gutter_capacity = gutter;
-      options.rounds = 5;
-      options.seed = 9;
-      StreamIngestor ingestor(n, options);
-      for (const EdgeUpdate& update : updates) {
-        ASSERT_TRUE(ingestor.Push(update).ok());
+      // num_threads > 1 drains the gutters in the barrier's parallel flush.
+      for (const int threads : {1, 2, 4}) {
+        StreamIngestorOptions options;
+        options.num_shards = shards;
+        options.gutter_capacity = gutter;
+        options.num_threads = threads;
+        options.rounds = 5;
+        options.seed = 9;
+        StreamIngestor ingestor(n, options);
+        for (const EdgeUpdate& update : updates) {
+          ASSERT_TRUE(ingestor.Push(update).ok());
+        }
+        ASSERT_TRUE(ingestor.Barrier().ok());
+        EXPECT_EQ(ingestor.snapshot()->digest, reference)
+            << "shards=" << shards << " gutter=" << gutter
+            << " threads=" << threads;
       }
-      ASSERT_TRUE(ingestor.Barrier().ok());
-      EXPECT_EQ(ingestor.snapshot()->digest, reference)
-          << "shards=" << shards << " gutter=" << gutter;
     }
   }
 }

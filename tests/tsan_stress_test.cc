@@ -3,8 +3,8 @@
 // when configured with -DDCS_ENABLE_SANITIZERS=thread; see the root
 // CMakeLists.txt.
 //
-// Hammers the constructs the parallel runners rely on: ThreadPool reuse
-// across many loops, ParallelFor over shared read-only graphs with
+// Hammers the constructs the parallel runners rely on: back-to-back
+// ParallelFor loops, ParallelFor over shared read-only graphs with
 // pre-built adjacency, and the seed-deterministic trial runners
 // themselves at several thread counts; also the serving tier's cluster
 // worker admission racing its drain.
@@ -39,24 +39,23 @@ void Require(bool ok, const char* what) {
   }
 }
 
-void StressThreadPoolReuse() {
-  ThreadPool pool(4);
+void StressParallelForReuse() {
+  // Many loops in a row over one slot vector: each call starts and joins
+  // its own threads, so every write of a loop happens-before the next.
   std::vector<int64_t> slots(512);
   for (int round = 0; round < 200; ++round) {
-    pool.ParallelFor(static_cast<int64_t>(slots.size()),
-                     [&slots, round](int64_t i) {
-                       slots[static_cast<size_t>(i)] = round + i;
-                     });
+    ParallelFor(4, static_cast<int64_t>(slots.size()),
+                [&slots, round](int64_t i) {
+                  slots[static_cast<size_t>(i)] = round + i;
+                });
   }
-  Require(slots[511] == 199 + 511, "thread pool reuse");
+  Require(slots[511] == 199 + 511, "parallel-for reuse");
 }
 
 void StressBackToBackGrowingLoops() {
-  // The straggler window: a worker that claimed the last index of a short
-  // loop but has not finished draining while the caller installs the next
-  // (larger) loop. Tiny and growing counts alternate with no pause so TSan
-  // sees the worker/caller hand-off under maximal pressure.
-  ThreadPool pool(8);
+  // Tiny and growing counts alternate with no pause, so TSan sees many
+  // thread start/join hand-offs between the caller and the threads of
+  // consecutive loops.
   constexpr int64_t kMaxCount = 2048;
   std::vector<std::atomic<int>> hits(kMaxCount);
   int64_t grown = 1;
@@ -65,12 +64,12 @@ void StressBackToBackGrowingLoops() {
     for (int64_t i = 0; i < count; ++i) {
       hits[static_cast<size_t>(i)].store(0, std::memory_order_relaxed);
     }
-    pool.ParallelFor(count, [&hits](int64_t i) {
+    ParallelFor(8, count, [&hits](int64_t i) {
       hits[static_cast<size_t>(i)].fetch_add(1);
     });
     for (int64_t i = 0; i < count; ++i) {
       Require(hits[static_cast<size_t>(i)].load() == 1,
-              "straggler stress: index ran exactly once");
+              "back-to-back loops: index ran exactly once");
     }
     if (round % 2 == 0) grown = grown >= kMaxCount / 2 ? 1 : grown * 2 + 1;
   }
@@ -319,36 +318,8 @@ void StressStreamIngest() {
 }
 
 void StressShutdownUnderLoad() {
-  // The drain-then-stop paths racing live traffic — the SIGTERM story.
+  // The drain-then-stop path racing live traffic — the SIGTERM story.
   //
-  // ThreadPool: a loop is mid-flight on one thread while another calls
-  // Shutdown(); the epoch must drain completely (every index exactly once)
-  // and post-shutdown loops must degrade to serial, not crash or drop work.
-  for (int round = 0; round < 20; ++round) {
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(256);
-    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-    std::atomic<bool> started{false};
-    std::thread stopper([&] {
-      while (!started.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-      pool.Shutdown();
-    });
-    pool.ParallelFor(256, [&](int64_t i) {
-      started.store(true, std::memory_order_release);
-      hits[static_cast<size_t>(i)].fetch_add(1);
-    });
-    stopper.join();
-    pool.ParallelFor(256, [&](int64_t i) {
-      hits[static_cast<size_t>(i)].fetch_add(1);
-    });
-    for (int64_t i = 0; i < 256; ++i) {
-      Require(hits[static_cast<size_t>(i)].load() == 2,
-              "shutdown stress: every index ran before and after shutdown");
-    }
-  }
-
   // StreamIngestor: producers race Shutdown()'s drain barrier. Every OK
   // Push lands in the final sealed epoch; every refusal is kUnavailable;
   // the accounting balances exactly — no silent loss in either direction.
@@ -522,7 +493,7 @@ void StressClusterWorkerAdmission() {
 }  // namespace dcs
 
 int main() {
-  dcs::StressThreadPoolReuse();
+  dcs::StressParallelForReuse();
   dcs::StressBackToBackGrowingLoops();
   dcs::StressSharedGraphReads();
   dcs::StressTrialRunners();

@@ -1,16 +1,17 @@
-// ParallelFor/ThreadPool: every index runs exactly once for any thread
-// count, the serial fast path is exact, and pools are reusable.
+// ParallelFor: every index runs exactly once for any thread count, the
+// serial fast path is exact, a call starts no more threads than it has
+// indices, and it joins them even when the body throws.
 
 #include "util/thread_pool.h"
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace dcs {
@@ -54,30 +55,12 @@ TEST(ParallelForTest, SlotWritesAreDeterministic) {
   EXPECT_EQ(run(5), serial);
 }
 
-TEST(ThreadPoolTest, PoolIsReusableAcrossLoops) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  std::vector<int64_t> values(100, 0);
-  for (int round = 1; round <= 3; ++round) {
-    pool.ParallelFor(static_cast<int64_t>(values.size()),
-                     [&values, round](int64_t i) {
-                       values[static_cast<size_t>(i)] = round * i;
-                     });
-    const int64_t sum = std::accumulate(values.begin(), values.end(),
-                                        int64_t{0});
-    EXPECT_EQ(sum, round * 99 * 100 / 2) << "round " << round;
-  }
-}
-
-TEST(ThreadPoolTest, StragglerStressBackToBackGrowingLoops) {
-  // Regression stress for a straggler race: a worker still draining loop L
-  // while the caller installs loop L+1 must not observe the new loop's
-  // body/count (it could then run new indices twice or over-run the old
-  // bound). Back-to-back loops with no pause and counts that alternate
-  // between tiny and growing maximize the window; run it under
-  // -DDCS_ENABLE_SANITIZERS=thread for the full data-race check
-  // (scripts/run_sanitizers.sh).
-  ThreadPool pool(8);
+TEST(ParallelForTest, StragglerStressBackToBackGrowingLoops) {
+  // Back-to-back loops with no pause, counts alternating between tiny and
+  // growing: each call starts and joins its own threads, so no thread of
+  // loop L may still be running (or claim an index) once loop L+1 starts.
+  // Run it under -DDCS_ENABLE_SANITIZERS=thread for the full data-race
+  // check (scripts/run_sanitizers.sh).
   constexpr int64_t kMaxCount = 2048;
   std::vector<std::atomic<int>> hits(kMaxCount);
   int64_t grown = 1;
@@ -86,7 +69,7 @@ TEST(ThreadPoolTest, StragglerStressBackToBackGrowingLoops) {
     for (int64_t i = 0; i < count; ++i) {
       hits[static_cast<size_t>(i)].store(0, std::memory_order_relaxed);
     }
-    pool.ParallelFor(count, [&hits](int64_t i) {
+    ParallelFor(8, count, [&hits](int64_t i) {
       hits[static_cast<size_t>(i)].fetch_add(1);
     });
     for (int64_t i = 0; i < count; ++i) {
@@ -97,57 +80,55 @@ TEST(ThreadPoolTest, StragglerStressBackToBackGrowingLoops) {
   }
 }
 
-TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
-  ThreadPool pool(1);
-  int64_t sum = 0;  // unsynchronized on purpose: must run on the caller
-  pool.ParallelFor(50, [&sum](int64_t i) { sum += i; });
-  EXPECT_EQ(sum, 49 * 50 / 2);
-}
-
-TEST(ThreadPoolTest, ShutdownDegradesToSerialAndIsIdempotent) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
+TEST(ParallelForTest, ThrowOnCallerPropagatesAfterTheRangeDrains) {
+  // The caller throws on the first index it claims; the started threads
+  // hold their first index until then, so the caller always claims one.
+  // The exception leaves ParallelFor only after the started threads have
+  // run every other index and been joined.
+  const std::thread::id caller = std::this_thread::get_id();
+  constexpr int64_t kCount = 256;
+  std::vector<std::atomic<int>> hits(kCount);
   for (auto& h : hits) h.store(0);
-  pool.ParallelFor(64, [&hits](int64_t i) {
-    hits[static_cast<size_t>(i)].fetch_add(1);
-  });
-  pool.Shutdown();
-  pool.Shutdown();  // idempotent
-  // Post-shutdown loops still run every index, serially on the caller —
-  // the drain path must never drop late-arriving work.
-  int64_t serial_sum = 0;  // unsynchronized on purpose
-  pool.ParallelFor(64, [&](int64_t i) {
-    hits[static_cast<size_t>(i)].fetch_add(1);
-    serial_sum += i;
-  });
-  EXPECT_EQ(serial_sum, 63 * 64 / 2);
-  for (int64_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(hits[static_cast<size_t>(i)].load(), 2) << "i=" << i;
+  std::atomic<int64_t> thrown_at{-1};
+  EXPECT_THROW(ParallelFor(4, kCount,
+                           [&](int64_t i) {
+                             if (std::this_thread::get_id() == caller) {
+                               thrown_at.store(i);
+                               throw std::runtime_error("body");
+                             }
+                             while (thrown_at.load() < 0) {
+                               std::this_thread::yield();
+                             }
+                             hits[static_cast<size_t>(i)].fetch_add(1);
+                           }),
+               std::runtime_error);
+  ASSERT_GE(thrown_at.load(), 0);
+  for (int64_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(hits[static_cast<size_t>(i)].load(), i == thrown_at ? 0 : 1)
+        << "i=" << i;
   }
 }
 
-TEST(ThreadPoolTest, ShutdownFromAnotherThreadWaitsForInFlightLoop) {
-  // The SIGTERM path: a signal-driven shutdown arrives while a loop is
-  // mid-flight on another thread. Shutdown must wait for the epoch to
-  // drain — every index still runs exactly once — then join the workers.
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(256);
-  for (auto& h : hits) h.store(0);
-  std::atomic<bool> loop_started{false};
-  std::thread stopper([&] {
-    while (!loop_started.load()) std::this_thread::yield();
-    pool.Shutdown();
-  });
-  pool.ParallelFor(256, [&](int64_t i) {
-    loop_started.store(true);
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    hits[static_cast<size_t>(i)].fetch_add(1);
-  });
-  stopper.join();
-  for (int64_t i = 0; i < 256; ++i) {
-    ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "i=" << i;
-  }
+#if DCS_METRICS_ENABLED
+
+TEST(ParallelForTest, StartsNoMoreThreadsThanIndices) {
+  // Every thread that runs the claim loop records one threadpool.drain.claimed
+  // sample, so the sample count is the number of threads the loop used: the
+  // caller plus min(num_threads, count) - 1 started ones.
+  const metrics::MetricsSnapshot before = metrics::Registry::Get().Snapshot();
+  std::atomic<int64_t> sum{0};
+  ParallelFor(8, 3, [&sum](int64_t i) { sum.fetch_add(i + 1); });
+  const metrics::MetricsSnapshot diff =
+      metrics::Registry::Get().Snapshot().DiffSince(before);
+  EXPECT_EQ(sum.load(), 6);
+  const metrics::DistributionStats& claimed =
+      diff.distributions.at("threadpool.drain.claimed");
+  EXPECT_EQ(claimed.count, 3);
+  EXPECT_EQ(claimed.sum, 3);
+  EXPECT_EQ(diff.counters.at("threadpool.task.completed"), 3);
 }
+
+#endif  // DCS_METRICS_ENABLED
 
 }  // namespace
 }  // namespace dcs

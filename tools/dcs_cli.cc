@@ -224,16 +224,16 @@ bool HasFlag(const FlagMap& flags, const std::string& key) {
   return flags.Find(key) != nullptr;
 }
 
-// --directed picks the graph loader by its value: 1 directed, 0 (the
-// default) undirected; anything else is a usage error.
-bool GetDirected(const FlagMap& flags) {
-  const int directed = GetInt(flags, "directed", 0);
-  if (directed != 0 && directed != 1) {
-    std::fprintf(stderr, "flag --directed: must be 0 or 1 (got %d)\n",
-                 directed);
+// A 0/1 switch such as --directed, --make or --cache: 1 is on, 0 is off,
+// absent is `fallback`; anything else is a usage error.
+bool GetSwitch(const FlagMap& flags, const std::string& key, bool fallback) {
+  const int value = GetInt(flags, key, fallback ? 1 : 0);
+  if (value != 0 && value != 1) {
+    std::fprintf(stderr, "flag --%s: must be 0 or 1 (got %d)\n", key.c_str(),
+                 value);
     std::exit(2);
   }
-  return directed == 1;
+  return value == 1;
 }
 
 int CmdGenerate(const FlagMap& flags) {
@@ -278,7 +278,7 @@ int CmdGenerate(const FlagMap& flags) {
 
 int CmdStats(const FlagMap& flags) {
   const std::string in = GetFlag(flags, "in", "graph.txt");
-  if (GetDirected(flags)) {
+  if (GetSwitch(flags, "directed", false)) {
     const auto graph = dcs::LoadDirectedGraph(in);
     if (!graph.ok()) {
       std::fprintf(stderr, "cannot read directed graph from %s: %s\n",
@@ -319,7 +319,7 @@ int CmdStats(const FlagMap& flags) {
 
 int CmdMinCut(const FlagMap& flags) {
   const std::string in = GetFlag(flags, "in", "graph.txt");
-  if (GetDirected(flags)) {
+  if (GetSwitch(flags, "directed", false)) {
     const auto graph = dcs::LoadDirectedGraph(in);
     if (!graph.ok()) {
       std::fprintf(stderr, "%s: %s\n", in.c_str(),
@@ -707,7 +707,7 @@ int CmdServe(const FlagMap& flags) {
     return 2;
   }
   dcs::CutQueryServiceOptions options;
-  options.enable_cache = GetInt(flags, "cache", 1) != 0;
+  options.enable_cache = GetSwitch(flags, "cache", true);
   options.cache_capacity =
       static_cast<int64_t>(GetInt(flags, "cache-capacity", 1 << 16));
   if (options.cache_capacity < 1) {
@@ -816,7 +816,7 @@ int CmdServe(const FlagMap& flags) {
 // A delete of a never-inserted edge in the input is rejected with
 // kFailedPrecondition and exits 1 (see README troubleshooting).
 int CmdStream(const FlagMap& flags) {
-  if (HasFlag(flags, "make")) {
+  if (GetSwitch(flags, "make", false)) {
     const int n = GetInt(flags, "n", 256);
     const int updates = GetInt(flags, "updates", 20000);
     const double delete_frac = GetDouble(flags, "delete-frac", 0.2);
