@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <utility>
 
 #include "graph/incremental_cut_oracle.h"
-#include "util/arena.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
@@ -165,16 +163,8 @@ std::array<VertexSet, 4> ForEachDecoder::BuildQuerySides(
   const int inv_eps = params_.inv_epsilon;
   const int k = params_.layer_size();
   const int n = params_.num_vertices();
-  // This runs once per decoded bit under trial parallelism; unpack the
-  // Hadamard factors into per-thread arena scratch instead of allocating
-  // two vectors each time (the Scope rewinds the cursor on return, so every
-  // bit reuses the same bytes).
-  ScratchArena& arena = ThreadLocalScratchArena();
-  const ScratchArena::Scope scratch_scope(arena);
-  const std::span<int8_t> h_a =
-      arena.Alloc<int8_t>(static_cast<size_t>(inv_eps));
-  const std::span<int8_t> h_b =
-      arena.Alloc<int8_t>(static_cast<size_t>(inv_eps));
+  std::vector<int8_t> h_a(static_cast<size_t>(inv_eps));
+  std::vector<int8_t> h_b(static_cast<size_t>(inv_eps));
   tensor_.LeftFactorInto(loc.tensor_row, h_a);
   tensor_.RightFactorInto(loc.tensor_row, h_b);
 

@@ -1,7 +1,6 @@
 #include "serve/cluster_client.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -84,12 +83,10 @@ bool ClusterClient::IsStale(const Replica& replica,
   return worker.token != 0 && replica.token != worker.token;
 }
 
-Status ClusterClient::RegisterShardOn(ObjectState& object, ShardState& shard,
-                                      Replica& replica) {
-  (void)object;
-  const RpcRequest request = RegisterGraphRequest(shard.graph);
+Status ClusterClient::RegisterOn(ObjectState& object, Replica& replica) {
+  const RpcRequest request = RegisterGraphRequest(object.graph);
   // The graph's reattach identity comes with its envelope.
-  shard.graph_checksum = request.graph->checksum();
+  object.graph_checksum = request.graph->checksum();
   DCS_ASSIGN_OR_RETURN(const RpcResponse response,
                        Call(replica.worker, request));
   DCS_RETURN_IF_ERROR(response.status);
@@ -100,16 +97,15 @@ Status ClusterClient::RegisterShardOn(ObjectState& object, ShardState& shard,
   return OkStatus();
 }
 
-Status ClusterClient::ReattachShardOn(ObjectState& object, ShardState& shard,
-                                      Replica& replica) {
+Status ClusterClient::ReattachOn(const ObjectState& object, Replica& replica) {
   if (replica.remote_id < 0) {
     return NotFoundError("replica never held a remote id");
   }
   RpcRequest request;
   request.kind = RpcKind::kReattach;
   request.object_id = replica.remote_id;
-  request.num_vertices = object.num_vertices;
-  request.graph_checksum = shard.graph_checksum;
+  request.num_vertices = object.graph.num_vertices();
+  request.graph_checksum = object.graph_checksum;
   DCS_ASSIGN_OR_RETURN(const RpcResponse response,
                        Call(replica.worker, request));
   DCS_RETURN_IF_ERROR(response.status);
@@ -124,83 +120,39 @@ Status ClusterClient::ReattachShardOn(ObjectState& object, ShardState& shard,
 StatusOr<ClusterClient::ObjectHandle> ClusterClient::RegisterReplicated(
     const DirectedGraph& graph) {
   const ObjectHandle handle = static_cast<ObjectHandle>(objects_.size());
-  ObjectState object;
-  object.num_vertices = graph.num_vertices();
-  ShardState shard{graph, {}};
+  ObjectState object{graph, {}};
   const int num_replicas = std::min(options_.replication, num_workers());
   int successes = 0;
   Status last = UnavailableError("no replicas attempted");
   for (int r = 0; r < num_replicas; ++r) {
     Replica replica;
     replica.worker = static_cast<int>((handle + r) % num_workers());
-    const Status status = RegisterShardOn(object, shard, replica);
+    const Status status = RegisterOn(object, replica);
     if (status.ok()) {
       ++successes;
     } else {
       last = status;
     }
-    shard.replicas.push_back(replica);
+    object.replicas.push_back(replica);
   }
   if (successes == 0) return last;
-  object.shards.push_back(std::move(shard));
   objects_.push_back(std::move(object));
   return handle;
 }
 
-StatusOr<ClusterClient::ObjectHandle> ClusterClient::RegisterSharded(
-    const DirectedGraph& graph, int num_shards) {
-  DCS_CHECK_GE(num_shards, 1);
-  const ObjectHandle handle = static_cast<ObjectHandle>(objects_.size());
-  ObjectState object;
-  object.num_vertices = graph.num_vertices();
-  object.shards.reserve(static_cast<size_t>(num_shards));
-  // Round-robin by edge index: edge-disjoint groups whose cut values sum
-  // to the whole graph's cut for every side.
-  for (int g = 0; g < num_shards; ++g) {
-    DirectedGraph part(graph.num_vertices());
-    const auto& edges = graph.edges();
-    for (size_t e = static_cast<size_t>(g); e < edges.size();
-         e += static_cast<size_t>(num_shards)) {
-      part.AddEdge(edges[e].src, edges[e].dst, edges[e].weight);
-    }
-    object.shards.push_back(ShardState{std::move(part), {}});
+StatusOr<std::vector<double>> ClusterClient::AnswerBatch(
+    ObjectHandle handle, const std::vector<VertexSet>& sides) {
+  if (handle < 0 || handle >= static_cast<ObjectHandle>(objects_.size())) {
+    return InvalidArgumentError("unknown object handle " +
+                                std::to_string(handle));
   }
-  const int num_replicas = std::min(options_.replication, num_workers());
-  for (int g = 0; g < num_shards; ++g) {
-    ShardState& shard = object.shards[static_cast<size_t>(g)];
-    int successes = 0;
-    Status last = UnavailableError("no replicas attempted");
-    for (int r = 0; r < num_replicas; ++r) {
-      Replica replica;
-      replica.worker =
-          static_cast<int>((handle + g + r) % num_workers());
-      const Status status = RegisterShardOn(object, shard, replica);
-      if (status.ok()) {
-        ++successes;
-      } else {
-        last = status;
-      }
-      shard.replicas.push_back(replica);
-    }
-    if (successes == 0) {
-      return Status(last.code(), "shard " + std::to_string(g) +
-                                     " registered nowhere: " +
-                                     last.message());
-    }
-  }
-  objects_.push_back(std::move(object));
-  return handle;
-}
-
-StatusOr<std::vector<double>> ClusterClient::QueryShard(
-    const ObjectState& object, ShardState& shard,
-    const std::vector<VertexSet>& sides) {
+  ObjectState& object = objects_[static_cast<size_t>(handle)];
   RpcRequest request;
   request.kind = RpcKind::kQueryBatch;
-  request.num_vertices = object.num_vertices;
+  request.num_vertices = object.graph.num_vertices();
   request.sides = sides;
   Status last = UnavailableError("no replicas attempted");
-  for (Replica& replica : shard.replicas) {
+  for (Replica& replica : object.replicas) {
     WorkerState& worker = *workers_[static_cast<size_t>(replica.worker)];
     if (worker.health == WorkerHealth::kDead ||
         IsStale(replica, worker)) {
@@ -250,66 +202,8 @@ StatusOr<std::vector<double>> ClusterClient::QueryShard(
     }
     return peer;  // the request itself is wrong; no replica will differ
   }
-  return UnavailableError("all " + std::to_string(shard.replicas.size()) +
+  return UnavailableError("all " + std::to_string(object.replicas.size()) +
                           " replicas lost: " + last.ToString());
-}
-
-StatusOr<std::vector<double>> ClusterClient::AnswerBatch(
-    ObjectHandle handle, const std::vector<VertexSet>& sides) {
-  if (handle < 0 || handle >= static_cast<ObjectHandle>(objects_.size())) {
-    return InvalidArgumentError("unknown object handle " +
-                                std::to_string(handle));
-  }
-  ObjectState& object = objects_[static_cast<size_t>(handle)];
-  if (object.shards.size() != 1) {
-    return FailedPreconditionError(
-        "object is sharded; use AnswerDegraded for rescaled answers");
-  }
-  return QueryShard(object, object.shards[0], sides);
-}
-
-StatusOr<DegradedAnswer> ClusterClient::AnswerDegraded(
-    ObjectHandle handle, const std::vector<VertexSet>& sides) {
-  if (handle < 0 || handle >= static_cast<ObjectHandle>(objects_.size())) {
-    return InvalidArgumentError("unknown object handle " +
-                                std::to_string(handle));
-  }
-  ObjectState& object = objects_[static_cast<size_t>(handle)];
-  DegradedAnswer answer;
-  answer.total_shards = static_cast<int>(object.shards.size());
-  answer.values.assign(sides.size(), 0.0);
-  int survivors = 0;
-  for (ShardState& shard : object.shards) {
-    auto values = QueryShard(object, shard, sides);
-    if (values.ok()) {
-      ++survivors;
-      for (size_t i = 0; i < sides.size(); ++i) {
-        answer.values[i] += (*values)[i];
-      }
-      continue;
-    }
-    if (values.status().code() == StatusCode::kUnavailable) {
-      ++answer.lost_shards;  // this shard is gone; rescale survivors
-      continue;
-    }
-    return values.status();  // backpressure and caller errors pass through
-  }
-  if (survivors == 0) {
-    return UnavailableError("all " + std::to_string(answer.total_shards) +
-                            " shards lost");
-  }
-  // The survivor-rescale degradation math (DESIGN.md §12): the surviving
-  // S−L edge-disjoint groups carry, in expectation, (S−L)/S of every cut,
-  // so scaling by S/(S−L) re-centers the estimate while widening the
-  // advertised accuracy by √(S/(S−L)).
-  answer.scale = static_cast<double>(answer.total_shards) /
-                 static_cast<double>(survivors);
-  answer.epsilon_factor = std::sqrt(answer.scale);
-  if (answer.lost_shards > 0) {
-    for (double& value : answer.values) value *= answer.scale;
-    DCS_METRIC_INC("serve.cluster_client.degraded_answers");
-  }
-  return answer;
 }
 
 Status ClusterClient::HealthCheck() {
@@ -335,19 +229,17 @@ Status ClusterClient::HealthCheck() {
 StatusOr<int64_t> ClusterClient::Repair() {
   int64_t repaired = 0;
   for (ObjectState& object : objects_) {
-    for (ShardState& shard : object.shards) {
-      for (Replica& replica : shard.replicas) {
-        WorkerState& worker = *workers_[static_cast<size_t>(replica.worker)];
-        if (worker.health != WorkerHealth::kHealthy) continue;
-        if (!IsStale(replica, worker)) continue;
-        // Fast path first: a store-backed respawn warm-loaded the object
-        // under the same id, so reattaching skips re-sending the graph.
-        // Workers without a matching warm object answer kNotFound and the
-        // full re-register runs as before.
-        if (ReattachShardOn(object, shard, replica).ok() ||
-            RegisterShardOn(object, shard, replica).ok()) {
-          ++repaired;
-        }
+    for (Replica& replica : object.replicas) {
+      WorkerState& worker = *workers_[static_cast<size_t>(replica.worker)];
+      if (worker.health != WorkerHealth::kHealthy) continue;
+      if (!IsStale(replica, worker)) continue;
+      // Fast path first: a store-backed respawn warm-loaded the object
+      // under the same id, so reattaching skips re-sending the graph.
+      // Workers without a matching warm object answer kNotFound and the
+      // full re-register runs as before.
+      if (ReattachOn(object, replica).ok() ||
+          RegisterOn(object, replica).ok()) {
+        ++repaired;
       }
     }
   }

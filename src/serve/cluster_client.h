@@ -1,23 +1,14 @@
 // The coordinator/client side of the multi-process serving tier
-// (DESIGN.md §14): replication, health checking, failover, and the
-// survivor-rescale degradation math.
+// (DESIGN.md §14): replication, health checking and failover.
 //
-// Placement: object replica r lives on worker (index + r) % W, so R-way
-// replication spreads evenly and any R-1 simultaneous worker losses leave
-// at least one replica of a replicated object.
-//
-// Two registration modes:
-//  * RegisterReplicated — the whole graph on each of R workers. Any
-//    replica answers with the exact same code path (deserialize-preserved
-//    edge order + ExactCutOracle edge scan), so failover answers are
-//    BIT-IDENTICAL to a single-process oracle — the chaos soak's "zero
-//    wrong bits" invariant. All replicas lost → kUnavailable.
-//  * RegisterSharded — edges split round-robin into S edge-disjoint groups,
-//    each group replicated R ways; an answer sums the per-shard cuts. When
-//    L of S shards have no live replica, survivors are rescaled by
-//    S/(S−L) and the advertised accuracy widens to ε·√(S/(S−L)) — the
-//    same degradation math as DistributedMinCutPipeline (DESIGN.md §12).
-//    All S shards lost → kUnavailable.
+// RegisterReplicated places the whole graph on R workers; replica r of
+// object `handle` lives on worker (handle + r) % W, so R-way replication
+// spreads evenly and any R-1 simultaneous worker losses leave at least
+// one replica. Any replica answers with the exact same code path
+// (deserialize-preserved edge order + ExactCutOracle edge scan), so
+// failover answers are BIT-IDENTICAL to a single-process oracle — the
+// chaos soak's "zero wrong bits" invariant. All replicas lost →
+// kUnavailable.
 //
 // Failover policy (who eats which error):
 //  * transport failures (kUnavailable, "transport deadline:"
@@ -58,23 +49,11 @@
 namespace dcs {
 
 struct ClusterClientOptions {
-  int replication = 2;  // R: replicas per object / per shard group
+  int replication = 2;  // R: replicas per object
   TransportOptions transport;
   uint64_t seed = 0;  // reconnect jitter determinism
 
   void Check() const;
-};
-
-// An answer that may have been rescaled over lost shards.
-struct DegradedAnswer {
-  std::vector<double> values;
-  int total_shards = 0;
-  int lost_shards = 0;
-  // S/(S−L): multiplied into the survivor sum.
-  double scale = 1.0;
-  // ε·√(S/(S−L)) for the caller's ε (returned as the factor √(S/(S−L));
-  // multiply by your ε). 1.0 when nothing was lost.
-  double epsilon_factor = 1.0;
 };
 
 class ClusterClient {
@@ -96,22 +75,12 @@ class ClusterClient {
   // still OK (Repair will finish the job once workers return).
   StatusOr<ObjectHandle> RegisterReplicated(const DirectedGraph& graph);
 
-  // Splits `graph` into `num_shards` edge-disjoint groups (round-robin by
-  // edge index) and registers each group on R workers. Requires
-  // num_shards >= 1 and at least one live replica per shard at
-  // registration time.
-  StatusOr<ObjectHandle> RegisterSharded(const DirectedGraph& graph,
-                                         int num_shards);
-
-  // Answers a batch against a replicated object: first live replica wins;
-  // failover per the policy above. kUnavailable when every replica is
-  // lost; kResourceExhausted passes straight through.
+  // Answers a batch on the object's first answering replica (marking
+  // replicas stale as failures reveal them); failover per the policy
+  // above. kInvalidArgument for a handle this client never issued;
+  // kUnavailable when every replica is lost; kResourceExhausted passes
+  // straight through.
   StatusOr<std::vector<double>> AnswerBatch(
-      ObjectHandle handle, const std::vector<VertexSet>& sides);
-
-  // Answers a batch against a sharded object with survivor rescaling.
-  // Also usable on replicated objects (S=1: any loss is total).
-  StatusOr<DegradedAnswer> AnswerDegraded(
       ObjectHandle handle, const std::vector<VertexSet>& sides);
 
   // Pings every worker. Revives responders (Suspect/Dead → Healthy),
@@ -139,17 +108,13 @@ class ClusterClient {
     uint64_t token = 0;         // worker token at registration
     bool registered = false;
   };
-  struct ShardState {
-    DirectedGraph graph;        // retained for repair
+  struct ObjectState {
+    DirectedGraph graph;  // retained for repair
     std::vector<Replica> replicas;
     // Envelope checksum of `graph` (kReattach identity), set whenever a
-    // register request for the shard is built; a replica holds a remote
+    // register request for the object is built; a replica holds a remote
     // id only after one.
     uint32_t graph_checksum = 0;
-  };
-  struct ObjectState {
-    int num_vertices = 0;
-    std::vector<ShardState> shards;  // size 1 for replicated objects
   };
   struct WorkerState {
     Endpoint endpoint;
@@ -172,22 +137,12 @@ class ClusterClient {
   // worker has been seen with a newer token since.
   bool IsStale(const Replica& replica, const WorkerState& worker) const;
 
-  Status RegisterShardOn(ObjectState& object, ShardState& shard,
-                         Replica& replica);
+  Status RegisterOn(ObjectState& object, Replica& replica);
 
   // The fast half of Repair: ask the worker to revive `replica.remote_id`
   // from its warm store instead of re-sending the graph. Any failure means
-  // "fall back to RegisterShardOn", never "give up".
-  Status ReattachShardOn(ObjectState& object, ShardState& shard,
-                         Replica& replica);
-
-  // Queries one shard on its first answering replica (marking replicas
-  // stale as failures reveal them). OK with values on success;
-  // kUnavailable when every replica failed over; other codes per the
-  // failover policy.
-  StatusOr<std::vector<double>> QueryShard(const ObjectState& object,
-                                           ShardState& shard,
-                                           const std::vector<VertexSet>& sides);
+  // "fall back to RegisterOn", never "give up".
+  Status ReattachOn(const ObjectState& object, Replica& replica);
 
   ClusterClientOptions options_;
   std::vector<std::unique_ptr<WorkerState>> workers_;

@@ -15,7 +15,7 @@ constexpr int64_t kRunSize = 32;
 
 // One run's distinct misses on one batching object: lane k answers
 // sides[k]. `hashes` and `packed` hold each lane's cache key when the
-// object is cached.
+// cache is enabled.
 struct PendingLanes {
   int64_t object = 0;
   const CutOracle* oracle = nullptr;
@@ -62,26 +62,15 @@ CutQueryService::CutQueryService(CutQueryServiceOptions options) {
   }
 }
 
-CutQueryService::ObjectId CutQueryService::Register(ObjectEntry entry) {
-  objects_.push_back(std::move(entry));
+CutQueryService::ObjectId CutQueryService::Register(CutOracle oracle) {
+  objects_.push_back(std::move(oracle));
   DCS_METRIC_INC("serve.object.registered");
   return static_cast<ObjectId>(objects_.size()) - 1;
 }
 
 CutQueryService::ObjectId CutQueryService::RegisterGraph(
     const DirectedGraph& graph) {
-  ObjectEntry entry;
-  entry.oracle = ExactCutOracle(graph);
-  entry.cacheable = true;
-  return Register(std::move(entry));
-}
-
-CutQueryService::ObjectId CutQueryService::RegisterSketch(
-    const DirectedCutSketch& sketch) {
-  ObjectEntry entry;
-  entry.oracle = SketchCutOracle(sketch);
-  entry.cacheable = true;
-  return Register(std::move(entry));
+  return Register(ExactCutOracle(graph));
 }
 
 StatusOr<CutQueryService::ObjectId> CutQueryService::RegisterBackendSketch(
@@ -90,23 +79,10 @@ StatusOr<CutQueryService::ObjectId> CutQueryService::RegisterBackendSketch(
   DCS_ASSIGN_OR_RETURN(std::unique_ptr<DirectedCutSketch> sketch,
                        BuildBackendSketch(backend, graph, options));
   owned_sketches_.push_back(std::move(sketch));
-  ObjectEntry entry;
-  entry.oracle = SketchCutOracle(*owned_sketches_.back());
-  entry.cacheable = true;
-  return Register(std::move(entry));
+  return Register(SketchCutOracle(*owned_sketches_.back()));
 }
 
-CutQueryService::ObjectId CutQueryService::RegisterOracle(CutOracle oracle,
-                                                          bool cacheable) {
-  DCS_CHECK(static_cast<bool>(oracle));
-  ObjectEntry entry;
-  entry.oracle = std::move(oracle);
-  entry.cacheable = cacheable;
-  return Register(std::move(entry));
-}
-
-const CutQueryService::ObjectEntry& CutQueryService::EntryFor(
-    ObjectId object) const {
+const CutOracle& CutQueryService::OracleFor(ObjectId object) const {
   DCS_CHECK(object >= 0 && object < static_cast<ObjectId>(objects_.size()));
   return objects_[static_cast<size_t>(object)];
 }
@@ -119,6 +95,7 @@ std::vector<double> CutQueryService::AnswerBatch(
   DCS_METRIC_ADD("serve.query.logical", static_cast<int64_t>(batch.size()));
   std::vector<double> answers(batch.size(), 0.0);
   const int64_t count = static_cast<int64_t>(batch.size());
+  const bool cacheable = cache_ != nullptr;
   // Misses on objects whose oracle batches, answered after each run's
   // probe loop in one pass per object; `deferred` records, in query
   // order, which lane answers which query.
@@ -133,12 +110,11 @@ std::vector<double> CutQueryService::AnswerBatch(
     deferred.clear();
     for (int64_t i = begin; i < end; ++i) {
       const Query& query = batch[static_cast<size_t>(i)];
-      const ObjectEntry& entry = EntryFor(query.object);
-      const bool cacheable = entry.cacheable && cache_ != nullptr;
+      const CutOracle& oracle = OracleFor(query.object);
       uint64_t side_hash = 0;
       if (cacheable) side_hash = PackSideInto(query.side, packed);
       PendingLanes* lanes = nullptr;
-      if (entry.oracle.has_batch()) {
+      if (oracle.has_batch()) {
         lanes = FindLanes(pending, query.object);
         if (cacheable && lanes != nullptr) {
           // A side already pending here is a hit, as it would be had its
@@ -158,11 +134,11 @@ std::vector<double> CutQueryService::AnswerBatch(
           continue;
         }
       }
-      if (entry.oracle.has_batch()) {
+      if (oracle.has_batch()) {
         if (lanes == nullptr) {
           lanes = &pending.emplace_back();
           lanes->object = query.object;
-          lanes->oracle = &entry.oracle;
+          lanes->oracle = &oracle;
         }
         deferred.push_back({i, lanes - pending.data(),
                             static_cast<int64_t>(lanes->sides.size()),
@@ -174,7 +150,7 @@ std::vector<double> CutQueryService::AnswerBatch(
         }
         continue;
       }
-      const double value = entry.oracle(query.side);
+      const double value = oracle(query.side);
       answers[static_cast<size_t>(i)] = value;
       if (cacheable) {
         cache_->Insert(query.object, side_hash, packed, value);

@@ -1,14 +1,13 @@
 // The batched cut-query serving layer (DESIGN.md §10).
 //
-// A CutQueryService owns a registry of queryable objects — exact graphs,
-// sketches, arbitrary oracles — and answers *batches* of cut queries
-// against them, on the calling thread, in runs of 32 queries. Repeated
-// queries on cacheable (pure) objects are answered from an LRU cache
-// (query_cache.h) keyed on the canonical side. A run's misses on exact
-// graphs are answered together after its cache probes, one
+// A CutQueryService owns a registry of queryable objects — exact graphs
+// and named backend sketches — and answers *batches* of cut queries
+// against them, on the calling thread, in runs of 32 queries. Every object
+// is a pure function of the side, so repeated queries are answered from an
+// LRU cache (query_cache.h) keyed on the canonical side. A run's misses on
+// exact graphs are answered together after its cache probes, one
 // DirectedGraph::CutWeights pass per graph, bit-identical to answering
-// them one at a time; every other miss runs inline in issue order, so no
-// noise stream moves.
+// them one at a time; sketch misses run inline in issue order.
 //
 // Bit accounting: a cached answer is still a logical query. Every batch
 // entry increments serve.query.logical exactly once, whether it hit the
@@ -41,7 +40,7 @@
 namespace dcs {
 
 struct CutQueryServiceOptions {
-  // Memoization cache over cacheable objects.
+  // Memoization cache over every registered object.
   bool enable_cache = true;
   int64_t cache_capacity = 1 << 16;
 };
@@ -61,24 +60,19 @@ class CutQueryService {
   CutQueryService(const CutQueryService&) = delete;
   CutQueryService& operator=(const CutQueryService&) = delete;
 
-  // Registration (call before serving; referenced graphs/sketches must
-  // outlive the service). Graphs and sketches are pure functions of the
-  // side, hence cacheable.
+  // Registration (call before serving). A registered graph must outlive
+  // the service.
   ObjectId RegisterGraph(const DirectedGraph& graph);
-  ObjectId RegisterSketch(const DirectedCutSketch& sketch);
   // Builds a registered sparsifier backend (sketch/backend_registry.h)
-  // over `graph` by name and registers it. Unlike RegisterSketch the
-  // service owns the sketch, so callers only keep the graph alive during
-  // the call. kInvalidArgument naming the valid backends on a typo.
+  // over `graph` by name and registers it. The service owns the sketch,
+  // so callers only keep the graph alive during the call.
+  // kInvalidArgument naming the valid backends on a typo.
   StatusOr<ObjectId> RegisterBackendSketch(const DirectedGraph& graph,
                                            const std::string& backend,
                                            const BackendOptions& options);
-  // An arbitrary oracle; pass cacheable=false for oracles whose answers
-  // draw randomness (caching one draw would freeze the noise).
-  ObjectId RegisterOracle(CutOracle oracle, bool cacheable);
 
   // Answers batch[i] into result[i] on the calling thread, one run of 32
-  // queries at a time; cacheable objects consult the cache per query in
+  // queries at a time; with the cache enabled each query consults it in
   // issue order, and the run's misses populate it in query order. Counts
   // batch.size() logical queries and records serve.batch.{size,latency_ns}.
   std::vector<double> AnswerBatch(const std::vector<Query>& batch);
@@ -102,15 +96,10 @@ class CutQueryService {
   }
 
  private:
-  struct ObjectEntry {
-    CutOracle oracle;
-    bool cacheable = false;
-  };
+  ObjectId Register(CutOracle oracle);
+  const CutOracle& OracleFor(ObjectId object) const;
 
-  ObjectId Register(ObjectEntry entry);
-  const ObjectEntry& EntryFor(ObjectId object) const;
-
-  std::vector<ObjectEntry> objects_;
+  std::vector<CutOracle> objects_;
   // Backend sketches built by RegisterBackendSketch; their oracles point
   // into this storage, which therefore lives as long as the service.
   std::vector<std::unique_ptr<DirectedCutSketch>> owned_sketches_;

@@ -325,14 +325,6 @@ std::shared_ptr<const StreamSnapshot> StreamIngestor::snapshot() const {
   return snapshot_;
 }
 
-CutOracle StreamIngestor::EpochCutOracle() const {
-  DCS_CHECK_GT(options_.k, 0);
-  return CutOracle([this](const VertexSet& side) -> double {
-    const std::shared_ptr<const StreamSnapshot> snap = snapshot();
-    return snap->certificate->CutWeight(side);
-  });
-}
-
 StatusOr<int64_t> ReplayStream(BinaryStreamReader& reader,
                                StreamIngestor& ingestor,
                                int64_t updates_per_epoch) {

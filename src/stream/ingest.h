@@ -17,8 +17,7 @@
 //    increasing epoch number;
 //  * queries run against the last sealed snapshot while ingestion
 //    continues (snapshot-at-batch-boundary consistency): snapshot() hands
-//    out a shared_ptr to frozen state, and EpochCutOracle() adapts it to
-//    the CutQueryService registration path.
+//    out a shared_ptr to frozen state.
 //
 // Because every sketch transition is a commutative addition, the final
 // sketch — and therefore every snapshot digest — is bit-identical for any
@@ -56,7 +55,6 @@
 
 #include "graph/types.h"
 #include "graph/ugraph.h"
-#include "lowerbound/cut_oracle.h"
 #include "stream/agm_sketch.h"
 #include "stream/binary_stream.h"
 #include "util/status.h"
@@ -76,8 +74,8 @@ struct StreamIngestorOptions {
   // Boruvka rounds per connectivity sketch; 0 = the sketch default.
   int rounds = 0;
   // k > 0 maintains AgmKConnectivitySketch shards (sparse cut certificate,
-  // min-cut-up-to-k, EpochCutOracle); k == 0 maintains plain
-  // AgmConnectivitySketch shards (connectivity/forest only).
+  // min-cut-up-to-k); k == 0 maintains plain AgmConnectivitySketch shards
+  // (connectivity/forest only).
   int k = 0;
   // Sketch seed; all shards share it (required for merging).
   uint64_t seed = 1;
@@ -158,12 +156,6 @@ class StreamIngestor {
   int64_t updates_accepted() const {
     return updates_accepted_.load(std::memory_order_relaxed);
   }
-
-  // A cut oracle over the *current* sealed certificate: each query reads
-  // the latest snapshot, so answers move only at epoch boundaries. Register
-  // with CutQueryService as cacheable=false (answers change per epoch).
-  // Requires options.k > 0 (no certificate is maintained otherwise).
-  CutOracle EpochCutOracle() const;
 
  private:
   // Live multiplicity of every edge a shard has admitted (buffered or

@@ -95,9 +95,8 @@ class TensorSignMatrix {
   // The right factor v of M_t = u ⊗ v, as a ±1 vector of length N.
   std::vector<int8_t> RightFactor(int64_t t) const;
 
-  // Allocation-free variants writing into caller scratch of length exactly
-  // N — the for-each decoder fills arena spans with these on every decoded
-  // bit instead of materializing two fresh vectors per bit.
+  // Variants writing the ±1 bytes straight into caller storage of length
+  // exactly N, skipping the packed intermediate the vector forms build.
   void LeftFactorInto(int64_t t, std::span<int8_t> out) const;
   void RightFactorInto(int64_t t, std::span<int8_t> out) const;
 

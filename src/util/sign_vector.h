@@ -20,8 +20,7 @@
 namespace dcs {
 
 // Writes row `row` of the Sylvester–Hadamard matrix H_{2^log_size} as ±1
-// bytes into `out` (size exactly 2^log_size) without allocating — the
-// for-each decoder fills arena scratch with this on every decoded bit.
+// bytes into `out` (size exactly 2^log_size) without allocating.
 void HadamardRowSignsInto(int row, int log_size, std::span<int8_t> out);
 
 class SignVector {

@@ -1,8 +1,8 @@
 // The streaming ingestion pipeline: gutter/shard bit-identity across
 // producer counts and flush interleavings, delete validation at admission,
-// epoch/snapshot consistency, the ingestor's metrics, the CutQueryService
-// registration path, and
-// the replayable binary stream format (round trips + corruption).
+// epoch/snapshot consistency, the ingestor's metrics, the sealed k-forest
+// certificate, and the replayable binary stream format (round trips +
+// corruption).
 
 #include <algorithm>
 #include <atomic>
@@ -16,7 +16,6 @@
 
 #include "graph/generators.h"
 #include "gtest/gtest.h"
-#include "serve/cut_query_service.h"
 #include "stream/agm_sketch.h"
 #include "stream/binary_stream.h"
 #include "stream/ingest.h"
@@ -398,28 +397,27 @@ TEST(StreamIngestorTest, KSnapshotCertificateAndMinCut) {
   EXPECT_DOUBLE_EQ(ingestor.snapshot()->min_cut_up_to_k, 2.0);
 }
 
-TEST(StreamIngestorTest, EpochCutOracleThroughCutQueryService) {
+TEST(StreamIngestorTest, CertificateCutMovesOnlyAtBarriers) {
   const UndirectedGraph g = DumbbellGraph(6, 3);
   StreamIngestorOptions options;
   options.k = 5;
   StreamIngestor ingestor(12, options);
-  CutQueryService service(CutQueryServiceOptions{});
-  // Epoch answers change at barriers, so the oracle must not be cached.
-  const auto object = service.RegisterOracle(ingestor.EpochCutOracle(),
-                                             /*cacheable=*/false);
   const VertexSet left_half = MakeVertexSet(12, {0, 1, 2, 3, 4, 5});
+  const auto certificate_cut = [&] {
+    return ingestor.snapshot()->certificate->CutWeight(left_half);
+  };
 
   // Epoch 0: nothing ingested, the cut is empty.
-  EXPECT_DOUBLE_EQ(service.AnswerBatch({{object, left_half}})[0], 0.0);
+  EXPECT_DOUBLE_EQ(certificate_cut(), 0.0);
 
   for (const Edge& e : g.edges()) {
     ASSERT_TRUE(ingestor.PushInsert(e.src, e.dst).ok());
   }
   // Not sealed yet: queries still see epoch 0.
-  EXPECT_DOUBLE_EQ(service.AnswerBatch({{object, left_half}})[0], 0.0);
+  EXPECT_DOUBLE_EQ(certificate_cut(), 0.0);
   ASSERT_TRUE(ingestor.Barrier().ok());
   // Sealed: the certificate preserves the 3-bridge cut exactly (< k).
-  EXPECT_DOUBLE_EQ(service.AnswerBatch({{object, left_half}})[0], 3.0);
+  EXPECT_DOUBLE_EQ(certificate_cut(), 3.0);
 }
 
 // --- The replayable binary stream format. ---

@@ -20,7 +20,7 @@
 #include "serve/decoder_batch.h"
 #include "serve/query_cache.h"
 #include "serve/wire.h"
-#include "sketch/directed_sketches.h"
+#include "sketch/backend_registry.h"
 #include "util/bitio.h"
 #include "util/envelope.h"
 #include "util/metrics.h"
@@ -329,29 +329,21 @@ TEST(CutQueryServiceTest, CacheDisabledStillAnswersCorrectly) {
 TEST(CutQueryServiceTest, SketchBatchMatchesDirectEstimates) {
   Rng rng(17);
   const DirectedGraph graph = RandomBalancedDigraph(24, 0.5, 2.0, rng);
-  Rng sketch_rng(5);
-  const DirectedForEachSketch sketch(graph, 0.5, 2.0, sketch_rng);
+  BackendOptions options;
+  options.epsilon = 0.5;
+  options.beta = 2.0;
+  options.seed = 5;
   CutQueryService service;
-  const auto object = service.RegisterSketch(sketch);
-  const auto batch = MakeBatch(object, 24, 20, rng);
+  const auto object = service.RegisterBackendSketch(graph, "foreach", options);
+  ASSERT_TRUE(object.ok()) << object.status().ToString();
+  const auto sketch = BuildBackendSketch("foreach", graph, options);
+  ASSERT_TRUE(sketch.ok()) << sketch.status().ToString();
+  const auto batch = MakeBatch(*object, 24, 20, rng);
 
   const std::vector<double> answers = service.AnswerBatch(batch);
   for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(answers[i], sketch.EstimateCut(batch[i].side));
+    EXPECT_EQ(answers[i], (*sketch)->EstimateCut(batch[i].side));
   }
-}
-
-TEST(CutQueryServiceTest, NoisyOraclesAreNeverCached) {
-  Rng rng(29);
-  const DirectedGraph graph = RandomBalancedDigraph(16, 0.5, 1.0, rng);
-  Rng oracle_rng(7);
-  CutQueryService service;
-  const auto object = service.RegisterOracle(
-      NoisyCutOracle(graph, 0.3, oracle_rng), /*cacheable=*/false);
-  Rng batch_rng(3);
-  const auto batch = MakeBatch(object, 16, 10, batch_rng);
-  service.AnswerBatch(batch);
-  EXPECT_EQ(service.cache_size(), 0);
 }
 
 int64_t CounterDelta(const metrics::MetricsSnapshot& diff,
@@ -362,23 +354,30 @@ int64_t CounterDelta(const metrics::MetricsSnapshot& diff,
 
 TEST(CutQueryServiceTest, DeferredGraphMissesKeepIssueOrder) {
   // One run interleaving two graphs (whose misses are deferred into one
-  // lane pass per graph) with two noisy oracles that share one Rng (which
-  // run inline). Every answer must equal calling each oracle alone in
-  // issue order: deferral moves no Rng draw.
+  // lane pass per graph) with two backend sketches (which run inline).
+  // Every answer must equal calling its object's oracle alone.
   Rng rng(47);
   const DirectedGraph graph_a = RandomBalancedDigraph(20, 0.5, 2.0, rng);
   const DirectedGraph graph_b = RandomBalancedDigraph(20, 0.4, 1.0, rng);
-  Rng shared_rng(5);
+  BackendOptions options;
+  options.epsilon = 0.5;
+  options.beta = 2.0;
   CutQueryService service;
   const auto a = service.RegisterGraph(graph_a);
   const auto b = service.RegisterGraph(graph_b);
-  const auto noisy1 = service.RegisterOracle(
-      NoisyCutOracle(graph_a, 0.3, shared_rng), /*cacheable=*/false);
-  const auto noisy2 = service.RegisterOracle(
-      NoisyCutOracle(graph_b, 0.1, shared_rng), /*cacheable=*/false);
+  const auto sketch1 =
+      service.RegisterBackendSketch(graph_a, "foreach", options);
+  const auto sketch2 =
+      service.RegisterBackendSketch(graph_b, "importance", options);
+  ASSERT_TRUE(sketch1.ok()) << sketch1.status().ToString();
+  ASSERT_TRUE(sketch2.ok()) << sketch2.status().ToString();
+  const auto reference1 = BuildBackendSketch("foreach", graph_a, options);
+  const auto reference2 = BuildBackendSketch("importance", graph_b, options);
+  ASSERT_TRUE(reference1.ok() && reference2.ok());
 
-  const CutQueryService::ObjectId pattern[] = {a,      noisy1, noisy2, b,
-                                               noisy2, a,      noisy1, b};
+  const CutQueryService::ObjectId pattern[] = {a,        *sketch1, *sketch2,
+                                               b,        *sketch2, a,
+                                               *sketch1, b};
   std::vector<CutQueryService::Query> batch;
   for (int i = 0; i < 24; ++i) {
     batch.push_back(
@@ -388,7 +387,7 @@ TEST(CutQueryServiceTest, DeferredGraphMissesKeepIssueOrder) {
   ASSERT_EQ(batch[21].object, a);
   ASSERT_LE(batch.size(), 32u);  // one run of AnswerBatch
   constexpr int64_t kGraphMisses = 11;  // 12 graph queries, one repeated
-  constexpr int64_t kInlineQueries = 12;
+  constexpr int64_t kSketchMisses = 12;
 
   const metrics::MetricsSnapshot before =
       metrics::Registry::Get().Snapshot();
@@ -396,30 +395,28 @@ TEST(CutQueryServiceTest, DeferredGraphMissesKeepIssueOrder) {
   const metrics::MetricsSnapshot diff =
       metrics::Registry::Get().Snapshot().DiffSince(before);
 
-  Rng reference_rng(5);
   const CutOracle exact_a = ExactCutOracle(graph_a);
   const CutOracle exact_b = ExactCutOracle(graph_b);
-  const CutOracle reference_noisy1 =
-      NoisyCutOracle(graph_a, 0.3, reference_rng);
-  const CutOracle reference_noisy2 =
-      NoisyCutOracle(graph_b, 0.1, reference_rng);
+  const CutOracle reference_sketch1 = SketchCutOracle(**reference1);
+  const CutOracle reference_sketch2 = SketchCutOracle(**reference2);
   ASSERT_EQ(answers.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const auto object = batch[i].object;
-    const CutOracle& oracle = object == a        ? exact_a
-                              : object == b      ? exact_b
-                              : object == noisy1 ? reference_noisy1
-                                                 : reference_noisy2;
+    const CutOracle& oracle = object == a          ? exact_a
+                              : object == b        ? exact_b
+                              : object == *sketch1 ? reference_sketch1
+                                                   : reference_sketch2;
     EXPECT_EQ(answers[i], oracle(batch[i].side)) << "query " << i;
   }
 
   if (DCS_METRICS_ENABLED) {
-    EXPECT_EQ(CounterDelta(diff, "serve.cache.misses"), kGraphMisses);
+    EXPECT_EQ(CounterDelta(diff, "serve.cache.misses"),
+              kGraphMisses + kSketchMisses);
     EXPECT_EQ(CounterDelta(diff, "serve.cache.hits"), 1);
-    // The graph misses reach their oracle once each, batched; the inline
-    // oracles once per query.
+    // The graph misses reach their oracle once each, batched; the sketch
+    // misses once each, inline.
     EXPECT_EQ(CounterDelta(diff, "cutoracle.query.served"),
-              kGraphMisses + kInlineQueries);
+              kGraphMisses + kSketchMisses);
   }
 }
 

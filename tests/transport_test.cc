@@ -1,8 +1,8 @@
 // Socket transport + multi-process serving tier tests (DESIGN.md §14):
 // endpoint parsing, loopback framing round trips, deadlines, backoff
 // connects, per-shard admission control, worker dispatch over real
-// sockets, replication failover, token-mismatch repair, survivor-rescale
-// degradation, and fork/exec'd dcs_server worker processes.
+// sockets, replication failover, token-mismatch repair, client handle
+// validation, and fork/exec'd dcs_server worker processes.
 
 #include <signal.h>
 #include <stdlib.h>
@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -803,47 +802,42 @@ TEST(ClusterClientTest, DetectsRespawnedWorkerAndRepairs) {
   ::rmdir(dir_template);
 }
 
-TEST(ClusterClientTest, ShardedObjectDegradesWithSurvivorRescale) {
-  ServingWorker worker0 = StartWorker();
-  ServingWorker worker1 = StartWorker();
-  const DirectedGraph graph = TestGraph(18, 80, 51);
-  const std::vector<VertexSet> sides = RandomSides(18, 5, 52);
-
+TEST(ClusterClientTest, RejectsUnissuedHandles) {
+  ServingWorker live = StartWorker();
+  ServingWorker stopped = StartWorker();
+  const Endpoint stopped_endpoint = stopped.worker->endpoint();
+  stopped.Stop();
+  const DirectedGraph graph = TestGraph(12, 40, 71);
+  const std::vector<VertexSet> sides = RandomSides(12, 3, 72);
   ClusterClientOptions options;
-  options.replication = 1;  // each shard lives on exactly one worker
+  options.replication = 1;
   options.transport = FastTransport();
-  ClusterClient client(
-      {worker0.worker->endpoint(), worker1.worker->endpoint()}, options);
-  auto handle = client.RegisterSharded(graph, 2);
-  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
 
-  auto full = client.AnswerDegraded(*handle, sides);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  EXPECT_EQ(full->total_shards, 2);
-  EXPECT_EQ(full->lost_shards, 0);
-  EXPECT_DOUBLE_EQ(full->scale, 1.0);
-  EXPECT_DOUBLE_EQ(full->epsilon_factor, 1.0);
-  for (size_t i = 0; i < sides.size(); ++i) {
-    // Edge-disjoint shards: per-shard cuts sum to the whole cut (same
-    // additions in a different order, so compare to a tolerance).
-    EXPECT_NEAR(full->values[i], graph.CutWeight(sides[i]),
-                1e-9 * (1.0 + graph.CutWeight(sides[i])));
+  // A registration that reaches no live worker issues no handle, so
+  // handle 0 stays unknown.
+  ClusterClient unplaced({stopped_endpoint}, options);
+  auto failed = unplaced.RegisterReplicated(graph);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+  for (const ClusterClient::ObjectHandle handle : {-1, 0}) {
+    auto answer = unplaced.AnswerBatch(handle, sides);
+    ASSERT_FALSE(answer.ok());
+    EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument)
+        << "handle " << handle;
   }
 
-  // Lose the worker holding shard 1: survivors rescale by S/(S-L) = 2 and
-  // the advertised accuracy widens by sqrt(2).
-  worker1.Stop();
-  auto degraded = client.AnswerDegraded(*handle, sides);
-  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
-  EXPECT_EQ(degraded->total_shards, 2);
-  EXPECT_EQ(degraded->lost_shards, 1);
-  EXPECT_DOUBLE_EQ(degraded->scale, 2.0);
-  EXPECT_DOUBLE_EQ(degraded->epsilon_factor, std::sqrt(2.0));
-
-  worker0.Stop();
-  auto lost = client.AnswerDegraded(*handle, sides);
-  ASSERT_FALSE(lost.ok());
-  EXPECT_EQ(lost.status().code(), StatusCode::kUnavailable);
+  // Next to an issued handle, neighbours on either side are still unknown.
+  ClusterClient client({live.worker->endpoint()}, options);
+  auto handle = client.RegisterReplicated(graph);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  EXPECT_TRUE(client.AnswerBatch(*handle, sides).ok());
+  for (const ClusterClient::ObjectHandle unissued :
+       {*handle - 1, *handle + 1}) {
+    auto answer = client.AnswerBatch(unissued, sides);
+    ASSERT_FALSE(answer.ok());
+    EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument)
+        << "handle " << unissued;
+  }
 }
 
 #ifdef DCS_SERVER_PATH

@@ -4,8 +4,8 @@
 // exactly the bytes the scalar reference returns, for int64 and double, at
 // every size including non-multiple-of-lane tails. These tests pin that
 // contract for the FWHT (contiguous and strided), the popcount kernels (via
-// SignVector), the 2-D EncodeSigns transform, the CutWeights lane add, the
-// arena, and a served batch under forced-scalar vs hardware dispatch.
+// SignVector), the 2-D EncodeSigns transform, the CutWeights lane add, and
+// a served batch under forced-scalar vs hardware dispatch.
 
 #include <algorithm>
 #include <bit>
@@ -21,7 +21,6 @@
 #include "graph/types.h"
 #include "gtest/gtest.h"
 #include "serve/cut_query_service.h"
-#include "util/arena.h"
 #include "util/hadamard.h"
 #include "util/random.h"
 #include "util/sign_vector.h"
@@ -441,47 +440,6 @@ TEST(SimdLaneAddTest, SumsStartingAtPositiveZeroNeverBecomeNegativeZero) {
     zero_sums += sum == 0.0;
   }
   EXPECT_GT(zero_sums, 0);  // the case the precondition is about occurred
-}
-
-// ---------------------------------------------------------------------------
-// ScratchArena
-// ---------------------------------------------------------------------------
-
-TEST(ScratchArenaTest, AllocationsAreAlignedAndDisjoint) {
-  ScratchArena arena(128);
-  const std::span<int64_t> a = arena.Alloc<int64_t>(5);
-  const std::span<int64_t> b = arena.Alloc<int64_t>(5);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(a.data()) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(b.data()) % 64, 0u);
-  for (auto& v : a) v = 1;
-  for (auto& v : b) v = 2;
-  for (const auto& v : a) EXPECT_EQ(v, 1);
-}
-
-TEST(ScratchArenaTest, ScopeRewindReusesMemoryWithoutGrowth) {
-  ScratchArena arena(1024);
-  const int64_t* first = nullptr;
-  const size_t capacity_before = [&] {
-    ScratchArena::Scope scope(arena);
-    first = arena.Alloc<int64_t>(64).data();
-    return arena.capacity_bytes();
-  }();
-  for (int iter = 0; iter < 100; ++iter) {
-    ScratchArena::Scope scope(arena);
-    const std::span<int64_t> again = arena.Alloc<int64_t>(64);
-    EXPECT_EQ(again.data(), first);
-  }
-  EXPECT_EQ(arena.capacity_bytes(), capacity_before);
-}
-
-TEST(ScratchArenaTest, GrowsBeyondInitialBlockAndKeepsData) {
-  ScratchArena arena(64);
-  const std::span<uint8_t> small = arena.Alloc<uint8_t>(16);
-  for (auto& v : small) v = 7;
-  const std::span<uint8_t> big = arena.Alloc<uint8_t>(1 << 12);
-  for (auto& v : big) v = 9;
-  for (const auto& v : small) EXPECT_EQ(v, 7);
-  EXPECT_GE(arena.capacity_bytes(), size_t{1} << 12);
 }
 
 // ---------------------------------------------------------------------------
