@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Builds and runs the full test suite under AddressSanitizer and
+# Builds and runs the full test suite under AddressSanitizer (together
+# with UndefinedBehaviorSanitizer, which aborts on its first report) and
 # ThreadSanitizer (separate build trees, both kept for incremental reruns).
 # The sanitizer builds also register tsan_stress_test with ctest, so the
 # straggler/data-race stress drivers run under the real checkers.
@@ -58,10 +59,11 @@ run_one() {
     # store_test rides along: segment append/reopen/compact and the cache
     # snapshot round trip are raw-byte and pread-heavy paths where ASan
     # catches off-by-one record framing that the checksums alone mask.
-    # The bit-I/O suites ride along: BitReader/BitWriter move whole 64-bit
-    # words, and a multi-byte load past a buffer's end is exactly the
-    # over-read the checksums would hide; the differential tests read from
-    # exact-size buffers so ASan sees it.
+    # The bit-I/O suites ride along: BitReader/BitWriter and the graph
+    # edge-list codec move whole 64-bit words, and a multi-byte load past a
+    # buffer's end is exactly the over-read the checksums would hide; the
+    # differential tests read from exact-size buffers so ASan sees it, and
+    # UBSan sees a word shifted by a computed width of 64.
     # graph_incremental_cut_test rides along: the CutWeights lane kernel
     # indexes its per-vertex mask array by edge endpoints, exactly the
     # out-of-range read ASan catches.
@@ -72,7 +74,9 @@ run_one() {
       # The socket receivers run with a 128 MB cap on any one allocation:
       # a receiver that allocated up front from a hostile length prefix
       # (up to 1 GiB) fails the run. The largest legitimate buffer, the
-      # 32 MB over-cap query body in corruption_test, stays under it.
+      # 32 MB over-cap query body in corruption_test, stays under it, and
+      # so does indexing a graph at the worker's vertex cap (transport_test
+      # sends one declaring 2^28 vertices and expects a refusal).
       ASAN_OPTIONS="${ASAN_OPTIONS:+${ASAN_OPTIONS}:}max_allocation_size_mb=128" \
         ctest --test-dir "${build_dir}" --output-on-failure \
         -R "^(${receivers})$"

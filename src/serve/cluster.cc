@@ -38,6 +38,15 @@ uint64_t DrawInstanceToken() {
   return token == 0 ? 1 : token;
 }
 
+// Why a worker will not index `graph`, or OK (ClusterWorker::kMaxVertices).
+Status CheckIndexable(const DirectedGraph& graph) {
+  if (graph.num_vertices() <= ClusterWorker::kMaxVertices) return OkStatus();
+  return InvalidArgumentError(
+      "graph has " + std::to_string(graph.num_vertices()) +
+      " vertices; a worker registers at most " +
+      std::to_string(ClusterWorker::kMaxVertices));
+}
+
 // One warm-load record at ascending position `position`: its graph and
 // reattach checksum (the client's GraphEnvelopeChecksum), or why the store
 // cannot be booted from.
@@ -58,6 +67,7 @@ Status DecodeWarmRecord(int64_t position, const SegmentRecord& record,
   }
   BitReader reader(record.payload);
   DCS_ASSIGN_OR_RETURN(graph, DeserializeDirectedGraph(reader));
+  DCS_RETURN_IF_ERROR(CheckIndexable(*graph));
   checksum = Fnv1a32(record.payload);
   return OkStatus();
 }
@@ -349,6 +359,12 @@ RpcResponse ClusterWorker::Execute(const RpcRequest& request) {
           InvalidArgumentError("register request has no graph envelope");
       return response;
     }
+    // Refused before it takes a round-robin slot or reaches the store.
+    const Status indexable = CheckIndexable(request.graph->graph());
+    if (!indexable.ok()) {
+      response.status = indexable;
+      return response;
+    }
     std::lock_guard<std::mutex> lock(registration_mutex_);
     shard = shards_[static_cast<size_t>(registrations_++ %
                                         static_cast<int64_t>(
@@ -376,12 +392,14 @@ RpcResponse ClusterWorker::Execute(const RpcRequest& request) {
     response.status = admitted;
     return response;
   }
-  {
-    std::lock_guard<std::mutex> lock(shard->mutex);
-    response = ExecuteOnShard(*shard, request);
-  }
-  Release(*shard);
-  return response;
+  // The slot goes back even if execution throws (an allocation failure),
+  // so a drain never waits for a release that cannot come.
+  struct Releaser {
+    Shard& shard;
+    ~Releaser() { Release(shard); }
+  } releaser{*shard};
+  std::lock_guard<std::mutex> lock(shard->mutex);
+  return ExecuteOnShard(*shard, request);
 }
 
 void ClusterWorker::HandleConnection(Connection connection) {

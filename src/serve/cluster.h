@@ -76,6 +76,15 @@ struct ClusterWorkerOptions {
 
 class ClusterWorker {
  public:
+  // Largest vertex count a worker registers: a cluster limit. Registering
+  // indexes the graph (DirectedGraph::BuildAdjacency), whose largest
+  // arrays hold n + 1 int64 each, so the cap keeps each one at 64 MiB,
+  // under half the 128 MB single-allocation bound the sanitizer receivers
+  // pass runs with. A register request over it is refused with
+  // kInvalidArgument before anything is stored, a store holding such a
+  // graph refuses to warm-load, and `dcs cluster` refuses a larger --n.
+  static constexpr int kMaxVertices = 1 << 23;
+
   // Binds and listens immediately (so the spawner can connect as soon as
   // the constructor returns); Serve() runs the accept loop.
   static StatusOr<std::unique_ptr<ClusterWorker>> Create(

@@ -83,10 +83,8 @@ bool ClusterClient::IsStale(const Replica& replica,
   return worker.token != 0 && replica.token != worker.token;
 }
 
-Status ClusterClient::RegisterOn(ObjectState& object, Replica& replica) {
-  const RpcRequest request = RegisterGraphRequest(object.graph);
-  // The graph's reattach identity comes with its envelope.
-  object.graph_checksum = request.graph->checksum();
+Status ClusterClient::RegisterOn(const RpcRequest& request,
+                                 Replica& replica) {
   DCS_ASSIGN_OR_RETURN(const RpcResponse response,
                        Call(replica.worker, request));
   DCS_RETURN_IF_ERROR(response.status);
@@ -120,14 +118,17 @@ Status ClusterClient::ReattachOn(const ObjectState& object, Replica& replica) {
 StatusOr<ClusterClient::ObjectHandle> ClusterClient::RegisterReplicated(
     const DirectedGraph& graph) {
   const ObjectHandle handle = static_cast<ObjectHandle>(objects_.size());
-  ObjectState object{graph, {}};
+  // Serialized once; every replica is sent the same envelope, and the
+  // graph's reattach identity comes with it.
+  const RpcRequest request = RegisterGraphRequest(graph);
+  ObjectState object{graph, {}, request.graph->checksum()};
   const int num_replicas = std::min(options_.replication, num_workers());
   int successes = 0;
   Status last = UnavailableError("no replicas attempted");
   for (int r = 0; r < num_replicas; ++r) {
     Replica replica;
     replica.worker = static_cast<int>((handle + r) % num_workers());
-    const Status status = RegisterOn(object, replica);
+    const Status status = RegisterOn(request, replica);
     if (status.ok()) {
       ++successes;
     } else {
@@ -238,7 +239,7 @@ StatusOr<int64_t> ClusterClient::Repair() {
       // Workers without a matching warm object answer kNotFound and the
       // full re-register runs as before.
       if (ReattachOn(object, replica).ok() ||
-          RegisterOn(object, replica).ok()) {
+          RegisterOn(RegisterGraphRequest(object.graph), replica).ok()) {
         ++repaired;
       }
     }

@@ -70,7 +70,8 @@ class ClusterClient {
   int num_workers() const { return static_cast<int>(workers_.size()); }
   WorkerHealth worker_health(int worker) const;
 
-  // Registers `graph` whole on R workers starting at (handle % W).
+  // Registers `graph` whole on R workers starting at (handle % W),
+  // serializing it once for all of them.
   // Requires at least one successful replica; fewer than R successes is
   // still OK (Repair will finish the job once workers return).
   StatusOr<ObjectHandle> RegisterReplicated(const DirectedGraph& graph);
@@ -111,9 +112,8 @@ class ClusterClient {
   struct ObjectState {
     DirectedGraph graph;  // retained for repair
     std::vector<Replica> replicas;
-    // Envelope checksum of `graph` (kReattach identity), set whenever a
-    // register request for the object is built; a replica holds a remote
-    // id only after one.
+    // Envelope checksum of `graph` (kReattach identity), taken from the
+    // register request that first sent it.
     uint32_t graph_checksum = 0;
   };
   struct WorkerState {
@@ -137,7 +137,9 @@ class ClusterClient {
   // worker has been seen with a newer token since.
   bool IsStale(const Replica& replica, const WorkerState& worker) const;
 
-  Status RegisterOn(ObjectState& object, Replica& replica);
+  // Sends a kRegisterGraph request (RegisterGraphRequest) to the replica's
+  // worker and records the id and token it answers with.
+  Status RegisterOn(const RpcRequest& request, Replica& replica);
 
   // The fast half of Repair: ask the worker to revive `replica.remote_id`
   // from its warm store instead of re-sending the graph. Any failure means

@@ -68,6 +68,7 @@ void ClusterLoadOptions::Check() const {
   DCS_CHECK_GE(kill_interval_ms, 1);
   DCS_CHECK_GE(respawn_delay_ms, 0);
   DCS_CHECK_GE(num_vertices, 2);
+  DCS_CHECK_LE(num_vertices, ClusterWorker::kMaxVertices);
   DCS_CHECK_GE(num_edges, 1);
   worker.Check();
 }

@@ -32,6 +32,16 @@ Message SealRpc(RpcKind kind, const std::vector<uint8_t>& payload,
   return SealMessage(out);
 }
 
+// A register body is the graph's envelope, whose FNV-1a the EnvelopedGraph
+// already holds: the RPC envelope is sealed with it instead of hashing the
+// same bytes again.
+Message SealRegisterRpc(const EnvelopedGraph& graph) {
+  BitWriter out;
+  AppendEnvelope(kRpcMagic, static_cast<uint64_t>(RpcKind::kRegisterGraph),
+                 graph.bytes(), graph.bit_count(), graph.checksum(), out);
+  return SealMessage(out);
+}
+
 // Validates the RPC envelope and extracts the checksummed payload: the
 // shared envelope checks, a known kind, and a payload that ends exactly at
 // the message's *declared* bit count (not the padded byte buffer).
@@ -121,11 +131,10 @@ Message EncodeRpcRequest(const RpcRequest& request) {
     case RpcKind::kPing:
       break;
     case RpcKind::kRegisterGraph:
-      // The payload is the graph's envelope, serialized when the request
-      // was built.
+      // The payload is the graph's envelope, serialized (and hashed) when
+      // the request was built.
       DCS_CHECK(request.graph.has_value());
-      return SealRpc(request.kind, request.graph->bytes(),
-                     request.graph->bit_count());
+      return SealRegisterRpc(*request.graph);
     case RpcKind::kQueryBatch: {
       DCS_CHECK_GE(request.object_id, 0);
       DCS_CHECK_GE(request.num_vertices, 1);

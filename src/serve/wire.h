@@ -68,13 +68,14 @@ struct RpcRequest;
 // A graph to register, bound to its serialization envelope: the bytes
 // SerializeDirectedGraph writes for it, their bit count, and their FNV-1a
 // (GraphEnvelopeChecksum). A register request carries its graph in this
-// form, so the worker stores and checksums the bytes that crossed the wire
-// instead of serializing the graph again. There are two ways to make one:
-// from a graph, which serializes it once, and DecodeRpcRequest, which moves
-// in the envelope it received after both checksums (RPC and graph) passed
-// and the graph parsed to its last bit. The encoding is canonical (unique
-// gamma codes, raw weight bits, trailing bits rejected), so both give
-// identical bytes for the same graph.
+// form, so EncodeRpcRequest seals the RPC envelope with that checksum
+// instead of hashing the bytes again, and the worker stores and checksums
+// the bytes that crossed the wire instead of serializing the graph again.
+// There are two ways to make one: from a graph, which serializes it once,
+// and DecodeRpcRequest, which moves in the envelope it received after both
+// checksums (RPC and graph) passed and the graph parsed to its last bit.
+// The encoding is canonical (unique gamma codes, raw weight bits, trailing
+// bits rejected), so both give identical bytes for the same graph.
 class EnvelopedGraph {
  public:
   // Implicit, so `request.graph = graph` builds the envelope where the

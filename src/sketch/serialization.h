@@ -16,8 +16,11 @@
 //
 // Payload format for graphs (inside the envelope): Elias-gamma vertex and
 // edge counts, then per edge Elias-gamma endpoints and a raw IEEE double
-// weight. Double vectors are headerless *fragments* (count + raw 64-bit
-// values) meant to be embedded inside an enclosing envelope's payload.
+// weight. The graph codec packs and decodes edges a word at a time
+// (DESIGN.md §9); its bytes, results and errors are those of one BitWriter
+// or BitReader call per field. Double vectors are headerless *fragments*
+// (count + raw 64-bit values) meant to be embedded inside an enclosing
+// envelope's payload.
 
 #ifndef DCS_SKETCH_SERIALIZATION_H_
 #define DCS_SKETCH_SERIALIZATION_H_

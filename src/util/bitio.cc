@@ -6,25 +6,6 @@
 namespace dcs {
 namespace {
 
-uint64_t LowMask(int width) {
-  return width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
-}
-
-// Word loads and stores below are little-endian, matching the stream's
-// LSB-first byte order.
-static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
-              "bit I/O word access assumes a little-endian host");
-
-uint64_t LoadLe64(const uint8_t* bytes) {
-  uint64_t word = 0;
-  std::memcpy(&word, bytes, sizeof(word));
-  return word;
-}
-
-void StoreLe64(uint8_t* bytes, uint64_t word) {
-  std::memcpy(bytes, &word, sizeof(word));
-}
-
 // Returns `width` bits (width in [0, 64]) starting at bit `pos` of
 // data[0, size), LSB first. The caller guarantees pos + width <= 8 * size;
 // no byte past the last one holding a requested bit is touched.
@@ -69,9 +50,7 @@ void CopyBitsToAligned(const uint8_t* src, size_t src_size, int64_t pos,
   // 9 source bytes, so both loads stay inside the buffer.
   const int shift = static_cast<int>(pos & 7);
   for (; count >= 64; count -= 64, pos += 64, dst += 8) {
-    const uint8_t* word = src + (pos >> 3);
-    StoreLe64(dst, (LoadLe64(word) >> shift) |
-                       (LoadLe64(word + 1) << (8 - shift)));
+    StoreLe64(dst, LoadShiftedLe64(src + (pos >> 3), shift));
   }
   if (count > 0) {
     const uint64_t tail = PeekBits(src, src_size, pos, static_cast<int>(count));
@@ -79,18 +58,6 @@ void CopyBitsToAligned(const uint8_t* src, size_t src_size, int64_t pos,
       dst[i] = static_cast<uint8_t>(tail >> (8 * i));
     }
   }
-}
-
-// Reverses the order of the low `width` bits of `value` (width in [1, 64]);
-// Elias-gamma payloads travel MSB first inside an LSB-first stream.
-uint64_t ReverseLowBits(uint64_t value, int width) {
-  value = ((value >> 1) & 0x5555555555555555ull) |
-          ((value & 0x5555555555555555ull) << 1);
-  value = ((value >> 2) & 0x3333333333333333ull) |
-          ((value & 0x3333333333333333ull) << 2);
-  value = ((value >> 4) & 0x0F0F0F0F0F0F0F0Full) |
-          ((value & 0x0F0F0F0F0F0F0F0Full) << 4);
-  return __builtin_bswap64(value) >> (64 - width);
 }
 
 }  // namespace
@@ -125,17 +92,15 @@ void BitWriter::WriteBits(uint64_t value, int width) {
 
 void BitWriter::WriteEliasGamma(uint64_t value) {
   DCS_CHECK_LT(value, UINT64_MAX);
-  const uint64_t shifted = value + 1;
-  const int log = 63 - __builtin_clzll(shifted);
-  // `log` zeros, the leading 1, then the low `log` bits of shifted
-  // MSB-to-LSB (classic gamma order), i.e. bit-reversed in this LSB-first
-  // stream.
-  const uint64_t low = log == 0 ? 0 : ReverseLowBits(shifted, log);
+  const int log = EliasGammaLog(value);
   if (2 * log + 1 <= 64) {
-    WriteBits((low << (log + 1)) | (uint64_t{1} << log), 2 * log + 1);
+    WriteBits(EliasGammaWord(value, log), 2 * log + 1);
   } else {
+    // `log` zeros and the leading 1, then the low `log` bits of value + 1
+    // MSB-to-LSB (classic gamma order), i.e. bit-reversed in this LSB-first
+    // stream.
     WriteBits(uint64_t{1} << log, log + 1);
-    WriteBits(low, log);
+    WriteBits(ReverseLowBits(value + 1, log), log);
   }
 }
 

@@ -18,12 +18,69 @@
 #define DCS_UTIL_BITIO_H_
 
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "util/check.h"
 #include "util/status.h"
 
 namespace dcs {
+
+// Word helpers shared by BitWriter/BitReader and the codecs that move whole
+// words of a BitWriter-layout stream themselves (sketch/serialization.cc's
+// graph edge lists). Word loads and stores are little-endian, matching the
+// stream's LSB-first byte order.
+static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+              "bit I/O word access assumes a little-endian host");
+
+inline uint64_t LowMask(int width) {
+  return width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+}
+
+inline uint64_t LoadLe64(const uint8_t* bytes) {
+  uint64_t word = 0;
+  std::memcpy(&word, bytes, sizeof(word));
+  return word;
+}
+
+inline void StoreLe64(uint8_t* bytes, uint64_t word) {
+  std::memcpy(bytes, &word, sizeof(word));
+}
+
+// The 64 stream bits that start `shift` bits (in [0, 8)) into `bytes`:
+// reads bytes[0, 9), so nine bytes must be readable there.
+inline uint64_t LoadShiftedLe64(const uint8_t* bytes, int shift) {
+  // The word one byte on supplies the top `shift` bits; at shift 0 it
+  // repeats bits the first word already holds.
+  return (LoadLe64(bytes) >> shift) | (LoadLe64(bytes + 1) << (8 - shift));
+}
+
+// Reverses the order of the low `width` bits of `value` (width in [1, 64];
+// bits above `width` are ignored). Elias-gamma payloads travel MSB first
+// inside an LSB-first stream.
+inline uint64_t ReverseLowBits(uint64_t value, int width) {
+  value = ((value >> 1) & 0x5555555555555555ull) |
+          ((value & 0x5555555555555555ull) << 1);
+  value = ((value >> 2) & 0x3333333333333333ull) |
+          ((value & 0x3333333333333333ull) << 2);
+  value = ((value >> 4) & 0x0F0F0F0F0F0F0F0Full) |
+          ((value & 0x0F0F0F0F0F0F0F0Full) << 4);
+  return __builtin_bswap64(value) >> (64 - width);
+}
+
+// floor(log2(value + 1)) for value < UINT64_MAX: an Elias-gamma code of
+// `value` is that many zeros, a one, and that many payload bits.
+inline int EliasGammaLog(uint64_t value) {
+  return 63 - __builtin_clzll(value + 1);
+}
+
+// The whole 2 * log + 1 bit Elias-gamma code of `value`, with
+// log = EliasGammaLog(value) <= 31, as the stream lays it out LSB first:
+// `log` zeros, the leading one, then the low `log` bits MSB first. That is
+// value + 1 bit-reversed, shifted past the zeros.
+inline uint64_t EliasGammaWord(uint64_t value, int log) {
+  return ReverseLowBits(value + 1, log + 1) << log;
+}
 
 // Accumulates a bit stream. Bits are appended LSB-first within each byte.
 class BitWriter {
@@ -110,6 +167,14 @@ class BitReader {
 
   // Number of bits consumed so far.
   int64_t position() const { return position_; }
+
+  // Moves the cursor to bit `position`, in [0, the buffer's bit length].
+  // Lets a caller decode a run of fields straight from the buffer's words
+  // and hand the cursor back where it stopped.
+  void Seek(int64_t position) {
+    DCS_DCHECK(position >= 0 && position <= limit_);
+    position_ = position;
+  }
 
   // Number of unread bits (including any zero padding in the final byte).
   int64_t RemainingBits() const { return limit_ - position_; }

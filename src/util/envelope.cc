@@ -17,20 +17,26 @@ constexpr int64_t kFixedHeaderBits = 16 + 8 + 8 + 32;
 void AppendEnvelope(uint64_t magic, uint64_t kind,
                     const std::vector<uint8_t>& payload, int64_t payload_bits,
                     BitWriter& out) {
+  AppendEnvelope(magic, kind, payload, payload_bits, Fnv1a32(payload), out);
+}
+
+void AppendEnvelope(uint64_t magic, uint64_t kind,
+                    const std::vector<uint8_t>& payload, int64_t payload_bits,
+                    uint32_t checksum, BitWriter& out) {
   DCS_CHECK_GE(payload_bits, 0);
   DCS_CHECK_EQ(static_cast<int64_t>(payload.size()), (payload_bits + 7) / 8);
+  DCS_DCHECK(checksum == Fnv1a32(payload));
   out.WriteBits(magic, 16);
   out.WriteBits(kEnvelopeVersion, 8);
   out.WriteBits(kind, 8);
   out.WriteEliasGamma(static_cast<uint64_t>(payload_bits));
-  out.WriteBits(Fnv1a32(payload), 32);
+  out.WriteBits(checksum, 32);
   out.AppendBits(payload, payload_bits);
 }
 
 int64_t EnvelopeSizeInBits(int64_t payload_bits) {
   DCS_CHECK_GE(payload_bits, 0);
-  const int log =
-      63 - __builtin_clzll(static_cast<uint64_t>(payload_bits) + 1);
+  const int log = EliasGammaLog(static_cast<uint64_t>(payload_bits));
   return kFixedHeaderBits + 2 * log + 1 + payload_bits;
 }
 

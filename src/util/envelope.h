@@ -34,6 +34,13 @@ void AppendEnvelope(uint64_t magic, uint64_t kind,
                     const std::vector<uint8_t>& payload, int64_t payload_bits,
                     BitWriter& out);
 
+// As above, sealed with `checksum`, the Fnv1a32 of `payload` the caller
+// already holds (an EnvelopedGraph's, say), so the payload is not hashed a
+// second time. Debug builds verify it.
+void AppendEnvelope(uint64_t magic, uint64_t kind,
+                    const std::vector<uint8_t>& payload, int64_t payload_bits,
+                    uint32_t checksum, BitWriter& out);
+
 // Exact size in bits of an envelope carrying `payload_bits` payload bits.
 int64_t EnvelopeSizeInBits(int64_t payload_bits);
 

@@ -542,6 +542,9 @@ TEST(CliClusterTest, ForcedFailuresLeaveNoScratchDirectoryBehind) {
             1);
   // Flag validation failure, rejected before any scratch state (exit 2).
   EXPECT_EQ(RunCli("cluster --workers 0"), 2);
+  // A graph larger than a worker registers (ClusterWorker::kMaxVertices)
+  // is refused up front too, before any worker is spawned.
+  EXPECT_EQ(RunCli("cluster --n 8388609"), 2);
   EXPECT_EQ(CountClusterScratchDirs(), before);
 }
 

@@ -25,8 +25,10 @@
 #include "serve/transport.h"
 #include "serve/wire.h"
 #include "serve/worker_process.h"
+#include "sketch/serialization.h"
 #include "store/sketch_store.h"
 #include "util/bitio.h"
+#include "util/metrics.h"
 #include "util/random.h"
 
 namespace dcs {
@@ -568,6 +570,84 @@ TEST(ClusterWorkerTest, DrainSealsStoreSegments) {
   reopened->reset();
   const std::string command = std::string("rm -rf '") + dir_template + "'";
   ASSERT_EQ(std::system(command.c_str()), 0);
+}
+
+TEST(ClusterWorkerTest, RefusesGraphOverVertexCapBeforeStoringIt) {
+  // A few hundred bits on the wire can declare 2^28 vertices and no
+  // edges; indexing that graph would allocate gigabytes. The worker
+  // refuses it before the store sees it (this suite also runs under a
+  // 128 MB per-allocation cap), and a store that holds one anyway refuses
+  // to warm-load.
+  char dir_template[] = "/tmp/dcs_vertex_cap_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string store_dir = std::string(dir_template) + "/store";
+  ClusterWorkerOptions options;
+  options.store_dir = store_dir;
+  {
+    auto worker = ClusterWorker::Create(Loopback(), options);
+    ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+    const auto request = DecodeRpcRequest(
+        EncodeRpcRequest(RegisterGraphRequest(DirectedGraph(1 << 28))));
+    ASSERT_TRUE(request.ok()) << request.status().ToString();
+    const RpcResponse refused = (*worker)->Execute(*request);
+    EXPECT_EQ(refused.status.code(), StatusCode::kInvalidArgument)
+        << refused.status.ToString();
+    EXPECT_EQ((*worker)->num_registered(), 0);
+    // The refusal took no round-robin slot: the next graph is object 0.
+    const RpcResponse accepted =
+        (*worker)->Execute(RegisterGraphRequest(TestGraph(8, 20, 91)));
+    ASSERT_TRUE(accepted.status.ok()) << accepted.status.ToString();
+    EXPECT_EQ(accepted.object_id, 0);
+  }
+  {
+    std::vector<SegmentRecord> records;
+    auto store = SketchStore::Open(store_dir, &records);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_EQ(records.size(), 1u);
+    EXPECT_EQ(records[0].object_id, 0);
+    // Plant an over-cap graph as object 1, as an older worker might have.
+    BitWriter writer;
+    SerializeDirectedGraph(DirectedGraph(ClusterWorker::kMaxVertices + 1),
+                           writer);
+    ASSERT_TRUE((*store)
+                    ->Put(1, StreamKind::kDirectedGraph, writer.bytes(),
+                          writer.bit_count())
+                    .ok());
+    ASSERT_TRUE((*store)->Seal().ok());
+  }
+  const auto rebooted = ClusterWorker::Create(Loopback(), options);
+  ASSERT_FALSE(rebooted.ok());
+  EXPECT_EQ(rebooted.status().code(), StatusCode::kInvalidArgument)
+      << rebooted.status().ToString();
+
+  const std::string command = std::string("rm -rf '") + dir_template + "'";
+  ASSERT_EQ(std::system(command.c_str()), 0);
+}
+
+TEST(ClusterClientTest, RegisterReplicatedSerializesOnce) {
+#if !DCS_METRICS_ENABLED
+  GTEST_SKIP() << "library compiled with DCS_ENABLE_METRICS=OFF";
+#endif
+  ServingWorker workers[3] = {StartWorker(), StartWorker(), StartWorker()};
+  ClusterClientOptions options;
+  options.replication = 3;
+  options.transport = FastTransport();
+  ClusterClient client({workers[0].worker->endpoint(),
+                        workers[1].worker->endpoint(),
+                        workers[2].worker->endpoint()},
+                       options);
+  const DirectedGraph graph = TestGraph(20, 80, 93);
+  const metrics::MetricsSnapshot before = metrics::Registry::Get().Snapshot();
+  auto handle = client.RegisterReplicated(graph);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  const metrics::MetricsSnapshot diff =
+      metrics::Registry::Get().Snapshot().DiffSince(before);
+  const auto written = diff.counters.find("serialization.envelope.written");
+  ASSERT_NE(written, diff.counters.end());
+  EXPECT_EQ(written->second, 1);
+  for (const ServingWorker& serving : workers) {
+    EXPECT_EQ(serving.worker->num_registered(), 1);
+  }
 }
 
 TEST(ClusterClientTest, WarmRestartReattachesWithoutResendingGraphs) {

@@ -1174,6 +1174,7 @@ int CmdCluster(const FlagMap& flags) {
       options.num_client_threads < 1 || options.batches_per_thread < 1 ||
       options.batch_size < 1 || options.kill_interval_ms < 1 ||
       options.respawn_delay_ms < 0 || options.num_vertices < 2 ||
+      options.num_vertices > dcs::ClusterWorker::kMaxVertices ||
       options.num_edges < 1 || options.worker.num_shards < 1 ||
       options.worker.queue_capacity < 1 ||
       options.worker.execution_delay_ms < 0 ||
@@ -1182,7 +1183,8 @@ int CmdCluster(const FlagMap& flags) {
                  "cluster flags out of range (workers/replication/clients/"
                  "batches/batch/kill-interval-ms/shards/queue-capacity >= 1, "
                  "respawn-delay-ms/execution-delay-ms/warm-cache >= 0, "
-                 "n >= 2, edges >= 1)\n");
+                 "n in [2, %d], edges >= 1)\n",
+                 dcs::ClusterWorker::kMaxVertices);
     return 2;
   }
   if (!options.store_root.empty()) {
