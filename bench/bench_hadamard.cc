@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -99,10 +100,13 @@ void VerificationTable() {
 
 struct SimdRecord {
   const char* kernel = "";
-  int64_t n = 0;  // elements (FWHT) or 64-bit words (popcounts)
+  int64_t n = 0;  // elements (FWHT), 64-bit words (popcounts) or bytes
   double scalar_ns = 0;
   double simd_ns = 0;
   double bytes_per_cycle = 0;  // dispatched path; 0 when no cycle counter
+  // Whether both paths returned the same result in this run; recorded for
+  // the crc32c row, whose consumers need the bits, not just the speed.
+  std::optional<bool> identical;
   double speedup() const { return simd_ns > 0 ? scalar_ns / simd_ns : 0; }
 };
 
@@ -237,6 +241,35 @@ std::vector<SimdRecord> SectionSimdComparison() {
     records.push_back(pop_record);
   }
 
+  // CRC32C over the 22,114 bytes of one n = 128, m = 2048 graph envelope,
+  // the size every envelope seal and check on the register path covers.
+  {
+    constexpr size_t kBytes = 22114;
+    std::vector<uint8_t> bytes(kBytes);
+    for (auto& b : bytes) b = static_cast<uint8_t>(rng.Next());
+    constexpr int kReps = 400;
+    uint32_t sink = 0;
+    const auto scalar = TimeKernel(kReps, [&] {
+      sink ^= simd::scalar::Crc32c(bytes.data(), kBytes);
+      benchmark::DoNotOptimize(sink);
+    });
+    const auto dispatched = TimeKernel(kReps, [&] {
+      sink ^= simd::Crc32c(bytes.data(), kBytes);
+      benchmark::DoNotOptimize(sink);
+    });
+    SimdRecord record;
+    record.kernel = "crc32c";
+    record.n = static_cast<int64_t>(kBytes);
+    record.scalar_ns = scalar.ns;
+    record.simd_ns = dispatched.ns;
+    if (dispatched.cycles > 0) {
+      record.bytes_per_cycle = static_cast<double>(kBytes) / dispatched.cycles;
+    }
+    record.identical = simd::scalar::Crc32c(bytes.data(), kBytes) ==
+                       simd::Crc32c(bytes.data(), kBytes);
+    records.push_back(record);
+  }
+
   for (const SimdRecord& r : records) {
     PrintRow({r.kernel, I(r.n), F(r.scalar_ns, 1), F(r.simd_ns, 1),
               F(r.speedup(), 2), F(r.bytes_per_cycle, 2)});
@@ -245,6 +278,12 @@ std::vector<SimdRecord> SectionSimdComparison() {
       "(scalar = the no-autovectorize reference the dispatch layer falls\n"
       " back to; identical bits are asserted by util_simd_test, this table\n"
       " only measures speed)\n");
+  for (const SimdRecord& r : records) {
+    if (r.identical.has_value()) {
+      std::printf("%s over %lld bytes: paths identical %s\n", r.kernel,
+                  static_cast<long long>(r.n), *r.identical ? "yes" : "NO");
+    }
+  }
   return records;
 }
 
@@ -261,6 +300,7 @@ JsonValue SimdJson(const std::vector<SimdRecord>& records) {
     entry.Set("simd_ns", r.simd_ns);
     entry.Set("speedup", r.speedup());
     entry.Set("bytes_per_cycle", r.bytes_per_cycle);
+    if (r.identical.has_value()) entry.Set("identical", *r.identical);
     rows.Append(std::move(entry));
   }
   root.Set("rows", std::move(rows));

@@ -7,7 +7,8 @@ threshold (default 15%). Also enforces two same-run acceptance floors: on
 a non-scalar dispatch path the vectorized FWHT must be at least 3x the
 scalar reference for n >= 4096, and the streaming ingestion pipeline
 (BENCH_stream.json) must sustain >= 1M updates/sec at its best
-configuration with every bit-identity flag true.
+configuration with every bit-identity flag true. The crc32c row of
+BENCH_simd.json must report identical scalar and dispatched CRCs.
 
 Usage:
     check_perf_regression.py --baseline DIR --fresh DIR [--threshold 0.15]
@@ -186,6 +187,18 @@ def check_correctness_flags(name, doc, report):
     for row in doc.get("encode_signs", []):
         demand(f"encode_signs[log_size={row.get('log_size')}].match",
                row.get("match"))
+    if name == "BENCH_simd.json":
+        # The checksum kernel's two paths must return the same CRC in the
+        # same run: every envelope a worker seals must check on a peer that
+        # dispatched the other path. A missing row or flag fails too.
+        crc_rows = [row for row in doc.get("rows", [])
+                    if row.get("kernel") == "crc32c"]
+        if not crc_rows:
+            report(f"  FAIL  {name} has no crc32c row")
+            failures += 1
+        for row in crc_rows:
+            demand(f"rows[kernel=crc32c,n={row.get('n')}].identical",
+                   row.get("identical", False))
     if name == "BENCH_stream.json":
         # Sketch bit-identity across inserter counts and flush
         # interleavings: the whole point of the linear-sketch pipeline.

@@ -86,13 +86,15 @@ run_one() {
     fi
     # The SIMD dispatch layer has two code paths per kernel (vectorized
     # and forced-scalar); run the kernels' consumers under the checker on
-    # both so neither path escapes sanitizer coverage.
+    # both so neither path escapes sanitizer coverage. The bit-I/O,
+    # corruption and store suites seal and check envelopes, frames and
+    # segment records, so both CRC32C paths run under the checker too.
     local force_scalar
     for force_scalar in 0 1; do
       echo "--- ${kind}: DCS_FORCE_SCALAR=${force_scalar} ---"
       DCS_FORCE_SCALAR="${force_scalar}" ctest --test-dir "${build_dir}" \
         --output-on-failure \
-        -R '^(util_simd_test|util_hadamard_test|util_sign_vector_test|serve_test|lowerbound_foreach_test|graph_incremental_cut_test)$'
+        -R '^(util_simd_test|util_hadamard_test|util_sign_vector_test|serve_test|lowerbound_foreach_test|graph_incremental_cut_test|util_bitio_test|corruption_test|store_test)$'
     done
   fi
   if [[ "${kind}" == "address" ]]; then

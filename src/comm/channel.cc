@@ -71,7 +71,7 @@ void WriteChannelFrame(int64_t seq, int64_t total_chunks, int64_t message_bits,
   out.WriteEliasGamma(static_cast<uint64_t>(total_chunks));
   out.WriteEliasGamma(static_cast<uint64_t>(message_bits));
   out.WriteEliasGamma(static_cast<uint64_t>(payload_bits));
-  out.WriteBits(Fnv1a32(payload), 32);
+  out.WriteBits(Crc32c(payload), 32);
   out.AppendBits(payload, payload_bits);
 }
 
@@ -107,7 +107,7 @@ StatusOr<ParsedChannelFrame> TryParseChannelFrame(BitReader& reader) {
   frame.payload_bits = static_cast<int64_t>(payload_bits);
   DCS_RETURN_IF_ERROR(
       reader.TryReadBitsInto(frame.payload_bits, frame.payload));
-  if (Fnv1a32(frame.payload) != checksum) {
+  if (Crc32c(frame.payload) != checksum) {
     return DataLossError("channel frame checksum mismatch");
   }
   return frame;

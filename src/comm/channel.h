@@ -12,7 +12,7 @@
 //    runs are reproducible bit for bit, including their metrics.
 //  * ReliableLink transfers a Message over a LossyChannel as framed chunks
 //    reusing the PR 2 checksummed-envelope idiom (magic / sequence /
-//    length / FNV-1a), with NACK-driven retransmission rounds under capped
+//    length / CRC32C), with NACK-driven retransmission rounds under capped
 //    exponential backoff and a per-transfer deadline budget. On success the
 //    delivered Message is bit-identical to the input; past the deadline the
 //    transfer fails cleanly with kDeadlineExceeded.
@@ -100,7 +100,7 @@ using Frame = Message;
 
 // Frame wire format helpers, exposed for the corruption harness: header
 // (magic 16 / seq / total chunks / total message bits / payload bits, the
-// counts Elias-gamma) + FNV-1a payload checksum (32) + payload bits.
+// counts Elias-gamma) + CRC32C payload checksum (32) + payload bits.
 void WriteChannelFrame(int64_t seq, int64_t total_chunks,
                        int64_t message_bits, const std::vector<uint8_t>& payload,
                        int64_t payload_bits, BitWriter& out);

@@ -68,7 +68,7 @@ Status DecodeWarmRecord(int64_t position, const SegmentRecord& record,
   BitReader reader(record.payload);
   DCS_ASSIGN_OR_RETURN(graph, DeserializeDirectedGraph(reader));
   DCS_RETURN_IF_ERROR(CheckIndexable(*graph));
-  checksum = Fnv1a32(record.payload);
+  checksum = Crc32c(record.payload);
   return OkStatus();
 }
 
@@ -113,7 +113,7 @@ StatusOr<std::unique_ptr<ClusterWorker>> ClusterWorker::Create(
 
 Status ClusterWorker::WarmLoadFromStore(std::vector<SegmentRecord> records) {
   // Open handed over each object's newest record in ascending global id,
-  // already verified (header FNV, payload envelope), so boot reads nothing
+  // already verified (header CRC, payload envelope), so boot reads nothing
   // twice. Records deserialize and take their reattach checksums
   // independently on the shard count's threads; each frees its payload
   // once done, so the bytes never all sit beside the graphs built from

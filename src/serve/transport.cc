@@ -24,7 +24,7 @@ namespace {
 
 // Transport frame magic (util/envelope.h), distinct from the serialization
 // envelope (0xD5CE), the RPC envelope (0xA9C5), the channel frame (0xFA5C)
-// and the segment record (0x5E61). The kind is fixed: one Message.
+// and the segment record (0x5E62). The kind is fixed: one Message.
 constexpr uint64_t kTransportMagic = 0x57E4;
 // Reconnect backoff b is jittered into [(1 - kReconnectJitter) * b, b].
 constexpr double kReconnectJitter = 0.5;

@@ -32,7 +32,7 @@ Message SealRpc(RpcKind kind, const std::vector<uint8_t>& payload,
   return SealMessage(out);
 }
 
-// A register body is the graph's envelope, whose FNV-1a the EnvelopedGraph
+// A register body is the graph's envelope, whose CRC32C the EnvelopedGraph
 // already holds: the RPC envelope is sealed with it instead of hashing the
 // same bytes again.
 Message SealRegisterRpc(const EnvelopedGraph& graph) {
@@ -91,7 +91,7 @@ EnvelopedGraph::EnvelopedGraph(DirectedGraph graph) : graph_(std::move(graph)) {
   BitWriter writer;
   SerializeDirectedGraph(graph_, writer);
   bit_count_ = writer.bit_count();
-  checksum_ = Fnv1a32(writer.bytes());
+  checksum_ = Crc32c(writer.bytes());
   bytes_ = writer.bytes();
 }
 
@@ -258,7 +258,7 @@ Message EncodeRpcResponse(const RpcResponse& response) {
 uint32_t GraphEnvelopeChecksum(const DirectedGraph& graph) {
   BitWriter writer;
   SerializeDirectedGraph(graph, writer);
-  return Fnv1a32(writer.bytes());
+  return Crc32c(writer.bytes());
 }
 
 StatusOr<RpcResponse> DecodeRpcResponse(const Message& message) {

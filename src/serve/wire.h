@@ -7,9 +7,10 @@
 // survived the transport's frame checks is *still* treated as hostile:
 // every field is Try-read, every count capped against the remaining stream
 // before allocation, and any flip or truncation decodes to kDataLoss.
-// FNV-1a's per-byte step is invertible, so any single-byte difference
-// always changes the checksum — corruption_test flips every bit of encoded
-// requests and responses and asserts non-OK.
+// CRC32C catches every burst of up to 32 flipped bits and every pair of
+// flipped bits in a body under 2^31 bits — corruption_test flips every bit
+// of encoded requests and responses, and every pair of bits of a query
+// body's checksum and payload, and asserts non-OK.
 //
 // RPCs:
 //   kPing          — health check; response carries the worker's token.
@@ -22,7 +23,7 @@
 //                    response carries one double per query.
 //   kReattach      — claim an object a *previous* worker incarnation
 //                    persisted to its disk store: carries the object id,
-//                    vertex count, and an FNV-1a checksum of the graph's
+//                    vertex count, and the CRC32C of the graph's
 //                    serialized envelope. A store-backed worker that warm-
 //                    loaded a matching object answers OK (the id is live
 //                    again); anything else is kNotFound and the client
@@ -66,7 +67,7 @@ const char* RpcKindName(RpcKind kind);
 struct RpcRequest;
 
 // A graph to register, bound to its serialization envelope: the bytes
-// SerializeDirectedGraph writes for it, their bit count, and their FNV-1a
+// SerializeDirectedGraph writes for it, their bit count, and their CRC32C
 // (GraphEnvelopeChecksum). A register request carries its graph in this
 // form, so EncodeRpcRequest seals the RPC envelope with that checksum
 // instead of hashing the bytes again, and the worker stores and checksums
@@ -107,7 +108,7 @@ struct RpcRequest {
   // kQueryBatch/kReattach: vertex count every side must match (validated
   // against the registered object on the worker).
   int num_vertices = 0;
-  // kReattach: FNV-1a over the graph's serialized envelope bytes; the
+  // kReattach: CRC32C over the graph's serialized envelope bytes; the
   // worker only reattaches when its warm-loaded object matches.
   uint32_t graph_checksum = 0;
   // kQueryBatch: one packed side per query.
@@ -140,7 +141,7 @@ Message EncodeRpcResponse(const RpcResponse& response);
 StatusOr<RpcRequest> DecodeRpcRequest(const Message& message);
 StatusOr<RpcResponse> DecodeRpcResponse(const Message& message);
 
-// FNV-1a over the graph's serialized envelope bytes. Serialization is
+// CRC32C over the graph's serialized envelope bytes. Serialization is
 // canonical, so client and worker computing this over "the same graph"
 // always agree — the identity check behind kReattach. It equals the
 // checksum a kRegisterGraph RPC envelope carries over its payload, which

@@ -1,5 +1,8 @@
 #include "store/segment.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <iterator>
 #include <string>
 
 #include "util/bitio.h"
@@ -13,17 +16,19 @@ namespace {
 // channel frame (0xFA5C), the RPC envelope (0xA9C5), and the transport
 // frame (0x57E4): a segment misfed to another parser (or vice versa) dies
 // at the first header field.
-constexpr uint64_t kRecordMagic = 0x5E61;
-// The record magic of the older layout (a payload FNV-1a after the header
-// FNV-1a, and an index footer before the trailer). Never read, only named.
-constexpr uint64_t kOlderRecordMagic = 0x5E60;
+constexpr uint64_t kRecordMagic = 0x5E62;
+// The record magics of older layouts, never read, only named: 0x5E60 put a
+// payload FNV-1a after the header FNV-1a and an index footer before the
+// trailer; 0x5E61 is this layout with FNV-1a-32 in place of CRC32C (and
+// version-1 envelopes as payloads).
+constexpr uint64_t kOlderRecordMagics[] = {0x5E60, 0x5E61};
 // Seal trailer magic: "SEAL" over the envelope magic, bumped with the
 // record magic.
-constexpr uint64_t kTrailerMagic = 0x5EA2D5CE;
+constexpr uint64_t kTrailerMagic = 0x5EA3D5CE;
 
 constexpr int64_t kRecordHeaderBytes = 19;  // magic + id + kind + bits
 constexpr int64_t kRecordPrefixBytes =
-    kRecordHeaderBytes + 4;                 // + header FNV
+    kRecordHeaderBytes + 4;                 // + header CRC
 constexpr int64_t kTrailerBytes = 16;
 
 // Caps mirroring the transport's hostile-receiver rules: ids bounded like
@@ -60,7 +65,7 @@ bool TryParseRecordAt(const std::vector<uint8_t>& bytes, int64_t pos,
   const uint64_t kind = LoadLe(p + 10, 1);
   const uint64_t payload_bits = LoadLe(p + 11, 8);
   const uint32_t header_checksum = static_cast<uint32_t>(LoadLe(p + 19, 4));
-  if (Fnv1a32(p, static_cast<size_t>(kRecordHeaderBytes)) !=
+  if (Crc32c(p, static_cast<size_t>(kRecordHeaderBytes)) !=
       header_checksum) {
     return false;
   }
@@ -98,7 +103,7 @@ int64_t FindSealTrailer(const std::vector<uint8_t>& bytes) {
   const int64_t size = static_cast<int64_t>(bytes.size());
   if (size < kTrailerBytes) return -1;
   const uint8_t* t = bytes.data() + (size - kTrailerBytes);
-  if (Fnv1a32(t, 12) != static_cast<uint32_t>(LoadLe(t + 12, 4))) return -1;
+  if (Crc32c(t, 12) != static_cast<uint32_t>(LoadLe(t + 12, 4))) return -1;
   if (LoadLe(t + 8, 4) != kTrailerMagic) return -1;
   const uint64_t records_end = LoadLe(t, 8);
   return records_end > kMaxByteField ? -1
@@ -144,7 +149,7 @@ void AppendSegmentRecord(const SegmentRecord& record,
   header.WriteBits(static_cast<uint64_t>(record.object_id), 64);
   header.WriteBits(static_cast<uint64_t>(record.kind), 8);
   header.WriteBits(static_cast<uint64_t>(record.payload_bits), 64);
-  header.WriteBits(Fnv1a32(header.bytes()), 32);
+  header.WriteBits(Crc32c(header.bytes()), 32);
   const std::vector<uint8_t>& h = header.bytes();
   DCS_CHECK_EQ(static_cast<int64_t>(h.size()), kRecordPrefixBytes);
   out.insert(out.end(), h.begin(), h.end());
@@ -156,7 +161,7 @@ std::vector<uint8_t> BuildSegmentSeal(int64_t records_end) {
   BitWriter trailer;
   trailer.WriteBits(static_cast<uint64_t>(records_end), 64);
   trailer.WriteBits(kTrailerMagic, 32);
-  trailer.WriteBits(Fnv1a32(trailer.bytes()), 32);
+  trailer.WriteBits(Crc32c(trailer.bytes()), 32);
   DCS_CHECK_EQ(static_cast<int64_t>(trailer.bytes().size()), kTrailerBytes);
   return trailer.bytes();
 }
@@ -176,12 +181,19 @@ StatusOr<SegmentRecord> ParseSegmentRecord(const std::vector<uint8_t>& bytes) {
 
 StatusOr<SegmentScan> ScanSegment(const std::vector<uint8_t>& bytes) {
   const int64_t size = static_cast<int64_t>(bytes.size());
-  // Checked first: the older layout's records fail the current magic at
-  // byte 0, so the walk below would call the whole file a torn tail.
-  if (size >= 2 && LoadLe(bytes.data(), 2) == kOlderRecordMagic) {
+  // Checked first: an older layout's records fail the current magic (or
+  // checksum) at byte 0, so the walk below would call the whole file a
+  // torn tail and Open would truncate it.
+  const uint64_t magic = size >= 2 ? LoadLe(bytes.data(), 2) : 0;
+  if (std::ranges::find(kOlderRecordMagics, magic) !=
+      std::end(kOlderRecordMagics)) {
+    char hex[8];
+    std::snprintf(hex, sizeof(hex), "0x%04llX",
+                  static_cast<unsigned long long>(magic));
     return DataLossError(
-        "segment written by an older store layout (record magic 0x5E60); "
-        "delete the store directory and re-register its objects");
+        std::string("segment written by an older store layout (record "
+                    "magic ") +
+        hex + "); delete the store directory and re-register its objects");
   }
   SegmentScan scan;
   const int64_t records_end = FindSealTrailer(bytes);

@@ -8,20 +8,20 @@
 //
 // Record (whole bytes; every field fixed-width so the extent is a pure
 // function of the header):
-//   magic           16 bits   0x5E61 (distinct from every other magic)
+//   magic           16 bits   0x5E62 (distinct from every other magic)
 //   object id       64 bits
 //   payload kind     8 bits   StreamKind of the payload envelope
 //   payload bits    64 bits   exact bit count of the payload
-//   header FNV-1a   32 bits   over the 19 header bytes above
+//   header CRC32C   32 bits   over the 19 header bytes above
 //   payload         ceil(bits/8) bytes, final partial byte zero-padded
 //
 // The payload is exactly one serialization envelope of the declared kind,
-// so the envelope's own FNV-1a is the payload's checksum. CheckStoredEnvelope
+// so the envelope's own CRC32C is the payload's checksum. CheckStoredEnvelope
 // is the one payload check: SketchStore::Put runs it before writing and the
 // scan runs it on every record it reads back.
 //
 // Seal trailer (what makes a segment *sealed*): records-end byte offset
-// (64 bits), magic 0x5EA2D5CE (32), FNV-1a over the first 12 trailer bytes
+// (64 bits), magic 0x5EA3D5CE (32), CRC32C over the first 12 trailer bytes
 // (32). A sealed segment's records tile [0, records end) exactly, and the
 // trailer is the last 16 bytes. Sealing fsyncs; an unsealed segment is by
 // definition still crash-exposed.
@@ -32,7 +32,7 @@
 // cause a crash, hang, or unbounded allocation. ScanSegment classifies a
 // damaged segment as either *recoverable* (a torn tail: truncate at the
 // last whole record) or *corrupt* (damage before the tail, inside a sealed
-// segment, or a segment in the older 0x5E60 layout) — never silently wrong
+// segment, or a segment in an older layout) — never silently wrong
 // bytes.
 
 #ifndef DCS_STORE_SEGMENT_H_
@@ -93,9 +93,9 @@ struct SegmentScan {
 // bytes are a valid record prefix followed by a torn tail that holds no
 // verifying record. kDataLoss when damage sits *before* the tail (a damaged
 // record, header or payload, with an intact record after it), for any
-// mismatch inside a sealed segment, and for a segment in the older 0x5E60
-// layout — the caller must treat the segment as corrupt rather than
-// truncate committed data away.
+// mismatch inside a sealed segment, and for a segment in an older layout
+// (record magic 0x5E60 or 0x5E61) — the caller must treat the segment as
+// corrupt rather than truncate committed data away.
 StatusOr<SegmentScan> ScanSegment(const std::vector<uint8_t>& bytes);
 
 }  // namespace dcs

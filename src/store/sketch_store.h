@@ -16,8 +16,8 @@
 // (its bytes sit in the page cache) but not power loss before the next
 // Seal or Flush. A kill between Put and Seal leaves at worst a torn tail,
 // which Open recovers by truncating at the last whole record; damage
-// anywhere else, and a segment in the older 0x5E60 layout, is reported as
-// kDataLoss and never truncated (the fsck verb distinguishes
+// anywhere else, and a segment in an older layout (0x5E60, 0x5E61), is
+// reported as kDataLoss and never truncated (the fsck verb distinguishes
 // `recovered_torn_tail` from `corrupt`).
 //
 // Thread-safety: all methods may be called concurrently (one internal
@@ -87,7 +87,7 @@ class SketchStore {
   // Opens (creating the directory if needed), scans every segment,
   // recovers torn tails by truncating the files in place, and builds the
   // object index. kDataLoss if any segment is corrupt beyond a torn tail.
-  // The scan checks every record's header FNV and payload envelope
+  // The scan checks every record's header CRC and payload envelope
   // (CheckStoredEnvelope). With `newest` non-null, a successful Open also
   // hands over the newest record of every object, in ascending id: the
   // payloads the scan just verified, moved out with no second read and no

@@ -7,7 +7,8 @@
 namespace dcs {
 namespace {
 
-constexpr uint64_t kEnvelopeVersion = 1;
+// 2 since the checksum field became CRC32C (version 1 held FNV-1a-32).
+constexpr uint64_t kEnvelopeVersion = 2;
 
 // Magic, version, kind, and checksum: the fixed-width header fields.
 constexpr int64_t kFixedHeaderBits = 16 + 8 + 8 + 32;
@@ -17,7 +18,7 @@ constexpr int64_t kFixedHeaderBits = 16 + 8 + 8 + 32;
 void AppendEnvelope(uint64_t magic, uint64_t kind,
                     const std::vector<uint8_t>& payload, int64_t payload_bits,
                     BitWriter& out) {
-  AppendEnvelope(magic, kind, payload, payload_bits, Fnv1a32(payload), out);
+  AppendEnvelope(magic, kind, payload, payload_bits, Crc32c(payload), out);
 }
 
 void AppendEnvelope(uint64_t magic, uint64_t kind,
@@ -25,7 +26,7 @@ void AppendEnvelope(uint64_t magic, uint64_t kind,
                     uint32_t checksum, BitWriter& out) {
   DCS_CHECK_GE(payload_bits, 0);
   DCS_CHECK_EQ(static_cast<int64_t>(payload.size()), (payload_bits + 7) / 8);
-  DCS_DCHECK(checksum == Fnv1a32(payload));
+  DCS_DCHECK(checksum == Crc32c(payload));
   out.WriteBits(magic, 16);
   out.WriteBits(kEnvelopeVersion, 8);
   out.WriteBits(kind, 8);
@@ -63,7 +64,7 @@ StatusOr<EnvelopePayload> ReadEnvelope(uint64_t magic, BitReader& reader) {
   envelope.bit_count = static_cast<int64_t>(bit_count);
   DCS_RETURN_IF_ERROR(
       reader.TryReadBitsInto(envelope.bit_count, envelope.bytes));
-  if (Fnv1a32(envelope.bytes) != checksum) {
+  if (Crc32c(envelope.bytes) != checksum) {
     return DataLossError("envelope checksum mismatch (corrupted payload)");
   }
   envelope.checksum = static_cast<uint32_t>(checksum);

@@ -1,6 +1,8 @@
 // The checksummed envelope every bit-exact format in the library wraps its
-// payload in: magic (16 bits), version (8, always 1), kind (8), Elias-gamma
-// payload bit count, FNV-1a (32) over the padded payload bytes, payload.
+// payload in: magic (16 bits), version (8, always 2), kind (8), Elias-gamma
+// payload bit count, CRC32C (32) over the padded payload bytes, payload.
+// Version 1 carried FNV-1a-32 in the same field; a version-1 body is
+// refused as an unsupported version, never checked with the old function.
 // One writer and one hostile reader, parameterized by the caller's magic
 // (DESIGN.md §7 lists them), so a body misfed to the wrong parser dies at
 // the first field. The reader caps the declared length against the bits
@@ -18,7 +20,7 @@
 namespace dcs {
 
 // A validated envelope: its kind, the packed payload bits (final partial
-// byte zero-padded, as BitWriter lays them out), and the FNV-1a of those
+// byte zero-padded, as BitWriter lays them out), and the CRC32C of those
 // bytes that the header declared and the reader verified.
 struct EnvelopePayload {
   uint64_t kind = 0;
@@ -34,7 +36,7 @@ void AppendEnvelope(uint64_t magic, uint64_t kind,
                     const std::vector<uint8_t>& payload, int64_t payload_bits,
                     BitWriter& out);
 
-// As above, sealed with `checksum`, the Fnv1a32 of `payload` the caller
+// As above, sealed with `checksum`, the Crc32c of `payload` the caller
 // already holds (an EnvelopedGraph's, say), so the payload is not hashed a
 // second time. Debug builds verify it.
 void AppendEnvelope(uint64_t magic, uint64_t kind,

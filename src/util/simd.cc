@@ -1,9 +1,11 @@
 #include "util/simd.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <cstring>
 
 #include "util/check.h"
 
@@ -152,6 +154,60 @@ DCS_NO_AUTOVEC void ScalarAddCrossingLanes(double* sums, size_t lanes,
       sums[std::countr_zero(bits)] += weights[k];
     }
   }
+}
+
+// CRC32C slicing-by-8 tables, built at compile time. Row 0 is the bytewise
+// table of the reflected polynomial; row k advances row k − 1's entry
+// through one more zero byte, so one lookup per row folds eight bytes.
+constexpr uint32_t kCrc32cPolynomial = 0x82F63B78u;
+
+constexpr std::array<std::array<uint32_t, 256>, 8> MakeCrc32cTables() {
+  std::array<std::array<uint32_t, 256>, 8> tables{};
+  for (uint32_t byte = 0; byte < 256; ++byte) {
+    uint32_t crc = byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? kCrc32cPolynomial : 0u);
+    }
+    tables[0][byte] = crc;
+  }
+  for (size_t row = 1; row < 8; ++row) {
+    for (size_t byte = 0; byte < 256; ++byte) {
+      const uint32_t prev = tables[row - 1][byte];
+      tables[row][byte] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+constexpr std::array<std::array<uint32_t, 256>, 8> kCrc32cTables =
+    MakeCrc32cTables();
+
+// Four bytes as a little-endian word, whatever the host order.
+uint32_t LoadLe32(const uint8_t* bytes) {
+  uint32_t word;
+  std::memcpy(&word, bytes, sizeof(word));
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap32(word);
+  }
+  return word;
+}
+
+// Eight bytes per step, loaded as two 32-bit halves: the low half absorbs
+// the running CRC, and each byte indexes the row that carries it past the
+// bytes after it.
+DCS_NO_AUTOVEC uint32_t ScalarCrc32c(const uint8_t* bytes, size_t size) {
+  const auto& t = kCrc32cTables;
+  uint32_t crc = 0xFFFFFFFFu;
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    const uint32_t lo = LoadLe32(bytes + i) ^ crc;
+    const uint32_t hi = LoadLe32(bytes + i + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; i < size; ++i) crc = (crc >> 8) ^ t[0][(crc ^ bytes[i]) & 0xFF];
+  return ~crc;
 }
 
 // ---------------------------------------------------------------------------
@@ -505,6 +561,22 @@ __attribute__((target("avx2"))) void Avx2AddCrossingLanes(
   std::copy(padded, padded + lanes, sums);
 }
 
+// One crc32 stream over 8-byte loads, then a byte tail. The instruction
+// computes exactly the scalar reference's CRC32C step.
+__attribute__((target("sse4.2"))) uint32_t Sse42Crc32c(const uint8_t* bytes,
+                                                       size_t size) {
+  uint64_t crc = 0xFFFFFFFFu;
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    uint64_t word;
+    std::memcpy(&word, bytes + i, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  uint32_t tail = static_cast<uint32_t>(crc);
+  for (; i < size; ++i) tail = _mm_crc32_u8(tail, bytes[i]);
+  return ~tail;
+}
+
 #endif  // DCS_SIMD_X86
 
 // ---------------------------------------------------------------------------
@@ -621,7 +693,8 @@ int64_t NeonPopcount(const uint64_t* a, size_t num_words) {
 
 DispatchPath DetectHardwarePath() {
 #if defined(DCS_SIMD_X86)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt")) {
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt") &&
+      __builtin_cpu_supports("sse4.2")) {
     return DispatchPath::kAvx2;
   }
 #elif defined(DCS_SIMD_NEON)
@@ -798,6 +871,13 @@ void AddCrossingLanes(double* sums, size_t lanes, const uint64_t* crossing,
   ScalarAddCrossingLanes(sums, lanes, crossing, weights, count);
 }
 
+uint32_t Crc32c(const uint8_t* bytes, size_t size) {
+#if defined(DCS_SIMD_X86)
+  if (ActivePath() == DispatchPath::kAvx2) return Sse42Crc32c(bytes, size);
+#endif
+  return ScalarCrc32c(bytes, size);
+}
+
 namespace scalar {
 
 void Fwht(int64_t* data, size_t n, size_t stride) {
@@ -842,6 +922,10 @@ void AddCrossingLanes(double* sums, size_t lanes, const uint64_t* crossing,
                       const double* weights, size_t count) {
   DCS_CHECK_LE(lanes, size_t{64});
   ScalarAddCrossingLanes(sums, lanes, crossing, weights, count);
+}
+
+uint32_t Crc32c(const uint8_t* bytes, size_t size) {
+  return ScalarCrc32c(bytes, size);
 }
 
 }  // namespace scalar

@@ -1,19 +1,23 @@
 // Runtime-dispatched SIMD kernels for the sketch hot paths (DESIGN.md §11).
 //
-// Four kernel families sit under every hot loop in the library:
+// Five kernel families sit under every hot loop in the library:
 //   Fwht          — in-place fast Walsh–Hadamard transform, the inner engine
 //                   of the Lemma 3.2 tensor encoding (util/hadamard.cc);
 //   ButterflyRows — the element-wise (a, b) → (a+b, a−b) row combine used by
 //                   the tiled column passes of the 2-D transform;
 //   XorPopcount / Popcount — packed-sign inner products (util/sign_vector.cc);
 //   AddCrossingLanes — the lane add of the many-sided cut kernel
-//                   (DirectedGraph::CutWeights, graph/digraph.cc).
+//                   (DirectedGraph::CutWeights, graph/digraph.cc);
+//   Crc32c        — the checksum that seals and checks every envelope,
+//                   frame, segment record and trailer (util/checksum.h).
 //
 // Each family has one scalar implementation (namespace simd::scalar,
 // compiled with auto-vectorization disabled so "scalar" means scalar even
 // under -march=native) and vector implementations selected at runtime:
 // AVX2 on x86-64 when the CPU supports it, NEON on AArch64 (AddCrossingLanes
-// has no NEON kernel and runs its scalar reference there). The dispatched
+// and Crc32c have no NEON kernel and run their scalar references there).
+// The x86 Crc32c kernel is the SSE4.2 crc32 instruction, which every CPU on
+// the AVX2 path has: DetectHardwarePath requires both. The dispatched
 // entry points below consult ActivePath() per call (one relaxed atomic
 // load).
 //
@@ -91,6 +95,12 @@ int64_t Popcount(const uint64_t* a, size_t num_words);
 void AddCrossingLanes(double* sums, size_t lanes, const uint64_t* crossing,
                       const double* weights, size_t count);
 
+// CRC32C (Castagnoli, reflected polynomial 0x82F63B78, initial value and
+// final XOR 0xFFFFFFFF) of bytes[0, size). The scalar reference is
+// slicing-by-8; the AVX2 path issues one SSE4.2 crc32 per 8 bytes. Both
+// compute the same function, so the result never depends on the path.
+uint32_t Crc32c(const uint8_t* bytes, size_t size);
+
 // The scalar implementations, callable directly (the benches time them
 // against the dispatched path; the property tests compare against them).
 // These are the exact code the dispatched functions run under ForceScalar.
@@ -103,6 +113,7 @@ int64_t XorPopcount(const uint64_t* a, const uint64_t* b, size_t num_words);
 int64_t Popcount(const uint64_t* a, size_t num_words);
 void AddCrossingLanes(double* sums, size_t lanes, const uint64_t* crossing,
                       const double* weights, size_t count);
+uint32_t Crc32c(const uint8_t* bytes, size_t size);
 }  // namespace scalar
 
 }  // namespace dcs::simd

@@ -6,7 +6,9 @@
 // clean non-OK Status — never a crash, a hang, or an attempt to allocate
 // from a corrupted length field. The envelope checksum (util/envelope.cc)
 // is what makes the exhaustive claim hold: any payload mutation changes the
-// FNV-1a digest, and header mutations are each individually validated.
+// CRC32C, and header mutations are each individually validated. CRC32C
+// also catches every pair of flipped bits, which one test checks over the
+// checksum field and payload of a query body.
 //
 // The mutations are deterministic (every position, no sampled randomness),
 // so a regression here is reproducible from the failure message alone.
@@ -33,6 +35,7 @@
 #include "store/segment.h"
 #include "util/bitio.h"
 #include "util/checksum.h"
+#include "util/envelope.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -687,13 +690,13 @@ TEST(CorruptionTest, QueryBatchVertexCountOverCapIsDataLoss) {
       payload.WriteBits(0, static_cast<int>(std::min<int64_t>(
                                64, kVertices - done)));
     }
-    // The RPC envelope (serve/wire.cc): magic, version, kind, length, FNV.
+    // The RPC envelope (serve/wire.cc): magic, version, kind, length, CRC.
     BitWriter body;
     body.WriteBits(0xA9C5, 16);
-    body.WriteBits(1, 8);
+    body.WriteBits(2, 8);
     body.WriteBits(static_cast<uint64_t>(RpcKind::kQueryBatch), 8);
     body.WriteEliasGamma(static_cast<uint64_t>(payload.bit_count()));
-    body.WriteBits(Fnv1a32(payload.bytes()), 32);
+    body.WriteBits(Crc32c(payload.bytes()), 32);
     body.AppendBits(payload.bytes(), payload.bit_count());
     return SealMessage(body);
   }();
@@ -701,6 +704,57 @@ TEST(CorruptionTest, QueryBatchVertexCountOverCapIsDataLoss) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
       << decoded.status().ToString();
+}
+
+// The 1113-bit query body of BitIoGoldenTest (util_bitio_test): the same
+// seed, the same graph drawn first, then 13 sides of 77 vertices.
+Message GoldenQueryBody() {
+  Rng rng(31337);
+  (void)RandomBalancedDigraph(96, 0.2, 2.0, rng);
+  RpcRequest query;
+  query.kind = RpcKind::kQueryBatch;
+  query.object_id = 9;
+  query.num_vertices = 77;
+  for (int q = 0; q < 13; ++q) {
+    VertexSet side(77, 0);
+    for (auto& bit : side) bit = rng.Bernoulli(0.5) ? 1 : 0;
+    query.sides.push_back(std::move(side));
+  }
+  return EncodeRpcRequest(query);
+}
+
+// CRC32C's Hamming distance is at least 4 below 2^31 bits, so every pair
+// of flipped bits within the checksum field and the payload is caught.
+// FNV-1a gave no such guarantee. About half a million decodes.
+TEST(CorruptionTest, EveryTwoBitFlipOfAQueryBodyChecksumAndPayloadIsRejected) {
+  Message body = GoldenQueryBody();
+  ASSERT_EQ(body.bit_count, 1113);
+  const auto clean = DecodeRpcRequest(body);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  BitReader reader(body.bytes);
+  const auto envelope = ReadEnvelope(0xA9C5, reader);
+  ASSERT_TRUE(envelope.ok()) << envelope.status().ToString();
+  // The checksum field is the 32 bits right before the payload, and the
+  // payload runs to the end of the body.
+  const int64_t first = body.bit_count - envelope->bit_count - 32;
+  const auto flip = [&body](int64_t bit) {
+    body.bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  };
+  int64_t decodes = 0;
+  for (int64_t a = first; a < body.bit_count; ++a) {
+    flip(a);
+    for (int64_t b = a + 1; b < body.bit_count; ++b) {
+      flip(b);
+      const bool accepted = DecodeRpcRequest(body).ok();
+      flip(b);
+      ++decodes;
+      ASSERT_FALSE(accepted) << "flipping bits " << a << " and " << b;
+    }
+    flip(a);
+  }
+  const int64_t span = body.bit_count - first;
+  EXPECT_EQ(decodes, span * (span - 1) / 2);
+  EXPECT_GT(decodes, 500000);
 }
 
 TEST(CorruptionTest, GarbageBytesAreRejected) {

@@ -10,11 +10,11 @@
 #include <span>
 #include <vector>
 
+#include "fnv1a.h"
 #include "graph/digraph.h"
 #include "graph/types.h"
 #include "graph/zoo.h"
 #include "gtest/gtest.h"
-#include "util/checksum.h"
 #include "util/random.h"
 #include "util/simd.h"
 

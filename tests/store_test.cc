@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "fnv1a.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "serve/cluster.h"
@@ -41,7 +42,6 @@
 #include "store/sketch_store.h"
 #include "stream/binary_stream.h"
 #include "util/bitio.h"
-#include "util/checksum.h"
 #include "util/envelope.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -415,7 +415,10 @@ TEST(SketchStoreTest, CompactDropsSupersededVersions) {
 // whose edges are placed by hand and whose weights come from a fixed seed.
 // Any change to a field's width, order, magic or checksum moves the
 // digest; such a change also bumps the record magic, so that ScanSegment
-// can name the layout it replaced.
+// can name the layout it replaced. The records' graph payloads are pinned
+// apart from their envelopes: FNV-1a over each equals the checksum field
+// the 0x5E61 layout's version-1 envelopes carried, so the move to CRC32C
+// left every payload bit in place.
 TEST(SketchStoreTest, SealedTwoRecordImageIsPinned) {
   Rng rng(2024);
   std::vector<uint8_t> image;
@@ -438,10 +441,10 @@ TEST(SketchStoreTest, SealedTwoRecordImageIsPinned) {
   const std::vector<uint8_t> seal = BuildSegmentSeal(records_end);
   ASSERT_EQ(seal.size(), 16u);
   image.insert(image.end(), seal.begin(), seal.end());
-  EXPECT_EQ(image[0], 0x61);
+  EXPECT_EQ(image[0], 0x62);
   EXPECT_EQ(image[1], 0x5E);
   EXPECT_EQ(image.size(), 174u);
-  EXPECT_EQ(Fnv1a32(image), 0x75E6D6FFu);
+  EXPECT_EQ(Fnv1a32(image), 0xCEFBD319u);
 
   const auto scan = ScanSegment(image);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
@@ -449,6 +452,14 @@ TEST(SketchStoreTest, SealedTwoRecordImageIsPinned) {
   ASSERT_EQ(scan->records.size(), 2u);
   EXPECT_EQ(scan->records[0].object_id, 3);
   EXPECT_EQ(scan->records[1].object_id, 10);
+  const uint32_t payload_fnv[] = {0xDD3D0006u, 0xA6885831u};
+  for (size_t r = 0; r < 2; ++r) {
+    BitReader reader(scan->records[r].payload);
+    const auto graph_payload =
+        ReadEnvelopePayload(StreamKind::kDirectedGraph, reader);
+    ASSERT_TRUE(graph_payload.ok()) << graph_payload.status().ToString();
+    EXPECT_EQ(Fnv1a32(graph_payload->bytes), payload_fnv[r]) << "record " << r;
+  }
 }
 
 // A segment in the older layout, built field by field: records with magic
@@ -493,22 +504,51 @@ std::vector<uint8_t> OlderLayoutSegment(const std::vector<TestObject>& objects,
   return out.bytes();
 }
 
+// Segments the 0x5E61 layout wrote (FNV-1a in the record header, the seal
+// trailer and the payloads' version-1 envelopes), recorded from that build
+// through SketchStore: objects 0 and 1, each a 3-vertex graph with edges
+// 0->1 (weight 1.5 + id) and 2->0 (0.25), then Seal (sealed image) or
+// Flush (unsealed image, the records alone).
+const std::vector<uint8_t> kFnvLayoutSealedSegment = {
+    0x61, 0x5E, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0xDF,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x8A, 0xAA, 0x36, 0x5C, 0xCE,
+    0xD5, 0x01, 0x01, 0x80, 0xC4, 0xF0, 0xC2, 0xF4, 0x6B, 0xE2, 0x02, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0xC0, 0xFF, 0x71, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xE8, 0x1F, 0x61, 0x5E, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0xDF, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x5D, 0xE4,
+    0xD6, 0x53, 0xCE, 0xD5, 0x01, 0x01, 0x80, 0xC4, 0xD3, 0x67, 0x64, 0x7E,
+    0xE2, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x20, 0x00, 0x72, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0xE8, 0x1F, 0x66, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0xCE, 0xD5, 0xA2, 0x5E, 0x36, 0xE9, 0x6C, 0x65};
+const std::vector<uint8_t> kFnvLayoutUnsealedSegment(
+    kFnvLayoutSealedSegment.begin(), kFnvLayoutSealedSegment.end() - 16);
+
 TEST(SketchStoreTest, OlderLayoutSegmentIsDataLossAndNeverTruncated) {
   Rng rng(13);
   const std::vector<TestObject> objects = MakeOneOfEachKind(rng);
   // Unsealed is the case that matters most: without the layout check the
   // current walk reads the whole file as a torn tail and Open truncates it.
-  for (const bool sealed : {true, false}) {
+  const struct {
+    std::vector<uint8_t> image;
+    std::string magic;
+  } cases[] = {
+      {OlderLayoutSegment({objects[0], objects[1]}, true), "0x5E60"},
+      {OlderLayoutSegment({objects[0], objects[1]}, false), "0x5E60"},
+      {kFnvLayoutSealedSegment, "0x5E61"},
+      {kFnvLayoutUnsealedSegment, "0x5E61"},
+  };
+  for (const auto& c : cases) {
+    const std::string label =
+        c.magic + ", " + std::to_string(c.image.size()) + " bytes";
     ScratchDir scratch;
     const std::string segment = scratch.path() + "/segment-000001.seg";
-    const std::vector<uint8_t> image =
-        OlderLayoutSegment({objects[0], objects[1]}, sealed);
-    WriteFileBytes(segment, image);
+    WriteFileBytes(segment, c.image);
 
     const auto store = SketchStore::Open(scratch.path());
-    ASSERT_FALSE(store.ok()) << "sealed=" << sealed;
+    ASSERT_FALSE(store.ok()) << label;
     EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
-    EXPECT_NE(store.status().ToString().find("older store layout"),
+    EXPECT_NE(store.status().ToString().find(
+                  "older store layout (record magic " + c.magic + ")"),
               std::string::npos)
         << store.status().ToString();
 
@@ -516,11 +556,10 @@ TEST(SketchStoreTest, OlderLayoutSegmentIsDataLossAndNeverTruncated) {
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     ASSERT_EQ(report->segments.size(), 1u);
     EXPECT_EQ(report->segments[0].state, "corrupt");
-    EXPECT_NE(report->segments[0].detail.find("older store layout"),
-              std::string::npos)
+    EXPECT_NE(report->segments[0].detail.find(c.magic), std::string::npos)
         << report->segments[0].detail;
     EXPECT_FALSE(report->clean());
-    EXPECT_EQ(ReadFileBytes(segment), image) << "sealed=" << sealed;
+    EXPECT_EQ(ReadFileBytes(segment), c.image) << label;
   }
 }
 
@@ -761,6 +800,16 @@ const std::vector<uint8_t> kOldFormatSnapshot = {
     0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, 0x56, 0x73, 0xDA, 0x40, 0xA7,
     0x0D, 0x74, 0xDA, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x04, 0x10};
 
+// The same entries in the version-1 serialization envelope (FNV-1a in its
+// checksum field), recorded from the build before the move to CRC32C.
+const std::vector<uint8_t> kVersionOneSnapshot = {
+    0xCE, 0xD5, 0x01, 0x0A, 0x00, 0xD3, 0x3E, 0x6B, 0xFE, 0x14, 0x49, 0xBD,
+    0x37, 0xAF, 0x26, 0x9E, 0x15, 0x8D, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0xE0, 0xFF, 0x48, 0xDE, 0x9B, 0x57, 0x13, 0xCF, 0x8A, 0x46, 0x02,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x40, 0x56, 0x73, 0xDA, 0x40,
+    0xA7, 0x0D, 0x74, 0xDA, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x04,
+    0x10};
+
 std::vector<CacheSnapshotEntry> OldFormatSnapshotEntries() {
   std::vector<CacheSnapshotEntry> entries;
   for (int e = 0; e < 3; ++e) {
@@ -778,6 +827,13 @@ TEST(CacheSnapshotTest, OldFormatSnapshotIsDataLoss) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss)
       << decoded.status().ToString();
+  const auto version_one = DecodeCacheSnapshot(kVersionOneSnapshot);
+  ASSERT_FALSE(version_one.ok());
+  EXPECT_EQ(version_one.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(version_one.status().message().find(
+                "unsupported envelope version 1"),
+            std::string::npos)
+      << version_one.status().ToString();
   // The same entries in the current layout decode.
   const auto current =
       DecodeCacheSnapshot(EncodeCacheSnapshot(OldFormatSnapshotEntries()));
@@ -837,18 +893,23 @@ TEST(CacheSnapshotTest, WarmRestartOverOldFormatSnapshotBootsCold) {
     EXPECT_EQ((*worker)->cache_entries(), 1);
   }
 
-  WriteFileBytes(store_dir + "/cache.snap", kOldFormatSnapshot);
-  auto worker = ClusterWorker::Create(endpoint, options);
-  ASSERT_TRUE(worker.ok()) << worker.status().ToString();
-  EXPECT_EQ((*worker)->warm_loaded_objects(), 1);
-  EXPECT_EQ((*worker)->cache_entries(), 0);
-  const RpcResponse answered = (*worker)->Execute(query);
-  ASSERT_TRUE(answered.status.ok()) << answered.status.ToString();
-  ASSERT_EQ(answered.values.size(), expected.size());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(std::memcmp(&answered.values[i], &expected[i], sizeof(double)),
-              0)
-        << "query " << i;
+  // Each worker's drain rewrites cache.snap, so every pass writes its
+  // snapshot afresh.
+  for (const std::vector<uint8_t>* snapshot :
+       {&kOldFormatSnapshot, &kVersionOneSnapshot}) {
+    WriteFileBytes(store_dir + "/cache.snap", *snapshot);
+    auto worker = ClusterWorker::Create(endpoint, options);
+    ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+    EXPECT_EQ((*worker)->warm_loaded_objects(), 1);
+    EXPECT_EQ((*worker)->cache_entries(), 0);
+    const RpcResponse answered = (*worker)->Execute(query);
+    ASSERT_TRUE(answered.status.ok()) << answered.status.ToString();
+    ASSERT_EQ(answered.values.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(
+          std::memcmp(&answered.values[i], &expected[i], sizeof(double)), 0)
+          << "query " << i;
+    }
   }
 }
 

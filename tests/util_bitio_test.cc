@@ -6,6 +6,7 @@
 #include <limits>
 #include <string>
 
+#include "fnv1a.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "serve/wire.h"
@@ -628,16 +629,35 @@ TEST(ChecksumTest, Fnv1a32MatchesPublishedVectors) {
   EXPECT_EQ(Fnv1a32(bytes), 0xBF9CF968u);
 }
 
-// Pins byte identity of the wire formats: the checksums below were
-// recorded from the per-bit codec, so any change to what the word-at-a-time
-// codec emits fails here, not just in a round trip.
+// The validated envelope at the front of `bytes`.
+EnvelopePayload OpenEnvelope(uint64_t magic, const std::vector<uint8_t>& bytes) {
+  BitReader reader(bytes);
+  StatusOr<EnvelopePayload> opened = ReadEnvelope(magic, reader);
+  EXPECT_TRUE(opened.ok()) << opened.status().ToString();
+  return opened.ok() ? std::move(*opened) : EnvelopePayload{};
+}
+
+// Pins byte identity of the wire formats. The stream fingerprints (FNV-1a
+// over whole bodies) and the CRC32C checksum fields were recorded from the
+// version-2 envelope. The payload pins are FNV-1a over each innermost
+// envelope payload and equal the FNV-1a checksum field the version-1
+// envelope carried over those bytes: switching the checksum moved no
+// payload bit. The innermost payloads' FNV-1a goes back to the per-bit
+// codec, so any change to what the word-at-a-time codec emits fails here,
+// not just in a round trip.
 TEST(BitIoGoldenTest, FixedSeedStreamsKeepTheirBytes) {
+  constexpr uint64_t kSerializationMagic = 0xD5CE;
+  constexpr uint64_t kRpcMagic = 0xA9C5;
   Rng rng(31337);
   const DirectedGraph graph = RandomBalancedDigraph(96, 0.2, 2.0, rng);
   BitWriter envelope;
   SerializeDirectedGraph(graph, envelope);
   EXPECT_EQ(envelope.bit_count(), 172997);
-  EXPECT_EQ(Fnv1a32(envelope.bytes()), 0x6E8B0192u);
+  EXPECT_EQ(Fnv1a32(envelope.bytes()), 0xEA40D760u);
+  const EnvelopePayload graph_payload =
+      OpenEnvelope(kSerializationMagic, envelope.bytes());
+  EXPECT_EQ(graph_payload.checksum, 0x5D4E2A95u);
+  EXPECT_EQ(Fnv1a32(graph_payload.bytes), 0x31576203u);
 
   RpcRequest query;
   query.kind = RpcKind::kQueryBatch;
@@ -650,14 +670,27 @@ TEST(BitIoGoldenTest, FixedSeedStreamsKeepTheirBytes) {
   }
   const Message query_body = EncodeRpcRequest(query);
   EXPECT_EQ(query_body.bit_count, 1113);
-  EXPECT_EQ(Fnv1a32(query_body.bytes), 0x31C07BD7u);
+  EXPECT_EQ(Fnv1a32(query_body.bytes), 0x7B581246u);
+  const EnvelopePayload query_payload =
+      OpenEnvelope(kRpcMagic, query_body.bytes);
+  EXPECT_EQ(query_payload.checksum, 0xCA0896FDu);
+  EXPECT_EQ(Fnv1a32(query_payload.bytes), 0x7B457F6Fu);
 
+  // A register body's payload is the graph's envelope, so its innermost
+  // payload is the graph payload above.
   RpcRequest registration;
   registration.kind = RpcKind::kRegisterGraph;
   registration.graph = graph;
   const Message registration_body = EncodeRpcRequest(registration);
   EXPECT_EQ(registration_body.bit_count, 173096);
-  EXPECT_EQ(Fnv1a32(registration_body.bytes), 0xBCEED292u);
+  EXPECT_EQ(Fnv1a32(registration_body.bytes), 0x0BC28F8Au);
+  const EnvelopePayload registration_payload =
+      OpenEnvelope(kRpcMagic, registration_body.bytes);
+  EXPECT_EQ(registration_payload.checksum, Crc32c(envelope.bytes()));
+  const EnvelopePayload registered_graph =
+      OpenEnvelope(kSerializationMagic, registration_payload.bytes);
+  EXPECT_EQ(registered_graph.checksum, graph_payload.checksum);
+  EXPECT_EQ(Fnv1a32(registered_graph.bytes), 0x31576203u);
 
   RpcResponse response;
   response.status = ResourceExhaustedError("queue full");
@@ -666,7 +699,11 @@ TEST(BitIoGoldenTest, FixedSeedStreamsKeepTheirBytes) {
   for (int i = 0; i < 5; ++i) response.values.push_back(rng.UniformDouble());
   const Message response_body = EncodeRpcResponse(response);
   EXPECT_EQ(response_body.bit_count, 570);
-  EXPECT_EQ(Fnv1a32(response_body.bytes), 0x0A718E2Fu);
+  EXPECT_EQ(Fnv1a32(response_body.bytes), 0x7384016Cu);
+  const EnvelopePayload response_payload =
+      OpenEnvelope(kRpcMagic, response_body.bytes);
+  EXPECT_EQ(response_payload.checksum, 0xAE951F4Du);
+  EXPECT_EQ(Fnv1a32(response_payload.bytes), 0x5D53587Au);
 }
 
 }  // namespace

@@ -4,8 +4,9 @@
 // exactly the bytes the scalar reference returns, for int64 and double, at
 // every size including non-multiple-of-lane tails. These tests pin that
 // contract for the FWHT (contiguous and strided), the popcount kernels (via
-// SignVector), the 2-D EncodeSigns transform, the CutWeights lane add, and
-// a served batch under forced-scalar vs hardware dispatch.
+// SignVector), the 2-D EncodeSigns transform, the CutWeights lane add, the
+// CRC32C checksum, and a served batch under forced-scalar vs hardware
+// dispatch.
 
 #include <algorithm>
 #include <bit>
@@ -15,6 +16,7 @@
 #include <iterator>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "graph/generators.h"
@@ -440,6 +442,94 @@ TEST(SimdLaneAddTest, SumsStartingAtPositiveZeroNeverBecomeNegativeZero) {
     zero_sums += sum == 0.0;
   }
   EXPECT_GT(zero_sums, 0);  // the case the precondition is about occurred
+}
+
+// ---------------------------------------------------------------------------
+// CRC32C: published vectors, the definition, and scalar vs dispatched
+// ---------------------------------------------------------------------------
+
+// The bit-at-a-time definition: reflected polynomial 0x82F63B78, initial
+// value and final XOR 0xFFFFFFFF.
+uint32_t BitwiseCrc32c(const uint8_t* bytes, size_t size) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) != 0 ? 0x82F63B78u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, Rng& rng) {
+  std::vector<uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
+TEST(SimdCrc32cTest, MatchesRfc3720Vectors) {
+  std::vector<uint8_t> ascending(32);
+  std::vector<uint8_t> descending(32);
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<uint8_t>(i);
+    descending[i] = static_cast<uint8_t>(31 - i);
+  }
+  const std::string digits = "123456789";
+  const struct {
+    std::vector<uint8_t> bytes;
+    uint32_t crc;
+  } vectors[] = {
+      {std::vector<uint8_t>(32, 0x00), 0x8A9136AAu},
+      {std::vector<uint8_t>(32, 0xFF), 0x62A8AB43u},
+      {ascending, 0x46DD794Eu},
+      {descending, 0x113FDB5Cu},
+      {std::vector<uint8_t>(digits.begin(), digits.end()), 0xE3069283u},
+      {{}, 0x00000000u},
+  };
+  for (const bool force : {false, true}) {
+    ScopedForceScalar guard(force);
+    for (const auto& v : vectors) {
+      EXPECT_EQ(simd::Crc32c(v.bytes.data(), v.bytes.size()), v.crc)
+          << "forced scalar " << force << ", " << v.bytes.size() << " bytes";
+      EXPECT_EQ(simd::scalar::Crc32c(v.bytes.data(), v.bytes.size()), v.crc);
+    }
+  }
+}
+
+TEST(SimdCrc32cTest, ScalarMatchesTheDefinition) {
+  Rng rng(59);
+  const std::vector<uint8_t> bytes = RandomBytes(300, rng);
+  for (size_t len = 0; len <= 300; ++len) {
+    ASSERT_EQ(simd::scalar::Crc32c(bytes.data(), len),
+              BitwiseCrc32c(bytes.data(), len))
+        << "length " << len;
+  }
+}
+
+// Every length 0-256 from every start offset 0-7, so each 8-byte load and
+// each tail length is taken at every alignment, and a 22,114-byte buffer
+// (one n = 128, m = 2048 graph envelope).
+TEST(SimdCrc32cTest, DispatchedMatchesScalarAtEveryLengthAndOffset) {
+  Rng rng(61);
+  const std::vector<uint8_t> small = RandomBytes(256 + 8, rng);
+  const std::vector<uint8_t> large = RandomBytes(22114, rng);
+  // The hardware path's CRC, then the forced-scalar dispatch's and the
+  // scalar reference's, which must all agree.
+  const auto paths_agree = [](const uint8_t* bytes, size_t len) {
+    const uint32_t hardware = simd::Crc32c(bytes, len);
+    ScopedForceScalar guard(true);
+    return hardware == simd::Crc32c(bytes, len) &&
+           hardware == simd::scalar::Crc32c(bytes, len);
+  };
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 256; ++len) {
+      ASSERT_TRUE(paths_agree(small.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+  EXPECT_TRUE(paths_agree(large.data(), large.size()));
+  EXPECT_EQ(simd::Crc32c(large.data(), large.size()),
+            BitwiseCrc32c(large.data(), large.size()));
 }
 
 // ---------------------------------------------------------------------------
