@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "graph/connectivity.h"
@@ -153,10 +154,9 @@ void BM_AgmSpanningForest(benchmark::State& state) {
 }
 BENCHMARK(BM_AgmSpanningForest)->Arg(64)->Arg(128)->Arg(512);
 
-// The epoch seal's merge: 4 edge-disjoint shard sketches (by lower
-// endpoint, as StreamIngestor shards) summed into a fresh sketch.
-void BM_AgmMergeShards(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
+// 4 edge-disjoint shard sketches (by lower endpoint, as StreamIngestor
+// shards) of a random graph.
+std::vector<AgmConnectivitySketch> ShardSketches(int n) {
   constexpr int kShards = 4;
   Rng rng(4);
   const UndirectedGraph g =
@@ -167,13 +167,40 @@ void BM_AgmMergeShards(benchmark::State& state) {
     shards[static_cast<size_t>(std::min(e.src, e.dst) % kShards)].AddEdge(
         e.src, e.dst);
   }
+  return shards;
+}
+
+// The epoch seal's sum: the shard sketches summed into the ingestor's kept
+// seal sketch with the digest folded in the same sweep (AssignSum).
+void BM_AgmMergeShards(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const std::vector<AgmConnectivitySketch> shards = ShardSketches(n);
+  std::vector<const AgmConnectivitySketch*> parts;
+  for (const AgmConnectivitySketch& shard : shards) parts.push_back(&shard);
+  AgmConnectivitySketch seal(n, 0, 6);
   for (auto _ : state) {
-    AgmConnectivitySketch merged(n, 0, 6);
-    for (const AgmConnectivitySketch& shard : shards) merged.MergeFrom(shard);
-    benchmark::DoNotOptimize(merged);
+    benchmark::DoNotOptimize(seal.AssignSum(parts));
   }
 }
 BENCHMARK(BM_AgmMergeShards)->Arg(512);
+
+// The epoch seal's forest: Boruvka in the summed sketch's own cells (the
+// rvalue SpanningForest). The sum re-fills the consumed cells outside the
+// timed region.
+void BM_AgmSpanningForestInPlace(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const std::vector<AgmConnectivitySketch> shards = ShardSketches(n);
+  std::vector<const AgmConnectivitySketch*> parts;
+  for (const AgmConnectivitySketch& shard : shards) parts.push_back(&shard);
+  AgmConnectivitySketch seal(n, 0, 6);
+  for (auto _ : state) {
+    state.PauseTiming();
+    benchmark::DoNotOptimize(seal.AssignSum(parts));
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(std::move(seal).SpanningForest());
+  }
+}
+BENCHMARK(BM_AgmSpanningForestInPlace)->Arg(512);
 
 }  // namespace dcs
 

@@ -12,6 +12,9 @@
 namespace dcs {
 namespace {
 
+// The k-sketch digest's offset, distinct from a single sketch's.
+constexpr uint64_t kKDigestOffset = 0x6b636f6e6e556565ULL;
+
 int DefaultRounds(int n) {
   int rounds = 2;
   while ((1 << (rounds - 2)) < n) ++rounds;
@@ -95,6 +98,13 @@ void AgmConnectivitySketch::MergeFrom(const AgmConnectivitySketch& other) {
 
 Status AgmConnectivitySketch::TryMergeFrom(
     const AgmConnectivitySketch& other) {
+  DCS_RETURN_IF_ERROR(CheckMergeable(other));
+  MergeCells(cells_, other.cells_);
+  return OkStatus();
+}
+
+Status AgmConnectivitySketch::CheckMergeable(
+    const AgmConnectivitySketch& other) const {
   if (num_vertices_ != other.num_vertices_) {
     return InvalidArgumentError(
         "cannot merge AGM sketches over different vertex counts (" +
@@ -112,11 +122,36 @@ Status AgmConnectivitySketch::TryMergeFrom(
         "cannot merge AGM sketches built from different seeds (" +
         std::to_string(seed_) + " vs " + std::to_string(other.seed_) + ")");
   }
-  MergeCells(cells_, other.cells_);
   return OkStatus();
 }
 
-uint64_t AgmConnectivitySketch::Digest() const {
+StatusOr<uint64_t> AgmConnectivitySketch::AssignSum(
+    std::span<const AgmConnectivitySketch* const> parts) {
+  std::vector<const L0Cell*> sources;
+  sources.reserve(parts.size());
+  for (const AgmConnectivitySketch* part : parts) {
+    DCS_RETURN_IF_ERROR(CheckMergeable(*part));
+    sources.push_back(part->cells_.data());
+  }
+  uint64_t digest = IdentityDigest();
+  // Cell by cell: sum the parts in order (so the result is bit-identical
+  // to sequential TryMergeFrom into an empty sketch), store, and fold the
+  // stored cell into the digest in Digest()'s order.
+  for (size_t i = 0; i < cells_.size(); ++i) {
+    L0Cell cell;
+    if (!sources.empty()) {
+      cell = sources[0][i];
+      for (size_t p = 1; p < sources.size(); ++p) {
+        cell.MergeFrom(sources[p][i]);
+      }
+    }
+    cells_[i] = cell;
+    cell.AppendDigest(digest);
+  }
+  return digest;
+}
+
+uint64_t AgmConnectivitySketch::IdentityDigest() const {
   constexpr uint64_t kOffset = 14695981039346656037ULL;  // FNV-1a offset
   constexpr uint64_t kPrime = 1099511628211ULL;
   uint64_t digest = kOffset;
@@ -126,23 +161,35 @@ uint64_t AgmConnectivitySketch::Digest() const {
   fold(static_cast<uint64_t>(num_vertices_));
   fold(static_cast<uint64_t>(rounds_));
   fold(seed_);
+  return digest;
+}
+
+uint64_t AgmConnectivitySketch::Digest() const {
+  uint64_t digest = IdentityDigest();
   // [round][vertex][level] order: the sampler-by-sampler fold order.
   AppendCellsDigest(cells_, digest);
   return digest;
 }
 
-std::vector<Edge> AgmConnectivitySketch::SpanningForest() const {
+std::vector<Edge> AgmConnectivitySketch::SpanningForest() && {
+  return ForestOfCells(cells_);
+}
+
+std::vector<Edge> AgmConnectivitySketch::SpanningForest() const& {
+  std::vector<L0Cell> cells = cells_;
+  return ForestOfCells(cells);
+}
+
+std::vector<Edge> AgmConnectivitySketch::ForestOfCells(
+    std::span<L0Cell> cells) const {
   const int n = num_vertices_;
   UnionFind components(n);
   auto find = [&components](int v) { return components.Find(v); };
 
-  // Per-component merged samplers, one per round, held at the root. A copy
-  // so extraction does not disturb the sketch.
-  std::vector<L0Cell> component = cells_;
-  // The merged round-r sampler of root's component.
+  // Per-component merged samplers, one per round, held at the root's own
+  // cells: the merged round-r sampler of root's component.
   const auto sampler = [&](int r, int root) {
-    return std::span<L0Cell>(component).subspan(CellOffset(r, root),
-                                                static_cast<size_t>(levels_));
+    return cells.subspan(CellOffset(r, root), static_cast<size_t>(levels_));
   };
   std::vector<Edge> forest;
   for (int r = 0; r < rounds_; ++r) {
@@ -249,12 +296,7 @@ Status AgmKConnectivitySketch::TryMergeFrom(
   // Validate every layer before mutating any: a failed merge must not leave
   // this sketch half-merged.
   for (size_t layer = 0; layer < layers_.size(); ++layer) {
-    if (layers_[layer].rounds() != other.layers_[layer].rounds()) {
-      return InvalidArgumentError(
-          "cannot merge k-connectivity sketches with different round "
-          "counts in layer " +
-          std::to_string(layer));
-    }
+    DCS_RETURN_IF_ERROR(layers_[layer].CheckMergeable(other.layers_[layer]));
   }
   for (size_t layer = 0; layer < layers_.size(); ++layer) {
     DCS_RETURN_IF_ERROR(layers_[layer].TryMergeFrom(other.layers_[layer]));
@@ -262,37 +304,69 @@ Status AgmKConnectivitySketch::TryMergeFrom(
   return OkStatus();
 }
 
+StatusOr<uint64_t> AgmKConnectivitySketch::AssignSum(
+    std::span<const AgmKConnectivitySketch* const> parts) {
+  for (const AgmKConnectivitySketch* part : parts) {
+    if (part->num_vertices_ != num_vertices_ ||
+        part->layers_.size() != layers_.size()) {
+      return InvalidArgumentError(
+          "cannot sum k-connectivity sketches of different shapes (n " +
+          std::to_string(num_vertices_) + ", k " +
+          std::to_string(layers_.size()) + " vs n " +
+          std::to_string(part->num_vertices_) + ", k " +
+          std::to_string(part->layers_.size()) + ")");
+    }
+    for (size_t layer = 0; layer < layers_.size(); ++layer) {
+      DCS_RETURN_IF_ERROR(
+          layers_[layer].CheckMergeable(part->layers_[layer]));
+    }
+  }
+  constexpr uint64_t kPrime = 1099511628211ULL;
+  uint64_t digest = kKDigestOffset;
+  std::vector<const AgmConnectivitySketch*> layer_parts(parts.size());
+  for (size_t layer = 0; layer < layers_.size(); ++layer) {
+    for (size_t p = 0; p < parts.size(); ++p) {
+      layer_parts[p] = &parts[p]->layers_[layer];
+    }
+    DCS_ASSIGN_OR_RETURN(const uint64_t layer_digest,
+                         layers_[layer].AssignSum(layer_parts));
+    digest = (digest ^ layer_digest) * kPrime;
+  }
+  return digest;
+}
+
 uint64_t AgmKConnectivitySketch::Digest() const {
   constexpr uint64_t kPrime = 1099511628211ULL;
-  uint64_t digest = 0x6b636f6e6e556565ULL;  // distinct k-sketch offset
+  uint64_t digest = kKDigestOffset;
   for (const AgmConnectivitySketch& layer : layers_) {
     digest = (digest ^ layer.Digest()) * kPrime;
   }
   return digest;
 }
 
-UndirectedGraph AgmKConnectivitySketch::Certificate() const {
+UndirectedGraph AgmKConnectivitySketch::Certificate() && {
   UndirectedGraph certificate(num_vertices_);
-  // Work on copies so extraction leaves the sketch intact; forests peeled
-  // from earlier layers are deleted from all later layers.
-  std::vector<AgmConnectivitySketch> layers = layers_;
-  for (size_t layer = 0; layer < layers.size(); ++layer) {
-    const std::vector<Edge> forest = layers[layer].SpanningForest();
+  // Forests peeled from earlier layers are deleted from all later layers.
+  for (size_t layer = 0; layer < layers_.size(); ++layer) {
+    const std::vector<Edge> forest =
+        std::move(layers_[layer]).SpanningForest();
     for (const Edge& e : forest) {
       certificate.AddEdge(e.src, e.dst, 1.0);
-      for (size_t later = layer + 1; later < layers.size(); ++later) {
-        layers[later].RemoveEdge(e.src, e.dst);
+      for (size_t later = layer + 1; later < layers_.size(); ++later) {
+        layers_[later].RemoveEdge(e.src, e.dst);
       }
     }
   }
   return certificate;
 }
 
+UndirectedGraph AgmKConnectivitySketch::Certificate() const& {
+  AgmKConnectivitySketch copy = *this;
+  return std::move(copy).Certificate();
+}
+
 double AgmKConnectivitySketch::MinCutUpToK() const {
-  const UndirectedGraph certificate = Certificate();
-  if (certificate.num_edges() == 0) return 0;
-  if (!IsConnected(certificate)) return 0;
-  return StoerWagnerMinCut(certificate).value;
+  return CertificateMinCut(Certificate());
 }
 
 int64_t AgmKConnectivitySketch::SizeInBits() const {
@@ -301,6 +375,12 @@ int64_t AgmKConnectivitySketch::SizeInBits() const {
     total += layer.SizeInBits();
   }
   return total;
+}
+
+double CertificateMinCut(const UndirectedGraph& certificate) {
+  if (certificate.num_edges() == 0) return 0;
+  if (!IsConnected(certificate)) return 0;
+  return StoerWagnerMinCut(certificate).value;
 }
 
 AgmConnectivitySketch SketchGraph(const UndirectedGraph& graph, int rounds,

@@ -25,6 +25,7 @@
 #define DCS_STREAM_AGM_SKETCH_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/types.h"
@@ -55,11 +56,24 @@ class AgmConnectivitySketch {
   // error in a single-process pipeline).
   void MergeFrom(const AgmConnectivitySketch& other);
 
-  // Status-returning merge for paths fed by peers or configuration — the
-  // streaming ingestion/epoch-seal path and anything server-shaped: a
-  // mismatched (n, rounds, seed) surfaces kInvalidArgument instead of
-  // taking the process down (DESIGN.md §7 recoverable-error convention).
+  // Status-returning merge for paths fed by peers or configuration —
+  // anything server-shaped: a mismatched (n, rounds, seed) surfaces
+  // kInvalidArgument instead of taking the process down (DESIGN.md §7
+  // recoverable-error convention).
   Status TryMergeFrom(const AgmConnectivitySketch& other);
+
+  // OK iff `other` shares this sketch's (n, rounds, seed), so the two can
+  // be merged; kInvalidArgument naming the first difference otherwise.
+  Status CheckMergeable(const AgmConnectivitySketch& other) const;
+
+  // Overwrites this sketch with the sum of `parts` (none = the empty
+  // sketch) in one sweep over the cells, and returns the Digest() of the
+  // result, folded in the same sweep. The epoch seal's primitive: no
+  // zeroing pass, no read-modify-write pass per part, no digest pass.
+  // Every part is checked before any cell is written, so a mismatch
+  // returns kInvalidArgument with this sketch untouched.
+  StatusOr<uint64_t> AssignSum(
+      std::span<const AgmConnectivitySketch* const> parts);
 
   // FNV-style hash of every linear measurement (all sampler words, in a
   // fixed order) plus the (n, rounds, seed) identity. Two sketches digest
@@ -72,8 +86,11 @@ class AgmConnectivitySketch {
   // Extracts a spanning forest via Boruvka over the sketches. Whp the
   // result spans every connected component; with bounded rounds or unlucky
   // sampling it may under-connect (never over-connect: every returned edge
-  // is a real edge whp).
-  std::vector<Edge> SpanningForest() const;
+  // is a real edge whp). The rvalue form runs Boruvka in this sketch's own
+  // cells, leaving its measurements unspecified (AssignSum overwrites them
+  // all); the const form runs it in a copy of the cells.
+  std::vector<Edge> SpanningForest() &&;
+  std::vector<Edge> SpanningForest() const&;
 
   // Number of connected components implied by SpanningForest().
   int CountComponents() const;
@@ -98,6 +115,10 @@ class AgmConnectivitySketch {
     uint64_t col;
   };
 
+  // The Digest() fold of the (n, rounds, seed) identity, before any cell.
+  uint64_t IdentityDigest() const;
+  // Boruvka over `cells` (this sketch's layout), which it consumes.
+  std::vector<Edge> ForestOfCells(std::span<L0Cell> cells) const;
   int64_t EdgeCoordinate(VertexId u, VertexId v) const;
   // Adds `low_delta` (±1) to the lower endpoint's samplers and −low_delta
   // to the higher one's at the edge's coordinate, in every round.
@@ -147,13 +168,22 @@ class AgmKConnectivitySketch {
   void MergeFrom(const AgmKConnectivitySketch& other);
   Status TryMergeFrom(const AgmKConnectivitySketch& other);
 
+  // Layer by layer AgmConnectivitySketch::AssignSum: overwrites this sketch
+  // with the sum of `parts` and returns the Digest() of the result. Every
+  // layer of every part is checked before any cell is written.
+  StatusOr<uint64_t> AssignSum(
+      std::span<const AgmKConnectivitySketch* const> parts);
+
   // Combined digest over all k layers (see AgmConnectivitySketch::Digest).
   uint64_t Digest() const;
 
   // The union of the k nested forests (unit weights). Whp it preserves the
   // edge count of every cut of value < k and contains ≥ min(cut, k) edges
-  // across every cut.
-  UndirectedGraph Certificate() const;
+  // across every cut. The rvalue form peels the forests out of this
+  // sketch's own layers, leaving them unspecified (AssignSum overwrites
+  // them); the const form peels a copy.
+  UndirectedGraph Certificate() &&;
+  UndirectedGraph Certificate() const&;
 
   // The certificate's global min cut. Whp this equals the true min cut
   // whenever that is below k; otherwise it lies in [k, true min cut]
@@ -166,6 +196,10 @@ class AgmKConnectivitySketch {
   int num_vertices_;
   std::vector<AgmConnectivitySketch> layers_;
 };
+
+// The global min cut of a k-forest certificate, as MinCutUpToK reports it:
+// 0 when the certificate has no edges or is disconnected.
+double CertificateMinCut(const UndirectedGraph& certificate);
 
 }  // namespace dcs
 

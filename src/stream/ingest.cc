@@ -137,8 +137,14 @@ StreamIngestor::StreamIngestor(int num_vertices, StreamIngestorOptions options)
     shard->batch.reserve(static_cast<size_t>(options.gutter_capacity));
     shards_.push_back(std::move(shard));
   }
+  if (options.k == 0) {
+    seal_sketch_.emplace(num_vertices, options.rounds, options.seed);
+  } else {
+    seal_ksketch_.emplace(num_vertices, options.k, options.rounds,
+                          options.seed);
+  }
   // Seal the empty epoch-0 snapshot so queries are well-defined before the
-  // first Barrier(). Merging fresh same-seed shards cannot fail.
+  // first Barrier(). Summing fresh same-seed shards cannot fail.
   StatusOr<std::shared_ptr<StreamSnapshot>> initial = SealMerged();
   DCS_CHECK(initial.ok());
   (*initial)->epoch = 0;
@@ -213,8 +219,7 @@ void StreamIngestor::ApplyGutter(Shard& shard,
   // the apply — the swapped batch is always applied before SealMerged can
   // freeze this shard. The gutter is released before the (per-update-cost)
   // apply, so admission on this shard resumes immediately. Swapping two
-  // preallocated buffers keeps flushes free of allocation, so a barrier's
-  // flushes leave no small blocks among the merge's sketch-sized ones.
+  // preallocated buffers keeps flushes free of allocation.
   std::lock_guard<std::mutex> apply_lock(shard.apply_mutex);
   shard.gutter.swap(shard.batch);
   gutter_lock.unlock();
@@ -260,31 +265,32 @@ StatusOr<std::shared_ptr<StreamSnapshot>> StreamIngestor::SealMerged() {
     snapshot->updates_applied += shard->applied;
   }
   if (options_.k == 0) {
-    AgmConnectivitySketch merged(num_vertices_, options_.rounds,
-                                 options_.seed);
+    std::vector<const AgmConnectivitySketch*> parts;
+    parts.reserve(shards_.size());
     for (const std::unique_ptr<Shard>& shard : shards_) {
-      DCS_RETURN_IF_ERROR(merged.TryMergeFrom(*shard->sketch));
+      parts.push_back(&*shard->sketch);
     }
-    // The merge is done; Boruvka extraction works on the private copy, so
-    // producers may resume flushing.
+    DCS_ASSIGN_OR_RETURN(snapshot->digest, seal_sketch_->AssignSum(parts));
+    // The sum is done; Boruvka runs in the seal sketch, which only the
+    // next seal (serialized by barrier_mutex_) touches again, so producers
+    // may resume flushing.
     locks.clear();
     merged_at = std::chrono::steady_clock::now();
-    snapshot->digest = merged.Digest();
-    snapshot->forest = merged.SpanningForest();
+    snapshot->forest = std::move(*seal_sketch_).SpanningForest();
     // A forest is acyclic, so components = n − |forest|.
     snapshot->components =
         num_vertices_ - static_cast<int>(snapshot->forest.size());
   } else {
-    AgmKConnectivitySketch merged(num_vertices_, options_.k, options_.rounds,
-                                  options_.seed);
+    std::vector<const AgmKConnectivitySketch*> parts;
+    parts.reserve(shards_.size());
     for (const std::unique_ptr<Shard>& shard : shards_) {
-      DCS_RETURN_IF_ERROR(merged.TryMergeFrom(*shard->ksketch));
+      parts.push_back(&*shard->ksketch);
     }
+    DCS_ASSIGN_OR_RETURN(snapshot->digest, seal_ksketch_->AssignSum(parts));
     locks.clear();
     merged_at = std::chrono::steady_clock::now();
-    snapshot->digest = merged.Digest();
-    snapshot->certificate = merged.Certificate();
-    snapshot->min_cut_up_to_k = merged.MinCutUpToK();
+    snapshot->certificate = std::move(*seal_ksketch_).Certificate();
+    snapshot->min_cut_up_to_k = CertificateMinCut(*snapshot->certificate);
     ForestOf(*snapshot->certificate, snapshot->forest, snapshot->components);
   }
   snapshot->connected = snapshot->components == 1;

@@ -11,10 +11,12 @@
 //    full gutter is flushed by the producer that filled it into the shard's
 //    incrementally maintained sketch; a flush swaps the gutter with the
 //    shard's preallocated batch buffer, so nothing is allocated per flush;
-//  * Barrier() drains every gutter with ParallelFor, merges the shard
-//    sketches (TryMergeFrom — a mismatch surfaces as a Status, never an
-//    abort), and seals an immutable StreamSnapshot under a monotonically
-//    increasing epoch number;
+//  * Barrier() drains every gutter with ParallelFor, sums the shard
+//    sketches into the ingestor's one kept seal sketch (AssignSum, one
+//    sweep that also folds the digest; a mismatch surfaces as a Status,
+//    never an abort), extracts the forest in that sketch's own cells, and
+//    seals an immutable StreamSnapshot under a monotonically increasing
+//    epoch number;
 //  * queries run against the last sealed snapshot while ingestion
 //    continues (snapshot-at-batch-boundary consistency): snapshot() hands
 //    out a shared_ptr to frozen state.
@@ -224,10 +226,11 @@ class StreamIngestor {
   // Applies the shard's gutter if it holds any updates.
   void FlushShard(Shard& shard);
 
-  // Merges the shard sketches under all apply mutexes into a snapshot with
-  // everything but the epoch number filled in. TryMergeFrom failures (never
+  // Sums the shard sketches into the seal sketch under all apply mutexes,
+  // then releases them and extracts the snapshot (everything but the epoch
+  // number) from the seal sketch in place. AssignSum failures (never
   // expected from the ingestor's own same-seed shards) propagate as a
-  // Status.
+  // Status. Called by the constructor and under barrier_mutex_.
   StatusOr<std::shared_ptr<StreamSnapshot>> SealMerged();
 
   int num_vertices_;
@@ -244,6 +247,11 @@ class StreamIngestor {
 
   // Serializes Barrier() calls.
   std::mutex barrier_mutex_;
+  // The sketch every seal sums the shards into and then consumes (one is
+  // engaged, by options.k): kept for the ingestor's lifetime, so a seal
+  // allocates no sketch. Guarded by barrier_mutex_.
+  std::optional<AgmConnectivitySketch> seal_sketch_;
+  std::optional<AgmKConnectivitySketch> seal_ksketch_;
 
   // Guards snapshot_ swaps; epoch lives inside the snapshot.
   mutable std::mutex snapshot_mutex_;

@@ -64,18 +64,6 @@ std::optional<L0Sample> L0Cell::Recover(uint64_t base) const {
   return L0Sample{index, sum};
 }
 
-void L0Cell::AppendDigest(uint64_t& digest) const {
-  constexpr uint64_t kPrime = 1099511628211ULL;  // FNV-1a 64-bit prime
-  const auto fold = [&digest](uint64_t word) {
-    digest = (digest ^ word) * kPrime;
-  };
-  const auto wide = static_cast<unsigned __int128>(weighted);
-  fold(static_cast<uint64_t>(sum));
-  fold(static_cast<uint64_t>(wide));
-  fold(static_cast<uint64_t>(wide >> 64));
-  fold(fingerprint);
-}
-
 void MergeCells(std::span<L0Cell> into, std::span<const L0Cell> from) {
   DCS_CHECK_EQ(into.size(), from.size());
   for (size_t j = 0; j < into.size(); ++j) into[j].MergeFrom(from[j]);

@@ -113,8 +113,18 @@ struct L0Cell {
 
   // Folds (sum, weighted low, weighted high, fingerprint) into an FNV-style
   // running hash. Equal state — and only that, up to hash collisions —
-  // folds identically.
-  void AppendDigest(uint64_t& digest) const;
+  // folds identically. Inline: the epoch seal folds every cell it sums.
+  void AppendDigest(uint64_t& digest) const {
+    constexpr uint64_t kPrime = 1099511628211ULL;  // FNV-1a 64-bit prime
+    const auto fold = [&digest](uint64_t word) {
+      digest = (digest ^ word) * kPrime;
+    };
+    const auto wide = static_cast<unsigned __int128>(weighted);
+    fold(static_cast<uint64_t>(sum));
+    fold(static_cast<uint64_t>(wide));
+    fold(static_cast<uint64_t>(wide >> 64));
+    fold(fingerprint);
+  }
 };
 static_assert(sizeof(L0Cell) == 32);
 

@@ -238,11 +238,15 @@ inline void RecordValue(std::string_view name, int64_t value) {
     dcs_metrics_cached_dist.Record(value);                              \
   } while (0)
 
-// Times the enclosing scope into distribution `name` (nanoseconds).
+// Times the enclosing scope into distribution `name` (nanoseconds). Like
+// ADD and RECORD, the distribution is looked up once per call site.
 #define DCS_METRIC_TIMER(name)                                          \
+  static ::dcs::metrics::Distribution& DCS_METRICS_CONCAT(              \
+      dcs_metrics_timer_dist_, __LINE__) =                              \
+      ::dcs::metrics::Registry::Get().GetDistribution(name);            \
   ::dcs::metrics::ScopedTimer DCS_METRICS_CONCAT(dcs_metrics_timer_,    \
                                                  __LINE__)(             \
-      ::dcs::metrics::Registry::Get().GetDistribution(name))
+      DCS_METRICS_CONCAT(dcs_metrics_timer_dist_, __LINE__))
 
 #else  // !DCS_METRICS_ENABLED
 

@@ -31,10 +31,9 @@ std::vector<EdgeUpdate> Workload(int n, int64_t count, uint64_t seed) {
   return RandomUpdateStream(n, count, 0.25, rng);
 }
 
-// Serial ground truth for a workload (k == 0 sketches).
-uint64_t SerialDigest(int n, int rounds, uint64_t seed,
-                      const std::vector<EdgeUpdate>& updates) {
-  AgmConnectivitySketch sketch(n, rounds, seed);
+// Applies `updates` to a serial sketch.
+template <typename Sketch>
+void ApplySerially(const std::vector<EdgeUpdate>& updates, Sketch& sketch) {
   for (const EdgeUpdate& update : updates) {
     if (update.is_delete) {
       sketch.RemoveEdge(update.u, update.v);
@@ -42,6 +41,13 @@ uint64_t SerialDigest(int n, int rounds, uint64_t seed,
       sketch.AddEdge(update.u, update.v);
     }
   }
+}
+
+// Serial ground truth for a workload (k == 0 sketches).
+uint64_t SerialDigest(int n, int rounds, uint64_t seed,
+                      const std::vector<EdgeUpdate>& updates) {
+  AgmConnectivitySketch sketch(n, rounds, seed);
+  ApplySerially(updates, sketch);
   return sketch.Digest();
 }
 
@@ -418,6 +424,101 @@ TEST(StreamIngestorTest, CertificateCutMovesOnlyAtBarriers) {
   ASSERT_TRUE(ingestor.Barrier().ok());
   // Sealed: the certificate preserves the 3-bridge cut exactly (< k).
   EXPECT_DOUBLE_EQ(certificate_cut(), 3.0);
+}
+
+// --- The kept seal sketch: every seal sums into and consumes the same
+// sketch, so nothing from one epoch's in-place extraction may leak into
+// the next. ---
+
+std::vector<std::pair<VertexId, VertexId>> Pairs(
+    const std::vector<Edge>& edges) {
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  for (const Edge& e : edges) pairs.emplace_back(e.src, e.dst);
+  return pairs;
+}
+
+// The updates of each epoch; an empty chunk is an epoch with no updates.
+std::vector<std::vector<EdgeUpdate>> EpochChunks(
+    const std::vector<EdgeUpdate>& updates) {
+  const size_t quarter = updates.size() / 4;
+  return {{updates.begin(), updates.begin() + quarter},
+          {updates.begin() + quarter, updates.begin() + 2 * quarter},
+          {},
+          {updates.begin() + 2 * quarter, updates.begin() + 3 * quarter},
+          {updates.begin() + 3 * quarter, updates.end()},
+          {}};
+}
+
+TEST(StreamIngestorTest, KeptSealSketchMatchesFreshSerialSketchEveryEpoch) {
+  const int n = 48;
+  const std::vector<EdgeUpdate> updates = Workload(n, 1200, 29);
+  StreamIngestorOptions options;
+  options.num_shards = 4;
+  options.gutter_capacity = 13;
+  options.seed = 31;
+  StreamIngestor ingestor(n, options);
+  AgmConnectivitySketch serial(n, 0, 31);
+  uint64_t previous = ingestor.snapshot()->digest;
+  EXPECT_EQ(previous, serial.Digest());
+  for (const std::vector<EdgeUpdate>& chunk : EpochChunks(updates)) {
+    for (const EdgeUpdate& update : chunk) {
+      ASSERT_TRUE(ingestor.Push(update).ok());
+    }
+    ApplySerially(chunk, serial);
+    const StatusOr<int64_t> epoch = ingestor.Barrier();
+    ASSERT_TRUE(epoch.ok());
+    SCOPED_TRACE("epoch " + std::to_string(*epoch));
+    const std::shared_ptr<const StreamSnapshot> snapshot = ingestor.snapshot();
+    EXPECT_EQ(snapshot->digest, serial.Digest());
+    if (chunk.empty()) {
+      EXPECT_EQ(snapshot->digest, previous);
+    }
+    EXPECT_EQ(Pairs(snapshot->forest), Pairs(serial.SpanningForest()));
+    EXPECT_EQ(snapshot->components, serial.CountComponents());
+    EXPECT_EQ(snapshot->connected, serial.IsConnected());
+    previous = snapshot->digest;
+  }
+}
+
+TEST(StreamIngestorTest, KSealCertificateAndMinCutMatchSerialEveryEpoch) {
+  // A 2-bridge dumbbell, then each bridge deleted, then random churn: the
+  // min cut reads 2 (saturated at k), 1, 1 (an empty epoch), 0
+  // (disconnected), and whatever the churn leaves.
+  const int n = 16;
+  const UndirectedGraph graph = DumbbellGraph(8, 2);
+  std::vector<EdgeUpdate> dumbbell;
+  for (const Edge& e : graph.edges()) {
+    dumbbell.push_back(EdgeUpdate{e.src, e.dst, false});
+  }
+  const std::vector<std::vector<EdgeUpdate>> epochs = {
+      dumbbell, {EdgeUpdate{0, 8, true}}, {}, {EdgeUpdate{1, 9, true}},
+      Workload(n, 300, 37), {}};
+  const double expected_cuts[] = {2, 1, 1, 0};
+  StreamIngestorOptions options;
+  options.num_shards = 3;
+  options.gutter_capacity = 5;
+  options.k = 2;
+  options.seed = 43;
+  StreamIngestor ingestor(n, options);
+  AgmKConnectivitySketch serial(n, 2, 0, 43);
+  for (const std::vector<EdgeUpdate>& chunk : epochs) {
+    for (const EdgeUpdate& update : chunk) {
+      ASSERT_TRUE(ingestor.Push(update).ok());
+    }
+    ApplySerially(chunk, serial);
+    const StatusOr<int64_t> epoch = ingestor.Barrier();
+    ASSERT_TRUE(epoch.ok());
+    SCOPED_TRACE("epoch " + std::to_string(*epoch));
+    const std::shared_ptr<const StreamSnapshot> snapshot = ingestor.snapshot();
+    EXPECT_EQ(snapshot->digest, serial.Digest());
+    ASSERT_TRUE(snapshot->certificate.has_value());
+    EXPECT_EQ(Pairs(snapshot->certificate->edges()),
+              Pairs(serial.Certificate().edges()));
+    EXPECT_DOUBLE_EQ(snapshot->min_cut_up_to_k, serial.MinCutUpToK());
+    if (*epoch <= 4) {
+      EXPECT_DOUBLE_EQ(snapshot->min_cut_up_to_k, expected_cuts[*epoch - 1]);
+    }
+  }
 }
 
 // --- The replayable binary stream format. ---

@@ -505,6 +505,148 @@ struct GoldenCase {
   EdgeList forest;
 };
 
+// --- AssignSum: the epoch seal's one-pass sum. ---
+
+// Splits `updates` over `parts` copies of `empty` by canonical lower
+// endpoint, as the ingestor shards them (each delete lands in the part
+// that holds its insert).
+template <typename Sketch>
+std::vector<Sketch> ShardedParts(const Sketch& empty,
+                                 const std::vector<EdgeUpdate>& updates,
+                                 int parts) {
+  std::vector<Sketch> sketches(static_cast<size_t>(parts), empty);
+  for (const EdgeUpdate& update : updates) {
+    Sketch& part = sketches[static_cast<size_t>(
+        std::min(update.u, update.v) % parts)];
+    if (update.is_delete) {
+      part.RemoveEdge(update.u, update.v);
+    } else {
+      part.AddEdge(update.u, update.v);
+    }
+  }
+  return sketches;
+}
+
+template <typename Sketch>
+std::vector<const Sketch*> PointersTo(const std::vector<Sketch>& sketches) {
+  std::vector<const Sketch*> pointers;
+  for (const Sketch& sketch : sketches) pointers.push_back(&sketch);
+  return pointers;
+}
+
+TEST(AgmSketchAssignSumTest, MatchesSequentialMergeForOneToFourParts) {
+  const int n = 40;
+  for (int parts = 1; parts <= 4; ++parts) {
+    SCOPED_TRACE("parts=" + std::to_string(parts));
+    Rng rng(23);
+    const std::vector<AgmConnectivitySketch> sketches =
+        ShardedParts(AgmConnectivitySketch(n, 0, 23),
+                     RandomUpdateStream(n, 600, 0.25, rng), parts);
+    AgmConnectivitySketch reference(n, 0, 23);
+    for (const AgmConnectivitySketch& part : sketches) {
+      ASSERT_TRUE(reference.TryMergeFrom(part).ok());
+    }
+    // A target with state of its own: AssignSum overwrites, never adds.
+    AgmConnectivitySketch target(n, 0, 23);
+    target.AddEdge(1, 2);
+    target.AddEdge(3, 4);
+    const StatusOr<uint64_t> digest = target.AssignSum(PointersTo(sketches));
+    ASSERT_TRUE(digest.ok());
+    EXPECT_EQ(*digest, reference.Digest());
+    EXPECT_EQ(target.Digest(), reference.Digest());
+    EXPECT_EQ(EdgesOf(target.SpanningForest()),
+              EdgesOf(reference.SpanningForest()));
+  }
+}
+
+TEST(AgmSketchAssignSumTest, NoPartsIsTheEmptySketch) {
+  AgmConnectivitySketch target(16, 4, 11);
+  target.AddEdge(2, 5);
+  const StatusOr<uint64_t> digest = target.AssignSum({});
+  ASSERT_TRUE(digest.ok());
+  EXPECT_EQ(*digest, AgmConnectivitySketch(16, 4, 11).Digest());
+  EXPECT_EQ(target.Digest(), *digest);
+  EXPECT_TRUE(target.SpanningForest().empty());
+}
+
+TEST(AgmSketchAssignSumTest, MismatchedPartIsRejectedBeforeAnyWrite) {
+  const AgmConnectivitySketch good(16, 4, 7);
+  const AgmConnectivitySketch mismatched[] = {
+      AgmConnectivitySketch(17, 4, 7),  // n
+      AgmConnectivitySketch(16, 5, 7),  // rounds
+      AgmConnectivitySketch(16, 4, 8),  // seed
+  };
+  for (const AgmConnectivitySketch& bad : mismatched) {
+    AgmConnectivitySketch target(16, 4, 7);
+    target.AddEdge(0, 1);
+    const uint64_t before = target.Digest();
+    // The bad part comes last, after a good one that could be written.
+    const AgmConnectivitySketch* parts[] = {&good, &bad};
+    EXPECT_EQ(target.AssignSum(parts).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(target.Digest(), before);
+  }
+}
+
+TEST(AgmSketchAssignSumTest, ConsumingForestEqualsConstForest) {
+  const AgmConnectivitySketch sketch = GoldenSketch(64, 0, 7, 4000);
+  const uint64_t digest = sketch.Digest();
+  const std::vector<Edge> kept = sketch.SpanningForest();
+  EXPECT_EQ(sketch.Digest(), digest);
+  AgmConnectivitySketch consumed = sketch;
+  EXPECT_EQ(EdgesOf(std::move(consumed).SpanningForest()), EdgesOf(kept));
+}
+
+TEST(AgmSketchAssignSumTest, KSketchMatchesSequentialMergeAndChecksFirst) {
+  Rng rng(41);
+  const std::vector<AgmKConnectivitySketch> parts =
+      ShardedParts(AgmKConnectivitySketch(24, 3, 0, 9),
+                   RandomUpdateStream(24, 800, 0.25, rng), 3);
+  AgmKConnectivitySketch reference(24, 3, 0, 9);
+  for (const AgmKConnectivitySketch& part : parts) {
+    ASSERT_TRUE(reference.TryMergeFrom(part).ok());
+  }
+  std::vector<const AgmKConnectivitySketch*> pointers = PointersTo(parts);
+
+  AgmKConnectivitySketch target(24, 3, 0, 9);
+  target.AddEdge(0, 1);
+  const StatusOr<uint64_t> digest = target.AssignSum(pointers);
+  ASSERT_TRUE(digest.ok());
+  EXPECT_EQ(*digest, reference.Digest());
+  EXPECT_EQ(target.Digest(), reference.Digest());
+  const UndirectedGraph certificate = target.Certificate();
+  EXPECT_EQ(target.Digest(), reference.Digest());  // const: untouched
+  EXPECT_EQ(EdgesOf(certificate.edges()),
+            EdgesOf(reference.Certificate().edges()));
+  EXPECT_EQ(EdgesOf(std::move(target).Certificate().edges()),
+            EdgesOf(certificate.edges()));
+  EXPECT_DOUBLE_EQ(CertificateMinCut(certificate), reference.MinCutUpToK());
+
+  // n, k, rounds and seed each differ once.
+  for (const AgmKConnectivitySketch& bad :
+       {AgmKConnectivitySketch(25, 3, 0, 9),
+        AgmKConnectivitySketch(24, 2, 0, 9),
+        AgmKConnectivitySketch(24, 3, 6, 9),
+        AgmKConnectivitySketch(24, 3, 0, 10)}) {
+    AgmKConnectivitySketch untouched = reference;
+    pointers.push_back(&bad);
+    EXPECT_EQ(untouched.AssignSum(pointers).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(untouched.Digest(), reference.Digest());
+    pointers.pop_back();
+  }
+}
+
+TEST(AgmKConnectivityTest, CertificateMinCutRules) {
+  EXPECT_EQ(CertificateMinCut(UndirectedGraph(4)), 0.0);  // no edges
+  UndirectedGraph split(4);
+  split.AddEdge(0, 1, 1.0);
+  split.AddEdge(2, 3, 1.0);
+  EXPECT_EQ(CertificateMinCut(split), 0.0);  // disconnected
+  split.AddEdge(1, 2, 1.0);
+  EXPECT_DOUBLE_EQ(CertificateMinCut(split), 1.0);
+}
+
 TEST(AgmSketchGoldenTest, DigestsAndForestsMatchRecordedValues) {
   const GoldenCase cases[] = {
       {2, 0, 9, 1000, 0x5a6ff6b2fc346125ULL,

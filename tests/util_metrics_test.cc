@@ -203,6 +203,17 @@ TEST(MacroTest, MacrosRegisterAndCount) {
   EXPECT_EQ(diff.distributions.at("test.macro.timer").count, 1);
 }
 
+TEST(MacroTest, TimerAtOneSiteRecordsEveryCall) {
+  // The timer caches its distribution at the call site, as ADD and
+  // RECORD do; every pass through the site still records.
+  const MetricsSnapshot before = Registry::Get().Snapshot();
+  for (int i = 0; i < 3; ++i) {
+    DCS_METRIC_TIMER("test.macro.timer.loop");
+  }
+  const MetricsSnapshot diff = Registry::Get().Snapshot().DiffSince(before);
+  EXPECT_EQ(diff.distributions.at("test.macro.timer.loop").count, 3);
+}
+
 TEST(MacroTest, ArgumentsEvaluatedOnceWhenEnabled) {
   g_side_effect_calls = 0;
   DCS_METRIC_ADD("test.macro.eval", SideEffect());
