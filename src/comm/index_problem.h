@@ -5,8 +5,8 @@
 // Any protocol succeeding with probability ≥ 2/3 needs Ω(n) bits.
 //
 // This module provides the instance distribution and the trivial optimal
-// protocol (send s verbatim: n bits), which the for-each lower-bound
-// experiment compares sketch-based protocols against.
+// protocol (send s verbatim: n bits). Only tests/comm_test.cc runs it; no
+// bench or program compares it against the sketch-based protocols yet.
 
 #ifndef DCS_COMM_INDEX_PROBLEM_H_
 #define DCS_COMM_INDEX_PROBLEM_H_

@@ -3,16 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
-#include "localquery/query_retry.h"
-
 namespace dcs {
 
 LocalQueryMinCutResult EstimateMinCutLocalQueries(
     const UndirectedGraph& graph, double epsilon, SearchMode mode, Rng& rng,
     const MinCutEstimatorOptions& options) {
   GraphOracle oracle(graph);
-  // GraphOracle is infallible, so a non-OK status here is a programmer
-  // error and value() is safe.
+  // GraphOracle is consistent, so VerifyGuess's one error
+  // (kFailedPrecondition) cannot occur and value() is safe.
   return EstimateMinCutLocalQueries(oracle, epsilon, mode, rng, options)
       .value();
 }
@@ -34,9 +32,7 @@ StatusOr<LocalQueryMinCutResult> EstimateMinCutLocalQueries(
   // starting at n would be wrong).
   double min_degree = 0;
   for (VertexId v = 0; v < n; ++v) {
-    DCS_ASSIGN_OR_RETURN(const int64_t degree_query,
-                         RetryQuery([&] { return oracle.TryDegree(v); }));
-    const double degree = static_cast<double>(degree_query);
+    const double degree = static_cast<double>(oracle.Degree(v));
     if (v == 0 || degree < min_degree) min_degree = degree;
   }
   double t = std::max(1.0, min_degree);

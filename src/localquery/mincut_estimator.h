@@ -47,15 +47,14 @@ struct LocalQueryMinCutResult {
 
 // Estimates the global min cut behind `oracle` (an unweighted, connected
 // graph) to a (1±ε) factor using only local queries. Query counts
-// accumulate on the oracle. Queries go through the fallible Try*
-// interface: transient failures are retried (query_retry.h) and persistent
-// ones propagated, so an unreliable oracle yields an error, not a crash.
+// accumulate on the oracle. Returns VerifyGuess's kFailedPrecondition if
+// the oracle is inconsistent (⊥ for an in-range neighbor slot).
 StatusOr<LocalQueryMinCutResult> EstimateMinCutLocalQueries(
     LocalQueryOracle& oracle, double epsilon, SearchMode mode, Rng& rng,
     const MinCutEstimatorOptions& options = MinCutEstimatorOptions{});
 
-// Convenience overload over a materialized graph; GraphOracle never fails,
-// so this returns the result directly.
+// Convenience overload over a materialized graph. GraphOracle is
+// consistent, so this returns the result directly.
 LocalQueryMinCutResult EstimateMinCutLocalQueries(
     const UndirectedGraph& graph, double epsilon, SearchMode mode, Rng& rng,
     const MinCutEstimatorOptions& options = MinCutEstimatorOptions{});

@@ -21,7 +21,6 @@
 
 #include "graph/ugraph.h"
 #include "util/metrics.h"
-#include "util/status.h"
 
 namespace dcs {
 
@@ -29,6 +28,9 @@ namespace dcs {
 // local queries (with accounting) can drive VERIFY-GUESS and the min-cut
 // estimators — a materialized graph (GraphOracle) or a two-party
 // simulation computing answers from distributed inputs (TwoSumGraphOracle).
+// Queries cannot fail. An oracle must be consistent: Neighbor(u, slot)
+// returns a vertex for every slot < Degree(u). VerifyGuess reports a
+// violation as kFailedPrecondition.
 class LocalQueryOracle {
  public:
   struct QueryCounts {
@@ -52,19 +54,6 @@ class LocalQueryOracle {
 
   // Adjacency query.
   virtual bool Adjacent(VertexId u, VertexId v) = 0;
-
-  // Fallible variants for *unreliable* oracles (a remote backend may fail a
-  // query transiently with kUnavailable). The defaults wrap the infallible
-  // queries and never fail; algorithms that want to survive flaky backends
-  // (VerifyGuess, the min-cut estimators) issue these and retry-or-propagate.
-  virtual StatusOr<int64_t> TryDegree(VertexId u) { return Degree(u); }
-  virtual StatusOr<std::optional<VertexId>> TryNeighbor(VertexId u,
-                                                        int64_t slot) {
-    return Neighbor(u, slot);
-  }
-  virtual StatusOr<bool> TryAdjacent(VertexId u, VertexId v) {
-    return Adjacent(u, v);
-  }
 
   const QueryCounts& counts() const { return counts_; }
   void ResetCounts() { counts_ = QueryCounts{}; }

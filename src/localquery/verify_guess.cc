@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "graph/connectivity.h"
-#include "localquery/query_retry.h"
 #include "mincut/stoer_wagner.h"
 
 namespace dcs {
@@ -29,16 +28,13 @@ StatusOr<VerifyGuessResult> VerifyGuess(LocalQueryOracle& oracle,
   UndirectedGraph sample(n);
   const double slot_weight = 1.0 / (2.0 * p);
   for (VertexId u = 0; u < n; ++u) {
-    DCS_ASSIGN_OR_RETURN(const int64_t degree,
-                         RetryQuery([&] { return oracle.TryDegree(u); }));
+    const int64_t degree = oracle.Degree(u);
     const int64_t picks = rng.Binomial(degree, p);
     if (picks == 0) continue;
     const std::vector<int> slots =
         rng.RandomSubset(static_cast<int>(degree), static_cast<int>(picks));
     for (int slot : slots) {
-      DCS_ASSIGN_OR_RETURN(
-          const std::optional<VertexId> neighbor,
-          RetryQuery([&] { return oracle.TryNeighbor(u, slot); }));
+      const std::optional<VertexId> neighbor = oracle.Neighbor(u, slot);
       if (!neighbor.has_value()) {
         // The oracle reported deg(u) > slot yet returned ⊥: an inconsistent
         // backend, not a programmer error — surface it, don't abort.

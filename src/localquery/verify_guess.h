@@ -32,11 +32,8 @@ struct VerifyGuessResult {
 // constant c in the sampling rate. Accepts iff the sampled min-cut
 // estimate is at least (1−ε)·t. Requires guess_t >= 1.
 //
-// Queries go through the oracle's fallible Try* interface: transient
-// (kUnavailable) failures are retried a bounded number of times
-// (query_retry.h) and otherwise propagated, so an unreliable backend makes
-// VerifyGuess return an error rather than crash. Retries never touch `rng`,
-// so a recovered run is bit-identical to a fault-free one.
+// Returns kFailedPrecondition if the oracle is inconsistent: it reports
+// deg(u) > slot for a sampled slot, yet Neighbor(u, slot) returns ⊥.
 StatusOr<VerifyGuessResult> VerifyGuess(LocalQueryOracle& oracle,
                                         double guess_t, double epsilon,
                                         Rng& rng, double oversample_c = 2.0);

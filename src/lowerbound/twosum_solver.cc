@@ -19,8 +19,9 @@ TwoSumSolveResult SolveTwoSumViaMinCut(const TwoSumInstance& instance,
   // answered by Alice and Bob exchanging the two relevant bits.
   TwoSumGraphOracle oracle(x, y);
   TwoSumSolveResult result;
-  // TwoSumGraphOracle computes answers in-process and never fails, so a
-  // non-OK status here is a programmer error and value() is safe.
+  // TwoSumGraphOracle is consistent (every slot below a degree names a
+  // neighbor), so the one error (kFailedPrecondition) cannot occur and
+  // value() is safe.
   const LocalQueryMinCutResult mincut =
       EstimateMinCutLocalQueries(oracle, epsilon, mode, rng).value();
   result.mincut_estimate = mincut.estimate;

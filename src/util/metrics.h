@@ -29,8 +29,12 @@
 // callers (snapshot consumers, the CLI) link in both configurations.
 //
 // Distributions track exact count/sum/min/max plus a 64-bucket log2
-// histogram; ApproxPercentile interpolates bucket upper bounds, so
-// percentiles are order-of-magnitude-accurate, not exact.
+// histogram. ApproxPercentile does not interpolate: it returns the upper
+// bound (2^b − 1) of the log2 bucket that holds the rank, clamped to
+// [min, max]. A percentile is therefore exact only up to a factor of 2, and
+// a p50 near a power of two can swing 2× between runs of a steady
+// workload. Compare a stage before and after on mean() (the exact
+// sum / count, printed as `mean` by --metrics-json), not on percentiles.
 
 #ifndef DCS_UTIL_METRICS_H_
 #define DCS_UTIL_METRICS_H_

@@ -13,6 +13,7 @@
 #include "lowerbound/twosum_graph.h"
 #include "mincut/stoer_wagner.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace dcs {
 namespace {
@@ -131,6 +132,40 @@ TEST(VerifyGuessTest, QueriesScaleInverselyWithGuess) {
   // both cases).
   EXPECT_GT(oracle_small.counts().neighbor,
             3 * oracle_large.counts().neighbor);
+}
+
+// An inconsistent oracle: every vertex reports degree 2, yet no neighbor
+// slot holds a vertex.
+class BottomNeighborOracle final : public LocalQueryOracle {
+ public:
+  int num_vertices() const override { return 4; }
+  int64_t Degree(VertexId) override { return 2; }
+  std::optional<VertexId> Neighbor(VertexId, int64_t) override {
+    TallyNeighborQuery();
+    return std::nullopt;
+  }
+  bool Adjacent(VertexId, VertexId) override { return false; }
+};
+
+TEST(VerifyGuessTest, InconsistentOracleIsFailedPrecondition) {
+  BottomNeighborOracle oracle;
+  Rng rng(11);
+  // oversample_c = 1000 saturates p at 1, so every slot is sampled.
+  const auto result = VerifyGuess(oracle, 2.0, 0.5, rng, 1000.0);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(oracle.counts().neighbor, 1);
+}
+
+TEST(MinCutEstimatorTest, InconsistentOracleIsFailedPrecondition) {
+  BottomNeighborOracle oracle;
+  Rng rng(12);
+  MinCutEstimatorOptions options;
+  options.oversample_c = 1000.0;
+  const auto result = EstimateMinCutLocalQueries(
+      oracle, 0.5, SearchMode::kModifiedConstantSearch, rng, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
 class MinCutEstimatorTest : public ::testing::TestWithParam<SearchMode> {};
