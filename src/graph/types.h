@@ -57,9 +57,7 @@ inline VertexSet ComplementSet(const VertexSet& set) {
 
 // Number of members. Branch-free accumulation of normalized membership
 // bits, in 64 bits: a VertexSet's length is a size_t, so a 32-bit
-// accumulator would wrap on sets beyond 2^31 vertices (and the serve-layer
-// cache keys hash set cardinality alongside membership, so the count must
-// be exact for every representable set).
+// accumulator would wrap on sets beyond 2^31 vertices.
 inline int64_t SetSize(const VertexSet& set) {
   int64_t count = 0;
   for (uint8_t bit : set) count += static_cast<int64_t>(bit != 0);

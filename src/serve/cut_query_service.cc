@@ -1,6 +1,8 @@
 #include "serve/cut_query_service.h"
 
 #include <algorithm>
+#include <array>
+#include <span>
 #include <utility>
 
 #include "util/check.h"
@@ -13,44 +15,32 @@ namespace {
 // misses wait for their object's one CutWeights pass.
 constexpr int64_t kRunSize = 32;
 
-// One run's distinct misses on one batching object: lane k answers
-// sides[k]. `hashes` and `packed` hold each lane's cache key when the
-// cache is enabled.
-struct PendingLanes {
-  int64_t object = 0;
-  const CutOracle* oracle = nullptr;
-  std::vector<const VertexSet*> sides;
-  std::vector<uint64_t> hashes;
-  std::vector<PackedSide> packed;
-  std::vector<double> values;
-
-  // The lane already holding this side, or -1. Linear: a run holds
-  // kRunSize queries.
-  int64_t FindLane(uint64_t hash, const PackedSide& side) const {
-    for (size_t k = 0; k < hashes.size(); ++k) {
-      if (hashes[k] == hash && packed[k] == side) {
-        return static_cast<int64_t>(k);
-      }
-    }
-    return -1;
-  }
-};
-
-PendingLanes* FindLanes(std::vector<PendingLanes>& pending, int64_t object) {
-  for (PendingLanes& lanes : pending) {
-    if (lanes.object == object) return &lanes;
-  }
-  return nullptr;
-}
-
-// Query `query` takes its answer from lane `lane` of pending[lanes], and
-// inserts it into the cache when `insert` (its lane's first, cached miss).
-struct DeferredAnswer {
+// One run's distinct miss on an object whose oracle batches: the side it
+// answers, its cache key (`hash`, `words`) when the cache is enabled, the
+// first query it answers, and, once the run's oracle passes are done, its
+// value.
+struct Lane {
+  int64_t object;
+  const CutOracle* oracle;
+  const VertexSet* side;
+  uint64_t hash;
+  PackedWords words;
   int64_t query;
-  int64_t lanes;
-  int64_t lane;
-  bool insert;
+  double value;
 };
+
+// The lane already holding this side of `object`, or -1. Linear: a run
+// holds kRunSize queries.
+int64_t FindLane(std::span<const Lane> lanes, int64_t object, uint64_t hash,
+                 PackedWords words) {
+  for (size_t k = 0; k < lanes.size(); ++k) {
+    if (lanes[k].object == object && lanes[k].hash == hash &&
+        std::ranges::equal(lanes[k].words, words)) {
+      return static_cast<int64_t>(k);
+    }
+  }
+  return -1;
+}
 
 }  // namespace
 
@@ -96,77 +86,93 @@ std::vector<double> CutQueryService::AnswerBatch(
   std::vector<double> answers(batch.size(), 0.0);
   const int64_t count = static_cast<int64_t>(batch.size());
   const bool cacheable = cache_ != nullptr;
-  // Misses on objects whose oracle batches, answered after each run's
-  // probe loop in one pass per object; `deferred` records, in query
-  // order, which lane answers which query.
-  std::vector<PendingLanes> pending;
-  std::vector<DeferredAnswer> deferred;
-  // Cache-key scratch: PackSideInto reuses the word storage, so after the
-  // first query the pack step performs zero allocations.
-  PackedSide packed;
+  // Cache-key scratch, allocated once per batch: the r-th query of a run
+  // packs into words [r * stride, r * stride + its word count), where its
+  // lane's key stays until the run's inserts.
+  size_t stride = 0;
+  if (cacheable) {
+    for (const Query& query : batch) {
+      stride = std::max(stride, PackedWordCount(query.side.size()));
+    }
+  }
+  std::vector<uint64_t> words(
+      stride * static_cast<size_t>(std::min(count, kRunSize)));
+  // Per run: misses on objects whose oracle batches become lanes, answered
+  // after the probe loop in one AnswerMany per object; lane_of[r] is the
+  // lane answering the run's r-th query, or -1 if the probe loop did.
+  std::array<Lane, kRunSize> lanes;
+  std::array<int64_t, kRunSize> lane_of;
+  std::array<const VertexSet*, kRunSize> group_sides;
+  std::array<double, kRunSize> group_values;
+  std::array<size_t, kRunSize> group_lanes;
   for (int64_t begin = 0; begin < count; begin += kRunSize) {
     const int64_t end = std::min(count, begin + kRunSize);
-    pending.clear();
-    deferred.clear();
+    size_t num_lanes = 0;
     for (int64_t i = begin; i < end; ++i) {
+      const size_t r = static_cast<size_t>(i - begin);
+      lane_of[r] = -1;
       const Query& query = batch[static_cast<size_t>(i)];
       const CutOracle& oracle = OracleFor(query.object);
       uint64_t side_hash = 0;
-      if (cacheable) side_hash = PackSideInto(query.side, packed);
-      PendingLanes* lanes = nullptr;
-      if (oracle.has_batch()) {
-        lanes = FindLanes(pending, query.object);
-        if (cacheable && lanes != nullptr) {
+      PackedWords key;
+      if (cacheable) {
+        const std::span<uint64_t> packed(
+            words.data() + r * stride, PackedWordCount(query.side.size()));
+        side_hash = PackSideWords(query.side, packed);
+        key = packed;
+        if (oracle.has_batch()) {
           // A side already pending here is a hit, as it would be had its
           // first miss been inserted before this probe.
-          const int64_t lane = lanes->FindLane(side_hash, packed);
+          const int64_t lane =
+              FindLane({lanes.data(), num_lanes}, query.object, side_hash, key);
           if (lane >= 0) {
             DCS_METRIC_INC("serve.cache.hits");
-            deferred.push_back({i, lanes - pending.data(), lane, false});
+            lane_of[r] = lane;
             continue;
           }
         }
-      }
-      if (cacheable) {
-        if (const auto hit =
-                cache_->Lookup(query.object, side_hash, packed)) {
+        if (const auto hit = cache_->Lookup(query.object, side_hash, key)) {
           answers[static_cast<size_t>(i)] = *hit;
           continue;
         }
       }
       if (oracle.has_batch()) {
-        if (lanes == nullptr) {
-          lanes = &pending.emplace_back();
-          lanes->object = query.object;
-          lanes->oracle = &oracle;
-        }
-        deferred.push_back({i, lanes - pending.data(),
-                            static_cast<int64_t>(lanes->sides.size()),
-                            cacheable});
-        lanes->sides.push_back(&query.side);
-        if (cacheable) {
-          lanes->hashes.push_back(side_hash);
-          lanes->packed.push_back(packed);
-        }
+        lanes[num_lanes] = {query.object, &oracle, &query.side, side_hash,
+                            key,          i,       0.0};
+        lane_of[r] = static_cast<int64_t>(num_lanes++);
         continue;
       }
       const double value = oracle(query.side);
       answers[static_cast<size_t>(i)] = value;
-      if (cacheable) {
-        cache_->Insert(query.object, side_hash, packed, value);
+      if (cacheable) cache_->Insert(query.object, side_hash, key, value);
+    }
+    // One AnswerMany per object, its lanes in lane order. Answering a lane
+    // clears its oracle, so later lanes of an answered object are skipped.
+    for (size_t l = 0; l < num_lanes; ++l) {
+      if (lanes[l].oracle == nullptr) continue;
+      size_t size = 0;
+      for (size_t m = l; m < num_lanes; ++m) {
+        if (lanes[m].object != lanes[l].object) continue;
+        group_sides[size] = lanes[m].side;
+        group_lanes[size++] = m;
+      }
+      lanes[l].oracle->AnswerMany({group_sides.data(), size},
+                                  {group_values.data(), size});
+      for (size_t k = 0; k < size; ++k) {
+        Lane& lane = lanes[group_lanes[k]];
+        lane.value = group_values[k];
+        lane.oracle = nullptr;
       }
     }
-    for (PendingLanes& lanes : pending) {
-      lanes.values.resize(lanes.sides.size());
-      lanes.oracle->AnswerMany(lanes.sides, lanes.values);
-    }
-    for (const DeferredAnswer& d : deferred) {
-      const PendingLanes& lanes = pending[static_cast<size_t>(d.lanes)];
-      const size_t lane = static_cast<size_t>(d.lane);
-      answers[static_cast<size_t>(d.query)] = lanes.values[lane];
-      if (d.insert) {
-        cache_->Insert(lanes.object, lanes.hashes[lane], lanes.packed[lane],
-                       lanes.values[lane]);
+    // Answers and cache inserts in query order; a lane inserts at its
+    // first query.
+    for (int64_t i = begin; i < end; ++i) {
+      const int64_t l = lane_of[static_cast<size_t>(i - begin)];
+      if (l < 0) continue;
+      const Lane& lane = lanes[static_cast<size_t>(l)];
+      answers[static_cast<size_t>(i)] = lane.value;
+      if (cacheable && lane.query == i) {
+        cache_->Insert(lane.object, lane.hash, lane.words, lane.value);
       }
     }
   }

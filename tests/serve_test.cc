@@ -3,12 +3,16 @@
 // warm/cold bit-identity, issue order and allocations around deferred
 // misses, and the batched for-each decoder against its per-bit reference.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <iterator>
+#include <list>
 #include <new>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
@@ -29,10 +33,15 @@
 // Global allocations made by this process; the replacement operator new
 // below counts them so a test can assert what one AnswerBatch allocates.
 std::atomic<int64_t> g_allocations{0};
+// Any one allocation larger than this throws std::bad_alloc, so a test can
+// show that a structure does not allocate for its capacity up front.
+std::atomic<std::size_t> g_allocation_limit{SIZE_MAX};
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  if (size <= g_allocation_limit.load(std::memory_order_relaxed)) {
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  }
   throw std::bad_alloc();
 }
 // GCC pairs the free() below with the `new` expressions it inlines into
@@ -84,19 +93,6 @@ TEST(QueryCacheTest, KeysAreByteValueInsensitive) {
   EXPECT_DOUBLE_EQ(*hit, 7.25);
 }
 
-TEST(QueryCacheTest, SideHashIsIncrementalUnderFlips) {
-  // The serving layer maintains side hashes by XORing HashVertex(v) per
-  // flip; that only works if HashSide is exactly the XOR over members.
-  VertexSet side = MakeVertexSet(16, {0, 4, 9});
-  uint64_t h = HashSide(side);
-  // Flip 9 out, 11 in.
-  h ^= HashVertex(9);
-  side[9] = 0;
-  h ^= HashVertex(11);
-  side[11] = 1;
-  EXPECT_EQ(h, HashSide(side));
-}
-
 // Sides over n vertices built from the byte values that word-at-a-time
 // membership packing could mishandle: 0, 1, 0x7F (no top bit), 0x80 (only
 // the top bit) and 0xFF, each alone and mixed, plus random bytes.
@@ -117,25 +113,39 @@ std::vector<VertexSet> PackingSides(int n, Rng& rng) {
   return sides;
 }
 
-TEST(QueryCacheTest, PackSideIntoMatchesAByteLoop) {
+TEST(QueryCacheTest, PackingAndHashingPathsAgree) {
+  // Every way of forming a cache key gives the byte loop's packed words
+  // and one hash, for every size from empty through partial tail words.
   Rng rng(71);
-  PackedSide packed;  // reused across sizes, as the serving path does
-  for (int n = 1; n <= 200; ++n) {
+  for (int n = 0; n <= 200; ++n) {
     for (const VertexSet& side : PackingSides(n, rng)) {
       PackedSide expected;
-      expected.words.assign((side.size() + 63) / 64, 0);
-      uint64_t expected_hash = 0;
+      expected.words.assign(PackedWordCount(side.size()), 0);
       for (size_t v = 0; v < side.size(); ++v) {
-        if (side[v] == 0) continue;
-        expected.words[v / 64] |= uint64_t{1} << (v % 64);
-        expected_hash ^= HashVertex(static_cast<VertexId>(v));
+        if (side[v] != 0) expected.words[v / 64] |= uint64_t{1} << (v % 64);
       }
-      ASSERT_EQ(PackSideInto(side, packed), expected_hash) << "n " << n;
+      const uint64_t hash = HashSide(side);
+      const PackedSide packed = PackSide(side);
       ASSERT_TRUE(packed == expected) << "n " << n;
-      ASSERT_EQ(HashSide(side), expected_hash) << "n " << n;
-      ASSERT_TRUE(PackSide(side) == expected) << "n " << n;
+      ASSERT_EQ(HashPackedSide(packed), hash) << "n " << n;
+      // Into dirty scratch, as the serving path reuses it across queries.
+      std::vector<uint64_t> words(expected.words.size(), ~uint64_t{0});
+      ASSERT_EQ(PackSideWords(side, words), hash) << "n " << n;
+      ASSERT_EQ(words, expected.words) << "n " << n;
     }
   }
+}
+
+TEST(QueryCacheTest, SingleVertexSidesHashApart) {
+  // One member at each position of every word, and the empty side, over
+  // 200 vertices: the per-word mixes are keyed by position, so no two
+  // collide.
+  std::vector<uint64_t> hashes = {HashSide(VertexSet(200, 0))};
+  for (VertexId v = 0; v < 200; ++v) {
+    hashes.push_back(HashSide(MakeVertexSet(200, {v})));
+  }
+  std::sort(hashes.begin(), hashes.end());
+  EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
 }
 
 // A query batch's wire bytes are one bit per vertex, in vertex order, after
@@ -249,6 +259,150 @@ TEST(QueryCacheTest, SnapshotHottestIsGlobalMruOrder) {
   for (size_t i = 0; i < top.size(); ++i) {
     EXPECT_EQ(top[i].value, expected[i]) << "position " << i;
   }
+}
+
+// The LRU contract in thirty lines: a list, most recently used first,
+// searched linearly.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(int64_t capacity) : capacity_(capacity) {}
+
+  std::optional<double> Lookup(int64_t object, const PackedSide& side) {
+    const auto it = Find(object, side);
+    if (it == entries_.end()) return std::nullopt;
+    entries_.splice(entries_.begin(), entries_, it);
+    return it->value;
+  }
+
+  void Insert(int64_t object, const PackedSide& side, double value) {
+    const auto it = Find(object, side);
+    if (it != entries_.end()) {
+      entries_.splice(entries_.begin(), entries_, it);
+      return;
+    }
+    entries_.push_front({object, side, value});
+    if (static_cast<int64_t>(entries_.size()) > capacity_) entries_.pop_back();
+  }
+
+  const std::list<CutQueryCache::SnapshotEntry>& entries() const {
+    return entries_;
+  }
+
+ private:
+  std::list<CutQueryCache::SnapshotEntry>::iterator Find(
+      int64_t object, const PackedSide& side) {
+    return std::find_if(entries_.begin(), entries_.end(), [&](const auto& e) {
+      return e.object == object && e.side == side;
+    });
+  }
+
+  int64_t capacity_;
+  std::list<CutQueryCache::SnapshotEntry> entries_;
+};
+
+TEST(QueryCacheTest, MatchesAReferenceLru) {
+  // Seeded random Lookup/Insert/Restore sequences over mixed objects and
+  // sides of 1, 4 and 5 words, so an evicted slot takes a side of another
+  // size. In the colliding mode every call passes one side hash, so all
+  // keys of an object share a home cell: probing, backward-shift erase and
+  // index growth all run on long probe runs.
+  const int64_t objects[] = {0, 1, 7, int64_t{1} << 40};
+  for (const bool colliding : {false, true}) {
+    for (const int64_t capacity : {1, 2, 3, 16, 100}) {
+      SCOPED_TRACE(testing::Message() << "capacity " << capacity
+                                      << (colliding ? " colliding" : ""));
+      Rng rng(static_cast<uint64_t>(capacity) * 2 + (colliding ? 1 : 0));
+      std::vector<PackedSide> sides;
+      for (const size_t words : {1, 4, 5}) {
+        for (int k = 0; k < 40; ++k) {
+          PackedSide side;
+          for (size_t w = 0; w < words; ++w) side.words.push_back(rng.Next());
+          sides.push_back(std::move(side));
+        }
+      }
+      const auto hash_of = [&](const PackedSide& side) {
+        return colliding ? uint64_t{0x5EED} : HashPackedSide(side);
+      };
+      CutQueryCache::Options options;
+      options.capacity = capacity;
+      CutQueryCache cache(options);
+      ReferenceLru reference(capacity);
+      const auto pick = [&] {
+        return std::pair(objects[rng.UniformInt(std::size(objects))],
+                         &sides[rng.UniformInt(sides.size())]);
+      };
+      for (int op = 0; op < 3000; ++op) {
+        const uint64_t kind = rng.UniformInt(10);
+        if (kind < 5) {
+          const auto [object, side] = pick();
+          ASSERT_EQ(cache.Lookup(object, hash_of(*side), *side),
+                    reference.Lookup(object, *side))
+              << "op " << op;
+        } else if (kind < 9) {
+          const auto [object, side] = pick();
+          const double value = static_cast<double>(rng.UniformInt(1000));
+          cache.Insert(object, hash_of(*side), *side, value);
+          reference.Insert(object, *side, value);
+        } else {
+          std::vector<CutQueryCache::SnapshotEntry> entries;
+          for (uint64_t k = rng.UniformInt(4); k > 0; --k) {
+            const auto [object, side] = pick();
+            entries.push_back(
+                {object, *side, static_cast<double>(rng.UniformInt(1000))});
+          }
+          if (colliding) {
+            for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+              cache.Insert(it->object, hash_of(it->side), it->side,
+                           it->value);
+            }
+          } else {
+            cache.Restore(entries);
+          }
+          for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+            reference.Insert(it->object, it->side, it->value);
+          }
+        }
+        ASSERT_EQ(cache.size(),
+                  static_cast<int64_t>(reference.entries().size()))
+            << "op " << op;
+        const auto hottest = cache.SnapshotHottest(capacity);
+        ASSERT_EQ(hottest.size(), reference.entries().size()) << "op " << op;
+        auto expected = reference.entries().begin();
+        for (size_t i = 0; i < hottest.size(); ++i, ++expected) {
+          ASSERT_EQ(hottest[i].object, expected->object) << "op " << op;
+          ASSERT_TRUE(hottest[i].side == expected->side) << "op " << op;
+          ASSERT_EQ(hottest[i].value, expected->value) << "op " << op;
+        }
+      }
+    }
+  }
+}
+
+TEST(QueryCacheTest, LargestCapacityAllocatesOnlyForItsEntries) {
+  // Slots and index grow with the entries: a cache at the largest
+  // capacity makes no allocation above 64 KiB for a thousand entries.
+  g_allocation_limit = 64 << 10;
+  CutQueryCache::Options options;
+  options.capacity = CutQueryCache::kMaxCapacity;
+  bool ok = true;
+  try {
+    CutQueryCache cache(options);
+    for (VertexId v = 0; v < 1000; ++v) {
+      const PackedSide side = PackSide(MakeVertexSet(1000, {v}));
+      cache.Insert(0, HashPackedSide(side), side, v);
+    }
+    ok = cache.size() == 1000;
+  } catch (const std::bad_alloc&) {
+    ok = false;
+  }
+  g_allocation_limit = SIZE_MAX;
+  EXPECT_TRUE(ok);
+}
+
+TEST(QueryCacheTest, CapacityPastSlotIdsIsAContractViolation) {
+  CutQueryCache::Options options;
+  options.capacity = CutQueryCache::kMaxCapacity + 1;
+  EXPECT_DEATH(CutQueryCache cache(options), "CHECK");
 }
 
 // ---------------------------------------------------------------------------
@@ -438,8 +592,8 @@ TEST(CutQueryServiceTest, RepeatedSideWithoutCacheStillAnswers) {
 }
 
 TEST(CutQueryServiceTest, AllHitBatchAllocatesOnlyItsPackedSide) {
-  // A fully cached batch allocates its answer vector and one PackedSide
-  // of scratch; the lane lists stay unbuilt.
+  // A fully cached batch allocates its answer vector and its packed-side
+  // scratch; no lane is built.
   Rng rng(59);
   const DirectedGraph graph = RandomBalancedDigraph(64, 0.3, 2.0, rng);
   CutQueryService service;
@@ -455,6 +609,37 @@ TEST(CutQueryServiceTest, AllHitBatchAllocatesOnlyItsPackedSide) {
   const int64_t allocations = g_allocations.load() - before;
   EXPECT_EQ(allocations, 1 + 1);
   EXPECT_EQ(warm, cold);
+}
+
+TEST(CutQueryServiceTest, FullCacheMissBatchAllocatesNoEntries) {
+  // A full cache whose every slot has held a side of this size takes a
+  // batch of fresh sides: each miss evicts, and the new entry reuses the
+  // victim's slot and word storage. The batch allocates its answer vector,
+  // its key scratch and CutWeights' one lane-mask vector, however many
+  // entries it evicts.
+  Rng rng(61);
+  const DirectedGraph graph = RandomBalancedDigraph(64, 0.3, 2.0, rng);
+  CutQueryServiceOptions options;
+  options.cache_capacity = 48;
+  CutQueryService service(options);
+  const auto object = service.RegisterGraph(graph);
+  // 96 fresh sides: fills the cache, then evicts (registering the miss
+  // path's metric counters, which allocate once per process).
+  service.AnswerBatch(MakeBatch(object, 64, 96, rng));
+  ASSERT_EQ(service.cache_size(), 48);
+
+  const CutOracle direct = ExactCutOracle(graph);
+  for (const int misses : {1, 8, 32}) {
+    const auto batch = MakeBatch(object, 64, misses, rng);
+    const int64_t before = g_allocations.load();
+    const std::vector<double> answers = service.AnswerBatch(batch);
+    const int64_t allocations = g_allocations.load() - before;
+    EXPECT_EQ(allocations, 1 + 1 + 1) << misses << " misses";
+    EXPECT_EQ(service.cache_size(), 48);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(answers[i], direct(batch[i].side)) << "query " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

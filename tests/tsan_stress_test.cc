@@ -173,13 +173,14 @@ void StressChannelParallelTransfers() {
   }
 }
 
-void StressServeCacheConcurrency() {
+void StressServeCacheConcurrency(int64_t capacity, int num_sides) {
   // The serving layer's one-mutex cache under contention and eviction
   // pressure: many threads fire AnswerBatch on one service (each batch
-  // runs on its caller), all over a deliberately tiny cache that evicts
-  // constantly. Warm answers must stay
-  // bit-identical to the cold path no matter how lookups, inserts, and
-  // evictions interleave.
+  // runs on its caller), all over a cache far smaller than the sides in
+  // play, so it evicts constantly. Each thread count starts from a cold
+  // cache, so its slots and index grow under the same contention. Warm
+  // answers must stay bit-identical to the cold path no matter how
+  // lookups, inserts, evictions and index growth interleave.
   Rng rng(13);
   DirectedGraph graph(48);
   for (int e = 0; e < 600; ++e) {
@@ -189,17 +190,11 @@ void StressServeCacheConcurrency() {
     graph.AddEdge(src, dst, 1.0 + static_cast<double>(rng.Next() % 4));
   }
 
-  CutQueryServiceOptions options;
-  options.cache_capacity = 16;  // far fewer than distinct sides: evict hard
-  CutQueryService service(options);
-  const auto object = service.RegisterGraph(graph);
-
-  // 96 distinct sides, each repeated across tasks so hits and misses mix.
-  constexpr int kSides = 96;
+  // Distinct sides, each repeated across tasks so hits and misses mix.
   std::vector<VertexSet> sides;
   std::vector<double> expected;
   graph.BuildAdjacency();
-  for (int i = 0; i < kSides; ++i) {
+  for (int i = 0; i < num_sides; ++i) {
     VertexSet side = rng.RandomBinaryString(48);
     side[static_cast<size_t>(i % 48)] = 1;  // never empty
     expected.push_back(graph.CutWeight(side));
@@ -209,34 +204,35 @@ void StressServeCacheConcurrency() {
   constexpr int64_t kTasks = 24;
   std::vector<int> mismatches(static_cast<size_t>(kTasks), 0);
   for (const int threads : {2, 4, 8}) {
+    CutQueryServiceOptions options;
+    options.cache_capacity = capacity;
+    CutQueryService service(options);
+    const auto object = service.RegisterGraph(graph);
     ParallelFor(threads, kTasks, [&](int64_t task) {
       Rng local(SubtaskSeed(4242, task));
       for (int round = 0; round < 20; ++round) {
         std::vector<CutQueryService::Query> batch;
+        std::vector<size_t> picks;
         for (int i = 0; i < 16; ++i) {
-          const auto pick = static_cast<size_t>(local.UniformInt(kSides));
-          batch.push_back({object, sides[pick]});
+          picks.push_back(static_cast<size_t>(local.UniformInt(
+              static_cast<uint64_t>(num_sides))));
+          batch.push_back({object, sides[picks.back()]});
         }
         const std::vector<double> answers = service.AnswerBatch(batch);
         for (size_t i = 0; i < batch.size(); ++i) {
-          // Identify the side by membership (batch stores copies).
-          for (int s = 0; s < kSides; ++s) {
-            if (sides[static_cast<size_t>(s)] == batch[i].side) {
-              if (answers[i] != expected[static_cast<size_t>(s)]) {
-                ++mismatches[static_cast<size_t>(task)];
-              }
-              break;
-            }
+          if (answers[i] != expected[picks[i]]) {
+            ++mismatches[static_cast<size_t>(task)];
           }
         }
       }
     });
+    Require(service.cache_size() <= capacity,
+            "serve stress: capacity respected");
   }
   for (const int count : mismatches) {
     Require(count == 0,
             "serve stress: warm answers bit-identical to cold path");
   }
-  Require(service.cache_size() <= 16, "serve stress: capacity respected");
 }
 
 void StressStreamIngest() {
@@ -498,7 +494,10 @@ int main() {
   dcs::StressSharedGraphReads();
   dcs::StressTrialRunners();
   dcs::StressChannelParallelTransfers();
-  dcs::StressServeCacheConcurrency();
+  // A tiny cache that evicts on almost every miss, then one whose index
+  // doubles eight times while 24 tasks draw from four times its capacity.
+  dcs::StressServeCacheConcurrency(/*capacity=*/16, /*num_sides=*/96);
+  dcs::StressServeCacheConcurrency(/*capacity=*/1024, /*num_sides=*/4096);
   dcs::StressStreamIngest();
   dcs::StressShutdownUnderLoad();
   dcs::StressClusterWorkerAdmission();
