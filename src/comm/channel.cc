@@ -214,18 +214,9 @@ StatusOr<Message> ReliableLink::Transfer(const Message& message) {
       // Capped exponential backoff between retransmission rounds. Simulated
       // time: the units are counted (and surfaced in the histogram), not
       // slept, so chaos sweeps stay fast and deterministic.
-      int64_t backoff = std::min<int64_t>(
-          int64_t{1} << std::min(round - 1, 62), options_.backoff_cap);
-      if (options_.backoff_jitter > 0 && backoff > 1) {
-        // Equal-jitter: uniform in [(1-jitter)*b, b]. The floor keeps at
-        // least one unit of wait so retransmission is never a hot spin.
-        const int64_t floor = std::max<int64_t>(
-            1, static_cast<int64_t>(
-                   static_cast<double>(backoff) *
-                   (1.0 - options_.backoff_jitter)));
-        backoff = floor + static_cast<int64_t>(jitter_rng_.UniformInt(
-                              static_cast<uint64_t>(backoff - floor + 1)));
-      }
+      const int64_t backoff =
+          JitteredBackoff(1, round - 1, options_.backoff_cap,
+                          options_.backoff_jitter, jitter_rng_);
       stats.backoff_units += backoff;
       DCS_METRIC_RECORD("comm.channel.backoff", backoff);
     }

@@ -420,18 +420,15 @@ void ClusterWorker::HandleConnection(Connection connection) {
     auto request_bytes = connection.Receive(options_.io_timeout_ms);
     if (!request_bytes.ok()) {
       // Clean departure, reset, or garbage: either way this connection is
-      // done. (A decode failure below keeps the connection — framing is
-      // intact, only the body was bad.)
+      // done.
       break;
     }
-    RpcResponse response;
-    response.server_token = token_;
+    // The RPC envelope is the only checksum on the socket, so a body that
+    // fails to decode may equally be a damaged frame: the stream is no
+    // longer trusted, and the client sees kUnavailable and fails over.
     auto request = DecodeRpcRequest(*request_bytes);
-    if (request.ok()) {
-      response = Execute(*request);
-    } else {
-      response.status = request.status();
-    }
+    if (!request.ok()) break;
+    const RpcResponse response = Execute(*request);
     DCS_METRIC_INC("serve.cluster.requests");
     if (!connection.Send(EncodeRpcResponse(response),
                          options_.io_timeout_ms)

@@ -11,43 +11,48 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <thread>
 #include <utility>
+#include <vector>
 
-#include "util/envelope.h"
 #include "util/metrics.h"
 
 namespace dcs {
 namespace {
 
-// Transport frame magic (util/envelope.h), distinct from the serialization
-// envelope (0xD5CE), the RPC envelope (0xA9C5), the channel frame (0xFA5C)
-// and the segment record (0x5E62). The kind is fixed: one Message.
-constexpr uint64_t kTransportMagic = 0x57E4;
 // Reconnect backoff b is jittered into [(1 - kReconnectJitter) * b, b].
 constexpr double kReconnectJitter = 0.5;
-constexpr uint64_t kTransportKind = 1;
 
 // First read step for a frame body; later steps double the buffer, so a
 // hostile length prefix costs at most this much memory until the peer
 // actually sends bytes.
 constexpr size_t kReceiveStepBytes = size_t{1} << 16;
 
-// Parses one frame body (everything after the length prefix).
-StatusOr<Message> ParseFrameBody(const std::vector<uint8_t>& body) {
-  BitReader reader(body);
-  DCS_ASSIGN_OR_RETURN(EnvelopePayload envelope,
-                       ReadEnvelope(kTransportMagic, reader));
-  if (envelope.kind != kTransportKind) {
-    return DataLossError("transport frame kind " +
-                         std::to_string(envelope.kind) + " is unknown");
+// The exact bytes Connection::Send puts on the wire for `message`: a
+// 32-bit little-endian body length, then the message's packed bytes with
+// their pad bits cleared, a 1 stop bit at bit `bit_count`, and zero
+// padding. The body is ceil((bit_count + 1) / 8) bytes.
+std::vector<uint8_t> WriteTransportFrame(const Message& message) {
+  DCS_CHECK_LE(message.bit_count, kMaxTransportMessageBits);
+  DCS_CHECK_EQ(static_cast<int64_t>(message.bytes.size()),
+               (message.bit_count + 7) / 8);
+  const uint32_t body_bytes =
+      static_cast<uint32_t>(message.bit_count / 8 + 1);
+  std::vector<uint8_t> frame(4 + size_t{body_bytes}, 0);
+  for (int i = 0; i < 4; ++i) {
+    frame[static_cast<size_t>(i)] =
+        static_cast<uint8_t>(body_bytes >> (8 * i));
   }
-  DCS_ASSIGN_OR_RETURN(const int stop, reader.TryReadBit());
-  if (stop != 1) return DataLossError("transport frame has no stop bit");
-  DCS_RETURN_IF_ERROR(reader.TryReadZeroPadding());
-  return Message{std::move(envelope.bytes), envelope.bit_count};
+  std::copy(message.bytes.begin(), message.bytes.end(), frame.begin() + 4);
+  // The last byte holds bit `bit_count`: keep the message bits below it,
+  // set it, and leave the bits above it zero.
+  const int stop = static_cast<int>(message.bit_count % 8);
+  frame.back() = static_cast<uint8_t>((frame.back() & ((1u << stop) - 1)) |
+                                      (1u << stop));
+  return frame;
 }
 
 std::string ErrnoString(const char* op) {
@@ -191,21 +196,6 @@ StatusOr<int> OpenSocket(const Endpoint& endpoint) {
 
 }  // namespace
 
-void WriteTransportFrame(const Message& message, BitWriter& out) {
-  DCS_CHECK_EQ(out.bit_count() % 8, 0);
-  DCS_CHECK_LE(message.bit_count, kMaxTransportMessageBits);
-  // The envelope, a 1 stop bit, then zero padding to a byte. The message
-  // bits are raw, so without the stop bit a flip in the low bits of the
-  // envelope's length could move the message's end across trailing zero
-  // bits without changing the padded bytes the checksum covers.
-  const int64_t frame_bytes =
-      (EnvelopeSizeInBits(message.bit_count) + 1 + 7) / 8;
-  out.WriteBits(static_cast<uint64_t>(frame_bytes), 32);
-  AppendEnvelope(kTransportMagic, kTransportKind, message.bytes,
-                 message.bit_count, out);
-  out.WriteBit(1);
-}
-
 std::string Endpoint::ToSpec() const {
   if (is_unix) return "unix:" + path;
   return "tcp:" + host + ":" + std::to_string(port);
@@ -272,9 +262,7 @@ void Connection::Close() {
 
 Status Connection::Send(const Message& message, int timeout_ms) {
   if (!valid()) return FailedPreconditionError("send on a closed connection");
-  BitWriter frame;
-  WriteTransportFrame(message, frame);
-  const std::vector<uint8_t>& bytes = frame.bytes();
+  const std::vector<uint8_t> bytes = WriteTransportFrame(message);
   DCS_RETURN_IF_ERROR(
       WriteFull(fd_, bytes.data(), bytes.size(), DeadlineTimer(timeout_ms)));
   DCS_METRIC_ADD("serve.transport.bytes_sent",
@@ -311,13 +299,19 @@ StatusOr<Message> Connection::Receive(int timeout_ms) {
   }
   DCS_METRIC_ADD("serve.transport.bytes_received",
                  static_cast<int64_t>(sizeof(prefix) + frame_len));
-  auto message = ParseFrameBody(body);
-  if (!message.ok()) {
+  // The highest set bit of the last byte is the stop bit; the message
+  // ends just below it.
+  const uint8_t last = body.back();
+  if (last == 0) {
     DCS_METRIC_INC("serve.transport.frames_rejected");
-    return message.status();
+    return DataLossError("transport frame has no stop bit");
   }
+  const int stop = std::bit_width(last) - 1;
+  body.back() = static_cast<uint8_t>(last ^ (1u << stop));
+  const int64_t bit_count = static_cast<int64_t>(body.size() - 1) * 8 + stop;
+  if (stop == 0) body.pop_back();
   DCS_METRIC_INC("serve.transport.messages_received");
-  return message;
+  return Message{std::move(body), bit_count};
 }
 
 Listener::Listener(Listener&& other) noexcept
@@ -435,20 +429,12 @@ StatusOr<Connection> ConnectWithBackoff(const Endpoint& endpoint,
   Status last = UnavailableError("no connect attempts were made");
   for (int attempt = 0; attempt < options.max_connect_attempts; ++attempt) {
     if (attempt > 0) {
-      // Same policy as ReliableLink: capped exponential base with
-      // equal-jitter into [(1-jitter)*b, b], drawn from the caller's
-      // dedicated stream so retry schedules replay deterministically.
-      int64_t backoff = std::min<int64_t>(
-          static_cast<int64_t>(options.reconnect_base_ms)
-              << std::min(attempt - 1, 20),
-          options.reconnect_cap_ms);
-      if (backoff > 1) {
-        const int64_t floor = std::max<int64_t>(
-            1, static_cast<int64_t>(static_cast<double>(backoff) *
-                                    (1.0 - kReconnectJitter)));
-        backoff = floor + static_cast<int64_t>(jitter_rng.UniformInt(
-                              static_cast<uint64_t>(backoff - floor + 1)));
-      }
+      // Same policy as ReliableLink, drawn from the caller's dedicated
+      // stream so retry schedules replay deterministically.
+      const int64_t backoff =
+          JitteredBackoff(options.reconnect_base_ms, attempt - 1,
+                          options.reconnect_cap_ms, kReconnectJitter,
+                          jitter_rng);
       DCS_METRIC_INC("serve.transport.connect_retries");
       std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
     }

@@ -2,25 +2,25 @@
 // (DESIGN.md §14).
 //
 // Everything above this layer still speaks Message (comm/message.h): the
-// transport moves one checksummed bit-exact Message per call across a
-// Unix-domain or TCP stream socket, as one frame: a 32-bit little-endian
-// byte length, then the shared envelope (util/envelope.h) under magic
-// 0x57E4 carrying the message bits, a 1 stop bit, and zero padding to a
-// byte. A stream socket already delivers bytes in order, so there is no
-// chunking or reassembly; the lossy-channel frame (comm/channel, 0xFA5C)
-// belongs to the simulation, and a peer still speaking it fails on magic.
-// The receiver treats the stream as hostile: the length prefix is capped
-// before the body is read, the body is read in bounded steps so memory
-// grows only with bytes received, and every bit flip or truncation of a
-// frame yields a non-OK Status, never a crash, hang, or over-read
-// (tests/corruption_test.cc drives this exhaustively).
+// transport moves one bit-exact Message per call across a Unix-domain or
+// TCP stream socket, as one frame: a 32-bit little-endian byte length,
+// the message's packed bytes, a 1 stop bit at bit `bit_count` (so the
+// exact end survives), and zero padding. The frame has no checksum: every
+// socket Message is an RPC body whose envelope (serve/wire.h) has one. A
+// stream socket delivers bytes in order, so there is no chunking; a peer
+// still speaking the simulation's 0xFA5C channel frame fails at the RPC
+// magic. The receiver treats the stream as hostile: the length prefix is
+// capped before the body is read, the body is read in bounded steps so
+// memory grows only with bytes received, and every bit flip or truncation
+// of a framed RPC yields a non-OK Status from Receive or the RPC decoder,
+// never a crash, hang, or over-read (tests/corruption_test.cc).
 //
 // Failure vocabulary (the client's failover logic keys on it):
 //   kDeadlineExceeded — a connect/read/write deadline expired; messages are
 //                       prefixed "transport deadline:" like ReliableLink's.
 //   kUnavailable      — the peer is gone: connect refused, EOF mid-message,
 //                       reset. Retrying (or failing over) may succeed.
-//   kDataLoss         — the stream violated the frame format.
+//   kDataLoss         — a frame length out of range, or no stop bit.
 //   kInvalidArgument  — a malformed endpoint spec.
 //
 // All I/O is nonblocking with poll()-enforced deadlines and EINTR-safe
@@ -36,7 +36,6 @@
 #include <string>
 
 #include "comm/message.h"
-#include "util/bitio.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -47,16 +46,11 @@ namespace dcs {
 // corrupted or hostile header.
 constexpr int64_t kMaxTransportMessageBits = int64_t{1} << 33;
 
-// Hard cap on a frame's length prefix: the largest message plus envelope
-// header and padding. Receive rejects anything above it (and 0) before
-// reading the body.
+// Hard cap on a frame's length prefix: the largest message plus its stop
+// bit, in bytes. Receive rejects anything above it (and 0) before reading
+// the body.
 constexpr uint32_t kMaxTransportFrameBytes =
-    static_cast<uint32_t>(kMaxTransportMessageBits / 8 + 32);
-
-// Appends the exact bytes Connection::Send puts on the wire for `message`
-// (length prefix, envelope, stop bit, zero padding) to the byte-aligned
-// `out`.
-void WriteTransportFrame(const Message& message, BitWriter& out);
+    static_cast<uint32_t>(kMaxTransportMessageBits / 8 + 1);
 
 // A parsed endpoint: "unix:/path/to.sock" or "tcp:HOST:PORT" (numeric IPv4
 // or "localhost"). ToSpec() round-trips, so a Listener bound to port 0 can

@@ -13,8 +13,9 @@ namespace dcs {
 namespace {
 
 // RPC envelope magic (util/envelope.h), distinct from the serialization
-// envelope (0xD5CE) and the transport frame (0x57E4): a body misfed to the
-// wrong parser dies at the first header field.
+// envelope (0xD5CE), the channel frame (0xFA5C) and the segment record
+// (0x5E62): a body misfed to the wrong parser dies at the first header
+// field.
 constexpr uint64_t kRpcMagic = 0xA9C5;
 
 // Caps enforced before any allocation driven by a header-declared count.

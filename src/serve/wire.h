@@ -3,8 +3,9 @@
 // One RPC body is one Message moved by serve/transport. The body is the
 // shared checksummed envelope (util/envelope.h) under magic 0xA9C5, with
 // the RpcKind as its kind; the decoder adds a kind-range check and requires
-// the payload to end exactly at the message's bit count. A body that
-// survived the transport's frame checks is *still* treated as hostile:
+// the payload to end exactly at the message's bit count. The transport
+// frame carries no checksum of its own, so this envelope is the only
+// integrity check on the socket and every body is treated as hostile:
 // every field is Try-read, every count capped against the remaining stream
 // before allocation, and any flip or truncation decodes to kDataLoss.
 // CRC32C catches every burst of up to 32 flipped bits and every pair of

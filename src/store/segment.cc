@@ -13,9 +13,8 @@ namespace dcs {
 namespace {
 
 // Record magic, distinct from the serialization envelope (0xD5CE), the
-// channel frame (0xFA5C), the RPC envelope (0xA9C5), and the transport
-// frame (0x57E4): a segment misfed to another parser (or vice versa) dies
-// at the first header field.
+// channel frame (0xFA5C) and the RPC envelope (0xA9C5): a segment misfed
+// to another parser (or vice versa) dies at the first header field.
 constexpr uint64_t kRecordMagic = 0x5E62;
 // The record magics of older layouts, never read, only named: 0x5E60 put a
 // payload FNV-1a after the header FNV-1a and an index footer before the

@@ -156,4 +156,18 @@ std::vector<int8_t> Rng::RandomSignString(int length) {
   return signs;
 }
 
+int64_t JitteredBackoff(int64_t base, int exponent, int64_t cap,
+                        double jitter, Rng& rng) {
+  DCS_CHECK_GE(base, 1);
+  DCS_CHECK_LE(base, cap);
+  // base << exponent when that stays within cap, else cap (no overflow).
+  const int64_t backoff =
+      exponent < 63 && base <= (cap >> exponent) ? base << exponent : cap;
+  if (jitter == 0 || backoff == 1) return backoff;
+  const int64_t floor = std::max<int64_t>(
+      1, static_cast<int64_t>(static_cast<double>(backoff) * (1.0 - jitter)));
+  return floor + static_cast<int64_t>(
+                     rng.UniformInt(static_cast<uint64_t>(backoff - floor + 1)));
+}
+
 }  // namespace dcs

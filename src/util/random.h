@@ -82,6 +82,15 @@ class Rng {
   uint64_t state_[4];
 };
 
+// One capped exponential backoff with equal jitter, the retry policy of
+// ReliableLink's retransmission rounds and ConnectWithBackoff's reconnects:
+// b = min(base << exponent, cap), then, when jitter > 0 and b > 1, one draw
+// from `rng` uniform in [max(1, floor((1 - jitter) * b)), b]. The floor
+// keeps at least one unit of wait, so a retry is never a hot spin.
+// Requires 1 <= base <= cap, exponent >= 0 and jitter in [0, 1].
+int64_t JitteredBackoff(int64_t base, int exponent, int64_t cap,
+                        double jitter, Rng& rng);
+
 // Derives the seed for independent subtask `index` (a trial, repetition, or
 // probe batch) of a run seeded with `base_seed`. The splitmix64 finalizer
 // decorrelates the pair: a plain `base_seed ^ index` or `base_seed + index`

@@ -13,6 +13,7 @@
 // The mutations are deterministic (every position, no sampled randomness),
 // so a regression here is reproducible from the failure message alone.
 
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <algorithm>
@@ -205,9 +206,9 @@ std::vector<WireCase> BuildWireCases() {
   }
   {
     // RPC envelopes (serve/wire.h): what a serving-tier worker or client
-    // decodes after the transport's per-frame checks pass. The body carries
-    // its own magic/version/kind/length/FNV-1a envelope, so every mutation
-    // must still be rejected at this layer.
+    // decodes after Receive. The body carries its own
+    // magic/version/kind/length/CRC32C envelope, the only checksum on the
+    // socket, so every mutation must be rejected at this layer.
     WireCase c;
     c.name = "rpc_register_graph_request";
     RpcRequest request;
@@ -338,21 +339,14 @@ TEST(CorruptionTest, TruncationReportsDataLoss) {
 
 // ---------------------------------------------------------------------------
 // Socket transport framing (serve/transport.h): the length-prefixed frame
-// a Connection::Receive parses off a real stream socket. Each mutation is
-// delivered over an actual loopback connection whose write end closes
-// after the bytes, so a mutation that implies "more data coming" (e.g. an
-// inflated length prefix) surfaces as kUnavailable at EOF instead of
-// hanging — the test asserts non-OK, never a crash or a stall.
-
-// The exact bytes Connection::Send emits: a 32-bit little-endian frame
-// length, then the 0x57E4 envelope carrying the message bits, zero-padded
-// to a byte. The clean round-trip test below proves a real Receive
-// accepts them.
-std::vector<uint8_t> SocketWire(const Message& message) {
-  BitWriter frame;
-  WriteTransportFrame(message, frame);
-  return frame.bytes();
-}
+// a Connection::Receive parses off a real stream socket. The frame has no
+// checksum of its own; the RPC envelope it carries is the only one. So the
+// contract is on real framed RPC requests: every mutation is rejected by
+// Receive or by DecodeRpcRequest, that is, before a worker could Execute
+// it. Each mutation is delivered over an actual loopback connection whose
+// write end closes after the bytes, so a mutation that implies "more data
+// coming" (e.g. an inflated length prefix) surfaces as kUnavailable at EOF
+// instead of hanging.
 
 std::vector<uint8_t> LittleEndian32(uint32_t value) {
   return {static_cast<uint8_t>(value & 0xFF),
@@ -376,6 +370,38 @@ Status SendRaw(int fd, const std::vector<uint8_t>& bytes) {
   return OkStatus();
 }
 
+// Reads the nonblocking `fd` until its peer closes.
+StatusOr<std::vector<uint8_t>> ReadRawToEnd(int fd) {
+  std::vector<uint8_t> bytes;
+  uint8_t buffer[4096];
+  while (true) {
+    const ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    if (n > 0) {
+      bytes.insert(bytes.end(), buffer, buffer + n);
+      continue;
+    }
+    if (n == 0) return bytes;
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      return UnavailableError("raw recv failed");
+    }
+    struct pollfd pfd = {fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 2000) <= 0) return UnavailableError("raw recv hung");
+  }
+}
+
+// The bytes a real Connection::Send puts on the socket for `message`, read
+// raw off the other end.
+StatusOr<std::vector<uint8_t>> SocketWire(Listener& listener,
+                                          const Message& message) {
+  DCS_ASSIGN_OR_RETURN(Connection client,
+                       Connect(listener.local_endpoint(), 1000));
+  DCS_ASSIGN_OR_RETURN(Connection server, listener.Accept(1000));
+  DCS_RETURN_IF_ERROR(client.Send(message, 1000));
+  client.Close();
+  return ReadRawToEnd(server.fd());
+}
+
 // Writes `wire` to a fresh loopback connection, closes the write end, and
 // returns what Receive makes of it.
 StatusOr<Message> DeliverRawWire(Listener& listener,
@@ -388,70 +414,126 @@ StatusOr<Message> DeliverRawWire(Listener& listener,
   return server.Receive(2000);
 }
 
-Message TransportTestMessage() {
-  Rng rng(99);
-  BitWriter writer;
-  for (int b = 0; b < 600; ++b) {
-    writer.WriteBit(static_cast<int>(rng.Next() & 1));
-  }
-  return SealMessage(writer);
+// What a worker makes of `wire`: Receive, then DecodeRpcRequest.
+Status ReceiveAndDecode(Listener& listener, const std::vector<uint8_t>& wire) {
+  DCS_ASSIGN_OR_RETURN(const Message message, DeliverRawWire(listener, wire));
+  return DecodeRpcRequest(message).status();
 }
 
-TEST(CorruptionTest, SocketFrameRoundTripsClean) {
-  // Harness guard: the hand-built wire must be exactly what a real Receive
-  // accepts, and the decoded message must be bit-identical.
+// The real RPC requests the socket tests frame: the register request and
+// the 6-side query batch of BuildWireCases, whose bodies both end on a
+// byte boundary, and a ping, whose body does not.
+std::vector<WireCase> FramedRpcRequests() {
+  std::vector<WireCase> requests;
+  for (WireCase& c : BuildWireCases()) {
+    if (c.name == "rpc_register_graph_request" ||
+        c.name == "rpc_query_batch_request") {
+      requests.push_back(std::move(c));
+    }
+  }
+  EXPECT_EQ(requests.size(), 2u);
+  RpcRequest ping;
+  ping.kind = RpcKind::kPing;
+  const Message message = EncodeRpcRequest(ping);
+  requests.push_back(
+      WireCase{"rpc_ping_request", message.bytes, message.bit_count, {}});
+  return requests;
+}
+
+TEST(CorruptionTest, SocketFrameIsLengthBytesAndStopBit) {
+  // Pins the layout: a 32-bit little-endian length of
+  // ceil((bit_count + 1) / 8), the message bits, a 1 at bit `bit_count`,
+  // zero padding. The wire also round-trips bit-exactly through Receive.
   auto listener = Listener::Listen(*ParseEndpoint("tcp:127.0.0.1:0"));
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-  const Message message = TransportTestMessage();
-  const auto received = DeliverRawWire(*listener, SocketWire(message));
-  ASSERT_TRUE(received.ok()) << received.status().ToString();
-  EXPECT_EQ(received->bit_count, message.bit_count);
-  EXPECT_EQ(received->bytes, message.bytes);
+  bool ragged_tail = false;
+  for (const WireCase& c : FramedRpcRequests()) {
+    ragged_tail |= c.bit_count % 8 != 0;
+    const Message message{c.bytes, c.bit_count};
+    const auto wire = SocketWire(*listener, message);
+    ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+    const size_t body_bytes = static_cast<size_t>((c.bit_count + 8) / 8);
+    ASSERT_EQ(wire->size(), 4 + body_bytes) << c.name;
+    EXPECT_EQ(std::vector<uint8_t>(wire->begin(), wire->begin() + 4),
+              LittleEndian32(static_cast<uint32_t>(body_bytes)))
+        << c.name;
+    for (int64_t bit = 0; bit < static_cast<int64_t>(body_bytes) * 8;
+         ++bit) {
+      const int wire_bit = ((*wire)[4 + bit / 8] >> (bit % 8)) & 1;
+      const int expected =
+          bit < c.bit_count
+              ? (c.bytes[static_cast<size_t>(bit / 8)] >> (bit % 8)) & 1
+              : (bit == c.bit_count ? 1 : 0);
+      ASSERT_EQ(wire_bit, expected) << c.name << ": frame body bit " << bit;
+    }
+    const auto received = DeliverRawWire(*listener, *wire);
+    ASSERT_TRUE(received.ok()) << received.status().ToString();
+    EXPECT_EQ(received->bit_count, message.bit_count) << c.name;
+    EXPECT_EQ(received->bytes, message.bytes) << c.name;
+    EXPECT_TRUE(DecodeRpcRequest(*received).ok()) << c.name;
+  }
+  EXPECT_TRUE(ragged_tail) << "no fixture puts the stop bit mid-byte";
 }
 
 TEST(CorruptionTest, EverySocketFrameBitFlipIsRejected) {
   auto listener = Listener::Listen(*ParseEndpoint("tcp:127.0.0.1:0"));
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-  const std::vector<uint8_t> wire = SocketWire(TransportTestMessage());
-  // Every bit of every byte, including the unchecksummed length prefix and
-  // the trailing pad bits of the frame's final partial byte.
-  for (size_t bit = 0; bit < wire.size() * 8; ++bit) {
-    std::vector<uint8_t> mutated = wire;
-    mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-    const auto received = DeliverRawWire(*listener, mutated);
-    ASSERT_FALSE(received.ok())
-        << "flipping wire bit " << bit << " of " << wire.size() * 8
-        << " was not detected";
+  for (const WireCase& c : FramedRpcRequests()) {
+    const auto wire = SocketWire(*listener, Message{c.bytes, c.bit_count});
+    ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+    // Every bit of every byte: the length prefix, the message bits, the
+    // stop bit and the pad bits after it.
+    for (size_t bit = 0; bit < wire->size() * 8; ++bit) {
+      std::vector<uint8_t> mutated = *wire;
+      mutated[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      ASSERT_FALSE(ReceiveAndDecode(*listener, mutated).ok())
+          << c.name << ": flipping wire bit " << bit << " of "
+          << wire->size() * 8 << " was not detected";
+    }
   }
 }
 
 TEST(CorruptionTest, EverySocketFrameTruncationIsRejected) {
   auto listener = Listener::Listen(*ParseEndpoint("tcp:127.0.0.1:0"));
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-  const std::vector<uint8_t> wire = SocketWire(TransportTestMessage());
-  for (size_t len = 0; len < wire.size(); ++len) {
-    const std::vector<uint8_t> truncated(wire.begin(),
-                                         wire.begin() + len);
-    const auto received = DeliverRawWire(*listener, truncated);
-    ASSERT_FALSE(received.ok())
-        << "truncation to " << len << " of " << wire.size()
-        << " wire bytes was not detected";
+  for (const WireCase& c : FramedRpcRequests()) {
+    const auto wire = SocketWire(*listener, Message{c.bytes, c.bit_count});
+    ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+    for (size_t len = 0; len < wire->size(); ++len) {
+      const std::vector<uint8_t> truncated(wire->begin(),
+                                           wire->begin() + len);
+      ASSERT_FALSE(DeliverRawWire(*listener, truncated).ok())
+          << c.name << ": truncation to " << len << " of " << wire->size()
+          << " wire bytes was not detected";
+    }
   }
 }
 
 TEST(CorruptionTest, ChannelFrameWireIsDataLoss) {
-  // A peer still speaking the lossy-channel framing (one 0xFA5C chunk
-  // behind the same length prefix) fails on magic, explicitly.
+  // A peer still speaking the lossy-channel framing sends one 0xFA5C chunk
+  // as its message: the frame is well formed, and the body fails at the
+  // RPC magic, explicitly.
   auto listener = Listener::Listen(*ParseEndpoint("tcp:127.0.0.1:0"));
   ASSERT_TRUE(listener.ok()) << listener.status().ToString();
-  const Message message = TransportTestMessage();
+  const WireCase request = FramedRpcRequests().front();
   BitWriter framed;
   WriteChannelFrame(/*seq=*/0, /*total_chunks=*/1,
-                    /*message_bits=*/message.bit_count, message.bytes,
-                    message.bit_count, framed);
-  std::vector<uint8_t> wire =
-      LittleEndian32(static_cast<uint32_t>(framed.bytes().size()));
-  wire.insert(wire.end(), framed.bytes().begin(), framed.bytes().end());
+                    /*message_bits=*/request.bit_count, request.bytes,
+                    request.bit_count, framed);
+  const auto wire = SocketWire(*listener, SealMessage(framed));
+  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+  const Status status = ReceiveAndDecode(*listener, *wire);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.message().find("magic"), std::string::npos)
+      << status.ToString();
+}
+
+TEST(CorruptionTest, SocketFrameWithoutStopBitIsDataLoss) {
+  // A last byte of zero holds no stop bit, so the frame has no message end.
+  auto listener = Listener::Listen(*ParseEndpoint("tcp:127.0.0.1:0"));
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  std::vector<uint8_t> wire = LittleEndian32(3);
+  wire.insert(wire.end(), {0xAB, 0xCD, 0x00});
   const auto received = DeliverRawWire(*listener, wire);
   ASSERT_FALSE(received.ok());
   EXPECT_EQ(received.status().code(), StatusCode::kDataLoss)

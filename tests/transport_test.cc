@@ -186,6 +186,33 @@ TEST(TransportTest, MultiChunkMessageIsBitExact) {
   EXPECT_EQ(received->bytes, big.bytes);
 }
 
+TEST(TransportTest, EveryTailLengthRoundTrips) {
+  // The stop bit lands in every position of the last byte, including bit 0
+  // of a byte of its own when the message ends on a byte boundary.
+  auto listener = Listener::Listen(Loopback());
+  ASSERT_TRUE(listener.ok());
+  auto client = Connect(listener->local_endpoint(), 1000);
+  ASSERT_TRUE(client.ok());
+  auto server = listener->Accept(1000);
+  ASSERT_TRUE(server.ok());
+  for (int64_t bits = 0; bits <= 24; ++bits) {
+    const Message message = RandomMessage(bits, 100 + bits);
+    // The same message with every pad bit of its last byte set: Send
+    // frames only the message's bits.
+    Message dirty = message;
+    if (bits % 8 != 0) {
+      dirty.bytes.back() |= static_cast<uint8_t>(0xFF << (bits % 8));
+    }
+    for (const Message& sent : {message, dirty}) {
+      ASSERT_TRUE(client->Send(sent, 1000).ok());
+      auto received = server->Receive(1000);
+      ASSERT_TRUE(received.ok()) << received.status().ToString();
+      EXPECT_EQ(received->bit_count, message.bit_count);
+      EXPECT_EQ(received->bytes, message.bytes) << bits << " bits";
+    }
+  }
+}
+
 TEST(TransportTest, ReceiveDeadlineIsMarkedAsTransportDeadline) {
   auto listener = Listener::Listen(Loopback());
   ASSERT_TRUE(listener.ok());
@@ -253,6 +280,39 @@ TEST(ClusterWorkerTest, PingCarriesNonzeroToken) {
   EXPECT_TRUE(response->status.ok());
   EXPECT_NE(response->server_token, 0u);
   EXPECT_EQ(response->server_token, serving.worker->token());
+}
+
+TEST(ClusterWorkerTest, FlippedRequestBodyClosesTheConnection) {
+  // The RPC envelope is the only checksum on the socket. A well-framed
+  // request whose body has one flipped payload bit must never reach
+  // Execute: the worker drops the connection instead of answering.
+  ServingWorker serving = StartWorker();
+  const RpcRequest reg = RegisterGraphRequest(TestGraph(12, 40, 21));
+  const RpcResponse registered = serving.worker->Execute(reg);
+  ASSERT_TRUE(registered.status.ok());
+  RpcRequest query;
+  query.kind = RpcKind::kQueryBatch;
+  query.object_id = registered.object_id;
+  query.num_vertices = 12;
+  query.sides = RandomSides(12, 4, 22);
+  for (const RpcRequest& request : {reg, query}) {
+    Message flipped = EncodeRpcRequest(request);
+    const int64_t last = flipped.bit_count - 1;  // a payload bit
+    flipped.bytes[static_cast<size_t>(last / 8)] ^=
+        static_cast<uint8_t>(1u << (last % 8));
+    ASSERT_FALSE(DecodeRpcRequest(flipped).ok());
+
+    auto connection = Connect(serving.worker->endpoint(), 1000);
+    ASSERT_TRUE(connection.ok());
+    ASSERT_TRUE(connection->Send(flipped, 1000).ok());
+    const auto reply = connection->Receive(2000);
+    ASSERT_FALSE(reply.ok()) << "a response frame arrived";
+    EXPECT_EQ(reply.status().code(), StatusCode::kUnavailable)
+        << reply.status().ToString();
+    // Closed before the first byte of any reply.
+    EXPECT_EQ(reply.status().message(), "connection closed");
+    EXPECT_EQ(serving.worker->num_registered(), 1);
+  }
 }
 
 // The process's virtual size in bytes, from /proc/self/status (VmSize).

@@ -207,5 +207,42 @@ TEST(RngTest, RandomSignStringValues) {
   }
 }
 
+TEST(JitteredBackoffTest, CapsTheExponentialBase) {
+  Rng rng(5);
+  EXPECT_EQ(JitteredBackoff(1, 0, 64, 0.0, rng), 1);
+  EXPECT_EQ(JitteredBackoff(5, 3, 200, 0.0, rng), 40);
+  EXPECT_EQ(JitteredBackoff(5, 6, 200, 0.0, rng), 200);
+  // Exponents past the width of int64 saturate at the cap.
+  EXPECT_EQ(JitteredBackoff(5, 100, 200, 0.0, rng), 200);
+  EXPECT_EQ(JitteredBackoff(1, 62, int64_t{1} << 62, 0.0, rng),
+            int64_t{1} << 62);
+}
+
+TEST(JitteredBackoffTest, DrawsOnlyWhenThereIsAWindow) {
+  // No jitter, or a base of one unit, leaves the stream untouched.
+  Rng rng(6);
+  const Rng before = rng;
+  EXPECT_EQ(JitteredBackoff(3, 2, 100, 0.0, rng), 12);
+  EXPECT_EQ(JitteredBackoff(1, 0, 100, 0.5, rng), 1);
+  Rng copy = before;
+  EXPECT_EQ(rng.Next(), copy.Next());
+}
+
+TEST(JitteredBackoffTest, EqualJitterStaysInItsWindow) {
+  Rng rng(7);
+  Rng replay(7);
+  for (int exponent = 0; exponent < 12; ++exponent) {
+    for (double jitter : {0.5, 0.9, 1.0}) {
+      const int64_t b = std::min<int64_t>(int64_t{5} << exponent, 200);
+      const int64_t floor = std::max<int64_t>(
+          1, static_cast<int64_t>(static_cast<double>(b) * (1.0 - jitter)));
+      const int64_t drawn = JitteredBackoff(5, exponent, 200, jitter, rng);
+      EXPECT_GE(drawn, floor);
+      EXPECT_LE(drawn, b);
+      EXPECT_EQ(JitteredBackoff(5, exponent, 200, jitter, replay), drawn);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dcs

@@ -1159,8 +1159,6 @@ int CmdCluster(const FlagMap& flags) {
   options.seed = static_cast<uint64_t>(GetInt(flags, "seed", 1));
   options.worker.num_shards = GetInt(flags, "shards", 2);
   options.worker.queue_capacity = GetInt(flags, "queue-capacity", 64);
-  options.worker.execution_delay_ms =
-      GetInt(flags, "execution-delay-ms", 0);
   options.worker.warm_cache_entries = GetInt(flags, "warm-cache", 4096);
   options.store_root = GetFlag(flags, "store-root", "");
   // Every bound is re-checked here, BEFORE any side effect: the same
@@ -1177,12 +1175,11 @@ int CmdCluster(const FlagMap& flags) {
       options.num_vertices > dcs::ClusterWorker::kMaxVertices ||
       options.num_edges < 1 || options.worker.num_shards < 1 ||
       options.worker.queue_capacity < 1 ||
-      options.worker.execution_delay_ms < 0 ||
       options.worker.warm_cache_entries < 0) {
     std::fprintf(stderr,
                  "cluster flags out of range (workers/replication/clients/"
                  "batches/batch/kill-interval-ms/shards/queue-capacity >= 1, "
-                 "respawn-delay-ms/execution-delay-ms/warm-cache >= 0, "
+                 "respawn-delay-ms/warm-cache >= 0, "
                  "n in [2, %d], edges >= 1)\n",
                  dcs::ClusterWorker::kMaxVertices);
     return 2;
