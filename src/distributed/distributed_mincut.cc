@@ -14,6 +14,9 @@
 namespace dcs {
 namespace {
 
+// Candidate cuts are enumerated within this factor of the coarse minimum.
+constexpr double kCandidateAlpha = 2.0;
+
 // Median over one server's independent for-each copies (the MedianOfSketches
 // boost, taken at query time).
 double MedianEstimate(const std::vector<ForEachCutSketch>& copies,
@@ -75,7 +78,7 @@ DistributedMinCutPipeline::Result DistributedMinCutPipeline::Coordinate(
   for (const ServerView& server : servers) {
     coarse.MergeFrom(server.forall->sparsifier());
   }
-  // Enumerate every candidate cut within candidate_alpha of the coarse
+  // Enumerate every candidate cut within kCandidateAlpha of the coarse
   // minimum; the true minimum cut is among them as long as the coarse
   // sparsifier's error is below the alpha margin. A degraded run can leave
   // the survivors' coarse graph disconnected (the lost servers may have
@@ -84,7 +87,7 @@ DistributedMinCutPipeline::Result DistributedMinCutPipeline::Coordinate(
   std::vector<GlobalMinCut> candidates;
   if (IsConnected(coarse)) {
     candidates = EnumerateNearMinimumCuts(
-        coarse, options_.candidate_alpha, rng, options_.karger_repetitions);
+        coarse, kCandidateAlpha, rng, options_.karger_repetitions);
     DCS_CHECK(!candidates.empty());
   } else {
     candidates.push_back(StoerWagnerMinCut(coarse));

@@ -43,7 +43,6 @@ namespace dcs {
 struct DistributedMinCutOptions {
   double epsilon = 0.1;          // accuracy of the final estimate
   double coarse_epsilon = 0.2;   // for-all sketch accuracy
-  double candidate_alpha = 2.0;  // enumerate cuts within α× of coarse min
   int karger_repetitions = 12;   // contraction runs for enumeration
   int median_boost = 3;          // independent for-each sketches per server
 };

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 
@@ -45,10 +46,10 @@ TEST(CliTest, GenerateStatsMincutPipeline) {
             0);
   EXPECT_EQ(RunCli("stats --in " + graph + " --directed 1"), 0);
   EXPECT_EQ(RunCli("mincut --in " + graph + " --directed 1"), 0);
-  EXPECT_EQ(RunCli("sketch --in " + graph + " --kind foreach "
+  EXPECT_EQ(RunCli("sketch --in " + graph + " --backend foreach "
                    "--epsilon 0.3"),
             0);
-  EXPECT_EQ(RunCli("sketch --in " + graph + " --kind forall "
+  EXPECT_EQ(RunCli("sketch --in " + graph + " --backend forall "
                    "--epsilon 0.3"),
             0);
 }
@@ -80,9 +81,11 @@ TEST(CliTest, MakeAndCacheSwitchesAreReadByValue) {
   const std::string missing = "/tmp/dcs_cli_test_make_zero_missing.bin";
   std::remove(out.c_str());
   std::remove(missing.c_str());
+  EXPECT_EQ(RunCli("stream --make 0 --in " + missing), 1);
+  // A replay does not read --make's flags, so it refuses them up front.
   EXPECT_EQ(RunCli("stream --make 0 --n 16 --updates 10 --out " + out +
                    " --in " + missing),
-            1);
+            2);
   std::FILE* written = std::fopen(out.c_str(), "rb");
   EXPECT_EQ(written, nullptr) << "--make 0 wrote " << out;
   if (written != nullptr) std::fclose(written);
@@ -123,7 +126,17 @@ TEST(CliTest, SketchBackendFlagRoutesEveryRegisteredBackend) {
                      " --epsilon 0.3 --beta 2 --median-boost 3"),
               0)
         << backend.name;
+    // Out-of-range options fail the registry's option check: a usage
+    // error, never a CHECK abort (134) inside a sketch constructor.
+    for (const char* bad : {"--epsilon 0", "--epsilon 1.5", "--beta 0.5"}) {
+      EXPECT_EQ(RunCli("sketch --in " + graph + " --backend " +
+                       backend.name + " " + bad),
+                2)
+          << backend.name << " " << bad;
+    }
   }
+  // The removed --kind spelling is an unknown flag.
+  EXPECT_EQ(RunCli("sketch --in " + graph + " --kind foreach"), 2);
 }
 
 TEST(CliTest, ServeBackendFlagRoutesTheRegistry) {
@@ -296,7 +309,7 @@ TEST(CliTest, MetricsJsonRecordsSerializedSketchBits) {
                    "--out " + graph),
             0);
   // Space-separated flag form, exercising both --key=value and --key value.
-  ASSERT_EQ(RunCli("sketch --in " + graph + " --kind foreach "
+  ASSERT_EQ(RunCli("sketch --in " + graph + " --backend foreach "
                    "--epsilon 0.3 --metrics-json " + path),
             0);
   const dcs::JsonValue root = ParseMetricsFile(path, "sketch");
@@ -365,9 +378,13 @@ TEST(CliTest, UnreadFlagExitsTwo) {
             2);
   EXPECT_EQ(RunCli("serve --n 16 --rounds 1 --batch 8 --pool 4 --shard 8"),
             2);
-  EXPECT_EQ(RunCli("generate --type balanced --nn 5 "
-                   "--out /tmp/dcs_cli_test_unused.txt"),
-            2);
+  const std::string unused = "/tmp/dcs_cli_test_unused.txt";
+  std::remove(unused.c_str());
+  EXPECT_EQ(RunCli("generate --type balanced --nn 5 --out " + unused), 2);
+  // The flag is refused before the file is written.
+  std::FILE* written = std::fopen(unused.c_str(), "rb");
+  EXPECT_EQ(written, nullptr);
+  if (written != nullptr) std::fclose(written);
   EXPECT_EQ(RunCli("encode --message hi --metrics-json "
                    "/tmp/dcs_cli_test_unread_metrics.json"),
             0);
@@ -379,6 +396,60 @@ TEST(CliTest, UnreadFlagExitsTwo) {
   EXPECT_EQ(WEXITSTATUS(status), 2);
   EXPECT_NE(ReadFileToString(stderr_path).find("--mesage"),
             std::string::npos);
+}
+
+// `sketch --backend K` prints, byte for byte, what the removed `--kind K`
+// spelling printed: both ran Rng(seed) into the same sketch constructor.
+// The forall sketch keeps every edge at this ε, so both seeds print alike.
+TEST(CliTest, SketchBackendPrintsTheHistoricalKindOutput) {
+  const std::string graph = "/tmp/dcs_cli_test_golden_graph.txt";
+  ASSERT_EQ(RunCli("generate --type balanced --n 40 --beta 2 --seed 11 "
+                   "--out " + graph),
+            0);
+  const std::string forall =
+      "forall sketch at eps=0.300 beta=2.00: 23636 bits (graph: 34688)\n"
+      "cut               exact     estimate    rel err\n"
+      "#0              105.196      105.196     0.0000\n"
+      "#1              108.352      108.352     0.0000\n"
+      "#2              104.044      104.044     0.0000\n"
+      "#3              106.455      106.455     0.0000\n"
+      "#4               91.182       91.182     0.0000\n";
+  const std::pair<std::string, std::string> cases[] = {
+      {"--backend foreach --seed 1",
+       "foreach sketch at eps=0.300 beta=2.00: 23300 bits (graph: 34688)\n"
+       "cut               exact     estimate    rel err\n"
+       "#0              105.196      105.691     0.0047\n"
+       "#1              108.352      108.416     0.0006\n"
+       "#2              104.044      105.466     0.0137\n"
+       "#3              106.455      107.371     0.0086\n"
+       "#4               91.182       91.302     0.0013\n"},
+      {"--backend foreach --seed 7",
+       "foreach sketch at eps=0.300 beta=2.00: 23384 bits (graph: 34688)\n"
+       "cut               exact     estimate    rel err\n"
+       "#0              105.196      105.971     0.0074\n"
+       "#1              108.352      109.510     0.0107\n"
+       "#2              104.044      104.839     0.0076\n"
+       "#3              106.455      107.480     0.0096\n"
+       "#4               91.182       92.224     0.0114\n"},
+      {"--backend forall --seed 1", forall},
+      {"--backend forall --seed 7", forall},
+  };
+  for (const auto& [args, golden] : cases) {
+    std::string out;
+    ASSERT_EQ(RunCliCapture("sketch --in " + graph + " " + args +
+                                " --epsilon 0.3 --beta 2",
+                            &out),
+              0)
+        << args;
+    EXPECT_EQ(out, golden) << args;
+  }
+  // --backend defaults to foreach.
+  std::string out;
+  ASSERT_EQ(RunCliCapture("sketch --in " + graph + " --seed 1 --epsilon 0.3 "
+                          "--beta 2",
+                          &out),
+            0);
+  EXPECT_EQ(out, cases[0].second);
 }
 
 TEST(CliTest, ServeMetricsJsonCountsLogicalQueries) {
@@ -545,7 +616,29 @@ TEST(CliClusterTest, ForcedFailuresLeaveNoScratchDirectoryBehind) {
   // A graph larger than a worker registers (ClusterWorker::kMaxVertices)
   // is refused up front too, before any worker is spawned.
   EXPECT_EQ(RunCli("cluster --n 8388609"), 2);
+  // So is an unknown flag: no worker runs and no soak result is printed.
+  std::string out;
+  EXPECT_EQ(RunCliCapture("cluster --execution-delay-ms 5 --workers 1 "
+                          "--replication 1 --clients 1 --batches 1 --n 16 "
+                          "--edges 40",
+                          &out),
+            2);
+  EXPECT_EQ(out.find("answers_bit_identical"), std::string::npos) << out;
   EXPECT_EQ(CountClusterScratchDirs(), before);
+}
+
+// The contents of every file in `dir`, keyed by name.
+std::map<std::string, std::string> ReadDirectory(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  DIR* handle = ::opendir(dir.c_str());
+  if (handle == nullptr) return files;
+  while (const dirent* entry = ::readdir(handle)) {
+    const std::string name = entry->d_name;
+    if (name == "." || name == "..") continue;
+    files[name] = ReadFileToString(dir + "/" + name);
+  }
+  ::closedir(handle);
+  return files;
 }
 
 TEST(CliStoreTest, PutGetFsckCompactRoundTrip) {
@@ -562,7 +655,20 @@ TEST(CliStoreTest, PutGetFsckCompactRoundTrip) {
             0);
   EXPECT_EQ(ReadFileToString(out), ReadFileToString(graph));
   EXPECT_EQ(RunCli("store --dir " + dir + " --op fsck"), 0);
+  // An unknown flag is refused before the store is read or written.
+  const auto files = ReadDirectory(dir);
+  std::string stdout_text;
+  EXPECT_EQ(RunCliCapture("store --dir " + dir + " --op fsck --id 3",
+                          &stdout_text),
+            2);
+  EXPECT_EQ(stdout_text, "");
+  EXPECT_EQ(RunCliCapture("store --dir " + dir + " --op compact --bogus 1",
+                          &stdout_text),
+            2);
+  EXPECT_EQ(stdout_text, "");
+  EXPECT_EQ(ReadDirectory(dir), files);
   EXPECT_EQ(RunCli("store --dir " + dir + " --op compact"), 0);
+  EXPECT_NE(ReadDirectory(dir), files);
   EXPECT_EQ(RunCli("store --dir " + dir + " --op get --id 99 --out " + out),
             1);
   EXPECT_EQ(RunCli("store --dir " + dir + " --op frobnicate"), 2);

@@ -5,9 +5,6 @@
 
 #include <cmath>
 
-#include "distributed/directed_distributed_mincut.h"
-#include "mincut/directed_mincut.h"
-
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "mincut/stoer_wagner.h"
@@ -157,67 +154,6 @@ TEST(DistributedChaosTest, DegradedRunWidensEffectiveEpsilon) {
     return;
   }
   FAIL() << "no chaos seed in [1, 64] produced a partial loss";
-}
-
-TEST(DirectedDistributedTest, PartitionPreservesDirectedEdges) {
-  Rng gen_rng(20);
-  const DirectedGraph g = RandomBalancedDigraph(16, 0.4, 2.0, gen_rng);
-  Rng rng(21);
-  const std::vector<DirectedGraph> parts = PartitionDirectedEdges(g, 3, rng);
-  int64_t total = 0;
-  const VertexSet side = MakeVertexSet(16, {0, 5, 10});
-  double cut_sum = 0;
-  for (const DirectedGraph& part : parts) {
-    total += part.num_edges();
-    cut_sum += part.CutWeight(side);
-  }
-  EXPECT_EQ(total, g.num_edges());
-  EXPECT_NEAR(cut_sum, g.CutWeight(side), 1e-9);
-}
-
-TEST(DirectedDistributedTest, RecoversDirectedMinCut) {
-  // A balanced digraph with a planted weak directed cut: two dense blocks
-  // joined by thin bidirected links.
-  const int block = 10;
-  DirectedGraph g(2 * block);
-  Rng gen_rng(22);
-  auto add_pair = [&](int u, int v, double w, double beta) {
-    g.AddEdge(u, v, w);
-    g.AddEdge(v, u, w / beta);
-  };
-  for (int b = 0; b < 2; ++b) {
-    for (int u = 0; u < block; ++u) {
-      for (int v = u + 1; v < block; ++v) {
-        add_pair(b * block + u, b * block + v, 1.0, 2.0);
-      }
-    }
-  }
-  for (int k = 0; k < 3; ++k) add_pair(k, block + k, 0.5, 2.0);
-  const GlobalMinCut truth = DirectedGlobalMinCut(g);
-  Rng rng(23);
-  DirectedDistributedOptions options;
-  options.epsilon = 0.1;
-  options.beta = 2.0;
-  const DirectedDistributedMinCutPipeline pipeline(
-      PartitionDirectedEdges(g, 3, rng), options, rng);
-  const auto result = pipeline.Run(rng);
-  EXPECT_NEAR(result.estimate, truth.value, 0.35 * truth.value + 0.2);
-  EXPECT_GT(result.candidates_considered, 0);
-  EXPECT_GT(result.total_bits(), 0);
-}
-
-TEST(DirectedDistributedTest, EulerianGraphBothOrientationsEqual) {
-  Rng gen_rng(24);
-  const DirectedGraph g = RandomEulerianDigraph(14, 40, 6, gen_rng);
-  const GlobalMinCut truth = DirectedGlobalMinCut(g);
-  Rng rng(25);
-  DirectedDistributedOptions options;
-  options.epsilon = 0.15;
-  options.beta = 1.0;
-  const DirectedDistributedMinCutPipeline pipeline(
-      PartitionDirectedEdges(g, 2, rng), options, rng);
-  const auto result = pipeline.Run(rng);
-  EXPECT_NEAR(result.estimate, truth.value, 0.4 * truth.value + 0.5);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@ namespace {
 const std::set<std::string>& KnownOrphans() {
   static const std::set<std::string> kOrphans = {
       "comm/index_problem.h",
-      "distributed/directed_distributed_mincut.h",
   };
   return kOrphans;
 }

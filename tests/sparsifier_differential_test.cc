@@ -18,7 +18,6 @@
 #include "gtest/gtest.h"
 #include "mincut/directed_mincut.h"
 #include "serve/cut_query_service.h"
-#include "distributed/directed_distributed_mincut.h"
 #include "sketch/backend_registry.h"
 #include "sketch/cut_balance_sparsifier.h"
 #include "util/random.h"
@@ -242,33 +241,6 @@ TEST(SparsifierDifferential, ServiceRoutesBackendsByName) {
   for (size_t i = 0; i < answers.size(); ++i) {
     EXPECT_NEAR(answers[i], exact, exact * 1.0 + 1e-9)
         << RegisteredBackends()[i].name;
-  }
-}
-
-// Distributed routing: a non-default score backend flows through the
-// pipeline end to end and still lands within the coarse+accurate budget.
-TEST(SparsifierDifferential, DistributedPipelineRoutesScoreBackend) {
-  ZooOptions zoo_options;
-  zoo_options.n = kZooN;
-  zoo_options.beta = 2.0;
-  zoo_options.seed = 53;
-  const ZooInstance instance =
-      MakeZooInstance(ZooFamily::kPlantedCut, zoo_options);
-  const GlobalMinCut exact = DirectedGlobalMinCut(instance.graph);
-  for (const std::string backend : {"cut_balance", "exact"}) {
-    Rng rng(59);
-    DirectedDistributedOptions options;
-    options.epsilon = 0.15;
-    options.beta = 2.0;
-    options.score_backend = backend;
-    std::vector<DirectedGraph> servers =
-        PartitionDirectedEdges(instance.graph, 3, rng);
-    const DirectedDistributedMinCutPipeline pipeline(std::move(servers),
-                                                     options, rng);
-    const auto result = pipeline.Run(rng);
-    EXPECT_GT(result.foreach_bits, 0) << backend;
-    EXPECT_NEAR(result.estimate, exact.value, 0.5 * exact.value + 1e-9)
-        << backend;
   }
 }
 

@@ -4,7 +4,9 @@
 //   generate   write a synthetic graph to a text file
 //   stats      vertex/edge counts, balance certificate, connectivity
 //   mincut     exact global minimum cut (directed or undirected)
-//   sketch     build a cut sketch, report its size, spot-check accuracy
+//   sketch     build a cut sketch through the backend registry
+//              (--backend NAME, default foreach), report its size and
+//              spot-check accuracy
 //   localquery estimate the min cut via degree/neighbor queries only
 //   encode     store a text message in a balanced graph's edge weights and
 //              read it back through cut queries (Theorem 1.1 demo)
@@ -41,7 +43,7 @@
 //   dcs generate --type balanced --n 100 --beta 4 --seed 1 --out g.txt
 //   dcs stats --in g.txt --directed 1
 //   dcs mincut --in g.txt --directed 1
-//   dcs sketch --in g.txt --kind foreach --epsilon 0.2 --beta 4
+//   dcs sketch --in g.txt --backend foreach --epsilon 0.2 --beta 4
 //   dcs sketch --in g.txt --backend cut_balance --epsilon 0.2 --beta 4
 //   dcs serve --n 128 --backend importance --rounds 3 --batch 256
 //   dcs generate --type dumbbell --n 40 --k 3 --out d.txt
@@ -60,8 +62,10 @@
 // Exit codes: 0 success, 1 runtime/data error (unreadable or corrupt
 // input, failed write), 2 usage error (unknown command/flag, malformed
 // numeric value). Errors go to stderr; the tool never aborts on bad input.
-// A flag is unknown to a subcommand when the subcommand never reads it:
-// once the subcommand succeeds, dcs names every such flag and exits 2.
+// A flag is unknown to a subcommand when the subcommand never reads it.
+// Each subcommand reads every flag it uses first, then refuses the unknown
+// ones (naming each, exit 2) before it writes a file, touches a store,
+// spawns a worker or prints anything.
 //
 // Every subcommand accepts --metrics-json FILE (or --metrics-json=FILE):
 // after the command runs, the process-wide metrics snapshot (cut queries,
@@ -83,6 +87,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -106,48 +111,62 @@
 #include "serve/cut_query_service.h"
 #include "serve/load_driver.h"
 #include "sketch/backend_registry.h"
-#include "sketch/directed_sketches.h"
+#include "sketch/cut_sketch.h"
 #include "sketch/serialization.h"
 #include "store/sketch_store.h"
 #include "util/bitio.h"
+#include "util/check.h"
 #include "util/json.h"
 #include "util/metrics.h"
 #include "util/random.h"
 
 namespace {
 
-// Parsed `--key value` flags. Every lookup records its key, so after a
-// subcommand runs, the flags it never asked for are known without a
-// second per-command list of valid flags.
+// Parsed `--key value` flags. Every lookup records its key, so once a
+// subcommand has read every flag it uses, the flags it never asked for are
+// known without a second per-command list of valid flags.
 class FlagMap {
  public:
+  explicit FlagMap(std::string command) : command_(std::move(command)) {}
+
   void Set(const std::string& key, std::string value) {
     values_[key] = std::move(value);
   }
 
   // The value of --key, or nullptr; either way `key` counts as read.
   const std::string* Find(const std::string& key) const {
+    DCS_CHECK(!checked_);  // every flag is read before RejectUnread
     read_.insert(key);
     const auto it = values_.find(key);
     return it == values_.end() ? nullptr : &it->second;
   }
 
-  // The given flags no lookup asked for, in name order.
-  std::vector<std::string> Unread() const {
-    std::vector<std::string> unread;
+  // Names every given flag no lookup asked for, in name order, and returns
+  // true iff there was one. A subcommand calls this after reading every
+  // flag it uses and before its first side effect, and returns 2 on true.
+  bool RejectUnread() const {
+    checked_ = true;
+    bool any = false;
     for (const auto& [key, value] : values_) {
-      if (read_.count(key) == 0) unread.push_back(key);
+      if (read_.count(key) != 0) continue;
+      std::fprintf(stderr, "dcs %s: unknown flag --%s\n", command_.c_str(),
+                   key.c_str());
+      any = true;
     }
-    return unread;
+    return any;
   }
 
+  bool checked() const { return checked_; }
+
  private:
+  const std::string command_;
   std::map<std::string, std::string> values_;
   mutable std::set<std::string> read_;
+  mutable bool checked_ = false;
 };
 
 FlagMap ParseFlags(int argc, char** argv, int start) {
-  FlagMap flags;
+  FlagMap flags(argv[start - 1]);
   for (int i = start; i < argc; ++i) {
     std::string key = argv[i];
     if (key.rfind("--", 0) != 0) {
@@ -241,32 +260,34 @@ int CmdGenerate(const FlagMap& flags) {
   const std::string out = GetFlag(flags, "out", "graph.txt");
   const int n = GetInt(flags, "n", 64);
   dcs::Rng rng(static_cast<uint64_t>(GetInt(flags, "seed", 1)));
-  dcs::Status status;
+  // Exactly one of the two is built; the file is written only after every
+  // flag has been read.
+  std::optional<dcs::DirectedGraph> directed;
+  std::optional<dcs::UndirectedGraph> undirected;
   if (type == "balanced") {
     const double beta = GetDouble(flags, "beta", 2.0);
     const double p = GetDouble(flags, "p", 0.3);
-    status = dcs::SaveDirectedGraph(
-        dcs::RandomBalancedDigraph(n, p, beta, rng), out);
+    directed = dcs::RandomBalancedDigraph(n, p, beta, rng);
   } else if (type == "eulerian") {
-    status = dcs::SaveDirectedGraph(
-        dcs::RandomEulerianDigraph(n, GetInt(flags, "cycles", n), 8, rng),
-        out);
+    directed =
+        dcs::RandomEulerianDigraph(n, GetInt(flags, "cycles", n), 8, rng);
   } else if (type == "random") {
     const double p = GetDouble(flags, "p", 0.2);
-    status = dcs::SaveUndirectedGraph(
-        dcs::RandomUndirectedGraph(n, p, 1.0, 1.0, true, rng), out);
+    undirected = dcs::RandomUndirectedGraph(n, p, 1.0, 1.0, true, rng);
   } else if (type == "dumbbell") {
-    status = dcs::SaveUndirectedGraph(
-        dcs::DumbbellGraph(n / 2, GetInt(flags, "k", 2)), out);
+    undirected = dcs::DumbbellGraph(n / 2, GetInt(flags, "k", 2));
   } else if (type == "multigraph") {
-    status = dcs::SaveUndirectedGraph(
-        dcs::UnionOfRandomMatchings(n, GetInt(flags, "k", 8), rng), out);
+    undirected = dcs::UnionOfRandomMatchings(n, GetInt(flags, "k", 8), rng);
   } else {
     std::fprintf(stderr,
                  "unknown --type (balanced|eulerian|random|dumbbell|"
                  "multigraph)\n");
     return 2;
   }
+  if (flags.RejectUnread()) return 2;
+  const dcs::Status status = directed
+                                 ? dcs::SaveDirectedGraph(*directed, out)
+                                 : dcs::SaveUndirectedGraph(*undirected, out);
   if (!status.ok()) {
     std::fprintf(stderr, "failed to write %s: %s\n", out.c_str(),
                  status.ToString().c_str());
@@ -278,7 +299,9 @@ int CmdGenerate(const FlagMap& flags) {
 
 int CmdStats(const FlagMap& flags) {
   const std::string in = GetFlag(flags, "in", "graph.txt");
-  if (GetSwitch(flags, "directed", false)) {
+  const bool directed = GetSwitch(flags, "directed", false);
+  if (flags.RejectUnread()) return 2;
+  if (directed) {
     const auto graph = dcs::LoadDirectedGraph(in);
     if (!graph.ok()) {
       std::fprintf(stderr, "cannot read directed graph from %s: %s\n",
@@ -319,7 +342,9 @@ int CmdStats(const FlagMap& flags) {
 
 int CmdMinCut(const FlagMap& flags) {
   const std::string in = GetFlag(flags, "in", "graph.txt");
-  if (GetSwitch(flags, "directed", false)) {
+  const bool directed = GetSwitch(flags, "directed", false);
+  if (flags.RejectUnread()) return 2;
+  if (directed) {
     const auto graph = dcs::LoadDirectedGraph(in);
     if (!graph.ok()) {
       std::fprintf(stderr, "%s: %s\n", in.c_str(),
@@ -353,45 +378,25 @@ int CmdSketch(const FlagMap& flags) {
                  graph.status().ToString().c_str());
     return 1;
   }
-  const double epsilon = GetDouble(flags, "epsilon", 0.2);
-  const double beta =
-      GetDouble(flags, "beta",
-                dcs::PerEdgeBalanceCertificate(*graph).value_or(1.0));
-  // --backend routes through the sparsifier backend registry (any
-  // registered name); the older --kind spelling keeps its historical
-  // foreach/forall behavior and exact rng draw order.
-  const std::string backend = GetFlag(flags, "backend", "");
-  const std::string kind = GetFlag(flags, "kind", "foreach");
-  dcs::Rng rng(static_cast<uint64_t>(GetInt(flags, "seed", 1)));
-  std::unique_ptr<dcs::DirectedCutSketch> sketch;
-  std::string label = kind;
-  if (!backend.empty()) {
-    dcs::BackendOptions options;
-    options.epsilon = epsilon;
-    options.beta = beta;
-    options.seed = static_cast<uint64_t>(GetInt(flags, "seed", 1));
-    options.median_boost = GetInt(flags, "median-boost", 1);
-    auto built = dcs::BuildBackendSketch(backend, *graph, options);
-    if (!built.ok()) {
-      // The registry's kInvalidArgument message lists the valid names.
-      std::fprintf(stderr, "--backend: %s\n",
-                   std::string(built.status().message()).c_str());
-      return 2;
-    }
-    sketch = std::move(built).value();
-    label = backend;
-  } else if (kind == "foreach") {
-    sketch = std::make_unique<dcs::DirectedForEachSketch>(*graph, epsilon,
-                                                          beta, rng);
-  } else if (kind == "forall") {
-    sketch = std::make_unique<dcs::DirectedForAllSketch>(*graph, epsilon,
-                                                         beta, rng);
-  } else {
-    std::fprintf(stderr, "unknown --kind (foreach|forall)\n");
+  const std::string backend = GetFlag(flags, "backend", "foreach");
+  dcs::BackendOptions options;
+  options.epsilon = GetDouble(flags, "epsilon", 0.2);
+  options.beta = GetDouble(
+      flags, "beta", dcs::PerEdgeBalanceCertificate(*graph).value_or(1.0));
+  options.seed = static_cast<uint64_t>(GetInt(flags, "seed", 1));
+  options.median_boost = GetInt(flags, "median-boost", 1);
+  if (flags.RejectUnread()) return 2;
+  auto built = dcs::BuildBackendSketch(backend, *graph, options);
+  if (!built.ok()) {
+    // The registry's kInvalidArgument message lists the valid names.
+    std::fprintf(stderr, "--backend: %s\n",
+                 std::string(built.status().message()).c_str());
     return 2;
   }
+  const std::unique_ptr<dcs::DirectedCutSketch> sketch =
+      std::move(built).value();
   std::printf("%s sketch at eps=%.3f beta=%.2f: %lld bits (graph: %lld)\n",
-              label.c_str(), epsilon, beta,
+              backend.c_str(), options.epsilon, options.beta,
               static_cast<long long>(sketch->SizeInBits()),
               static_cast<long long>(
                   graph->num_edges() * 64));  // rough edge-list floor
@@ -421,6 +426,7 @@ int CmdLocalQuery(const FlagMap& flags) {
   }
   const double epsilon = GetDouble(flags, "epsilon", 0.25);
   dcs::Rng rng(static_cast<uint64_t>(GetInt(flags, "seed", 1)));
+  if (flags.RejectUnread()) return 2;
   const dcs::LocalQueryMinCutResult result = dcs::EstimateMinCutLocalQueries(
       *graph, epsilon, dcs::SearchMode::kModifiedConstantSearch, rng);
   std::printf("estimated min cut: %.3f\n", result.estimate);
@@ -448,6 +454,7 @@ int CmdAgm(const FlagMap& flags) {
     }
   }
   const uint64_t seed = static_cast<uint64_t>(GetInt(flags, "seed", 1));
+  if (flags.RejectUnread()) return 2;
   const dcs::AgmConnectivitySketch sketch =
       dcs::SketchGraph(*graph, 0, seed);
   std::printf("AGM sketch: %lld bits, %lld linear measurements\n",
@@ -464,6 +471,7 @@ int CmdEncode(const FlagMap& flags) {
   dcs::ForEachLowerBoundParams params;
   params.inv_epsilon = GetInt(flags, "inv-eps", 8);
   params.sqrt_beta = GetInt(flags, "sqrt-beta", 2);
+  if (flags.RejectUnread()) return 2;
   const int64_t needed = static_cast<int64_t>(message.size()) * 8;
   params.num_layers = 2;
   while (params.total_bits() < needed) ++params.num_layers;
@@ -523,6 +531,7 @@ int CmdTrials(const FlagMap& flags) {
     const auto mode = mode_name == "enumerate"
                           ? dcs::ForAllDecoder::SubsetSelection::kEnumerate
                           : dcs::ForAllDecoder::SubsetSelection::kGreedy;
+    if (flags.RejectUnread()) return 2;
     const dcs::ForAllTrialResult result = dcs::RunForAllTrials(
         params, trials, seed, oracle_factory, mode, threads);
     std::printf("forall %s: %lld/%lld correct (accuracy %.3f, threads %d)\n",
@@ -537,6 +546,7 @@ int CmdTrials(const FlagMap& flags) {
     params.sqrt_beta = GetInt(flags, "sqrt-beta", 2);
     params.num_layers = GetInt(flags, "layers", 2);
     const int probes = GetInt(flags, "probes", 16);
+    if (flags.RejectUnread()) return 2;
     const dcs::ForEachTrialResult result = dcs::RunForEachTrials(
         params, trials, probes, seed, oracle_factory, threads);
     std::printf("foreach: %lld/%lld probes correct (accuracy %.3f, "
@@ -597,6 +607,7 @@ int CmdProtocol(const FlagMap& flags) {
     params.sqrt_beta = GetInt(flags, "sqrt-beta", 2);
     params.num_layers = GetInt(flags, "layers", 2);
     const int probes = GetInt(flags, "probes", 16);
+    if (flags.RejectUnread()) return 2;
     result = dcs::RunForEachSketchProtocol(params, sketch_eps, oversample,
                                            probes, rng, channel_ptr);
   } else if (kind == "forall") {
@@ -605,6 +616,7 @@ int CmdProtocol(const FlagMap& flags) {
     params.beta = GetInt(flags, "beta", 2);
     params.num_layers = GetInt(flags, "layers", 2);
     const int trials = GetInt(flags, "trials", 8);
+    if (flags.RejectUnread()) return 2;
     result = dcs::RunForAllSketchProtocol(params, sketch_eps, oversample,
                                           trials, rng, channel_ptr);
   } else {
@@ -650,10 +662,11 @@ int CmdDistributed(const FlagMap& flags) {
   options.coarse_epsilon = GetDouble(flags, "coarse-eps", 0.2);
   options.median_boost = GetInt(flags, "median-boost", 3);
   dcs::Rng rng(static_cast<uint64_t>(GetInt(flags, "seed", 1)));
-  const dcs::DistributedMinCutPipeline pipeline(
-      dcs::PartitionEdges(*graph, servers, rng), options, rng);
   dcs::ChannelOptions channel;
   const bool chaos = ParseChannelFlags(flags, channel);
+  if (flags.RejectUnread()) return 2;
+  const dcs::DistributedMinCutPipeline pipeline(
+      dcs::PartitionEdges(*graph, servers, rng), options, rng);
   dcs::DistributedMinCutPipeline::Result result;
   if (chaos) {
     auto run = pipeline.Run(rng, channel);
@@ -714,22 +727,26 @@ int CmdServe(const FlagMap& flags) {
     std::fprintf(stderr, "serve needs --cache-capacity >= 1\n");
     return 2;
   }
-
-  dcs::Rng rng(static_cast<uint64_t>(GetInt(flags, "seed", 1)));
-  const dcs::DirectedGraph graph = dcs::RandomBalancedDigraph(n, p, beta, rng);
-  dcs::CutQueryService service(options);
+  const uint64_t seed = static_cast<uint64_t>(GetInt(flags, "seed", 1));
   // Default object is the exact graph oracle; --backend serves the named
   // registry sparsifier instead (same memoization contract either way).
-  dcs::CutQueryService::ObjectId object;
   const std::string backend = GetFlag(flags, "backend", "");
+  dcs::BackendOptions backend_options;
+  if (!backend.empty()) {
+    backend_options.epsilon = GetDouble(flags, "epsilon", 0.2);
+    backend_options.beta = beta;
+    backend_options.seed = seed;
+    backend_options.median_boost = GetInt(flags, "median-boost", 1);
+  }
+  if (flags.RejectUnread()) return 2;
+
+  dcs::Rng rng(seed);
+  const dcs::DirectedGraph graph = dcs::RandomBalancedDigraph(n, p, beta, rng);
+  dcs::CutQueryService service(options);
+  dcs::CutQueryService::ObjectId object;
   if (backend.empty()) {
     object = service.RegisterGraph(graph);
   } else {
-    dcs::BackendOptions backend_options;
-    backend_options.epsilon = GetDouble(flags, "epsilon", 0.2);
-    backend_options.beta = beta;
-    backend_options.seed = static_cast<uint64_t>(GetInt(flags, "seed", 1));
-    backend_options.median_boost = GetInt(flags, "median-boost", 1);
     const auto registered =
         service.RegisterBackendSketch(graph, backend, backend_options);
     if (!registered.ok()) {
@@ -828,6 +845,7 @@ int CmdStream(const FlagMap& flags) {
       return 2;
     }
     dcs::Rng rng(static_cast<uint64_t>(GetInt(flags, "seed", 1)));
+    if (flags.RejectUnread()) return 2;
     dcs::BinaryStreamWriter writer(n);
     for (const dcs::EdgeUpdate& update :
          dcs::RandomUpdateStream(n, updates, delete_frac, rng)) {
@@ -861,6 +879,7 @@ int CmdStream(const FlagMap& flags) {
                  "--threads >= 1 and --k/--rounds >= 0\n");
     return 2;
   }
+  if (flags.RejectUnread()) return 2;
 
   auto reader = dcs::BinaryStreamReader::FromFile(in);
   if (!reader.ok()) {
@@ -987,6 +1006,30 @@ int CmdStore(const FlagMap& flags) {
                  "dcs store needs --dir DIR and --op put|get|compact|fsck\n");
     return 2;
   }
+  // Every op's flags are read and checked before the store is touched.
+  std::string in;
+  std::string out;
+  int id = -1;
+  if (op == "put") {
+    in = GetFlag(flags, "in", "");
+    id = GetInt(flags, "id", -1);
+    if (in.empty() || id < 0) {
+      std::fprintf(stderr, "store put needs --in FILE and --id K (>= 0)\n");
+      return 2;
+    }
+  } else if (op == "get") {
+    out = GetFlag(flags, "out", "");
+    id = GetInt(flags, "id", -1);
+    if (out.empty() || id < 0) {
+      std::fprintf(stderr, "store get needs --out FILE and --id K (>= 0)\n");
+      return 2;
+    }
+  } else if (op != "compact" && op != "fsck") {
+    std::fprintf(stderr, "unknown --op '%s' (put|get|compact|fsck)\n",
+                 op.c_str());
+    return 2;
+  }
+  if (flags.RejectUnread()) return 2;
   if (op == "fsck") {
     // Deliberately not SketchStore::Open: fsck must never write, and Open
     // truncates torn tails in place.
@@ -1021,12 +1064,6 @@ int CmdStore(const FlagMap& flags) {
     return 1;
   }
   if (op == "put") {
-    const std::string in = GetFlag(flags, "in", "");
-    const int id = GetInt(flags, "id", -1);
-    if (in.empty() || id < 0) {
-      std::fprintf(stderr, "store put needs --in FILE and --id K (>= 0)\n");
-      return 2;
-    }
     const auto graph = dcs::LoadDirectedGraph(in);
     if (!graph.ok()) {
       std::fprintf(stderr, "cannot read directed graph from %s: %s\n",
@@ -1048,12 +1085,6 @@ int CmdStore(const FlagMap& flags) {
     return 0;
   }
   if (op == "get") {
-    const std::string out = GetFlag(flags, "out", "");
-    const int id = GetInt(flags, "id", -1);
-    if (out.empty() || id < 0) {
-      std::fprintf(stderr, "store get needs --out FILE and --id K (>= 0)\n");
-      return 2;
-    }
     const auto object = (*store)->Get(id);
     if (!object.ok()) {
       std::fprintf(stderr, "get failed: %s\n",
@@ -1083,23 +1114,18 @@ int CmdStore(const FlagMap& flags) {
                 static_cast<long long>(graph->num_edges()), out.c_str());
     return 0;
   }
-  if (op == "compact") {
-    const auto report = (*store)->Compact();
-    if (!report.ok()) {
-      std::fprintf(stderr, "compact failed: %s\n",
-                   report.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("compacted: %lld -> %lld bytes, %lld superseded records "
-                "dropped\n",
-                static_cast<long long>(report->bytes_before),
-                static_cast<long long>(report->bytes_after),
-                static_cast<long long>(report->records_dropped));
-    return 0;
+  const auto report = (*store)->Compact();
+  if (!report.ok()) {
+    std::fprintf(stderr, "compact failed: %s\n",
+                 report.status().ToString().c_str());
+    return 1;
   }
-  std::fprintf(stderr, "unknown --op '%s' (put|get|compact|fsck)\n",
-               op.c_str());
-  return 2;
+  std::printf("compacted: %lld -> %lld bytes, %lld superseded records "
+              "dropped\n",
+              static_cast<long long>(report->bytes_before),
+              static_cast<long long>(report->bytes_after),
+              static_cast<long long>(report->records_dropped));
+  return 0;
 }
 
 // Removes a mkdtemp'd cluster scratch directory on *every* exit path —
@@ -1161,6 +1187,7 @@ int CmdCluster(const FlagMap& flags) {
   options.worker.queue_capacity = GetInt(flags, "queue-capacity", 64);
   options.worker.warm_cache_entries = GetInt(flags, "warm-cache", 4096);
   options.store_root = GetFlag(flags, "store-root", "");
+  std::string socket_dir = GetFlag(flags, "socket-dir", "");
   // Every bound is re-checked here, BEFORE any side effect: the same
   // bounds are enforced by ClusterLoadOptions::Check() with DCS_CHECK,
   // and an abort after mkdtemp would leak the scratch directory.
@@ -1184,6 +1211,7 @@ int CmdCluster(const FlagMap& flags) {
                  dcs::ClusterWorker::kMaxVertices);
     return 2;
   }
+  if (flags.RejectUnread()) return 2;
   if (!options.store_root.empty()) {
     // One level deep is enough: per-worker subdirectories are created by
     // SketchStore::Open inside the workers.
@@ -1194,7 +1222,6 @@ int CmdCluster(const FlagMap& flags) {
     }
   }
 
-  std::string socket_dir = GetFlag(flags, "socket-dir", "");
   char dir_template[] = "/tmp/dcs_cluster_XXXXXX";
   std::unique_ptr<ScopedSocketDir> scratch;
   if (socket_dir.empty()) {
@@ -1312,15 +1339,8 @@ int main(int argc, char** argv) {
   const FlagMap flags = ParseFlags(argc, argv, 2);
   const std::string metrics_path = GetFlag(flags, "metrics-json", "");
   int rc = RunCommand(command, flags);
-  if (rc == 0) {
-    // A failed subcommand may have stopped before reading all its flags,
-    // so only a successful one can say which flags it does not know.
-    for (const std::string& key : flags.Unread()) {
-      std::fprintf(stderr, "dcs %s: unknown flag --%s\n", command.c_str(),
-                   key.c_str());
-      rc = 2;
-    }
-  }
+  // A subcommand that succeeds has refused every flag it does not read.
+  DCS_CHECK(rc != 0 || flags.checked());
   if (!metrics_path.empty()) {
     // The snapshot is written even after a failing command (a failed run's
     // resource counts are exactly what one wants to inspect); a metrics
