@@ -100,7 +100,7 @@ void VerificationTable() {
 
 struct SimdRecord {
   const char* kernel = "";
-  int64_t n = 0;  // elements (FWHT), 64-bit words (popcounts) or bytes
+  int64_t n = 0;  // elements (FWHT) or bytes (CRC32C)
   double scalar_ns = 0;
   double simd_ns = 0;
   double bytes_per_cycle = 0;  // dispatched path; 0 when no cycle counter
@@ -172,12 +172,12 @@ std::vector<SimdRecord> SectionSimdComparison() {
     });
     const auto scalar = TimeKernel(reps, [&] {
       std::memcpy(work.data(), input.data(), n * sizeof(int64_t));
-      simd::scalar::Fwht(work.data(), n, 1);
+      simd::scalar::Fwht(work.data(), n);
       benchmark::DoNotOptimize(work.data());
     });
     const auto dispatched = TimeKernel(reps, [&] {
       std::memcpy(work.data(), input.data(), n * sizeof(int64_t));
-      simd::Fwht(work.data(), n, 1);
+      simd::Fwht(work.data(), n);
       benchmark::DoNotOptimize(work.data());
     });
     SimdRecord record;
@@ -191,54 +191,6 @@ std::vector<SimdRecord> SectionSimdComparison() {
           static_cast<double>(n) * 8.0 * log_n / cycles;
     }
     records.push_back(record);
-  }
-
-  // XOR+popcount and popcount over packed words (the SignVector inner
-  // product core). Bytes/cycle counts every input byte read.
-  for (const int log_words : {6, 10, 14}) {
-    const size_t words = size_t{1} << log_words;
-    std::vector<uint64_t> a(words), b(words);
-    for (auto& w : a) w = rng.Next();
-    for (auto& w : b) w = rng.Next();
-    const int reps = std::max(1, 1 << (22 - log_words));
-    int64_t sink = 0;
-    const auto scalar_xor = TimeKernel(reps, [&] {
-      sink += simd::scalar::XorPopcount(a.data(), b.data(), words);
-      benchmark::DoNotOptimize(sink);
-    });
-    const auto simd_xor = TimeKernel(reps, [&] {
-      sink += simd::XorPopcount(a.data(), b.data(), words);
-      benchmark::DoNotOptimize(sink);
-    });
-    SimdRecord xor_record;
-    xor_record.kernel = "xor_popcount";
-    xor_record.n = static_cast<int64_t>(words);
-    xor_record.scalar_ns = scalar_xor.ns;
-    xor_record.simd_ns = simd_xor.ns;
-    if (simd_xor.cycles > 0) {
-      xor_record.bytes_per_cycle =
-          static_cast<double>(words) * 16.0 / simd_xor.cycles;
-    }
-    records.push_back(xor_record);
-
-    const auto scalar_pop = TimeKernel(reps, [&] {
-      sink += simd::scalar::Popcount(a.data(), words);
-      benchmark::DoNotOptimize(sink);
-    });
-    const auto simd_pop = TimeKernel(reps, [&] {
-      sink += simd::Popcount(a.data(), words);
-      benchmark::DoNotOptimize(sink);
-    });
-    SimdRecord pop_record;
-    pop_record.kernel = "popcount";
-    pop_record.n = static_cast<int64_t>(words);
-    pop_record.scalar_ns = scalar_pop.ns;
-    pop_record.simd_ns = simd_pop.ns;
-    if (simd_pop.cycles > 0) {
-      pop_record.bytes_per_cycle =
-          static_cast<double>(words) * 8.0 / simd_pop.cycles;
-    }
-    records.push_back(pop_record);
   }
 
   // CRC32C over the 22,114 bytes of one n = 128, m = 2048 graph envelope,

@@ -16,6 +16,10 @@ Usage:
 Rules:
   * A baseline file that does not exist is skipped with a warning — the
     first run of a new bench bootstraps its baseline.
+  * A tracked baseline row that the fresh run no longer produces is
+    reported as GONE and fails, machine mismatch or not: a bench that
+    stops measuring something must drop the row from its baseline in the
+    same change, on purpose.
   * If the two runs report different machine.hardware_concurrency the
     timings are not comparable; every regression downgrades to a warning
     (the SIMD speedup floor still applies — it is a same-run ratio).
@@ -96,7 +100,13 @@ def compare_file(name, base_doc, fresh_doc, threshold, warn_only, report):
     failures = 0
     for path, key_fields, metric in TRACKED[name]:
         base_rows = dict(rows_by_key(base_doc, path, key_fields))
-        for label, fresh_row in rows_by_key(fresh_doc, path, key_fields):
+        fresh_rows = dict(rows_by_key(fresh_doc, path, key_fields))
+        for label in base_rows:
+            if label not in fresh_rows:
+                report(f"  GONE  {name} {label}.{metric}: baseline row not "
+                       f"produced by the fresh run")
+                failures += 1
+        for label, fresh_row in fresh_rows.items():
             base_row = base_rows.get(label)
             if base_row is None:
                 report(f"  NEW   {name} {label}.{metric} = "

@@ -94,7 +94,7 @@ run_one() {
       echo "--- ${kind}: DCS_FORCE_SCALAR=${force_scalar} ---"
       DCS_FORCE_SCALAR="${force_scalar}" ctest --test-dir "${build_dir}" \
         --output-on-failure \
-        -R '^(util_simd_test|util_hadamard_test|util_sign_vector_test|serve_test|lowerbound_foreach_test|graph_incremental_cut_test|util_bitio_test|corruption_test|store_test)$'
+        -R '^(util_simd_test|util_hadamard_test|serve_test|lowerbound_foreach_test|graph_incremental_cut_test|util_bitio_test|corruption_test|store_test)$'
     done
   fi
   if [[ "${kind}" == "address" ]]; then

@@ -6,6 +6,50 @@
 #include "util/simd.h"
 
 namespace dcs {
+namespace {
+
+// The sign word covering columns [word_index·64, word_index·64 + 64) of
+// Hadamard row `row` (bit = 1 ⇔ sign = −1). Split col = hi·64 + lo:
+// parity(popcount(row AND col)) = parity(row_lo AND lo) XOR
+// parity(row_hi AND hi), so the whole word is a 6-bit base pattern,
+// complemented when the high parts have odd overlap — O(1) per word
+// instead of 64 per-column popcounts.
+inline uint64_t HadamardRowWord(unsigned row, size_t word_index,
+                                uint64_t base_pattern) {
+  const unsigned row_hi = row >> 6;
+  const unsigned hi = static_cast<unsigned>(word_index);
+  return (std::popcount(row_hi & hi) & 1) ? ~base_pattern : base_pattern;
+}
+
+inline uint64_t HadamardBasePattern(unsigned row) {
+  const unsigned row_lo = row & 63u;
+  uint64_t base = 0;
+  for (unsigned lo = 0; lo < 64; ++lo) {
+    if (std::popcount(row_lo & lo) & 1) base |= uint64_t{1} << lo;
+  }
+  return base;
+}
+
+}  // namespace
+
+void HadamardRowSignsInto(int row, int log_size, std::span<int8_t> out) {
+  DCS_CHECK_GE(log_size, 0);
+  DCS_CHECK_LE(log_size, 30);
+  const int64_t n = int64_t{1} << log_size;
+  DCS_CHECK(row >= 0 && row < n);
+  DCS_CHECK_EQ(static_cast<int64_t>(out.size()), n);
+  const unsigned urow = static_cast<unsigned>(row);
+  const uint64_t base = HadamardBasePattern(urow);
+  int64_t col = 0;
+  for (size_t w = 0; col < n; ++w) {
+    const uint64_t word = HadamardRowWord(urow, w, base);
+    const int64_t limit = std::min<int64_t>(n, col + 64);
+    for (; col < limit; ++col) {
+      out[static_cast<size_t>(col)] =
+          (word >> (col & 63)) & 1 ? int8_t{-1} : int8_t{1};
+    }
+  }
+}
 
 HadamardMatrix::HadamardMatrix(int log_size) : log_size_(log_size) {
   DCS_CHECK_GE(log_size, 0);
@@ -22,28 +66,13 @@ int HadamardMatrix::Entry(int row, int col) const {
 }
 
 std::vector<int8_t> HadamardMatrix::Row(int row) const {
-  return PackedRow(row).ToSigns();
-}
-
-SignVector HadamardMatrix::PackedRow(int row) const {
-  DCS_CHECK(row >= 0 && row < size_);
-  return SignVector::HadamardRow(row, log_size_);
+  std::vector<int8_t> signs(static_cast<size_t>(size_));
+  HadamardRowSignsInto(row, log_size_, signs);
+  return signs;
 }
 
 void FastWalshHadamardTransform(std::vector<int64_t>& values) {
-  simd::Fwht(values.data(), values.size(), 1);
-}
-
-void FastWalshHadamardTransform(std::vector<double>& values) {
-  simd::Fwht(values.data(), values.size(), 1);
-}
-
-void FastWalshHadamardTransform(int64_t* data, size_t n, size_t stride) {
-  simd::Fwht(data, n, stride);
-}
-
-void FastWalshHadamardTransform(double* data, size_t n, size_t stride) {
-  simd::Fwht(data, n, stride);
+  simd::Fwht(values.data(), values.size());
 }
 
 TensorSignMatrix::TensorSignMatrix(int log_size)
@@ -89,19 +118,6 @@ void TensorSignMatrix::RightFactorInto(int64_t t,
   HadamardRowSignsInto(RowFactors(t).second, log_size_, out);
 }
 
-SignVector TensorSignMatrix::LeftFactorPacked(int64_t t) const {
-  return hadamard_.PackedRow(RowFactors(t).first);
-}
-
-SignVector TensorSignMatrix::RightFactorPacked(int64_t t) const {
-  return hadamard_.PackedRow(RowFactors(t).second);
-}
-
-int64_t TensorSignMatrix::RowInnerProduct(int64_t t, int64_t t_other) const {
-  return LeftFactorPacked(t).InnerProduct(LeftFactorPacked(t_other)) *
-         RightFactorPacked(t).InnerProduct(RightFactorPacked(t_other));
-}
-
 std::vector<int64_t> TensorSignMatrix::EncodeSigns(
     const std::vector<int8_t>& z) const {
   DCS_CHECK_EQ(static_cast<int64_t>(z.size()), rows_);
@@ -121,7 +137,7 @@ std::vector<int64_t> TensorSignMatrix::EncodeSigns(
   }
   // Transform along j for each fixed i (contiguous rows, SIMD-dispatched).
   for (size_t i = 0; i < n; ++i) {
-    simd::Fwht(x.data() + i * n, n, 1);
+    simd::Fwht(x.data() + i * n, n);
   }
   // Transform along i. Rather than running one stride-N FWHT per column
   // (N passes that each touch one element per cache line), run the

@@ -11,11 +11,11 @@
 // H_{2^k} and uses all (2^k−1)² tensor products H_i ⊗ H_j.
 //
 // Entries are computed on demand (H(i,j) = (−1)^popcount(i AND j)); rows
-// are handed out bit-packed (SignVector, 64 signs/word) so factor inner
-// products are XOR + popcount. Encoding Σ_t z_t·M_t uses a two-dimensional
-// fast Walsh–Hadamard transform over one flat row-major N×N buffer
-// (contiguous row passes + strided column passes), O(N²·log N) for
-// N = 2^k instead of the naive O(N⁴).
+// and tensor factors are handed out as ±1 bytes, written 64 columns per
+// sign word. Encoding Σ_t z_t·M_t uses a two-dimensional fast
+// Walsh–Hadamard transform over one flat row-major N×N buffer (an FWHT per
+// row, then butterfly sweeps over whole rows for the columns),
+// O(N²·log N) for N = 2^k instead of the naive O(N⁴).
 
 #ifndef DCS_UTIL_HADAMARD_H_
 #define DCS_UTIL_HADAMARD_H_
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "util/check.h"
-#include "util/sign_vector.h"
 
 namespace dcs {
 
@@ -46,25 +45,19 @@ class HadamardMatrix {
   // Returns row `row` as a ±1 vector of length size().
   std::vector<int8_t> Row(int row) const;
 
-  // Returns row `row` bit-packed (64 signs/word); inner products between
-  // packed rows are popcount-based.
-  SignVector PackedRow(int row) const;
-
  private:
   int log_size_;
   int size_;
 };
 
+// Writes row `row` of the Sylvester–Hadamard matrix H_{2^log_size} as ±1
+// bytes into `out` (size exactly 2^log_size) without allocating. Requires
+// 0 <= log_size <= 30 and 0 <= row < 2^log_size.
+void HadamardRowSignsInto(int row, int log_size, std::span<int8_t> out);
+
 // In-place fast Walsh–Hadamard transform of a length-2^k vector
 // (unnormalized: applying twice multiplies by 2^k).
 void FastWalshHadamardTransform(std::vector<int64_t>& values);
-void FastWalshHadamardTransform(std::vector<double>& values);
-
-// Strided in-place FWHT over `n` elements at data[0], data[stride],
-// data[2·stride], …; the column passes of the 2-D transform run directly
-// on the flat row-major buffer with stride = row length.
-void FastWalshHadamardTransform(int64_t* data, size_t n, size_t stride);
-void FastWalshHadamardTransform(double* data, size_t n, size_t stride);
 
 // The Lemma 3.2 matrix M for block size N = 2^log_size.
 //
@@ -96,17 +89,9 @@ class TensorSignMatrix {
   std::vector<int8_t> RightFactor(int64_t t) const;
 
   // Variants writing the ±1 bytes straight into caller storage of length
-  // exactly N, skipping the packed intermediate the vector forms build.
+  // exactly N, with no allocation (the path the decoders use).
   void LeftFactorInto(int64_t t, std::span<int8_t> out) const;
   void RightFactorInto(int64_t t, std::span<int8_t> out) const;
-
-  // Bit-packed factors (the fast path used by the decoders).
-  SignVector LeftFactorPacked(int64_t t) const;
-  SignVector RightFactorPacked(int64_t t) const;
-
-  // ⟨M_t, M_t'⟩ = ⟨u, u'⟩·⟨v, v'⟩ via packed popcount inner products,
-  // O(N/64) words instead of O(N²) entries.
-  int64_t RowInnerProduct(int64_t t, int64_t t_other) const;
 
   // Computes x = Σ_t z_t · M_t for a sign vector z of length rows().
   // Returned vector has length cols(). Uses a 2-D FWHT over a single flat

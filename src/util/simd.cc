@@ -31,7 +31,7 @@
 namespace dcs::simd {
 namespace {
 
-// Elements per L1-resident block of the contiguous FWHT: 4096 × 8 bytes =
+// Elements per L1-resident block of the FWHT: 4096 × 8 bytes =
 // 32 KiB, one core's L1d. All butterfly passes with len < kFwhtBlock run
 // while the block is resident; passes with len >= kFwhtBlock stream the
 // buffer once each as element-wise row combines.
@@ -54,19 +54,6 @@ DCS_NO_AUTOVEC void ScalarSmallFwhtI64(int64_t* d, size_t n) {
   }
 }
 
-DCS_NO_AUTOVEC void ScalarSmallFwhtF64(double* d, size_t n) {
-  for (size_t len = 1; len < n; len <<= 1) {
-    for (size_t block = 0; block < n; block += len << 1) {
-      for (size_t i = block; i < block + len; ++i) {
-        const double a = d[i];
-        const double b = d[i + len];
-        d[i] = a + b;
-        d[i + len] = a - b;
-      }
-    }
-  }
-}
-
 DCS_NO_AUTOVEC void ScalarButterflyI64(int64_t* lo, int64_t* hi, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     const int64_t a = lo[i];
@@ -74,72 +61,6 @@ DCS_NO_AUTOVEC void ScalarButterflyI64(int64_t* lo, int64_t* hi, size_t n) {
     lo[i] = a + b;
     hi[i] = a - b;
   }
-}
-
-DCS_NO_AUTOVEC void ScalarButterflyF64(double* lo, double* hi, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    const double a = lo[i];
-    const double b = hi[i];
-    lo[i] = a + b;
-    hi[i] = a - b;
-  }
-}
-
-// Strided layouts (the public strided overload with stride > 1) run this
-// in-order pass loop on every dispatch path: strided gathers do not pay for
-// vector lanes, and one shared implementation keeps the paths bit-identical
-// by construction.
-template <typename T>
-DCS_NO_AUTOVEC void ScalarFwhtStrided(T* d, size_t n, size_t stride) {
-  for (size_t len = 1; len < n; len <<= 1) {
-    for (size_t block = 0; block < n; block += len << 1) {
-      for (size_t i = block; i < block + len; ++i) {
-        T& lo = d[i * stride];
-        T& hi = d[(i + len) * stride];
-        const T a = lo;
-        const T b = hi;
-        lo = a + b;
-        hi = a - b;
-      }
-    }
-  }
-}
-
-DCS_NO_AUTOVEC int64_t ScalarXorPopcount(const uint64_t* a, const uint64_t* b,
-                                         size_t num_words) {
-  // Four independent accumulators break the dependency chain; the popcounts
-  // of one iteration's four words retire in parallel.
-  int64_t c0 = 0;
-  int64_t c1 = 0;
-  int64_t c2 = 0;
-  int64_t c3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= num_words; i += 4) {
-    c0 += std::popcount(a[i] ^ b[i]);
-    c1 += std::popcount(a[i + 1] ^ b[i + 1]);
-    c2 += std::popcount(a[i + 2] ^ b[i + 2]);
-    c3 += std::popcount(a[i + 3] ^ b[i + 3]);
-  }
-  int64_t total = c0 + c1 + c2 + c3;
-  for (; i < num_words; ++i) total += std::popcount(a[i] ^ b[i]);
-  return total;
-}
-
-DCS_NO_AUTOVEC int64_t ScalarPopcount(const uint64_t* a, size_t num_words) {
-  int64_t c0 = 0;
-  int64_t c1 = 0;
-  int64_t c2 = 0;
-  int64_t c3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= num_words; i += 4) {
-    c0 += std::popcount(a[i]);
-    c1 += std::popcount(a[i + 1]);
-    c2 += std::popcount(a[i + 2]);
-    c3 += std::popcount(a[i + 3]);
-  }
-  int64_t total = c0 + c1 + c2 + c3;
-  for (; i < num_words; ++i) total += std::popcount(a[i]);
-  return total;
 }
 
 DCS_NO_AUTOVEC void ScalarAddCrossingLanes(double* sums, size_t lanes,
@@ -211,18 +132,19 @@ DCS_NO_AUTOVEC uint32_t ScalarCrc32c(const uint8_t* bytes, size_t size) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared blocked driver. Every path runs this exact pass structure for the
-// contiguous case; paths differ only in the small/butterfly kernels, whose
-// lanes perform the scalar loop's element-wise operations verbatim. Per
-// element, butterflies still apply in increasing-len order (passes touch
-// disjoint pairs), so even the double transform is bit-identical across
-// paths AND to the pre-blocking in-order implementation.
+// Shared blocked driver. Every path runs this exact pass structure; paths
+// differ only in the small/butterfly kernels, whose lanes perform the scalar
+// loop's element-wise operations verbatim. Per element, butterflies still
+// apply in increasing-len order (passes touch disjoint pairs), so the
+// transform is bit-identical across paths AND to the pre-blocking in-order
+// implementation.
 // ---------------------------------------------------------------------------
 
-template <typename T>
-void FwhtBlocked(T* d, size_t n, void (*small_fwht)(T*, size_t),
-                 void (*butterfly)(T*, T*, size_t),
-                 void (*butterfly4)(T*, T*, T*, T*, size_t) = nullptr) {
+void FwhtBlocked(int64_t* d, size_t n,
+                 void (*small_fwht)(int64_t*, size_t),
+                 void (*butterfly)(int64_t*, int64_t*, size_t),
+                 void (*butterfly4)(int64_t*, int64_t*, int64_t*, int64_t*,
+                                    size_t) = nullptr) {
   const size_t block = std::min(n, kFwhtBlock);
   for (size_t base = 0; base < n; base += block) {
     small_fwht(d + base, block);
@@ -272,29 +194,12 @@ __attribute__((target("avx2"))) void Avx2ButterflyI64(int64_t* lo,
   }
 }
 
-__attribute__((target("avx2"))) void Avx2ButterflyF64(double* lo, double* hi,
-                                                      size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(lo + i);
-    const __m256d b = _mm256_loadu_pd(hi + i);
-    _mm256_storeu_pd(lo + i, _mm256_add_pd(a, b));
-    _mm256_storeu_pd(hi + i, _mm256_sub_pd(a, b));
-  }
-  for (; i < n; ++i) {
-    const double a = lo[i];
-    const double b = hi[i];
-    lo[i] = a + b;
-    hi[i] = a - b;
-  }
-}
-
 // Radix-4 butterfly: the passes at `len` and `2·len` fused into one memory
 // sweep over four rows. Per element this evaluates (a+b), (a−b), (c+d),
 // (c−d) and then combines them — the exact operations, in the exact
-// pairing, that two radix-2 passes perform, so results are bit-identical
-// (for doubles too); only the intermediate store/reload is eliminated,
-// which matters because the butterflies are memory-bound.
+// pairing, that two radix-2 passes perform, so results are bit-identical;
+// only the intermediate store/reload is eliminated, which matters because
+// the butterflies are memory-bound.
 __attribute__((target("avx2"))) void Avx2Butterfly4I64(int64_t* r0,
                                                        int64_t* r1,
                                                        int64_t* r2,
@@ -327,36 +232,6 @@ __attribute__((target("avx2"))) void Avx2Butterfly4I64(int64_t* r0,
     const int64_t amb = r0[i] - r1[i];
     const int64_t cd = r2[i] + r3[i];
     const int64_t cmd = r2[i] - r3[i];
-    r0[i] = ab + cd;
-    r1[i] = amb + cmd;
-    r2[i] = ab - cd;
-    r3[i] = amb - cmd;
-  }
-}
-
-__attribute__((target("avx2"))) void Avx2Butterfly4F64(double* r0, double* r1,
-                                                       double* r2, double* r3,
-                                                       size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d a = _mm256_loadu_pd(r0 + i);
-    const __m256d b = _mm256_loadu_pd(r1 + i);
-    const __m256d c = _mm256_loadu_pd(r2 + i);
-    const __m256d d = _mm256_loadu_pd(r3 + i);
-    const __m256d ab = _mm256_add_pd(a, b);
-    const __m256d amb = _mm256_sub_pd(a, b);
-    const __m256d cd = _mm256_add_pd(c, d);
-    const __m256d cmd = _mm256_sub_pd(c, d);
-    _mm256_storeu_pd(r0 + i, _mm256_add_pd(ab, cd));
-    _mm256_storeu_pd(r1 + i, _mm256_add_pd(amb, cmd));
-    _mm256_storeu_pd(r2 + i, _mm256_sub_pd(ab, cd));
-    _mm256_storeu_pd(r3 + i, _mm256_sub_pd(amb, cmd));
-  }
-  for (; i < n; ++i) {
-    const double ab = r0[i] + r1[i];
-    const double amb = r0[i] - r1[i];
-    const double cd = r2[i] + r3[i];
-    const double cmd = r2[i] - r3[i];
     r0[i] = ab + cd;
     r1[i] = amb + cmd;
     r2[i] = ab - cd;
@@ -401,105 +276,6 @@ __attribute__((target("avx2"))) void Avx2SmallFwhtI64(int64_t* d, size_t n) {
       Avx2ButterflyI64(d + b, d + b + len, len);
     }
   }
-}
-
-__attribute__((target("avx2"))) void Avx2SmallFwhtF64(double* d, size_t n) {
-  if (n < 8) {
-    ScalarSmallFwhtF64(d, n);
-    return;
-  }
-  // Same fused structure as the int64 kernel (y holds a in the b lanes).
-  for (size_t i = 0; i < n; i += 4) {
-    const __m256d x = _mm256_loadu_pd(d + i);
-    const __m256d y = _mm256_permute_pd(x, 0b0101);
-    const __m256d p = _mm256_blend_pd(_mm256_add_pd(x, y),
-                                      _mm256_sub_pd(y, x), 0b1010);
-    const __m256d q = _mm256_permute2f128_pd(p, p, 0x01);
-    _mm256_storeu_pd(d + i, _mm256_blend_pd(_mm256_add_pd(p, q),
-                                            _mm256_sub_pd(q, p), 0b1100));
-  }
-  size_t len = 4;
-  for (; (len << 1) < n; len <<= 2) {
-    for (size_t b = 0; b < n; b += len << 2) {
-      Avx2Butterfly4F64(d + b, d + b + len, d + b + 2 * len, d + b + 3 * len,
-                        len);
-    }
-  }
-  if (len < n) {
-    for (size_t b = 0; b < n; b += len << 1) {
-      Avx2ButterflyF64(d + b, d + b + len, len);
-    }
-  }
-}
-
-// Nibble-LUT popcount (vpshufb) with _mm256_sad_epu8 folding bytes into
-// four 64-bit partial sums per vector — no per-word popcnt port pressure.
-__attribute__((target("avx2"))) inline __m256i Avx2PopcntBytes(__m256i v) {
-  const __m256i lut =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1,
-                       1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low_mask);
-  const __m256i hi =
-      _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-  const __m256i counts = _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                                         _mm256_shuffle_epi8(lut, hi));
-  return _mm256_sad_epu8(counts, _mm256_setzero_si256());
-}
-
-__attribute__((target("avx2,popcnt"))) int64_t Avx2XorPopcount(
-    const uint64_t* a, const uint64_t* b, size_t num_words) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 8 <= num_words; i += 8) {
-    const __m256i v0 = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    const __m256i v1 = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i + 4)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i + 4)));
-    acc = _mm256_add_epi64(acc, Avx2PopcntBytes(v0));
-    acc = _mm256_add_epi64(acc, Avx2PopcntBytes(v1));
-  }
-  for (; i + 4 <= num_words; i += 4) {
-    const __m256i v = _mm256_xor_si256(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
-    acc = _mm256_add_epi64(acc, Avx2PopcntBytes(v));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < num_words; ++i) {
-    total += static_cast<int64_t>(_mm_popcnt_u64(a[i] ^ b[i]));
-  }
-  return total;
-}
-
-__attribute__((target("avx2,popcnt"))) int64_t Avx2Popcount(const uint64_t* a,
-                                                            size_t num_words) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 8 <= num_words; i += 8) {
-    acc = _mm256_add_epi64(
-        acc, Avx2PopcntBytes(_mm256_loadu_si256(
-                 reinterpret_cast<const __m256i*>(a + i))));
-    acc = _mm256_add_epi64(
-        acc, Avx2PopcntBytes(_mm256_loadu_si256(
-                 reinterpret_cast<const __m256i*>(a + i + 4))));
-  }
-  for (; i + 4 <= num_words; i += 4) {
-    acc = _mm256_add_epi64(
-        acc, Avx2PopcntBytes(_mm256_loadu_si256(
-                 reinterpret_cast<const __m256i*>(a + i))));
-  }
-  alignas(32) int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  int64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
-  for (; i < num_words; ++i) {
-    total += static_cast<int64_t>(_mm_popcnt_u64(a[i]));
-  }
-  return total;
 }
 
 // Lanes 4g … 4g+3 of AddCrossingLanes for g < kGroups, with the lane
@@ -601,22 +377,6 @@ void NeonButterflyI64(int64_t* lo, int64_t* hi, size_t n) {
   }
 }
 
-void NeonButterflyF64(double* lo, double* hi, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t a = vld1q_f64(lo + i);
-    const float64x2_t b = vld1q_f64(hi + i);
-    vst1q_f64(lo + i, vaddq_f64(a, b));
-    vst1q_f64(hi + i, vsubq_f64(a, b));
-  }
-  for (; i < n; ++i) {
-    const double a = lo[i];
-    const double b = hi[i];
-    lo[i] = a + b;
-    hi[i] = a - b;
-  }
-}
-
 void NeonSmallFwhtI64(int64_t* d, size_t n) {
   if (n < 4) {
     ScalarSmallFwhtI64(d, n);
@@ -637,54 +397,6 @@ void NeonSmallFwhtI64(int64_t* d, size_t n) {
   }
 }
 
-void NeonSmallFwhtF64(double* d, size_t n) {
-  if (n < 4) {
-    ScalarSmallFwhtF64(d, n);
-    return;
-  }
-  for (size_t i = 0; i < n; i += 2) {
-    const float64x2_t x = vld1q_f64(d + i);
-    const float64x2_t y = vextq_f64(x, x, 1);
-    const float64x2_t sum = vaddq_f64(x, y);
-    const float64x2_t diff = vsubq_f64(y, x);
-    vst1q_f64(d + i, vcombine_f64(vget_low_f64(sum), vget_high_f64(diff)));
-  }
-  for (size_t len = 2; len < n; len <<= 1) {
-    for (size_t b = 0; b < n; b += len << 1) {
-      NeonButterflyF64(d + b, d + b + len, len);
-    }
-  }
-}
-
-int64_t NeonXorPopcount(const uint64_t* a, const uint64_t* b,
-                        size_t num_words) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  size_t i = 0;
-  for (; i + 2 <= num_words; i += 2) {
-    const uint64x2_t v = veorq_u64(vld1q_u64(a + i), vld1q_u64(b + i));
-    const uint8x16_t counts = vcntq_u8(vreinterpretq_u8_u64(v));
-    acc = vaddq_u64(acc, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(counts))));
-  }
-  int64_t total = static_cast<int64_t>(vgetq_lane_u64(acc, 0) +
-                                       vgetq_lane_u64(acc, 1));
-  for (; i < num_words; ++i) total += std::popcount(a[i] ^ b[i]);
-  return total;
-}
-
-int64_t NeonPopcount(const uint64_t* a, size_t num_words) {
-  uint64x2_t acc = vdupq_n_u64(0);
-  size_t i = 0;
-  for (; i + 2 <= num_words; i += 2) {
-    const uint8x16_t counts =
-        vcntq_u8(vreinterpretq_u8_u64(vld1q_u64(a + i)));
-    acc = vaddq_u64(acc, vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(counts))));
-  }
-  int64_t total = static_cast<int64_t>(vgetq_lane_u64(acc, 0) +
-                                       vgetq_lane_u64(acc, 1));
-  for (; i < num_words; ++i) total += std::popcount(a[i]);
-  return total;
-}
-
 #endif  // DCS_SIMD_NEON
 
 // ---------------------------------------------------------------------------
@@ -693,8 +405,7 @@ int64_t NeonPopcount(const uint64_t* a, size_t num_words) {
 
 DispatchPath DetectHardwarePath() {
 #if defined(DCS_SIMD_X86)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt") &&
-      __builtin_cpu_supports("sse4.2")) {
+  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("sse4.2")) {
     return DispatchPath::kAvx2;
   }
 #elif defined(DCS_SIMD_NEON)
@@ -746,52 +457,22 @@ void ForceScalar(bool force) {
       std::memory_order_relaxed);
 }
 
-void Fwht(int64_t* data, size_t n, size_t stride) {
+void Fwht(int64_t* data, size_t n) {
   DCS_CHECK(n > 0 && (n & (n - 1)) == 0);
-  DCS_CHECK_GE(stride, size_t{1});
   if (n == 1) return;
-  if (stride != 1) {
-    ScalarFwhtStrided(data, n, stride);
-    return;
-  }
   switch (ActivePath()) {
 #if defined(DCS_SIMD_X86)
     case DispatchPath::kAvx2:
-      FwhtBlocked<int64_t>(data, n, Avx2SmallFwhtI64, Avx2ButterflyI64,
-                           Avx2Butterfly4I64);
+      FwhtBlocked(data, n, Avx2SmallFwhtI64, Avx2ButterflyI64,
+                  Avx2Butterfly4I64);
       return;
 #elif defined(DCS_SIMD_NEON)
     case DispatchPath::kNeon:
-      FwhtBlocked<int64_t>(data, n, NeonSmallFwhtI64, NeonButterflyI64);
+      FwhtBlocked(data, n, NeonSmallFwhtI64, NeonButterflyI64);
       return;
 #endif
     default:
-      FwhtBlocked<int64_t>(data, n, ScalarSmallFwhtI64, ScalarButterflyI64);
-      return;
-  }
-}
-
-void Fwht(double* data, size_t n, size_t stride) {
-  DCS_CHECK(n > 0 && (n & (n - 1)) == 0);
-  DCS_CHECK_GE(stride, size_t{1});
-  if (n == 1) return;
-  if (stride != 1) {
-    ScalarFwhtStrided(data, n, stride);
-    return;
-  }
-  switch (ActivePath()) {
-#if defined(DCS_SIMD_X86)
-    case DispatchPath::kAvx2:
-      FwhtBlocked<double>(data, n, Avx2SmallFwhtF64, Avx2ButterflyF64,
-                          Avx2Butterfly4F64);
-      return;
-#elif defined(DCS_SIMD_NEON)
-    case DispatchPath::kNeon:
-      FwhtBlocked<double>(data, n, NeonSmallFwhtF64, NeonButterflyF64);
-      return;
-#endif
-    default:
-      FwhtBlocked<double>(data, n, ScalarSmallFwhtF64, ScalarButterflyF64);
+      FwhtBlocked(data, n, ScalarSmallFwhtI64, ScalarButterflyI64);
       return;
   }
 }
@@ -810,51 +491,6 @@ void ButterflyRows(int64_t* lo, int64_t* hi, size_t n) {
     default:
       ScalarButterflyI64(lo, hi, n);
       return;
-  }
-}
-
-void ButterflyRows(double* lo, double* hi, size_t n) {
-  switch (ActivePath()) {
-#if defined(DCS_SIMD_X86)
-    case DispatchPath::kAvx2:
-      Avx2ButterflyF64(lo, hi, n);
-      return;
-#elif defined(DCS_SIMD_NEON)
-    case DispatchPath::kNeon:
-      NeonButterflyF64(lo, hi, n);
-      return;
-#endif
-    default:
-      ScalarButterflyF64(lo, hi, n);
-      return;
-  }
-}
-
-int64_t XorPopcount(const uint64_t* a, const uint64_t* b, size_t num_words) {
-  switch (ActivePath()) {
-#if defined(DCS_SIMD_X86)
-    case DispatchPath::kAvx2:
-      return Avx2XorPopcount(a, b, num_words);
-#elif defined(DCS_SIMD_NEON)
-    case DispatchPath::kNeon:
-      return NeonXorPopcount(a, b, num_words);
-#endif
-    default:
-      return ScalarXorPopcount(a, b, num_words);
-  }
-}
-
-int64_t Popcount(const uint64_t* a, size_t num_words) {
-  switch (ActivePath()) {
-#if defined(DCS_SIMD_X86)
-    case DispatchPath::kAvx2:
-      return Avx2Popcount(a, num_words);
-#elif defined(DCS_SIMD_NEON)
-    case DispatchPath::kNeon:
-      return NeonPopcount(a, num_words);
-#endif
-    default:
-      return ScalarPopcount(a, num_words);
   }
 }
 
@@ -880,42 +516,14 @@ uint32_t Crc32c(const uint8_t* bytes, size_t size) {
 
 namespace scalar {
 
-void Fwht(int64_t* data, size_t n, size_t stride) {
+void Fwht(int64_t* data, size_t n) {
   DCS_CHECK(n > 0 && (n & (n - 1)) == 0);
-  DCS_CHECK_GE(stride, size_t{1});
   if (n == 1) return;
-  if (stride != 1) {
-    ScalarFwhtStrided(data, n, stride);
-    return;
-  }
-  FwhtBlocked<int64_t>(data, n, ScalarSmallFwhtI64, ScalarButterflyI64);
-}
-
-void Fwht(double* data, size_t n, size_t stride) {
-  DCS_CHECK(n > 0 && (n & (n - 1)) == 0);
-  DCS_CHECK_GE(stride, size_t{1});
-  if (n == 1) return;
-  if (stride != 1) {
-    ScalarFwhtStrided(data, n, stride);
-    return;
-  }
-  FwhtBlocked<double>(data, n, ScalarSmallFwhtF64, ScalarButterflyF64);
+  FwhtBlocked(data, n, ScalarSmallFwhtI64, ScalarButterflyI64);
 }
 
 void ButterflyRows(int64_t* lo, int64_t* hi, size_t n) {
   ScalarButterflyI64(lo, hi, n);
-}
-
-void ButterflyRows(double* lo, double* hi, size_t n) {
-  ScalarButterflyF64(lo, hi, n);
-}
-
-int64_t XorPopcount(const uint64_t* a, const uint64_t* b, size_t num_words) {
-  return ScalarXorPopcount(a, b, num_words);
-}
-
-int64_t Popcount(const uint64_t* a, size_t num_words) {
-  return ScalarPopcount(a, num_words);
 }
 
 void AddCrossingLanes(double* sums, size_t lanes, const uint64_t* crossing,

@@ -1,11 +1,10 @@
 // Runtime-dispatched SIMD kernels for the sketch hot paths (DESIGN.md §11).
 //
-// Five kernel families sit under every hot loop in the library:
+// Four kernel families sit under every hot loop in the library:
 //   Fwht          — in-place fast Walsh–Hadamard transform, the inner engine
 //                   of the Lemma 3.2 tensor encoding (util/hadamard.cc);
 //   ButterflyRows — the element-wise (a, b) → (a+b, a−b) row combine used by
 //                   the tiled column passes of the 2-D transform;
-//   XorPopcount / Popcount — packed-sign inner products (util/sign_vector.cc);
 //   AddCrossingLanes — the lane add of the many-sided cut kernel
 //                   (DirectedGraph::CutWeights, graph/digraph.cc);
 //   Crc32c        — the checksum that seals and checks every envelope,
@@ -24,12 +23,10 @@
 // Bit-identity contract: every path — scalar fallback included — executes
 // the SAME blocked pass structure (see FwhtBlocked in simd.cc), and the
 // vector lanes perform exactly the element-wise operations of the scalar
-// loop. Integer kernels are exact; for doubles, per-element association
-// order is preserved by construction (passes in increasing butterfly
-// length per element, element-wise add/sub within a pass), so scalar and
-// SIMD outputs are bit-identical, not merely close. tests/util_simd_test.cc
-// asserts this for every power-of-two size up to 2^16, strided and
-// contiguous.
+// loop, so the integer transforms are exact on every path; AddCrossingLanes
+// is bit-identical under the precondition stated below, and Crc32c computes
+// one function. tests/util_simd_test.cc asserts this for every power-of-two
+// FWHT size up to 2^16.
 //
 // Forcing a path: set the environment variable DCS_FORCE_SCALAR to any
 // value other than "0" (read once, at first dispatch), or call
@@ -62,23 +59,14 @@ const char* DispatchPathName(DispatchPath path);
 // paths in one process). Takes effect for subsequent calls on any thread.
 void ForceScalar(bool force);
 
-// In-place unnormalized FWHT of n = 2^k elements at data[0], data[stride],
-// …, data[(n−1)·stride]. The contiguous case (stride == 1) runs the blocked
-// vector kernel; strided layouts run the shared scalar pass loop on every
-// path (identical results by construction).
-void Fwht(int64_t* data, size_t n, size_t stride);
-void Fwht(double* data, size_t n, size_t stride);
+// In-place unnormalized FWHT of the n = 2^k contiguous elements
+// data[0, n).
+void Fwht(int64_t* data, size_t n);
 
 // Element-wise butterfly over two contiguous runs of length n:
 //   (lo[i], hi[i]) ← (lo[i] + hi[i], lo[i] − hi[i]).
 // The 2-D transform's column passes are sweeps of this kernel.
 void ButterflyRows(int64_t* lo, int64_t* hi, size_t n);
-void ButterflyRows(double* lo, double* hi, size_t n);
-
-// Number of set bits in (a[i] ^ b[i]) summed over i < num_words.
-int64_t XorPopcount(const uint64_t* a, const uint64_t* b, size_t num_words);
-// Number of set bits in a[i] summed over i < num_words.
-int64_t Popcount(const uint64_t* a, size_t num_words);
 
 // The cut kernel's lane add: for k = 0, …, count−1 in order, and for every
 // set bit j < lanes of crossing[k], sums[j] += weights[k]. Bits of
@@ -105,12 +93,8 @@ uint32_t Crc32c(const uint8_t* bytes, size_t size);
 // against the dispatched path; the property tests compare against them).
 // These are the exact code the dispatched functions run under ForceScalar.
 namespace scalar {
-void Fwht(int64_t* data, size_t n, size_t stride);
-void Fwht(double* data, size_t n, size_t stride);
+void Fwht(int64_t* data, size_t n);
 void ButterflyRows(int64_t* lo, int64_t* hi, size_t n);
-void ButterflyRows(double* lo, double* hi, size_t n);
-int64_t XorPopcount(const uint64_t* a, const uint64_t* b, size_t num_words);
-int64_t Popcount(const uint64_t* a, size_t num_words);
 void AddCrossingLanes(double* sums, size_t lanes, const uint64_t* crossing,
                       const double* weights, size_t count);
 uint32_t Crc32c(const uint8_t* bytes, size_t size);

@@ -676,6 +676,31 @@ TEST(CliStoreTest, PutGetFsckCompactRoundTrip) {
   std::system(("rm -rf '" + dir + "'").c_str());
 }
 
+bool DirectoryExists(const std::string& dir) {
+  DIR* handle = ::opendir(dir.c_str());
+  if (handle == nullptr) return false;
+  ::closedir(handle);
+  return true;
+}
+
+// A store command that fails leaves no directory behind: put reads its
+// input before the store is opened, and get and compact need a store.
+TEST(CliStoreTest, FailedCommandsCreateNoDirectory) {
+  const std::string dir = "/tmp/dcs_cli_test_store_absent";
+  const std::string out = "/tmp/dcs_cli_test_store_absent_out.txt";
+  std::system(("rm -rf '" + dir + "'").c_str());
+  EXPECT_EQ(RunCli("store --dir " + dir +
+                   " --op put --id 1 --in /nonexistent/graph.txt"),
+            1);
+  EXPECT_FALSE(DirectoryExists(dir));
+  EXPECT_EQ(RunCli("store --dir " + dir + " --op get --id 1 --out " + out),
+            1);
+  EXPECT_FALSE(DirectoryExists(dir));
+  EXPECT_EQ(RunCli("store --dir " + dir + " --op compact"), 1);
+  EXPECT_FALSE(DirectoryExists(dir));
+  std::system(("rm -rf '" + dir + "'").c_str());
+}
+
 TEST(CliStoreTest, FsckOfHeaderDamageBeforeIntactRecordsExitsOne) {
   const std::string dir = "/tmp/dcs_cli_test_store_damaged";
   const std::string segment = dir + "/segment-000001.seg";

@@ -1057,12 +1057,10 @@ int CmdStore(const FlagMap& flags) {
     }
     return 0;
   }
-  auto store = dcs::SketchStore::Open(dir);
-  if (!store.ok()) {
-    std::fprintf(stderr, "cannot open store %s: %s\n", dir.c_str(),
-                 store.status().ToString().c_str());
-    return 1;
-  }
+  // Opening a store creates its directory, so every check that needs no
+  // store runs first and a failed command leaves nothing behind: put loads
+  // its input, and get and compact refuse a directory that does not exist.
+  dcs::BitWriter writer;
   if (op == "put") {
     const auto graph = dcs::LoadDirectedGraph(in);
     if (!graph.ok()) {
@@ -1070,8 +1068,21 @@ int CmdStore(const FlagMap& flags) {
                    in.c_str(), graph.status().ToString().c_str());
       return 1;
     }
-    dcs::BitWriter writer;
     dcs::SerializeDirectedGraph(*graph, writer);
+  } else {
+    struct stat info;
+    if (::stat(dir.c_str(), &info) != 0 || !S_ISDIR(info.st_mode)) {
+      std::fprintf(stderr, "no store at %s\n", dir.c_str());
+      return 1;
+    }
+  }
+  auto store = dcs::SketchStore::Open(dir);
+  if (!store.ok()) {
+    std::fprintf(stderr, "cannot open store %s: %s\n", dir.c_str(),
+                 store.status().ToString().c_str());
+    return 1;
+  }
+  if (op == "put") {
     dcs::Status status = (*store)->Put(id, dcs::StreamKind::kDirectedGraph,
                                        writer.bytes(), writer.bit_count());
     if (status.ok()) status = (*store)->Seal();
