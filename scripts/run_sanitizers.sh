@@ -84,9 +84,13 @@ run_one() {
       ctest --test-dir "${build_dir}" --output-on-failure \
         -R "^(${isolated}|${receivers})$"
     fi
-    # The SIMD dispatch layer has two code paths per kernel (vectorized
-    # and forced-scalar); run the kernels' consumers under the checker on
-    # both so neither path escapes sanitizer coverage. The bit-I/O,
+    # The SIMD dispatch layer has a scalar path and one vector path per
+    # CPU (avx2, or avx512: the avx2 kernels plus the AVX-512 lane add);
+    # run the kernels' consumers under the checker on the CPU's default
+    # path and on forced scalar. util_simd_test (kernels and a served
+    # batch) and graph_incremental_cut_test (CutWeights) also pin every
+    # path the CPU has in-process with simd::ForcePath, so the AVX2 lane
+    # add runs under the checker on an AVX-512 machine too. The bit-I/O,
     # corruption and store suites seal and check envelopes, frames and
     # segment records, so both CRC32C paths run under the checker too.
     local force_scalar

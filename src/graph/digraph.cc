@@ -1,6 +1,7 @@
 #include "graph/digraph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <utility>
@@ -81,6 +82,98 @@ void VisitEdges(const std::vector<Edge>& edges,
   }
 }
 
+// Transposes the 64×64 bit matrix whose row r is rows[r] (column c = bit
+// c): afterwards bit c of rows[r] is the old bit r of rows[c]. Rows at or
+// above `used` must be zero. The round at `half` swaps that bit of the row
+// index with the same bit of the column index; the rounds commute, so they
+// run from half = 1 up, and each visits only the rows that can be nonzero
+// by then: those below `used` rounded up to a multiple of 2·half.
+void TransposeBits64(uint64_t rows[64], size_t used) {
+  constexpr uint64_t kKeep[] = {0x5555555555555555ULL, 0x3333333333333333ULL,
+                                0x0F0F0F0F0F0F0F0FULL, 0x00FF00FF00FF00FFULL,
+                                0x0000FFFF0000FFFFULL, 0x00000000FFFFFFFFULL};
+  for (size_t level = 0; level < 6; ++level) {
+    const size_t half = size_t{1} << level;
+    const size_t end = (used + 2 * half - 1) & ~(2 * half - 1);
+    for (size_t r = 0; r < end; r = ((r | half) + 1) & ~half) {
+      const uint64_t swap = ((rows[r] >> half) ^ rows[r | half]) & kKeep[level];
+      rows[r] ^= swap << half;
+      rows[r | half] ^= swap;
+    }
+  }
+}
+
+// Every crossing edge leaves some v ∈ S and enters some u ∉ S, so a side's
+// cut can be accumulated from either frontier; each side walks its smaller
+// one, or scans the edge list when neither is below m.
+enum Mode : uint8_t { kEmpty, kOut, kIn, kScan };
+
+// One pass of up to 64 sides: each side's mode, and its lane, numbered by
+// mode (out-walk lanes first, then in-walk, then scan) so each walk hands
+// the lane kernel only its own run of lanes.
+struct PassLanes {
+  Mode mode[64] = {};
+  size_t lane_of[64] = {};
+  size_t num_lanes[4] = {};
+};
+
+// Classifies the sides of one pass and builds mask[v], bit b set iff v ∈ S
+// for the side in lane b, for v < n = out_offsets.size() − 1. Each side is
+// packed once: its word w goes to row j of block w, mask[64w, 64w + 64),
+// and its out-volume and the in-volume of S (whose complement in m is the
+// in-volume of V∖S) are read from the CSR offsets of its members. Then
+// each block's rows are put in lane order and transposed. Kept out of line
+// so the walks' register allocation in CutWeights does not carry it.
+[[gnu::noinline]] PassLanes PackPass(std::span<const VertexSet* const> sides,
+                                     std::span<const int64_t> out_offsets,
+                                     std::span<const int64_t> in_offsets,
+                                     std::span<uint64_t> mask) {
+  const size_t n = out_offsets.size() - 1;
+  const int64_t m = out_offsets[n];
+  const size_t words = mask.size() / 64;
+  PassLanes pass;
+  for (size_t j = 0; j < sides.size(); ++j) {
+    const VertexSet& side = *sides[j];
+    DCS_CHECK_EQ(side.size(), n);
+    int64_t out_volume = 0;
+    int64_t inside = 0;
+    for (size_t w = 0; w < words; ++w) {
+      const uint64_t word = PackMembers64(side, w);
+      mask[64 * w + j] = word;
+      for (uint64_t bits = word; bits != 0; bits &= bits - 1) {
+        const size_t v = 64 * w + static_cast<size_t>(std::countr_zero(bits));
+        out_volume += out_offsets[v + 1] - out_offsets[v];
+        inside += in_offsets[v + 1] - in_offsets[v];
+      }
+    }
+    const int64_t in_volume = m - inside;
+    const int64_t volume = std::min(out_volume, in_volume);
+    pass.mode[j] = volume == 0                ? kEmpty  // the sum stays 0
+                   : volume >= m              ? kScan
+                   : out_volume <= in_volume ? kOut
+                                              : kIn;
+    ++pass.num_lanes[pass.mode[j]];
+  }
+  size_t next_lane[4] = {0, 0, pass.num_lanes[kOut],
+                         pass.num_lanes[kOut] + pass.num_lanes[kIn]};
+  for (size_t j = 0; j < sides.size(); ++j) {
+    if (pass.mode[j] != kEmpty) pass.lane_of[j] = next_lane[pass.mode[j]]++;
+  }
+  // An empty side's row is dropped; row i of block w becomes vertex
+  // 64w + i's lane bits. Lanes [0, next_lane[kScan]) are in use.
+  const size_t lanes = next_lane[kScan];
+  for (size_t w = 0; w < words; ++w) {
+    const std::span<uint64_t> block = mask.subspan(64 * w, 64);
+    uint64_t rows[64] = {};
+    for (size_t j = 0; j < sides.size(); ++j) {
+      if (pass.mode[j] != kEmpty) rows[pass.lane_of[j]] = block[j];
+    }
+    TransposeBits64(rows, lanes);
+    std::copy(rows, rows + 64, block.begin());
+  }
+  return pass;
+}
+
 // Runs one pass of the lane kernel: visit(add) calls add(crossing, weight)
 // for each visited edge, with bit j of `crossing` set iff the edge crosses
 // lane j's cut. The pairs queue in visit order and drain through
@@ -111,48 +204,16 @@ void DirectedGraph::CutWeights(std::span<const VertexSet* const> sides,
   if (sides.empty()) return;
   EnsureAdjacency();
   const size_t n = static_cast<size_t>(num_vertices_);
-  // mask[v] has bit b set iff v ∈ S for the side in lane b. Lanes are
-  // grouped by pass (out-walk lanes first, then in-walk, then scan), so
-  // each pass hands the lane kernel only its own lanes.
-  std::vector<uint64_t> mask;
+  // The current pass's lane masks (PackPass): a block of 64 words per
+  // word of vertices, so mask[v] exists for every v < n.
+  std::vector<uint64_t> mask(64 * PackedWordCount(n));
   for (size_t first = 0; first < sides.size(); first += 64) {
     const size_t count = std::min<size_t>(64, sides.size() - first);
-    // Every crossing edge leaves some v ∈ S and enters some u ∉ S, so a
-    // side's cut can be accumulated from either frontier; each side walks
-    // its smaller one, or scans the edge list when neither is below m.
-    enum Mode : uint8_t { kEmpty, kOut, kIn, kScan };
-    Mode mode[64] = {};
-    size_t num_lanes[4] = {};
-    for (size_t j = 0; j < count; ++j) {
-      const VertexSet& side = *sides[first + j];
-      DCS_CHECK_EQ(side.size(), n);
-      int64_t out_volume = 0;
-      int64_t in_volume = 0;
-      for (size_t v = 0; v < n; ++v) {
-        const int64_t inside = side[v] != 0;
-        out_volume += inside * (out_offsets_[v + 1] - out_offsets_[v]);
-        in_volume += (1 - inside) * (in_offsets_[v + 1] - in_offsets_[v]);
-      }
-      const int64_t volume = std::min(out_volume, in_volume);
-      mode[j] = volume == 0                ? kEmpty  // the sum stays 0
-                : volume >= num_edges()    ? kScan
-                : out_volume <= in_volume ? kOut
-                                           : kIn;
-      ++num_lanes[mode[j]];
-    }
+    const PassLanes pass = PackPass(sides.subspan(first, count), out_offsets_,
+                                    in_offsets_, mask);
+    const size_t* num_lanes = pass.num_lanes;
     const size_t in_base = num_lanes[kOut];
     const size_t scan_base = in_base + num_lanes[kIn];
-    size_t next_lane[4] = {0, 0, in_base, scan_base};
-    size_t lane_of[64] = {};
-    mask.assign(n, 0);
-    for (size_t j = 0; j < count; ++j) {
-      if (mode[j] == kEmpty) continue;
-      lane_of[j] = next_lane[mode[j]]++;
-      const VertexSet& side = *sides[first + j];
-      for (size_t v = 0; v < n; ++v) {
-        mask[v] |= static_cast<uint64_t>(side[v] != 0) << lane_of[j];
-      }
-    }
     const auto lane_bits = [](size_t base, size_t lanes) {
       return lanes == 0 ? 0 : (~uint64_t{0} >> (64 - lanes)) << base;
     };
@@ -202,7 +263,8 @@ void DirectedGraph::CutWeights(std::span<const VertexSet* const> sides,
       });
     }
     for (size_t j = 0; j < count; ++j) {
-      out[first + j] = mode[j] == kEmpty ? 0.0 : sums[lane_of[j]];
+      out[first + j] =
+          pass.mode[j] == kEmpty ? 0.0 : sums[pass.lane_of[j]];
     }
   }
 }

@@ -60,10 +60,13 @@ class DirectedGraph {
   // Each side is answered by the cheaper of S's out-edges or (V∖S)'s
   // in-edges over the CSR adjacency (0 on empty volume, the edge scan when
   // neither frontier is below m), and one pass over each adjacency serves
-  // every side that picked it. A side's sum is the same sequence of adds
-  // whatever else is in the call, so the answers are bit-identical for
-  // any batch split. Requires out.size() == sides.size() and every side of
-  // size num_vertices().
+  // every side that picked it. Each side is packed once into 64-vertex
+  // words, which give its volumes and, one 64×64 bit transpose per word,
+  // the per-vertex lane masks; the lane add is simd::AddCrossingLanes. A
+  // side's sum is the same sequence of adds whatever else is in the call,
+  // so the answers are bit-identical for any batch split and dispatch
+  // path. Requires out.size() == sides.size() and every side of size
+  // num_vertices(). Allocates one scratch vector of 64·⌈n/64⌉ words.
   void CutWeights(std::span<const VertexSet* const> sides,
                   std::span<double> out) const;
 

@@ -3,6 +3,7 @@
 #ifndef DCS_GRAPH_TYPES_H_
 #define DCS_GRAPH_TYPES_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -85,6 +86,21 @@ inline uint8_t PackMembers8(const VertexSet& side, size_t first) {
   }
   const uint64_t top = (((bytes & kLow7) + kLow7) | bytes) & ~kLow7;
   return static_cast<uint8_t>((top * 0x0002040810204081ULL) >> 56);
+}
+
+// Words of one bit per vertex, 64 vertices each, over n vertices.
+inline size_t PackedWordCount(size_t n) { return (n + 63) / 64; }
+
+// Packed word `w` of `side`: bit i set iff side[64w + i] != 0, eight
+// vertices per step (vertices past the end read as non-members).
+inline uint64_t PackMembers64(const VertexSet& side, size_t w) {
+  const size_t first = w * 64;
+  const size_t last = std::min(side.size(), first + 64);
+  uint64_t word = 0;
+  for (size_t v = first; v < last; v += 8) {
+    word |= uint64_t{PackMembers8(side, v)} << (v - first);
+  }
+  return word;
 }
 
 // The inverse onto normalized bytes: side[first + i] = bit i of `bits`, for

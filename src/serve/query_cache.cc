@@ -20,17 +20,6 @@ inline uint64_t HashWord(size_t position, uint64_t word) {
   return z ^ (z >> 31);
 }
 
-// Packed word `w` of `side`: vertices 64w … 64w+63, eight per step.
-inline uint64_t PackWord(const VertexSet& side, size_t w) {
-  const size_t first = w * 64;
-  const size_t last = std::min(side.size(), first + 64);
-  uint64_t word = 0;
-  for (size_t v = first; v < last; v += 8) {
-    word |= uint64_t{PackMembers8(side, v)} << (v - first);
-  }
-  return word;
-}
-
 inline uint64_t Tag(uint64_t key_hash) { return key_hash & 0xFFFFFFFFULL; }
 
 }  // namespace
@@ -38,7 +27,7 @@ inline uint64_t Tag(uint64_t key_hash) { return key_hash & 0xFFFFFFFFULL; }
 uint64_t HashSide(const VertexSet& side) {
   uint64_t hash = 0;
   for (size_t w = 0; w < PackedWordCount(side.size()); ++w) {
-    hash ^= HashWord(w, PackWord(side, w));
+    hash ^= HashWord(w, PackMembers64(side, w));
   }
   return hash;
 }
@@ -54,7 +43,7 @@ uint64_t PackSideWords(const VertexSet& side, std::span<uint64_t> words) {
   DCS_CHECK_EQ(words.size(), PackedWordCount(side.size()));
   uint64_t hash = 0;
   for (size_t w = 0; w < words.size(); ++w) {
-    words[w] = PackWord(side, w);
+    words[w] = PackMembers64(side, w);
     hash ^= HashWord(w, words[w]);
   }
   return hash;

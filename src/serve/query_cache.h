@@ -58,9 +58,6 @@ struct PackedSide {
   }
 };
 
-// Packed words of a side over n vertices.
-inline size_t PackedWordCount(size_t n) { return (n + 63) / 64; }
-
 // Canonical side hash: one splitmix64 finalizer per packed word, keyed by
 // the word's position, XORed together. Depends only on membership (not on
 // the VertexSet's byte values) and on the word count.

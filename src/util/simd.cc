@@ -337,6 +337,54 @@ __attribute__((target("avx2"))) void Avx2AddCrossingLanes(
   std::copy(padded, padded + lanes, sums);
 }
 
+// Lanes 8g … 8g+7 of AddCrossingLanes for g < kGroups, eight per zmm, all
+// in one sweep. Each entry's crossing bits, clipped to `lanes`, are the
+// write masks of one merge-masked add per group: a crossed lane becomes
+// sum + weight and an uncrossed lane keeps its register as it was, so every
+// lane performs exactly the scalar loop's adds. The masked load and store
+// touch sums[0, lanes) only.
+template <size_t kGroups>
+__attribute__((target("avx512f"))) void Avx512AddCrossingGroups(
+    double* sums, uint64_t lane_bits, const uint64_t* crossing,
+    const double* weights, size_t count) {
+  __m512d acc[kGroups];
+#pragma GCC unroll 8
+  for (size_t g = 0; g < kGroups; ++g) {
+    acc[g] = _mm512_maskz_loadu_pd(static_cast<__mmask8>(lane_bits >> 8 * g),
+                                   sums + 8 * g);
+  }
+  for (size_t k = 0; k < count; ++k) {
+    const uint64_t crossed = crossing[k] & lane_bits;
+    const __m512d weight = _mm512_set1_pd(weights[k]);
+#pragma GCC unroll 8
+    for (size_t g = 0; g < kGroups; ++g) {
+      acc[g] = _mm512_mask_add_pd(
+          acc[g], static_cast<__mmask8>(crossed >> 8 * g), acc[g], weight);
+    }
+  }
+#pragma GCC unroll 8
+  for (size_t g = 0; g < kGroups; ++g) {
+    _mm512_mask_storeu_pd(sums + 8 * g,
+                          static_cast<__mmask8>(lane_bits >> 8 * g), acc[g]);
+  }
+}
+
+constexpr void (*kMaskedGroupKernels[])(double*, uint64_t, const uint64_t*,
+                                        const double*, size_t) = {
+    Avx512AddCrossingGroups<1>, Avx512AddCrossingGroups<2>,
+    Avx512AddCrossingGroups<3>, Avx512AddCrossingGroups<4>,
+    Avx512AddCrossingGroups<5>, Avx512AddCrossingGroups<6>,
+    Avx512AddCrossingGroups<7>, Avx512AddCrossingGroups<8>};
+
+void Avx512AddCrossingLanes(double* sums, size_t lanes,
+                            const uint64_t* crossing, const double* weights,
+                            size_t count) {
+  const uint64_t lane_bits =
+      lanes >= 64 ? ~uint64_t{0} : (uint64_t{1} << lanes) - 1;
+  kMaskedGroupKernels[(lanes + 7) / 8 - 1](sums, lane_bits, crossing, weights,
+                                           count);
+}
+
 // One crc32 stream over 8-byte loads, then a byte tail. The instruction
 // computes exactly the scalar reference's CRC32C step.
 __attribute__((target("sse4.2"))) uint32_t Sse42Crc32c(const uint8_t* bytes,
@@ -406,7 +454,8 @@ void NeonSmallFwhtI64(int64_t* d, size_t n) {
 DispatchPath DetectHardwarePath() {
 #if defined(DCS_SIMD_X86)
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("sse4.2")) {
-    return DispatchPath::kAvx2;
+    return __builtin_cpu_supports("avx512f") ? DispatchPath::kAvx512
+                                             : DispatchPath::kAvx2;
   }
 #elif defined(DCS_SIMD_NEON)
   return DispatchPath::kNeon;
@@ -414,13 +463,16 @@ DispatchPath DetectHardwarePath() {
   return DispatchPath::kScalar;
 }
 
+// True on the paths that run the AVX2 FWHT, butterfly and CRC32C kernels.
+bool UsesAvx2(DispatchPath path) {
+  return path == DispatchPath::kAvx2 || path == DispatchPath::kAvx512;
+}
+
 // −1 = not yet resolved; otherwise the cached DispatchPath value.
 std::atomic<int> g_path{-1};
 
 }  // namespace
 
-// The env-then-hardware default: scalar when DCS_FORCE_SCALAR is set to a
-// nonempty value other than "0", otherwise the best hardware path.
 DispatchPath DefaultPath() {
   const char* env = std::getenv("DCS_FORCE_SCALAR");
   const bool force_scalar =
@@ -440,6 +492,8 @@ const char* DispatchPathName(DispatchPath path) {
   switch (path) {
     case DispatchPath::kAvx2:
       return "avx2";
+    case DispatchPath::kAvx512:
+      return "avx512";
     case DispatchPath::kNeon:
       return "neon";
     case DispatchPath::kScalar:
@@ -448,13 +502,17 @@ const char* DispatchPathName(DispatchPath path) {
   return "unknown";
 }
 
-void ForceScalar(bool force) {
-  // false clears the programmatic override and returns to the default
-  // (which still honors DCS_FORCE_SCALAR), so tests that restore state
-  // behave the same whether or not the suite runs under the env override.
-  g_path.store(
-      static_cast<int>(force ? DispatchPath::kScalar : DefaultPath()),
-      std::memory_order_relaxed);
+DispatchPath ForcePath(DispatchPath path) {
+  // The CPU runs its own path, scalar, and avx2 when its own is avx512.
+  const DispatchPath hardware = DetectHardwarePath();
+  if (path == DispatchPath::kAvx512 && path != hardware) {
+    path = DispatchPath::kAvx2;
+  }
+  const bool avx2_under_avx512 =
+      path == DispatchPath::kAvx2 && UsesAvx2(hardware);
+  if (path != hardware && !avx2_under_avx512) path = DispatchPath::kScalar;
+  g_path.store(static_cast<int>(path), std::memory_order_relaxed);
+  return path;
 }
 
 void Fwht(int64_t* data, size_t n) {
@@ -463,6 +521,7 @@ void Fwht(int64_t* data, size_t n) {
   switch (ActivePath()) {
 #if defined(DCS_SIMD_X86)
     case DispatchPath::kAvx2:
+    case DispatchPath::kAvx512:
       FwhtBlocked(data, n, Avx2SmallFwhtI64, Avx2ButterflyI64,
                   Avx2Butterfly4I64);
       return;
@@ -481,6 +540,7 @@ void ButterflyRows(int64_t* lo, int64_t* hi, size_t n) {
   switch (ActivePath()) {
 #if defined(DCS_SIMD_X86)
     case DispatchPath::kAvx2:
+    case DispatchPath::kAvx512:
       Avx2ButterflyI64(lo, hi, n);
       return;
 #elif defined(DCS_SIMD_NEON)
@@ -499,9 +559,15 @@ void AddCrossingLanes(double* sums, size_t lanes, const uint64_t* crossing,
   DCS_CHECK_LE(lanes, size_t{64});
   if (lanes == 0 || count == 0) return;
 #if defined(DCS_SIMD_X86)
-  if (ActivePath() == DispatchPath::kAvx2) {
-    Avx2AddCrossingLanes(sums, lanes, crossing, weights, count);
-    return;
+  switch (ActivePath()) {
+    case DispatchPath::kAvx512:
+      Avx512AddCrossingLanes(sums, lanes, crossing, weights, count);
+      return;
+    case DispatchPath::kAvx2:
+      Avx2AddCrossingLanes(sums, lanes, crossing, weights, count);
+      return;
+    default:
+      break;
   }
 #endif
   ScalarAddCrossingLanes(sums, lanes, crossing, weights, count);
@@ -509,7 +575,7 @@ void AddCrossingLanes(double* sums, size_t lanes, const uint64_t* crossing,
 
 uint32_t Crc32c(const uint8_t* bytes, size_t size) {
 #if defined(DCS_SIMD_X86)
-  if (ActivePath() == DispatchPath::kAvx2) return Sse42Crc32c(bytes, size);
+  if (UsesAvx2(ActivePath())) return Sse42Crc32c(bytes, size);
 #endif
   return ScalarCrc32c(bytes, size);
 }

@@ -15,6 +15,7 @@
 #include "graph/types.h"
 #include "graph/zoo.h"
 #include "gtest/gtest.h"
+#include "simd_paths.h"
 #include "util/random.h"
 #include "util/simd.h"
 
@@ -268,18 +269,10 @@ uint32_t AnswerChecksum(const std::vector<double>& answers) {
 // ulp, so the pin holds the kernel to the walk's exact addition order.
 constexpr uint32_t kGoldenAnswerChecksum = 0x6ec95e1cu;
 
-// Restores hardware dispatch on scope exit so a forced-scalar state cannot
-// leak into later tests.
-class ScopedForceScalar {
- public:
-  explicit ScopedForceScalar(bool force) { simd::ForceScalar(force); }
-  ~ScopedForceScalar() { simd::ForceScalar(false); }
-};
-
 TEST(CutWeightsTest, GoldenAnswersMatchTheReplacedWalk) {
   const std::vector<GoldenCase> cases = GoldenCases();
-  for (const bool force_scalar : {false, true}) {
-    ScopedForceScalar guard(force_scalar);
+  for (const simd::DispatchPath path : SupportedPaths()) {
+    ScopedPath guard(path);
     std::vector<double> batched;
     std::vector<double> one_by_one;
     std::vector<double> reference;
@@ -292,14 +285,14 @@ TEST(CutWeightsTest, GoldenAnswersMatchTheReplacedWalk) {
       }
     }
     EXPECT_EQ(AnswerChecksum(batched), kGoldenAnswerChecksum)
-        << "forced scalar " << force_scalar;
+        << simd::DispatchPathName(path);
     EXPECT_TRUE(SameBits(batched, one_by_one));
     EXPECT_TRUE(SameBits(batched, reference));
   }
 }
 
-// Forced-scalar and hardware dispatch of the lane kernel give the same
-// bits for every batch size around the kernel's 4-lane groups and 64-lane
+// Every dispatch path of the lane kernel gives the forced-scalar bits for
+// every batch size around the kernels' 4- and 8-lane groups and 64-lane
 // passes, with all four modes in each batch, on a graph with parallel
 // edges, isolated vertices and signed-zero weights.
 TEST(CutWeightsTest, ForcedScalarMatchesDispatchedAnswers) {
@@ -342,18 +335,21 @@ TEST(CutWeightsTest, ForcedScalarMatchesDispatchedAnswers) {
   for (const int k : {1, 3, 4, 5, 63, 64, 65, 130}) {
     std::vector<VertexSet> sides;
     for (int s = 0; s < k; ++s) sides.push_back(side_of_mode((s * 7 + k) % 4));
-    std::vector<double> dispatched = CutWeightsOf(g, sides);
     std::vector<double> scalar;
     {
-      ScopedForceScalar guard(true);
+      ScopedPath guard(simd::DispatchPath::kScalar);
       scalar = CutWeightsOf(g, sides);
     }
-    EXPECT_TRUE(SameBits(dispatched, scalar)) << "k " << k;
     std::vector<double> reference;
     for (const VertexSet& side : sides) {
       reference.push_back(ReferenceWalk(g, side));
     }
-    EXPECT_TRUE(SameBits(dispatched, reference)) << "k " << k;
+    EXPECT_TRUE(SameBits(scalar, reference)) << "k " << k;
+    for (const simd::DispatchPath path : SupportedPaths()) {
+      ScopedPath guard(path);
+      EXPECT_TRUE(SameBits(CutWeightsOf(g, sides), scalar))
+          << simd::DispatchPathName(path) << " k " << k;
+    }
   }
 }
 
@@ -412,6 +408,56 @@ TEST(CutWeightsTest, AnyNonzeroByteIsAMember) {
   EXPECT_EQ(std::memcmp(&values[0], &values[1], sizeof(double)), 0);
   EXPECT_EQ(values[1], CutWeightOf(g, ones));
   EXPECT_GT(values[0], 0.0);
+}
+
+// The packed prelude at the word edges: n with a partial word, exactly one
+// word, a lone tail vertex past whole words; passes of 64 and 65 sides (a
+// second pass of one); empty and full sides (empty volume), the edge-scan
+// side, and membership bytes other than 1. Every answer is the reference
+// walk's and the same side's asked alone.
+TEST(CutWeightsTest, PackedPreludeEdgeCases) {
+  Rng rng(41);
+  for (const int n : {1, 7, 63, 64, 65, 129}) {
+    const DirectedGraph g =
+        n >= 2 ? HalfToHalfGraph(n, 12 * n, rng) : DirectedGraph(n);
+    for (const int k : {64, 65}) {
+      std::vector<VertexSet> sides;
+      for (int s = 0; s < k; ++s) {
+        switch (s % 6) {
+          case 0:
+            sides.push_back(VertexSet(static_cast<size_t>(n), 0));
+            break;
+          case 1:
+            sides.push_back(VertexSet(static_cast<size_t>(n), 255));
+            break;
+          case 2:
+            sides.push_back(FirstHalf(n));
+            break;
+          default: {
+            VertexSet side = DensitySide(n, 0.1 + 0.25 * (s % 4), rng);
+            for (uint8_t& byte : side) {
+              if (byte != 0) byte = s % 2 == 0 ? 2 : 255;
+            }
+            sides.push_back(std::move(side));
+          }
+        }
+      }
+      const std::vector<double> values = CutWeightsOf(g, sides);
+      std::vector<double> alone;
+      std::vector<double> reference;
+      for (const VertexSet& side : sides) {
+        alone.push_back(CutWeightOf(g, side));
+        reference.push_back(ReferenceWalk(g, side));
+      }
+      EXPECT_TRUE(SameBits(values, alone)) << "n " << n << " k " << k;
+      EXPECT_TRUE(SameBits(values, reference)) << "n " << n << " k " << k;
+      EXPECT_EQ(values[0], 0.0);
+      EXPECT_EQ(values[1], 0.0);
+      if (n >= 4) {
+        EXPECT_GT(values[2], 0.0) << "n " << n;
+      }
+    }
+  }
 }
 
 TEST(CutQueryHelperTest, ComplementAndSetSize) {

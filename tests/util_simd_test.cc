@@ -4,14 +4,15 @@
 // exactly the bytes the scalar reference returns, at every size including
 // non-multiple-of-lane tails. These tests pin that contract for the int64
 // FWHT and row butterfly, the 2-D EncodeSigns transform, the CutWeights
-// lane add, the CRC32C checksum, and a served batch under forced-scalar vs
-// hardware dispatch; they also check the Hadamard row writer that feeds
-// the decoders against the entry definition.
+// lane add, the CRC32C checksum, and a served batch on every dispatch path
+// the CPU has (scalar, avx2, avx512 or neon); they also check the Hadamard
+// row writer that feeds the decoders against the entry definition.
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <iterator>
 #include <limits>
@@ -23,20 +24,13 @@
 #include "graph/types.h"
 #include "gtest/gtest.h"
 #include "serve/cut_query_service.h"
+#include "simd_paths.h"
 #include "util/hadamard.h"
 #include "util/random.h"
 #include "util/simd.h"
 
 namespace dcs {
 namespace {
-
-// Restores hardware dispatch on scope exit so test order cannot leak a
-// forced-scalar state into later tests.
-class ScopedForceScalar {
- public:
-  explicit ScopedForceScalar(bool force) { simd::ForceScalar(force); }
-  ~ScopedForceScalar() { simd::ForceScalar(false); }
-};
 
 std::vector<int64_t> RandomI64(size_t n, Rng& rng) {
   std::vector<int64_t> values(n);
@@ -67,18 +61,55 @@ std::vector<int64_t> NaiveFwht(const std::vector<int64_t>& values) {
 // Dispatch plumbing
 // ---------------------------------------------------------------------------
 
-TEST(SimdDispatchTest, ForceScalarOverridesHardwarePath) {
-  const simd::DispatchPath hardware = simd::ActivePath();
+TEST(SimdDispatchTest, ForcePathOverridesTheDefault) {
+  const simd::DispatchPath default_path = simd::ActivePath();
   {
-    ScopedForceScalar guard(true);
+    ScopedPath guard(simd::DispatchPath::kScalar);
     EXPECT_EQ(simd::ActivePath(), simd::DispatchPath::kScalar);
   }
-  EXPECT_EQ(simd::ActivePath(), hardware);
+  EXPECT_EQ(simd::ActivePath(), default_path);
+}
+
+// The default is the best path the CPU has (scalar under
+// DCS_FORCE_SCALAR), and a path the CPU lacks pins the best one below it.
+TEST(SimdDispatchTest, PathsAreClampedToTheCpu) {
+  using simd::DispatchPath;
+  const std::vector<DispatchPath> paths = SupportedPaths();
+  ASSERT_FALSE(paths.empty());
+  EXPECT_EQ(paths.front(), DispatchPath::kScalar);
+  const auto has = [&](DispatchPath path) {
+    return std::find(paths.begin(), paths.end(), path) != paths.end();
+  };
+  EXPECT_TRUE(!has(DispatchPath::kAvx512) || has(DispatchPath::kAvx2));
+  EXPECT_FALSE(has(DispatchPath::kAvx2) && has(DispatchPath::kNeon));
+#if defined(__x86_64__)
+  const bool avx2 =
+      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("sse4.2");
+  EXPECT_EQ(has(DispatchPath::kAvx2), avx2);
+  EXPECT_EQ(has(DispatchPath::kAvx512),
+            avx2 && __builtin_cpu_supports("avx512f"));
+#endif
+  const char* env = std::getenv("DCS_FORCE_SCALAR");
+  const bool forced =
+      env != nullptr && env[0] != '\0' && std::strcmp(env, "0") != 0;
+  EXPECT_EQ(simd::ActivePath(), forced ? DispatchPath::kScalar : paths.back());
+  for (const DispatchPath path :
+       {DispatchPath::kScalar, DispatchPath::kAvx2, DispatchPath::kAvx512,
+        DispatchPath::kNeon}) {
+    ScopedPath guard(path);
+    const DispatchPath expected =
+        has(path) ? path
+        : path == DispatchPath::kAvx512 && has(DispatchPath::kAvx2)
+            ? DispatchPath::kAvx2
+            : DispatchPath::kScalar;
+    EXPECT_EQ(simd::ActivePath(), expected) << simd::DispatchPathName(path);
+  }
 }
 
 TEST(SimdDispatchTest, PathNamesAreStable) {
   EXPECT_STREQ(simd::DispatchPathName(simd::DispatchPath::kScalar), "scalar");
   EXPECT_STREQ(simd::DispatchPathName(simd::DispatchPath::kAvx2), "avx2");
+  EXPECT_STREQ(simd::DispatchPathName(simd::DispatchPath::kAvx512), "avx512");
   EXPECT_STREQ(simd::DispatchPathName(simd::DispatchPath::kNeon), "neon");
 }
 
@@ -133,7 +164,7 @@ TEST(SimdFwhtTest, ForcedScalarFwhtMatchesHardwarePath) {
   simd::Fwht(hardware.data(), n);
   std::vector<int64_t> forced = input;
   {
-    ScopedForceScalar guard(true);
+    ScopedPath guard(simd::DispatchPath::kScalar);
     simd::Fwht(forced.data(), n);
   }
   EXPECT_EQ(hardware, forced);
@@ -197,7 +228,7 @@ TEST(SimdEncodeSignsTest, ScalarAndDispatchedEncodeIdentically) {
     const std::vector<int64_t> dispatched = tensor.EncodeSigns(z);
     std::vector<int64_t> forced;
     {
-      ScopedForceScalar guard(true);
+      ScopedPath guard(simd::DispatchPath::kScalar);
       forced = tensor.EncodeSigns(z);
     }
     EXPECT_EQ(dispatched, forced) << "log_size=" << log_size;
@@ -247,23 +278,23 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-TEST(SimdLaneAddTest, DispatchedMatchesScalarForEveryShape) {
-  Rng rng(53);
-  constexpr size_t kMaxCount = 300;
-  const std::vector<double> weights = LaneWeights(kMaxCount, rng);
-  std::vector<uint64_t> random_masks(kMaxCount);
+// Crossing masks of kMaxLaneCount entries each: none, all, and random.
+constexpr size_t kMaxLaneCount = 300;
+
+std::vector<std::vector<uint64_t>> LaneMasks(Rng& rng) {
+  std::vector<uint64_t> random_masks(kMaxLaneCount);
   for (auto& mask : random_masks) mask = rng.Next();
-  const std::vector<std::vector<uint64_t>> masks = {
-      std::vector<uint64_t>(kMaxCount, 0),
-      std::vector<uint64_t>(kMaxCount, ~uint64_t{0}), random_masks};
-  // All 64 slots: lanes >= `lanes` hold their initial values afterwards.
-  // No initial sum is −0.0 (the kernel's precondition).
-  std::vector<double> initial(64);
-  for (size_t j = 0; j < initial.size(); ++j) {
-    initial[j] = j % 3 == 0 ? 0.0 : static_cast<double>(j) * 1.25 - 40.0;
-  }
+  return {std::vector<uint64_t>(kMaxLaneCount, 0),
+          std::vector<uint64_t>(kMaxLaneCount, ~uint64_t{0}), random_masks};
+}
+
+// The dispatched kernel against the scalar reference from `initial` sums,
+// for every lanes 1–64 and count 0–300 under each mask.
+void ExpectEveryShapeMatchesScalar(
+    const std::vector<double>& initial, const std::vector<double>& weights,
+    const std::vector<std::vector<uint64_t>>& masks) {
   for (size_t lanes = 1; lanes <= 64; ++lanes) {
-    for (size_t count = 0; count <= kMaxCount; ++count) {
+    for (size_t count = 0; count <= kMaxLaneCount; ++count) {
       for (size_t m = 0; m < masks.size(); ++m) {
         std::vector<double> scalar = initial;
         std::vector<double> dispatched = initial;
@@ -272,9 +303,53 @@ TEST(SimdLaneAddTest, DispatchedMatchesScalarForEveryShape) {
         simd::AddCrossingLanes(dispatched.data(), lanes, masks[m].data(),
                                weights.data(), count);
         ASSERT_TRUE(SameBits(scalar, dispatched))
-            << "lanes " << lanes << " count " << count << " mask " << m;
+            << simd::DispatchPathName(simd::ActivePath()) << " lanes "
+            << lanes << " count " << count << " mask " << m;
       }
     }
+  }
+}
+
+TEST(SimdLaneAddTest, DispatchedMatchesScalarForEveryShape) {
+  Rng rng(53);
+  const std::vector<double> weights = LaneWeights(kMaxLaneCount, rng);
+  const std::vector<std::vector<uint64_t>> masks = LaneMasks(rng);
+  // All 64 slots: lanes >= `lanes` hold their initial values afterwards.
+  // No initial sum is −0.0 (the avx2 kernel's precondition).
+  std::vector<double> initial(64);
+  for (size_t j = 0; j < initial.size(); ++j) {
+    initial[j] = j % 3 == 0 ? 0.0 : static_cast<double>(j) * 1.25 - 40.0;
+  }
+  for (const simd::DispatchPath path : SupportedPaths()) {
+    ScopedPath guard(path);
+    ExpectEveryShapeMatchesScalar(initial, weights, masks);
+  }
+}
+
+// The merge-masked kernel leaves an uncrossed lane untouched, so sums that
+// start at −0.0 or a signaling NaN come out as the scalar reference's.
+TEST(SimdLaneAddTest, MaskedPathNeedsNoPrecondition) {
+  ScopedPath guard(simd::DispatchPath::kAvx512);
+  if (simd::ActivePath() != simd::DispatchPath::kAvx512) {
+    GTEST_SKIP() << "no avx512 path on this CPU";
+  }
+  Rng rng(71);
+  const std::vector<double> weights = LaneWeights(kMaxLaneCount, rng);
+  const std::vector<std::vector<uint64_t>> masks = LaneMasks(rng);
+  std::vector<double> initial(64);
+  for (size_t j = 0; j < initial.size(); ++j) {
+    initial[j] = j % 3 == 0   ? -0.0
+                 : j % 7 == 1 ? std::numeric_limits<double>::signaling_NaN()
+                              : static_cast<double>(j) * 1.25 - 40.0;
+  }
+  ExpectEveryShapeMatchesScalar(initial, weights, masks);
+  // A −0.0 lane crossed by no entry is still −0.0.
+  std::vector<double> sums(64, -0.0);
+  const uint64_t crossing[] = {0x00FF00FF00FF00FFULL};
+  const double weight[] = {2.5};
+  simd::AddCrossingLanes(sums.data(), 64, crossing, weight, 1);
+  for (size_t j = 0; j < sums.size(); ++j) {
+    EXPECT_EQ(std::signbit(sums[j]), ((crossing[0] >> j) & 1) == 0) << j;
   }
 }
 
@@ -302,8 +377,8 @@ TEST(SimdLaneAddTest, BitsAtOrAboveLanesAreIgnored) {
   for (const size_t lanes : {1, 4, 5, 17, 32, 33, 63}) {
     std::vector<uint64_t> clipped = crossing;
     for (auto& mask : clipped) mask &= (uint64_t{1} << lanes) - 1;
-    for (const bool force : {false, true}) {
-      ScopedForceScalar guard(force);
+    for (const simd::DispatchPath path : SupportedPaths()) {
+      ScopedPath guard(path);
       // Slots past `lanes` hold a sentinel the kernel must not touch.
       std::vector<double> full(64, 0.0);
       std::vector<double> masked(64, 0.0);
@@ -316,14 +391,15 @@ TEST(SimdLaneAddTest, BitsAtOrAboveLanesAreIgnored) {
       simd::AddCrossingLanes(masked.data(), lanes, clipped.data(),
                              weights.data(), clipped.size());
       EXPECT_TRUE(SameBits(full, masked))
-          << "lanes " << lanes << " forced scalar " << force;
+          << "lanes " << lanes << " path " << simd::DispatchPathName(path);
     }
   }
 }
 
-// The precondition CutWeights relies on: sums that start at +0.0 never
-// become −0.0, however many −0.0 weights or exact cancellations they see,
-// so the +0.0 the vector path adds to uncrossed lanes changes no bit.
+// The precondition CutWeights relies on for the avx2 path: sums that start
+// at +0.0 never become −0.0, however many −0.0 weights or exact
+// cancellations they see, so the +0.0 that path adds to uncrossed lanes
+// changes no bit.
 TEST(SimdLaneAddTest, SumsStartingAtPositiveZeroNeverBecomeNegativeZero) {
   Rng rng(67);
   const double choices[] = {-0.0, 0.0, 1.5, -1.5};
@@ -332,12 +408,15 @@ TEST(SimdLaneAddTest, SumsStartingAtPositiveZeroNeverBecomeNegativeZero) {
   std::vector<uint64_t> crossing(256);
   for (auto& mask : crossing) mask = rng.Next() & rng.Next();
   std::vector<double> scalar(64, 0.0);
-  std::vector<double> dispatched(64, 0.0);
   simd::scalar::AddCrossingLanes(scalar.data(), 64, crossing.data(),
                                  weights.data(), crossing.size());
-  simd::AddCrossingLanes(dispatched.data(), 64, crossing.data(),
-                         weights.data(), crossing.size());
-  EXPECT_TRUE(SameBits(scalar, dispatched));
+  for (const simd::DispatchPath path : SupportedPaths()) {
+    ScopedPath guard(path);
+    std::vector<double> dispatched(64, 0.0);
+    simd::AddCrossingLanes(dispatched.data(), 64, crossing.data(),
+                           weights.data(), crossing.size());
+    EXPECT_TRUE(SameBits(scalar, dispatched)) << simd::DispatchPathName(path);
+  }
   int zero_sums = 0;
   for (const double sum : scalar) {
     EXPECT_FALSE(std::signbit(sum) && sum == 0.0);
@@ -388,11 +467,12 @@ TEST(SimdCrc32cTest, MatchesRfc3720Vectors) {
       {std::vector<uint8_t>(digits.begin(), digits.end()), 0xE3069283u},
       {{}, 0x00000000u},
   };
-  for (const bool force : {false, true}) {
-    ScopedForceScalar guard(force);
+  for (const simd::DispatchPath path : SupportedPaths()) {
+    ScopedPath guard(path);
     for (const auto& v : vectors) {
       EXPECT_EQ(simd::Crc32c(v.bytes.data(), v.bytes.size()), v.crc)
-          << "forced scalar " << force << ", " << v.bytes.size() << " bytes";
+          << simd::DispatchPathName(path) << ", " << v.bytes.size()
+          << " bytes";
       EXPECT_EQ(simd::scalar::Crc32c(v.bytes.data(), v.bytes.size()), v.crc);
     }
   }
@@ -419,7 +499,7 @@ TEST(SimdCrc32cTest, DispatchedMatchesScalarAtEveryLengthAndOffset) {
   // scalar reference's, which must all agree.
   const auto paths_agree = [](const uint8_t* bytes, size_t len) {
     const uint32_t hardware = simd::Crc32c(bytes, len);
-    ScopedForceScalar guard(true);
+    ScopedPath guard(simd::DispatchPath::kScalar);
     return hardware == simd::Crc32c(bytes, len) &&
            hardware == simd::scalar::Crc32c(bytes, len);
   };
@@ -435,7 +515,7 @@ TEST(SimdCrc32cTest, DispatchedMatchesScalarAtEveryLengthAndOffset) {
 }
 
 // ---------------------------------------------------------------------------
-// Serving layer: answers identical under forced-scalar dispatch
+// Serving layer: answers identical on every dispatch path
 // ---------------------------------------------------------------------------
 
 TEST(SimdServeTest, BatchAnswersIdenticalAcrossDispatchPaths) {
@@ -451,16 +531,18 @@ TEST(SimdServeTest, BatchAnswersIdenticalAcrossDispatchPaths) {
   }
   const std::vector<double> hardware = hardware_service.AnswerBatch(batch);
 
-  ScopedForceScalar guard(true);
-  CutQueryService scalar_service;
-  const auto scalar_object = scalar_service.RegisterGraph(graph);
-  ASSERT_EQ(scalar_object, object);
-  const std::vector<double> forced = scalar_service.AnswerBatch(batch);
-  ASSERT_EQ(hardware.size(), forced.size());
-  for (size_t i = 0; i < hardware.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<uint64_t>(hardware[i]),
-              std::bit_cast<uint64_t>(forced[i]))
-        << "query " << i;
+  for (const simd::DispatchPath path : SupportedPaths()) {
+    ScopedPath guard(path);
+    CutQueryService pinned_service;
+    const auto pinned_object = pinned_service.RegisterGraph(graph);
+    ASSERT_EQ(pinned_object, object);
+    const std::vector<double> pinned = pinned_service.AnswerBatch(batch);
+    ASSERT_EQ(hardware.size(), pinned.size());
+    for (size_t i = 0; i < hardware.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(hardware[i]),
+                std::bit_cast<uint64_t>(pinned[i]))
+          << simd::DispatchPathName(path) << " query " << i;
+    }
   }
 }
 
