@@ -1,10 +1,8 @@
 #include "serve/cluster.h"
 
-#include <poll.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -404,19 +402,12 @@ RpcResponse ClusterWorker::Execute(const RpcRequest& request) {
 
 void ClusterWorker::HandleConnection(Connection connection) {
   while (!stop_.load(std::memory_order_relaxed)) {
-    // Wait for the next request with a short poll so the stop flag is
+    // Wait for the next request with a short timeout so the stop flag is
     // observed promptly on idle connections; the io deadline only starts
     // once bytes are actually arriving.
-    struct pollfd pfd;
-    pfd.fd = connection.fd();
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int ready = ::poll(&pfd, 1, kStopPollMs);
-    if (ready == 0) continue;
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
+    const Status readable = connection.WaitReadable(kStopPollMs);
+    if (readable.code() == StatusCode::kDeadlineExceeded) continue;
+    if (!readable.ok()) break;
     auto request_bytes = connection.Receive(options_.io_timeout_ms);
     if (!request_bytes.ok()) {
       // Clean departure, reset, or garbage: either way this connection is

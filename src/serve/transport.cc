@@ -31,6 +31,10 @@ constexpr double kReconnectJitter = 0.5;
 // actually sends bytes.
 constexpr size_t kReceiveStepBytes = size_t{1} << 16;
 
+// How long a read-wait spins before it parks in poll(), and the longest
+// previous wait after which the next one spins at all.
+constexpr std::chrono::microseconds kReadSpinBudget{50};
+
 // The exact bytes Connection::Send puts on the wire for `message`: a
 // 32-bit little-endian body length, then the message's packed bytes with
 // their pad bits cleared, a 1 stop bit at bit `bit_count`, and zero
@@ -74,6 +78,7 @@ class DeadlineTimer {
     return static_cast<int>(std::max<int64_t>(0, left.count()));
   }
   bool expired() const { return remaining_ms() <= 0; }
+  std::chrono::steady_clock::time_point end() const { return end_; }
 
  private:
   std::chrono::steady_clock::time_point end_;
@@ -104,11 +109,56 @@ Status PollFor(int fd, short events, const DeadlineTimer& deadline,
   }
 }
 
+// One spin step's pause: tells the core this is a wait loop, so a
+// hyperthread sibling gets the pipeline meanwhile.
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// On one CPU a spinning reader holds the core its peer needs to send.
+bool SpinningHelps() {
+  static const bool helps = std::thread::hardware_concurrency() > 1;
+  return helps;
+}
+
+// Waits until fd is readable or hung up, or the deadline passes: spin,
+// then park (transport.h). `last_wait` is the connection's previous wait
+// length on entry and this wait's on return.
+Status WaitToRead(int fd, const DeadlineTimer& deadline,
+                  std::chrono::nanoseconds& last_wait) {
+  const auto start = std::chrono::steady_clock::now();
+  if (last_wait <= kReadSpinBudget && SpinningHelps()) {
+    DCS_METRIC_INC("serve.transport.waits_spun");
+    const auto spin_end = std::min(start + kReadSpinBudget, deadline.end());
+    do {
+      struct pollfd pfd;
+      pfd.fd = fd;
+      pfd.events = POLLIN;
+      pfd.revents = 0;
+      if (::poll(&pfd, 1, 0) > 0) {
+        last_wait = std::chrono::steady_clock::now() - start;
+        return OkStatus();  // readable/ERR/HUP: let recv report
+      }
+      CpuRelax();
+    } while (std::chrono::steady_clock::now() < spin_end);
+  } else {
+    DCS_METRIC_INC("serve.transport.waits_parked");
+  }
+  const Status parked = PollFor(fd, POLLIN, deadline, "read");
+  last_wait = std::chrono::steady_clock::now() - start;
+  return parked;
+}
+
 // Reads exactly `count` bytes. `at_message_start` distinguishes a clean
 // close between messages (a normal client departure) from a mid-message
 // EOF; both are kUnavailable but the messages differ.
 Status ReadFull(int fd, uint8_t* buf, size_t count,
-                const DeadlineTimer& deadline, bool at_message_start) {
+                const DeadlineTimer& deadline, bool at_message_start,
+                std::chrono::nanoseconds& last_wait) {
   size_t done = 0;
   while (done < count) {
     const ssize_t got = ::recv(fd, buf + done, count - done, 0);
@@ -123,7 +173,7 @@ Status ReadFull(int fd, uint8_t* buf, size_t count,
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      DCS_RETURN_IF_ERROR(PollFor(fd, POLLIN, deadline, "read"));
+      DCS_RETURN_IF_ERROR(WaitToRead(fd, deadline, last_wait));
       continue;
     }
     return UnavailableError(ErrnoString("recv"));
@@ -278,7 +328,7 @@ StatusOr<Message> Connection::Receive(int timeout_ms) {
   const DeadlineTimer deadline(timeout_ms);
   uint8_t prefix[4];
   DCS_RETURN_IF_ERROR(ReadFull(fd_, prefix, sizeof(prefix), deadline,
-                               /*at_message_start=*/true));
+                               /*at_message_start=*/true, last_read_wait_));
   const uint32_t frame_len = static_cast<uint32_t>(prefix[0]) |
                              (static_cast<uint32_t>(prefix[1]) << 8) |
                              (static_cast<uint32_t>(prefix[2]) << 16) |
@@ -295,7 +345,8 @@ StatusOr<Message> Connection::Receive(int timeout_ms) {
                                  std::max(kReceiveStepBytes, 2 * begin)));
     DCS_RETURN_IF_ERROR(ReadFull(fd_, body.data() + begin,
                                  body.size() - begin, deadline,
-                                 /*at_message_start=*/false));
+                                 /*at_message_start=*/false,
+                                 last_read_wait_));
   }
   DCS_METRIC_ADD("serve.transport.bytes_received",
                  static_cast<int64_t>(sizeof(prefix) + frame_len));
@@ -312,6 +363,11 @@ StatusOr<Message> Connection::Receive(int timeout_ms) {
   if (stop == 0) body.pop_back();
   DCS_METRIC_INC("serve.transport.messages_received");
   return Message{std::move(body), bit_count};
+}
+
+Status Connection::WaitReadable(int timeout_ms) {
+  if (!valid()) return FailedPreconditionError("wait on a closed connection");
+  return WaitToRead(fd_, DeadlineTimer(timeout_ms), last_read_wait_);
 }
 
 Listener::Listener(Listener&& other) noexcept

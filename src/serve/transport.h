@@ -25,13 +25,24 @@
 //
 // All I/O is nonblocking with poll()-enforced deadlines and EINTR-safe
 // retry loops; writes use MSG_NOSIGNAL so a dead peer surfaces as a Status,
-// never SIGPIPE. ConnectWithBackoff retries refused connections under the
-// same capped exponential backoff + deterministic jitter policy as
+// never SIGPIPE. A read that finds no bytes waits "spin, then park": if
+// this connection's previous read-wait ended within a 50 us budget, it
+// first re-checks readiness with a zero-timeout poll() and a CPU pause
+// until data arrives, the budget runs out or the call's deadline does,
+// and only then parks in poll(). Each wait's length is kept on the
+// Connection, so a peer slower than the budget (a long query, an idle
+// connection whose wait times out) makes the next wait park at once: a
+// wait burns at most 50 us of CPU, and only right after a short one. A
+// one-CPU host never spins, since the spinner would hold the CPU its peer
+// needs. The spin counts against the deadline; writes never spin.
+// ConnectWithBackoff retries refused connections under the same capped
+// exponential backoff + deterministic jitter policy as
 // ReliableLink (a dedicated seeded stream, so tests replay exactly).
 
 #ifndef DCS_SERVE_TRANSPORT_H_
 #define DCS_SERVE_TRANSPORT_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 
@@ -93,11 +104,15 @@ class Connection {
 
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
-  Connection(Connection&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  Connection(Connection&& other) noexcept
+      : fd_(other.fd_), last_read_wait_(other.last_read_wait_) {
+    other.fd_ = -1;
+  }
   Connection& operator=(Connection&& other) noexcept {
     if (this != &other) {
       Close();
       fd_ = other.fd_;
+      last_read_wait_ = other.last_read_wait_;
       other.fd_ = -1;
     }
     return *this;
@@ -119,8 +134,17 @@ class Connection {
   // closed"), which servers use as the end-of-client signal.
   StatusOr<Message> Receive(int timeout_ms);
 
+  // Waits, spin then park like Receive, until a byte or a hang-up is
+  // readable. OK when one is; kDeadlineExceeded ("transport deadline:")
+  // when `timeout_ms` passes first, so an idle server can poll its stop
+  // flag between waits.
+  Status WaitReadable(int timeout_ms);
+
  private:
   int fd_ = -1;
+  // Length of this connection's previous read-wait; zero (spin first)
+  // until one has happened.
+  std::chrono::nanoseconds last_read_wait_{0};
 };
 
 // A listening socket. For unix endpoints any stale socket file is

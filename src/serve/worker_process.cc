@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -80,18 +81,25 @@ StatusOr<WorkerProcess> SpawnWorker(const std::string& server_binary,
 }
 
 Status WaitForWorkerReady(const Endpoint& endpoint, int timeout_ms) {
+  // A fresh worker answers a few ms after spawn: the pause between pings
+  // starts short and doubles up to a cap, so readiness is seen soon after
+  // it happens without pinging a slow start hundreds of times.
+  constexpr std::chrono::microseconds kFirstPause{200};
+  constexpr std::chrono::microseconds kMaxPause{5000};
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
   RpcRequest ping;
   ping.kind = RpcKind::kPing;
   const Message encoded = EncodeRpcRequest(ping);
+  std::chrono::microseconds pause = kFirstPause;
   while (std::chrono::steady_clock::now() < deadline) {
     auto connection = Connect(endpoint, 200);
     if (connection.ok() && connection->Send(encoded, 500).ok()) {
       auto reply = connection->Receive(500);
       if (reply.ok() && DecodeRpcResponse(*reply).ok()) return OkStatus();
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    std::this_thread::sleep_for(pause);
+    pause = std::min(2 * pause, kMaxPause);
   }
   return DeadlineExceededError("transport deadline: worker at " +
                                endpoint.ToSpec() + " never became ready");

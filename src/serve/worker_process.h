@@ -35,8 +35,9 @@ StatusOr<WorkerProcess> SpawnWorker(const std::string& server_binary,
                                     const Endpoint& endpoint,
                                     const ClusterWorkerOptions& options);
 
-// Pings the endpoint until it answers (fresh connection per attempt).
-// kDeadlineExceeded if the worker never comes up within timeout_ms.
+// Pings the endpoint until it answers (fresh connection per attempt),
+// pausing 0.2 ms between the first attempts and doubling the pause up to
+// 5 ms. kDeadlineExceeded if the worker never comes up within timeout_ms.
 Status WaitForWorkerReady(const Endpoint& endpoint, int timeout_ms);
 
 // Sends `signo` (SIGKILL / SIGTERM). kNotFound if the process is already

@@ -85,7 +85,12 @@ struct ServingWorker {
   }
   void Stop() {
     if (worker != nullptr) worker->RequestStop();
-    if (thread.joinable()) thread.join();
+    if (thread.joinable()) {
+      // A connection, closed at once, wakes the accept loop now rather
+      // than at its next timed-out poll of the stop flag.
+      (void)Connect(worker->endpoint(), 100);
+      thread.join();
+    }
   }
   ~ServingWorker() { Stop(); }
 };
@@ -104,6 +109,29 @@ ServingWorker StartWorker(ClusterWorkerOptions options = {},
     EXPECT_TRUE(status.ok()) << status.ToString();
   });
   return serving;
+}
+
+// A connected loopback client/server pair; both invalid on failure.
+struct LoopbackPair {
+  Connection client;
+  Connection server;
+};
+
+LoopbackPair ConnectLoopback() {
+  LoopbackPair pair;
+  auto listener = Listener::Listen(Loopback());
+  if (!listener.ok()) return pair;
+  auto client = Connect(listener->local_endpoint(), 1000);
+  auto server = listener->Accept(1000);
+  if (client.ok() && server.ok()) {
+    pair.client = std::move(*client);
+    pair.server = std::move(*server);
+  }
+  return pair;
+}
+
+int64_t CounterValue(const char* name) {
+  return metrics::Registry::Get().GetCounter(name).value();
 }
 
 // Fast-failing client transport so failover tests don't sit out the full
@@ -240,6 +268,114 @@ TEST(TransportTest, PeerCloseIsUnavailable) {
   auto received = server->Receive(1000);
   ASSERT_FALSE(received.ok());
   EXPECT_EQ(received.status().code(), StatusCode::kUnavailable);
+}
+
+TEST(TransportTest, ImmediateAndDelayedFramesArriveByteIdentical) {
+  // The first frame lands within a read-wait's spin; the second, 5 ms
+  // later, after the wait has parked in poll().
+  LoopbackPair pair = ConnectLoopback();
+  ASSERT_TRUE(pair.client.valid() && pair.server.valid());
+  const Message now = RandomMessage(1000, 21);
+  const Message later = RandomMessage(333, 22);
+  std::thread sender([&] {
+    EXPECT_TRUE(pair.client.Send(now, 1000).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_TRUE(pair.client.Send(later, 1000).ok());
+  });
+  for (const Message* sent : {&now, &later}) {
+    auto received = pair.server.Receive(2000);
+    EXPECT_TRUE(received.ok()) << received.status().ToString();
+    if (!received.ok()) break;
+    EXPECT_EQ(received->bit_count, sent->bit_count);
+    EXPECT_EQ(received->bytes, sent->bytes);
+  }
+  sender.join();
+}
+
+TEST(TransportTest, SpinNeverExtendsAReceiveDeadline) {
+  LoopbackPair pair = ConnectLoopback();
+  ASSERT_TRUE(pair.client.valid() && pair.server.valid());
+  const auto start = std::chrono::steady_clock::now();
+  auto received = pair.server.Receive(1);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(received.status().message().rfind("transport deadline:", 0), 0u)
+      << received.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
+}
+
+TEST(TransportTest, PeerClosingDuringTheSpinIsUnavailable) {
+  // A fresh connection spins on its first wait; the peer closes a few
+  // microseconds in, within the spin budget on most runs.
+  LoopbackPair pair = ConnectLoopback();
+  ASSERT_TRUE(pair.client.valid() && pair.server.valid());
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::microseconds(10));
+    pair.client.Close();
+  });
+  const auto start = std::chrono::steady_clock::now();
+  auto received = pair.server.Receive(5000);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  closer.join();
+  ASSERT_FALSE(received.ok());
+  EXPECT_EQ(received.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(received.status().message(), "connection closed");
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+}
+
+TEST(TransportTest, WaitLongerThanTheSpinBudgetMakesTheNextOnePark) {
+#if !DCS_METRICS_ENABLED
+  GTEST_SKIP() << "library compiled with DCS_ENABLE_METRICS=OFF";
+#endif
+  LoopbackPair pair = ConnectLoopback();
+  ASSERT_TRUE(pair.client.valid() && pair.server.valid());
+  // A fresh connection spins on its first wait (given a second CPU); that
+  // wait lasts 5 ms, so the second parks at once.
+  const bool spins = std::thread::hardware_concurrency() > 1;
+  const Message message = RandomMessage(64, 23);
+  for (int wait = 0; wait < 2; ++wait) {
+    const int64_t spun = CounterValue("serve.transport.waits_spun");
+    const int64_t parked = CounterValue("serve.transport.waits_parked");
+    std::thread sender([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      EXPECT_TRUE(pair.client.Send(message, 1000).ok());
+    });
+    auto received = pair.server.Receive(2000);
+    sender.join();
+    ASSERT_TRUE(received.ok()) << received.status().ToString();
+    const bool expect_spin = spins && wait == 0;
+    EXPECT_EQ(CounterValue("serve.transport.waits_spun") - spun,
+              expect_spin ? 1 : 0)
+        << "wait " << wait;
+    EXPECT_EQ(CounterValue("serve.transport.waits_parked") - parked,
+              expect_spin ? 0 : 1)
+        << "wait " << wait;
+  }
+}
+
+TEST(TransportTest, WaitReadableTimesOutOnAnIdleConnection) {
+  LoopbackPair pair = ConnectLoopback();
+  ASSERT_TRUE(pair.client.valid() && pair.server.valid());
+  // The worker's idle wait: it must return within its timeout so the
+  // handler can look at its stop flag (every ServingWorker::Stop with a
+  // client still connected relies on it too).
+  const auto start = std::chrono::steady_clock::now();
+  const Status idle = pair.server.WaitReadable(50);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(idle.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(idle.message().rfind("transport deadline:", 0), 0u)
+      << idle.ToString();
+  EXPECT_GE(elapsed, std::chrono::milliseconds(49));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+
+  // Readable once a frame is pending, and the frame is still all there.
+  const Message message = RandomMessage(200, 24);
+  ASSERT_TRUE(pair.client.Send(message, 1000).ok());
+  EXPECT_TRUE(pair.server.WaitReadable(1000).ok());
+  auto received = pair.server.Receive(1000);
+  ASSERT_TRUE(received.ok()) << received.status().ToString();
+  EXPECT_EQ(received->bytes, message.bytes);
 }
 
 TEST(TransportTest, ConnectWithBackoffFailsAfterCappedAttempts) {
