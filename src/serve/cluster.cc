@@ -1,11 +1,15 @@
 #include "serve/cluster.h"
 
+#include <sys/eventfd.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "sketch/serialization.h"
@@ -18,7 +22,9 @@
 namespace dcs {
 namespace {
 
-// How often idle accept and connection loops wake to check the stop flag.
+// How long an idle accept or connection wait parks before it times out and
+// loops. A stop does not wait for it: RequestStop wakes both waits through
+// the wake eventfd.
 constexpr int kStopPollMs = 100;
 
 // Set in Shard::in_flight once drain starts: far above any admissible
@@ -45,9 +51,11 @@ Status CheckIndexable(const DirectedGraph& graph) {
       std::to_string(ClusterWorker::kMaxVertices));
 }
 
-// One warm-load record at ascending position `position`: its graph and
-// reattach checksum (the client's GraphEnvelopeChecksum), or why the store
-// cannot be booted from.
+// One warm-load record at ascending position `position`: its graph, with
+// its CSR adjacency already built (registration's ExactCutOracle would
+// otherwise build it, one graph after another), and its reattach checksum
+// (the client's GraphEnvelopeChecksum), or why the store cannot be booted
+// from.
 Status DecodeWarmRecord(int64_t position, const SegmentRecord& record,
                         std::optional<DirectedGraph>& graph,
                         uint32_t& checksum) {
@@ -66,6 +74,7 @@ Status DecodeWarmRecord(int64_t position, const SegmentRecord& record,
   BitReader reader(record.payload);
   DCS_ASSIGN_OR_RETURN(graph, DeserializeDirectedGraph(reader));
   DCS_RETURN_IF_ERROR(CheckIndexable(*graph));
+  graph->BuildAdjacency();
   checksum = Crc32c(record.payload);
   return OkStatus();
 }
@@ -80,10 +89,12 @@ void ClusterWorkerOptions::Check() const {
   DCS_CHECK_GE(warm_cache_entries, 0);
 }
 
-ClusterWorker::ClusterWorker(Listener listener, ClusterWorkerOptions options)
+ClusterWorker::ClusterWorker(Listener listener, ClusterWorkerOptions options,
+                             int wake_fd)
     : options_(options),
       listener_(std::move(listener)),
-      token_(DrawInstanceToken()) {
+      token_(DrawInstanceToken()),
+      wake_fd_(wake_fd) {
   shards_.reserve(static_cast<size_t>(options_.num_shards));
   for (int s = 0; s < options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
@@ -98,8 +109,13 @@ StatusOr<std::unique_ptr<ClusterWorker>> ClusterWorker::Create(
     const Endpoint& endpoint, ClusterWorkerOptions options) {
   options.Check();
   DCS_ASSIGN_OR_RETURN(Listener listener, Listener::Listen(endpoint));
+  const int wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake_fd < 0) {
+    return UnavailableError(std::string("eventfd failed: ") +
+                            std::strerror(errno));
+  }
   std::unique_ptr<ClusterWorker> worker(
-      new ClusterWorker(std::move(listener), options));
+      new ClusterWorker(std::move(listener), options, wake_fd));
   if (!options.store_dir.empty()) {
     std::vector<SegmentRecord> records;
     DCS_ASSIGN_OR_RETURN(worker->store_,
@@ -112,16 +128,18 @@ StatusOr<std::unique_ptr<ClusterWorker>> ClusterWorker::Create(
 Status ClusterWorker::WarmLoadFromStore(std::vector<SegmentRecord> records) {
   // Open handed over each object's newest record in ascending global id,
   // already verified (header CRC, payload envelope), so boot reads nothing
-  // twice. Records deserialize and take their reattach checksums
-  // independently on the shard count's threads; each frees its payload
-  // once done, so the bytes never all sit beside the graphs built from
-  // them. A refusal names the lowest failing position, whatever the
-  // schedule.
+  // twice. Records deserialize, index and take their reattach checksums
+  // independently on one thread per core (boot has the machine to itself;
+  // the shard count says nothing about it); each frees its payload once
+  // done, so the bytes never all sit beside the graphs built from them. A
+  // refusal names the lowest failing position, whatever the schedule.
   const int64_t count = static_cast<int64_t>(records.size());
   std::vector<std::optional<DirectedGraph>> graphs(records.size());
   std::vector<uint32_t> checksums(records.size());
   std::vector<Status> loaded(records.size());
-  ParallelFor(options_.num_shards, count, [&](int64_t i) {
+  const int threads =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  ParallelFor(threads, count, [&](int64_t i) {
     const size_t slot = static_cast<size_t>(i);
     loaded[slot] = DecodeWarmRecord(i, records[slot], graphs[slot],
                                     checksums[slot]);
@@ -210,6 +228,18 @@ ClusterWorker::~ClusterWorker() {
   listener_.Close();
   DrainShards();
   JoinConnections(/*finished_only=*/false);
+  ::close(wake_fd_);  // no thread waits on it any more
+}
+
+void ClusterWorker::RequestStop() noexcept {
+  stop_.store(true, std::memory_order_relaxed);
+  // The eventfd stays readable from here on (nothing reads it), so every
+  // wait that polls it, now or later, returns at once. write(2) is
+  // async-signal-safe; errno is kept for the code the signal interrupted.
+  const int saved_errno = errno;
+  const uint64_t one = 1;
+  [[maybe_unused]] const ssize_t wrote = ::write(wake_fd_, &one, sizeof(one));
+  errno = saved_errno;
 }
 
 Status ClusterWorker::Admit(Shard& shard) {
@@ -402,10 +432,9 @@ RpcResponse ClusterWorker::Execute(const RpcRequest& request) {
 
 void ClusterWorker::HandleConnection(Connection connection) {
   while (!stop_.load(std::memory_order_relaxed)) {
-    // Wait for the next request with a short timeout so the stop flag is
-    // observed promptly on idle connections; the io deadline only starts
-    // once bytes are actually arriving.
-    const Status readable = connection.WaitReadable(kStopPollMs);
+    // Wait for the next request or a stop, whichever comes first; the io
+    // deadline only starts once bytes are actually arriving.
+    const Status readable = connection.WaitReadable(kStopPollMs, wake_fd_);
     if (readable.code() == StatusCode::kDeadlineExceeded) continue;
     if (!readable.ok()) break;
     auto request_bytes = connection.Receive(options_.io_timeout_ms);
@@ -443,10 +472,12 @@ void ClusterWorker::JoinConnections(bool finished_only) {
 
 Status ClusterWorker::Serve() {
   while (!stop_.load(std::memory_order_relaxed)) {
-    auto accepted = listener_.Accept(kStopPollMs);
+    auto accepted = listener_.Accept(kStopPollMs, wake_fd_);
     if (!accepted.ok()) {
-      if (accepted.status().code() == StatusCode::kDeadlineExceeded) {
-        continue;  // poll the stop flag
+      // A timeout loops; a wake means the stop flag is set.
+      if (accepted.status().code() == StatusCode::kDeadlineExceeded ||
+          stop_.load(std::memory_order_relaxed)) {
+        continue;
       }
       return accepted.status();
     }
@@ -461,8 +492,8 @@ Status ClusterWorker::Serve() {
         });
   }
   // Drain: stop admitting and accepting, wait for every admitted request
-  // to answer, then join the connections (they observe stop_ within
-  // kStopPollMs).
+  // to answer, then join the connections (an idle one is woken by the
+  // stop; a busy one answers its request and then sees stop_).
   listener_.Close();
   DrainShards();
   JoinConnections(/*finished_only=*/false);

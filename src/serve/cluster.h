@@ -21,7 +21,9 @@
 // Registrations round-robin across shards; queries route by id % S.
 //
 // Shutdown is drain-then-stop (the SIGTERM path): RequestStop() is
-// async-signal-safe (one atomic store); Serve() then stops admitting
+// async-signal-safe (an atomic store and a write to the wake eventfd that
+// the accept loop and every idle connection poll, so each sees the stop
+// at once); Serve() then stops admitting
 // (new requests get kUnavailable, "worker draining"), stops accepting,
 // waits until every admitted request has answered, joins the connection
 // threads, and seals the store. A client mid-request gets its answer.
@@ -99,11 +101,10 @@ class ClusterWorker {
   // admitted requests answered, threads joined, store sealed) and returns.
   Status Serve();
 
-  // Async-signal-safe stop request (one relaxed atomic store); Serve()
-  // observes it within one stop-flag poll (100 ms).
-  void RequestStop() noexcept {
-    stop_.store(true, std::memory_order_relaxed);
-  }
+  // Async-signal-safe stop request: a relaxed atomic store, then one
+  // write(2) to the wake eventfd, which wakes Serve()'s accept wait and
+  // every idle connection's read-wait at once.
+  void RequestStop() noexcept;
 
   // The bound endpoint (reports the real port when created with port 0).
   const Endpoint& endpoint() const { return listener_.local_endpoint(); }
@@ -138,13 +139,16 @@ class ClusterWorker {
     std::deque<uint32_t> checksums;
   };
 
-  ClusterWorker(Listener listener, ClusterWorkerOptions options);
+  // Takes ownership of `wake_fd`, the stop eventfd.
+  ClusterWorker(Listener listener, ClusterWorkerOptions options,
+                int wake_fd);
 
   // Replays every persisted object into the shards from the verified
   // records SketchStore::Open handed over (newest per object, ascending
-  // id): deserializes them on num_shards threads, then registers serially
-  // in ascending global id, reproducing the round-robin assignment (id k
-  // -> shard k % S, local k / S), and reloads the drain cache snapshot.
+  // id): deserializes and indexes them on one thread per core, then
+  // registers serially in ascending global id, reproducing the round-robin
+  // assignment (id k -> shard k % S, local k / S), and reloads the drain
+  // cache snapshot.
   // Runs before Serve(), so no synchronization against queries is needed.
   Status WarmLoadFromStore(std::vector<SegmentRecord> records);
   // Drain-side of the warm tier: dump the hottest cache entries and seal
@@ -171,6 +175,9 @@ class ClusterWorker {
   Listener listener_;
   uint64_t token_ = 0;
   std::atomic<bool> stop_{false};
+  // Stop eventfd: written once by RequestStop, polled beside the listener
+  // and every idle connection, never read.
+  int wake_fd_ = -1;
   std::unique_ptr<SketchStore> store_;  // null without --store-dir
   int64_t warm_loaded_objects_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;

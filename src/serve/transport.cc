@@ -84,22 +84,27 @@ class DeadlineTimer {
   std::chrono::steady_clock::time_point end_;
 };
 
-// Waits for `events` on fd within the deadline. OK when ready;
-// kDeadlineExceeded when the budget ran out first.
+// Waits for `events` on fd within the deadline, or until `wake_fd` (when
+// not -1) turns readable. OK when fd is ready; kDeadlineExceeded when the
+// budget ran out first; kUnavailable when woken, even if fd is ready too.
 Status PollFor(int fd, short events, const DeadlineTimer& deadline,
-               const char* what) {
+               const char* what, int wake_fd = -1) {
   while (true) {
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = events;
-    pfd.revents = 0;
+    // poll() skips an entry whose fd is negative.
+    struct pollfd pfds[2] = {{fd, events, 0}, {wake_fd, POLLIN, 0}};
     const int remaining = deadline.remaining_ms();
     if (remaining <= 0) {
       return DeadlineExceededError(std::string("transport deadline: ") +
                                    what + " timed out");
     }
-    const int ready = ::poll(&pfd, 1, remaining);
-    if (ready > 0) return OkStatus();  // readable/ERR/HUP: let recv report
+    const int ready = ::poll(pfds, 2, remaining);
+    if (ready > 0) {
+      if (pfds[1].revents != 0) {
+        return UnavailableError(std::string("transport ") + what +
+                                " woken to stop");
+      }
+      return OkStatus();  // readable/ERR/HUP: let recv report
+    }
     if (ready == 0) {
       return DeadlineExceededError(std::string("transport deadline: ") +
                                    what + " timed out");
@@ -127,9 +132,10 @@ bool SpinningHelps() {
 
 // Waits until fd is readable or hung up, or the deadline passes: spin,
 // then park (transport.h). `last_wait` is the connection's previous wait
-// length on entry and this wait's on return.
+// length on entry and this wait's on return. The park also ends when
+// `wake_fd` (when not -1) turns readable.
 Status WaitToRead(int fd, const DeadlineTimer& deadline,
-                  std::chrono::nanoseconds& last_wait) {
+                  std::chrono::nanoseconds& last_wait, int wake_fd = -1) {
   const auto start = std::chrono::steady_clock::now();
   if (last_wait <= kReadSpinBudget && SpinningHelps()) {
     DCS_METRIC_INC("serve.transport.waits_spun");
@@ -148,7 +154,7 @@ Status WaitToRead(int fd, const DeadlineTimer& deadline,
   } else {
     DCS_METRIC_INC("serve.transport.waits_parked");
   }
-  const Status parked = PollFor(fd, POLLIN, deadline, "read");
+  const Status parked = PollFor(fd, POLLIN, deadline, "read", wake_fd);
   last_wait = std::chrono::steady_clock::now() - start;
   return parked;
 }
@@ -365,9 +371,9 @@ StatusOr<Message> Connection::Receive(int timeout_ms) {
   return Message{std::move(body), bit_count};
 }
 
-Status Connection::WaitReadable(int timeout_ms) {
+Status Connection::WaitReadable(int timeout_ms, int wake_fd) {
   if (!valid()) return FailedPreconditionError("wait on a closed connection");
-  return WaitToRead(fd_, DeadlineTimer(timeout_ms), last_read_wait_);
+  return WaitToRead(fd_, DeadlineTimer(timeout_ms), last_read_wait_, wake_fd);
 }
 
 Listener::Listener(Listener&& other) noexcept
@@ -429,11 +435,11 @@ StatusOr<Listener> Listener::Listen(const Endpoint& endpoint, int backlog) {
   return listener;
 }
 
-StatusOr<Connection> Listener::Accept(int timeout_ms) {
+StatusOr<Connection> Listener::Accept(int timeout_ms, int wake_fd) {
   if (!valid()) return UnavailableError("accept on a closed listener");
   const DeadlineTimer deadline(timeout_ms);
   while (true) {
-    DCS_RETURN_IF_ERROR(PollFor(fd_, POLLIN, deadline, "accept"));
+    DCS_RETURN_IF_ERROR(PollFor(fd_, POLLIN, deadline, "accept", wake_fd));
     const int client =
         ::accept4(fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (client >= 0) {

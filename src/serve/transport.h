@@ -136,9 +136,10 @@ class Connection {
 
   // Waits, spin then park like Receive, until a byte or a hang-up is
   // readable. OK when one is; kDeadlineExceeded ("transport deadline:")
-  // when `timeout_ms` passes first, so an idle server can poll its stop
-  // flag between waits.
-  Status WaitReadable(int timeout_ms);
+  // when `timeout_ms` passes first; kUnavailable as soon as `wake_fd`
+  // (when not -1; a server's stop eventfd) turns readable, so an idle
+  // server connection sees a stop at once.
+  Status WaitReadable(int timeout_ms, int wake_fd = -1);
 
  private:
   int fd_ = -1;
@@ -166,10 +167,11 @@ class Listener {
   const Endpoint& local_endpoint() const { return endpoint_; }
   void Close();
 
-  // Accepts one connection. kDeadlineExceeded on timeout (the server's
-  // accept loop uses a short timeout so it can poll its shutdown flag),
-  // kUnavailable if the listener is closed.
-  StatusOr<Connection> Accept(int timeout_ms);
+  // Accepts one connection. kDeadlineExceeded on timeout, kUnavailable if
+  // the listener is closed or `wake_fd` (when not -1; a server's stop
+  // eventfd) turns readable, so a stopping accept loop need not wait out
+  // its timeout.
+  StatusOr<Connection> Accept(int timeout_ms, int wake_fd = -1);
 
  private:
   int fd_ = -1;

@@ -1,11 +1,13 @@
 #include "serve/worker_process.h"
 
 #include <signal.h>
+#include <spawn.h>
 #include <string.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -19,9 +21,8 @@ StatusOr<WorkerProcess> SpawnWorker(const std::string& server_binary,
                                     const Endpoint& endpoint,
                                     const ClusterWorkerOptions& options) {
   options.Check();
-  // Fail fast on a missing or non-executable binary: without this check
-  // the only symptom is the child's _exit(127) after fork, which callers
-  // discover via a multi-second WaitForWorkerReady timeout.
+  // Fail fast on a missing or non-executable binary, with errno's own
+  // reason, before a child is made at all.
   if (::access(server_binary.c_str(), X_OK) != 0) {
     return NotFoundError("server binary " + server_binary +
                          " is not executable: " + std::strerror(errno));
@@ -31,7 +32,7 @@ StatusOr<WorkerProcess> SpawnWorker(const std::string& server_binary,
   const std::string queue = std::to_string(options.queue_capacity);
   const std::string io_timeout = std::to_string(options.io_timeout_ms);
   const std::string delay = std::to_string(options.execution_delay_ms);
-  // execv wants mutable char*; the strings above outlive the call.
+  // posix_spawn wants mutable char*; the strings above outlive the call.
   std::vector<char*> argv;
   auto push = [&argv](const std::string& s) {
     argv.push_back(const_cast<char*>(s.c_str()));
@@ -63,16 +64,20 @@ StatusOr<WorkerProcess> SpawnWorker(const std::string& server_binary,
   }
   argv.push_back(nullptr);
 
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    return UnavailableError(std::string("fork failed: ") +
-                            std::strerror(errno));
-  }
-  if (pid == 0) {
-    ::execv(server_binary.c_str(), argv.data());
-    // Only reached when exec failed; 127 is the shell's convention for
-    // "command not found" and surfaces in the parent's reap status.
-    _exit(127);
+  // posix_spawn, not fork + exec: the child shares the parent's memory
+  // until it execs (no page-table copy, no copy-on-write faults in a
+  // parent with many threads or a large heap), and an exec failure comes
+  // back here as the error instead of as a child's exit status.
+  pid_t pid = -1;
+  const int spawned = ::posix_spawn(&pid, server_binary.c_str(), nullptr,
+                                    nullptr, argv.data(), environ);
+  if (spawned != 0) {
+    const std::string message = "cannot spawn server binary " +
+                                server_binary + ": " +
+                                std::strerror(spawned);
+    return spawned == EAGAIN || spawned == ENOMEM
+               ? UnavailableError(message)
+               : NotFoundError(message);
   }
   WorkerProcess worker;
   worker.pid = pid;

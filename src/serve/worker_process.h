@@ -1,7 +1,7 @@
 // Spawning, killing, and reaping real dcs_server worker processes — the
 // machinery behind the process-kill chaos soak (DESIGN.md §14).
 //
-// SpawnWorker fork/execs the dcs_server binary serving one endpoint;
+// SpawnWorker posix_spawns the dcs_server binary serving one endpoint;
 // WaitForWorkerReady polls with transport pings until the worker answers
 // (or a deadline passes). Kill delivers a signal (SIGKILL for chaos,
 // SIGTERM for drain) and Reap waitpid()s the corpse so the soak never
@@ -28,9 +28,11 @@ struct WorkerProcess {
   bool alive() const { return pid > 0; }
 };
 
-// fork/execs `server_binary --listen <endpoint> --shards N ...`. The child
-// inherits nothing interesting (sockets are CLOEXEC). Returns immediately;
-// use WaitForWorkerReady before sending requests.
+// posix_spawns `server_binary --listen <endpoint> --shards N ...`. The
+// child inherits nothing interesting (sockets are CLOEXEC). kNotFound when
+// the binary is missing, not executable or fails to exec; kUnavailable
+// when the system is out of processes or memory. Returns once the child
+// has exec'd; use WaitForWorkerReady before sending requests.
 StatusOr<WorkerProcess> SpawnWorker(const std::string& server_binary,
                                     const Endpoint& endpoint,
                                     const ClusterWorkerOptions& options);

@@ -53,7 +53,7 @@ bool StorableKind(StreamKind kind) {
 // True iff a record that verifies starts at byte `pos` of `bytes` and ends
 // by byte `end`: magic, header checksum, caps, and a payload that passes
 // CheckStoredEnvelope. Fills `record` and `byte_length` when it does.
-bool TryParseRecordAt(const std::vector<uint8_t>& bytes, int64_t pos,
+bool TryParseRecordAt(std::span<const uint8_t> bytes, int64_t pos,
                       int64_t end, SegmentRecord& record,
                       int64_t& byte_length) {
   const int64_t remaining = end - pos;
@@ -87,7 +87,7 @@ bool TryParseRecordAt(const std::vector<uint8_t>& bytes, int64_t pos,
 }
 
 // The first offset after `pos` at which a record verifies, or -1.
-int64_t FindRecordAfter(const std::vector<uint8_t>& bytes, int64_t pos) {
+int64_t FindRecordAfter(std::span<const uint8_t> bytes, int64_t pos) {
   const int64_t size = static_cast<int64_t>(bytes.size());
   for (int64_t at = pos + 1; at + kRecordPrefixBytes <= size; ++at) {
     SegmentRecord record;
@@ -98,7 +98,7 @@ int64_t FindRecordAfter(const std::vector<uint8_t>& bytes, int64_t pos) {
 }
 
 // Locates a valid seal trailer: returns its records-end offset, or -1.
-int64_t FindSealTrailer(const std::vector<uint8_t>& bytes) {
+int64_t FindSealTrailer(std::span<const uint8_t> bytes) {
   const int64_t size = static_cast<int64_t>(bytes.size());
   if (size < kTrailerBytes) return -1;
   const uint8_t* t = bytes.data() + (size - kTrailerBytes);
@@ -178,7 +178,7 @@ StatusOr<SegmentRecord> ParseSegmentRecord(const std::vector<uint8_t>& bytes) {
   return record;
 }
 
-StatusOr<SegmentScan> ScanSegment(const std::vector<uint8_t>& bytes) {
+StatusOr<SegmentScan> ScanSegment(std::span<const uint8_t> bytes) {
   const int64_t size = static_cast<int64_t>(bytes.size());
   // Checked first: an older layout's records fail the current magic (or
   // checksum) at byte 0, so the walk below would call the whole file a
@@ -195,6 +195,7 @@ StatusOr<SegmentScan> ScanSegment(const std::vector<uint8_t>& bytes) {
         hex + "); delete the store directory and re-register its objects");
   }
   SegmentScan scan;
+  scan.image_bytes = size;
   const int64_t records_end = FindSealTrailer(bytes);
   if (records_end >= 0) {
     // Sealed segment: it was fsynced, so every byte before the trailer is

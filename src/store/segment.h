@@ -39,6 +39,7 @@
 #define DCS_STORE_SEGMENT_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sketch/serialization.h"
@@ -82,6 +83,7 @@ StatusOr<SegmentRecord> ParseSegmentRecord(const std::vector<uint8_t>& bytes);
 struct SegmentScan {
   std::vector<SegmentRecord> records;  // the valid prefix, in file order
   bool sealed = false;                 // valid trailer found
+  int64_t image_bytes = 0;             // size of the scanned image
   // Bytes of the valid record prefix. Recovery truncates the file here.
   int64_t valid_prefix_bytes = 0;
   // True when trailing bytes past the prefix were cut (torn tail).
@@ -89,14 +91,16 @@ struct SegmentScan {
   int64_t dropped_tail_bytes = 0;
 };
 
-// Scans a segment image. OK (possibly with recovered_torn_tail) when the
-// bytes are a valid record prefix followed by a torn tail that holds no
-// verifying record. kDataLoss when damage sits *before* the tail (a damaged
-// record, header or payload, with an intact record after it), for any
-// mismatch inside a sealed segment, and for a segment in an older layout
-// (record magic 0x5E60 or 0x5E61) — the caller must treat the segment as
-// corrupt rather than truncate committed data away.
-StatusOr<SegmentScan> ScanSegment(const std::vector<uint8_t>& bytes);
+// Scans a segment image: a file's bytes (SketchStore maps it read-only
+// for the scan) or an in-memory copy. Every record copies its payload out,
+// so the scan outlives the image. OK (possibly with recovered_torn_tail)
+// when the bytes are a valid record prefix followed by a torn tail that
+// holds no verifying record. kDataLoss when damage sits *before* the tail
+// (a damaged record, header or payload, with an intact record after it),
+// for any mismatch inside a sealed segment, and for a segment in an older
+// layout (record magic 0x5E60 or 0x5E61) — the caller must treat the
+// segment as corrupt rather than truncate committed data away.
+StatusOr<SegmentScan> ScanSegment(std::span<const uint8_t> bytes);
 
 }  // namespace dcs
 

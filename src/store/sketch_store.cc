@@ -2,6 +2,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -62,6 +63,41 @@ StatusOr<std::vector<std::pair<int64_t, std::string>>> ListSegmentFiles(
   return files;
 }
 
+// Scans the segment file at `path` (Open's and fsck's one read of it)
+// through a read-only mapping that lives only for the scan: the records
+// own copies of their payloads, so nothing points into the file once this
+// returns, and Open may truncate a torn tail. A zero-byte segment (an
+// active one just after a roll) is scanned without a mapping, which mmap
+// refuses at length 0. A file that cannot be opened, stat'd or mapped is
+// ErrnoError's kNotFound or kInternal; a damaged image is ScanSegment's
+// kDataLoss.
+StatusOr<SegmentScan> ScanSegmentFile(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return ErrnoError("cannot open", path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const Status status = ErrnoError("cannot stat", path);
+    ::close(fd);
+    return status;
+  }
+  const size_t size = static_cast<size_t>(st.st_size);
+  if (size == 0) {
+    ::close(fd);
+    return ScanSegment({});
+  }
+  // MAP_POPULATE: the scan reads every byte, so fault the pages in with
+  // the map call instead of one fault per page run.
+  void* mapped = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE | MAP_POPULATE,
+                        fd, 0);
+  const Status map_status =
+      mapped == MAP_FAILED ? ErrnoError("cannot map", path) : OkStatus();
+  ::close(fd);  // the mapping holds its own reference to the file
+  DCS_RETURN_IF_ERROR(map_status);
+  auto scan = ScanSegment({static_cast<const uint8_t*>(mapped), size});
+  ::munmap(mapped, size);
+  return scan;
+}
+
 }  // namespace
 
 SketchStore::SketchStore(std::string dir) : dir_(std::move(dir)) {}
@@ -89,9 +125,10 @@ StatusOr<std::unique_ptr<SketchStore>> SketchStore::Open(
   DCS_ASSIGN_OR_RETURN(const auto files, ListSegmentFiles(dir));
   for (const auto& [number, name] : files) {
     const std::string path = dir + "/" + name;
-    DCS_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                         ReadFileBytes(path));
-    auto scan = ScanSegment(bytes);
+    auto scan = ScanSegmentFile(path);
+    if (!scan.ok() && scan.status().code() != StatusCode::kDataLoss) {
+      return scan.status();  // the file could not be read at all
+    }
     if (!scan.ok()) {
       return DataLossError("data_loss: segment " + name + ": " +
                            scan.status().message());
@@ -108,8 +145,7 @@ StatusOr<std::unique_ptr<SketchStore>> SketchStore::Open(
     const size_t segment_index = store->segment_files_.size();
     store->segment_files_.push_back(name);
     store->segment_bytes_.push_back(
-        scan->sealed ? static_cast<int64_t>(bytes.size())
-                     : scan->valid_prefix_bytes);
+        scan->sealed ? scan->image_bytes : scan->valid_prefix_bytes);
     store->highest_number_ = std::max(store->highest_number_, number);
     int64_t offset = 0;
     for (SegmentRecord& record : scan->records) {
@@ -385,9 +421,10 @@ StatusOr<StoreFsckReport> FsckSketchStore(const std::string& dir) {
   for (const auto& [number, name] : files) {
     StoreFsckReport::Segment segment;
     segment.file = name;
-    DCS_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                         ReadFileBytes(dir + "/" + name));
-    const auto scan = ScanSegment(bytes);
+    const auto scan = ScanSegmentFile(dir + "/" + name);
+    if (!scan.ok() && scan.status().code() != StatusCode::kDataLoss) {
+      return scan.status();  // the file could not be read at all
+    }
     if (!scan.ok()) {
       segment.state = "corrupt";
       segment.detail = scan.status().message();

@@ -338,6 +338,82 @@ TEST(SketchStoreTest, OpenRecoversATornTailByTruncating) {
   EXPECT_EQ(report->recovered_segments, 0);
 }
 
+TEST(SketchStoreTest, ZeroByteSegmentOpensAsTheActiveSegment) {
+  // A crash right after a roll created the next segment leaves it empty:
+  // the scan must take it as an empty unsealed segment, not fail to map.
+  ScratchDir scratch;
+  Rng rng(5);
+  const std::vector<TestObject> objects = MakeOneOfEachKind(rng);
+  {
+    auto store = SketchStore::Open(scratch.path());
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)
+                    ->Put(0, objects[0].kind, objects[0].bytes,
+                          objects[0].bit_count)
+                    .ok());
+    ASSERT_TRUE((*store)->Seal().ok());
+  }
+  std::FILE* empty =
+      std::fopen((scratch.path() + "/segment-000002.seg").c_str(), "wb");
+  ASSERT_NE(empty, nullptr);
+  ASSERT_EQ(std::fclose(empty), 0);
+
+  const auto fsck = FsckSketchStore(scratch.path());
+  ASSERT_TRUE(fsck.ok()) << fsck.status().ToString();
+  ASSERT_EQ(fsck->segments.size(), 2u);
+  EXPECT_EQ(fsck->segments[1].state, "unsealed");
+  EXPECT_EQ(fsck->segments[1].records, 0);
+  EXPECT_TRUE(fsck->clean());
+
+  std::vector<SegmentRecord> records;
+  auto store = SketchStore::Open(scratch.path(), &records);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ((*store)->open_report().segments, 2);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].payload, objects[0].bytes);
+  // The empty segment is the active one: the next Put lands in it.
+  ASSERT_TRUE((*store)
+                  ->Put(1, objects[1].kind, objects[1].bytes,
+                        objects[1].bit_count)
+                  .ok());
+  const auto got = (*store)->Get(1);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->bytes, objects[1].bytes);
+  EXPECT_EQ(ReadFileBytes(scratch.path() + "/segment-000002.seg").size(),
+            static_cast<size_t>(SegmentRecordByteLength(objects[1].bit_count)));
+}
+
+TEST(SketchStoreTest, UnreadableSegmentIsAStatusNotAnAbort) {
+  // A segment name that is a directory opens but cannot be mapped; one
+  // that is a dangling link cannot be opened. Both refuse Open and fsck
+  // with the reason, and neither is called corruption.
+  const struct {
+    const char* label;
+    StatusCode code;
+  } cases[] = {{"directory", StatusCode::kInternal},
+               {"dangling link", StatusCode::kNotFound}};
+  for (const auto& c : cases) {
+    ScratchDir scratch;
+    const std::string segment = scratch.path() + "/segment-000001.seg";
+    if (c.code == StatusCode::kInternal) {
+      ASSERT_EQ(::mkdir(segment.c_str(), 0755), 0);
+    } else {
+      ASSERT_EQ(::symlink("nowhere.seg", segment.c_str()), 0);
+    }
+    const auto store = SketchStore::Open(scratch.path());
+    ASSERT_FALSE(store.ok()) << c.label;
+    EXPECT_EQ(store.status().code(), c.code)
+        << c.label << ": " << store.status().ToString();
+    EXPECT_NE(store.status().message().find("segment-000001.seg"),
+              std::string::npos)
+        << store.status().ToString();
+    const auto fsck = FsckSketchStore(scratch.path());
+    ASSERT_FALSE(fsck.ok()) << c.label;
+    EXPECT_EQ(fsck.status().code(), c.code)
+        << c.label << ": " << fsck.status().ToString();
+  }
+}
+
 TEST(SketchStoreTest, MidFileDamageIsDataLossNotRecovery) {
   Rng rng(7);
   const std::vector<TestObject> objects = MakeOneOfEachKind(rng);

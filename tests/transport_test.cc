@@ -2,10 +2,13 @@
 // endpoint parsing, loopback framing round trips, deadlines, backoff
 // connects, per-shard admission control, worker dispatch over real
 // sockets, replication failover, token-mismatch repair, client handle
-// validation, and fork/exec'd dcs_server worker processes.
+// validation, the stop wake, and posix_spawn'd dcs_server worker
+// processes.
 
 #include <signal.h>
 #include <stdlib.h>
+#include <sys/eventfd.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -85,12 +88,7 @@ struct ServingWorker {
   }
   void Stop() {
     if (worker != nullptr) worker->RequestStop();
-    if (thread.joinable()) {
-      // A connection, closed at once, wakes the accept loop now rather
-      // than at its next timed-out poll of the stop flag.
-      (void)Connect(worker->endpoint(), 100);
-      thread.join();
-    }
+    if (thread.joinable()) thread.join();
   }
   ~ServingWorker() { Stop(); }
 };
@@ -357,9 +355,8 @@ TEST(TransportTest, WaitLongerThanTheSpinBudgetMakesTheNextOnePark) {
 TEST(TransportTest, WaitReadableTimesOutOnAnIdleConnection) {
   LoopbackPair pair = ConnectLoopback();
   ASSERT_TRUE(pair.client.valid() && pair.server.valid());
-  // The worker's idle wait: it must return within its timeout so the
-  // handler can look at its stop flag (every ServingWorker::Stop with a
-  // client still connected relies on it too).
+  // The worker's idle wait: it must return within its timeout, so the
+  // handler loops instead of parking for good.
   const auto start = std::chrono::steady_clock::now();
   const Status idle = pair.server.WaitReadable(50);
   const auto elapsed = std::chrono::steady_clock::now() - start;
@@ -376,6 +373,77 @@ TEST(TransportTest, WaitReadableTimesOutOnAnIdleConnection) {
   auto received = pair.server.Receive(1000);
   ASSERT_TRUE(received.ok()) << received.status().ToString();
   EXPECT_EQ(received->bytes, message.bytes);
+}
+
+TEST(TransportTest, WakeFdEndsAParkedReadWaitAndAnAcceptAtOnce) {
+  // The worker's stop path: a wait given a wake fd returns kUnavailable as
+  // soon as the fd turns readable, long before its own timeout.
+  const int wake = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  ASSERT_GE(wake, 0);
+  LoopbackPair pair = ConnectLoopback();
+  ASSERT_TRUE(pair.client.valid() && pair.server.valid());
+  // An unwoken wake fd changes nothing: a pending frame is readable.
+  const Message message = RandomMessage(100, 25);
+  ASSERT_TRUE(pair.client.Send(message, 1000).ok());
+  EXPECT_TRUE(pair.server.WaitReadable(1000, wake).ok());
+  ASSERT_TRUE(pair.server.Receive(1000).ok());
+
+  const auto start = std::chrono::steady_clock::now();
+  std::thread waker([wake] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const uint64_t one = 1;
+    EXPECT_EQ(::write(wake, &one, sizeof(one)),
+              static_cast<ssize_t>(sizeof(one)));
+  });
+  const Status woken = pair.server.WaitReadable(60000, wake);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  waker.join();
+  EXPECT_EQ(woken.code(), StatusCode::kUnavailable) << woken.ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(30));
+
+  // The fd stays readable: a later accept returns at once, and a wake
+  // wins over a connection that is also pending.
+  auto listener = Listener::Listen(Loopback());
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  auto client = Connect(listener->local_endpoint(), 1000);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  const auto accept_start = std::chrono::steady_clock::now();
+  auto accepted = listener->Accept(60000, wake);
+  EXPECT_EQ(accepted.status().code(), StatusCode::kUnavailable)
+      << accepted.status().ToString();
+  EXPECT_LT(std::chrono::steady_clock::now() - accept_start,
+            std::chrono::seconds(30));
+  // Without the wake fd the same listener still accepts.
+  EXPECT_TRUE(listener->Accept(1000).ok());
+  ::close(wake);
+}
+
+TEST(WorkerProcessTest, SpawnFailuresAreNotFoundStatuses) {
+  char dir_template[] = "/tmp/dcs_worker_spawn_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  const std::string dir = dir_template;
+  auto endpoint = ParseEndpoint("unix:" + dir + "/w.sock");
+  ASSERT_TRUE(endpoint.ok());
+  // Not executable: a plain file without the exec bit. Fails to exec: a
+  // file with the bit that is neither ELF nor a script, so posix_spawn
+  // itself returns the exec error.
+  const std::string plain = dir + "/plain";
+  const std::string garbage = dir + "/garbage";
+  for (const std::string& path : {plain, garbage}) {
+    std::ofstream(path) << "not a program\n";
+  }
+  ASSERT_EQ(::chmod(garbage.c_str(), 0755), 0);
+  for (const std::string& binary :
+       {dir + "/missing", plain, garbage}) {
+    const auto spawned = SpawnWorker(binary, *endpoint, ClusterWorkerOptions{});
+    ASSERT_FALSE(spawned.ok()) << binary;
+    EXPECT_EQ(spawned.status().code(), StatusCode::kNotFound)
+        << binary << ": " << spawned.status().ToString();
+    EXPECT_NE(spawned.status().message().find(binary), std::string::npos)
+        << spawned.status().ToString();
+  }
+  const std::string command = "rm -rf '" + dir + "'";
+  ASSERT_EQ(std::system(command.c_str()), 0);
 }
 
 TEST(TransportTest, ConnectWithBackoffFailsAfterCappedAttempts) {

@@ -43,7 +43,8 @@
 namespace {
 
 // Signal handlers may only touch the worker through an async-signal-safe
-// call; ClusterWorker::RequestStop is a relaxed atomic store by contract.
+// call; ClusterWorker::RequestStop is an atomic store and a write(2) by
+// contract.
 dcs::ClusterWorker* g_worker = nullptr;
 
 void HandleStopSignal(int) {
