@@ -21,10 +21,14 @@ Rules:
     stops measuring something must drop the row from its baseline in the
     same change, on purpose.
   * If the two runs report different machine.hardware_concurrency the
-    timings are not comparable; every regression downgrades to a warning
-    (the SIMD speedup floor still applies — it is a same-run ratio).
+    timings are not comparable; every timing regression downgrades to a
+    warning (the SIMD speedup floor still applies — it is a same-run
+    ratio).
   * Timings are wall-clock and noisy; the threshold is deliberately loose.
     Improvements are reported but never gate.
+  * Seed-deterministic metrics (EXACT below) are not timings: any change,
+    up or down, fails, machine mismatch or not. A change that moves one
+    re-records the baseline and says why.
 """
 
 import argparse
@@ -55,8 +59,7 @@ TRACKED = {
     "BENCH_stream.json": [
         ("rows", ("inserters", "gutter"), "ns_per_update"),
     ],
-    # The bake-off frontier: size_bits is seed-deterministic, so any
-    # growth past the threshold is a real size regression, not noise.
+    # The bake-off frontier: size_bits is seed-deterministic (see EXACT).
     "BENCH_sparsifier.json": [
         ("frontier", ("family", "backend", "beta", "epsilon"), "size_bits"),
     ],
@@ -65,6 +68,13 @@ TRACKED = {
     "BENCH_store.json": [
         ("restart", ("mode",), "ms_to_full_qps"),
     ],
+}
+
+# (file, metric) pairs that are pure functions of the bench's seeds, so the
+# fresh value must equal the baseline exactly: a sketch that changes size
+# by one bit, either way, fails the gate.
+EXACT = {
+    ("BENCH_sparsifier.json", "size_bits"),
 }
 
 # Acceptance floor: vectorized FWHT >= 3x scalar at n >= 4096 when the
@@ -114,6 +124,15 @@ def compare_file(name, base_doc, fresh_doc, threshold, warn_only, report):
                 continue
             base = float(base_row[metric])
             fresh = float(fresh_row[metric])
+            if (name, metric) in EXACT:
+                tag = f"{name} {label}.{metric}: {base:.0f} -> {fresh:.0f}"
+                if fresh != base:
+                    report(f"  FAIL  {tag} (seed-deterministic: must equal "
+                           f"the baseline)")
+                    failures += 1
+                else:
+                    report(f"  ok    {tag}")
+                continue
             if base <= 0:
                 continue
             ratio = fresh / base
@@ -290,7 +309,7 @@ def main():
         warn_only = base_hw != fresh_hw
         if warn_only:
             print(f"  note  machine mismatch (baseline hw={base_hw}, "
-                  f"fresh hw={fresh_hw}): regressions warn, not gate")
+                  f"fresh hw={fresh_hw}): timing regressions warn, not gate")
         failures += compare_file(name, base_doc, fresh_doc,
                                  args.threshold, warn_only, print)
 

@@ -17,8 +17,10 @@ namespace {
 // Candidate cuts are enumerated within this factor of the coarse minimum.
 constexpr double kCandidateAlpha = 2.0;
 
-// Median over one server's independent for-each copies (the MedianOfSketches
-// boost, taken at query time).
+// Median over one server's independent for-each copies (footnote 2's
+// boost, taken at query time). The copies stay concrete ForEachCutSketch
+// values, not one median-sketch object, because each server serializes
+// them into its message.
 double MedianEstimate(const std::vector<ForEachCutSketch>& copies,
                       const VertexSet& side) {
   std::vector<double> estimates;

@@ -179,10 +179,6 @@ std::vector<BackendInfo> RegisteredBackends() {
   return infos;
 }
 
-bool IsRegisteredBackend(const std::string& name) {
-  return FindBackend(name) != nullptr;
-}
-
 std::string RegisteredBackendNames() {
   std::string names;
   for (const BackendEntry& entry : kBackends) {

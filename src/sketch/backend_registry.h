@@ -52,15 +52,12 @@ struct BackendInfo {
 // All registered backends, in registration order.
 std::vector<BackendInfo> RegisteredBackends();
 
-// True iff `name` is a registered backend.
-bool IsRegisteredBackend(const std::string& name);
-
 // Comma-separated valid names, for error messages and --help.
 std::string RegisteredBackendNames();
 
 // The relative error backend `name` advertises at these options — the
 // bound the differential harness asserts. CHECK-fails on unknown names
-// (validate with IsRegisteredBackend / BuildBackendSketch first).
+// (validate with BuildBackendSketch first).
 double BackendAdvertisedError(const std::string& name,
                               const BackendOptions& options);
 

@@ -192,8 +192,4 @@ int64_t CutBalanceSparsifier::imbalance_bits() const {
   return writer.bit_count();
 }
 
-int64_t CutBalanceSparsifier::sample_bits() const {
-  return SerializedSizeInBits(sample_);
-}
-
 }  // namespace dcs

@@ -61,12 +61,9 @@ class CutBalanceSparsifier final : public DirectedCutSketch {
 
   // The directed edge sample (observability).
   const DirectedGraph& sample() const { return sample_; }
-  double quantization_step() const { return quantization_step_; }
   // Serialized bits spent on the quantized imbalance array alone — the
   // component whose growth with log β the differential harness asserts.
   int64_t imbalance_bits() const;
-  // Serialized bits spent on the edge sample alone.
-  int64_t sample_bits() const;
 
  private:
   CutBalanceSparsifier() : sample_(0) {}

@@ -1,7 +1,6 @@
 #include "sketch/eulerian_sparsifier.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace dcs {
 namespace {
@@ -10,13 +9,24 @@ constexpr double kWeightTolerance = 1e-9;
 
 }  // namespace
 
-std::vector<WeightedCycle> DecomposeIntoCycles(const DirectedGraph& graph) {
-  const int n = graph.num_vertices();
-  // Eulerian check.
-  for (int v = 0; v < n; ++v) {
-    DCS_CHECK(std::abs(graph.OutDegree(v) - graph.InDegree(v)) <
-              kWeightTolerance);
+DirectedGraph GraphFromCycles(int num_vertices,
+                              const std::vector<WeightedCycle>& cycles) {
+  DirectedGraph graph(num_vertices);
+  for (const WeightedCycle& cycle : cycles) {
+    DCS_CHECK_GE(cycle.vertices.size(), 2u);
+    for (size_t k = 0; k < cycle.vertices.size(); ++k) {
+      graph.AddEdge(cycle.vertices[k],
+                    cycle.vertices[(k + 1) % cycle.vertices.size()],
+                    cycle.weight);
+    }
   }
+  return graph;
+}
+
+CyclePeeling PeelCycles(const DirectedGraph& graph) {
+  const int n = graph.num_vertices();
+  CyclePeeling peeling;
+  peeling.residual = DirectedGraph(n);
   std::vector<double> remaining(graph.edges().size());
   for (size_t i = 0; i < remaining.size(); ++i) {
     remaining[i] = graph.edges()[i].weight;
@@ -33,113 +43,17 @@ std::vector<WeightedCycle> DecomposeIntoCycles(const DirectedGraph& graph) {
     return -1;
   };
 
-  std::vector<WeightedCycle> cycles;
   // on_path[v] = position of v on the current walk, or -1.
   std::vector<int> on_path(static_cast<size_t>(n), -1);
   for (VertexId start = 0; start < n; ++start) {
     while (next_out_edge(start) != -1) {
-      // Walk from `start` following live out-edges; Eulerian-ness (which
-      // cycle subtraction preserves) guarantees the walk can always
-      // continue, so it must revisit a vertex on the path — a cycle.
-      std::vector<VertexId> path_vertices;
-      std::vector<int64_t> path_edges;
-      VertexId v = start;
-      on_path[static_cast<size_t>(v)] = 0;
-      path_vertices.push_back(v);
-      while (true) {
-        const int64_t edge_id = next_out_edge(v);
-        DCS_CHECK_GE(edge_id, 0);
-        const VertexId next = graph.edges()[static_cast<size_t>(edge_id)].dst;
-        path_edges.push_back(edge_id);
-        if (on_path[static_cast<size_t>(next)] != -1) {
-          // Cycle found: from position on_path[next] to the end.
-          const size_t from = static_cast<size_t>(
-              on_path[static_cast<size_t>(next)]);
-          WeightedCycle cycle;
-          cycle.vertices.assign(path_vertices.begin() + static_cast<int64_t>(from),
-                                path_vertices.end());
-          double delta = remaining[static_cast<size_t>(path_edges[from])];
-          for (size_t k = from; k < path_edges.size(); ++k) {
-            delta = std::min(delta,
-                             remaining[static_cast<size_t>(path_edges[k])]);
-          }
-          cycle.weight = delta;
-          for (size_t k = from; k < path_edges.size(); ++k) {
-            remaining[static_cast<size_t>(path_edges[k])] -= delta;
-          }
-          cycles.push_back(std::move(cycle));
-          break;
-        }
-        v = next;
-        on_path[static_cast<size_t>(v)] =
-            static_cast<int>(path_vertices.size());
-        path_vertices.push_back(v);
-      }
-      for (VertexId u : path_vertices) {
-        on_path[static_cast<size_t>(u)] = -1;
-      }
-    }
-  }
-  return cycles;
-}
-
-DirectedGraph GraphFromCycles(int num_vertices,
-                              const std::vector<WeightedCycle>& cycles) {
-  DirectedGraph graph(num_vertices);
-  for (const WeightedCycle& cycle : cycles) {
-    DCS_CHECK_GE(cycle.vertices.size(), 2u);
-    for (size_t k = 0; k < cycle.vertices.size(); ++k) {
-      graph.AddEdge(cycle.vertices[k],
-                    cycle.vertices[(k + 1) % cycle.vertices.size()],
-                    cycle.weight);
-    }
-  }
-  return graph;
-}
-
-DirectedGraph SparsifyEulerian(const DirectedGraph& graph,
-                               double keep_probability, Rng& rng) {
-  DCS_CHECK(keep_probability > 0 && keep_probability <= 1);
-  const std::vector<WeightedCycle> cycles = DecomposeIntoCycles(graph);
-  std::vector<WeightedCycle> kept;
-  for (const WeightedCycle& cycle : cycles) {
-    if (rng.Bernoulli(keep_probability)) {
-      WeightedCycle reweighted = cycle;
-      reweighted.weight /= keep_probability;
-      kept.push_back(std::move(reweighted));
-    }
-  }
-  return GraphFromCycles(graph.num_vertices(), kept);
-}
-
-CyclePeeling PeelCycles(const DirectedGraph& graph) {
-  const int n = graph.num_vertices();
-  CyclePeeling peeling;
-  peeling.residual = DirectedGraph(n);
-  std::vector<double> remaining(graph.edges().size());
-  for (size_t i = 0; i < remaining.size(); ++i) {
-    remaining[i] = graph.edges()[i].weight;
-  }
-  std::vector<size_t> cursor(static_cast<size_t>(n), 0);
-  auto next_out_edge = [&](VertexId v) -> int64_t {
-    const std::span<const int64_t> out = graph.OutEdgeIds(v);
-    while (cursor[static_cast<size_t>(v)] < out.size()) {
-      const int64_t id = out[cursor[static_cast<size_t>(v)]];
-      if (remaining[static_cast<size_t>(id)] > kWeightTolerance) return id;
-      ++cursor[static_cast<size_t>(v)];
-    }
-    return -1;
-  };
-
-  std::vector<int> on_path(static_cast<size_t>(n), -1);
-  for (VertexId start = 0; start < n; ++start) {
-    while (next_out_edge(start) != -1) {
-      // Walk from `start`; a revisit closes a cycle as in the Eulerian
-      // decomposition, but here a walk may also dead-end — the graph does
-      // not owe us a continuation. Dead-ended edges backtrack into the
-      // residual (their remaining weight provably lies on no cycle through
-      // the already-spent prefix; exactness of the split is all the
-      // sketch needs).
+      // Walk from `start`; a revisit closes a cycle. On an Eulerian graph
+      // (which cycle subtraction preserves) the walk can always continue,
+      // but in general it may dead-end — the graph does not owe us a
+      // continuation. Dead-ended edges backtrack into the residual (their
+      // remaining weight provably lies on no cycle through the
+      // already-spent prefix; exactness of the split is all the sketch
+      // needs).
       std::vector<VertexId> path_vertices;
       std::vector<int64_t> path_edges;
       VertexId v = start;
@@ -189,21 +103,11 @@ CyclePeeling PeelCycles(const DirectedGraph& graph) {
       for (VertexId u : path_vertices) {
         on_path[static_cast<size_t>(u)] = -1;
       }
-      if (path_edges.empty() && path_vertices.size() == 1 &&
-          next_out_edge(start) == -1) {
-        break;
-      }
     }
   }
-  // Whatever the walks never reached (weight below tolerance is dropped,
-  // matching the Eulerian decomposition's treatment) stays residual.
-  for (size_t i = 0; i < remaining.size(); ++i) {
-    if (remaining[i] > kWeightTolerance) {
-      const Edge& e = graph.edges()[i];
-      peeling.residual.AddEdge(e.src, e.dst, remaining[i]);
-      remaining[i] = 0;
-    }
-  }
+  // Each start's loop ends only once all its out-edges are spent, so every
+  // edge is now cycles + residual up to kWeightTolerance; weight at or
+  // below it is dropped from both halves.
   return peeling;
 }
 

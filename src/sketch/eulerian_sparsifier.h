@@ -1,4 +1,4 @@
-// Degree-preserving sparsification of Eulerian digraphs.
+// Cycle peeling of directed graphs, the core of the `eulerian` backend.
 //
 // Eulerian graphs (weighted in-degree == out-degree everywhere) are the
 // β = 1 extreme of the paper's balanced-graph family, and the setting of
@@ -7,12 +7,15 @@
 // weighted directed cycles, and any nonnegative combination of those
 // cycles is again Eulerian.
 //
-// EulerianCycleSparsifier peels such a decomposition greedily and keeps
-// each cycle independently with probability p (reweighted by 1/p), so the
-// output is *exactly Eulerian* (every vertex imbalance is identically
-// zero — not just approximately), cuts are unbiased, and the forward and
-// backward values of every cut remain equal, preserving 1-balancedness by
-// construction. A plain edge sampler preserves none of that.
+// PeelCycles walks a general digraph greedily and splits it exactly into
+// weighted cycles plus a residual that holds the weight no walk closed
+// into a cycle; GraphFromCycles rebuilds a digraph from cycles. The
+// `eulerian` backend (backend_registry.cc) keeps each peeled cycle with a
+// probability set by its worst-case cut contribution, reweighted by 1/p,
+// and keeps the residual exactly. The sampled part is a nonnegative
+// combination of cycles, so it is exactly Eulerian — every cut has equal
+// weight in both directions — and its cuts are unbiased. On an Eulerian
+// input the residual is empty and the whole sketch is exactly 1-balanced.
 
 #ifndef DCS_SKETCH_EULERIAN_SPARSIFIER_H_
 #define DCS_SKETCH_EULERIAN_SPARSIFIER_H_
@@ -20,7 +23,6 @@
 #include <vector>
 
 #include "graph/digraph.h"
-#include "util/random.h"
 
 namespace dcs {
 
@@ -30,20 +32,10 @@ struct WeightedCycle {
   double weight = 0;
 };
 
-// Peels `graph` into weighted cycles. Requires the graph to be Eulerian
-// (CHECKed up to a tolerance): the returned cycles sum exactly back to the
-// graph's edge weights.
-std::vector<WeightedCycle> DecomposeIntoCycles(const DirectedGraph& graph);
-
-// Rebuilds a digraph from cycles (inverse of DecomposeIntoCycles up to
+// Rebuilds a digraph from cycles (inverse of PeelCycles's cycle half up to
 // edge coalescing).
 DirectedGraph GraphFromCycles(int num_vertices,
                               const std::vector<WeightedCycle>& cycles);
-
-// Keeps each cycle with probability `keep_probability`, reweighted by
-// 1/keep_probability: an unbiased, exactly-Eulerian sparsifier.
-DirectedGraph SparsifyEulerian(const DirectedGraph& graph,
-                               double keep_probability, Rng& rng);
 
 // Peeling of a *general* digraph: as many weighted cycles as the greedy
 // walk finds, plus an acyclic-ish residual holding everything else.

@@ -6,15 +6,6 @@
 
 namespace dcs {
 
-ExactUndirectedSketch::ExactUndirectedSketch(UndirectedGraph graph)
-    : graph_(std::move(graph)), size_bits_(SerializedSizeInBits(graph_)) {}
-
-double ExactUndirectedSketch::EstimateCut(const VertexSet& side) const {
-  return graph_.CutWeight(side);
-}
-
-int64_t ExactUndirectedSketch::SizeInBits() const { return size_bits_; }
-
 ExactDirectedSketch::ExactDirectedSketch(DirectedGraph graph)
     : graph_(std::move(graph)), size_bits_(SerializedSizeInBits(graph_)) {}
 

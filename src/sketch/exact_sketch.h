@@ -1,30 +1,14 @@
-// Trivial exact sketches: store the graph, answer every query exactly.
-// The baseline every compressed sketch is compared against, and the exact
-// cut oracle used by lower-bound decoders.
+// Trivial exact sketch: store the graph, answer every query exactly.
+// The baseline every compressed sketch is compared against (the `exact`
+// backend).
 
 #ifndef DCS_SKETCH_EXACT_SKETCH_H_
 #define DCS_SKETCH_EXACT_SKETCH_H_
 
 #include "graph/digraph.h"
-#include "graph/ugraph.h"
 #include "sketch/cut_sketch.h"
 
 namespace dcs {
-
-// Exact sketch of an undirected graph (stores all edges).
-class ExactUndirectedSketch final : public UndirectedCutSketch {
- public:
-  explicit ExactUndirectedSketch(UndirectedGraph graph);
-
-  double EstimateCut(const VertexSet& side) const override;
-  int64_t SizeInBits() const override;
-
-  const UndirectedGraph& graph() const { return graph_; }
-
- private:
-  UndirectedGraph graph_;
-  int64_t size_bits_;
-};
 
 // Exact sketch of a directed graph (stores all edges).
 class ExactDirectedSketch final : public DirectedCutSketch {

@@ -6,7 +6,6 @@
 
 #include "mincut/nagamochi_ibaraki.h"
 #include "sketch/serialization.h"
-#include "util/stats.h"
 
 namespace dcs {
 
@@ -172,26 +171,5 @@ double DegreeComplementSketch::EstimateCut(const VertexSet& side) const {
 }
 
 int64_t DegreeComplementSketch::SizeInBits() const { return size_bits_; }
-
-MedianOfSketches::MedianOfSketches(
-    std::vector<std::unique_ptr<UndirectedCutSketch>> sketches)
-    : sketches_(std::move(sketches)) {
-  DCS_CHECK(!sketches_.empty());
-}
-
-double MedianOfSketches::EstimateCut(const VertexSet& side) const {
-  std::vector<double> estimates;
-  estimates.reserve(sketches_.size());
-  for (const auto& sketch : sketches_) {
-    estimates.push_back(sketch->EstimateCut(side));
-  }
-  return Median(std::move(estimates));
-}
-
-int64_t MedianOfSketches::SizeInBits() const {
-  int64_t total = 0;
-  for (const auto& sketch : sketches_) total += sketch->SizeInBits();
-  return total;
-}
 
 }  // namespace dcs

@@ -15,15 +15,10 @@
 //    intricate two-level scheme; this library keeps the simple sampler and
 //    reports the measured error/size trade-off in the tightness benches
 //    (see DESIGN.md "substitutions").
-//
-// MedianOfSketches boosts a for-each sketch's per-query success probability
-// by taking the median over independently built sketches (footnote 2 of the
-// paper).
 
 #ifndef DCS_SKETCH_SAMPLED_SKETCHES_H_
 #define DCS_SKETCH_SAMPLED_SKETCHES_H_
 
-#include <memory>
 #include <vector>
 
 #include "graph/ugraph.h"
@@ -123,22 +118,6 @@ class DegreeComplementSketch final : public UndirectedCutSketch {
   std::vector<double> degrees_;
   UndirectedGraph sample_;
   int64_t size_bits_;
-};
-
-// Median over independently built undirected sketches: boosts per-cut
-// success probability from 2/3 to 1 − exp(−Ω(r)).
-class MedianOfSketches final : public UndirectedCutSketch {
- public:
-  explicit MedianOfSketches(
-      std::vector<std::unique_ptr<UndirectedCutSketch>> sketches);
-
-  double EstimateCut(const VertexSet& side) const override;
-  int64_t SizeInBits() const override;
-
-  int count() const { return static_cast<int>(sketches_.size()); }
-
- private:
-  std::vector<std::unique_ptr<UndirectedCutSketch>> sketches_;
 };
 
 }  // namespace dcs

@@ -14,8 +14,8 @@
 #include "lowerbound/foreach_encoding.h"
 #include "lowerbound/forall_encoding.h"
 #include "lowerbound/twosum_graph.h"
+#include "sketch/backend_registry.h"
 #include "sketch/directed_sketches.h"
-#include "sketch/eulerian_sparsifier.h"
 #include "sketch/exact_sketch.h"
 #include "util/random.h"
 
@@ -160,26 +160,36 @@ TEST(Integration, ForAllDecoderAgainstDirectedImportanceSampler) {
   EXPECT_GE(correct, (trials * 3) / 4);
 }
 
-TEST(Integration, EulerianSparsifierComposesWithDirectedSketch) {
-  // Sparsify an Eulerian graph by cycles (stays exactly Eulerian), then
-  // sketch the sparsifier: the imbalance half of the sketch is identically
-  // zero and the estimate reduces to the symmetric half.
+TEST(Integration, EulerianBackendComposesWithForEachBackend) {
+  // Both registry backends on one Eulerian graph: the cycle sample stays
+  // exactly Eulerian, and the for-each sketch's imbalance half is
+  // identically zero, so at dense sampling its estimate reduces to the
+  // symmetric half and reproduces the graph's cuts.
   Rng gen_rng(41);
   const DirectedGraph g = RandomEulerianDigraph(14, 50, 6, gen_rng);
-  Rng sparsify_rng(42);
-  const DirectedGraph sparse = SparsifyEulerian(g, 0.6, sparsify_rng);
-  Rng sketch_rng(43);
-  const DirectedForEachSketch sketch(sparse, 0.01, 1.0, sketch_rng, 50.0);
+  BackendOptions cycle_options;
+  cycle_options.epsilon = 0.5;
+  cycle_options.oversample_c = 0.5;
+  cycle_options.seed = 42;
+  const auto cycles = BuildBackendSketch("eulerian", g, cycle_options);
+  ASSERT_TRUE(cycles.ok()) << cycles.status().message();
+  BackendOptions dense_options;
+  dense_options.epsilon = 0.01;
+  dense_options.oversample_c = 50.0;
+  dense_options.seed = 43;
+  const auto foreach_sketch = BuildBackendSketch("foreach", g, dense_options);
+  ASSERT_TRUE(foreach_sketch.ok()) << foreach_sketch.status().message();
   Rng cut_rng(44);
   for (int trial = 0; trial < 10; ++trial) {
     VertexSet side(14);
     for (auto& b : side) b = static_cast<uint8_t>(cut_rng.Next() & 1);
     if (!IsProperCutSide(side)) continue;
-    // Dense sampling → the sketch reproduces the sparsifier's cuts, which
-    // are symmetric (Eulerian) in both directions.
-    EXPECT_NEAR(sketch.EstimateCut(side), sparse.CutWeight(side), 1e-6);
-    EXPECT_NEAR(sparse.CutWeight(side),
-                sparse.CutWeight(ComplementSet(side)), 1e-9);
+    // Dense sampling → the sketch reproduces the graph's cuts, which are
+    // symmetric (Eulerian) in both directions.
+    EXPECT_NEAR((*foreach_sketch)->EstimateCut(side), g.CutWeight(side),
+                1e-6);
+    EXPECT_NEAR((*cycles)->EstimateCut(side),
+                (*cycles)->EstimateCut(ComplementSet(side)), 1e-9);
   }
 }
 

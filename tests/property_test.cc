@@ -15,6 +15,7 @@
 #include "graph/balance.h"
 #include "graph/connectivity.h"
 #include "graph/generators.h"
+#include "graph/zoo.h"
 #include "gtest/gtest.h"
 #include "mincut/dinic.h"
 #include "mincut/directed_mincut.h"
@@ -227,23 +228,71 @@ TEST_P(DirectedPropertyTest, DirectedSamplerUnbiasedOnSingletons) {
 
 TEST_P(DirectedPropertyTest, EulerianDecompositionOfSymmetrizedPairs) {
   // Turning the graph into an Eulerian one by mirroring every edge makes
-  // the cycle decomposition exact and the sparsifier's imbalance zero.
+  // the cycle peeling exact (empty residual) and the `eulerian` backend's
+  // imbalance zero.
   const DirectedGraph g = MakeGraph();
   DirectedGraph mirrored(g.num_vertices());
   for (const Edge& e : g.edges()) {
     mirrored.AddEdge(e.src, e.dst, e.weight);
     mirrored.AddEdge(e.dst, e.src, e.weight);
   }
-  const auto cycles = DecomposeIntoCycles(mirrored);
+  const CyclePeeling peeling = PeelCycles(mirrored);
+  EXPECT_EQ(peeling.residual.num_edges(), 0);
   const DirectedGraph rebuilt =
-      GraphFromCycles(mirrored.num_vertices(), cycles);
+      GraphFromCycles(mirrored.num_vertices(), peeling.cycles);
   for (int v = 0; v < mirrored.num_vertices(); ++v) {
     EXPECT_NEAR(rebuilt.OutDegree(v), mirrored.OutDegree(v), 1e-6);
   }
-  Rng rng(std::get<1>(GetParam()) + 77);
-  const DirectedGraph sparse = SparsifyEulerian(mirrored, 0.5, rng);
-  for (double imbalance : VertexImbalances(sparse)) {
-    EXPECT_NEAR(imbalance, 0.0, 1e-9);
+  BackendOptions options;
+  options.epsilon = 0.5;
+  options.oversample_c = 0.5;
+  options.seed = std::get<1>(GetParam()) + 77;
+  const auto sketch = BuildBackendSketch("eulerian", mirrored, options);
+  ASSERT_TRUE(sketch.ok()) << sketch.status().message();
+  for (int v = 0; v < mirrored.num_vertices(); ++v) {
+    const VertexSet side = MakeVertexSet(mirrored.num_vertices(), {v});
+    EXPECT_NEAR((*sketch)->EstimateCut(side),
+                (*sketch)->EstimateCut(ComplementSet(side)), 1e-9);
+  }
+}
+
+// PeelCycles's exact split on general digraphs: the rebuilt cycles plus
+// the residual reproduce every singleton cut and random cuts of the input,
+// in both directions.
+void ExpectPeelingSplitsExactly(const DirectedGraph& g, uint64_t seed,
+                                const std::string& label) {
+  const CyclePeeling peeling = PeelCycles(g);
+  DirectedGraph sum = GraphFromCycles(g.num_vertices(), peeling.cycles);
+  for (const Edge& e : peeling.residual.edges()) {
+    sum.AddEdge(e.src, e.dst, e.weight);
+  }
+  const int n = g.num_vertices();
+  std::vector<VertexSet> sides;
+  for (int v = 0; v < n; ++v) sides.push_back(MakeVertexSet(n, {v}));
+  Rng rng(seed);
+  for (int trial = 0; trial < 15; ++trial) {
+    VertexSet side(static_cast<size_t>(n));
+    for (auto& b : side) b = static_cast<uint8_t>(rng.Next() & 1);
+    if (IsProperCutSide(side)) sides.push_back(std::move(side));
+  }
+  for (const VertexSet& side : sides) {
+    EXPECT_NEAR(sum.CutWeight(side), g.CutWeight(side), 1e-9) << label;
+    EXPECT_NEAR(sum.CutWeight(ComplementSet(side)),
+                g.CutWeight(ComplementSet(side)), 1e-9)
+        << label;
+  }
+}
+
+TEST_P(DirectedPropertyTest, PeelCyclesSplitsGeneralDigraphsExactly) {
+  const auto& [beta, seed] = GetParam();
+  ExpectPeelingSplitsExactly(MakeGraph(), seed + 5, "random balanced");
+  for (const ZooFamily family : AllZooFamilies()) {
+    ZooOptions options;
+    options.n = 16;
+    options.beta = beta;
+    options.seed = seed;
+    ExpectPeelingSplitsExactly(MakeZooInstance(family, options).graph,
+                               seed + 6, ZooFamilyName(family));
   }
 }
 

@@ -1,6 +1,6 @@
 // Directed sketches for β-balanced graphs: the vertex-imbalance identity,
-// the symmetrize-and-difference estimators, and the direct directed
-// importance sampler.
+// the exact baseline, the symmetrize-and-difference estimators, the direct
+// directed importance sampler, and median boosting.
 
 #include <cmath>
 #include <memory>
@@ -8,6 +8,7 @@
 #include "graph/balance.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
+#include "sketch/backend_registry.h"
 #include "sketch/directed_sketches.h"
 #include "sketch/exact_sketch.h"
 #include "util/random.h"
@@ -132,6 +133,20 @@ TEST(DirectedImportanceSamplerTest, SampleIsSubgraphWithReweighting) {
   }
 }
 
+TEST(ExactDirectedSketchTest, AnswersEveryCutExactly) {
+  Rng rng(1);
+  const DirectedGraph g = RandomBalancedDigraph(12, 0.4, 2.0, rng);
+  const ExactDirectedSketch sketch{DirectedGraph(g)};
+  for (uint64_t mask = 1; mask + 1 < (uint64_t{1} << 12); ++mask) {
+    VertexSet side(12);
+    for (int v = 0; v < 12; ++v) {
+      side[static_cast<size_t>(v)] = static_cast<uint8_t>((mask >> v) & 1);
+    }
+    EXPECT_DOUBLE_EQ(sketch.EstimateCut(side), g.CutWeight(side));
+  }
+  EXPECT_GT(sketch.SizeInBits(), 0);
+}
+
 TEST(DirectedSketchSizesTest, SizeOrderingMatchesTheory) {
   // At equal ε and β: for-each ≤ for-all ≤ exact on a dense enough graph.
   Rng gen_rng(14);
@@ -162,6 +177,61 @@ TEST(MedianOfDirectedSketchesTest, MedianTracksExactValue) {
   EXPECT_EQ(median.count(), 5);
   EXPECT_EQ(median.SizeInBits(), expected_bits);
   EXPECT_NEAR(median.EstimateCut(side), exact, 0.25 * exact);
+}
+
+TEST(MedianOfDirectedSketchesTest, MedianReducesFailureProbability) {
+  // The complete digraph on 16 vertices, every pair joined both ways.
+  const UndirectedGraph complete = CompleteGraph(16, 1.0);
+  DirectedGraph g(16);
+  for (const Edge& e : complete.edges()) {
+    g.AddEdge(e.src, e.dst, e.weight);
+    g.AddEdge(e.dst, e.src, e.weight);
+  }
+  const VertexSet side = MakeVertexSet(16, {0, 1, 7});
+  const double exact = g.CutWeight(side);
+  int single_hits = 0;
+  int median_hits = 0;
+  const int trials = 60;
+  const double tolerance = 0.35 * exact;
+  for (uint64_t seed = 0; seed < trials; ++seed) {
+    Rng rng(seed * 17 + 5);
+    const DirectedForEachSketch single(g, 0.25, 1.0, rng, 2.0);
+    if (std::abs(single.EstimateCut(side) - exact) <= tolerance) {
+      ++single_hits;
+    }
+    std::vector<std::unique_ptr<DirectedCutSketch>> parts;
+    for (int b = 0; b < 5; ++b) {
+      parts.push_back(
+          std::make_unique<DirectedForEachSketch>(g, 0.25, 1.0, rng, 2.0));
+    }
+    const MedianOfDirectedSketches median(std::move(parts));
+    if (std::abs(median.EstimateCut(side) - exact) <= tolerance) {
+      ++median_hits;
+    }
+  }
+  EXPECT_GE(median_hits, single_hits);
+  EXPECT_GE(median_hits, (2 * trials) / 3);
+}
+
+TEST(MedianOfDirectedSketchesTest, RegistryBoostSizeIsSumOfParts) {
+  // The registry's median boost builds copy i from SubtaskSeed(seed, i).
+  Rng gen_rng(14);
+  const DirectedGraph g = RandomBalancedDigraph(12, 0.6, 2.0, gen_rng);
+  BackendOptions options;
+  options.epsilon = 0.3;
+  options.beta = 2.0;
+  options.seed = 14;
+  options.median_boost = 3;
+  const auto median = BuildBackendSketch("foreach", g, options);
+  ASSERT_TRUE(median.ok()) << median.status().message();
+  int64_t expected = 0;
+  for (int b = 0; b < 3; ++b) {
+    Rng rng(SubtaskSeed(options.seed, b));
+    expected += DirectedForEachSketch(g, options.epsilon, options.beta, rng,
+                                      options.oversample_c)
+                    .SizeInBits();
+  }
+  EXPECT_EQ((*median)->SizeInBits(), expected);
 }
 
 }  // namespace

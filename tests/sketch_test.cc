@@ -1,14 +1,12 @@
-// Undirected sketches: exactness of the baseline, for-all accuracy of the
-// Benczúr–Karger sparsifier over *enumerated* cuts, unbiasedness and
-// size/accuracy behavior of the for-each sampler, and median boosting.
+// Undirected sketches: for-all accuracy of the Benczúr–Karger sparsifier
+// over *enumerated* cuts, and unbiasedness and size/accuracy behavior of
+// the for-each sampler.
 
 #include <cmath>
-#include <memory>
 
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "mincut/stoer_wagner.h"
-#include "sketch/exact_sketch.h"
 #include "sketch/sampled_sketches.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -34,15 +32,6 @@ double WorstRelativeError(const UndirectedGraph& graph,
     worst = std::max(worst, std::abs(estimate - exact) / exact);
   }
   return worst;
-}
-
-TEST(ExactSketchTest, AnswersEveryCutExactly) {
-  Rng rng(1);
-  const UndirectedGraph g =
-      RandomUndirectedGraph(12, 0.3, 0.5, 2.0, true, rng);
-  const ExactUndirectedSketch sketch{UndirectedGraph(g)};
-  EXPECT_DOUBLE_EQ(WorstRelativeError(g, sketch), 0.0);
-  EXPECT_GT(sketch.SizeInBits(), 0);
 }
 
 TEST(BenczurKargerTest, ForAllAccuracyOnRandomGraph) {
@@ -202,48 +191,6 @@ TEST(DegreeComplementSketchTest, SizeIncludesDegreeTable) {
   Rng rng(23);
   const DegreeComplementSketch sketch(g, 0.3, rng);
   EXPECT_GE(sketch.SizeInBits(), 64 * 32);
-}
-
-TEST(MedianOfSketchesTest, MedianReducesFailureProbability) {
-  Rng gen_rng(13);
-  const UndirectedGraph g = CompleteGraph(16, 1.0);
-  const VertexSet side = MakeVertexSet(16, {0, 1, 7});
-  const double exact = g.CutWeight(side);
-  int single_hits = 0;
-  int median_hits = 0;
-  const int trials = 60;
-  const double tolerance = 0.35 * exact;
-  for (uint64_t seed = 0; seed < trials; ++seed) {
-    Rng rng(seed * 17 + 5);
-    const ForEachCutSketch single(g, 0.25, rng, 2.0);
-    if (std::abs(single.EstimateCut(side) - exact) <= tolerance) {
-      ++single_hits;
-    }
-    std::vector<std::unique_ptr<UndirectedCutSketch>> parts;
-    for (int b = 0; b < 5; ++b) {
-      parts.push_back(std::make_unique<ForEachCutSketch>(g, 0.25, rng, 2.0));
-    }
-    const MedianOfSketches median(std::move(parts));
-    if (std::abs(median.EstimateCut(side) - exact) <= tolerance) {
-      ++median_hits;
-    }
-  }
-  EXPECT_GE(median_hits, single_hits);
-  EXPECT_GE(median_hits, (2 * trials) / 3);
-}
-
-TEST(MedianOfSketchesTest, SizeIsSumOfParts) {
-  const UndirectedGraph g = CompleteGraph(12, 1.0);
-  Rng rng(14);
-  std::vector<std::unique_ptr<UndirectedCutSketch>> parts;
-  int64_t expected = 0;
-  for (int b = 0; b < 3; ++b) {
-    auto sketch = std::make_unique<ForEachCutSketch>(g, 0.3, rng);
-    expected += sketch->SizeInBits();
-    parts.push_back(std::move(sketch));
-  }
-  const MedianOfSketches median(std::move(parts));
-  EXPECT_EQ(median.SizeInBits(), expected);
 }
 
 }  // namespace
