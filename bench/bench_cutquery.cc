@@ -78,7 +78,6 @@ std::vector<EnumerateRecord> SectionEnumerate() {
     const GapHammingInstance instance = SampleGapHammingInstance(gh, rng);
     const DirectedGraph graph = ForAllEncoder(params).Encode(instance.s);
     const ForAllDecoder decoder(params);
-    graph.BuildAdjacency();
     // The "before" oracle: identical values, but constructed from a bare
     // query function, so BeginSession falls back to a full CutWeight scan
     // per candidate — the seed's cost model.

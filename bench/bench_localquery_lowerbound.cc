@@ -59,7 +59,6 @@ int g_measure_threads = 1;
 
 Measurement Measure(const UndirectedGraph& g, double epsilon, int reps,
                     uint64_t seed) {
-  g.BuildAdjacency();  // shared across reps; pre-build the lazy index
   std::vector<Measurement> slots(static_cast<size_t>(reps));
   ParallelFor(g_measure_threads, reps, [&](int64_t rep) {
     Rng rng(seed + static_cast<uint64_t>(rep));

@@ -1,11 +1,12 @@
-// Weighted directed multigraph.
+// Weighted directed multigraph, and its cut index.
 //
-// The central object of the cut-sketching half of the library. Stored as an
-// edge list plus a lazily built CSR adjacency index (flat offset + edge-id
-// arrays, no per-vertex vectors); supports directed cut evaluation
-// w(S, V∖S) — a full edge scan, or many sides at once over the CSR
-// frontiers — per-vertex weighted in/out degrees, reversal, symmetrization
-// G + Gᵀ, and merging.
+// The central objects of the cut-sketching half of the library. A
+// DirectedGraph is a plain edge list: it evaluates the directed cut
+// w(S, V∖S) by a full edge scan, and gives reversal and the symmetrization
+// G + Gᵀ. A CutIndex is built once from a finished graph: an immutable CSR
+// with weights inline, from which many sides are answered at once over
+// their frontiers and a side is maintained under single-vertex flips
+// (incremental_cut_oracle.h).
 
 #ifndef DCS_GRAPH_DIGRAPH_H_
 #define DCS_GRAPH_DIGRAPH_H_
@@ -48,27 +49,9 @@ class DirectedGraph {
   // Total weight of all edges.
   double TotalWeight() const;
 
-  // Weighted out-degree / in-degree of v.
-  double OutDegree(VertexId v) const;
-  double InDegree(VertexId v) const;
-
   // Directed cut value w(S, V∖S): total weight of edges leaving S.
   // Requires side.size() == num_vertices(). O(m) edge scan.
   double CutWeight(const VertexSet& side) const;
-
-  // out[i] = w(S_i, V∖S_i) for every side, in passes of up to 64 sides.
-  // Each side is answered by the cheaper of S's out-edges or (V∖S)'s
-  // in-edges over the CSR adjacency (0 on empty volume, the edge scan when
-  // neither frontier is below m), and one pass over each adjacency serves
-  // every side that picked it. Each side is packed once into 64-vertex
-  // words, which give its volumes and, one 64×64 bit transpose per word,
-  // the per-vertex lane masks; the lane add is simd::AddCrossingLanes. A
-  // side's sum is the same sequence of adds whatever else is in the call,
-  // so the answers are bit-identical for any batch split and dispatch
-  // path. Requires out.size() == sides.size() and every side of size
-  // num_vertices(). Allocates one scratch vector of 64·⌈n/64⌉ words.
-  void CutWeights(std::span<const VertexSet* const> sides,
-                  std::span<double> out) const;
 
   // Total weight of edges from S to T (S, T need not be disjoint; an edge
   // counts iff src ∈ S and dst ∈ T).
@@ -81,33 +64,57 @@ class DirectedGraph {
   // w(u→v) + w(v→u) for every ordered pair that has directed weight.
   UndirectedGraph Symmetrized() const;
 
-  // Adds all edges of `other` into this graph. Vertex counts must match.
-  void MergeFrom(const DirectedGraph& other);
-
-  // Out-edges of v (indices into edges()).
-  std::span<const int64_t> OutEdgeIds(VertexId v) const;
-  // In-edges of v (indices into edges()).
-  std::span<const int64_t> InEdgeIds(VertexId v) const;
-
-  // Forces the lazy CSR adjacency to be built now. The lazy build is not
-  // thread-safe; call this before sharing a graph across threads so
-  // concurrent OutEdgeIds/InEdgeIds/CutWeights calls only read
-  // immutable state.
-  void BuildAdjacency() const { EnsureAdjacency(); }
-
  private:
-  void EnsureAdjacency() const;
-
   int num_vertices_;
   std::vector<Edge> edges_;
-  // Lazily built CSR adjacency (invalidated by AddEdge/MergeFrom):
-  // out-edge ids of v are out_edge_ids_[out_offsets_[v] ..
-  // out_offsets_[v+1]), likewise for in-edges.
-  mutable bool adjacency_valid_ = false;
-  mutable std::vector<int64_t> out_offsets_;
-  mutable std::vector<int64_t> in_offsets_;
-  mutable std::vector<int64_t> out_edge_ids_;
-  mutable std::vector<int64_t> in_edge_ids_;
+};
+
+// The CSR index of a finished DirectedGraph, built once by the constructor
+// and never changed. Per direction it holds the vertex offsets and, for
+// every arc, its far endpoint (the head of an out-arc, the tail of an
+// in-arc) and its weight, in edge order within each vertex. It copies
+// everything it reads, so it may outlive its graph, and nothing changes it
+// after construction, so any number of threads may share one.
+class CutIndex {
+ public:
+  // One direction: the arcs of v sit at positions [offsets[v],
+  // offsets[v + 1]) of `neighbors` and `weights`.
+  struct Arcs {
+    std::vector<int64_t> offsets;
+    std::vector<VertexId> neighbors;
+    std::vector<double> weights;
+  };
+
+  explicit CutIndex(const DirectedGraph& graph);
+
+  int num_vertices() const { return num_vertices_; }
+  int64_t num_edges() const {
+    return static_cast<int64_t>(out_.neighbors.size());
+  }
+  const Arcs& out() const { return out_; }
+  const Arcs& in() const { return in_; }
+
+  // out[i] = w(S_i, V∖S_i) for every side, in passes of up to 64 sides.
+  // Each side is answered by the cheaper of S's out-arcs or (V∖S)'s
+  // in-arcs (0 on empty volume; when neither frontier is below m every edge
+  // crosses, and the answer is the graph's edge-order TotalWeight, stored
+  // at build), and one pass over each direction serves every side that
+  // picked it. Each side is packed once into 64-vertex words, which give
+  // its volumes and, one 64×64 bit transpose per word, the per-vertex lane
+  // masks; the lane add is simd::AddCrossingLanes. A side's sum is the same
+  // sequence of adds whatever else is in the call, so the answers are
+  // bit-identical for any batch split and dispatch path. Requires
+  // out.size() == sides.size() and every side of size num_vertices().
+  // Allocates one scratch vector of 64·⌈n/64⌉ words.
+  void CutWeights(std::span<const VertexSet* const> sides,
+                  std::span<double> out) const;
+
+ private:
+  int num_vertices_;
+  // TotalWeight() of the graph: the answer of a side every edge crosses.
+  double total_weight_;
+  Arcs out_;
+  Arcs in_;
 };
 
 }  // namespace dcs

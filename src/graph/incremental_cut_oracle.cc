@@ -7,13 +7,15 @@
 namespace dcs {
 
 IncrementalCutOracle::IncrementalCutOracle(const DirectedGraph& graph,
+                                           const CutIndex& index,
                                            VertexSet side)
-    : graph_(graph), side_(std::move(side)) {
-  DCS_CHECK_EQ(static_cast<int>(side_.size()), graph_.num_vertices());
-  graph_.BuildAdjacency();
+    : index_(index), side_(std::move(side)) {
+  DCS_CHECK_EQ(index_.num_vertices(), graph.num_vertices());
+  DCS_CHECK_EQ(index_.num_edges(), graph.num_edges());
+  DCS_CHECK_EQ(static_cast<int>(side_.size()), graph.num_vertices());
   // Normalize membership bytes to 0/1 so Flip can toggle with XOR.
   for (uint8_t& b : side_) b = static_cast<uint8_t>(b != 0);
-  value_ = graph_.CutWeight(side_);
+  value_ = graph.CutWeight(side_);
 }
 
 IncrementalCutOracle::~IncrementalCutOracle() {
@@ -25,41 +27,36 @@ IncrementalCutOracle::~IncrementalCutOracle() {
 }
 
 void IncrementalCutOracle::Flip(VertexId v) {
-  DCS_DCHECK(v >= 0 && v < graph_.num_vertices());
+  DCS_CHECK(v >= 0 && v < index_.num_vertices());
+  const CutIndex::Arcs& out = index_.out();
+  const CutIndex::Arcs& in = index_.in();
+  const size_t u = static_cast<size_t>(v);
+  const size_t out_begin = static_cast<size_t>(out.offsets[u]);
+  const size_t out_end = static_cast<size_t>(out.offsets[u + 1]);
+  const size_t in_begin = static_cast<size_t>(in.offsets[u]);
+  const size_t in_end = static_cast<size_t>(in.offsets[u + 1]);
   ++flips_;
-  flip_edges_ += static_cast<int64_t>(graph_.OutEdgeIds(v).size()) +
-                 static_cast<int64_t>(graph_.InEdgeIds(v).size());
-  const std::vector<Edge>& edges = graph_.edges();
-  // Moving v into S: out-edges v→u with u ∉ S start crossing, in-edges u→v
+  flip_edges_ += static_cast<int64_t>(out_end - out_begin + in_end - in_begin);
+  // Moving v into S: out-arcs v→u with u ∉ S start crossing, in-arcs u→v
   // with u ∈ S stop crossing (v no longer absorbs them outside). Moving v
   // out of S is the exact mirror. Self-loops are rejected by AddEdge, so
   // every opposite endpoint below is a vertex other than v whose membership
   // is unaffected by the flip — the delta can be accumulated before or
   // after toggling side_[v].
-  // Unlike the full-graph CutWeight scans (digraph.cc), these per-vertex
-  // loops are short on the decode workloads — software prefetch and
-  // branchless accumulation were measured 40% slower here (the prefetch
-  // guard and the always-executed FP add dominate at small degree), so
-  // the loops stay branchy and prefetch-free.
-  const double sign = side_[static_cast<size_t>(v)] ? -1.0 : 1.0;
+  // These per-vertex loops are short on the decode workloads — software
+  // prefetch and branchless accumulation were measured 40% slower here
+  // (the prefetch guard and the always-executed FP add dominate at small
+  // degree), so the loops stay branchy and prefetch-free.
+  const double sign = side_[u] ? -1.0 : 1.0;
   double delta = 0;
-  for (int64_t id : graph_.OutEdgeIds(v)) {
-    const Edge& e = edges[static_cast<size_t>(id)];
-    if (!side_[static_cast<size_t>(e.dst)]) delta += e.weight;
+  for (size_t k = out_begin; k < out_end; ++k) {
+    if (!side_[static_cast<size_t>(out.neighbors[k])]) delta += out.weights[k];
   }
-  for (int64_t id : graph_.InEdgeIds(v)) {
-    const Edge& e = edges[static_cast<size_t>(id)];
-    if (side_[static_cast<size_t>(e.src)]) delta -= e.weight;
+  for (size_t k = in_begin; k < in_end; ++k) {
+    if (side_[static_cast<size_t>(in.neighbors[k])]) delta -= in.weights[k];
   }
   value_ += sign * delta;
-  side_[static_cast<size_t>(v)] ^= 1;
-}
-
-void IncrementalCutOracle::Reset(VertexSet side) {
-  DCS_CHECK_EQ(static_cast<int>(side.size()), graph_.num_vertices());
-  side_ = std::move(side);
-  for (uint8_t& b : side_) b = static_cast<uint8_t>(b != 0);
-  value_ = graph_.CutWeight(side_);
+  side_[u] ^= 1;
 }
 
 }  // namespace dcs

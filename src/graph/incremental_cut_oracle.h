@@ -19,12 +19,13 @@ namespace dcs {
 
 // Maintains w(S, V∖S) for a mutable side S over a fixed graph.
 //
-// The initial value is computed with one O(m) scan; each Flip(v) is
-// O(deg(v)) via the graph's CSR adjacency. The referenced graph must
-// outlive the oracle and must not gain edges while it is in use.
+// The initial value is the graph's O(m) edge-order scan; each Flip(v) is
+// O(deg(v)) over `index`, which must be CutIndex(graph). Only the index is
+// kept, and it must outlive the oracle.
 class IncrementalCutOracle {
  public:
-  IncrementalCutOracle(const DirectedGraph& graph, VertexSet side);
+  IncrementalCutOracle(const DirectedGraph& graph, const CutIndex& index,
+                       VertexSet side);
 
   // Flushes the per-object flip tallies into the metrics registry
   // (`graph.inccut.*`). Flip itself stays metric-free: per-flip registry
@@ -40,12 +41,8 @@ class IncrementalCutOracle {
   // Moves v to the other side of the cut and updates value() in O(deg(v)).
   void Flip(VertexId v);
 
-  // Replaces the side entirely (one O(m) rescan); cheaper than
-  // reconstructing when the oracle is reused across candidate sides.
-  void Reset(VertexSet side);
-
  private:
-  const DirectedGraph& graph_;
+  const CutIndex& index_;
   VertexSet side_;
   double value_;
   // Lifetime tallies flushed by the destructor (see above).

@@ -21,22 +21,11 @@ void UndirectedGraph::AddEdge(VertexId u, VertexId v, double weight) {
   DCS_CHECK_GE(weight, 0);
   if (u > v) std::swap(u, v);
   edges_.push_back(Edge{u, v, weight});
-  adjacency_valid_ = false;
 }
 
 double UndirectedGraph::TotalWeight() const {
   double total = 0;
   for (const Edge& e : edges_) total += e.weight;
-  return total;
-}
-
-double UndirectedGraph::Degree(VertexId v) const {
-  DCS_CHECK(v >= 0 && v < num_vertices_);
-  EnsureAdjacency();
-  double total = 0;
-  for (int64_t id : incident_edge_ids_[static_cast<size_t>(v)]) {
-    total += edges_[static_cast<size_t>(id)].weight;
-  }
   return total;
 }
 
@@ -54,36 +43,6 @@ double UndirectedGraph::CutWeight(const VertexSet& side) const {
 void UndirectedGraph::MergeFrom(const UndirectedGraph& other) {
   DCS_CHECK_EQ(num_vertices_, other.num_vertices_);
   edges_.insert(edges_.end(), other.edges_.begin(), other.edges_.end());
-  adjacency_valid_ = false;
-}
-
-const std::vector<int64_t>& UndirectedGraph::IncidentEdgeIds(
-    VertexId v) const {
-  DCS_CHECK(v >= 0 && v < num_vertices_);
-  EnsureAdjacency();
-  return incident_edge_ids_[static_cast<size_t>(v)];
-}
-
-std::vector<Edge> UndirectedGraph::AsDirectedEdges() const {
-  std::vector<Edge> directed;
-  directed.reserve(edges_.size() * 2);
-  for (const Edge& e : edges_) {
-    directed.push_back(Edge{e.src, e.dst, e.weight});
-    directed.push_back(Edge{e.dst, e.src, e.weight});
-  }
-  return directed;
-}
-
-void UndirectedGraph::EnsureAdjacency() const {
-  if (adjacency_valid_) return;
-  incident_edge_ids_.assign(static_cast<size_t>(num_vertices_), {});
-  for (size_t id = 0; id < edges_.size(); ++id) {
-    incident_edge_ids_[static_cast<size_t>(edges_[id].src)].push_back(
-        static_cast<int64_t>(id));
-    incident_edge_ids_[static_cast<size_t>(edges_[id].dst)].push_back(
-        static_cast<int64_t>(id));
-  }
-  adjacency_valid_ = true;
 }
 
 }  // namespace dcs

@@ -42,9 +42,6 @@ class UndirectedGraph {
   // Total weight of all edges.
   double TotalWeight() const;
 
-  // Weighted degree of v.
-  double Degree(VertexId v) const;
-
   // Undirected cut value: total weight of edges with exactly one endpoint
   // in S. Requires side.size() == num_vertices().
   double CutWeight(const VertexSet& side) const;
@@ -52,26 +49,9 @@ class UndirectedGraph {
   // Adds all edges of `other` into this graph. Vertex counts must match.
   void MergeFrom(const UndirectedGraph& other);
 
-  // Incident edges of v (indices into edges()).
-  const std::vector<int64_t>& IncidentEdgeIds(VertexId v) const;
-
-  // Returns the same graph with every undirected edge replaced by two
-  // opposite directed edges of the same weight (used when feeding an
-  // undirected graph to directed algorithms such as Dinic).
-  std::vector<Edge> AsDirectedEdges() const;
-
-  // Forces the lazy adjacency index to be built now. The lazy build is not
-  // thread-safe; call this before sharing a graph across threads so
-  // concurrent IncidentEdgeIds/Degree calls only read immutable state.
-  void BuildAdjacency() const { EnsureAdjacency(); }
-
  private:
-  void EnsureAdjacency() const;
-
   int num_vertices_;
   std::vector<Edge> edges_;
-  mutable bool adjacency_valid_ = false;
-  mutable std::vector<std::vector<int64_t>> incident_edge_ids_;
 };
 
 }  // namespace dcs

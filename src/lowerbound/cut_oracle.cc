@@ -46,14 +46,18 @@ class RescanCutQuerySession : public CutQuerySession {
   SessionTally tally_;
 };
 
-// Incremental session over the exact graph, with an optional per-query
-// multiplicative noise factor (how the noisy oracles reuse the fast path:
-// the exact value is maintained incrementally, the factor stays per-query).
+// Incremental session over the exact graph's shared index, with an
+// optional per-query multiplicative noise factor (how the noisy oracles
+// reuse the fast path: the exact value is maintained incrementally, the
+// factor stays per-query).
 class IncrementalCutSession : public CutQuerySession {
  public:
-  IncrementalCutSession(const DirectedGraph& graph, VertexSet side,
+  IncrementalCutSession(const DirectedGraph& graph,
+                        std::shared_ptr<const CutIndex> index, VertexSet side,
                         std::function<double()> factor = nullptr)
-      : cut_(graph, std::move(side)), factor_(std::move(factor)) {}
+      : index_(std::move(index)),
+        cut_(graph, *index_, std::move(side)),
+        factor_(std::move(factor)) {}
 
   void Flip(VertexId v) override {
     ++tally_.flips;
@@ -66,10 +70,40 @@ class IncrementalCutSession : public CutQuerySession {
   }
 
  private:
+  std::shared_ptr<const CutIndex> index_;  // what cut_ walks
   IncrementalCutOracle cut_;
   std::function<double()> factor_;
   SessionTally tally_;
 };
+
+// One-shot and batched exact answers from a shared index.
+CutOracle::QueryFn IndexQuery(std::shared_ptr<const CutIndex> index) {
+  return [index = std::move(index)](const VertexSet& side) {
+    const VertexSet* const sides[] = {&side};
+    double value = 0;
+    index->CutWeights(sides, std::span<double>(&value, 1));
+    return value;
+  };
+}
+
+CutOracle::BatchFn IndexBatch(std::shared_ptr<const CutIndex> index) {
+  return [index = std::move(index)](std::span<const VertexSet* const> sides,
+                                    std::span<double> out) {
+    index->CutWeights(sides, out);
+  };
+}
+
+// The incremental sessions of a (possibly noisy) oracle over `graph`, all
+// walking `index`, its CutIndex.
+CutOracle::SessionFactory IncrementalSessions(
+    const DirectedGraph& graph, std::shared_ptr<const CutIndex> index,
+    std::function<double()> factor = nullptr) {
+  return [&graph, index = std::move(index), factor = std::move(factor)](
+             VertexSet side) -> std::unique_ptr<CutQuerySession> {
+    return std::make_unique<IncrementalCutSession>(graph, index,
+                                                   std::move(side), factor);
+  };
+}
 
 }  // namespace
 
@@ -97,20 +131,13 @@ void CutOracle::AnswerMany(std::span<const VertexSet* const> sides,
 }
 
 CutOracle ExactCutOracle(const DirectedGraph& graph) {
-  graph.BuildAdjacency();
-  return CutOracle(
-      [&graph](const VertexSet& side) {
-        const VertexSet* const sides[] = {&side};
-        double value = 0;
-        graph.CutWeights(sides, std::span<double>(&value, 1));
-        return value;
-      },
-      [&graph](VertexSet side) -> std::unique_ptr<CutQuerySession> {
-        return std::make_unique<IncrementalCutSession>(graph,
-                                                       std::move(side));
-      },
-      [&graph](std::span<const VertexSet* const> sides,
-               std::span<double> out) { graph.CutWeights(sides, out); });
+  const auto index = std::make_shared<const CutIndex>(graph);
+  return CutOracle(IndexQuery(index), IncrementalSessions(graph, index),
+                   IndexBatch(index));
+}
+
+CutOracle IndexCutOracle(std::shared_ptr<const CutIndex> index) {
+  return CutOracle(IndexQuery(index), nullptr, IndexBatch(index));
 }
 
 CutOracle SketchCutOracle(const DirectedCutSketch& sketch) {
@@ -122,7 +149,6 @@ CutOracle SketchCutOracle(const DirectedCutSketch& sketch) {
 CutOracle NoisyCutOracle(const DirectedGraph& graph, double relative_error,
                          Rng& rng) {
   DCS_CHECK_GE(relative_error, 0);
-  graph.BuildAdjacency();
   const auto factor = [relative_error, &rng]() {
     return 1 + relative_error * (2 * rng.UniformDouble() - 1);
   };
@@ -130,16 +156,13 @@ CutOracle NoisyCutOracle(const DirectedGraph& graph, double relative_error,
       [&graph, factor](const VertexSet& side) {
         return graph.CutWeight(side) * factor();
       },
-      [&graph, factor](VertexSet side) -> std::unique_ptr<CutQuerySession> {
-        return std::make_unique<IncrementalCutSession>(graph, std::move(side),
-                                                       factor);
-      });
+      IncrementalSessions(graph, std::make_shared<const CutIndex>(graph),
+                          factor));
 }
 
 CutOracle MaximalNoiseCutOracle(const DirectedGraph& graph,
                                 double relative_error, Rng& rng) {
   DCS_CHECK_GE(relative_error, 0);
-  graph.BuildAdjacency();
   const auto factor = [relative_error, &rng]() {
     return 1 + relative_error * rng.RandomSign();
   };
@@ -147,10 +170,8 @@ CutOracle MaximalNoiseCutOracle(const DirectedGraph& graph,
       [&graph, factor](const VertexSet& side) {
         return graph.CutWeight(side) * factor();
       },
-      [&graph, factor](VertexSet side) -> std::unique_ptr<CutQuerySession> {
-        return std::make_unique<IncrementalCutSession>(graph, std::move(side),
-                                                       factor);
-      });
+      IncrementalSessions(graph, std::make_shared<const CutIndex>(graph),
+                          factor));
 }
 
 }  // namespace dcs

@@ -105,16 +105,23 @@ class CutOracle {
 using SeededCutOracleFactory =
     std::function<CutOracle(const DirectedGraph&, Rng&)>;
 
-// Exact oracle backed by the graph itself. One-shot and batched queries
-// both run DirectedGraph::CutWeights (one side, or all of them); sessions
-// are O(deg) incremental.
+// Exact oracle over the graph's CutIndex, built here once and shared with
+// every session. One-shot and batched queries both run
+// CutIndex::CutWeights (one side, or all of them); sessions are O(deg)
+// incremental and start from the graph's edge scan, so the graph must
+// outlive the oracle.
 CutOracle ExactCutOracle(const DirectedGraph& graph);
+
+// The same one-shot and batched queries over an index alone, for holders
+// that keep no graph (the serving layer); its sessions rescan.
+CutOracle IndexCutOracle(std::shared_ptr<const CutIndex> index);
 
 // Oracle backed by a sketch (the sketch must outlive the oracle).
 CutOracle SketchCutOracle(const DirectedCutSketch& sketch);
 
 // Exact value perturbed by independent uniform multiplicative noise in
-// [1−relative_error, 1+relative_error]. The rng must outlive the oracle.
+// [1−relative_error, 1+relative_error]. The graph and the rng must outlive
+// the oracle; its sessions share one CutIndex of the graph.
 // This models a generic (1±ε) sketch with fresh randomness per query.
 CutOracle NoisyCutOracle(const DirectedGraph& graph, double relative_error,
                          Rng& rng);
@@ -122,6 +129,7 @@ CutOracle NoisyCutOracle(const DirectedGraph& graph, double relative_error,
 // Worst-case (1±relative_error) oracle: each query is perturbed by a
 // *sign-random but maximal* factor (exactly 1±relative_error). Decoders
 // must survive this to claim robustness at a given error level.
+// Lifetimes as for NoisyCutOracle.
 CutOracle MaximalNoiseCutOracle(const DirectedGraph& graph,
                                 double relative_error, Rng& rng);
 

@@ -73,24 +73,33 @@ DirectedGraph ForAllEncoder::Encode(
   return graph;
 }
 
-ForAllDecoder::ForAllDecoder(const ForAllLowerBoundParams& params)
-    : params_(params), backward_skeleton_(params.num_vertices()) {
-  params_.Check();
-  const int k = params_.layer_size();
-  for (int p = 0; p + 1 < params_.num_layers; ++p) {
+namespace {
+
+// The publicly known part of every encoding: its backward edges, each
+// right vertex of a layer pair to each left vertex, at the fixed weight.
+DirectedGraph BackwardSkeleton(const ForAllLowerBoundParams& params) {
+  params.Check();
+  DirectedGraph skeleton(params.num_vertices());
+  const int k = params.layer_size();
+  for (int p = 0; p + 1 < params.num_layers; ++p) {
     const int left_base = p * k;
     const int right_base = (p + 1) * k;
     for (int v = 0; v < k; ++v) {
       for (int u = 0; u < k; ++u) {
-        backward_skeleton_.AddEdge(right_base + v, left_base + u,
-                                   params_.backward_weight());
+        skeleton.AddEdge(right_base + v, left_base + u,
+                         params.backward_weight());
       }
     }
   }
-  // Trial runners share one decoder across threads; force the lazy
-  // adjacency build now so later const access is read-only.
-  backward_skeleton_.BuildAdjacency();
+  return skeleton;
 }
+
+}  // namespace
+
+ForAllDecoder::ForAllDecoder(const ForAllLowerBoundParams& params)
+    : params_(params),
+      backward_skeleton_(BackwardSkeleton(params)),
+      backward_index_(backward_skeleton_) {}
 
 VertexSet ForAllDecoder::BuildQuerySide(const ForAllStringLocation& loc,
                                         const std::vector<uint8_t>& t,
@@ -143,7 +152,7 @@ VertexSet ForAllDecoder::SelectBestSubset(int64_t string_index,
     for (int i = 0; i < half; ++i) u_subset[static_cast<size_t>(i)] = 1;
     const auto session =
         oracle.BeginSession(BuildQuerySide(loc, t, u_subset));
-    IncrementalCutOracle fixed(backward_skeleton_,
+    IncrementalCutOracle fixed(backward_skeleton_, backward_index_,
                                BuildQuerySide(loc, t, u_subset));
     VertexSet best = u_subset;
     double best_value = session->Query() - fixed.value();
@@ -179,7 +188,7 @@ VertexSet ForAllDecoder::SelectBestSubset(int64_t string_index,
   // enumeration argmax.
   const VertexSet empty(static_cast<size_t>(k), 0);
   const auto session = oracle.BeginSession(BuildQuerySide(loc, t, empty));
-  IncrementalCutOracle fixed(backward_skeleton_,
+  IncrementalCutOracle fixed(backward_skeleton_, backward_index_,
                              BuildQuerySide(loc, t, empty));
   const double base_value = session->Query() - fixed.value();
   std::vector<std::pair<double, int>> marginals;

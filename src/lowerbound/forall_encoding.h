@@ -129,7 +129,10 @@ class ForAllDecoder {
                            const VertexSet& u_subset) const;
 
   ForAllLowerBoundParams params_;
+  // Backward-edge-only skeleton graph: all (publicly known) fixed weights,
+  // and its index for the decoders' incremental skeleton cuts.
   DirectedGraph backward_skeleton_;
+  CutIndex backward_index_;
   int64_t enumeration_budget_ = 0;  // 0 = unlimited
 };
 

@@ -30,6 +30,19 @@ void AddBackwardEdges(DirectedGraph& graph, int layer_size, int left_base,
   }
 }
 
+// The publicly known part of every encoding: the backward edges of every
+// layer pair, at the fixed weight.
+DirectedGraph BackwardSkeleton(const ForEachLowerBoundParams& params) {
+  params.Check();
+  DirectedGraph skeleton(params.num_vertices());
+  const int k = params.layer_size();
+  for (int p = 0; p + 1 < params.num_layers; ++p) {
+    AddBackwardEdges(skeleton, k, p * k, (p + 1) * k,
+                     params.backward_weight());
+  }
+  return skeleton;
+}
+
 }  // namespace
 
 double ForEachLowerBoundParams::forward_base_weight() const {
@@ -146,17 +159,8 @@ ForEachEncoder::Encoding ForEachEncoder::Encode(
 ForEachDecoder::ForEachDecoder(const ForEachLowerBoundParams& params)
     : params_(params),
       tensor_(Log2Exact(params.inv_epsilon)),
-      backward_skeleton_(params.num_vertices()) {
-  params_.Check();
-  const int k = params_.layer_size();
-  for (int p = 0; p + 1 < params_.num_layers; ++p) {
-    AddBackwardEdges(backward_skeleton_, k, p * k, (p + 1) * k,
-                     params_.backward_weight());
-  }
-  // Trial runners share one decoder across threads; force the lazy
-  // adjacency build now so later const access is read-only.
-  backward_skeleton_.BuildAdjacency();
-}
+      backward_skeleton_(BackwardSkeleton(params)),
+      backward_index_(backward_skeleton_) {}
 
 std::array<VertexSet, 4> ForEachDecoder::BuildQuerySides(
     const ForEachBitLocation& loc) const {
@@ -232,7 +236,8 @@ double ForEachDecoder::EstimateInnerProduct(int64_t q,
   const int right_base =
       (loc.layer_pair + 1) * k + loc.right_cluster * inv_eps;
   const auto session = oracle.BeginSession(sides[0]);
-  IncrementalCutOracle fixed(backward_skeleton_, sides[0]);
+  IncrementalCutOracle fixed(backward_skeleton_, backward_index_,
+                             sides[0]);
   static constexpr std::array<int, 4> kSigns = {+1, -1, -1, +1};
   double estimate = 0;
   for (int query = 0; query < 4; ++query) {

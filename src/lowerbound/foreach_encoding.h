@@ -153,8 +153,10 @@ class ForEachDecoder {
 
   ForEachLowerBoundParams params_;
   TensorSignMatrix tensor_;
-  // Backward-edge-only skeleton graph: all (publicly known) fixed weights.
+  // Backward-edge-only skeleton graph: all (publicly known) fixed weights,
+  // and its index for the decoders' incremental skeleton cuts.
   DirectedGraph backward_skeleton_;
+  CutIndex backward_index_;
 };
 
 // End-to-end trial: encode a random string, decode `probe_count` random

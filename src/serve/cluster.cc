@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -51,13 +50,12 @@ Status CheckIndexable(const DirectedGraph& graph) {
       std::to_string(ClusterWorker::kMaxVertices));
 }
 
-// One warm-load record at ascending position `position`: its graph, with
-// its CSR adjacency already built (registration's ExactCutOracle would
-// otherwise build it, one graph after another), and its reattach checksum
+// One warm-load record at ascending position `position`: its graph's
+// CutIndex (the graph is dropped once indexed) and its reattach checksum
 // (the client's GraphEnvelopeChecksum), or why the store cannot be booted
 // from.
 Status DecodeWarmRecord(int64_t position, const SegmentRecord& record,
-                        std::optional<DirectedGraph>& graph,
+                        std::shared_ptr<const CutIndex>& index,
                         uint32_t& checksum) {
   const int64_t id = record.object_id;
   if (id != position) {
@@ -72,9 +70,10 @@ Status DecodeWarmRecord(int64_t position, const SegmentRecord& record,
                          ", not a directed graph");
   }
   BitReader reader(record.payload);
-  DCS_ASSIGN_OR_RETURN(graph, DeserializeDirectedGraph(reader));
-  DCS_RETURN_IF_ERROR(CheckIndexable(*graph));
-  graph->BuildAdjacency();
+  DCS_ASSIGN_OR_RETURN(const DirectedGraph graph,
+                       DeserializeDirectedGraph(reader));
+  DCS_RETURN_IF_ERROR(CheckIndexable(graph));
+  index = std::make_shared<const CutIndex>(graph);
   checksum = Crc32c(record.payload);
   return OkStatus();
 }
@@ -130,18 +129,19 @@ Status ClusterWorker::WarmLoadFromStore(std::vector<SegmentRecord> records) {
   // already verified (header CRC, payload envelope), so boot reads nothing
   // twice. Records deserialize, index and take their reattach checksums
   // independently on one thread per core (boot has the machine to itself;
-  // the shard count says nothing about it); each frees its payload once
-  // done, so the bytes never all sit beside the graphs built from them. A
-  // refusal names the lowest failing position, whatever the schedule.
+  // the shard count says nothing about it); each drops its graph once
+  // indexed and frees its payload once done, so neither the bytes nor the
+  // graphs ever all sit beside the indexes built from them. A refusal
+  // names the lowest failing position, whatever the schedule.
   const int64_t count = static_cast<int64_t>(records.size());
-  std::vector<std::optional<DirectedGraph>> graphs(records.size());
+  std::vector<std::shared_ptr<const CutIndex>> indexes(records.size());
   std::vector<uint32_t> checksums(records.size());
   std::vector<Status> loaded(records.size());
   const int threads =
       std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   ParallelFor(threads, count, [&](int64_t i) {
     const size_t slot = static_cast<size_t>(i);
-    loaded[slot] = DecodeWarmRecord(i, records[slot], graphs[slot],
+    loaded[slot] = DecodeWarmRecord(i, records[slot], indexes[slot],
                                     checksums[slot]);
     std::vector<uint8_t>().swap(records[slot].payload);
   });
@@ -154,10 +154,9 @@ Status ClusterWorker::WarmLoadFromStore(std::vector<SegmentRecord> records) {
     const size_t slot = static_cast<size_t>(id);
     DCS_RETURN_IF_ERROR(loaded[slot]);
     Shard& shard = *shards_[static_cast<size_t>(id % num_shards)];
-    shard.graphs.push_back(std::move(*graphs[slot]));
-    shard.checksums.push_back(checksums[slot]);
+    shard.objects.push_back({indexes[slot]->num_vertices(), checksums[slot]});
     const CutQueryService::ObjectId local =
-        shard.service->RegisterGraph(shard.graphs.back());
+        shard.service->RegisterIndex(std::move(indexes[slot]));
     DCS_CHECK_EQ(local, id / num_shards);
     ++warm_loaded_objects_;
     DCS_METRIC_INC("serve.cluster.objects_warm_loaded");
@@ -303,11 +302,11 @@ RpcResponse ClusterWorker::ExecuteOnShard(Shard& shard,
           break;
         }
       }
-      shard.graphs.push_back(enveloped.graph());
       // The client's GraphEnvelopeChecksum: serialization is canonical.
-      shard.checksums.push_back(enveloped.checksum());
+      shard.objects.push_back(
+          {enveloped.graph().num_vertices(), enveloped.checksum()});
       const CutQueryService::ObjectId local =
-          shard.service->RegisterGraph(shard.graphs.back());
+          shard.service->RegisterGraph(enveloped.graph());
       response.object_id = local * num_shards + shard.index;
       response.status = OkStatus();
       DCS_METRIC_INC("serve.cluster.objects_registered");
@@ -321,12 +320,13 @@ RpcResponse ClusterWorker::ExecuteOnShard(Shard& shard,
             " is not registered on this worker (it may have restarted)");
         break;
       }
-      const DirectedGraph& graph = shard.graphs[static_cast<size_t>(local)];
-      if (request.num_vertices != graph.num_vertices()) {
+      const int num_vertices =
+          shard.objects[static_cast<size_t>(local)].num_vertices;
+      if (request.num_vertices != num_vertices) {
         response.status = InvalidArgumentError(
             "query batch sides have " +
             std::to_string(request.num_vertices) + " vertices; object has " +
-            std::to_string(graph.num_vertices()));
+            std::to_string(num_vertices));
         break;
       }
       std::vector<CutQueryService::Query> batch;
@@ -350,10 +350,9 @@ RpcResponse ClusterWorker::ExecuteOnShard(Shard& shard,
             " is not on this worker; reattach requires a warm store");
         break;
       }
-      const DirectedGraph& graph = shard.graphs[static_cast<size_t>(local)];
-      const uint32_t checksum = shard.checksums[static_cast<size_t>(local)];
-      if (request.num_vertices != graph.num_vertices() ||
-          request.graph_checksum != checksum) {
+      const Shard::Object& object = shard.objects[static_cast<size_t>(local)];
+      if (request.num_vertices != object.num_vertices ||
+          request.graph_checksum != object.checksum) {
         response.status = NotFoundError(
             "object " + std::to_string(request.object_id) +
             " on this worker is not the client's object "

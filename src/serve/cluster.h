@@ -37,7 +37,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -79,8 +78,10 @@ struct ClusterWorkerOptions {
 class ClusterWorker {
  public:
   // Largest vertex count a worker registers: a cluster limit. Registering
-  // indexes the graph (DirectedGraph::BuildAdjacency), whose largest
-  // arrays hold n + 1 int64 each, so the cap keeps each one at 64 MiB,
+  // builds the graph's CutIndex, whose per-vertex arrays are its two offset
+  // arrays of n + 1 int64 (its per-arc arrays grow with m, which the
+  // message cap bounds), and a query pass allocates a lane mask of one
+  // word per vertex rounded up to 64, so the cap keeps each at 64 MiB,
   // under half the 128 MB single-allocation bound the sanitizer receivers
   // pass runs with. A register request over it is refused with
   // kInvalidArgument before anything is stored, a store holding such a
@@ -132,11 +133,13 @@ class ClusterWorker {
     // those waiting for `mutex`), or'd with kDraining once drain starts.
     std::atomic<int> in_flight{0};
     std::mutex mutex;  // held while a request executes
-    // Graphs live here because CutQueryService::RegisterGraph keeps a
-    // reference; deque never reallocates element storage.
-    std::deque<DirectedGraph> graphs;
-    // Envelope checksum of graphs[i] (the kReattach identity check).
-    std::deque<uint32_t> checksums;
+    // What a request is checked against, by local id; the object itself,
+    // the graph's CutIndex, lives in `service`.
+    struct Object {
+      int num_vertices = 0;
+      uint32_t checksum = 0;  // envelope checksum (the kReattach check)
+    };
+    std::vector<Object> objects;
   };
 
   // Takes ownership of `wake_fd`, the stop eventfd.

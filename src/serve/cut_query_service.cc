@@ -60,7 +60,12 @@ CutQueryService::ObjectId CutQueryService::Register(CutOracle oracle) {
 
 CutQueryService::ObjectId CutQueryService::RegisterGraph(
     const DirectedGraph& graph) {
-  return Register(ExactCutOracle(graph));
+  return RegisterIndex(std::make_shared<const CutIndex>(graph));
+}
+
+CutQueryService::ObjectId CutQueryService::RegisterIndex(
+    std::shared_ptr<const CutIndex> index) {
+  return Register(IndexCutOracle(std::move(index)));
 }
 
 StatusOr<CutQueryService::ObjectId> CutQueryService::RegisterBackendSketch(

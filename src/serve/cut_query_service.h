@@ -6,8 +6,8 @@
 // is a pure function of the side, so repeated queries are answered from an
 // LRU cache (query_cache.h) keyed on the canonical side. A run's misses on
 // exact graphs are answered together after its cache probes, one
-// DirectedGraph::CutWeights pass per graph, bit-identical to answering
-// them one at a time; sketch misses run inline in issue order.
+// CutIndex::CutWeights pass per graph, bit-identical to answering them one
+// at a time; sketch misses run inline in issue order.
 //
 // Bit accounting: a cached answer is still a logical query. Every batch
 // entry increments serve.query.logical exactly once, whether it hit the
@@ -60,9 +60,12 @@ class CutQueryService {
   CutQueryService(const CutQueryService&) = delete;
   CutQueryService& operator=(const CutQueryService&) = delete;
 
-  // Registration (call before serving). A registered graph must outlive
-  // the service.
+  // Registration (call before serving). A graph is registered as its
+  // CutIndex, which the service owns: the graph itself is not kept.
   ObjectId RegisterGraph(const DirectedGraph& graph);
+  // Registers a graph by an index already built from it (a warm load
+  // builds them in parallel, then registers in order).
+  ObjectId RegisterIndex(std::shared_ptr<const CutIndex> index);
   // Builds a registered sparsifier backend (sketch/backend_registry.h)
   // over `graph` by name and registers it. The service owns the sketch,
   // so callers only keep the graph alive during the call.

@@ -27,18 +27,17 @@ CyclePeeling PeelCycles(const DirectedGraph& graph) {
   const int n = graph.num_vertices();
   CyclePeeling peeling;
   peeling.residual = DirectedGraph(n);
-  std::vector<double> remaining(graph.edges().size());
-  for (size_t i = 0; i < remaining.size(); ++i) {
-    remaining[i] = graph.edges()[i].weight;
-  }
-  // Per-vertex cursor into its out-edge list, advanced past spent edges.
-  std::vector<size_t> cursor(static_cast<size_t>(n), 0);
-  auto next_out_edge = [&](VertexId v) -> int64_t {
-    const std::span<const int64_t> out = graph.OutEdgeIds(v);
-    while (cursor[static_cast<size_t>(v)] < out.size()) {
-      const int64_t id = out[cursor[static_cast<size_t>(v)]];
-      if (remaining[static_cast<size_t>(id)] > kWeightTolerance) return id;
-      ++cursor[static_cast<size_t>(v)];
+  // Each vertex's out-arcs, in edge order, and the weight each arc has not
+  // yet given to a cycle or the residual, by its CSR position.
+  const CutIndex index(graph);
+  const CutIndex::Arcs& out = index.out();
+  std::vector<double> remaining = out.weights;
+  // Per-vertex cursor into its out-arcs, advanced past spent arcs.
+  std::vector<int64_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
+  auto next_out_arc = [&](VertexId v) -> int64_t {
+    int64_t& at = cursor[static_cast<size_t>(v)];
+    for (; at < out.offsets[static_cast<size_t>(v) + 1]; ++at) {
+      if (remaining[static_cast<size_t>(at)] > kWeightTolerance) return at;
     }
     return -1;
   };
@@ -46,7 +45,7 @@ CyclePeeling PeelCycles(const DirectedGraph& graph) {
   // on_path[v] = position of v on the current walk, or -1.
   std::vector<int> on_path(static_cast<size_t>(n), -1);
   for (VertexId start = 0; start < n; ++start) {
-    while (next_out_edge(start) != -1) {
+    while (next_out_arc(start) != -1) {
       // Walk from `start`; a revisit closes a cycle. On an Eulerian graph
       // (which cycle subtraction preserves) the walk can always continue,
       // but in general it may dead-end — the graph does not owe us a
@@ -55,27 +54,26 @@ CyclePeeling PeelCycles(const DirectedGraph& graph) {
       // already-spent prefix; exactness of the split is all the sketch
       // needs).
       std::vector<VertexId> path_vertices;
-      std::vector<int64_t> path_edges;
+      std::vector<int64_t> path_edges;  // CSR positions of the walk's arcs
       VertexId v = start;
       on_path[static_cast<size_t>(v)] = 0;
       path_vertices.push_back(v);
       while (true) {
-        const int64_t edge_id = next_out_edge(v);
-        if (edge_id < 0) {
+        const int64_t arc = next_out_arc(v);
+        if (arc < 0) {
           if (path_edges.empty()) break;  // start itself is spent
           const int64_t last = path_edges.back();
           path_edges.pop_back();
-          const Edge& e = graph.edges()[static_cast<size_t>(last)];
-          peeling.residual.AddEdge(e.src, e.dst,
+          path_vertices.pop_back();
+          peeling.residual.AddEdge(path_vertices.back(), v,
                                    remaining[static_cast<size_t>(last)]);
           remaining[static_cast<size_t>(last)] = 0;
           on_path[static_cast<size_t>(v)] = -1;
-          path_vertices.pop_back();
           v = path_vertices.back();
           continue;
         }
-        const VertexId next = graph.edges()[static_cast<size_t>(edge_id)].dst;
-        path_edges.push_back(edge_id);
+        const VertexId next = out.neighbors[static_cast<size_t>(arc)];
+        path_edges.push_back(arc);
         if (on_path[static_cast<size_t>(next)] != -1) {
           const size_t from =
               static_cast<size_t>(on_path[static_cast<size_t>(next)]);
@@ -105,7 +103,7 @@ CyclePeeling PeelCycles(const DirectedGraph& graph) {
       }
     }
   }
-  // Each start's loop ends only once all its out-edges are spent, so every
+  // Each start's loop ends only once all its out-arcs are spent, so every
   // edge is now cycles + residual up to kWeightTolerance; weight at or
   // below it is dropped from both halves.
   return peeling;

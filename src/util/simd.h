@@ -6,7 +6,7 @@
 //   ButterflyRows — the element-wise (a, b) → (a+b, a−b) row combine used by
 //                   the tiled column passes of the 2-D transform;
 //   AddCrossingLanes — the lane add of the many-sided cut kernel
-//                   (DirectedGraph::CutWeights, graph/digraph.cc);
+//                   (CutIndex::CutWeights, graph/digraph.cc);
 //   Crc32c        — the checksum that seals and checks every envelope,
 //                   frame, segment record and trailer (util/checksum.h).
 //

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "degrees.h"
 #include "graph/balance.h"
 #include "graph/connectivity.h"
 #include "graph/zoo.h"
@@ -38,7 +39,7 @@ TEST(GeneratorsTest, EulerianDigraphHasEqualInOutDegrees) {
   Rng rng(4);
   const DirectedGraph g = RandomEulerianDigraph(12, 20, 6, rng);
   for (int v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(g.OutDegree(v), g.InDegree(v)) << "vertex " << v;
+    EXPECT_DOUBLE_EQ(OutDegree(g, v), InDegree(g, v)) << "vertex " << v;
   }
 }
 
@@ -54,8 +55,8 @@ TEST(GeneratorsTest, CompleteBipartiteDigraphStructure) {
   EXPECT_EQ(g.num_vertices(), 7);
   EXPECT_EQ(g.num_edges(), 24);
   // Left vertices only have forward out-edges.
-  EXPECT_DOUBLE_EQ(g.OutDegree(0), 8.0);
-  EXPECT_DOUBLE_EQ(g.InDegree(0), 2.0);
+  EXPECT_DOUBLE_EQ(OutDegree(g, 0), 8.0);
+  EXPECT_DOUBLE_EQ(InDegree(g, 0), 2.0);
 }
 
 TEST(GeneratorsTest, RandomUndirectedGraphConnectedFlag) {
@@ -79,7 +80,7 @@ TEST(GeneratorsTest, RandomUndirectedGraphWeightRange) {
 TEST(GeneratorsTest, CompleteGraphEdgeCount) {
   const UndirectedGraph g = CompleteGraph(6, 1.0);
   EXPECT_EQ(g.num_edges(), 15);
-  for (int v = 0; v < 6; ++v) EXPECT_DOUBLE_EQ(g.Degree(v), 5.0);
+  for (int v = 0; v < 6; ++v) EXPECT_DOUBLE_EQ(Degree(g, v), 5.0);
 }
 
 TEST(GeneratorsTest, CycleGraphMinCutIsTwo) {
@@ -102,7 +103,7 @@ TEST(GeneratorsTest, MatchingUnionIsRegular) {
   Rng rng(8);
   const UndirectedGraph g = UnionOfRandomMatchings(16, 5, rng);
   EXPECT_EQ(g.num_edges(), 5 * 8);
-  for (int v = 0; v < 16; ++v) EXPECT_DOUBLE_EQ(g.Degree(v), 5.0);
+  for (int v = 0; v < 16; ++v) EXPECT_DOUBLE_EQ(Degree(g, v), 5.0);
 }
 
 TEST(GeneratorsTest, GridGraphStructure) {
@@ -111,9 +112,9 @@ TEST(GeneratorsTest, GridGraphStructure) {
   EXPECT_EQ(g.num_edges(), 4 * 5 + 3 * 6);  // horizontal + vertical
   EXPECT_TRUE(IsConnected(g));
   // Corner degree 2, edge degree 3, interior degree 4.
-  EXPECT_DOUBLE_EQ(g.Degree(0), 2.0);
-  EXPECT_DOUBLE_EQ(g.Degree(1), 3.0);
-  EXPECT_DOUBLE_EQ(g.Degree(7), 4.0);
+  EXPECT_DOUBLE_EQ(Degree(g, 0), 2.0);
+  EXPECT_DOUBLE_EQ(Degree(g, 1), 3.0);
+  EXPECT_DOUBLE_EQ(Degree(g, 7), 4.0);
   // The minimum cut isolates a corner (degree 2).
   EXPECT_DOUBLE_EQ(StoerWagnerMinCut(g).value, 2.0);
 }
@@ -133,9 +134,9 @@ TEST(GeneratorsTest, PreferentialAttachmentShape) {
   // Seed clique C(4,2) = 6 edges plus 3 per additional vertex.
   EXPECT_EQ(g.num_edges(), 6 + (60 - 4) * 3);
   // Every non-seed vertex has degree >= m; the oldest vertices are hubs.
-  for (int v = m + 1; v < 60; ++v) EXPECT_GE(g.Degree(v), 3.0);
+  for (int v = m + 1; v < 60; ++v) EXPECT_GE(Degree(g, v), 3.0);
   double max_degree = 0;
-  for (int v = 0; v < 60; ++v) max_degree = std::max(max_degree, g.Degree(v));
+  for (int v = 0; v < 60; ++v) max_degree = std::max(max_degree, Degree(g, v));
   EXPECT_GE(max_degree, 10.0);  // skewed degrees
 }
 
@@ -221,7 +222,7 @@ TEST(ZooTest, FamilyShapesMatchTheirConstructions) {
   EXPECT_EQ(power.graph.num_edges(), 2 * (6 + (40 - 4) * 3));
   double max_out = 0;
   for (int v = 0; v < 40; ++v) {
-    max_out = std::max(max_out, power.graph.OutDegree(v));
+    max_out = std::max(max_out, OutDegree(power.graph, v));
   }
   EXPECT_GE(max_out, 8.0);
 
@@ -234,7 +235,7 @@ TEST(ZooTest, FamilyShapesMatchTheirConstructions) {
   EXPECT_EQ(expander.graph.num_edges(), 4 * (40 / 2) * 2);
   for (int v = 0; v < 40; ++v) {
     const double total =
-        expander.graph.OutDegree(v) + expander.graph.InDegree(v);
+        OutDegree(expander.graph, v) + InDegree(expander.graph, v);
     EXPECT_NEAR(total, 4 * (1.0 + 1.0 / options.beta), 1e-9)
         << "vertex " << v;
   }

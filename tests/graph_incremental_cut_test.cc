@@ -50,7 +50,8 @@ TEST(IncrementalCutOracleTest, MatchesBruteForceUnderRandomFlips) {
     const int m = static_cast<int>(rng.UniformInRange(0, 4 * n));
     const DirectedGraph g = RandomGraph(n, m, rng);
     VertexSet side = RandomSide(n, rng);
-    IncrementalCutOracle oracle(g, side);
+    const CutIndex index(g);
+    IncrementalCutOracle oracle(g, index, side);
     EXPECT_EQ(oracle.value(), g.CutWeight(side));
     for (int step = 0; step < 100; ++step) {
       const VertexId v =
@@ -67,7 +68,8 @@ TEST(IncrementalCutOracleTest, FlipIsAnInvolution) {
   Rng rng(13);
   const DirectedGraph g = RandomGraph(10, 30, rng);
   const VertexSet side = RandomSide(10, rng);
-  IncrementalCutOracle oracle(g, side);
+  const CutIndex index(g);
+  IncrementalCutOracle oracle(g, index, side);
   const double before = oracle.value();
   oracle.Flip(4);
   oracle.Flip(4);
@@ -82,7 +84,8 @@ TEST(IncrementalCutOracleTest, AcceptsNonNormalizedSideBytes) {
   g.AddEdge(0, 1, 2.0);
   g.AddEdge(1, 2, 4.0);
   VertexSet side = {0, 7, 0};  // S = {1}
-  IncrementalCutOracle oracle(g, side);
+  const CutIndex index(g);
+  IncrementalCutOracle oracle(g, index, side);
   EXPECT_EQ(oracle.value(), 4.0);
   oracle.Flip(1);  // S = {}
   EXPECT_EQ(oracle.value(), 0.0);
@@ -90,30 +93,26 @@ TEST(IncrementalCutOracleTest, AcceptsNonNormalizedSideBytes) {
   EXPECT_EQ(oracle.value(), 2.0);
 }
 
-TEST(IncrementalCutOracleTest, ResetReplacesTheSide) {
-  Rng rng(17);
-  const DirectedGraph g = RandomGraph(12, 40, rng);
-  IncrementalCutOracle oracle(g, RandomSide(12, rng));
-  const VertexSet fresh = RandomSide(12, rng);
-  oracle.Reset(fresh);
-  EXPECT_EQ(oracle.value(), g.CutWeight(fresh));
-}
-
 // One side through the batched kernel.
 double CutWeightOf(const DirectedGraph& g, const VertexSet& side) {
   const VertexSet* const sides[] = {&side};
   double value = 0;
-  g.CutWeights(sides, std::span<double>(&value, 1));
+  CutIndex(g).CutWeights(sides, std::span<double>(&value, 1));
   return value;
 }
 
-std::vector<double> CutWeightsOf(const DirectedGraph& g,
+std::vector<double> CutWeightsOf(const CutIndex& index,
                                  const std::vector<VertexSet>& sides) {
   std::vector<const VertexSet*> pointers;
   for (const VertexSet& side : sides) pointers.push_back(&side);
   std::vector<double> values(sides.size());
-  g.CutWeights(pointers, values);
+  index.CutWeights(pointers, values);
   return values;
+}
+
+std::vector<double> CutWeightsOf(const DirectedGraph& g,
+                                 const std::vector<VertexSet>& sides) {
+  return CutWeightsOf(CutIndex(g), sides);
 }
 
 bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
@@ -121,33 +120,41 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-// The per-side walk in its own order: the cheaper of S's out-edges and
-// (V∖S)'s in-edges, vertex by vertex over the CSR adjacency, or the edge
-// scan when neither frontier is below m. The kernel must reproduce its
-// sums bit for bit.
+// The per-side walk in its own order: the cheaper of S's out-arcs and
+// (V∖S)'s in-arcs, vertex by vertex over the CSR, or the edge scan when
+// neither frontier is below m. The kernel must reproduce its sums bit for
+// bit.
 double ReferenceWalk(const DirectedGraph& g, const VertexSet& side) {
+  const CutIndex index(g);
   const auto in_s = [&](VertexId v) {
     return side[static_cast<size_t>(v)] != 0;
+  };
+  const auto degree = [](const CutIndex::Arcs& arcs, VertexId v) {
+    return arcs.offsets[static_cast<size_t>(v) + 1] -
+           arcs.offsets[static_cast<size_t>(v)];
   };
   int64_t out_volume = 0;
   int64_t in_volume = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (in_s(v)) {
-      out_volume += static_cast<int64_t>(g.OutEdgeIds(v).size());
+      out_volume += degree(index.out(), v);
     } else {
-      in_volume += static_cast<int64_t>(g.InEdgeIds(v).size());
+      in_volume += degree(index.in(), v);
     }
   }
   const int64_t volume = std::min(out_volume, in_volume);
   if (volume == 0) return 0;
   if (volume >= g.num_edges()) return g.CutWeight(side);
   const bool out_walk = out_volume <= in_volume;
+  const CutIndex::Arcs& arcs = out_walk ? index.out() : index.in();
   double total = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (in_s(v) != out_walk) continue;
-    for (const int64_t id : out_walk ? g.OutEdgeIds(v) : g.InEdgeIds(v)) {
-      const Edge& e = g.edges()[static_cast<size_t>(id)];
-      if (out_walk ? !in_s(e.dst) : in_s(e.src)) total += e.weight;
+    for (int64_t k = arcs.offsets[static_cast<size_t>(v)];
+         k < arcs.offsets[static_cast<size_t>(v) + 1]; ++k) {
+      const size_t at = static_cast<size_t>(k);
+      const bool far_in_s = in_s(arcs.neighbors[at]);
+      if (out_walk ? !far_in_s : far_in_s) total += arcs.weights[at];
     }
   }
   return total;
@@ -289,6 +296,30 @@ TEST(CutWeightsTest, GoldenAnswersMatchTheReplacedWalk) {
     EXPECT_TRUE(SameBits(batched, one_by_one));
     EXPECT_TRUE(SameBits(batched, reference));
   }
+}
+
+// An index owns everything it reads: with every golden graph destroyed,
+// its answers keep their bits.
+TEST(CutIndexTest, OutlivesItsGraph) {
+  std::vector<CutIndex> indexes;
+  std::vector<std::vector<VertexSet>> sides;
+  std::vector<double> expected;
+  {
+    std::vector<GoldenCase> cases = GoldenCases();
+    for (GoldenCase& c : cases) {
+      indexes.emplace_back(c.graph);
+      const std::vector<double> values = CutWeightsOf(c.graph, c.sides);
+      expected.insert(expected.end(), values.begin(), values.end());
+      sides.push_back(std::move(c.sides));
+    }
+  }
+  std::vector<double> answers;
+  for (size_t k = 0; k < indexes.size(); ++k) {
+    const std::vector<double> values = CutWeightsOf(indexes[k], sides[k]);
+    answers.insert(answers.end(), values.begin(), values.end());
+  }
+  EXPECT_TRUE(SameBits(answers, expected));
+  EXPECT_EQ(AnswerChecksum(answers), kGoldenAnswerChecksum);
 }
 
 // Every dispatch path of the lane kernel gives the forced-scalar bits for

@@ -6,6 +6,7 @@
 #include "lowerbound/twosum_graph.h"
 
 #include "comm/two_sum.h"
+#include "degrees.h"
 #include "graph/connectivity.h"
 #include "gtest/gtest.h"
 #include "mincut/dinic.h"
@@ -70,7 +71,7 @@ TEST(TwoSumGraphTest, EveryVertexHasDegreeEll) {
   const std::vector<uint8_t> y = rng.RandomBinaryString(ell * ell);
   const UndirectedGraph g = BuildTwoSumGraph(x, y);
   for (int v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(g.Degree(v), static_cast<double>(ell)) << "vertex " << v;
+    EXPECT_DOUBLE_EQ(Degree(g, v), static_cast<double>(ell)) << "vertex " << v;
   }
 }
 

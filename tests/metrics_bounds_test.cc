@@ -124,7 +124,6 @@ TEST_F(MetricsBoundsTest, FourQueryBoundHoldsForNoisyAndRescanOracles) {
   // A bare lambda oracle has no incremental sessions; the fallback rescan
   // session must still serve exactly the same four queries per bit.
   const DirectedGraph& graph = encoding.graph;
-  graph.BuildAdjacency();
   const CutOracle rescan =
       [&graph](const VertexSet& side) { return graph.CutWeight(side); };
   diff = DecodeBitsAndDiff(params, rescan, kProbes, rng, s, &correct);

@@ -12,6 +12,7 @@
 #include <tuple>
 #include <vector>
 
+#include "degrees.h"
 #include "graph/balance.h"
 #include "graph/connectivity.h"
 #include "graph/generators.h"
@@ -52,7 +53,7 @@ TEST_P(UndirectedPropertyTest, HandshakeAndCutIdentity) {
   const UndirectedGraph g = MakeGraph();
   const int n = g.num_vertices();
   double degree_sum = 0;
-  for (int v = 0; v < n; ++v) degree_sum += g.Degree(v);
+  for (int v = 0; v < n; ++v) degree_sum += Degree(g, v);
   EXPECT_NEAR(degree_sum, 2 * g.TotalWeight(), 1e-9);
   // cut(S) = Σ_{v∈S} deg(v) − 2·w(S, S) for random S.
   Rng rng(std::get<2>(GetParam()) + 1);
@@ -69,7 +70,7 @@ TEST_P(UndirectedPropertyTest, HandshakeAndCutIdentity) {
       }
     }
     for (int v = 0; v < n; ++v) {
-      if (side[static_cast<size_t>(v)]) degrees += g.Degree(v);
+      if (side[static_cast<size_t>(v)]) degrees += Degree(g, v);
     }
     EXPECT_NEAR(g.CutWeight(side), degrees - 2 * inside, 1e-9);
   }
@@ -241,7 +242,7 @@ TEST_P(DirectedPropertyTest, EulerianDecompositionOfSymmetrizedPairs) {
   const DirectedGraph rebuilt =
       GraphFromCycles(mirrored.num_vertices(), peeling.cycles);
   for (int v = 0; v < mirrored.num_vertices(); ++v) {
-    EXPECT_NEAR(rebuilt.OutDegree(v), mirrored.OutDegree(v), 1e-6);
+    EXPECT_NEAR(OutDegree(rebuilt, v), OutDegree(mirrored, v), 1e-6);
   }
   BackendOptions options;
   options.epsilon = 0.5;

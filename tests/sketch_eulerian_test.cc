@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "degrees.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
 #include "sketch/backend_registry.h"
@@ -70,8 +71,8 @@ TEST(CycleDecompositionTest, WeightedCycleSplit) {
   EXPECT_EQ(peeling.residual.num_edges(), 0);
   const DirectedGraph rebuilt = GraphFromCycles(3, peeling.cycles);
   for (int v = 0; v < 3; ++v) {
-    EXPECT_NEAR(rebuilt.OutDegree(v), g.OutDegree(v), 1e-9);
-    EXPECT_NEAR(rebuilt.InDegree(v), g.InDegree(v), 1e-9);
+    EXPECT_NEAR(OutDegree(rebuilt, v), OutDegree(g, v), 1e-9);
+    EXPECT_NEAR(InDegree(rebuilt, v), InDegree(g, v), 1e-9);
   }
   // Cut values are reproduced exactly, not just degrees.
   for (int v = 0; v < 3; ++v) {
@@ -106,8 +107,8 @@ TEST(CycleDecompositionTest, NonEulerianPathIsAllResidual) {
   EXPECT_TRUE(peeling.cycles.empty());
   ASSERT_EQ(peeling.residual.num_edges(), 2);
   for (int v = 0; v < 3; ++v) {
-    EXPECT_DOUBLE_EQ(peeling.residual.OutDegree(v), g.OutDegree(v));
-    EXPECT_DOUBLE_EQ(peeling.residual.InDegree(v), g.InDegree(v));
+    EXPECT_DOUBLE_EQ(OutDegree(peeling.residual, v), OutDegree(g, v));
+    EXPECT_DOUBLE_EQ(InDegree(peeling.residual, v), InDegree(g, v));
   }
 }
 

@@ -76,8 +76,9 @@ void StressBackToBackGrowingLoops() {
 }
 
 void StressSharedGraphReads() {
-  // Many threads query cuts on one shared graph whose lazy adjacency was
-  // built up front — the access pattern of the decoders' skeleton graphs.
+  // Many threads query cuts on one shared graph and its one CutIndex,
+  // built by its constructor alone — the access pattern of the decoders'
+  // skeleton graphs.
   Rng rng(5);
   DirectedGraph graph(64);
   for (int e = 0; e < 1000; ++e) {
@@ -86,18 +87,18 @@ void StressSharedGraphReads() {
     if (dst >= src) ++dst;
     graph.AddEdge(src, dst, 1.0);
   }
-  graph.BuildAdjacency();
+  const CutIndex index(graph);
   std::vector<double> values(64);
   ParallelFor(8, 64, [&](int64_t i) {
     Rng local(SubtaskSeed(77, i));
     VertexSet side = local.RandomBinaryString(64);
-    IncrementalCutOracle oracle(graph, side);
+    IncrementalCutOracle oracle(graph, index, side);
     for (int step = 0; step < 50; ++step) {
       oracle.Flip(static_cast<VertexId>(local.UniformInt(64)));
     }
     const VertexSet* const sides[] = {&oracle.side()};
     double cut = 0;
-    graph.CutWeights(sides, std::span<double>(&cut, 1));
+    index.CutWeights(sides, std::span<double>(&cut, 1));
     values[static_cast<size_t>(i)] = oracle.value() + cut;
   });
   Require(values.size() == 64, "shared graph reads");
@@ -193,7 +194,6 @@ void StressServeCacheConcurrency(int64_t capacity, int num_sides) {
   // Distinct sides, each repeated across tasks so hits and misses mix.
   std::vector<VertexSet> sides;
   std::vector<double> expected;
-  graph.BuildAdjacency();
   for (int i = 0; i < num_sides; ++i) {
     VertexSet side = rng.RandomBinaryString(48);
     side[static_cast<size_t>(i % 48)] = 1;  // never empty
